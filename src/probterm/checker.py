@@ -1,4 +1,4 @@
-"""Independent certificate verification.
+r"""Independent certificate verification.
 
 Re-derives, transition by transition, the side conditions that make a
 (program, invariant, certificate) triple a valid termination witness,

@@ -33,6 +33,11 @@ class StrictNotRelaxed(Exception):
     """A strict inequality reached the Farkas encoder unrelaxed."""
 
 
+class PivotCapReached(Exception):
+    """A polyhedral query's LP hit the simplex pivot cap, so the query
+    has no answer (neither yes nor no)."""
+
+
 class Affine:
     """Linear form over named LP unknowns plus a rational constant."""
 
@@ -127,6 +132,7 @@ class LPSolution:
     status: LPStatus
     assignment: Optional[Dict[str, Fraction]] = None
     value: Optional[Fraction] = None
+    pivots: int = 0
 
 
 def solve_lp(lp: LPProblem, pivot_cap: int = simplex.DEFAULT_PIVOT_CAP,
@@ -140,9 +146,10 @@ def solve_lp(lp: LPProblem, pivot_cap: int = simplex.DEFAULT_PIVOT_CAP,
     res = simplex.solve(lp.num_vars(), lp.nonneg, rows, obj,
                         pivot_cap=pivot_cap, verify=verify)
     if res.status is not LPStatus.OPTIMAL:
-        return LPSolution(res.status)
+        return LPSolution(res.status, pivots=res.pivots)
     assignment = {name: res.x[i] for i, name in enumerate(lp.names)}
-    return LPSolution(LPStatus.OPTIMAL, assignment, res.value + lp.objective.const)
+    return LPSolution(LPStatus.OPTIMAL, assignment, res.value + lp.objective.const,
+                      res.pivots)
 
 
 # -- polyhedral queries ----------------------------------------------------
@@ -167,18 +174,26 @@ def _poly_rows(p: Polyhedron, extra_gap: Optional[int] = None):
     return rows
 
 
+def _solve_query(*args) -> simplex.SimplexResult:
+    res = simplex.solve(*args)
+    if res.status is LPStatus.PIVOT_CAP:
+        raise PivotCapReached(f"{res.pivots} pivots")
+    return res
+
+
 def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     """Rational satisfiability of `p` with strict inequalities honored.
 
     Maximizes a shared slack under every strict row; the system has a
     rational point iff the non-strict relaxation is feasible and the
     optimal slack is positive. Returns a witness point when feasible.
+    Raises PivotCapReached when the LP hits the pivot cap.
     """
     nvars = max((i for c in p.constraints for i in c.lhs.coeffs), default=-1) + 1
     has_strict = p.has_strict()
     if not has_strict:
         rows = _poly_rows(p)
-        res = simplex.solve(nvars, [False] * nvars, rows, {})
+        res = _solve_query(nvars, [False] * nvars, rows, {})
         if res.status is LPStatus.INFEASIBLE:
             return False, None
         return True, {i: res.x[i] for i in range(nvars)}
@@ -186,7 +201,7 @@ def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     rows = _poly_rows(p, extra_gap=gap)
     rows.append(({gap: ONE}, RowRel.LE, ONE))
     nonneg = [False] * nvars + [True]
-    res = simplex.solve(nvars + 1, nonneg, rows, {gap: ONE})
+    res = _solve_query(nvars + 1, nonneg, rows, {gap: ONE})
     if res.status is LPStatus.INFEASIBLE or res.value == 0:
         return False, None
     return True, {i: res.x[i] for i in range(nvars)}
@@ -197,7 +212,8 @@ def entails(p: Polyhedron, c: LinConstraint) -> Tuple[bool, Optional[Dict[int, F
 
     Decided by maximizing c's left-hand side over `p` (equalities as two
     inequalities). When the answer is no, a counterexample point inside
-    `p` (strict constraints included) is returned.
+    `p` (strict constraints included) is returned. Raises PivotCapReached
+    when an LP hits the pivot cap.
     """
     if c.rel is Rel.EQ:
         ok1, w1 = entails(p, LinConstraint.le(c.lhs))
@@ -217,7 +233,7 @@ def entails(p: Polyhedron, c: LinConstraint) -> Tuple[bool, Optional[Dict[int, F
                 default=-1) + 1
     rows = _poly_rows(relaxed)
     obj = dict(c.lhs.coeffs)
-    res = simplex.solve(nvars, [False] * nvars, rows, obj)
+    res = _solve_query(nvars, [False] * nvars, rows, obj)
     if res.status is LPStatus.OPTIMAL and res.value + c.lhs.constant <= 0:
         return True, None
     # violated: exhibit a point of p itself with lhs > 0

@@ -1,12 +1,25 @@
-"""Exact two-phase simplex over rationals.
+"""Exact two-phase simplex over rationals, fraction-free and sparse.
 
 Dedicated to certificate synthesis and checking, where a float LP would
-poison the Farkas witnesses: every pivot is performed with
-`fractions.Fraction`, so feasibility, unboundedness and optima are exact
-and the returned vertex can be re-substituted into the constraints
-without tolerance. Pivoting uses Bland's rule throughout (no cycling,
-deterministic), entering on the lowest eligible column index and leaving
-on the lowest basic index among minimum ratios.
+poison the Farkas witnesses: feasibility, unboundedness and optima are
+exact, and the returned vertex can be re-substituted into the constraints
+without tolerance.
+
+The tableau holds integers only. A row is a dict from column to nonzero
+integer numerator, an integer right-hand side and one positive integer
+denominator for the whole row, kept in lowest terms; the reduced-cost row
+has the same form, with minus the objective value as its right-hand side.
+A pivot with entry p turns a row whose entry in the pivot column is a
+into (p * row - a * pivot_row) / (den * p): the pivot row's own
+denominator cancels, rows without an entry in the pivot column are not
+touched, and a slack or artificial column costs nothing in rows where it
+is zero.
+
+Pivoting uses Bland's rule throughout (no cycling, deterministic),
+entering on the lowest column index with positive reduced cost and
+leaving on the lowest basic index among minimum ratios. Ratios are
+compared by cross-multiplying numerators, since a row's denominator
+cancels in its own ratio.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 ZERO = Fraction(0)
@@ -41,81 +55,117 @@ class SimplexResult:
     x: Optional[List[Fraction]] = None
     value: Optional[Fraction] = None
     ray: Optional[List[Fraction]] = None  # improving direction when unbounded
+    pivots: int = 0
+
+
+IntRow = Tuple[Dict[int, int], int, int]  # (numerators, rhs, denominator)
+
+
+def _reduced(row: Dict[int, int], rhs: int, den: int) -> IntRow:
+    """The row divided by the gcd of all its integers (den > 0)."""
+    g = gcd(rhs, den, *row.values())
+    if g == 1:
+        return row, rhs, den
+    return {j: v // g for j, v in row.items()}, rhs // g, den // g
+
+
+def _integer_row(coeffs: Dict[int, Fraction], rhs: Fraction) -> IntRow:
+    """Rational coefficients and right-hand side as one integer row."""
+    coeffs = {j: c for j, c in coeffs.items() if c != 0}
+    den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    return _reduced({j: c.numerator * (den // c.denominator) for j, c in coeffs.items()},
+                    rhs.numerator * (den // rhs.denominator), den)
+
+
+def _eliminate(row: Dict[int, int], rhs: int, den: int, a: int,
+               prow: Dict[int, int], prhs: int, p: int) -> IntRow:
+    """(p * row - a * prow) / (den * p): clears the pivot column, where
+    `row` has numerator a and the pivot row numerator p > 0. Updates
+    `row` in place when p divides a."""
+    g = gcd(a, p)
+    a //= g
+    p //= g
+    if p != 1:
+        row = {j: p * v for j, v in row.items()}
+        rhs *= p
+        den *= p
+    for j, v in prow.items():
+        w = row.get(j, 0) - a * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+    return _reduced(row, rhs - a * prhs, den)
 
 
 class _Tableau:
-    """Dense tableau with explicit basis bookkeeping."""
+    """Sparse fraction-free tableau with explicit basis bookkeeping: row i
+    reads rows[i][j] / den[i] in column j and rhs[i] / den[i] on the right;
+    its basic column basis[i] reads den[i] / den[i] = 1."""
 
-    def __init__(self, rows: List[List[Fraction]], rhs: List[Fraction],
-                 basis: List[int], ncols: int):
+    def __init__(self, rows: List[Dict[int, int]], rhs: List[int],
+                 den: List[int], basis: List[int]):
         self.rows = rows
         self.rhs = rhs
+        self.den = den
         self.basis = basis
-        self.ncols = ncols
         self.pivots = 0
 
     def pivot(self, r: int, c: int) -> None:
-        prow = self.rows[r]
-        piv = prow[c]
-        if piv != ONE:
-            inv = ONE / piv
-            self.rows[r] = prow = [v * inv for v in prow]
-            self.rhs[r] *= inv
+        prow, prhs, p = self.rows[r], self.rhs[r], self.rows[r][c]
+        if p < 0:
+            prow, prhs, p = {j: -v for j, v in prow.items()}, -prhs, -p
+        # divided by its pivot entry, the row is prow / p
+        prow, prhs, p = _reduced(prow, prhs, p)
+        self.rows[r], self.rhs[r], self.den[r] = prow, prhs, p
         for i, row in enumerate(self.rows):
-            if i == r:
-                continue
-            f = row[c]
-            if f == 0:
-                continue
-            self.rows[i] = [a - f * b for a, b in zip(row, prow)]
-            self.rhs[i] -= f * self.rhs[r]
+            a = row.get(c)
+            if a is not None and i != r:
+                self.rows[i], self.rhs[i], self.den[i] = _eliminate(
+                    row, self.rhs[i], self.den[i], a, prow, prhs, p)
         self.basis[r] = c
         self.pivots += 1
 
-    def maximize(self, cost: List[Fraction], pivot_cap: int,
-                 allowed: Optional[set] = None) -> Tuple[str, Fraction, List[Fraction]]:
+    def maximize(self, cost: Dict[int, Fraction],
+                 pivot_cap: int) -> Tuple[str, Fraction, int]:
         """Run simplex on the current basis for the given objective.
 
-        Returns (outcome, value, reduced_cost_row); outcome is one of
-        "optimal", "unbounded", "cap". `allowed` restricts entering
-        columns (used to fence artificial columns out of phase 2).
+        Returns (outcome, value, column); outcome is one of "optimal",
+        "unbounded", "cap", and column is the entering column that has
+        no leaving row when unbounded.
         """
-        red = list(cost)
-        value = ZERO
+        z, zrhs, zden = _integer_row(cost, ZERO)
         for i, b in enumerate(self.basis):
-            f = red[b]
-            if f != 0:
-                row = self.rows[i]
-                red = [a - f * v for a, v in zip(red, row)]
-                value += f * self.rhs[i]
+            f = z.get(b)
+            if f is not None:
+                z, zrhs, zden = _eliminate(z, zrhs, zden, f, self.rows[i],
+                                           self.rhs[i], self.den[i])
 
         while True:
-            enter = -1
-            for j in range(self.ncols):
-                if red[j] > 0 and (allowed is None or j in allowed):
-                    enter = j
-                    break
+            enter = min((j for j, v in z.items() if v > 0), default=-1)
             if enter < 0:
-                return "optimal", value, red
+                outcome = "optimal"
+                break
             leave = -1
-            best: Optional[Fraction] = None
             for i, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or \
-                            (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
+                a = row.get(enter)
+                if a is not None and a > 0:
+                    if leave < 0:
+                        leave, best_rhs, best_a = i, self.rhs[i], a
+                        continue
+                    lhs, rhs = self.rhs[i] * best_a, best_rhs * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave, best_rhs, best_a = i, self.rhs[i], a
             if leave < 0:
-                self._ray_col = enter
-                return "unbounded", value, red
+                outcome = "unbounded"
+                break
             if self.pivots >= pivot_cap:
-                return "cap", value, red
-            f = red[enter]
+                outcome = "cap"
+                break
             self.pivot(leave, enter)
-            red = [a - f * v for a, v in zip(red, self.rows[leave])]
-            value += f * self.rhs[leave]
+            z, zrhs, zden = _eliminate(z, zrhs, zden, z[enter], self.rows[leave],
+                                       self.rhs[leave], self.den[leave])
+        return outcome, Fraction(-zrhs, zden), enter
 
 
 def solve(num_vars: int,
@@ -128,9 +178,12 @@ def solve(num_vars: int,
 
     Variables with nonneg[j] False are free (internally split). The
     result's assignment, when optimal, satisfies every row exactly; this
-    is re-checked unless `verify` is disabled.
+    is re-checked unless `verify` is disabled. `pivots` counts every
+    pivot made, including those that drive artificials out of the basis.
     """
-    # column layout: one column per nonneg var, two per free var
+    # column layout: one column per nonneg var, two per free var, then one
+    # slack per inequality and one artificial per row lacking a +1 slack,
+    # each in row order
     col_of: List[Tuple[int, int]] = []  # (pos_col, neg_col); neg_col=-1 if nonneg
     ncols = 0
     for j in range(num_vars):
@@ -140,114 +193,94 @@ def solve(num_vars: int,
         else:
             col_of.append((ncols, ncols + 1))
             ncols += 2
+    slack = ncols
+    art = ncols + sum(rel is not RowRel.EQ for _, rel, _ in rows)
 
-    trows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    slack_sign: List[int] = []
-    for coeffs, rel, b in rows:
-        row = [ZERO] * ncols
-        for j, c in coeffs.items():
-            if c == 0:
-                continue
-            pos, neg = col_of[j]
-            row[pos] += c
-            if neg >= 0:
-                row[neg] -= c
-        trows.append(row)
-        rhs.append(b)
-        slack_sign.append({RowRel.LE: 1, RowRel.GE: -1, RowRel.EQ: 0}[rel])
-
-    # one slack column per inequality
-    for i, sign in enumerate(slack_sign):
-        if sign:
-            for r in trows:
-                r.append(ZERO)
-            trows[i][ncols] = Fraction(sign)
-            slack_sign[i] = ncols
-            ncols += 1
-        else:
-            slack_sign[i] = -1
-
-    # make all right-hand sides nonnegative
-    for i in range(len(trows)):
-        if rhs[i] < 0:
-            trows[i] = [-v for v in trows[i]]
-            rhs[i] = -rhs[i]
-
-    # starting basis: slack where it survived with +1, else artificial
+    trows: List[Dict[int, int]] = []
+    rhs: List[int] = []
+    den: List[int] = []
     basis: List[int] = []
     art_cols: List[int] = []
-    for i in range(len(trows)):
-        s = slack_sign[i]
-        if s >= 0 and trows[i][s] == 1:
+    for coeffs, rel, b in rows:
+        split: Dict[int, Fraction] = {}
+        for j, c in coeffs.items():
+            pos, neg = col_of[j]
+            split[pos] = c
+            if neg >= 0:
+                split[neg] = -c
+        row, r, d = _integer_row(split, b)
+        s = -1
+        if rel is not RowRel.EQ:
+            s = slack
+            slack += 1
+            row[s] = d if rel is RowRel.LE else -d
+        # make the right-hand side nonnegative
+        if r < 0:
+            row, r = {j: -v for j, v in row.items()}, -r
+        # starting basis: slack where it survived with +1, else artificial
+        if s >= 0 and row[s] > 0:
             basis.append(s)
         else:
-            for r in trows:
-                r.append(ZERO)
-            trows[i][ncols] = ONE
-            basis.append(ncols)
-            art_cols.append(ncols)
-            ncols += 1
+            row[art] = d
+            basis.append(art)
+            art_cols.append(art)
+            art += 1
+        trows.append(row)
+        rhs.append(r)
+        den.append(d)
 
-    tab = _Tableau(trows, rhs, basis, ncols)
+    tab = _Tableau(trows, rhs, den, basis)
 
     if art_cols:
-        phase1 = [ZERO] * ncols
-        for c in art_cols:
-            phase1[c] = Fraction(-1)
-        outcome, value, _ = tab.maximize(phase1, pivot_cap)
+        outcome, value, _ = tab.maximize({c: -ONE for c in art_cols}, pivot_cap)
         if outcome == "cap":
-            return SimplexResult(LPStatus.PIVOT_CAP)
+            return SimplexResult(LPStatus.PIVOT_CAP, pivots=tab.pivots)
         if value < 0:
-            return SimplexResult(LPStatus.INFEASIBLE)
+            return SimplexResult(LPStatus.INFEASIBLE, pivots=tab.pivots)
         art_set = set(art_cols)
         # pivot leftover artificials out; rows where nothing pivots are redundant
         drop: List[int] = []
-        for i in range(len(tab.rows)):
-            if tab.basis[i] in art_set:
-                col = next((j for j in range(tab.ncols)
-                            if j not in art_set and tab.rows[i][j] != 0), None)
+        for i, b in enumerate(tab.basis):
+            if b in art_set:
+                col = min((j for j in tab.rows[i] if j not in art_set), default=None)
                 if col is None:
                     drop.append(i)
                 else:
                     tab.pivot(i, col)
         for i in reversed(drop):
-            del tab.rows[i], tab.rhs[i], tab.basis[i]
+            del tab.rows[i], tab.rhs[i], tab.den[i], tab.basis[i]
+        # no artificial is basic now; deleting their columns fences them
+        # out of phase 2
+        for i, row in enumerate(tab.rows):
+            if not art_set.isdisjoint(row):
+                tab.rows[i], tab.rhs[i], tab.den[i] = _reduced(
+                    {j: v for j, v in row.items() if j not in art_set},
+                    tab.rhs[i], tab.den[i])
 
-    allowed = set(range(ncols)) - set(art_cols)
-    cost = [ZERO] * ncols
+    cost: Dict[int, Fraction] = {}
     for j, c in objective.items():
         pos, neg = col_of[j]
-        cost[pos] += c
+        cost[pos] = c
         if neg >= 0:
-            cost[neg] -= c
-    outcome, value, _ = tab.maximize(cost, pivot_cap, allowed=allowed)
+            cost[neg] = -c
+    outcome, value, enter = tab.maximize(cost, pivot_cap)
     if outcome == "cap":
-        return SimplexResult(LPStatus.PIVOT_CAP)
+        return SimplexResult(LPStatus.PIVOT_CAP, pivots=tab.pivots)
 
-    colval = [ZERO] * ncols
-    for i, b in enumerate(tab.basis):
-        colval[b] = tab.rhs[i]
-    x = []
-    for j in range(num_vars):
-        pos, neg = col_of[j]
-        x.append(colval[pos] - (colval[neg] if neg >= 0 else ZERO))
+    def unsplit(colval: Dict[int, Fraction]) -> List[Fraction]:
+        return [colval.get(pos, ZERO) - colval.get(neg, ZERO) for pos, neg in col_of]
+
+    x = unsplit({b: Fraction(tab.rhs[i], tab.den[i]) for i, b in enumerate(tab.basis)})
 
     if outcome == "unbounded":
-        rc = tab._ray_col
-        dcol = [ZERO] * ncols
-        dcol[rc] = ONE
+        dcol = {enter: ONE}
         for i, b in enumerate(tab.basis):
-            dcol[b] = -tab.rows[i][rc]
-        ray = []
-        for j in range(num_vars):
-            pos, neg = col_of[j]
-            ray.append(dcol[pos] - (dcol[neg] if neg >= 0 else ZERO))
-        return SimplexResult(LPStatus.UNBOUNDED, x=x, ray=ray)
+            dcol[b] = Fraction(-tab.rows[i].get(enter, 0), tab.den[i])
+        return SimplexResult(LPStatus.UNBOUNDED, x=x, ray=unsplit(dcol), pivots=tab.pivots)
 
     if verify:
         _check_solution(num_vars, nonneg, rows, objective, x, value)
-    return SimplexResult(LPStatus.OPTIMAL, x=x, value=value)
+    return SimplexResult(LPStatus.OPTIMAL, x=x, value=value, pivots=tab.pivots)
 
 
 def _check_solution(num_vars, nonneg, rows, objective, x, value) -> None:

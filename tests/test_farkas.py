@@ -1,5 +1,6 @@
 """Implication encoding, feasibility and entailment queries."""
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,8 @@ import pytest
 from probterm import (Affine, FarkasImplication, LinConstraint, LinExpr,
                       LPProblem, Polyhedron, check_feasible, encode_implication,
                       entails, solve_lp)
-from probterm.farkas import StrictNotRelaxed, dump_lp
+from probterm import farkas
+from probterm.farkas import PivotCapReached, StrictNotRelaxed, dump_lp
 from probterm.simplex import LPStatus, RowRel
 
 x = LinExpr.var(0)
@@ -80,6 +82,17 @@ def test_entails_equality_consequent():
     assert ok
     ok, w = entails(p, LinConstraint.eq(x - y - c(1)))
     assert not ok and w is not None
+
+
+def test_capped_queries_raise(monkeypatch):
+    # a capped LP answers neither yes nor no
+    monkeypatch.setattr(farkas.simplex, "solve",
+                        functools.partial(farkas.simplex.solve, pivot_cap=0))
+    with pytest.raises(PivotCapReached):
+        check_feasible(poly(LinConstraint.eq(x - c(1))))  # phase 1 must pivot
+    # the screen of {x <= 1} needs no pivot, maximizing x over it does
+    with pytest.raises(PivotCapReached):
+        entails(poly(LinConstraint.le(x - c(1))), LinConstraint.le(x - c(2)))
 
 
 # -- the encoder -------------------------------------------------------------------

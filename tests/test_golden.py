@@ -2,7 +2,9 @@
 
 Any change to pivoting (representation, pricing, column layout) must keep
 these digests, or change them on purpose and say so. A digest is the
-sha256 of the certificate's JSON dumped with sorted keys.
+sha256 of the certificate's JSON dumped with sorted keys. Two pivot
+counts pin the pivot sequence itself, which a change of pricing moves
+even where the certificate survives.
 """
 
 import hashlib
@@ -11,8 +13,9 @@ import json
 import pytest
 
 from probterm import check_bsp
+from probterm.farkas import solve_lp
 from probterm.pcfg_io import certificate_to_json, load_invariant, load_pcfg
-from probterm.synthesis import synthesize_bsp, synthesize_general
+from probterm.synthesis import build_lp, synthesize_bsp, synthesize_general
 
 from conftest import fixture_path, load_fixture
 
@@ -36,6 +39,9 @@ REFUSED = {
     "zero_drift_walk": ("no component can rank further transitions under the "
                         "zero-coefficient discipline"),
 }
+
+# pivots of the first-iteration LP (37 unknowns x 52 rows)
+FIRST_LP_PIVOTS = {"fig1b": 58, "fig2right": 58}
 
 # the figure-2 pCFGs are stored lowered and reuse the figure-1 invariants
 PCFG_INVARIANT = {"fig2left": "fig1a", "fig2right": "fig1b"}
@@ -67,3 +73,10 @@ def test_refused_verdict(name):
     _, result = synthesize(name)
     assert not result.found
     assert result.failure == REFUSED[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_LP_PIVOTS))
+def test_first_lp_pivot_count(name):
+    p, inv = load(name)
+    slp = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
+    assert solve_lp(slp.lp).pivots == FIRST_LP_PIVOTS[name]

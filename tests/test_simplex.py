@@ -59,8 +59,17 @@ def test_degenerate_cycling_guard():
 def test_pivot_cap():
     rows = [({0: F(1), 1: F(1)}, RowRel.LE, F(10)),
             ({0: F(1), 1: F(-1)}, RowRel.GE, F(-10))]
-    r = solve(2, [True, True], rows, {0: F(1), 1: F(1)}, pivot_cap=0)
+    obj = {0: F(1), 1: F(1)}
+    r = solve(2, [True, True], rows, obj, pivot_cap=0)
     assert r.status is LPStatus.PIVOT_CAP
+    # the cap bounds the pivots made: the uncapped count still fits
+    free = solve(2, [True, True], rows, obj)
+    assert free.status is LPStatus.OPTIMAL and free.pivots > 0
+    r = solve(2, [True, True], rows, obj, pivot_cap=free.pivots)
+    assert r.status is LPStatus.OPTIMAL and r.pivots == free.pivots
+    assert r.x == free.x and r.value == free.value
+    r = solve(2, [True, True], rows, obj, pivot_cap=free.pivots - 1)
+    assert r.status is LPStatus.PIVOT_CAP and r.pivots == free.pivots - 1
 
 
 def _scipy_status(n, nonneg, rows, obj):
@@ -95,16 +104,27 @@ def _ray_is_certificate(n, nonneg, rows, obj, x, ray):
     return sum((c * ray[j] for j, c in obj.items()), F(0)) > 0
 
 
-def test_randomized_against_scipy():
-    rng = random.Random(42)
+def _integer(rng, lo, hi):
+    return F(rng.randint(lo, hi))
+
+
+def _rational(rng, lo, hi):
+    # mixed denominators, so rows start with a denominator other than 1
+    return F(rng.randint(2 * lo, 2 * hi), rng.randint(1, 6))
+
+
+@pytest.mark.parametrize("seed,draw", [(42, _integer), (43, _rational)],
+                         ids=["integer", "rational"])
+def test_randomized_against_scipy(seed, draw):
+    rng = random.Random(seed)
     for trial in range(400):
         n = rng.randint(1, 4)
         m = rng.randint(1, 6)
         nonneg = [rng.random() < 0.7 for _ in range(n)]
-        rows = [({j: F(rng.randint(-4, 4)) for j in range(n)},
+        rows = [({j: draw(rng, -4, 4) for j in range(n)},
                  rng.choice([RowRel.LE, RowRel.GE, RowRel.EQ]),
-                 F(rng.randint(-6, 6))) for _ in range(m)]
-        obj = {j: F(rng.randint(-3, 3)) for j in range(n)}
+                 draw(rng, -6, 6)) for _ in range(m)]
+        obj = {j: draw(rng, -3, 3) for j in range(n)}
         mine = solve(n, nonneg, rows, obj)
         if mine.status is LPStatus.OPTIMAL:
             sp = _scipy_status(n, nonneg, rows, obj)
