@@ -79,9 +79,10 @@ def _integer_row(coeffs: Dict[int, Fraction], rhs: Fraction) -> IntRow:
 
 def _eliminate(row: Dict[int, int], rhs: int, den: int, a: int,
                prow: Dict[int, int], prhs: int, p: int) -> IntRow:
-    """(p * row - a * prow) / (den * p): clears the pivot column, where
-    `row` has numerator a and the pivot row numerator p > 0. Updates
-    `row` in place when p divides a."""
+    """(p * row - a * prow) / (den * p), which clears the pivot column:
+    there `row` has numerator a and the pivot row `prow` numerator p > 0.
+    The pivot row's own denominator cancels. Updates `row` in place when
+    p divides a."""
     g = gcd(a, p)
     a //= g
     p //= g
@@ -196,19 +197,25 @@ def solve(num_vars: int,
     slack = ncols
     art = ncols + sum(rel is not RowRel.EQ for _, rel, _ in rows)
 
+    def split(coeffs: Dict[int, Fraction]) -> Dict[int, Fraction]:
+        cols: Dict[int, Fraction] = {}
+        for j, c in coeffs.items():
+            pos, neg = col_of[j]
+            cols[pos] = c
+            if neg >= 0:
+                cols[neg] = -c
+        return cols
+
+    def unsplit(colval: Dict[int, Fraction]) -> List[Fraction]:
+        return [colval.get(pos, ZERO) - colval.get(neg, ZERO) for pos, neg in col_of]
+
     trows: List[Dict[int, int]] = []
     rhs: List[int] = []
     den: List[int] = []
     basis: List[int] = []
     art_cols: List[int] = []
     for coeffs, rel, b in rows:
-        split: Dict[int, Fraction] = {}
-        for j, c in coeffs.items():
-            pos, neg = col_of[j]
-            split[pos] = c
-            if neg >= 0:
-                split[neg] = -c
-        row, r, d = _integer_row(split, b)
+        row, r, d = _integer_row(split(coeffs), b)
         s = -1
         if rel is not RowRel.EQ:
             s = slack
@@ -257,18 +264,9 @@ def solve(num_vars: int,
                     {j: v for j, v in row.items() if j not in art_set},
                     tab.rhs[i], tab.den[i])
 
-    cost: Dict[int, Fraction] = {}
-    for j, c in objective.items():
-        pos, neg = col_of[j]
-        cost[pos] = c
-        if neg >= 0:
-            cost[neg] = -c
-    outcome, value, enter = tab.maximize(cost, pivot_cap)
+    outcome, value, enter = tab.maximize(split(objective), pivot_cap)
     if outcome == "cap":
         return SimplexResult(LPStatus.PIVOT_CAP, pivots=tab.pivots)
-
-    def unsplit(colval: Dict[int, Fraction]) -> List[Fraction]:
-        return [colval.get(pos, ZERO) - colval.get(neg, ZERO) for pos, neg in col_of]
 
     x = unsplit({b: Fraction(tab.rhs[i], tab.den[i]) for i, b in enumerate(tab.basis)})
 
