@@ -1,4 +1,5 @@
-"""Golden certificates: synthesis output on the fixtures, pinned byte for byte.
+"""Golden outputs: certificates and trajectories on the fixtures, pinned
+byte for byte.
 
 Any change to pivoting (representation, pricing, column layout) must keep
 these digests, or change them on purpose and say so. A digest is the
@@ -9,15 +10,17 @@ even where the certificate survives.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from probterm import check_bsp
+from probterm import (Adversarial, FixedPriority, UniformRandom, check_bsp,
+                      estimate_termination, run_trajectory)
 from probterm.farkas import solve_lp
 from probterm.pcfg_io import certificate_to_json, load_invariant, load_pcfg
 from probterm.synthesis import build_lp, synthesize_bsp, synthesize_general
 
-from conftest import fixture_path, load_fixture
+from conftest import example3_certificate, fixture_path, load_fixture
 
 CERTIFIED = {
     "bern_walk": "70dbb54435b429f4498c829a21e17c341a970bd54a8ec99cf90289cb0a197f14",
@@ -80,3 +83,76 @@ def test_first_lp_pivot_count(name):
     p, inv = load(name)
     slp = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
     assert solve_lp(slp.lp).pivots == FIRST_LP_PIVOTS[name]
+
+
+# -- golden trajectories --------------------------------------------------------
+#
+# Runs 0..19 at one seed, pinned as the sha256 of the sorted-key JSON of
+# every report field. A change to the simulator (compiling the graph,
+# integer guard tests, exact draws) must keep these digests: the rng
+# stream, the order of draws and the exact rational state all show here.
+
+TRAJECTORY_SEED = 11
+TRAJECTORY_RUNS = 20
+TRAJECTORY_CAP = 2000
+
+# name -> (fixture, initial values by variable name, scheduler factory)
+TRAJECTORY_CASES = {
+    "fig1a.uniform": ("fig1a", {"x": 3, "y": 3}, lambda p: UniformRandom()),
+    "fig1b.uniform": ("fig1b", {"x": 3, "y": 3}, lambda p: UniformRandom()),
+    "fig1b.adversarial": ("fig1b", {"x": 3, "y": 3},
+                          lambda p: Adversarial(example3_certificate(p))),
+    "bern_walk.uniform": ("bern_walk", {"x": 3}, lambda p: UniformRandom()),
+    "branching.uniform": ("branching", {"x": 3, "y": 5}, lambda p: UniformRandom()),
+    "branching.fixed.lo": ("branching", {"x": 3, "y": 5},
+                           lambda p: FixedPriority(
+                               [t.id for t in reversed(p.transitions)], "lo")),
+    "branching.fixed.uniform": ("branching", {"x": 3, "y": 5},
+                                lambda p: FixedPriority(
+                                    [t.id for t in reversed(p.transitions)], "uniform")),
+    "prob_join.uniform": ("prob_join", {"x": 4, "y": 0}, lambda p: UniformRandom()),
+}
+
+TRAJECTORY_DIGESTS = {
+    "bern_walk.uniform": "1ef9d7bf61bde52757825cb085b20e63a61479a3dce5aab24c35c4e800ddc450",
+    "branching.fixed.lo": "5c82c26810eb1501c9a9d2c0488558a26a6efaaa0b3973c29f10ba87e17b5983",
+    "branching.fixed.uniform": "77518bb22d06f88b1772dd763e08ec1f00d0a2fea637d5ba75c71472c07020b1",
+    "branching.uniform": "0680c4b50411aaaa2073b17c27e7882fe4d41083025363648c1121581121f81e",
+    "fig1a.uniform": "6008c9c52c8415a0dbf7c5419d485efd6f592069ac1ff0ebc0a7a13588ffa651",
+    # fig1b's guards partition the state space: no choice ever arises
+    "fig1b.adversarial": "f174a54204d6ea4f044a5516c3583f7b38e58d1039ccc1beb05c8717bdafe81e",
+    "fig1b.uniform": "f174a54204d6ea4f044a5516c3583f7b38e58d1039ccc1beb05c8717bdafe81e",
+    "prob_join.uniform": "f9fd8abb2ad9a7168a4703a83e3a56675f788ea0e7964f55338a3257f81352cf",
+}
+
+ESTIMATE = {"fraction": 1.0, "wilson95": [0.9123783988027135, 1.0], "runs": 40,
+            "terminated": 40, "stuck": 0, "mean_steps": 5.875}
+
+
+def trajectory_doc(r) -> dict:
+    return {"terminated": r.terminated, "steps": r.steps, "stuck": r.stuck,
+            "final_location": r.final_location, "final_values": str(r.final_values),
+            "taken": r.taken, "draws": r.draws,
+            "states": [[loc, [str(v) for v in vals]] for loc, vals in r.states]}
+
+
+@pytest.mark.parametrize("case", sorted(TRAJECTORY_CASES))
+def test_trajectory_digest(case):
+    name, init, make = TRAJECTORY_CASES[case]
+    p, _ = load_fixture(name)
+    values = [Fraction(init[v]) for v in p.variables]
+    sched = make(p)
+    docs = [trajectory_doc(run_trajectory(p, values, sched, TRAJECTORY_CAP,
+                                          seed=TRAJECTORY_SEED, run_index=i))
+            for i in range(TRAJECTORY_RUNS)]
+    doc = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == TRAJECTORY_DIGESTS[case]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimate_pinned(threads):
+    p, _ = load_fixture("fig1b")
+    est = estimate_termination(p, [Fraction(3), Fraction(3)], UniformRandom(),
+                               runs=40, step_cap=10 ** 4, seed=TRAJECTORY_SEED,
+                               threads=threads)
+    assert est.as_dict() == ESTIMATE
