@@ -24,14 +24,14 @@ disjunct of invariant /\ guard:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .farkas import entails
 from .linear import LinConstraint, LinExpr, Polyhedron, Predicate, negate_guards_to_dnf
-from .model import (Certificate, CertificateMode, Invariant, PCFG, ProbBranch,
-                    Transition, check_bsp, check_linpp_star)
+from .model import (Certificate, CertificateMode, Invariant, PCFG, check_bsp,
+                    check_linpp_star)
 from .preexp import max_pre, min_pre, pre_pb_restricted
 
 

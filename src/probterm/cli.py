@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract:
   0  success / certificate found / certificate accepted
-  1  negative verdict (no witness, certificate rejected)
+  1  negative verdict (no witness, certificate rejected), or "unknown"
+     after a resource limit (the simplex pivot cap)
   2  source syntax error (parse)
   3  precondition or input failure (malformed files, structural mismatch,
      program class violations, encoding blowup)
@@ -18,12 +19,14 @@ from fractions import Fraction
 
 from . import pcfg_io
 from .checker import StructuralMismatch, check_certificate
+from .farkas import PivotCapReached
 from .linear import EncodingBlowup
 from .lowering import lower_to_pcfg
-from .model import Invariant, check_bsp, check_linpp_star, validate_pcfg
+from .model import Invariant, check_bsp, validate_pcfg
 from .rationals import rat
-from .simulate import (Adversarial, FixedPriority, UniformRandom,
-                       counterexample_process, estimate_termination,
+from .simulate import (Adversarial, FixedPriority, TerminationEstimate,
+                       UniformRandom, counterexample_process,
+                       estimate_termination, tally, trajectories,
                        COUNTEREXAMPLE_ANALYTIC)
 from .source import ProgramSyntaxError, parse_program
 from .synthesis import (MissingBoundedSupport, NotLinPPStar, synthesize_bsp,
@@ -107,6 +110,12 @@ def cmd_synthesize(args) -> int:
         _emit({"outcome": "error", "mode": mode, "detail": str(e)}, args.json,
               f"precondition failure: {e}")
         return EXIT_PRECONDITION
+    except PivotCapReached as e:
+        detail = (f"termination UNKNOWN: an LP hit the simplex pivot cap ({e}); "
+                  "the search stopped at a resource limit, which decides nothing")
+        _emit({"outcome": "no-witness", "verdict": "unknown", "mode": mode,
+               "detail": detail}, args.json, detail)
+        return EXIT_NEGATIVE
 
     iterations = [rec.as_dict() for rec in result.history]
     if not result.found:
@@ -165,22 +174,21 @@ def cmd_check(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _write_traces(p, init, sched, args) -> None:
-    """Per-run records: JSON lines and/or a (run, terminated, steps) CSV."""
-    from .simulate import run_rng, run_trajectory
+def _write_traces(reports, args):
+    """Pass the runs through, writing a record per run: JSON lines and/or
+    a (run, terminated, steps) CSV."""
     jf = open(args.trace_out, "w") if args.trace_out else None
     cf = open(args.csv, "w") if args.csv else None
     if cf:
         cf.write("run,terminated,steps\n")
     try:
-        for idx in range(args.runs):
-            r = run_trajectory(p, init, sched, args.cap,
-                               rng=run_rng(args.seed, idx), record_states=False)
+        for idx, r in enumerate(reports):
             if jf:
                 rec = {"run": idx, **r.as_dict()}
                 jf.write(json.dumps(rec) + "\n")
             if cf:
                 cf.write(f"{idx},{int(r.terminated)},{r.steps}\n")
+            yield r
     finally:
         if jf:
             jf.close()
@@ -229,11 +237,17 @@ def cmd_simulate(args) -> int:
             return EXIT_PRECONDITION
         sched = Adversarial(cert)
 
+    if args.runs < 1:
+        print("error: --runs must be at least 1", file=sys.stderr)
+        return EXIT_PRECONDITION
     threads = args.threads or int(os.environ.get("PROBTERM_THREADS", "1"))
     if args.trace_out or args.csv:
-        _write_traces(p, init, sched, args)
-    est = estimate_termination(p, init, sched, args.runs, args.cap,
-                               seed=args.seed, threads=threads)
+        # one pass, in this process: the estimate is built from the traced runs
+        runs = trajectories(p, init, sched, args.cap, args.seed, range(args.runs))
+        est = TerminationEstimate.of(*tally(_write_traces(runs, args)))
+    else:
+        est = estimate_termination(p, init, sched, args.runs, args.cap,
+                                   seed=args.seed, threads=threads)
     doc = est.as_dict()
     doc["scheduler"] = args.scheduler
     doc["seed"] = args.seed

@@ -119,32 +119,46 @@ class DistributionSpec:
 
     # -- sampling ------------------------------------------------------
 
-    def sample(self, rng) -> Fraction:
-        """Draw one value; floats are converted to exact rationals.
+    def draw(self, rng) -> Tuple[int, int]:
+        """Draw one value as an integer ratio (numerator, denominator > 0),
+        not necessarily in lowest terms.
 
         `rng` is a numpy Generator; normals use its ziggurat method, which
         is the fixed, versioned algorithm the statistical tests assume.
+        Floats are read exactly through `float.as_integer_ratio`, and
+        comparisons against exact probabilities are made in integers.
         """
         if self.kind is DistKind.NORMAL:
             x = rng.normal(float(self.param("mean")), float(self.param("stddev")))
-            return Fraction(float(x))
+            return float(x).as_integer_ratio()
         if self.kind is DistKind.UNIFORM:
             lo, hi = self.param("lo"), self.param("hi")
-            return lo + (hi - lo) * Fraction(float(rng.random()))
+            un, ud = float(rng.random()).as_integer_ratio()
+            # lo + (hi - lo) * un/ud over the denominator ld*hd*ud
+            ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            return ln * hd * ud + (hn * ld - ln * hd) * un, ld * hd * ud
         if self.kind is DistKind.BERNOULLI:
-            return Fraction(1 if Fraction(float(rng.random())) < self.param("p") else 0)
+            un, ud = float(rng.random()).as_integer_ratio()
+            p = self.param("p")
+            return (1 if un * p.denominator < p.numerator * ud else 0), 1
         if self.kind is DistKind.DISCRETE:
-            u = Fraction(float(rng.random()))
-            acc = Fraction(0)
+            un, ud = float(rng.random()).as_integer_ratio()
+            acc_n, acc_d = 0, 1
             for v, p in self.param("values"):
-                acc += p
-                if u < acc:
-                    return v
-            return self.param("values")[-1][0]
+                acc_n = acc_n * p.denominator + p.numerator * acc_d
+                acc_d *= p.denominator
+                if un * acc_d < acc_n * ud:
+                    return v.numerator, v.denominator
+            v = self.param("values")[-1][0]
+            return v.numerator, v.denominator
         fn = _SAMPLERS.get(self.param("sampler"))
         if fn is None:
             raise KeyError(f"no registered sampler {self.param('sampler')!r}")
-        return Fraction(float(fn(rng)))
+        return float(fn(rng)).as_integer_ratio()
+
+    def sample(self, rng) -> Fraction:
+        """Draw one value as an exact rational; see `draw`."""
+        return Fraction(*self.draw(rng))
 
     def pretty(self) -> str:
         if self.kind is DistKind.NORMAL:

@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
-from .linear import LinExpr, Predicate
+from .linear import Predicate
 from .model import (ExprUpdate, GuardedStep, NoUpdate, NondetUpdate, PCFG,
                     ProbBranch, Transition)
 from .source import (Assign, AssignNdet, IfCond, IfNdet, IfProb, Seq, Skip,

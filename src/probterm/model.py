@@ -17,11 +17,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .distributions import DistributionSpec
 from .linear import LinExpr, Predicate
-from .rationals import rat, RationalLike
 
 
 # -- updates ------------------------------------------------------------

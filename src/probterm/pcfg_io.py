@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .distributions import DistKind, DistributionSpec
 from .linear import LinConstraint, LinExpr, Polyhedron, Predicate, Rel

@@ -11,11 +11,10 @@ quantified variables instead of endpoints.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .linear import LinExpr, Polyhedron, Predicate, negate_predicate
-from .model import ExprUpdate, GuardedStep, NondetUpdate, NoUpdate, ProbBranch, Transition
+from .linear import LinExpr, Predicate, negate_predicate
+from .model import ExprUpdate, NondetUpdate, NoUpdate, ProbBranch, Transition
 
 ComponentMap = Dict[str, LinExpr]  # location -> linear expression
 

@@ -5,6 +5,17 @@ so guard evaluation and invariant audits never suffer rounding. Each run
 owns an rng substream derived from (master seed, run index), which makes
 aggregates reproducible and order-independent, and lets runs execute in
 separate processes without coordination.
+
+Every entry point compiles the graph once per call (once per worker
+block with several processes) into a `Program`: a tuple of outgoing
+edges per location, and each guard and each linear update scaled to
+integer coefficients by the lcm of its denominators. A guard is then
+decided by the sign of one integer built from the values' numerators
+and denominators, an update accumulates its new value, sample term
+included, as one integer ratio that becomes a single `Fraction`, and
+random tests compare the exact integer ratio of a float against the
+exact probability. The state, the rng stream and the order of draws are
+those of the plain small-step semantics.
 """
 
 from __future__ import annotations
@@ -13,13 +24,13 @@ import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linear import LinExpr
-from .model import (Certificate, ExprUpdate, GuardedStep, Invariant, NoUpdate,
-                    NondetUpdate, PCFG, ProbBranch, Transition)
+from .linear import LinExpr, Predicate, Rel
+from .model import (Certificate, ExprUpdate, Invariant, NondetUpdate, PCFG,
+                    ProbBranch, Transition)
 from .preexp import max_pre
 
 ZERO = Fraction(0)
@@ -128,6 +139,203 @@ class Adversarial(Scheduler):
         return u.hi if eta.coeff(u.target) >= 0 else u.lo
 
 
+# -- the compiled program -------------------------------------------------------
+
+# An integer form (terms, k) with terms ((i, a_i), ...) stands for
+# k + sum a_i * x_i; it is a linear expression times the lcm of its
+# denominators, so it has the sign of the expression.
+
+_LE, _LT, _EQ = 0, 1, 2
+_REL = {Rel.LE: _LE, Rel.LT: _LT, Rel.EQ: _EQ}
+
+
+def _integer_form(coeffs: Mapping[int, Fraction], constant: Fraction,
+                  extra: Fraction = ZERO) -> Tuple[tuple, int, int]:
+    """(terms, k, scale) with scale the lcm of every denominator, `extra`
+    (a sample coefficient) included."""
+    scale = math.lcm(constant.denominator, extra.denominator,
+                     *(c.denominator for c in coeffs.values()))
+    terms = tuple((i, c.numerator * (scale // c.denominator))
+                  for i, c in coeffs.items())
+    return terms, constant.numerator * (scale // constant.denominator), scale
+
+
+def compile_guard(guard: Predicate) -> Optional[tuple]:
+    """The guard as a tuple of disjuncts, each a tuple of integer-scaled
+    atoms (terms, k, rel); None when a disjunct is empty (always true)."""
+    if guard.is_true():
+        return None
+    return tuple(tuple(_integer_form(c.lhs.coeffs, c.lhs.constant)[:2] + (_REL[c.rel],)
+                       for c in d.constraints)
+                 for d in guard.disjuncts)
+
+
+def _ratio(terms: tuple, k: int, values: Sequence[Fraction]) -> Tuple[int, int]:
+    """k + sum a_i * values[i] as (numerator, denominator > 0), from the
+    values' numerators and denominators; not reduced."""
+    num, den = k, 1
+    for i, a in terms:
+        v = values[i]
+        d = v.denominator
+        if d == 1:
+            num += a * v.numerator * den
+        else:
+            num = num * d + a * v.numerator * den
+            den *= d
+    return num, den
+
+
+def guard_holds(guard: tuple, values: Sequence[Fraction]) -> bool:
+    """Decide a compiled guard exactly at `values`: an atom has the sign
+    of the numerator of its integer form's value."""
+    for atoms in guard:
+        for terms, k, rel in atoms:
+            num = _ratio(terms, k, values)[0]
+            if num > 0 if rel == _LE else num >= 0 if rel == _LT else num != 0:
+                break
+        else:
+            return True
+    return False
+
+
+class _Edge:
+    """One transition, ready to fire: `fire(values, sched, rng)` returns
+    (destination, values, draws) and never mutates `values`."""
+
+    __slots__ = ("transition", "guard")
+
+    def __init__(self, t: Transition, guard: Optional[tuple]):
+        self.transition = t
+        self.guard = guard
+
+
+class _Branch(_Edge):
+    __slots__ = ("dest1", "dest2", "pn", "pd")
+
+    def __init__(self, t: Transition):
+        super().__init__(t, None)
+        k = t.kind
+        self.dest1, self.dest2 = k.dest1, k.dest2
+        self.pn, self.pd = k.p1.numerator, k.p1.denominator
+
+    def fire(self, values, sched, rng):
+        # Fraction(u) < p1, with u read exactly
+        un, ud = float(rng.random()).as_integer_ratio()
+        return (self.dest1 if un * self.pd < self.pn * ud else self.dest2), values, 1
+
+
+class _Move(_Edge):
+    __slots__ = ("dest",)
+
+    def __init__(self, t: Transition):
+        super().__init__(t, compile_guard(t.kind.guard))
+        self.dest = t.kind.dest
+
+    def fire(self, values, sched, rng):
+        return self.dest, values, 0
+
+
+class _Assign(_Move):
+    """x[target] := (k + sum a_i x_i + s * sample) / scale."""
+
+    __slots__ = ("target", "terms", "k", "scale", "s", "dist")
+
+    def __init__(self, t: Transition):
+        super().__init__(t)
+        u = t.kind.update
+        coeff, self.dist = u.sample if u.sample is not None else (ZERO, None)
+        self.terms, self.k, self.scale = _integer_form(u.base.coeffs, u.base.constant, coeff)
+        self.s = coeff.numerator * (self.scale // coeff.denominator)
+        self.target = u.target
+
+    def fire(self, values, sched, rng):
+        num, den = _ratio(self.terms, self.k, values)
+        draws = 0
+        if self.dist is not None:
+            n, d = self.dist.draw(rng)
+            num = num * d + self.s * n * den
+            den *= d
+            draws = 1
+        values = list(values)
+        values[self.target] = Fraction(num, den * self.scale)
+        return self.dest, values, draws
+
+
+class _Choose(_Move):
+    __slots__ = ("target",)
+
+    def __init__(self, t: Transition):
+        super().__init__(t)
+        self.target = t.kind.update.target
+
+    def fire(self, values, sched, rng):
+        values = list(values)
+        values[self.target] = sched.ndet_value(self.transition, values, rng)
+        return self.dest, values, 1
+
+
+def _compile_edge(t: Transition) -> _Edge:
+    if isinstance(t.kind, ProbBranch):
+        return _Branch(t)
+    u = t.kind.update
+    if isinstance(u, ExprUpdate):
+        return _Assign(t)
+    if isinstance(u, NondetUpdate):
+        return _Choose(t)
+    return _Move(t)
+
+
+class Program:
+    """A pCFG compiled for simulation; see the module docstring."""
+
+    def __init__(self, p: PCFG):
+        self.init_location = p.init_location
+        self.terminal_location = p.terminal_location
+        self.edges: Dict[str, _Edge] = {}
+        outgoing: Dict[str, list] = {}
+        for t in p.transitions:
+            e = self.edges[t.id] = _compile_edge(t)
+            outgoing.setdefault(t.source, []).append(e)
+        self.outgoing: Dict[str, Tuple[_Edge, ...]] = {
+            loc: tuple(es) for loc, es in outgoing.items()}
+
+    def run(self, init: Sequence[Fraction], sched: Scheduler, step_cap: int, rng,
+            location: Optional[str] = None,
+            record_states: bool = True) -> "TrajectoryReport":
+        """One run from `init`; see `run_trajectory`."""
+        loc = location or self.init_location
+        terminal = self.terminal_location
+        outgoing = self.outgoing
+        edges = self.edges
+        counts_choice = isinstance(sched, UniformRandom)
+        values = [Fraction(v) for v in init]
+        states = [(loc, list(values))] if record_states else None
+        taken: List[str] = []
+        draws = 0
+        steps = 0
+        stuck = False
+        while loc != terminal and steps < step_cap:
+            enabled = [e for e in outgoing.get(loc, ())
+                       if e.guard is None or guard_holds(e.guard, values)]
+            if not enabled:
+                stuck = True
+                break
+            if len(enabled) > 1:
+                t = sched.choose([e.transition for e in enabled], values, rng)
+                e = edges[t.id]
+                draws += counts_choice
+            else:
+                e = enabled[0]
+            loc, values, d = e.fire(values, sched, rng)
+            draws += d
+            steps += 1
+            taken.append(e.transition.id)
+            if record_states:
+                states.append((loc, list(values)))
+        return TrajectoryReport(loc == terminal, steps, stuck, loc,
+                                values, taken, states, draws)
+
+
 # -- trajectories ---------------------------------------------------------------
 
 
@@ -152,27 +360,9 @@ class TrajectoryReport:
 def step_once(p: PCFG, location: str, values: List[Fraction],
               t: Transition, sched: Scheduler, rng) -> Tuple[str, List[Fraction], int]:
     """Execute `t` from (location, values); returns the successor state
-    and the number of random draws consumed."""
-    if isinstance(t.kind, ProbBranch):
-        k = t.kind
-        dest = k.dest1 if Fraction(float(rng.random())) < k.p1 else k.dest2
-        return dest, values, 1
-    step = t.kind
-    u = step.update
-    if isinstance(u, NoUpdate):
-        return step.dest, values, 0
-    values = list(values)
-    if isinstance(u, ExprUpdate):
-        v = u.base.evaluate(values)
-        draws = 0
-        if u.sample is not None:
-            coeff, dist = u.sample
-            v += coeff * dist.sample(rng)
-            draws = 1
-        values[u.target] = v
-        return step.dest, values, draws
-    values[u.target] = sched.ndet_value(t, values, rng)
-    return step.dest, values, 1
+    and the number of random draws consumed. Compiles `t` alone; a loop
+    over many steps should compile a `Program` once and fire its edges."""
+    return _compile_edge(t).fire(values, sched, rng)
 
 
 def run_trajectory(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
@@ -184,32 +374,17 @@ def run_trajectory(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
     (reported as stuck, never raised)."""
     if rng is None:
         rng = run_rng(seed, run_index)
-    loc = location or p.init_location
-    values = [Fraction(v) for v in init]
-    states = [(loc, list(values))] if record_states else None
-    taken: List[str] = []
-    draws = 0
-    steps = 0
-    stuck = False
-    while loc != p.terminal_location and steps < step_cap:
-        enabled = [t for t in p.outgoing(loc) if t.guard().satisfied(values)]
-        if not enabled:
-            stuck = True
-            break
-        if len(enabled) > 1:
-            t = sched.choose(enabled, values, rng)
-            if isinstance(sched, UniformRandom):
-                draws += 1
-        else:
-            t = enabled[0]
-        loc, values, d = step_once(p, loc, values, t, sched, rng)
-        draws += d
-        steps += 1
-        taken.append(t.id)
-        if record_states:
-            states.append((loc, list(values)))
-    return TrajectoryReport(loc == p.terminal_location, steps, stuck, loc,
-                            values, taken, states, draws)
+    return Program(p).run(init, sched, step_cap, rng, location, record_states)
+
+
+def trajectories(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
+                 step_cap: int, seed: int, runs: Iterable[int]) -> Iterator[TrajectoryReport]:
+    """The runs with the given indices, each on its own substream and
+    without states, from one compiled program."""
+    program = Program(p)
+    for idx in runs:
+        yield program.run(init, sched, step_cap, run_rng(seed, idx),
+                          record_states=False)
 
 
 # -- aggregation -----------------------------------------------------------------
@@ -236,6 +411,12 @@ class TerminationEstimate:
     stuck: int
     mean_steps: float
 
+    @staticmethod
+    def of(runs: int, terminated: int, stuck: int, steps: int) -> "TerminationEstimate":
+        """The estimate from the counts `tally` returns."""
+        return TerminationEstimate(terminated / runs, wilson_interval(terminated, runs),
+                                   runs, terminated, stuck, steps / runs)
+
     def as_dict(self) -> dict:
         return {"fraction": self.fraction,
                 "wilson95": [self.interval[0], self.interval[1]],
@@ -243,17 +424,20 @@ class TerminationEstimate:
                 "stuck": self.stuck, "mean_steps": self.mean_steps}
 
 
-def _estimate_block(args):
-    p, init, sched, step_cap, seed, lo, hi = args
-    term = stuck = 0
-    total_steps = 0
-    for idx in range(lo, hi):
-        r = run_trajectory(p, init, sched, step_cap, rng=run_rng(seed, idx),
-                           record_states=False)
+def tally(reports: Iterable[TrajectoryReport]) -> Tuple[int, int, int, int]:
+    """(runs, terminated, stuck, steps) summed over `reports`."""
+    runs = term = stuck = steps = 0
+    for r in reports:
+        runs += 1
         term += r.terminated
         stuck += r.stuck
-        total_steps += r.steps
-    return term, stuck, total_steps
+        steps += r.steps
+    return runs, term, stuck, steps
+
+
+def _estimate_block(args):
+    p, init, sched, step_cap, seed, lo, hi = args
+    return tally(trajectories(p, init, sched, step_cap, seed, range(lo, hi)))
 
 
 def estimate_termination(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
@@ -266,19 +450,13 @@ def estimate_termination(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
         raise ValueError("need at least one run")
     init = [Fraction(v) for v in init]
     if threads <= 1:
-        term, stuck, total_steps = _estimate_block((p, init, sched, step_cap, seed, 0, runs))
-    else:
-        bounds = np.linspace(0, runs, threads + 1, dtype=int)
-        blocks = [(p, init, sched, step_cap, seed, int(lo), int(hi))
-                  for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-        term = stuck = total_steps = 0
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            for t, s, ts in pool.map(_estimate_block, blocks):
-                term += t
-                stuck += s
-                total_steps += ts
-    return TerminationEstimate(term / runs, wilson_interval(term, runs), runs,
-                               term, stuck, total_steps / runs)
+        return TerminationEstimate.of(*_estimate_block((p, init, sched, step_cap, seed, 0, runs)))
+    bounds = np.linspace(0, runs, threads + 1, dtype=int)
+    blocks = [(p, init, sched, step_cap, seed, int(lo), int(hi))
+              for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        counts = list(pool.map(_estimate_block, blocks))
+    return TerminationEstimate.of(*(sum(c) for c in zip(*counts)))
 
 
 # -- the leftward-nonnegativity counterexample process -----------------------------
@@ -409,6 +587,7 @@ def audit_certificate_dynamics(p: PCFG, inv: Invariant, cert: Certificate,
     flags: List[DynamicsFlag] = []
     audited = 0
     sched = UniformRandom()
+    program = Program(p)
     for run, traj in enumerate(trajectories):
         if traj.states is None:
             raise ValueError("trajectory was recorded without states")
@@ -426,7 +605,8 @@ def audit_certificate_dynamics(p: PCFG, inv: Invariant, cert: Certificate,
                 if v < 0:
                     flags.append(DynamicsFlag(run, step, "nonneg", j,
                                               f"component {j} = {v} at {loc}"))
-            t = p.transition(traj.taken[step])
+            edge = program.edges[traj.taken[step]]
+            t = edge.transition
             j = cert.levels[t.id]
             if j == 0:
                 continue
@@ -438,7 +618,7 @@ def audit_certificate_dynamics(p: PCFG, inv: Invariant, cert: Certificate,
             k = resamples if stochastic else 1
             samples = []
             for _ in range(k):
-                dest, vals2, _ = step_once(p, loc, values, t, sched, rng)
+                dest, vals2, _ = edge.fire(values, sched, rng)
                 samples.append(eta[dest].evaluate(vals2))
             mean = sum(samples, ZERO) / len(samples)
             if stochastic and len(samples) > 1:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .distributions import DistributionSpec
-from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate, Rel,
+from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
                      negate_predicate)
 
 

@@ -32,15 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .farkas import (Affine, FarkasImplication, LPProblem, check_feasible,
-                     encode_implication, solve_lp)
-from .linear import (EncodingBlowup, LinExpr, Polyhedron, Predicate,
-                     negate_guards_to_dnf)
-from .model import (Certificate, CertificateMode, ExprUpdate, GuardedStep,
-                    Invariant, LevelMap, LinExprMap, NoUpdate, NondetUpdate,
-                    PCFG, ProbBranch, Transition, check_bsp, check_linpp_star)
+from .farkas import (Affine, FarkasImplication, LPProblem, PivotCapReached,
+                     check_feasible, encode_implication, solve_lp)
+from .linear import LinExpr, Polyhedron, Predicate, negate_guards_to_dnf
+from .model import (Certificate, CertificateMode, ExprUpdate, Invariant,
+                    LevelMap, LinExprMap, NoUpdate, PCFG, ProbBranch,
+                    Transition, check_bsp, check_linpp_star)
 from .simplex import LPStatus
 
 ZERO = Fraction(0)
@@ -268,7 +267,6 @@ class IterationRecord:
     lp_constraints: int
     objective: Optional[Fraction]
     tau0: Optional[str] = None
-    warning: Optional[str] = None
 
     def as_dict(self) -> dict:
         return {"iteration": self.index,
@@ -277,8 +275,7 @@ class IterationRecord:
                 "lp_constraints": self.lp_constraints,
                 "objective": None if self.objective is None else str(self.objective),
                 "ranked": self.ranked,
-                "tau0": self.tau0,
-                "warning": self.warning}
+                "tau0": self.tau0}
 
 
 @dataclass
@@ -306,16 +303,15 @@ def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
                    restrict: TemplateRestriction, index: int,
                    tau0: Optional[str] = None) -> Optional[IterationRecord]:
     """Solve one iteration LP; on ranking progress, update `state` and
-    return the record, else return None."""
+    return the record, else return None. Raises PivotCapReached when the
+    LP, or one of its feasibility screens, hits the pivot cap: a capped
+    LP has no answer, so it cannot show that nothing ranks."""
     slp = build_lp(p, inv, state.unranked, restrict)
     sol = solve_lp(slp.lp)
-    warning = None
     if sol.status is LPStatus.PIVOT_CAP:
-        warning = "pivot cap reached; treating iteration as unranking"
+        raise PivotCapReached(f"{sol.pivots} pivots")
     if sol.status is not LPStatus.OPTIMAL:
-        return None if warning is None else IterationRecord(
-            index, list(state.unranked), [], slp.lp.num_vars(),
-            slp.lp.num_constraints(), None, tau0, warning)
+        return None
     eps_values = {tid: sol.assignment[name] for tid, name in slp.eps_names.items()}
     ranked = [tid for tid in state.unranked if eps_values[tid] > 0]
     if not ranked:
@@ -374,13 +370,11 @@ def synthesize_bsp(p: PCFG, inv: Invariant,
         index += 1
         before = list(state.unranked)
         record = _try_iteration(p, inv, state, TemplateRestriction.none(), index)
-        if record is None or not record.ranked:
-            failure = "an iteration ranked no transition: no linear certificate " \
-                      "of this shape exists for the given invariant"
-            if record is not None:
-                record.unranked_before = before
-                state.history.append(record)
-            return SynthesisResult(None, state.history, failure)
+        if record is None:
+            return SynthesisResult(None, state.history,
+                                   "an iteration ranked no transition: no linear "
+                                   "certificate of this shape exists for the given "
+                                   "invariant")
         record.unranked_before = before
         state.history.append(record)
         if progress:
@@ -421,7 +415,7 @@ def synthesize_general(p: PCFG, inv: Invariant,
         zeros = frozenset(pair(tid) for tid in unb_here)
         record = _try_iteration(p, inv, state,
                                 TemplateRestriction(zero_coeffs=zeros), index)
-        if record is not None and record.ranked:
+        if record is not None:
             record.unranked_before = before
             state.history.append(record)
             if progress:
@@ -436,7 +430,7 @@ def synthesize_general(p: PCFG, inv: Invariant,
                 zero_coeffs=zeros - {(target, var)},
                 forced_rank=cohort)
             record = _try_iteration(p, inv, state, restrict, index, tau0=tau0)
-            if record is not None and record.ranked:
+            if record is not None:
                 record.unranked_before = before
                 state.history.append(record)
                 if progress:

@@ -138,6 +138,67 @@ def test_simulate_trace_outputs(tmp_path):
     assert rows[0] == "run,terminated,steps" and len(rows) == 11
 
 
+# sha256 of the outputs of one traced simulation (fig2right, x=2, y=1,
+# 25 runs, cap 10000, seed 5), as the two-pass implementation wrote them
+TRACED_STDOUT = {
+    False: "5d8ee2f96e6e9f6e18b3d64ae076ad141438c0137a7bdddd3cbbd84b3f07b83f",
+    True: "91bebc3f1c03d64815354a2566de11cfee4d24b990a37ade0bb268847618a43e",
+}
+TRACED_JSONL = "f6dfb6f3e84377b23fc258880e30d7f160f152c15fd2370aee8e8756d9b54273"
+TRACED_CSV = "9ed69a20afeac20aa0e42f3596017cdb6c34a66c3c482dd83c7e2a1312b03015"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+def test_simulate_traces_run_each_trajectory_once(tmp_path, monkeypatch, capsys, as_json):
+    import hashlib
+    from probterm import cli, simulate
+
+    def sha(data: str) -> str:
+        return hashlib.sha256(data.encode()).hexdigest()
+
+    # every run draws from its own substream, made exactly once per run
+    made = []
+    real_rng = simulate.run_rng
+    monkeypatch.setattr(simulate, "run_rng",
+                        lambda seed, idx: made.append(idx) or real_rng(seed, idx))
+    jl, cs = tmp_path / "runs.jsonl", tmp_path / "runs.csv"
+    code = cli.main(["simulate", fixture_path("fig2right.pcfg.json"),
+                     "--init", "x=2, y=1", "--runs", "25", "--cap", "10000",
+                     "--seed", "5", "--threads", "1", "--trace-out", str(jl),
+                     "--csv", str(cs)] + (["--json"] if as_json else []))
+    assert code == 0
+    assert made == list(range(25))
+    assert sha(capsys.readouterr().out) == TRACED_STDOUT[as_json]
+    assert sha(jl.read_text()) == TRACED_JSONL
+    assert sha(cs.read_text()) == TRACED_CSV
+
+
+def test_simulate_needs_a_run():
+    r = probterm("simulate", fixture_path("fig2right.pcfg.json"), "--runs", "0",
+                 "--csv", os.devnull)
+    assert r.returncode == 3 and "--runs" in r.stderr
+
+
+@pytest.mark.parametrize("capped", ["iteration-lp", "screen"])
+def test_synthesize_pivot_cap_is_unknown(tmp_path, monkeypatch, capsys, capped):
+    import functools
+    from probterm import cli, farkas, synthesis
+    if capped == "iteration-lp":
+        monkeypatch.setattr(synthesis, "solve_lp",
+                            functools.partial(farkas.solve_lp, pivot_cap=3))
+    else:
+        monkeypatch.setattr(farkas.simplex, "solve",
+                            functools.partial(farkas.simplex.solve, pivot_cap=0))
+    code = cli.main(["synthesize", fixture_path("fig2right.pcfg.json"),
+                     "-i", fixture_path("fig1b.inv.json"), "--mode", "bsp",
+                     "-o", str(tmp_path / "c.json"), "--json"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    validate(doc, "synthesize-result.json")
+    assert doc["verdict"] == "unknown" and "pivot cap" in doc["detail"]
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_synthesize_dump_lp(tmp_path):
     r = probterm("synthesize", fixture_path("fig2right.pcfg.json"),
                  "-i", fixture_path("fig1b.inv.json"), "--mode", "bsp",

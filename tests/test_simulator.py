@@ -273,3 +273,77 @@ def test_dynamics_audit_exact_on_deterministic_transitions():
     exit_t = next(t for t in p.transitions if t.kind.dest == "out")
     if cert.levels[exit_t.id] == j:
         assert any(f.kind == "decrease" for f in audit2.flags)
+
+
+# -- compiled guards ----------------------------------------------------------------------
+
+
+def test_compiled_guard_matches_predicate():
+    """The integer guard test against `Predicate.satisfied` on random
+    multi-disjunct guards, at integer, small-rational and dyadic points,
+    and at points exactly on an atom's boundary."""
+    import random
+    from probterm import LinConstraint, LinExpr, Polyhedron, Predicate, Rel
+    from probterm.simulate import compile_guard, guard_holds
+
+    rng = random.Random(3)
+    nvars = 3
+
+    def rational():
+        return F(rng.randint(-6, 6), rng.randint(1, 7))
+
+    def nonzero():
+        return F(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 7))
+
+    def atom():
+        coeffs = {i: nonzero() for i in rng.sample(range(nvars), rng.randint(1, nvars))}
+        return LinConstraint(LinExpr(coeffs, rational()), rng.choice(list(Rel)))
+
+    def point():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return [F(rng.randint(-5, 5)) for _ in range(nvars)]
+        if kind == 1:
+            return [rational() for _ in range(nvars)]
+        return [F(rng.uniform(-5, 5)) for _ in range(nvars)]
+
+    def on_boundary(c, values):
+        # solve lhs == 0 for one variable of the atom
+        j = next(iter(c.lhs.coeffs))
+        rest = c.lhs.evaluate(values) - c.lhs.coeff(j) * values[j]
+        values = list(values)
+        values[j] = -rest / c.lhs.coeff(j)
+        return values
+
+    seen = set()
+    for _ in range(200):
+        guard = Predicate([Polyhedron([atom() for _ in range(rng.randint(1, 3))])
+                           for _ in range(rng.randint(1, 3))])
+        compiled = compile_guard(guard)
+        for _ in range(10):
+            values = point()
+            atoms = [c for d in guard.disjuncts for c in d.constraints]
+            if rng.random() < 0.5:
+                c = rng.choice(atoms)
+                values = on_boundary(c, values)
+                assert c.lhs.evaluate(values) == 0
+            assert guard_holds(compiled, values) == guard.satisfied(values), \
+                (guard, values)
+            for c in atoms:
+                single = compile_guard(Predicate([Polyhedron([c])]))
+                result = guard_holds(single, values)
+                assert result == c.satisfied(values), (c, values)
+                seen.add((c.rel, c.lhs.evaluate(values) == 0, result))
+    # every outcome a strict, non-strict or equality atom can have, on and
+    # off its boundary, and no other
+    on_edge = {(Rel.LE, True, True), (Rel.LT, True, False), (Rel.EQ, True, True)}
+    off_edge = {(Rel.LE, False, r) for r in (False, True)} | \
+        {(Rel.LT, False, r) for r in (False, True)} | {(Rel.EQ, False, False)}
+    assert seen == on_edge | off_edge
+
+
+def test_compiled_guard_true_and_false():
+    from probterm import Predicate
+    from probterm.simulate import compile_guard, guard_holds
+    assert compile_guard(Predicate.true()) is None
+    assert not guard_holds(compile_guard(Predicate.false()), [F(0)])

@@ -251,3 +251,31 @@ def test_level_map_levels_terminal_loops_zero():
     assert res.found
     assert res.certificate.levels["tloop"] == 0
     assert check_certificate(p, inv, res.certificate).accepted
+
+
+# -- resource limits ---------------------------------------------------------------
+
+
+def test_capped_iteration_lp_is_not_a_decision(fig1b, fig1a, monkeypatch):
+    # three pivots cannot solve the first iteration LP; that is no evidence
+    # that nothing ranks, so neither procedure may answer
+    import functools
+    from probterm import synthesis
+    from probterm.farkas import PivotCapReached
+    monkeypatch.setattr(synthesis, "solve_lp",
+                        functools.partial(solve_lp, pivot_cap=3))
+    with pytest.raises(PivotCapReached, match="3 pivots"):
+        synthesize_bsp(*fig1b)
+    with pytest.raises(PivotCapReached):
+        synthesize_general(*fig1a)
+
+
+def test_capped_screen_is_not_a_decision(fig1b, monkeypatch):
+    import functools
+    from probterm import farkas, synthesis
+    from probterm.farkas import PivotCapReached
+    monkeypatch.setattr(farkas.simplex, "solve",
+                        functools.partial(farkas.simplex.solve, pivot_cap=0))
+    monkeypatch.setattr(synthesis, "solve_lp", lambda lp: pytest.fail("LP solved"))
+    with pytest.raises(PivotCapReached):
+        synthesize_bsp(*fig1b)
