@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--ndet", choices=["uniform", "lo", "hi"], default="uniform")
     p_sim.add_argument("--certificate", help="for the adversarial scheduler")
     p_sim.add_argument("--threads", type=int, default=0,
-                       help="worker processes (default $PROBTERM_THREADS or 1)")
+                       help="worker processes (default $PROBTERM_THREADS or 1); "
+                            "with --trace-out or --csv the runs are made in this process")
     p_sim.add_argument("--trace-out", metavar="PATH",
                        help="write one JSON line per run")
     p_sim.add_argument("--csv", metavar="PATH",
