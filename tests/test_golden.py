@@ -5,7 +5,8 @@ Any change to pivoting (representation, pricing, column layout) must keep
 these digests, or change them on purpose and say so. A digest is the
 sha256 of the certificate's JSON dumped with sorted keys. Two pivot
 counts pin the pivot sequence itself, which a change of pricing moves
-even where the certificate survives.
+even where the certificate survives. The iteration LPs themselves are
+pinned as digests of their solver-exchange dumps.
 """
 
 import hashlib
@@ -15,8 +16,8 @@ from fractions import Fraction
 import pytest
 
 from probterm import (Adversarial, FixedPriority, UniformRandom, check_bsp,
-                      estimate_termination, run_trajectory)
-from probterm.farkas import solve_lp
+                      estimate_termination, run_trajectory, synthesis)
+from probterm.farkas import dump_lp, solve_lp
 from probterm.pcfg_io import certificate_to_json, load_invariant, load_pcfg
 from probterm.synthesis import build_lp, synthesize_bsp, synthesize_general
 
@@ -84,6 +85,63 @@ def test_first_lp_pivot_count(name):
     slp = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
     assert solve_lp(slp.lp).pivots == FIRST_LP_PIVOTS[name]
 
+
+# -- golden LPs -------------------------------------------------------------------
+#
+# The sha256 of `dump_lp` text, over the LPs in the order they are built.
+# A dump lists rows, terms and unknowns in emission order, so these pin the
+# Farkas encoder's row order, term order and multiplier numbering, and the
+# feasibility screens that decide which implications are emitted at all.
+
+FIRST_LP_DIGESTS = {
+    "bern_walk": "5a044dbe06bb5281076162d336a37933277c47f0dd51c0ac6c7cf73ef2b48563",
+    "branching": "d6b8775eeb9b256c1713a4436d097f7a26aabb58ef54208601c96bc6353fcefa",
+    "countdown": "ee295324f73689d6385771c59a71d2ea9515769eb065f34bb269e52b873c7cea",
+    "fig1a": "458959d543f85f8dc8e83ba5ae0bd0ab3455668a57c1398b69d03791973fb316",
+    "fig1b": "8add786cafb38c4d6894d815c44f831a8c703305c0ebc7c7734f6617ae8b733e",
+    "fig2left": "458959d543f85f8dc8e83ba5ae0bd0ab3455668a57c1398b69d03791973fb316",
+    "fig2right": "8add786cafb38c4d6894d815c44f831a8c703305c0ebc7c7734f6617ae8b733e",
+    "prob_join": "f778064b195fa0709c74e53ca89c6b180dbe61554c7317f1059a9fff8c6f8c6a",
+    "straightline": "d73f0ed2061769c6444086d62d1904adf867f2127bbb8ee231dda367bc91fd4d",
+}
+
+# every iteration LP of one run: (procedure, LPs solved, digest over all);
+# the general run on fig1a retries with a tau0 in its third iteration
+RUN_LP_DIGESTS = {
+    "fig2right": (synthesize_bsp, 3,
+                  "833bfe8d0f268782829f6ba14c78c29434571ab07f17160c0ee89b854a3edc2f"),
+    "fig1a": (synthesize_general, 4,
+              "6dabbb78140dc1a67906063a381c0a16637fbb9ddb071986a7101bb8f3e2fea4"),
+}
+
+
+def lp_digest(lps) -> str:
+    h = hashlib.sha256()
+    for lp in lps:
+        h.update(dump_lp(lp).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_LP_DIGESTS))
+def test_first_lp_digest(name):
+    p, inv = load(name)
+    slp = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
+    assert lp_digest([slp.lp]) == FIRST_LP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_LP_DIGESTS))
+def test_iteration_lp_digests(name, monkeypatch):
+    synth, count, digest = RUN_LP_DIGESTS[name]
+    lps = []
+
+    def recording(lp, *args, **kwargs):
+        lps.append(lp)
+        return solve_lp(lp, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "solve_lp", recording)
+    assert synth(*load(name)).found
+    assert len(lps) == count
+    assert lp_digest(lps) == digest
 
 # -- golden trajectories --------------------------------------------------------
 #
