@@ -44,7 +44,7 @@ class Affine:
     __slots__ = ("terms", "const")
 
     def __init__(self, terms: Dict[str, Fraction] | None = None,
-                 const: RationalLike = 0):
+                 const: RationalLike = ZERO):
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
         self.const = rat(const)
 
@@ -278,30 +278,31 @@ def encode_implication(f: FarkasImplication, lp: LPProblem,
     a_rows: List[Tuple[Dict[int, Fraction], Fraction]] = []
     for cons in f.antecedent.constraints:
         for half in cons.split_eq():
-            a_rows.append((dict(half.lhs.coeffs), -half.lhs.constant))
+            a_rows.append((half.lhs.coeffs, -half.lhs.constant))
 
     lams = [lp.fresh_multiplier(tag) for _ in a_rows]
 
-    var_ids = set(f.consequent_coeffs)
-    for coeffs, _ in a_rows:
-        var_ids |= set(coeffs)
+    # each row's terms are collected once: the consequent's, then one per
+    # multiplier in row order
+    columns: Dict[int, List[Tuple[str, Fraction]]] = {i: [] for i in f.consequent_coeffs}
+    for lam, (coeffs, _) in zip(lams, a_rows):
+        for i, a in coeffs.items():
+            columns.setdefault(i, []).append((lam, a))
+
+    def row(base: Optional[Affine], terms) -> Affine:
+        form = Affine() if base is None else Affine(base.terms, base.const)
+        form.terms.update(terms)
+        return form
 
     # lam^T A = -c, per program variable
-    for i in sorted(var_ids):
-        form = f.consequent_coeffs.get(i, Affine())
-        for lam, (coeffs, _) in zip(lams, a_rows):
-            a = coeffs.get(i, ZERO)
-            if a != 0:
-                form = form + Affine.of(lam, a)
-        lp.add_constraint(form, RowRel.EQ)
+    for i in sorted(columns):
+        lp.add_constraint(row(f.consequent_coeffs.get(i), columns[i]), RowRel.EQ)
 
     # lam^T b <= -d, where the consequent reads c^T x - (-const) >= 0;
     # emitted as  const - lam^T b >= 0
-    form = f.consequent_const
-    for lam, (_, b) in zip(lams, a_rows):
-        if b != 0:
-            form = form - Affine.of(lam, b)
-    lp.add_constraint(form, RowRel.GE)
+    lp.add_constraint(row(f.consequent_const,
+                          ((lam, -b) for lam, (_, b) in zip(lams, a_rows) if b != 0)),
+                      RowRel.GE)
     return lams
 
 

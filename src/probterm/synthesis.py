@@ -36,11 +36,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .farkas import (Affine, FarkasImplication, LPProblem, PivotCapReached,
                      check_feasible, encode_implication, solve_lp)
-from .linear import LinExpr, Polyhedron, Predicate, negate_guards_to_dnf
+from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
+                     negate_guards_to_dnf, negate_predicate)
 from .model import (Certificate, CertificateMode, ExprUpdate, Invariant,
                     LevelMap, LinExprMap, NoUpdate, PCFG, ProbBranch,
                     Transition, check_bsp, check_linpp_star)
-from .simplex import LPStatus
+from .simplex import LPStatus, RowRel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -122,6 +123,10 @@ class SynthesisLP:
         return {loc: t.concretize(assignment) for loc, t in self.templates.items()}
 
 
+# antecedent constraints -> did the exact feasibility screen pass?
+ScreenMemo = Dict[Tuple[LinConstraint, ...], bool]
+
+
 def _expand_antecedents(inv: Polyhedron, guard: Predicate,
                         context: Predicate | None = None) -> List[Polyhedron]:
     pred = guard if context is None else guard.conjoin(context)
@@ -148,7 +153,6 @@ def _template_pre(templates: Dict[str, _Template], tau: Transition,
         return dest.substitute(u.target, rhs), []
     # demonic interval: universally quantified fresh variable in [lo, hi]
     y = LinExpr.var(universal_index)
-    from .linear import LinConstraint
     bounds = Polyhedron([LinConstraint.le(LinExpr.const(u.lo) - y),
                          LinConstraint.le(y - LinExpr.const(u.hi))])
     return dest.substitute(u.target, y), [bounds]
@@ -156,14 +160,21 @@ def _template_pre(templates: Dict[str, _Template], tau: Transition,
 
 def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
              restrict: TemplateRestriction = TemplateRestriction.none(),
-             dnf_cap: int = 4096) -> SynthesisLP:
+             dnf_cap: int = 4096, *,
+             screens: Optional[ScreenMemo] = None) -> SynthesisLP:
     """Assemble the LP for one iteration over the `unranked` transition
     ids. Antecedent disjuncts that fail the exact feasibility screen are
     dropped (their implications are vacuous); a transition all of whose
     antecedents drop has an unconstrained eps and is ranked for free.
+
+    Each distinct antecedent is screened once. `screens` memoises the
+    screens of a whole synthesis run, which passes the same memo to every
+    iteration; without it, a fresh memo serves this call alone.
     """
     if not unranked:
         raise ValueError("no unranked transitions left")
+    if screens is None:
+        screens = {}
     lp = LPProblem()
     templates: Dict[str, _Template] = {}
     nvars = len(p.variables)
@@ -181,17 +192,24 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
     for t in order:
         eps_names[t.id] = lp.add_var(f"eps[{t.id}]", nonneg=True)
 
-    from .simplex import RowRel
     out = SynthesisLP(lp, templates, eps_names)
 
-    def emit(antecedent: Polyhedron, expr: _Template, tag: str) -> None:
-        feasible, _ = check_feasible(antecedent)
+    def emit(antecedent: Polyhedron, consequents: List[Tuple[_Template, str]]) -> None:
+        """Encode `antecedent` implies each (expression >= 0, tag) in turn,
+        or drop them all when the antecedent is infeasible. A capped
+        screen raises PivotCapReached and is not memoised."""
+        key = tuple(antecedent.constraints)
+        feasible = screens.get(key)
+        if feasible is None:
+            feasible = screens[key] = check_feasible(antecedent)[0]
         if not feasible:
-            out.dropped_implications += 1
+            out.dropped_implications += len(consequents)
             return
-        impl = FarkasImplication(antecedent.relax_strict(), expr.coeffs, expr.const)
-        encode_implication(impl, lp, tag=tag)
-        out.emitted_implications += 1
+        relaxed = antecedent.relax_strict()
+        for expr, tag in consequents:
+            encode_implication(FarkasImplication(relaxed, expr.coeffs, expr.const),
+                               lp, tag=tag)
+        out.emitted_implications += len(consequents)
 
     # membership predicate of the already-ranked state set, per location:
     # no transition still unranked is enabled there
@@ -208,26 +226,24 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         src_inv = inv.at(t.source)
         pre, extra = _template_pre(templates, t, nvars)
         here = templates[t.source]
-        eps = eps_names[t.id]
+        down = here - pre
+        # (2) never increasing in expectation, (3) nonnegative one-step
+        # expectation (not for branches), (5) decrease by eps
+        stepped = [(down, f"ua.{t.id}")]
+        if not t.is_pb:
+            stepped.append((pre, f"en.{t.id}"))
+        stepped.append((down.plus_unknown(eps_names[t.id], Fraction(-1)), f"rk.{t.id}"))
         for ante in _expand_antecedents(src_inv, t.guard()):
             # (1) nonnegative where enabled
-            emit(ante, here, f"nn.{t.id}")
-            ante_u = ante
+            emit(ante, [(here, f"nn.{t.id}")])
             for b in extra:
-                ante_u = ante_u.conjoin(b)
-            # (2) never increasing in expectation
-            emit(ante_u, here - pre, f"ua.{t.id}")
-            # (3) nonnegative one-step expectation (not for branches)
-            if not t.is_pb:
-                emit(ante_u, pre, f"en.{t.id}")
-            # (5) decrease by eps
-            emit(ante_u, (here - pre).plus_unknown(eps, Fraction(-1)), f"rk.{t.id}")
+                ante = ante.conjoin(b)
+            emit(ante, stepped)
         # (4) restricted expectation across unranked probabilistic branches
         if t.is_pb:
             k = t.kind
             g1 = ranked_state_pred(k.dest1)
             g2 = ranked_state_pred(k.dest2)
-            from .linear import negate_predicate
             cases = [
                 (g1.conjoin(g2, cap=dnf_cap),
                  templates[k.dest1].scale(k.p1) + templates[k.dest2].scale(k.p2)),
@@ -240,7 +256,7 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
                 if ctx.is_false():
                     continue
                 for ante in _expand_antecedents(src_inv, t.guard(), ctx):
-                    emit(ante, expr, f"eb.{t.id}")
+                    emit(ante, [(expr, f"eb.{t.id}")])
 
     objective = Affine()
     for t in order:
@@ -283,6 +299,8 @@ class IterationState:
     unranked: List[str]
     components: List[Dict[str, LinExpr]] = field(default_factory=list)
     history: List[IterationRecord] = field(default_factory=list)
+    # feasibility screens of this run, shared by every iteration LP
+    screens: ScreenMemo = field(default_factory=dict)
 
 
 @dataclass
@@ -306,7 +324,7 @@ def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
     return the record, else return None. Raises PivotCapReached when the
     LP, or one of its feasibility screens, hits the pivot cap: a capped
     LP has no answer, so it cannot show that nothing ranks."""
-    slp = build_lp(p, inv, state.unranked, restrict)
+    slp = build_lp(p, inv, state.unranked, restrict, screens=state.screens)
     sol = solve_lp(slp.lp)
     if sol.status is LPStatus.PIVOT_CAP:
         raise PivotCapReached(f"{sol.pivots} pivots")

@@ -279,3 +279,83 @@ def test_capped_screen_is_not_a_decision(fig1b, monkeypatch):
     monkeypatch.setattr(synthesis, "solve_lp", lambda lp: pytest.fail("LP solved"))
     with pytest.raises(PivotCapReached):
         synthesize_bsp(*fig1b)
+
+
+# -- feasibility screens -------------------------------------------------------------
+
+
+def record_screens(monkeypatch):
+    """The antecedents screened through `synthesis.check_feasible`, in call
+    order, as their constraint tuples."""
+    from probterm import synthesis
+    screened = []
+    real = synthesis.check_feasible
+
+    def counting(antecedent):
+        screened.append(tuple(antecedent.constraints))
+        return real(antecedent)
+
+    monkeypatch.setattr(synthesis, "check_feasible", counting)
+    return screened
+
+
+def record_implications(monkeypatch):
+    """(emitted, dropped) implications of every LP `synthesis` builds."""
+    from probterm import synthesis
+    counts = []
+    real = synthesis.build_lp
+
+    def recording(*args, **kwargs):
+        slp = real(*args, **kwargs)
+        counts.append((slp.emitted_implications, slp.dropped_implications))
+        return slp
+
+    monkeypatch.setattr(synthesis, "build_lp", recording)
+    return counts
+
+
+def test_build_lp_screens_each_antecedent_once(monkeypatch):
+    # prob_join's first LP has 16 implications over 4 antecedents, one of
+    # them infeasible
+    p, inv = load_fixture("prob_join")
+    screened = record_screens(monkeypatch)
+    slp = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
+    assert (slp.emitted_implications, slp.dropped_implications) == (15, 1)
+    assert len(screened) == len(set(screened)) == 4
+
+
+@pytest.mark.parametrize("name, synthesize, implications", [
+    ("prob_join", synthesize_bsp, [(15, 1), (12, 0)]),
+    # the third iteration retries with a tau0, on the same unranked set
+    ("fig1a", synthesize_general, [(16, 0), (12, 0), (4, 0), (4, 0)]),
+])
+def test_run_screens_each_antecedent_once(name, synthesize, implications,
+                                          monkeypatch):
+    p, inv = load_fixture(name)
+    screened = record_screens(monkeypatch)
+    counts = record_implications(monkeypatch)
+    result = synthesize(p, inv)
+    assert result.found
+    assert counts == implications
+    assert any(rec.tau0 for rec in result.history) == (synthesize is synthesize_general)
+    run = list(screened)
+    # the antecedents of a run: those of each iteration's LP, built afresh
+    screened.clear()
+    for rec in result.history:
+        build_lp(p, inv, rec.unranked_before)
+    assert len(run) == len(set(run))
+    assert set(run) == set(screened)
+    assert len(run) < len(screened)
+
+
+def test_capped_screen_is_not_memoised(fig1b, monkeypatch):
+    import functools
+    from probterm import farkas
+    from probterm.farkas import PivotCapReached
+    p, inv = fig1b
+    monkeypatch.setattr(farkas.simplex, "solve",
+                        functools.partial(farkas.simplex.solve, pivot_cap=0))
+    screens = {}
+    with pytest.raises(PivotCapReached):
+        build_lp(p, inv, [t.id for t in p.non_terminal_transitions()], screens=screens)
+    assert screens == {}
