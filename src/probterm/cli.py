@@ -162,6 +162,11 @@ def cmd_check(args) -> int:
         _emit({"verdict": "structural-mismatch", "detail": str(e)}, args.json,
               f"structural mismatch: {e}")
         return EXIT_PRECONDITION
+    except PivotCapReached as e:
+        detail = (f"UNKNOWN: an entailment LP hit the simplex pivot cap ({e}); "
+                  "the check stopped at a resource limit, which decides nothing")
+        _emit({"verdict": "unknown", "detail": detail}, args.json, detail)
+        return EXIT_NEGATIVE
     doc = report.as_dict()
     if report.accepted:
         _emit(doc, args.json, f"accepted ({report.mode}): {report.meaning}")

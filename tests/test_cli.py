@@ -247,6 +247,20 @@ def test_check_mutated_certificate_exit_1(tmp_path):
                for c in out["conditions"])
 
 
+def test_check_pivot_cap_is_unknown(monkeypatch, capsys):
+    import functools
+    from probterm import cli, farkas
+    monkeypatch.setattr(farkas.simplex, "solve",
+                        functools.partial(farkas.simplex.solve, pivot_cap=0))
+    code = cli.main(["check", fixture_path("fig2right.pcfg.json"),
+                     fixture_path("example3.cert.json"),
+                     "-i", fixture_path("fig1b.inv.json"), "--json"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    validate(doc, "check-result.json")
+    assert doc["verdict"] == "unknown" and "pivot cap" in doc["detail"]
+
+
 def test_check_dimension_mismatch_exit_3(tmp_path):
     with open(fixture_path("example3.cert.json")) as f:
         doc = json.load(f)
