@@ -118,17 +118,29 @@ class Adversarial(Scheduler):
 
     def __init__(self, certificate: Certificate):
         self.certificate = certificate
+        # filled on first use, per process: level -> component map, and
+        # (level, transition id) -> max_pre of that component
+        self._components: Dict[int, Dict[str, LinExpr]] = {}
+        self._pre: Dict[Tuple[int, str], LinExpr] = {}
 
     def _component(self, j: int) -> Dict[str, LinExpr]:
-        return {loc: vec[j - 1]
-                for loc, vec in self.certificate.lem.components.items()}
+        eta = self._components.get(j)
+        if eta is None:
+            eta = self._components[j] = {
+                loc: vec[j - 1] for loc, vec in self.certificate.lem.components.items()}
+        return eta
+
+    def _max_pre(self, j: int, t) -> LinExpr:
+        pre = self._pre.get((j, t.id))
+        if pre is None:
+            pre = self._pre[(j, t.id)] = max_pre(self._component(j), t)
+        return pre
 
     def choose(self, enabled, values, rng):
         j = max(self.certificate.levels.get(t.id, 0) for t in enabled)
         if j == 0:
             return enabled[0]
-        eta = self._component(j)
-        return max(enabled, key=lambda t: (max_pre(eta, t).evaluate(values), t.id))
+        return max(enabled, key=lambda t: (self._max_pre(j, t).evaluate(values), t.id))
 
     def ndet_value(self, t, values, rng):
         u = t.kind.update
