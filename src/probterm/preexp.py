@@ -19,10 +19,6 @@ from .model import ExprUpdate, NondetUpdate, NoUpdate, ProbBranch, Transition
 ComponentMap = Dict[str, LinExpr]  # location -> linear expression
 
 
-class UnresolvedEndpoint(Exception):
-    """Endpoint resolution was asked of a symbolic-coefficient component."""
-
-
 def _expr_pre(eta_dest: LinExpr, update) -> LinExpr:
     if isinstance(update, NoUpdate):
         return eta_dest

@@ -1,5 +1,5 @@
-"""Source hygiene: every module compiles without a warning and uses every
-name it imports."""
+"""Source hygiene: every module compiles without a warning, uses every
+name it imports, and keeps no memo across calls."""
 
 import ast
 import pathlib
@@ -38,3 +38,31 @@ def _unused_imports(tree: ast.Module) -> list:
 def test_every_import_is_used(path):
     # __init__.py imports names to re-export them
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def _process_caches(tree: ast.Module) -> list:
+    """Lines that import or use functools.cache or functools.lru_cache."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name in CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_functools_cache(path):
+    # memo state lives in the call that owns it (a synthesis run's screen
+    # memo, a scheduler's pre-expectations), never for the whole process
+    assert _process_caches(ast.parse(path.read_text())) == []
+
+
+def test_functools_cache_is_detected():
+    tree = ast.parse("import functools\nfrom functools import lru_cache\n"
+                     "@functools.cache\ndef f(): pass\n")
+    assert _process_caches(tree) == [2, 3]
