@@ -135,16 +135,14 @@ class LPSolution:
     pivots: int = 0
 
 
-def solve_lp(lp: LPProblem, pivot_cap: int = simplex.DEFAULT_PIVOT_CAP,
-             verify: bool = True) -> LPSolution:
+def solve_lp(lp: LPProblem, pivot_cap: int = simplex.DEFAULT_PIVOT_CAP) -> LPSolution:
     """Exact optimum of the named LP; deterministic for identical input."""
     rows = []
     for c in lp.constraints:
         coeffs = {lp._index[k]: v for k, v in c.form.terms.items()}
         rows.append((coeffs, c.rel, -c.form.const))
     obj = {lp._index[k]: v for k, v in lp.objective.terms.items()}
-    res = simplex.solve(lp.num_vars(), lp.nonneg, rows, obj,
-                        pivot_cap=pivot_cap, verify=verify)
+    res = simplex.solve(lp.num_vars(), lp.nonneg, rows, obj, pivot_cap=pivot_cap)
     if res.status is not LPStatus.OPTIMAL:
         return LPSolution(res.status, pivots=res.pivots)
     assignment = {name: res.x[i] for i, name in enumerate(lp.names)}

@@ -2,8 +2,8 @@
 
 Dedicated to certificate synthesis and checking, where a float LP would
 poison the Farkas witnesses: feasibility, unboundedness and optima are
-exact, and the returned vertex can be re-substituted into the constraints
-without tolerance.
+exact, and every optimum is re-substituted into the constraints without
+tolerance before it is returned.
 
 The tableau holds integers only. A row is a dict from column to nonzero
 integer numerator, an integer right-hand side and one positive integer
@@ -14,6 +14,19 @@ into (p * row - a * pivot_row) / (den * p): the pivot row's own
 denominator cancels, rows without an entry in the pivot column are not
 touched, and a slack or artificial column costs nothing in rows where it
 is zero.
+
+Starting basis. Each row is first made to have a nonnegative right-hand
+side; a >= row whose right-hand side is 0 is negated as well, so that its
+slack starts basic. The slack of a <= row starts basic; every other row
+gets an artificial column. An artificial on a zero right-hand side is
+then driven out before phase 1: its row is pivoted on its lowest
+non-artificial column, or deleted as redundant when it has none. Such a
+pivot moves no basic value. In the homogeneous Farkas LPs of synthesis
+every row but `eps <= 1` has right-hand side 0, and template unknowns
+come first, so this start brings the free template columns into the
+basis before anything else. Phase 1 runs only while an artificial with a
+positive value is still basic, and the same drive-out follows it. Every
+pivot, these included, counts toward the pivot cap.
 
 Pivoting uses Bland's rule throughout (no cycling, deterministic),
 entering on the lowest column index with positive reduced cost and
@@ -28,7 +41,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -99,20 +112,28 @@ def _eliminate(row: Dict[int, int], rhs: int, den: int, a: int,
     return _reduced(row, rhs - a * prhs, den)
 
 
+class _PivotCapReached(Exception):
+    """The next pivot would exceed the cap."""
+
+
 class _Tableau:
     """Sparse fraction-free tableau with explicit basis bookkeeping: row i
     reads rows[i][j] / den[i] in column j and rhs[i] / den[i] on the right;
-    its basic column basis[i] reads den[i] / den[i] = 1."""
+    its basic column basis[i] reads den[i] / den[i] = 1. Every pivot counts
+    toward `pivots`; one past `pivot_cap` raises _PivotCapReached."""
 
     def __init__(self, rows: List[Dict[int, int]], rhs: List[int],
-                 den: List[int], basis: List[int]):
+                 den: List[int], basis: List[int], pivot_cap: int):
         self.rows = rows
         self.rhs = rhs
         self.den = den
         self.basis = basis
         self.pivots = 0
+        self.pivot_cap = pivot_cap
 
     def pivot(self, r: int, c: int) -> None:
+        if self.pivots >= self.pivot_cap:
+            raise _PivotCapReached
         prow, prhs, p = self.rows[r], self.rhs[r], self.rows[r][c]
         if p < 0:
             prow, prhs, p = {j: -v for j, v in prow.items()}, -prhs, -p
@@ -127,13 +148,52 @@ class _Tableau:
         self.basis[r] = c
         self.pivots += 1
 
-    def maximize(self, cost: Dict[int, Fraction],
-                 pivot_cap: int) -> Tuple[str, Fraction, int]:
+    def drive_out(self, art: Set[int], rows: List[int]) -> None:
+        """Take the artificial basic in each of `rows`, each at value 0, out
+        of the basis: pivot the row on its lowest non-artificial column, or
+        delete the row as redundant when it has none. Then delete every
+        non-basic artificial column, which fences it out of later pivots."""
+        drop: List[int] = []
+        for i in rows:
+            col = min((j for j in self.rows[i] if j not in art), default=None)
+            if col is None:
+                drop.append(i)
+            else:
+                self.pivot(i, col)
+        for i in reversed(drop):
+            del self.rows[i], self.rhs[i], self.den[i], self.basis[i]
+        gone = art.difference(self.basis)
+        for i, row in enumerate(self.rows):
+            if not gone.isdisjoint(row):
+                self.rows[i], self.rhs[i], self.den[i] = _reduced(
+                    {j: v for j, v in row.items() if j not in gone},
+                    self.rhs[i], self.den[i])
+
+    def feasible_start(self, art: Set[int]) -> bool:
+        """Replace the artificial start by a basis of original columns;
+        False when the rows are infeasible.
+
+        An artificial on a zero right-hand side is driven out first: a
+        pivot on a zero row moves no basic value. Phase 1 then runs only
+        while some artificial is basic with a positive value.
+        """
+        self.drive_out(art, [i for i, b in enumerate(self.basis)
+                             if b in art and self.rhs[i] == 0])
+        left = [b for b in self.basis if b in art]
+        if not left:
+            return True
+        outcome, value, _ = self.maximize({c: -ONE for c in left})
+        if value < 0:
+            return False
+        self.drive_out(art, [i for i, b in enumerate(self.basis) if b in art])
+        return True
+
+    def maximize(self, cost: Dict[int, Fraction]) -> Tuple[str, Fraction, int]:
         """Run simplex on the current basis for the given objective.
 
-        Returns (outcome, value, column); outcome is one of "optimal",
-        "unbounded", "cap", and column is the entering column that has
-        no leaving row when unbounded.
+        Returns (outcome, value, column); outcome is "optimal" or
+        "unbounded", and column is the entering column that has no leaving
+        row when unbounded.
         """
         z, zrhs, zden = _integer_row(cost, ZERO)
         for i, b in enumerate(self.basis):
@@ -160,9 +220,6 @@ class _Tableau:
             if leave < 0:
                 outcome = "unbounded"
                 break
-            if self.pivots >= pivot_cap:
-                outcome = "cap"
-                break
             self.pivot(leave, enter)
             z, zrhs, zden = _eliminate(z, zrhs, zden, z[enter], self.rows[leave],
                                        self.rhs[leave], self.den[leave])
@@ -173,14 +230,13 @@ def solve(num_vars: int,
           nonneg: Sequence[bool],
           rows: Sequence[Tuple[Dict[int, Fraction], RowRel, Fraction]],
           objective: Dict[int, Fraction],
-          pivot_cap: int = DEFAULT_PIVOT_CAP,
-          verify: bool = True) -> SimplexResult:
+          pivot_cap: int = DEFAULT_PIVOT_CAP) -> SimplexResult:
     """Maximize `objective` subject to `rows` over `num_vars` variables.
 
     Variables with nonneg[j] False are free (internally split). The
-    result's assignment, when optimal, satisfies every row exactly; this
-    is re-checked unless `verify` is disabled. `pivots` counts every
-    pivot made, including those that drive artificials out of the basis.
+    result's assignment, when optimal, satisfies every row exactly, and
+    this is re-checked on every optimum. `pivots` counts every pivot
+    made, including those that drive artificials out of the basis.
     """
     # column layout: one column per nonneg var, two per free var, then one
     # slack per inequality and one artificial per row lacking a +1 slack,
@@ -221,8 +277,9 @@ def solve(num_vars: int,
             s = slack
             slack += 1
             row[s] = d if rel is RowRel.LE else -d
-        # make the right-hand side nonnegative
-        if r < 0:
+        # make the right-hand side nonnegative; a zero one turns a >= row
+        # into a <= row, whose slack starts basic
+        if r < 0 or (r == 0 and rel is RowRel.GE):
             row, r = {j: -v for j, v in row.items()}, -r
         # starting basis: slack where it survived with +1, else artificial
         if s >= 0 and row[s] > 0:
@@ -236,36 +293,12 @@ def solve(num_vars: int,
         rhs.append(r)
         den.append(d)
 
-    tab = _Tableau(trows, rhs, den, basis)
-
-    if art_cols:
-        outcome, value, _ = tab.maximize({c: -ONE for c in art_cols}, pivot_cap)
-        if outcome == "cap":
-            return SimplexResult(LPStatus.PIVOT_CAP, pivots=tab.pivots)
-        if value < 0:
+    tab = _Tableau(trows, rhs, den, basis, pivot_cap)
+    try:
+        if not tab.feasible_start(set(art_cols)):
             return SimplexResult(LPStatus.INFEASIBLE, pivots=tab.pivots)
-        art_set = set(art_cols)
-        # pivot leftover artificials out; rows where nothing pivots are redundant
-        drop: List[int] = []
-        for i, b in enumerate(tab.basis):
-            if b in art_set:
-                col = min((j for j in tab.rows[i] if j not in art_set), default=None)
-                if col is None:
-                    drop.append(i)
-                else:
-                    tab.pivot(i, col)
-        for i in reversed(drop):
-            del tab.rows[i], tab.rhs[i], tab.den[i], tab.basis[i]
-        # no artificial is basic now; deleting their columns fences them
-        # out of phase 2
-        for i, row in enumerate(tab.rows):
-            if not art_set.isdisjoint(row):
-                tab.rows[i], tab.rhs[i], tab.den[i] = _reduced(
-                    {j: v for j, v in row.items() if j not in art_set},
-                    tab.rhs[i], tab.den[i])
-
-    outcome, value, enter = tab.maximize(split(objective), pivot_cap)
-    if outcome == "cap":
+        outcome, value, enter = tab.maximize(split(objective))
+    except _PivotCapReached:
         return SimplexResult(LPStatus.PIVOT_CAP, pivots=tab.pivots)
 
     x = unsplit({b: Fraction(tab.rhs[i], tab.den[i]) for i, b in enumerate(tab.basis)})
@@ -276,8 +309,7 @@ def solve(num_vars: int,
             dcol[b] = Fraction(-tab.rows[i].get(enter, 0), tab.den[i])
         return SimplexResult(LPStatus.UNBOUNDED, x=x, ray=unsplit(dcol), pivots=tab.pivots)
 
-    if verify:
-        _check_solution(num_vars, nonneg, rows, objective, x, value)
+    _check_solution(num_vars, nonneg, rows, objective, x, value)
     return SimplexResult(LPStatus.OPTIMAL, x=x, value=value, pivots=tab.pivots)
 
 

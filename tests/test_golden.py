@@ -4,9 +4,9 @@ byte for byte.
 Any change to pivoting (representation, pricing, column layout) must keep
 these digests, or change them on purpose and say so. A digest is the
 sha256 of the certificate's JSON dumped with sorted keys. Two pivot
-counts pin the pivot sequence itself, which a change of pricing moves
-even where the certificate survives. The iteration LPs themselves are
-pinned as digests of their solver-exchange dumps.
+counts pin the pivot sequence itself, which a change of pricing or of the
+starting basis moves even where the certificate survives. The iteration
+LPs themselves are pinned as digests of their solver-exchange dumps.
 """
 
 import hashlib
@@ -45,7 +45,7 @@ REFUSED = {
 }
 
 # pivots of the first-iteration LP (37 unknowns x 52 rows)
-FIRST_LP_PIVOTS = {"fig1b": 58, "fig2right": 58}
+FIRST_LP_PIVOTS = {"fig1b": 34, "fig2right": 34}
 
 # the figure-2 pCFGs are stored lowered and reuse the figure-1 invariants
 PCFG_INVARIANT = {"fig2left": "fig1a", "fig2right": "fig1b"}

@@ -72,6 +72,35 @@ def test_pivot_cap():
     assert r.status is LPStatus.PIVOT_CAP and r.pivots == free.pivots - 1
 
 
+def test_duplicated_zero_rhs_equality_is_dropped():
+    # the second row doubles the first: once x0 enters on the first row,
+    # the copy has no entry left outside the artificial columns and is
+    # dropped without a pivot
+    rows = [({0: F(1), 1: F(-1)}, RowRel.EQ, F(0)),
+            ({0: F(2), 1: F(-2)}, RowRel.EQ, F(0)),
+            ({0: F(1)}, RowRel.LE, F(3))]
+    obj = {0: F(1), 1: F(1)}
+    r = solve(2, [False, False], rows, obj)
+    assert r.status is LPStatus.OPTIMAL and r.x == [F(3), F(3)] and r.value == 6
+    single = solve(2, [False, False], rows[:1] + rows[2:], obj)
+    assert r.pivots == single.pivots
+
+
+@pytest.mark.parametrize("obj", [{}, {0: F(1)}], ids=["crash-only", "crash-then-phase2"])
+def test_pivot_cap_counts_crash_pivots(obj):
+    # zero-rhs equalities over free unknowns: the crash start pivots a
+    # template-like column into the basis for each row, with no phase 1
+    rows = [({0: F(1), 1: F(1)}, RowRel.EQ, F(0)),
+            ({1: F(1), 2: F(-1)}, RowRel.EQ, F(0)),
+            ({0: F(1)}, RowRel.LE, F(1))]
+    free = solve(3, [False] * 3, rows, obj)
+    assert free.status is LPStatus.OPTIMAL and free.pivots >= 2
+    r = solve(3, [False] * 3, rows, obj, pivot_cap=free.pivots)
+    assert r.status is LPStatus.OPTIMAL and r.pivots == free.pivots and r.x == free.x
+    r = solve(3, [False] * 3, rows, obj, pivot_cap=free.pivots - 1)
+    assert r.status is LPStatus.PIVOT_CAP and r.pivots == free.pivots - 1
+
+
 def _scipy_status(n, nonneg, rows, obj):
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
     for coeffs, rel, b in rows:
@@ -113,18 +142,38 @@ def _rational(rng, lo, hi):
     return F(rng.randint(2 * lo, 2 * hi), rng.randint(1, 6))
 
 
-@pytest.mark.parametrize("seed,draw", [(42, _integer), (43, _rational)],
-                         ids=["integer", "rational"])
-def test_randomized_against_scipy(seed, draw):
-    rng = random.Random(seed)
-    for trial in range(400):
+def _general(draw):
+    def lp(rng):
         n = rng.randint(1, 4)
         m = rng.randint(1, 6)
         nonneg = [rng.random() < 0.7 for _ in range(n)]
         rows = [({j: draw(rng, -4, 4) for j in range(n)},
                  rng.choice([RowRel.LE, RowRel.GE, RowRel.EQ]),
                  draw(rng, -6, 6)) for _ in range(m)]
-        obj = {j: draw(rng, -3, 3) for j in range(n)}
+        return n, nonneg, rows, {j: draw(rng, -3, 3) for j in range(n)}
+    return lp
+
+
+def _homogeneous(rng):
+    # the shape of a Farkas LP: zero right-hand sides on == and >= rows,
+    # free and nonneg unknowns, and a few <= 1 bounds
+    n = rng.randint(1, 5)
+    nonneg = [rng.random() < 0.5 for _ in range(n)]
+    rows = [({j: F(rng.randint(-3, 3)) for j in rng.sample(range(n), rng.randint(1, n))},
+             rng.choice([RowRel.EQ, RowRel.GE]), F(0))
+            for _ in range(rng.randint(1, 6))]
+    rows += [({j: F(1)}, RowRel.LE, F(1)) for j in rng.sample(range(n), min(rng.randint(0, 2), n))]
+    rng.shuffle(rows)
+    return n, nonneg, rows, {j: _integer(rng, -3, 3) for j in range(n)}
+
+
+@pytest.mark.parametrize("seed,make", [(42, _general(_integer)), (43, _general(_rational)),
+                                       (44, _homogeneous)],
+                         ids=["integer", "rational", "homogeneous"])
+def test_randomized_against_scipy(seed, make):
+    rng = random.Random(seed)
+    for trial in range(400):
+        n, nonneg, rows, obj = make(rng)
         mine = solve(n, nonneg, rows, obj)
         if mine.status is LPStatus.OPTIMAL:
             sp = _scipy_status(n, nonneg, rows, obj)
@@ -157,8 +206,8 @@ def test_row_permutation_invariance_of_value():
 
 
 def test_resubstitution_is_exact():
-    # verify=True (the default) asserts exact satisfaction internally; a
-    # deliberately fractional optimum exercises it
+    # every optimum is re-checked for exact satisfaction inside solve; a
+    # deliberately fractional optimum exercises that check
     rows = [({0: F(7), 1: F(3)}, RowRel.LE, F(1)),
             ({0: F(-2), 1: F(9)}, RowRel.LE, F(1)),
             ({0: F(1), 1: F(1)}, RowRel.GE, F(-5))]
