@@ -29,6 +29,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# antecedent constraints -> did the exact feasibility screen pass?
+ScreenMemo = Dict[Tuple[LinConstraint, ...], bool]
+
+
 class StrictNotRelaxed(Exception):
     """A strict inequality reached the Farkas encoder unrelaxed."""
 
@@ -205,23 +209,33 @@ def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     return True, {i: res.x[i] for i in range(nvars)}
 
 
-def entails(p: Polyhedron, c: LinConstraint) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
+def entails(p: Polyhedron, c: LinConstraint, *,
+            screens: Optional[ScreenMemo] = None) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     """Does every rational point of `p` satisfy `c`?
 
     Decided by maximizing c's left-hand side over `p` (equalities as two
     inequalities). When the answer is no, a counterexample point inside
     `p` (strict constraints included) is returned. Raises PivotCapReached
     when an LP hits the pivot cap.
+
+    `p` is first screened for feasibility. `screens` memoises the screens
+    across the calls that share it; a capped screen raises and stores
+    nothing. Without it, the screen serves this call alone.
     """
     if c.rel is Rel.EQ:
-        ok1, w1 = entails(p, LinConstraint.le(c.lhs))
+        ok1, w1 = entails(p, LinConstraint.le(c.lhs), screens=screens)
         if not ok1:
             return False, w1
-        return entails(p, LinConstraint.le(-c.lhs))
+        return entails(p, LinConstraint.le(-c.lhs), screens=screens)
     if c.rel is Rel.LT:
         raise ValueError("entailment of strict consequents is not supported")
 
-    feasible, _ = check_feasible(p)
+    if screens is None:
+        screens = {}
+    key = tuple(p.constraints)
+    feasible = screens.get(key)
+    if feasible is None:
+        feasible = screens[key] = check_feasible(p)[0]
     if not feasible:
         return True, None
     # sup of a linear form over the (nonempty) set equals its max over the

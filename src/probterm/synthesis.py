@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .farkas import (Affine, FarkasImplication, LPProblem, PivotCapReached,
-                     check_feasible, encode_implication, solve_lp)
+                     ScreenMemo, check_feasible, encode_implication, solve_lp)
 from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
                      negate_guards_to_dnf, negate_predicate)
 from .model import (Certificate, CertificateMode, ExprUpdate, Invariant,
@@ -121,10 +121,6 @@ class SynthesisLP:
 
     def component_at(self, assignment: Dict[str, Fraction]) -> Dict[str, LinExpr]:
         return {loc: t.concretize(assignment) for loc, t in self.templates.items()}
-
-
-# antecedent constraints -> did the exact feasibility screen pass?
-ScreenMemo = Dict[Tuple[LinConstraint, ...], bool]
 
 
 def _expand_antecedents(inv: Polyhedron, guard: Predicate,

@@ -89,6 +89,46 @@ def test_mutation_suite_general(fig1a, loc, comp, var, delta, accepted):
     assert check_certificate(p, inv, cert).accepted == accepted
 
 
+@pytest.mark.parametrize("name,published,mutations",
+                         [("fig1b", example3_certificate, E3_MUTATIONS),
+                          ("fig1a", example4_certificate, E4_MUTATIONS)],
+                         ids=["example3", "example4"])
+def test_check_screens_each_antecedent_once(name, published, mutations, monkeypatch):
+    # one check screens each distinct antecedent once, and the memo changes
+    # no report: the reference run screens afresh for every entailment
+    from probterm import checker, farkas
+    p, inv = load_fixture(name)
+    base = published(p)
+    certs = [base] + [perturbed(base, loc, comp, p.var_index(var) if var else None, delta)
+                      for loc, comp, var, delta, _ in mutations]
+    check_feasible, entails = farkas.check_feasible, farkas.entails
+    for cert in certs:
+        queries, screened = [], []
+
+        def recording_entails(ante, c, *, screens=None):
+            queries.append(tuple(ante.constraints))
+            return entails(ante, c, screens=screens)
+
+        def recording_check_feasible(q):
+            screened.append(tuple(q.constraints))
+            return check_feasible(q)
+
+        monkeypatch.setattr(checker, "entails", recording_entails)
+        monkeypatch.setattr(farkas, "check_feasible", recording_check_feasible)
+        report = check_certificate(p, inv, cert).as_dict()
+        monkeypatch.undo()
+        # counterexample searches screen other systems, not antecedents
+        distinct = set(queries)
+        screens = [key for key in screened if key in distinct]
+        assert len(screens) == len(distinct) < len(queries)
+        assert set(screens) == distinct
+
+        monkeypatch.setattr(checker, "entails", lambda ante, c, *, screens=None:
+                            entails(ante, c))
+        assert check_certificate(p, inv, cert).as_dict() == report
+        monkeypatch.undo()
+
+
 def test_branch_expectation_checked_on_ranked_region():
     """The probabilistic branch back into the loop head gets a genuine
     restricted-expectation check; weakening the head component below zero
