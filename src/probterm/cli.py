@@ -3,10 +3,10 @@
 Exit codes are a stable contract:
   0  success / certificate found / certificate accepted
   1  negative verdict (no witness, certificate rejected), or "unknown"
-     after a resource limit (the simplex pivot cap)
+     after a resource limit (the simplex pivot cap, the DNF cap)
   2  source syntax error (parse)
   3  precondition or input failure (malformed files, structural mismatch,
-     program class violations, encoding blowup)
+     program class violations)
 """
 
 from __future__ import annotations
@@ -43,6 +43,13 @@ def _emit(doc: dict, as_json: bool, human: str) -> None:
         print(json.dumps(doc, indent=2))
     else:
         print(human)
+
+
+def _limit_hit(e: Exception) -> str:
+    """The resource limit that `e` reports, named for the user."""
+    if isinstance(e, EncodingBlowup):
+        return f"a DNF expansion hit the DNF cap ({e})"
+    return f"an LP hit the simplex pivot cap ({e})"
 
 
 def cmd_parse(args) -> int:
@@ -106,12 +113,12 @@ def cmd_synthesize(args) -> int:
             result = synthesize_bsp(p, inv, progress=progress)
         else:
             result = synthesize_general(p, inv, progress=progress)
-    except (NotLinPPStar, MissingBoundedSupport, EncodingBlowup) as e:
+    except (NotLinPPStar, MissingBoundedSupport) as e:
         _emit({"outcome": "error", "mode": mode, "detail": str(e)}, args.json,
               f"precondition failure: {e}")
         return EXIT_PRECONDITION
-    except PivotCapReached as e:
-        detail = (f"termination UNKNOWN: an LP hit the simplex pivot cap ({e}); "
+    except (PivotCapReached, EncodingBlowup) as e:
+        detail = (f"termination UNKNOWN: {_limit_hit(e)}; "
                   "the search stopped at a resource limit, which decides nothing")
         _emit({"outcome": "no-witness", "verdict": "unknown", "mode": mode,
                "detail": detail}, args.json, detail)
@@ -162,8 +169,8 @@ def cmd_check(args) -> int:
         _emit({"verdict": "structural-mismatch", "detail": str(e)}, args.json,
               f"structural mismatch: {e}")
         return EXIT_PRECONDITION
-    except PivotCapReached as e:
-        detail = (f"UNKNOWN: an entailment LP hit the simplex pivot cap ({e}); "
+    except (PivotCapReached, EncodingBlowup) as e:
+        detail = (f"UNKNOWN: {_limit_hit(e)}; "
                   "the check stopped at a resource limit, which decides nothing")
         _emit({"verdict": "unknown", "detail": detail}, args.json, detail)
         return EXIT_NEGATIVE

@@ -261,6 +261,52 @@ def test_check_pivot_cap_is_unknown(monkeypatch, capsys):
     assert doc["verdict"] == "unknown" and "pivot cap" in doc["detail"]
 
 
+def wide_exit_graph(tmp_path):
+    """A probabilistic branch into a location with 13 exits, each guarded
+    by two atoms over its own variables: negating the exits multiplies out
+    to 2**13 disjuncts, past the DNF cap. Returns the graph file and a
+    dimension-1 certificate file for it."""
+    from fractions import Fraction
+    from probterm import pcfg_io
+    from probterm.linear import LinConstraint, LinExpr, Polyhedron, Predicate
+    from probterm.model import (PCFG, Certificate, CertificateMode, GuardedStep,
+                                LinExprMap, NoUpdate, ProbBranch, Transition)
+    exits = 13
+    half = Fraction(1, 2)
+    transitions = [Transition("t0", "l0", ProbBranch("l1", half, "out", half))]
+    for k in range(exits):
+        atoms = [LinConstraint.le(LinExpr.const(1) - LinExpr.var(i))
+                 for i in (2 * k, 2 * k + 1)]
+        transitions.append(Transition(f"t{k + 1}", "l1", GuardedStep(
+            "out", Predicate([Polyhedron(atoms)]), NoUpdate())))
+    p = PCFG([f"x{i}" for i in range(2 * exits)], ["l0", "l1", "out"], "l0", "out",
+             transitions)
+    cert = Certificate(LinExprMap(1, {loc: [LinExpr.const(0)] for loc in p.locations}),
+                       {t.id: 1 for t in transitions}, Fraction(0),
+                       CertificateMode.BSP_COMPLETE)
+    pcfg_path, cert_path = tmp_path / "wide.pcfg.json", tmp_path / "wide.cert.json"
+    pcfg_io.dump_pcfg(p, str(pcfg_path))
+    pcfg_io.dump_certificate(cert, p, str(cert_path))
+    return str(pcfg_path), str(cert_path)
+
+
+@pytest.mark.parametrize("command", ["synthesize", "check"])
+def test_dnf_cap_is_unknown(tmp_path, capsys, command):
+    from probterm import cli
+    pcfg, cert = wide_exit_graph(tmp_path)
+    if command == "synthesize":
+        argv = ["synthesize", pcfg, "-o", str(tmp_path / "c.json"), "--json"]
+        schema = "synthesize-result.json"
+    else:
+        argv = ["check", pcfg, cert, "--json"]
+        schema = "check-result.json"
+    assert cli.main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    validate(doc, schema)
+    assert doc["verdict"] == "unknown" and "DNF cap" in doc["detail"]
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_check_dimension_mismatch_exit_3(tmp_path):
     with open(fixture_path("example3.cert.json")) as f:
         doc = json.load(f)
