@@ -84,9 +84,6 @@ class LinExpr:
         rest = {i: v for i, v in self.coeffs.items() if i != index}
         return LinExpr(rest, self.constant) + replacement.scale(c)
 
-    def rename(self, index: int, new_index: int) -> "LinExpr":
-        return self.substitute(index, LinExpr.var(new_index))
-
     def evaluate(self, values: Sequence[Fraction] | Mapping[int, Fraction]) -> Fraction:
         total = self.constant
         for i, c in self.coeffs.items():

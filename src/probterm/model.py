@@ -273,10 +273,6 @@ class Invariant:
     def at(self, location: str) -> Polyhedron:
         return self.by_location.get(location, Polyhedron.true())
 
-    @staticmethod
-    def top() -> "Invariant":
-        return Invariant({})
-
 
 @dataclass
 class LinExprMap:

@@ -1,5 +1,6 @@
 """Source hygiene: every module compiles without a warning, uses every
-name it imports, and keeps no memo across calls."""
+name it imports, keeps no memo across calls, and defines no function that
+nothing names."""
 
 import ast
 import pathlib
@@ -7,7 +8,8 @@ import warnings
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "probterm"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "probterm"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -66,3 +68,37 @@ def test_functools_cache_is_detected():
     tree = ast.parse("import functools\nfrom functools import lru_cache\n"
                      "@functools.cache\ndef f(): pass\n")
     assert _process_caches(tree) == [2, 3]
+
+
+def _defined_functions(tree: ast.Module) -> dict:
+    """Name to line of every function and method, dunders excluded: the
+    language calls those itself."""
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _names_used(tree: ast.Module) -> set:
+    """Every name read or written, and every attribute taken."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_function_is_referenced():
+    # a function that no source, test or bench file names is dead code
+    used = set()
+    for part in ("src", "tests", "bench"):
+        for path in (ROOT / part).rglob("*.py"):
+            used |= _names_used(ast.parse(path.read_text()))
+    dead = [f"{path.name}:{line} {name}"
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for name, line in _defined_functions(ast.parse(path.read_text())).items()
+            if name not in used]
+    assert dead == []
+
+
+def test_unreferenced_function_is_detected():
+    tree = ast.parse("class C:\n    def used(self): pass\n    def dead(self): pass\n"
+                     "    def __len__(self): return 0\n"
+                     "def f():\n    return C().used()\nf()\n")
+    assert set(_defined_functions(tree)) - _names_used(tree) == {"dead"}
