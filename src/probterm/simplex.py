@@ -21,10 +21,10 @@ slack starts basic. The slack of a <= row starts basic; every other row
 gets an artificial column. An artificial on a zero right-hand side is
 then driven out before phase 1: its row is pivoted on its lowest
 non-artificial column, or deleted as redundant when it has none. Such a
-pivot moves no basic value. In the homogeneous Farkas LPs of synthesis
-every row but `eps <= 1` has right-hand side 0, and template unknowns
-come first, so this start brings the free template columns into the
-basis before anything else. Phase 1 runs only while an artificial with a
+pivot moves no basic value. In the Farkas LPs of synthesis every row but
+the bounds on eps has right-hand side 0, and template unknowns come
+first, so this start brings the free template columns into the basis
+before anything else. Phase 1 runs only while an artificial with a
 positive value is still basic, and the same drive-out follows it. Every
 pivot, these included, counts toward the pivot cap.
 
@@ -182,7 +182,7 @@ class _Tableau:
         left = [b for b in self.basis if b in art]
         if not left:
             return True
-        outcome, value, _ = self.maximize({c: -ONE for c in left})
+        _, value, _ = self.maximize({c: -ONE for c in left})
         if value < 0:
             return False
         self.drive_out(art, [i for i, b in enumerate(self.basis) if b in art])
