@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from . import pcfg_io
 from .checker import StructuralMismatch, check_certificate
-from .farkas import PivotCapReached
-from .linear import EncodingBlowup
+from .linear import EncodingBlowup, ResourceLimit
 from .lowering import lower_to_pcfg
 from .model import Invariant, check_bsp, validate_pcfg
 from .rationals import rat
@@ -45,7 +44,7 @@ def _emit(doc: dict, as_json: bool, human: str) -> None:
         print(human)
 
 
-def _limit_hit(e: Exception) -> str:
+def _limit_hit(e: ResourceLimit) -> str:
     """The resource limit that `e` reports, named for the user."""
     if isinstance(e, EncodingBlowup):
         return f"a DNF expansion hit the DNF cap ({e})"
@@ -117,7 +116,7 @@ def cmd_synthesize(args) -> int:
         _emit({"outcome": "error", "mode": mode, "detail": str(e)}, args.json,
               f"precondition failure: {e}")
         return EXIT_PRECONDITION
-    except (PivotCapReached, EncodingBlowup) as e:
+    except ResourceLimit as e:
         detail = (f"termination UNKNOWN: {_limit_hit(e)}; "
                   "the search stopped at a resource limit, which decides nothing")
         _emit({"outcome": "no-witness", "verdict": "unknown", "mode": mode,
@@ -169,7 +168,7 @@ def cmd_check(args) -> int:
         _emit({"verdict": "structural-mismatch", "detail": str(e)}, args.json,
               f"structural mismatch: {e}")
         return EXIT_PRECONDITION
-    except (PivotCapReached, EncodingBlowup) as e:
+    except ResourceLimit as e:
         detail = (f"UNKNOWN: {_limit_hit(e)}; "
                   "the check stopped at a resource limit, which decides nothing")
         _emit({"verdict": "unknown", "detail": detail}, args.json, detail)

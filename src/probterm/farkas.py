@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .linear import LinConstraint, LinExpr, Polyhedron, Rel
+from .linear import LinConstraint, LinExpr, Polyhedron, Rel, ResourceLimit
 from .rationals import rat, RationalLike
 from . import simplex
 from .simplex import LPStatus, RowRel
@@ -37,13 +37,13 @@ class StrictNotRelaxed(Exception):
     """A strict inequality reached the Farkas encoder unrelaxed."""
 
 
-class PivotCapReached(Exception):
-    """A polyhedral query's LP hit the simplex pivot cap, so the query
-    has no answer (neither yes nor no)."""
+class PivotCapReached(ResourceLimit):
+    """A polyhedral query's LP hit the simplex pivot cap."""
 
 
 class Affine:
-    """Linear form over named LP unknowns plus a rational constant."""
+    """Linear form over named LP unknowns plus a rational constant; as a
+    `LinExpr` coefficient it makes that expression a synthesis template."""
 
     __slots__ = ("terms", "const")
 
@@ -60,7 +60,9 @@ class Affine:
     def constant(value: RationalLike) -> "Affine":
         return Affine({}, value)
 
-    def __add__(self, other: "Affine") -> "Affine":
+    def __add__(self, other: "Affine | Fraction") -> "Affine":
+        if not isinstance(other, Affine):
+            return Affine(self.terms, self.const + other)
         t = dict(self.terms)
         for k, v in other.terms.items():
             t[k] = t.get(k, ZERO) + v
@@ -69,12 +71,16 @@ class Affine:
     def __sub__(self, other: "Affine") -> "Affine":
         return self + other.scale(-1)
 
+    __radd__ = __add__
+
     def scale(self, f: RationalLike) -> "Affine":
         f = rat(f)
         return Affine({k: v * f for k, v in self.terms.items()}, self.const * f)
 
-    def is_zero(self) -> bool:
-        return not self.terms and self.const == 0
+    __mul__ = __rmul__ = scale
+
+    def __bool__(self) -> bool:
+        return bool(self.terms) or self.const != 0
 
     def value(self, assignment: Dict[str, Fraction]) -> Fraction:
         return self.const + sum((v * assignment[k] for k, v in self.terms.items()), ZERO)
@@ -209,6 +215,18 @@ def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     return True, {i: res.x[i] for i in range(nvars)}
 
 
+def memo_feasible(p: Polyhedron, memo: ScreenMemo,
+                  check: Callable[[Polyhedron], Tuple[bool, object]]) -> bool:
+    """The screen of `p`: whether `check` (the caller's `check_feasible`)
+    finds it feasible, looked up in `memo` first and stored there after.
+    A capped screen raises PivotCapReached and stores nothing."""
+    key = tuple(p.constraints)
+    feasible = memo.get(key)
+    if feasible is None:
+        feasible = memo[key] = check(p)[0]
+    return feasible
+
+
 def entails(p: Polyhedron, c: LinConstraint, *,
             screens: Optional[ScreenMemo] = None) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     """Does every rational point of `p` satisfy `c`?
@@ -230,13 +248,7 @@ def entails(p: Polyhedron, c: LinConstraint, *,
     if c.rel is Rel.LT:
         raise ValueError("entailment of strict consequents is not supported")
 
-    if screens is None:
-        screens = {}
-    key = tuple(p.constraints)
-    feasible = screens.get(key)
-    if feasible is None:
-        feasible = screens[key] = check_feasible(p)[0]
-    if not feasible:
+    if not memo_feasible(p, {} if screens is None else screens, check_feasible):
         return True, None
     # sup of a linear form over the (nonempty) set equals its max over the
     # non-strict relaxation

@@ -18,15 +18,31 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class EncodingBlowup(Exception):
+DEFAULT_DNF_CAP = 4096
+
+
+class ResourceLimit(Exception):
+    """A query stopped at a resource limit, so it has no answer (neither
+    yes nor no)."""
+
+
+class EncodingBlowup(ResourceLimit):
     """DNF expansion exceeded the configured disjunct cap."""
+
+
+def _coef(value):
+    """A coefficient as stored: ints and strings become Fractions; a
+    Fraction, or an `Affine` over LP unknowns, is kept as it is."""
+    return rat(value) if isinstance(value, (int, str)) else value
 
 
 class LinExpr:
     """Affine expression ``constant + sum(coeffs[i] * x_i)``.
 
-    Zero coefficients are never stored, so structural equality coincides
-    with mathematical equality.
+    A coefficient is a Fraction, or a `farkas.Affine` over LP unknowns in
+    a synthesis template: anything with `+`, `*` by a Fraction and a zero
+    test (its truth value). Zero coefficients are never stored, so
+    structural equality coincides with mathematical equality.
     """
 
     __slots__ = ("coeffs", "constant")
@@ -36,11 +52,11 @@ class LinExpr:
         cs: Dict[int, Fraction] = {}
         if coeffs:
             for i, c in coeffs.items():
-                c = rat(c)
-                if c != 0:
+                c = _coef(c)
+                if c:
                     cs[int(i)] = c
         self.coeffs = cs
-        self.constant = rat(constant)
+        self.constant = _coef(constant)
 
     @staticmethod
     def const(value: RationalLike) -> "LinExpr":
@@ -69,15 +85,17 @@ class LinExpr:
         return self.scale(-1)
 
     def scale(self, factor: RationalLike) -> "LinExpr":
-        f = rat(factor)
+        """The expression times `factor`, a Fraction or an `Affine`."""
+        f = _coef(factor)
         return LinExpr({i: c * f for i, c in self.coeffs.items()},
                        self.constant * f)
 
     def shift(self, delta: RationalLike) -> "LinExpr":
-        return LinExpr(self.coeffs, self.constant + rat(delta))
+        return LinExpr(self.coeffs, self.constant + _coef(delta))
 
     def substitute(self, index: int, replacement: "LinExpr") -> "LinExpr":
-        """Replace variable `index` by `replacement`."""
+        """Replace variable `index` by `replacement`, which is scaled by
+        the coefficient of `index` (an `Affine` one in a template)."""
         c = self.coeffs.get(index)
         if c is None:
             return self
@@ -268,7 +286,7 @@ class Predicate:
     def disjoin(self, other: "Predicate") -> "Predicate":
         return Predicate(self.disjuncts + other.disjuncts)
 
-    def conjoin(self, other: "Predicate", cap: int = 4096) -> "Predicate":
+    def conjoin(self, other: "Predicate", cap: int = DEFAULT_DNF_CAP) -> "Predicate":
         out = []
         for a in self.disjuncts:
             for b in other.disjuncts:
@@ -295,9 +313,6 @@ class Predicate:
 
     def __repr__(self):
         return f"Predicate({self.pretty()})"
-
-
-DEFAULT_DNF_CAP = 4096
 
 
 def negate_predicate(pred: Predicate, cap: int = DEFAULT_DNF_CAP) -> Predicate:

@@ -3,14 +3,19 @@
 For a component eta (one linear expression per location) and a transition
 tau, the maximal/minimal pre-expectation is the expected value of eta
 right after executing tau, with demonic interval assignments resolved to
-the worst/best endpoint. All functions here work on concrete rational
-coefficients (the checker's side); synthesis re-derives the same algebra
-over template unknowns and handles intervals with fresh universally
-quantified variables instead of endpoints.
+the worst/best endpoint.
+
+The checker and synthesis share this algebra. The checker applies it to
+concrete components with rational coefficients; synthesis applies it to
+templates, whose coefficients are `farkas.Affine` forms over LP unknowns.
+Only a demonic interval stays outside it in synthesis: an endpoint cannot
+be chosen by the sign of an unknown coefficient, so synthesis substitutes
+a universally quantified variable bounded to the interval instead.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .linear import LinExpr, Predicate, negate_predicate
@@ -30,12 +35,17 @@ def _expr_pre(eta_dest: LinExpr, update) -> LinExpr:
     return eta_dest.substitute(update.target, rhs)
 
 
+def nondet_endpoint(eta_dest: LinExpr, update: NondetUpdate,
+                    maximize: bool = True) -> Fraction:
+    """The endpoint of the demonic interval of `update` that maximizes
+    (or minimizes) `eta_dest`: `hi` when its coefficient on the target is
+    nonnegative, else `lo` (the other way round when minimizing)."""
+    rising = eta_dest.coeff(update.target) >= 0
+    return update.hi if rising == maximize else update.lo
+
+
 def _nondet_pre(eta_dest: LinExpr, update: NondetUpdate, maximize: bool) -> LinExpr:
-    c = eta_dest.coeff(update.target)
-    if maximize:
-        endpoint = update.hi if c >= 0 else update.lo
-    else:
-        endpoint = update.lo if c >= 0 else update.hi
+    endpoint = nondet_endpoint(eta_dest, update, maximize)
     return eta_dest.substitute(update.target, LinExpr.const(endpoint))
 
 

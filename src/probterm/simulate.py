@@ -31,7 +31,7 @@ import numpy as np
 from .linear import LinExpr, Predicate, Rel
 from .model import (Certificate, ExprUpdate, Invariant, NondetUpdate, PCFG,
                     ProbBranch, Transition)
-from .preexp import max_pre
+from .preexp import max_pre, nondet_endpoint
 
 ZERO = Fraction(0)
 
@@ -143,12 +143,10 @@ class Adversarial(Scheduler):
         return max(enabled, key=lambda t: (self._max_pre(j, t).evaluate(values), t.id))
 
     def ndet_value(self, t, values, rng):
-        u = t.kind.update
         j = self.certificate.levels.get(t.id, 0)
         if j == 0:
             return super().ndet_value(t, values, rng)
-        eta = self._component(j)[t.kind.dest]
-        return u.hi if eta.coeff(u.target) >= 0 else u.lo
+        return nondet_endpoint(self._component(j)[t.kind.dest], t.kind.update)
 
 
 # -- the compiled program -------------------------------------------------------

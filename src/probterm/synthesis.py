@@ -35,12 +35,13 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .farkas import (Affine, FarkasImplication, LPProblem, PivotCapReached,
-                     ScreenMemo, check_feasible, encode_implication, solve_lp)
+                     ScreenMemo, check_feasible, encode_implication, memo_feasible,
+                     solve_lp)
 from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
-                     negate_guards_to_dnf, negate_predicate)
-from .model import (Certificate, CertificateMode, ExprUpdate, Invariant,
-                    LevelMap, LinExprMap, NoUpdate, PCFG, ProbBranch,
-                    Transition, check_bsp, check_linpp_star)
+                     negate_guards_to_dnf)
+from .model import (Certificate, CertificateMode, Invariant, LevelMap,
+                    LinExprMap, NondetUpdate, PCFG, check_bsp, check_linpp_star)
+from .preexp import max_pre, pre_pb_restricted
 from .simplex import LPStatus, RowRel
 
 ZERO = Fraction(0)
@@ -67,60 +68,19 @@ class TemplateRestriction:
         return TemplateRestriction()
 
 
-class _Template:
-    """Linear expression over program variables whose coefficients are
-    affine forms in the LP unknowns."""
-
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs: Dict[int, Affine], const: Affine):
-        self.coeffs = coeffs
-        self.const = const
-
-    def substitute(self, index: int, e: LinExpr) -> "_Template":
-        c = self.coeffs.get(index)
-        if c is None or c.is_zero():
-            return self
-        coeffs = {i: a for i, a in self.coeffs.items() if i != index}
-        for j, w in e.coeffs.items():
-            coeffs[j] = coeffs.get(j, Affine()) + c.scale(w)
-        return _Template(coeffs, self.const + c.scale(e.constant))
-
-    def shift(self, delta: Fraction) -> "_Template":
-        return _Template(dict(self.coeffs), self.const + Affine.constant(delta))
-
-    def scale(self, f: Fraction) -> "_Template":
-        return _Template({i: a.scale(f) for i, a in self.coeffs.items()},
-                         self.const.scale(f))
-
-    def __add__(self, other: "_Template") -> "_Template":
-        coeffs = dict(self.coeffs)
-        for i, a in other.coeffs.items():
-            coeffs[i] = coeffs.get(i, Affine()) + a
-        return _Template(coeffs, self.const + other.const)
-
-    def __sub__(self, other: "_Template") -> "_Template":
-        return self + other.scale(-1)
-
-    def plus_unknown(self, name: str, coeff: Fraction) -> "_Template":
-        return _Template(dict(self.coeffs), self.const + Affine.of(name, coeff))
-
-    def concretize(self, assignment: Dict[str, Fraction]) -> LinExpr:
-        return LinExpr({i: a.value(assignment) for i, a in self.coeffs.items()},
-                       self.const.value(assignment))
-
-
 @dataclass
 class SynthesisLP:
     """One iteration's LP plus the bookkeeping to read a component back."""
     lp: LPProblem
-    templates: Dict[str, _Template]
+    templates: Dict[str, LinExpr]   # Affine coefficients over LP unknowns
     eps_names: Dict[str, str]
     dropped_implications: int = 0
     emitted_implications: int = 0
 
     def component_at(self, assignment: Dict[str, Fraction]) -> Dict[str, LinExpr]:
-        return {loc: t.concretize(assignment) for loc, t in self.templates.items()}
+        return {loc: LinExpr({i: a.value(assignment) for i, a in t.coeffs.items()},
+                             t.constant.value(assignment))
+                for loc, t in self.templates.items()}
 
 
 def _expand_antecedents(inv: Polyhedron, guard: Predicate,
@@ -129,34 +89,8 @@ def _expand_antecedents(inv: Polyhedron, guard: Predicate,
     return [inv.conjoin(d) for d in pred.disjuncts]
 
 
-def _template_pre(templates: Dict[str, _Template], tau: Transition,
-                  universal_index: int) -> Tuple[_Template, List[Polyhedron]]:
-    """Template pre-expectation across `tau` and the extra antecedent rows
-    (interval bounds for the universal variable, when demonic)."""
-    if isinstance(tau.kind, ProbBranch):
-        k = tau.kind
-        return (templates[k.dest1].scale(k.p1) + templates[k.dest2].scale(k.p2), [])
-    step = tau.kind
-    dest = templates[step.dest]
-    u = step.update
-    if isinstance(u, NoUpdate):
-        return dest, []
-    if isinstance(u, ExprUpdate):
-        rhs = u.base
-        if u.sample is not None:
-            coeff, dist = u.sample
-            rhs = rhs.shift(coeff * dist.mean)
-        return dest.substitute(u.target, rhs), []
-    # demonic interval: universally quantified fresh variable in [lo, hi]
-    y = LinExpr.var(universal_index)
-    bounds = Polyhedron([LinConstraint.le(LinExpr.const(u.lo) - y),
-                         LinConstraint.le(y - LinExpr.const(u.hi))])
-    return dest.substitute(u.target, y), [bounds]
-
-
 def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
-             restrict: TemplateRestriction = TemplateRestriction.none(),
-             dnf_cap: int = 4096, *,
+             restrict: TemplateRestriction = TemplateRestriction.none(), *,
              screens: Optional[ScreenMemo] = None) -> SynthesisLP:
     """Assemble the LP for one iteration over the `unranked` transition
     ids. Antecedent disjuncts that fail the exact feasibility screen are
@@ -172,16 +106,13 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
     if screens is None:
         screens = {}
     lp = LPProblem()
-    templates: Dict[str, _Template] = {}
+    templates: Dict[str, LinExpr] = {}
     nvars = len(p.variables)
     for loc in p.locations:
-        coeffs: Dict[int, Affine] = {}
-        for i, vname in enumerate(p.variables):
-            if (loc, i) in restrict.zero_coeffs:
-                continue
-            coeffs[i] = Affine.of(lp.add_var(f"c[{loc}][{vname}]"))
-        const = Affine.of(lp.add_var(f"c[{loc}].const"))
-        templates[loc] = _Template(coeffs, const)
+        coeffs = {i: Affine.of(lp.add_var(f"c[{loc}][{vname}]"))
+                  for i, vname in enumerate(p.variables)
+                  if (loc, i) not in restrict.zero_coeffs}
+        templates[loc] = LinExpr(coeffs, Affine.of(lp.add_var(f"c[{loc}].const")))
 
     eps_names: Dict[str, str] = {}
     order = [t for t in p.transitions if t.id in set(unranked)]
@@ -190,20 +121,16 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
 
     out = SynthesisLP(lp, templates, eps_names)
 
-    def emit(antecedent: Polyhedron, consequents: List[Tuple[_Template, str]]) -> None:
+    def emit(antecedent: Polyhedron, consequents: List[Tuple[LinExpr, str]]) -> None:
         """Encode `antecedent` implies each (expression >= 0, tag) in turn,
         or drop them all when the antecedent is infeasible. A capped
         screen raises PivotCapReached and is not memoised."""
-        key = tuple(antecedent.constraints)
-        feasible = screens.get(key)
-        if feasible is None:
-            feasible = screens[key] = check_feasible(antecedent)[0]
-        if not feasible:
+        if not memo_feasible(antecedent, screens, check_feasible):
             out.dropped_implications += len(consequents)
             return
         relaxed = antecedent.relax_strict()
         for expr, tag in consequents:
-            encode_implication(FarkasImplication(relaxed, expr.coeffs, expr.const),
+            encode_implication(FarkasImplication(relaxed, expr.coeffs, expr.constant),
                                lp, tag=tag)
         out.emitted_implications += len(consequents)
 
@@ -215,12 +142,21 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
     def ranked_state_pred(loc: str) -> Predicate:
         if loc not in ranked_states:
             guards = [t.guard() for t in p.outgoing(loc) if t.id in unranked_set]
-            ranked_states[loc] = negate_guards_to_dnf(guards, cap=dnf_cap)
+            ranked_states[loc] = negate_guards_to_dnf(guards)
         return ranked_states[loc]
 
     for t in order:
         src_inv = inv.at(t.source)
-        pre, extra = _template_pre(templates, t, nvars)
+        update = t.update()
+        bounds = Polyhedron.true()
+        if isinstance(update, NondetUpdate):
+            # demonic interval: a universally quantified fresh variable in [lo, hi]
+            y = LinExpr.var(nvars)
+            pre = templates[t.kind.dest].substitute(update.target, y)
+            bounds = Polyhedron([LinConstraint.le(LinExpr.const(update.lo) - y),
+                                 LinConstraint.le(y - LinExpr.const(update.hi))])
+        else:
+            pre = max_pre(templates, t)
         here = templates[t.source]
         down = here - pre
         # (2) never increasing in expectation, (3) nonnegative one-step
@@ -228,29 +164,15 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         stepped = [(down, f"ua.{t.id}")]
         if not t.is_pb:
             stepped.append((pre, f"en.{t.id}"))
-        stepped.append((down.plus_unknown(eps_names[t.id], Fraction(-1)), f"rk.{t.id}"))
+        stepped.append((down.shift(Affine.of(eps_names[t.id], -1)), f"rk.{t.id}"))
         for ante in _expand_antecedents(src_inv, t.guard()):
             # (1) nonnegative where enabled
             emit(ante, [(here, f"nn.{t.id}")])
-            for b in extra:
-                ante = ante.conjoin(b)
-            emit(ante, stepped)
+            emit(ante.conjoin(bounds), stepped)
         # (4) restricted expectation across unranked probabilistic branches
         if t.is_pb:
-            k = t.kind
-            g1 = ranked_state_pred(k.dest1)
-            g2 = ranked_state_pred(k.dest2)
-            cases = [
-                (g1.conjoin(g2, cap=dnf_cap),
-                 templates[k.dest1].scale(k.p1) + templates[k.dest2].scale(k.p2)),
-                (g1.conjoin(negate_predicate(g2, cap=dnf_cap), cap=dnf_cap),
-                 templates[k.dest1].scale(k.p1)),
-                (negate_predicate(g1, cap=dnf_cap).conjoin(g2, cap=dnf_cap),
-                 templates[k.dest2].scale(k.p2)),
-            ]
-            for ctx, expr in cases:
-                if ctx.is_false():
-                    continue
+            in_set = {loc: ranked_state_pred(loc) for loc in t.destinations()}
+            for ctx, expr in pre_pb_restricted(templates, t, in_set):
                 for ante in _expand_antecedents(src_inv, t.guard(), ctx):
                     emit(ante, [(expr, f"eb.{t.id}")])
 

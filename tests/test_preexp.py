@@ -6,13 +6,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from probterm import (DistributionSpec, GuardedStep, LinExpr, NondetUpdate,
-                      Polyhedron, Predicate, ProbBranch, Transition, max_pre,
-                      min_pre, pre_pb_restricted)
+from probterm import (Affine, DistributionSpec, GuardedStep, LinExpr,
+                      NondetUpdate, Polyhedron, Predicate, ProbBranch, Transition,
+                      load_pcfg, max_pre, min_pre, pre_pb_restricted)
 from probterm.model import ExprUpdate, NoUpdate
 from probterm.simulate import UniformRandom, run_rng, step_once
 
-from conftest import load_fixture
+from conftest import fixture_path, load_fixture
 
 
 def lin(p, cx=0, cy=0, c=0):
@@ -101,6 +101,41 @@ def test_max_pre_linearity():
         alpha = F(rng.randint(0, 5))  # nonneg so sup-resolution stays linear
         combo = {loc: e1[loc].scale(alpha) + e2[loc] for loc in p.locations}
         assert max_pre(combo, t) == max_pre(e1, t).scale(alpha) + max_pre(e2, t)
+
+
+FIXTURES = ["bern_walk", "branching", "countdown", "diverge_const", "diverge_inc",
+            "fig1a", "fig1b", "prob_join", "straightline", "zero_drift_walk",
+            "fig2left.pcfg.json", "fig2right.pcfg.json"]
+
+
+def _fixture_pcfg(name):
+    if name.endswith(".pcfg.json"):
+        return load_pcfg(fixture_path(name))
+    return load_fixture(name)[0]
+
+
+def _evaluated(template, assignment):
+    return LinExpr({i: a.value(assignment) for i, a in template.coeffs.items()},
+                   template.constant.value(assignment))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_max_pre_of_templates(name):
+    # the algebra is generic in its coefficients: max_pre of a template over
+    # LP unknowns, evaluated at a point, is max_pre of the evaluated template
+    p = _fixture_pcfg(name)
+    templates = {loc: LinExpr({i: Affine.of(f"c[{loc}][{v}]")
+                               for i, v in enumerate(p.variables)},
+                              Affine.of(f"c[{loc}].const"))
+                 for loc in p.locations}
+    unknowns = [u for e in templates.values()
+                for a in [*e.coeffs.values(), e.constant] for u in a.terms]
+    assignment = {u: F(2 * k - 7, k % 3 + 1) for k, u in enumerate(unknowns)}
+    eta = {loc: _evaluated(e, assignment) for loc, e in templates.items()}
+    checked = [t for t in p.transitions if not isinstance(t.update(), NondetUpdate)]
+    assert checked
+    for t in checked:
+        assert _evaluated(max_pre(templates, t), assignment) == max_pre(eta, t)
 
 
 def test_pb_is_probability_weighted_sum():

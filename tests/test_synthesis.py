@@ -61,6 +61,26 @@ def test_build_lp_requires_work(fig1b):
         build_lp(fig1b[0], fig1b[1], [])
 
 
+def test_build_lp_emits_no_empty_row():
+    # the loop never reads x, so the x coefficient of `template - pre`
+    # cancels, and its guard y >= 0 gives x no multiplier either: a Farkas
+    # row for x would read 0 = 0
+    from probterm import (ExprUpdate, GuardedStep, LinConstraint, LinExpr,
+                          NoUpdate, PCFG, Predicate, Transition, validate_pcfg)
+    y = LinExpr.var(1)
+    p = PCFG(["x", "y"], ["l0", "out"], "l0", "out", [
+        Transition("t0", "l0", GuardedStep(
+            "l0", Predicate.of_constraints([LinConstraint.le(-y)]),
+            ExprUpdate(1, y.shift(-1)))),
+        Transition("t1", "l0", GuardedStep(
+            "out", Predicate.of_constraints([LinConstraint.lt(y)]), NoUpdate())),
+        Transition("t2", "out", GuardedStep("out", Predicate.true(), NoUpdate())),
+    ])
+    assert validate_pcfg(p) == []
+    slp = build_lp(p, Invariant({}), ["t0", "t1"])
+    assert all(c.form.terms for c in slp.lp.constraints)
+
+
 # -- the bounded-support procedure ---------------------------------------------------
 
 
