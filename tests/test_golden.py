@@ -6,7 +6,9 @@ these digests, or change them on purpose and say so. A digest is the
 sha256 of the certificate's JSON dumped with sorted keys. Two pivot
 counts pin the pivot sequence itself, which a change of pricing or of the
 starting basis moves even where the certificate survives. The iteration
-LPs themselves are pinned as digests of their solver-exchange dumps.
+LPs themselves are pinned as digests of their solver-exchange dumps, and
+the checker's reports, counterexample points included, as digests of
+their JSON.
 """
 
 import hashlib
@@ -16,12 +18,15 @@ from fractions import Fraction
 import pytest
 
 from probterm import (Adversarial, FixedPriority, UniformRandom, check_bsp,
-                      estimate_termination, run_trajectory, synthesis)
+                      check_certificate, estimate_termination, run_trajectory,
+                      synthesis)
 from probterm.farkas import dump_lp, solve_lp
 from probterm.pcfg_io import certificate_to_json, load_invariant, load_pcfg
 from probterm.synthesis import build_lp, synthesize_bsp, synthesize_general
 
-from conftest import example3_certificate, fixture_path, load_fixture
+from conftest import (example3_certificate, example4_certificate, fixture_path,
+                      load_fixture, perturbed)
+from test_checker import E3_MUTATIONS, E4_MUTATIONS
 
 CERTIFIED = {
     "bern_walk": "70dbb54435b429f4498c829a21e17c341a970bd54a8ec99cf90289cb0a197f14",
@@ -142,6 +147,61 @@ def test_iteration_lp_digests(name, monkeypatch):
     assert synth(*load(name)).found
     assert len(lps) == count
     assert lp_digest(lps) == digest
+
+
+# -- golden checker reports -------------------------------------------------------
+#
+# The sha256 of each `check_certificate(...).as_dict()` dumped with sorted
+# keys, for the published certificates and the curated mutants of the
+# checker tests. A report carries every condition's verdict and the exact
+# counterexample point of each violation, so a change to the entailment
+# queries that moves either one shows here.
+
+CHECK_REPORT_DIGESTS = {
+    "example3": "680e7d2473d601e450c9369d67c02b0e01b63a171a16168b0547462bceefc0db",
+    "example3.l1.2.const-2": "750b9988f2de3f8d1373274f365744a1dc1191722ecbd98f0003bdbd8ee2f438",
+    "example3.l1.2.const+1": "680e7d2473d601e450c9369d67c02b0e01b63a171a16168b0547462bceefc0db",
+    "example3.l0.1.const-1": "88c45b0c23d78022837c1d5d23cccd893adcac1b1513901c6b88402dd2c68a04",
+    "example3.l0.3.const-8": "d2c6fbfad8b5f7e2148d69da916684b734d8291924d25c8d2f1e9a96d23aeb42",
+    "example3.out.3.const+63": "680e7d2473d601e450c9369d67c02b0e01b63a171a16168b0547462bceefc0db",
+    "example3.l0.2.y+1": "205a3f1bb12b06ed99bc3ca5401e342eca99157ca5bd0c0ae48c7ca8f40859be",
+    "example3.l0.2.x-1": "31ec3eb320c4a5b63c82fe833fc6875c43d8db75342527a37ee8a04678278b18",
+    "example4": "82f89125f496d6109f98c469fc607e7538a0bde76fdc0a62b6bb5ebc33d5cfd5",
+    "example4.l1.2.x+1": "47376e13ee83d75cfd2521e9b0a614260fd3f0d6d69d7a25410186c23908cdf0",
+    "example4.l1.3.const-1": "840f603c42d77234e37fe93ff1d300b43c9b394c1d1620a1d9d0c92cc905d07a",
+    "example4.l0.2.const-1": "0568c728839a9725cd72e0d78605d7505ddf9a070f9cdc091229c1c70bb56e26",
+    "example4.l0.2.y+1": "e05a8729a098f10db05525555c51567a380a4db0704f5872c22d14b29fb2f97f",
+    "example4.out.1.const+1": "383f2e36b92b7ff1795b3492bf7418e901878e9848df79d2d1727490ec9ceb37",
+}
+
+
+def checked_certificates() -> dict:
+    """Case id -> (fixture, certificate factory) for every pinned report:
+    each published certificate, then its mutants."""
+    cases = {}
+    for name, fixture, published, mutations in (
+            ("example3", "fig1b", example3_certificate, E3_MUTATIONS),
+            ("example4", "fig1a", example4_certificate, E4_MUTATIONS)):
+        cases[name] = (fixture, published)
+        for loc, comp, var, delta, _ in mutations:
+            def mutant(p, published=published, loc=loc, comp=comp, var=var,
+                       delta=delta):
+                idx = p.var_index(var) if var else None
+                return perturbed(published(p), loc, comp, idx, delta)
+            cases[f"{name}.{loc}.{comp}.{var or 'const'}{delta:+d}"] = (fixture, mutant)
+    return cases
+
+
+CHECKED = checked_certificates()
+
+
+@pytest.mark.parametrize("case", list(CHECKED))
+def test_check_report_digest(case):
+    fixture, certificate = CHECKED[case]
+    p, inv = load_fixture(fixture)
+    doc = json.dumps(check_certificate(p, inv, certificate(p)).as_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == CHECK_REPORT_DIGESTS[case]
+
 
 # -- golden trajectories --------------------------------------------------------
 #
