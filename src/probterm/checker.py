@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .farkas import ScreenMemo, entails
+from .farkas import entails
 from .linear import LinConstraint, LinExpr, Polyhedron, Predicate, negate_guards_to_dnf
 from .model import (Certificate, CertificateMode, Invariant, PCFG, check_bsp,
                     check_linpp_star)
@@ -134,8 +134,6 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
     point for each violation."""
     _structural_check(p, c)
     conditions: List[ConditionReport] = []
-    # feasibility screens of this check, one per distinct antecedent
-    screens: ScreenMemo = {}
 
     def names(witness: Optional[Dict[int, Fraction]]) -> Optional[Dict[str, str]]:
         if witness is None:
@@ -150,7 +148,7 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
 
     def entailed(ante: Polyhedron, nonneg_expr: LinExpr):
         """nonneg_expr >= 0 on ante?"""
-        return entails(ante, LinConstraint.le(-nonneg_expr), screens=screens)
+        return entails(ante, LinConstraint.le(-nonneg_expr))
 
     if c.mode is CertificateMode.BSP_COMPLETE:
         bounded, _ = check_bsp(p)

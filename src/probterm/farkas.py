@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .linear import LinConstraint, LinExpr, Polyhedron, Rel, ResourceLimit
 from .rationals import rat, RationalLike
@@ -27,10 +27,6 @@ from .simplex import LPStatus, RowRel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-# antecedent constraints -> did the exact feasibility screen pass?
-ScreenMemo = Dict[Tuple[LinConstraint, ...], bool]
 
 
 class StrictNotRelaxed(Exception):
@@ -215,55 +211,36 @@ def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     return True, {i: res.x[i] for i in range(nvars)}
 
 
-def memo_feasible(p: Polyhedron, memo: ScreenMemo,
-                  check: Callable[[Polyhedron], Tuple[bool, object]]) -> bool:
-    """The screen of `p`: whether `check` (the caller's `check_feasible`)
-    finds it feasible, looked up in `memo` first and stored there after.
-    A capped screen raises PivotCapReached and stores nothing."""
-    key = tuple(p.constraints)
-    feasible = memo.get(key)
-    if feasible is None:
-        feasible = memo[key] = check(p)[0]
-    return feasible
-
-
-def entails(p: Polyhedron, c: LinConstraint, *,
-            screens: Optional[ScreenMemo] = None) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
+def entails(p: Polyhedron, c: LinConstraint) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     """Does every rational point of `p` satisfy `c`?
 
-    Decided by maximizing c's left-hand side over `p` (equalities as two
-    inequalities). When the answer is no, a counterexample point inside
-    `p` (strict constraints included) is returned. Raises PivotCapReached
-    when an LP hits the pivot cap.
-
-    `p` is first screened for feasibility. `screens` memoises the screens
-    across the calls that share it; a capped screen raises and stores
-    nothing. Without it, the screen serves this call alone.
+    Each half of `c` (equalities as two inequalities) is decided by
+    maximizing its left-hand side over the non-strict relaxation of `p`,
+    which has the supremum of `p` whenever `p` is nonempty: an empty
+    relaxation, or a maximum of at most 0, means the half holds. Otherwise
+    the witness system, `p` with the half's left-hand side positive,
+    decides it exactly. It is infeasible only when the strict rows of `p`
+    empty it, and its point, inside `p` strict constraints included, is
+    the counterexample. Raises PivotCapReached when an LP hits the pivot
+    cap.
     """
-    if c.rel is Rel.EQ:
-        ok1, w1 = entails(p, LinConstraint.le(c.lhs), screens=screens)
-        if not ok1:
-            return False, w1
-        return entails(p, LinConstraint.le(-c.lhs), screens=screens)
     if c.rel is Rel.LT:
         raise ValueError("entailment of strict consequents is not supported")
-
-    if not memo_feasible(p, {} if screens is None else screens, check_feasible):
-        return True, None
-    # sup of a linear form over the (nonempty) set equals its max over the
-    # non-strict relaxation
     relaxed = p.relax_strict()
+    rows = _poly_rows(relaxed)
     nvars = max((i for q in (relaxed.constraints + [c]) for i in q.lhs.coeffs),
                 default=-1) + 1
-    rows = _poly_rows(relaxed)
-    obj = dict(c.lhs.coeffs)
-    res = _solve_query(nvars, [False] * nvars, rows, obj)
-    if res.status is LPStatus.OPTIMAL and res.value + c.lhs.constant <= 0:
-        return True, None
-    # violated: exhibit a point of p itself with lhs > 0
-    witness_sys = Polyhedron(p.constraints + [LinConstraint.lt(-c.lhs)])
-    _, w = check_feasible(witness_sys)
-    return False, w
+    for half in c.split_eq():
+        res = _solve_query(nvars, [False] * nvars, rows, dict(half.lhs.coeffs))
+        if res.status is LPStatus.INFEASIBLE or (
+                res.status is LPStatus.OPTIMAL and res.value + half.lhs.constant <= 0):
+            continue
+        # violated where the half's left-hand side is positive
+        witness_sys = Polyhedron(p.constraints + [LinConstraint.lt(-half.lhs)])
+        violated, w = check_feasible(witness_sys)
+        if violated:
+            return False, w
+    return True, None
 
 
 # -- the implication encoder ------------------------------------------------

@@ -35,8 +35,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .farkas import (Affine, FarkasImplication, LPProblem, PivotCapReached,
-                     ScreenMemo, check_feasible, encode_implication, memo_feasible,
-                     solve_lp)
+                     check_feasible, encode_implication, solve_lp)
 from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
                      negate_guards_to_dnf)
 from .model import (Certificate, CertificateMode, Invariant, LevelMap,
@@ -46,6 +45,9 @@ from .simplex import LPStatus, RowRel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# antecedent constraints -> did the exact feasibility screen pass?
+ScreenMemo = Dict[Tuple[LinConstraint, ...], bool]
 
 
 class NotLinPPStar(Exception):
@@ -125,7 +127,11 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         """Encode `antecedent` implies each (expression >= 0, tag) in turn,
         or drop them all when the antecedent is infeasible. A capped
         screen raises PivotCapReached and is not memoised."""
-        if not memo_feasible(antecedent, screens, check_feasible):
+        key = tuple(antecedent.constraints)
+        feasible = screens.get(key)
+        if feasible is None:
+            feasible = screens[key] = check_feasible(antecedent)[0]
+        if not feasible:
             out.dropped_implications += len(consequents)
             return
         relaxed = antecedent.relax_strict()

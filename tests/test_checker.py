@@ -89,44 +89,35 @@ def test_mutation_suite_general(fig1a, loc, comp, var, delta, accepted):
     assert check_certificate(p, inv, cert).accepted == accepted
 
 
-@pytest.mark.parametrize("name,published,mutations",
-                         [("fig1b", example3_certificate, E3_MUTATIONS),
-                          ("fig1a", example4_certificate, E4_MUTATIONS)],
-                         ids=["example3", "example4"])
-def test_check_screens_each_antecedent_once(name, published, mutations, monkeypatch):
-    # one check screens each distinct antecedent once, and the memo changes
-    # no report: the reference run screens afresh for every entailment
-    from probterm import checker, farkas
-    p, inv = load_fixture(name)
-    base = published(p)
-    certs = [base] + [perturbed(base, loc, comp, p.var_index(var) if var else None, delta)
-                      for loc, comp, var, delta, _ in mutations]
-    check_feasible, entails = farkas.check_feasible, farkas.entails
-    for cert in certs:
-        queries, screened = [], []
+def test_check_solves_one_lp_per_holding_condition(monkeypatch):
+    # each entailment maximizes over its relaxed antecedent once; only a
+    # violated one solves a second LP, the witness query for its point
+    from probterm import checker, simplex
+    calls = {"solves": 0, "entailments": 0, "violated": 0}
+    solve, entails = simplex.solve, checker.entails
 
-        def recording_entails(ante, c, *, screens=None):
-            queries.append(tuple(ante.constraints))
-            return entails(ante, c, screens=screens)
+    def counting_solve(*args, **kwargs):
+        calls["solves"] += 1
+        return solve(*args, **kwargs)
 
-        def recording_check_feasible(q):
-            screened.append(tuple(q.constraints))
-            return check_feasible(q)
+    def counting_entails(ante, c):
+        ok, w = entails(ante, c)
+        calls["entailments"] += 1
+        calls["violated"] += not ok
+        return ok, w
 
-        monkeypatch.setattr(checker, "entails", recording_entails)
-        monkeypatch.setattr(farkas, "check_feasible", recording_check_feasible)
-        report = check_certificate(p, inv, cert).as_dict()
-        monkeypatch.undo()
-        # counterexample searches screen other systems, not antecedents
-        distinct = set(queries)
-        screens = [key for key in screened if key in distinct]
-        assert len(screens) == len(distinct) < len(queries)
-        assert set(screens) == distinct
-
-        monkeypatch.setattr(checker, "entails", lambda ante, c, *, screens=None:
-                            entails(ante, c))
-        assert check_certificate(p, inv, cert).as_dict() == report
-        monkeypatch.undo()
+    monkeypatch.setattr(simplex, "solve", counting_solve)
+    monkeypatch.setattr(checker, "entails", counting_entails)
+    for name, published, mutations in [("fig1b", example3_certificate, E3_MUTATIONS),
+                                       ("fig1a", example4_certificate, E4_MUTATIONS)]:
+        p, inv = load_fixture(name)
+        base = published(p)
+        check_certificate(p, inv, base)
+        for loc, comp, var, delta, _ in mutations:
+            idx = p.var_index(var) if var else None
+            check_certificate(p, inv, perturbed(base, loc, comp, idx, delta))
+    assert (calls["entailments"], calls["violated"]) == (336, 21)
+    assert calls["solves"] == calls["entailments"] + calls["violated"]
 
 
 def test_branch_expectation_checked_on_ranked_region():

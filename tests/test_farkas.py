@@ -68,6 +68,13 @@ def test_infeasible_entails_anything():
     assert ok
 
 
+def test_strictly_empty_antecedent_entails_anything():
+    # {x >= 1, x < 1} is empty, but its relaxation {x = 1} is not and puts
+    # the maximum of x at 1 > 0: only the exact witness query decides it
+    p = poly(LinConstraint.le(c(1) - x), LinConstraint.lt(x - c(1)))
+    assert entails(p, LinConstraint.le(x)) == (True, None)
+
+
 def test_entails_respects_strict_antecedent():
     # on {x < 0}: -x > 0, so -x >= 0 holds even though the relaxed set
     # touches x = 0
@@ -90,7 +97,7 @@ def test_capped_queries_raise(monkeypatch):
                         functools.partial(farkas.simplex.solve, pivot_cap=0))
     with pytest.raises(PivotCapReached):
         check_feasible(poly(LinConstraint.eq(x - c(1))))  # phase 1 must pivot
-    # the screen of {x <= 1} needs no pivot, maximizing x over it does
+    # maximizing x over {x <= 1} needs a pivot
     with pytest.raises(PivotCapReached):
         entails(poly(LinConstraint.le(x - c(1))), LinConstraint.le(x - c(2)))
 
