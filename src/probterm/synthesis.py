@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .farkas import (Affine, FarkasImplication, LPProblem, PivotCapReached,
                      check_feasible, encode_implication, solve_lp)
@@ -65,10 +65,6 @@ class TemplateRestriction:
     forced_rank: frozenset = frozenset()   # {transition id} with eps == 1
     forced_zero_eps: frozenset = frozenset()  # {transition id} with eps == 0
 
-    @staticmethod
-    def none() -> "TemplateRestriction":
-        return TemplateRestriction()
-
 
 @dataclass
 class SynthesisLP:
@@ -92,7 +88,7 @@ def _expand_antecedents(inv: Polyhedron, guard: Predicate,
 
 
 def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
-             restrict: TemplateRestriction = TemplateRestriction.none(), *,
+             restrict: TemplateRestriction = TemplateRestriction(), *,
              screens: Optional[ScreenMemo] = None) -> SynthesisLP:
     """Assemble the LP for one iteration over the `unranked` transition
     ids. Antecedent disjuncts that fail the exact feasibility screen are
@@ -239,6 +235,8 @@ class SynthesisResult:
 
 
 ProgressFn = Callable[[dict], None]
+# the unranked transitions -> the (restriction, tau0) of each LP to try, in order
+Attempts = Callable[[List[str]], Iterable[Tuple[TemplateRestriction, Optional[str]]]]
 
 
 def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
@@ -248,6 +246,7 @@ def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
     return the record, else return None. Raises PivotCapReached when the
     LP, or one of its feasibility screens, hits the pivot cap: a capped
     LP has no answer, so it cannot show that nothing ranks."""
+    before = list(state.unranked)
     slp = build_lp(p, inv, state.unranked, restrict, screens=state.screens)
     sol = solve_lp(slp.lp)
     if sol.status is LPStatus.PIVOT_CAP:
@@ -263,9 +262,28 @@ def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
                  for loc, e in slp.component_at(sol.assignment).items()}
     state.components.append(component)
     state.unranked = [tid for tid in state.unranked if tid not in set(ranked)]
-    record = IterationRecord(index, None, ranked, slp.lp.num_vars(),
-                             slp.lp.num_constraints(), sol.value, tau0)
-    return record
+    return IterationRecord(index, before, ranked, slp.lp.num_vars(),
+                           slp.lp.num_constraints(), sol.value, tau0)
+
+
+def _iterate(p: PCFG, inv: Invariant, attempts: Attempts,
+             progress: ProgressFn | None) -> Tuple[IterationState, bool]:
+    """Add one component per iteration until every transition is ranked
+    (True) or an iteration ranks none (False). An iteration solves the
+    LPs of `attempts` in order and keeps the first that ranks."""
+    state = IterationState([t.id for t in p.non_terminal_transitions()])
+    while state.unranked:
+        index = len(state.history) + 1
+        for restrict, tau0 in attempts(state.unranked):
+            record = _try_iteration(p, inv, state, restrict, index, tau0)
+            if record is not None:
+                break
+        else:
+            return state, False
+        state.history.append(record)
+        if progress:
+            progress(record.as_dict())
+    return state, True
 
 
 def extract_level_map(p: PCFG, history: List[IterationRecord]) -> LevelMap:
@@ -306,21 +324,13 @@ def synthesize_bsp(p: PCFG, inv: Invariant,
     if not bounded:
         raise MissingBoundedSupport("program samples from an unbounded-support "
                                     "distribution; use the general procedure")
-    state = IterationState([t.id for t in p.non_terminal_transitions()])
-    index = 0
-    while state.unranked:
-        index += 1
-        before = list(state.unranked)
-        record = _try_iteration(p, inv, state, TemplateRestriction.none(), index)
-        if record is None:
-            return SynthesisResult(None, state.history,
-                                   "an iteration ranked no transition: no linear "
-                                   "certificate of this shape exists for the given "
-                                   "invariant")
-        record.unranked_before = before
-        state.history.append(record)
-        if progress:
-            progress(record.as_dict())
+    state, ranked_all = _iterate(
+        p, inv, lambda unranked: [(TemplateRestriction(), None)], progress)
+    if not ranked_all:
+        return SynthesisResult(None, state.history,
+                               "an iteration ranked no transition: no linear "
+                               "certificate of this shape exists for the given "
+                               "invariant")
     max_coeff = max((e.max_abs_coeff() for comp in state.components
                      for e in comp.values()), default=ZERO)
     shift = 2 * support_bound * max_coeff
@@ -348,40 +358,22 @@ def synthesize_general(p: PCFG, inv: Invariant,
         t = p.transition(tid)
         return (t.kind.dest, t.kind.update.target)
 
-    state = IterationState([t.id for t in p.non_terminal_transitions()])
-    index = 0
-    while state.unranked:
-        index += 1
-        before = list(state.unranked)
-        unb_here = [tid for tid in unbounded if tid in state.unranked]
+    def attempts(unranked: List[str]):
+        # the zero-coefficient discipline first, then each tau0 unlocked
+        unb_here = [tid for tid in unbounded if tid in unranked]
         zeros = frozenset(pair(tid) for tid in unb_here)
-        record = _try_iteration(p, inv, state,
-                                TemplateRestriction(zero_coeffs=zeros), index)
-        if record is not None:
-            record.unranked_before = before
-            state.history.append(record)
-            if progress:
-                progress(record.as_dict())
-            continue
-        found = False
+        yield TemplateRestriction(zero_coeffs=zeros), None
         for tau0 in unb_here:
             target, var = pair(tau0)
             cohort = frozenset(tid for tid in unb_here
                                if p.transition(tid).kind.dest == target)
-            restrict = TemplateRestriction(
-                zero_coeffs=zeros - {(target, var)},
-                forced_rank=cohort)
-            record = _try_iteration(p, inv, state, restrict, index, tau0=tau0)
-            if record is not None:
-                record.unranked_before = before
-                state.history.append(record)
-                if progress:
-                    progress(record.as_dict())
-                found = True
-                break
-        if not found:
-            return SynthesisResult(None, state.history,
-                                   "no component can rank further transitions "
-                                   "under the zero-coefficient discipline")
+            yield TemplateRestriction(zero_coeffs=zeros - {(target, var)},
+                                      forced_rank=cohort), tau0
+
+    state, ranked_all = _iterate(p, inv, attempts, progress)
+    if not ranked_all:
+        return SynthesisResult(None, state.history,
+                               "no component can rank further transitions "
+                               "under the zero-coefficient discipline")
     cert = _assemble(p, state, CertificateMode.GENERAL_SOUND, state.history, ZERO)
     return SynthesisResult(cert, state.history)
