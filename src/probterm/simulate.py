@@ -367,14 +367,6 @@ class TrajectoryReport:
                 "draws": self.draws}
 
 
-def step_once(p: PCFG, location: str, values: List[Fraction],
-              t: Transition, sched: Scheduler, rng) -> Tuple[str, List[Fraction], int]:
-    """Execute `t` from (location, values); returns the successor state
-    and the number of random draws consumed. Compiles `t` alone; a loop
-    over many steps should compile a `Program` once and fire its edges."""
-    return _compile_edge(t).fire(values, sched, rng)
-
-
 def run_trajectory(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
                    step_cap: int, rng=None, seed: int = 0, run_index: int = 0,
                    location: Optional[str] = None,

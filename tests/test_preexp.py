@@ -10,7 +10,7 @@ from probterm import (Affine, DistributionSpec, GuardedStep, LinExpr,
                       NondetUpdate, Polyhedron, Predicate, ProbBranch, Transition,
                       load_pcfg, max_pre, min_pre, pre_pb_restricted)
 from probterm.model import ExprUpdate, NoUpdate
-from probterm.simulate import UniformRandom, run_rng, step_once
+from probterm.simulate import Program, UniformRandom, run_rng
 
 from conftest import fixture_path, load_fixture
 
@@ -193,8 +193,10 @@ def test_pre_expectation_matches_empirical_mean():
     p, _ = load_fixture("fig1b")
     rng = random.Random(5)
     sched = UniformRandom()
+    program = Program(p)
     probes = 0
     for t in p.transitions:
+        edge = program.edges[t.id]
         eta = {loc: lin(p, rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
                for loc in p.locations}
         expected_fn = max_pre(eta, t)
@@ -204,7 +206,7 @@ def test_pre_expectation_matches_empirical_mean():
             nprng = run_rng(77, probes)
             samples = np.empty(100_000)
             for k in range(samples.size):
-                dest, vals2, _ = step_once(p, t.source, values, t, sched, nprng)
+                dest, vals2, _ = edge.fire(values, sched, nprng)
                 samples[k] = float(eta[dest].evaluate(vals2))
             se = samples.std(ddof=1) / np.sqrt(samples.size)
             assert abs(samples.mean() - expected) <= max(4 * se, 1e-12), (t.id, values)
