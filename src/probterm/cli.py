@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import pcfg_io
 from .checker import StructuralMismatch, check_certificate
+from .farkas import dump_lp
 from .linear import EncodingBlowup, ResourceLimit
 from .lowering import lower_to_pcfg
 from .model import Invariant, check_bsp, validate_pcfg
@@ -28,8 +29,8 @@ from .simulate import (Adversarial, FixedPriority, TerminationEstimate,
                        estimate_termination, tally, trajectories,
                        COUNTEREXAMPLE_ANALYTIC)
 from .source import ProgramSyntaxError, parse_program
-from .synthesis import (MissingBoundedSupport, NotLinPPStar, synthesize_bsp,
-                        synthesize_general)
+from .synthesis import (MissingBoundedSupport, NotLinPPStar, build_lp,
+                        synthesize_bsp, synthesize_general)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -141,8 +142,6 @@ def cmd_synthesize(args) -> int:
     pcfg_io.dump_certificate(cert, p, args.out)
     if args.dump_lp:
         # re-build the first iteration's LP for external cross-checking
-        from .farkas import dump_lp
-        from .synthesis import build_lp
         first = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
         os.makedirs(args.dump_lp, exist_ok=True)
         with open(os.path.join(args.dump_lp, "iteration1.lp"), "w") as f:

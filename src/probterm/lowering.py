@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .linear import Predicate
+from .linear import Predicate, negate_predicate
 from .model import (ExprUpdate, GuardedStep, NoUpdate, NondetUpdate, PCFG,
                     ProbBranch, Transition)
 from .source import (Assign, AssignNdet, IfCond, IfNdet, IfProb, Seq, Skip,
@@ -75,13 +75,11 @@ class _Builder:
             body_entry = self.fresh()
             for disjunct in stmt.cond.disjuncts:
                 self.step(entry, body_entry, Predicate([disjunct]), NoUpdate())
-            from .linear import negate_predicate
             for disjunct in negate_predicate(stmt.cond).disjuncts:
                 self.step(entry, exit_, Predicate([disjunct]), NoUpdate())
             self.lower(stmt.body, body_entry, entry)
         elif isinstance(stmt, IfCond):
             then_entry, else_entry = self.fresh(), self.fresh()
-            from .linear import negate_predicate
             for disjunct in stmt.cond.disjuncts:
                 self.step(entry, then_entry, Predicate([disjunct]), NoUpdate())
             for disjunct in negate_predicate(stmt.cond).disjuncts:

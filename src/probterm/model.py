@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .distributions import DistributionSpec
-from .linear import LinExpr, Predicate
+from .linear import LinExpr, Polyhedron, Predicate
 
 
 # -- updates ------------------------------------------------------------
@@ -256,9 +256,6 @@ def check_linpp_star(p: PCFG) -> bool:
 
 
 # -- invariants and certificates ------------------------------------------
-
-
-from .linear import Polyhedron  # noqa: E402  (placed here to keep type groups together)
 
 
 @dataclass

@@ -28,6 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
+from .checker import Stuck, state_level
 from .linear import LinExpr, Predicate, Rel
 from .model import (Certificate, ExprUpdate, Invariant, NondetUpdate, PCFG,
                     ProbBranch, Transition)
@@ -584,8 +585,6 @@ def audit_certificate_dynamics(p: PCFG, inv: Invariant, cert: Certificate,
     `sigma_tolerance` standard errors. Demonic values are resampled
     uniformly, matching the default scheduler.
     """
-    from .checker import state_level, Stuck
-
     flags: List[DynamicsFlag] = []
     audited = 0
     sched = UniformRandom()

@@ -1,6 +1,6 @@
-"""Source hygiene: every module compiles without a warning, uses every
-name it imports, keeps no memo across calls, and defines no function that
-nothing names."""
+"""Source hygiene: every module compiles without a warning, imports at its
+top and uses every name it imports, keeps no memo across calls, and
+defines no function that nothing names."""
 
 import ast
 import pathlib
@@ -40,6 +40,32 @@ def _unused_imports(tree: ast.Module) -> list:
 def test_every_import_is_used(path):
     # __init__.py imports names to re-export them
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _late_imports(tree: ast.Module) -> list:
+    """Lines of the imports outside the module's leading block of imports
+    (after its docstring): those further down and those inside a
+    function or class."""
+    body = tree.body
+    head = 0 if ast.get_docstring(tree) is None else 1
+    while head < len(body) and isinstance(body[head], (ast.Import, ast.ImportFrom)):
+        head += 1
+    top = {id(node) for node in body[:head]}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_at_module_top(path):
+    # every dependency of a module shows in its header; an import hidden in
+    # a function is resolved on each call and hides import cycles
+    assert _late_imports(ast.parse(path.read_text())) == []
+
+
+def test_late_import_is_detected():
+    tree = ast.parse('"""doc."""\nimport os\nfrom . import a\nX = 1\nimport sys\n'
+                     "def f():\n    from .b import c\n    return c\n")
+    assert _late_imports(tree) == [5, 7]
 
 
 CACHES = {"cache", "lru_cache"}
