@@ -11,6 +11,13 @@ with  lam^T A = -c  and  lam^T b <= -d.  Strict inequalities follow the
 standard protocol: if the antecedent is infeasible with stricts honored
 the implication is vacuous and dropped, otherwise stricts are relaxed to
 non-strict before encoding.
+
+The polyhedral queries are exact too. `check_feasible`, synthesis's
+screen, honors strict rows through one shared slack. `entails`, the
+checker's oracle, maximizes the consequent over the relaxed antecedent,
+one LP per inequality; only an inequality that this maximum does not
+settle gets a second LP, the feasibility query for a violating point,
+which decides it and gives the counterexample.
 """
 
 from __future__ import annotations
