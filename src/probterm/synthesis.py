@@ -300,13 +300,13 @@ def extract_level_map(p: PCFG, history: List[IterationRecord]) -> LevelMap:
 
 
 def _assemble(p: PCFG, state: IterationState, mode: CertificateMode,
-              history: List[IterationRecord], shift: Fraction) -> Certificate:
+              shift: Fraction) -> Certificate:
     dim = len(state.components)
     components = {loc: [comp[loc] for comp in state.components] for loc in p.locations}
     lem = LinExprMap(dim, components)
     if shift:
         lem = lem.shifted(shift)
-    return Certificate(lem, extract_level_map(p, history), shift, mode)
+    return Certificate(lem, extract_level_map(p, state.history), shift, mode)
 
 
 def synthesize_bsp(p: PCFG, inv: Invariant,
@@ -334,7 +334,7 @@ def synthesize_bsp(p: PCFG, inv: Invariant,
     max_coeff = max((e.max_abs_coeff() for comp in state.components
                      for e in comp.values()), default=ZERO)
     shift = 2 * support_bound * max_coeff
-    cert = _assemble(p, state, CertificateMode.BSP_COMPLETE, state.history, shift)
+    cert = _assemble(p, state, CertificateMode.BSP_COMPLETE, shift)
     return SynthesisResult(cert, state.history)
 
 
@@ -375,5 +375,5 @@ def synthesize_general(p: PCFG, inv: Invariant,
         return SynthesisResult(None, state.history,
                                "no component can rank further transitions "
                                "under the zero-coefficient discipline")
-    cert = _assemble(p, state, CertificateMode.GENERAL_SOUND, state.history, ZERO)
+    cert = _assemble(p, state, CertificateMode.GENERAL_SOUND, ZERO)
     return SynthesisResult(cert, state.history)
