@@ -227,8 +227,8 @@ def entails(p: Polyhedron, c: LinConstraint) -> Tuple[bool, Optional[Dict[int, F
     relaxation, or a maximum of at most 0, means the half holds. Otherwise
     the witness system, `p` with the half's left-hand side positive,
     decides it exactly. It is infeasible only when the strict rows of `p`
-    empty it, and its point, inside `p` strict constraints included, is
-    the counterexample. Raises PivotCapReached when an LP hits the pivot
+    empty it, and its point, which satisfies the strict rows of `p` too,
+    is the counterexample. Raises PivotCapReached when an LP hits the pivot
     cap.
     """
     if c.rel is Rel.LT:
