@@ -4,9 +4,10 @@ Exit codes are a stable contract:
   0  success / certificate found / certificate accepted
   1  negative verdict (no witness, certificate rejected), or "unknown"
      after a resource limit (the simplex pivot cap, the DNF cap)
-  2  source syntax error (parse)
-  3  precondition or input failure (malformed files, structural mismatch,
-     program class violations)
+  2  source syntax error (parse), invalid distribution parameters included
+  3  precondition or input failure (unreadable or unwritable files, malformed
+     files or arguments, structural mismatch, program class violations);
+     `main` turns every OSError and `pcfg_io.FormatError` into this exit
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from .farkas import dump_lp
 from .linear import EncodingBlowup, ResourceLimit
 from .lowering import lower_to_pcfg
 from .model import Invariant, check_bsp, validate_pcfg
-from .rationals import rat
 from .simulate import (Adversarial, FixedPriority, TerminationEstimate,
                        UniformRandom, counterexample_process,
                        estimate_termination, tally, trajectories,
                        COUNTEREXAMPLE_ANALYTIC)
 from .source import ProgramSyntaxError, parse_program
-from .synthesis import (MissingBoundedSupport, NotLinPPStar, build_lp,
-                        synthesize_bsp, synthesize_general)
+from .synthesis import (MissingBoundedSupport, NotLinPPStar, synthesize_bsp,
+                        synthesize_general)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -53,12 +53,9 @@ def _limit_hit(e: ResourceLimit) -> str:
 
 
 def cmd_parse(args) -> int:
-    try:
-        with open(args.source) as f:
-            text = f.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    # a byte that is not UTF-8 reads as U+FFFD, which no token admits
+    with open(args.source, encoding="utf-8", errors="replace") as f:
+        text = f.read()
     try:
         program = parse_program(text)
     except ProgramSyntaxError as e:
@@ -82,23 +79,19 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _load_inputs(args, need_invariant: bool = True):
+def _load_inputs(args):
     p = pcfg_io.load_pcfg(args.pcfg)
     diagnostics = validate_pcfg(p)
     if diagnostics:
         raise pcfg_io.FormatError("; ".join(str(d) for d in diagnostics))
     inv = Invariant({})
-    if need_invariant and getattr(args, "invariant", None):
+    if getattr(args, "invariant", None):
         inv = pcfg_io.load_invariant(args.invariant, p)
     return p, inv
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        p, inv = _load_inputs(args)
-    except pcfg_io.FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    p, inv = _load_inputs(args)
 
     mode = args.mode
     if mode == "auto":
@@ -141,11 +134,10 @@ def cmd_synthesize(args) -> int:
     cert = result.certificate
     pcfg_io.dump_certificate(cert, p, args.out)
     if args.dump_lp:
-        # re-build the first iteration's LP for external cross-checking
-        first = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
+        # the LP whose optimum gave component 1, for external cross-checking
         os.makedirs(args.dump_lp, exist_ok=True)
         with open(os.path.join(args.dump_lp, "iteration1.lp"), "w") as f:
-            f.write(dump_lp(first.lp))
+            f.write(dump_lp(result.first_lp))
     _emit({"outcome": "certificate", "mode": mode, "dimension": cert.dimension,
            "shift": str(cert.shift), "out": args.out, "iterations": iterations},
           args.json,
@@ -155,12 +147,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        p, inv = _load_inputs(args)
-        cert = pcfg_io.load_certificate(args.certificate, p)
-    except pcfg_io.FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    p, inv = _load_inputs(args)
+    cert = pcfg_io.load_certificate(args.certificate, p)
     try:
         report = check_certificate(p, inv, cert)
     except StructuralMismatch as e:
@@ -213,8 +201,8 @@ def _parse_init(text: str, variables) -> list:
             name, _, val = part.partition("=")
             name = name.strip()
             if name not in values:
-                raise ValueError(f"unknown variable {name!r} in --init")
-            values[name] = rat(val.strip())
+                raise pcfg_io.FormatError(f"unknown variable {name!r}", "--init")
+            values[name] = pcfg_io._rat(val, f"--init {name}")
     return [values[name] for name in variables]
 
 
@@ -227,30 +215,25 @@ def cmd_simulate(args) -> int:
               f"(series value {COUNTEREXAMPLE_ANALYTIC:.10f}, "
               f"truncation residual < {rep.residual_bound:.2e})")
         return EXIT_OK
-    try:
-        p, _ = _load_inputs(args, need_invariant=False)
-        init = _parse_init(args.init, p.variables)
-    except (pcfg_io.FormatError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
-
+    if not args.pcfg:
+        raise pcfg_io.FormatError("simulate needs a pcfg file (or --counterexample-builtin)",
+                                  "pcfg")
+    p, _ = _load_inputs(args)
+    init = _parse_init(args.init, p.variables)
     if args.scheduler == "uniform":
         sched = UniformRandom()
     elif args.scheduler == "fixed":
         sched = FixedPriority([t.id for t in p.transitions], ndet_mode=args.ndet)
+    elif args.certificate:
+        sched = Adversarial(pcfg_io.load_certificate(args.certificate, p))
     else:
-        try:
-            cert = pcfg_io.load_certificate(args.certificate, p)
-        except (TypeError, pcfg_io.FormatError) as e:
-            print(f"error: adversarial scheduler needs --certificate ({e})",
-                  file=sys.stderr)
-            return EXIT_PRECONDITION
-        sched = Adversarial(cert)
-
+        raise pcfg_io.FormatError("the adversarial scheduler needs one", "--certificate")
     if args.runs < 1:
-        print("error: --runs must be at least 1", file=sys.stderr)
-        return EXIT_PRECONDITION
-    threads = args.threads or int(os.environ.get("PROBTERM_THREADS", "1"))
+        raise pcfg_io.FormatError("must be at least 1", "--runs")
+    try:
+        threads = args.threads or int(os.environ.get("PROBTERM_THREADS", "1"))
+    except ValueError as e:
+        raise pcfg_io.FormatError(str(e), "PROBTERM_THREADS")
     if args.trace_out or args.csv:
         # one pass, in this process: the estimate is built from the traced runs
         runs = trajectories(p, init, sched, args.cap, args.seed, range(args.runs))
@@ -331,11 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate" and not args.counterexample_builtin and not args.pcfg:
-        print("error: simulate needs a pcfg file (or --counterexample-builtin)",
-              file=sys.stderr)
+    try:
+        return args.fn(args)
+    except (OSError, pcfg_io.FormatError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
-    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -97,10 +97,6 @@ class LPConstraint:
     form: Affine            # form rel 0
     rel: RowRel
 
-    def pretty(self) -> str:
-        inner = " + ".join(f"{v}*{k}" for k, v in sorted(self.form.terms.items()))
-        return f"{inner or 0} + {self.form.const} {self.rel.value} 0"
-
 
 @dataclass
 class LPProblem:

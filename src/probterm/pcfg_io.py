@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from .distributions import DistKind, DistributionSpec
 from .linear import LinConstraint, LinExpr, Polyhedron, Predicate, Rel
@@ -38,11 +38,34 @@ def _get(obj, key, path, expected=None):
     return value
 
 
-def _rat(text, path) -> Fraction:
+def _rat(text, path, parse=rat) -> Fraction:
     try:
-        return rat(text)
+        return parse(text)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise FormatError(f"bad rational {text!r}: {e}", path)
+
+
+def _support(obj, path) -> Tuple[Optional[Fraction], Optional[Fraction]]:
+    ends = _get(obj, "support", path, list)
+    if len(ends) != 2:
+        raise FormatError("support must list two interval ends", f"{path}.support")
+    return tuple(_rat(end, f"{path}.support", parse_bound) for end in ends)
+
+
+def _read_json(path: str):
+    """The JSON document in the file at `path`. A file that is not UTF-8
+    JSON is a FormatError; one that cannot be opened raises OSError."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise FormatError(f"not valid JSON: {e}")
+
+
+def _write_json(doc, path: str) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
 
 
 # -- linear expressions ------------------------------------------------------
@@ -144,21 +167,19 @@ def dist_from_json(obj, path) -> DistributionSpec:
             d = DistributionSpec.discrete([(_rat(v, path), _rat(p, path))
                                            for v, p in vals])
         elif kind == "custom":
-            support = _get(obj, "support", path, list)
             d = DistributionSpec.custom(_get(params, "sampler", path, str),
                                         _rat(_get(obj, "mean", path), path),
-                                        parse_bound(support[0]), parse_bound(support[1]))
+                                        *_support(obj, path))
         else:
             raise FormatError(f"unknown distribution kind {kind!r}", f"{path}.kind")
-    except ValueError as e:
+    except (ValueError, TypeError) as e:   # TypeError: a `values` entry that is no pair
         raise FormatError(str(e), path)
     # declared mean/support, when present, must agree with the analytic ones
     if "mean" in obj and _rat(obj["mean"], f"{path}.mean") != d.mean:
         raise FormatError(f"declared mean {obj['mean']} differs from analytic mean "
                           f"{format_rational(d.mean)}", f"{path}.mean")
     if "support" in obj and kind != "custom":
-        lo, hi = obj["support"]
-        if (parse_bound(lo), parse_bound(hi)) != (d.support_lo, d.support_hi):
+        if _support(obj, path) != (d.support_lo, d.support_hi):
             raise FormatError("declared support differs from analytic support",
                               f"{path}.support")
     return d
@@ -225,9 +246,11 @@ def pcfg_to_json(p: PCFG) -> dict:
 
 def pcfg_from_json(doc) -> PCFG:
     variables = _get(doc, "variables", "$", list)
+    locations = _get(doc, "locations", "$", list)
+    if not all(isinstance(name, str) for name in variables + locations):
+        raise FormatError("variables and locations must be strings")
     if "const" in variables:
         raise FormatError("'const' cannot be a variable name", "$.variables")
-    locations = _get(doc, "locations", "$", list)
     init = _get(doc, "init", "$", str)
     terminal = _get(doc, "terminal", "$", str)
     transitions = []
@@ -250,18 +273,11 @@ def pcfg_from_json(doc) -> PCFG:
 
 
 def load_pcfg(path: str) -> PCFG:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"not valid JSON: {e}")
-    return pcfg_from_json(doc)
+    return pcfg_from_json(_read_json(path))
 
 
 def dump_pcfg(p: PCFG, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(pcfg_to_json(p), f, indent=2)
-        f.write("\n")
+    _write_json(pcfg_to_json(p), path)
 
 
 # -- invariants ----------------------------------------------------------------
@@ -284,12 +300,7 @@ def invariant_from_json(doc, p: PCFG) -> Invariant:
 
 
 def load_invariant(path: str, p: PCFG) -> Invariant:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"not valid JSON: {e}")
-    return invariant_from_json(doc, p)
+    return invariant_from_json(_read_json(path), p)
 
 
 # -- certificates ---------------------------------------------------------------
@@ -337,18 +348,11 @@ def certificate_from_json(doc, p: PCFG) -> Certificate:
 
 
 def load_certificate(path: str, p: PCFG) -> Certificate:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"not valid JSON: {e}")
-    return certificate_from_json(doc, p)
+    return certificate_from_json(_read_json(path), p)
 
 
 def dump_certificate(c: Certificate, p: PCFG, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(certificate_to_json(c, p), f, indent=2)
-        f.write("\n")
+    _write_json(certificate_to_json(c, p), path)
 
 
 # -- graph description ------------------------------------------------------------

@@ -15,8 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 
@@ -37,10 +35,11 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_bound(text: str) -> Optional[Fraction]:
-    """Parse an interval endpoint; ``"-inf"``/``"inf"`` map to None."""
-    s = text.strip().lower()
-    if s in ("-inf", "inf", "+inf", "-oo", "oo", "+oo"):
+def parse_bound(text: RationalLike) -> Optional[Fraction]:
+    """Parse an interval endpoint; ``"-inf"``/``"inf"`` map to None, and
+    anything else is coerced by `rat`."""
+    if isinstance(text, str) and text.strip().lower() in (
+            "-inf", "inf", "+inf", "-oo", "oo", "+oo"):
         return None
     return rat(text)
 

@@ -57,9 +57,10 @@ class Scheduler:
     def choose(self, enabled: List[Transition], values, rng) -> Transition:
         raise NotImplementedError
 
-    def ndet_value(self, t: Transition, values, rng) -> Fraction:
-        u = t.kind.update
-        return u.lo + (u.hi - u.lo) * Fraction(float(rng.random()))
+    def ndet_value(self, t: Transition, values) -> Optional[Fraction]:
+        """The value demonic assignment `t` takes at `values`, or None to
+        draw it uniformly from its interval."""
+        return None
 
 
 class UniformRandom(Scheduler):
@@ -99,13 +100,13 @@ class FixedPriority(Scheduler):
     def choose(self, enabled, values, rng):
         return min(enabled, key=lambda t: self._rank(t.id))
 
-    def ndet_value(self, t, values, rng):
+    def ndet_value(self, t, values):
         u = t.kind.update
         if self.ndet_mode == "lo":
             return u.lo
         if self.ndet_mode == "hi":
             return u.hi
-        return super().ndet_value(t, values, rng)
+        return None
 
 
 class Adversarial(Scheduler):
@@ -143,10 +144,10 @@ class Adversarial(Scheduler):
             return enabled[0]
         return max(enabled, key=lambda t: (self._max_pre(j, t).evaluate(values), t.id))
 
-    def ndet_value(self, t, values, rng):
+    def ndet_value(self, t, values):
         j = self.certificate.levels.get(t.id, 0)
         if j == 0:
-            return super().ndet_value(t, values, rng)
+            return None
         return nondet_endpoint(self._component(j)[t.kind.dest], t.kind.update)
 
 
@@ -280,9 +281,15 @@ class _Choose(_Move):
         self.target = t.kind.update.target
 
     def fire(self, values, sched, rng):
+        value = sched.ndet_value(self.transition, values)
+        draws = 0
+        if value is None:
+            u = self.transition.kind.update
+            value = u.lo + (u.hi - u.lo) * Fraction(float(rng.random()))
+            draws = 1
         values = list(values)
-        values[self.target] = sched.ndet_value(self.transition, values, rng)
-        return self.dest, values, 1
+        values[self.target] = value
+        return self.dest, values, draws
 
 
 def _compile_edge(t: Transition) -> _Edge:

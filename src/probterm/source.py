@@ -130,10 +130,12 @@ def tokenize(text: str) -> List[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
+            while j < n and (text[j].isdecimal() or text[j] == "."):
                 j += 1
+            if text.count(".", i, j) > 1:
+                raise ProgramSyntaxError(f"malformed number {text[i:j]!r}", line, col)
             toks.append(Token("num", text[i:j], line, col))
             col += j - i; i = j
             continue
@@ -420,6 +422,13 @@ class _Parser:
         return -value if neg else value
 
     def parse_distribution(self) -> DistributionSpec:
+        t = self.peek()
+        try:
+            return self._distribution()
+        except ValueError as e:
+            raise ProgramSyntaxError(f"invalid distribution: {e}", t.line, t.col)
+
+    def _distribution(self) -> DistributionSpec:
         t = self.expect("ident")
         name = t.text.lower()
         self.expect("(")

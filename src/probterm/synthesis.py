@@ -63,7 +63,6 @@ class TemplateRestriction:
     """Extra structure imposed on one iteration's LP."""
     zero_coeffs: frozenset = frozenset()   # {(location, var index)} pinned to 0
     forced_rank: frozenset = frozenset()   # {transition id} with eps == 1
-    forced_zero_eps: frozenset = frozenset()  # {transition id} with eps == 0
 
 
 @dataclass
@@ -184,8 +183,6 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         lp.add_constraint(Affine.of(name) - Affine.constant(1), RowRel.LE)
         if t.id in restrict.forced_rank:
             lp.add_constraint(Affine.of(name) - Affine.constant(1), RowRel.EQ)
-        if t.id in restrict.forced_zero_eps:
-            lp.add_constraint(Affine.of(name), RowRel.EQ)
         objective = objective + Affine.of(name)
     lp.objective = objective
     return out
@@ -221,6 +218,8 @@ class IterationState:
     history: List[IterationRecord] = field(default_factory=list)
     # feasibility screens of this run, shared by every iteration LP
     screens: ScreenMemo = field(default_factory=dict)
+    # the LP whose optimum gave component 1
+    first_lp: Optional[LPProblem] = None
 
 
 @dataclass
@@ -228,6 +227,7 @@ class SynthesisResult:
     certificate: Optional[Certificate]
     history: List[IterationRecord]
     failure: Optional[str] = None
+    first_lp: Optional[LPProblem] = None   # whose optimum gave component 1
 
     @property
     def found(self) -> bool:
@@ -260,6 +260,8 @@ def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
     scale = ONE / min(eps_values[tid] for tid in ranked)
     component = {loc: e.scale(scale)
                  for loc, e in slp.component_at(sol.assignment).items()}
+    if not state.components:
+        state.first_lp = slp.lp
     state.components.append(component)
     state.unranked = [tid for tid in state.unranked if tid not in set(ranked)]
     return IterationRecord(index, before, ranked, slp.lp.num_vars(),
@@ -300,13 +302,16 @@ def extract_level_map(p: PCFG, history: List[IterationRecord]) -> LevelMap:
 
 
 def _assemble(p: PCFG, state: IterationState, mode: CertificateMode,
-              shift: Fraction) -> Certificate:
+              support_bound: Fraction) -> SynthesisResult:
+    """The certificate, each component raised by 2 * support_bound * max|coefficient|."""
     dim = len(state.components)
     components = {loc: [comp[loc] for comp in state.components] for loc in p.locations}
     lem = LinExprMap(dim, components)
+    shift = 2 * support_bound * lem.max_abs_coeff()
     if shift:
         lem = lem.shifted(shift)
-    return Certificate(lem, extract_level_map(p, state.history), shift, mode)
+    cert = Certificate(lem, extract_level_map(p, state.history), shift, mode)
+    return SynthesisResult(cert, state.history, first_lp=state.first_lp)
 
 
 def synthesize_bsp(p: PCFG, inv: Invariant,
@@ -331,11 +336,7 @@ def synthesize_bsp(p: PCFG, inv: Invariant,
                                "an iteration ranked no transition: no linear "
                                "certificate of this shape exists for the given "
                                "invariant")
-    max_coeff = max((e.max_abs_coeff() for comp in state.components
-                     for e in comp.values()), default=ZERO)
-    shift = 2 * support_bound * max_coeff
-    cert = _assemble(p, state, CertificateMode.BSP_COMPLETE, shift)
-    return SynthesisResult(cert, state.history)
+    return _assemble(p, state, CertificateMode.BSP_COMPLETE, support_bound)
 
 
 def synthesize_general(p: PCFG, inv: Invariant,
@@ -375,5 +376,4 @@ def synthesize_general(p: PCFG, inv: Invariant,
         return SynthesisResult(None, state.history,
                                "no component can rank further transitions "
                                "under the zero-coefficient discipline")
-    cert = _assemble(p, state, CertificateMode.GENERAL_SOUND, ZERO)
-    return SynthesisResult(cert, state.history)
+    return _assemble(p, state, CertificateMode.GENERAL_SOUND, ZERO)

@@ -2,11 +2,15 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+
+from probterm import cli, farkas, synthesis
+from probterm.simplex import LPStatus
 
 from conftest import fixture_path
 
@@ -208,6 +212,26 @@ def test_synthesize_dump_lp(tmp_path):
     assert text.startswith("Maximize") and "Subject To" in text
 
 
+def test_synthesize_dump_lp_is_the_lp_that_ranked(tmp_path, monkeypatch, capsys):
+    # general mode pins a coefficient to zero in its first LP, so the dump
+    # is not the LP of an unrestricted template
+    solved = []
+
+    def spy(lp):
+        sol = farkas.solve_lp(lp)
+        solved.append((farkas.dump_lp(lp), sol))
+        return sol
+
+    monkeypatch.setattr(synthesis, "solve_lp", spy)
+    lps = tmp_path / "lps"
+    assert cli.main(["synthesize", fixture_path("fig2left.pcfg.json"),
+                     "-i", fixture_path("fig1a.inv.json"), "--mode", "general",
+                     "-o", str(tmp_path / "c.json"), "--dump-lp", str(lps)]) == 0
+    first = next(text for text, sol in solved
+                 if sol.status is LPStatus.OPTIMAL and sol.value > 0)
+    assert (lps / "iteration1.lp").read_text() == first
+
+
 # -- check ------------------------------------------------------------------------
 
 
@@ -360,3 +384,112 @@ def test_simulate_threads_same_answer():
                      "--init", "x=2, y=2", "--runs", "40", "--cap", "10000",
                      "--seed", "3", "--threads", "2", "--json")
     assert json.loads(base.stdout) == json.loads(multi.stdout)
+
+
+# -- the input boundary -------------------------------------------------------------
+
+FIG2RIGHT = fixture_path("fig2right.pcfg.json")
+EXAMPLE3 = fixture_path("example3.cert.json")
+FIG1B_INV = fixture_path("fig1b.inv.json")
+
+
+def _source(d, text, encoding="utf-8"):
+    path = d / "bad.prob"
+    path.write_bytes(text.encode(encoding))
+    return ["parse", str(path), "-o", str(d / "p.json")]
+
+
+def _latin1(d):
+    path = d / "latin1.pcfg.json"
+    path.write_bytes('{"variables": ["\u00e9"]}'.encode("latin-1"))
+    return str(path)
+
+
+# case -> (exit code, environment, argv for a scratch directory d); d / "no"
+# does not exist, so nothing can be written below it
+MALFORMED = {
+    "missing-pcfg": (3, {}, lambda d: ["synthesize", str(d / "none.json"),
+                                       "-o", str(d / "c.json")]),
+    "missing-certificate": (3, {}, lambda d: ["check", FIG2RIGHT, str(d / "none.json")]),
+    "missing-invariant": (3, {}, lambda d: ["check", FIG2RIGHT, EXAMPLE3,
+                                            "-i", str(d / "none.json")]),
+    "unwritable-parse-out": (3, {}, lambda d: ["parse", fixture_path("fig1b.prob"),
+                                               "-o", str(d / "no" / "p.json")]),
+    "unwritable-synthesize-out": (3, {}, lambda d: ["synthesize", FIG2RIGHT, "-i", FIG1B_INV,
+                                                    "-o", str(d / "no" / "c.json")]),
+    "unwritable-trace-out": (3, {}, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
+                                               "--trace-out", str(d / "no" / "t.jsonl")]),
+    "non-utf8-json": (3, {}, lambda d: ["check", _latin1(d), EXAMPLE3]),
+    "unif-lo-above-hi": (2, {}, lambda d: _source(d, "x := sample(unif(3, 1))")),
+    "bern-above-1": (2, {}, lambda d: _source(d, "x := x + sample(bern(2))")),
+    "norm-zero-stddev": (2, {}, lambda d: _source(d, "x := sample(norm(0, 0))")),
+    "discrete-mass-half": (2, {}, lambda d: _source(d, "x := sample(discrete(1: 1/2))")),
+    "malformed-number": (2, {}, lambda d: _source(d, "x := 1.2.3")),
+    "non-utf8-source": (2, {}, lambda d: _source(d, "x := 1 \u00e9", "latin-1")),
+    "init-zero-denominator": (3, {}, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
+                                                "--init", "x=1/0"]),
+    "threads-not-a-number": (3, {"PROBTERM_THREADS": "two"},
+                             lambda d: ["simulate", FIG2RIGHT, "--runs", "2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_code(case, tmp_path, monkeypatch, capsys):
+    code, env, argv = MALFORMED[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(argv(tmp_path)) == code
+    out, err = capsys.readouterr()
+    assert (err if code == 3 else out).startswith("error:" if code == 3 else "syntax error:")
+
+
+def _mutant(doc, rng):
+    """A copy of the JSON document `doc` with one seeded change at a random
+    place in it: a key deleted, a value replaced by one of another type, or
+    a list shortened by its last element."""
+    doc = json.loads(json.dumps(doc))
+    slots = []
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(doc)
+    node, key = rng.choice(slots)
+    value = node[key]
+    ops = ["retype"]
+    if isinstance(node, dict):
+        ops.append("delete")
+    if isinstance(value, list) and value:
+        ops.append("shorten")
+    op = rng.choice(ops)
+    if op == "delete":
+        del node[key]
+    elif op == "shorten":
+        value.pop()
+    else:
+        node[key] = rng.choice([v for v in (7, -1, "7", "x", "inf", None, True, 0.5, [], {})
+                                if type(v) is not type(value)])
+    return doc
+
+
+@pytest.mark.parametrize("mutated", ["pcfg", "certificate", "invariant"])
+def test_check_survives_mutated_inputs(mutated, tmp_path, capsys):
+    """Seeded mutants of each input of `check`: every one is answered with
+    a verdict or an input error, never an exception."""
+    files = {"pcfg": FIG2RIGHT, "certificate": EXAMPLE3, "invariant": FIG1B_INV}
+    with open(files[mutated]) as f:
+        doc = json.load(f)
+    rng = random.Random(f"mutants of the {mutated}")
+    path = tmp_path / "mutant.json"
+    codes = set()
+    for _ in range(134):
+        path.write_text(json.dumps(_mutant(doc, rng)))
+        argv = {**files, mutated: str(path)}
+        codes.add(cli.main(["check", argv["pcfg"], argv["certificate"],
+                            "-i", argv["invariant"]]))
+    capsys.readouterr()
+    assert codes <= {0, 1, 3}

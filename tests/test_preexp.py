@@ -200,14 +200,27 @@ def test_pre_expectation_matches_empirical_mean():
         eta = {loc: lin(p, rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
                for loc in p.locations}
         expected_fn = max_pre(eta, t)
+        target = getattr(t.update(), "target", None)
         for _ in range(5):
             values = [F(rng.randint(-5, 5)), F(rng.randint(-5, 5))]
             expected = float(expected_fn.evaluate(values))
+            # a step moves only the target, so eta[dest] after it is exactly
+            # (n + a * v) / d, with v the target's new value and the integer
+            # coefficient a; int / int rounds like float(Fraction)
+            fixed = {}
+            for dest in t.destinations():
+                a = eta[dest].coeffs.get(target, F(0))
+                rest = eta[dest].evaluate(values) - a * (values[target] if a else 0)
+                fixed[dest] = rest.numerator, rest.denominator, int(a)
             nprng = run_rng(77, probes)
             samples = np.empty(100_000)
             for k in range(samples.size):
                 dest, vals2, _ = edge.fire(values, sched, nprng)
-                samples[k] = float(eta[dest].evaluate(vals2))
+                n, d, a = fixed[dest]
+                if a:
+                    v = vals2[target]
+                    n, d = n * v.denominator + a * v.numerator * d, d * v.denominator
+                samples[k] = n / d
             se = samples.std(ddof=1) / np.sqrt(samples.size)
             assert abs(samples.mean() - expected) <= max(4 * se, 1e-12), (t.id, values)
             probes += 1

@@ -5,18 +5,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from probterm import (CertificateMode, Invariant, MissingBoundedSupport,
+from probterm import (Affine, CertificateMode, Invariant, MissingBoundedSupport,
                       NotLinPPStar, TemplateRestriction, build_lp,
                       check_certificate, extract_level_map, solve_lp,
                       synthesize_bsp, synthesize_general)
 from probterm.pcfg_io import certificate_to_json
-from probterm.simplex import LPStatus
+from probterm.simplex import LPStatus, RowRel
 
 from conftest import load_fixture
 
 
-def ranked_at_optimum(p, inv, unranked, restrict=TemplateRestriction()):
+def ranked_at_optimum(p, inv, unranked, restrict=TemplateRestriction(), zero_eps=()):
+    """The transitions ranked at the optimum of the iteration LP, with an
+    `eps == 0` row appended for each transition id in `zero_eps`."""
     slp = build_lp(p, inv, unranked, restrict)
+    for tid in zero_eps:
+        slp.lp.add_constraint(Affine.of(slp.eps_names[tid]), RowRel.EQ)
     sol = solve_lp(slp.lp)
     assert sol.status is LPStatus.OPTIMAL
     return [tid for tid in unranked if sol.assignment[slp.eps_names[tid]] > 0], sol
@@ -51,8 +55,7 @@ def test_guard_infeasible_transition_ranked_for_free():
 def test_forced_zero_eps_blocks_ranking(fig1b):
     p, inv = fig1b
     unranked = [t.id for t in p.non_terminal_transitions()]
-    ranked, sol = ranked_at_optimum(
-        p, inv, unranked, TemplateRestriction(forced_zero_eps=frozenset({"t0"})))
+    ranked, sol = ranked_at_optimum(p, inv, unranked, zero_eps=["t0"])
     assert ranked == [] and sol.value == 0
 
 
@@ -205,8 +208,7 @@ def test_pruned_set_is_maximal(fig1b):
         for banned in rec.ranked:
             if len(rec.ranked) == 1:
                 continue
-            ranked, _ = ranked_at_optimum(
-                p, inv, unranked, TemplateRestriction(forced_zero_eps=frozenset({banned})))
+            ranked, _ = ranked_at_optimum(p, inv, unranked, zero_eps=[banned])
             assert set(ranked) == set(rec.ranked) - {banned}
         unranked = [tid for tid in unranked if tid not in set(rec.ranked)]
 
