@@ -13,6 +13,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -25,8 +26,7 @@ from .linear import EncodingBlowup, ResourceLimit
 from .lowering import lower_to_pcfg
 from .model import Invariant, check_bsp, validate_pcfg
 from .simulate import (Adversarial, FixedPriority, TerminationEstimate,
-                       UniformRandom, counterexample_process,
-                       estimate_termination, tally, trajectories,
+                       UniformRandom, counterexample_process, trajectories,
                        COUNTEREXAMPLE_ANALYTIC)
 from .source import ProgramSyntaxError, parse_program
 from .synthesis import (MissingBoundedSupport, NotLinPPStar, synthesize_bsp,
@@ -132,12 +132,13 @@ def cmd_synthesize(args) -> int:
         return EXIT_NEGATIVE
 
     cert = result.certificate
-    pcfg_io.dump_certificate(cert, p, args.out)
     if args.dump_lp:
-        # the LP whose optimum gave component 1, for external cross-checking
+        # the LP whose optimum gave component 1, for external cross-checking;
+        # written first, so that a failing dump leaves no certificate behind
         os.makedirs(args.dump_lp, exist_ok=True)
         with open(os.path.join(args.dump_lp, "iteration1.lp"), "w") as f:
             f.write(dump_lp(result.first_lp))
+    pcfg_io.dump_certificate(cert, p, args.out)
     _emit({"outcome": "certificate", "mode": mode, "dimension": cert.dimension,
            "shift": str(cert.shift), "out": args.out, "iterations": iterations},
           args.json,
@@ -175,11 +176,12 @@ def cmd_check(args) -> int:
 def _write_traces(reports, args):
     """Pass the runs through, writing a record per run: JSON lines and/or
     a (run, terminated, steps) CSV."""
-    jf = open(args.trace_out, "w") if args.trace_out else None
-    cf = open(args.csv, "w") if args.csv else None
-    if cf:
-        cf.write("run,terminated,steps\n")
-    try:
+    with contextlib.ExitStack() as files:
+        # a failing open closes the file opened before it
+        jf = files.enter_context(open(args.trace_out, "w")) if args.trace_out else None
+        cf = files.enter_context(open(args.csv, "w")) if args.csv else None
+        if cf:
+            cf.write("run,terminated,steps\n")
         for idx, r in enumerate(reports):
             if jf:
                 rec = {"run": idx, **r.as_dict()}
@@ -187,11 +189,6 @@ def _write_traces(reports, args):
             if cf:
                 cf.write(f"{idx},{int(r.terminated)},{r.steps}\n")
             yield r
-    finally:
-        if jf:
-            jf.close()
-        if cf:
-            cf.close()
 
 
 def _parse_init(text: str, variables) -> list:
@@ -207,6 +204,10 @@ def _parse_init(text: str, variables) -> list:
 
 
 def cmd_simulate(args) -> int:
+    if args.runs < 1:
+        raise pcfg_io.FormatError("must be at least 1", "--runs")
+    if args.seed < 0:
+        raise pcfg_io.FormatError("must not be negative", "--seed")
     if args.counterexample_builtin:
         rep = counterexample_process(args.seed, args.runs)
         doc = rep.as_dict()
@@ -228,19 +229,11 @@ def cmd_simulate(args) -> int:
         sched = Adversarial(pcfg_io.load_certificate(args.certificate, p))
     else:
         raise pcfg_io.FormatError("the adversarial scheduler needs one", "--certificate")
-    if args.runs < 1:
-        raise pcfg_io.FormatError("must be at least 1", "--runs")
-    try:
-        threads = args.threads or int(os.environ.get("PROBTERM_THREADS", "1"))
-    except ValueError as e:
-        raise pcfg_io.FormatError(str(e), "PROBTERM_THREADS")
+    runs = trajectories(p, init, sched, args.cap, args.seed, range(args.runs))
     if args.trace_out or args.csv:
-        # one pass, in this process: the estimate is built from the traced runs
-        runs = trajectories(p, init, sched, args.cap, args.seed, range(args.runs))
-        est = TerminationEstimate.of(*tally(_write_traces(runs, args)))
-    else:
-        est = estimate_termination(p, init, sched, args.runs, args.cap,
-                                   seed=args.seed, threads=threads)
+        # one pass: the estimate is built from the traced runs
+        runs = _write_traces(runs, args)
+    est = TerminationEstimate.of(runs)
     doc = est.as_dict()
     doc["scheduler"] = args.scheduler
     doc["seed"] = args.seed
@@ -297,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="uniform")
     p_sim.add_argument("--ndet", choices=["uniform", "lo", "hi"], default="uniform")
     p_sim.add_argument("--certificate", help="for the adversarial scheduler")
-    p_sim.add_argument("--threads", type=int, default=0,
-                       help="worker processes (default $PROBTERM_THREADS or 1); "
-                            "with --trace-out or --csv the runs are made in this process")
     p_sim.add_argument("--trace-out", metavar="PATH",
                        help="write one JSON line per run")
     p_sim.add_argument("--csv", metavar="PATH",

@@ -3,24 +3,22 @@
 State is kept in exact rationals; sampled floats are converted exactly,
 so guard evaluation and invariant audits never suffer rounding. Each run
 owns an rng substream derived from (master seed, run index), which makes
-aggregates reproducible and order-independent, and lets runs execute in
-separate processes without coordination.
+aggregates reproducible and independent of the order of runs. Every
+estimate is made in one process.
 
-Every entry point compiles the graph once per call (once per worker
-block with several processes) into a `Program`: a tuple of outgoing
-edges per location, and each guard and each linear update scaled to
-integer coefficients by the lcm of its denominators. A guard is then
-decided by the sign of one integer built from the values' numerators
-and denominators, an update accumulates its new value, sample term
-included, as one integer ratio that becomes a single `Fraction`, and
-random tests compare the exact integer ratio of a float against the
-exact probability. The state, the rng stream and the order of draws are
-those of the plain small-step semantics.
+Every entry point compiles the graph once per call into a `Program`: a
+tuple of outgoing edges per location, and each guard and each linear
+update scaled to integer coefficients by the lcm of its denominators.
+A guard is then decided by the sign of one integer built from the
+values' numerators and denominators, an update accumulates its new
+value, sample term included, as one integer ratio that becomes a single
+`Fraction`, and random tests compare the exact integer ratio of a float
+against the exact probability. The state, the rng stream and the order
+of draws are those of the plain small-step semantics.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -120,7 +118,7 @@ class Adversarial(Scheduler):
 
     def __init__(self, certificate: Certificate):
         self.certificate = certificate
-        # filled on first use, per process: level -> component map, and
+        # filled on first use, per scheduler: level -> component map, and
         # (level, transition id) -> max_pre of that component
         self._components: Dict[int, Dict[str, LinExpr]] = {}
         self._pre: Dict[Tuple[int, str], LinExpr] = {}
@@ -422,8 +420,14 @@ class TerminationEstimate:
     mean_steps: float
 
     @staticmethod
-    def of(runs: int, terminated: int, stuck: int, steps: int) -> "TerminationEstimate":
-        """The estimate from the counts `tally` returns."""
+    def of(reports: Iterable[TrajectoryReport]) -> "TerminationEstimate":
+        """The estimate from `reports`, which must hold at least one run."""
+        runs = terminated = stuck = steps = 0
+        for r in reports:
+            runs += 1
+            terminated += r.terminated
+            stuck += r.stuck
+            steps += r.steps
         return TerminationEstimate(terminated / runs, wilson_interval(terminated, runs),
                                    runs, terminated, stuck, steps / runs)
 
@@ -434,39 +438,14 @@ class TerminationEstimate:
                 "stuck": self.stuck, "mean_steps": self.mean_steps}
 
 
-def tally(reports: Iterable[TrajectoryReport]) -> Tuple[int, int, int, int]:
-    """(runs, terminated, stuck, steps) summed over `reports`."""
-    runs = term = stuck = steps = 0
-    for r in reports:
-        runs += 1
-        term += r.terminated
-        stuck += r.stuck
-        steps += r.steps
-    return runs, term, stuck, steps
-
-
-def _estimate_block(args):
-    p, init, sched, step_cap, seed, lo, hi = args
-    return tally(trajectories(p, init, sched, step_cap, seed, range(lo, hi)))
-
-
 def estimate_termination(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
                          runs: int, step_cap: int = DEFAULT_ESTIMATE_CAP,
-                         seed: int = 0, threads: int = 1) -> TerminationEstimate:
+                         seed: int = 0) -> TerminationEstimate:
     """i.i.d. trajectory aggregate with seeded substreams; the result is a
-    pure function of (program, init, scheduler, runs, cap, seed),
-    regardless of thread count."""
+    pure function of (program, init, scheduler, runs, cap, seed)."""
     if runs < 1:
         raise ValueError("need at least one run")
-    init = [Fraction(v) for v in init]
-    if threads <= 1:
-        return TerminationEstimate.of(*_estimate_block((p, init, sched, step_cap, seed, 0, runs)))
-    bounds = np.linspace(0, runs, threads + 1, dtype=int)
-    blocks = [(p, init, sched, step_cap, seed, int(lo), int(hi))
-              for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        counts = list(pool.map(_estimate_block, blocks))
-    return TerminationEstimate.of(*(sum(c) for c in zip(*counts)))
+    return TerminationEstimate.of(trajectories(p, init, sched, step_cap, seed, range(runs)))
 
 
 # -- the leftward-nonnegativity counterexample process -----------------------------
@@ -511,6 +490,8 @@ def counterexample_process(seed: int, runs: int, horizon: int = 60,
     leaves under sum_{t>horizon} p_t < 2**-(horizon+1) residual
     probability unaccounted.
     """
+    if runs < 1:
+        raise ValueError("need at least one run")
     rng = np.random.default_rng(seed)
     p_t = 0.25 * np.power(2.0, -np.arange(horizon + 1, dtype=np.float64))
     stopped = 0

@@ -1,10 +1,12 @@
 """End-to-end command-line contract: exit codes, JSON shapes, determinism."""
 
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import pytest
@@ -168,7 +170,7 @@ def test_simulate_traces_run_each_trajectory_once(tmp_path, monkeypatch, capsys,
     jl, cs = tmp_path / "runs.jsonl", tmp_path / "runs.csv"
     code = cli.main(["simulate", fixture_path("fig2right.pcfg.json"),
                      "--init", "x=2, y=1", "--runs", "25", "--cap", "10000",
-                     "--seed", "5", "--threads", "1", "--trace-out", str(jl),
+                     "--seed", "5", "--trace-out", str(jl),
                      "--csv", str(cs)] + (["--json"] if as_json else []))
     assert code == 0
     assert made == list(range(25))
@@ -376,16 +378,6 @@ def test_simulate_without_pcfg_is_an_error():
     assert r.returncode == 3
 
 
-def test_simulate_threads_same_answer():
-    base = probterm("simulate", fixture_path("fig2right.pcfg.json"),
-                    "--init", "x=2, y=2", "--runs", "40", "--cap", "10000",
-                    "--seed", "3", "--json")
-    multi = probterm("simulate", fixture_path("fig2right.pcfg.json"),
-                     "--init", "x=2, y=2", "--runs", "40", "--cap", "10000",
-                     "--seed", "3", "--threads", "2", "--json")
-    assert json.loads(base.stdout) == json.loads(multi.stdout)
-
-
 # -- the input boundary -------------------------------------------------------------
 
 FIG2RIGHT = fixture_path("fig2right.pcfg.json")
@@ -405,42 +397,67 @@ def _latin1(d):
     return str(path)
 
 
-# case -> (exit code, environment, argv for a scratch directory d); d / "no"
-# does not exist, so nothing can be written below it
+# case -> (exit code, argv for a scratch directory d); d / "no" does not
+# exist, so nothing can be written below it
 MALFORMED = {
-    "missing-pcfg": (3, {}, lambda d: ["synthesize", str(d / "none.json"),
-                                       "-o", str(d / "c.json")]),
-    "missing-certificate": (3, {}, lambda d: ["check", FIG2RIGHT, str(d / "none.json")]),
-    "missing-invariant": (3, {}, lambda d: ["check", FIG2RIGHT, EXAMPLE3,
-                                            "-i", str(d / "none.json")]),
-    "unwritable-parse-out": (3, {}, lambda d: ["parse", fixture_path("fig1b.prob"),
-                                               "-o", str(d / "no" / "p.json")]),
-    "unwritable-synthesize-out": (3, {}, lambda d: ["synthesize", FIG2RIGHT, "-i", FIG1B_INV,
-                                                    "-o", str(d / "no" / "c.json")]),
-    "unwritable-trace-out": (3, {}, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
-                                               "--trace-out", str(d / "no" / "t.jsonl")]),
-    "non-utf8-json": (3, {}, lambda d: ["check", _latin1(d), EXAMPLE3]),
-    "unif-lo-above-hi": (2, {}, lambda d: _source(d, "x := sample(unif(3, 1))")),
-    "bern-above-1": (2, {}, lambda d: _source(d, "x := x + sample(bern(2))")),
-    "norm-zero-stddev": (2, {}, lambda d: _source(d, "x := sample(norm(0, 0))")),
-    "discrete-mass-half": (2, {}, lambda d: _source(d, "x := sample(discrete(1: 1/2))")),
-    "malformed-number": (2, {}, lambda d: _source(d, "x := 1.2.3")),
-    "non-utf8-source": (2, {}, lambda d: _source(d, "x := 1 \u00e9", "latin-1")),
-    "init-zero-denominator": (3, {}, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
-                                                "--init", "x=1/0"]),
-    "threads-not-a-number": (3, {"PROBTERM_THREADS": "two"},
-                             lambda d: ["simulate", FIG2RIGHT, "--runs", "2"]),
+    "missing-pcfg": (3, lambda d: ["synthesize", str(d / "none.json"),
+                                   "-o", str(d / "c.json")]),
+    "missing-certificate": (3, lambda d: ["check", FIG2RIGHT, str(d / "none.json")]),
+    "missing-invariant": (3, lambda d: ["check", FIG2RIGHT, EXAMPLE3,
+                                        "-i", str(d / "none.json")]),
+    "unwritable-parse-out": (3, lambda d: ["parse", fixture_path("fig1b.prob"),
+                                           "-o", str(d / "no" / "p.json")]),
+    "unwritable-synthesize-out": (3, lambda d: ["synthesize", FIG2RIGHT, "-i", FIG1B_INV,
+                                                "-o", str(d / "no" / "c.json")]),
+    "unwritable-trace-out": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
+                                           "--trace-out", str(d / "no" / "t.jsonl")]),
+    "unwritable-csv": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
+                                     "--trace-out", str(d / "t.jsonl"),
+                                     "--csv", str(d / "no" / "t.csv")]),
+    "non-utf8-json": (3, lambda d: ["check", _latin1(d), EXAMPLE3]),
+    "unif-lo-above-hi": (2, lambda d: _source(d, "x := sample(unif(3, 1))")),
+    "bern-above-1": (2, lambda d: _source(d, "x := x + sample(bern(2))")),
+    "norm-zero-stddev": (2, lambda d: _source(d, "x := sample(norm(0, 0))")),
+    "discrete-mass-half": (2, lambda d: _source(d, "x := sample(discrete(1: 1/2))")),
+    "malformed-number": (2, lambda d: _source(d, "x := 1.2.3")),
+    "non-utf8-source": (2, lambda d: _source(d, "x := 1 \u00e9", "latin-1")),
+    "init-zero-denominator": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
+                                            "--init", "x=1/0"]),
+    "negative-seed": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2", "--seed", "-1"]),
+    "counterexample-negative-seed": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                                   "--runs", "2", "--seed", "-1"]),
+    "counterexample-no-runs": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                             "--runs", "0"]),
+    "counterexample-negative-runs": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                                   "--runs", "-3"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exit_code(case, tmp_path, monkeypatch, capsys):
-    code, env, argv = MALFORMED[case]
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert cli.main(argv(tmp_path)) == code
+def test_malformed_input_exit_code(case, tmp_path, capsys):
+    code, argv = MALFORMED[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv(tmp_path)) == code
+        gc.collect()
     out, err = capsys.readouterr()
-    assert (err if code == 3 else out).startswith("error:" if code == 3 else "syntax error:")
+    if code == 3:
+        # one line, no traceback
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert out.startswith("syntax error:")
+    # every file the command opened was closed
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_synthesize_failing_dump_lp_writes_no_certificate(tmp_path, capsys):
+    # the LP dump is written before the certificate, so an input failure
+    # leaves no certificate behind
+    out = tmp_path / "c.json"
+    assert cli.main(["synthesize", FIG2RIGHT, "-i", FIG1B_INV, "-o", str(out),
+                     "--dump-lp", EXAMPLE3]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def _mutant(doc, rng):

@@ -268,10 +268,8 @@ def test_trajectory_digest(case):
     assert hashlib.sha256(doc.encode()).hexdigest() == TRAJECTORY_DIGESTS[case]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_estimate_pinned(threads):
+def test_estimate_pinned():
     p, _ = load_fixture("fig1b")
     est = estimate_termination(p, [Fraction(3), Fraction(3)], UniformRandom(),
-                               runs=40, step_cap=10 ** 4, seed=TRAJECTORY_SEED,
-                               threads=threads)
+                               runs=40, step_cap=10 ** 4, seed=TRAJECTORY_SEED)
     assert est.as_dict() == ESTIMATE

@@ -1,6 +1,7 @@
 """Source hygiene: every module compiles without a warning, imports at its
-top and uses every name it imports, keeps no memo across calls, and
-defines no function that nothing names."""
+top and uses every name it imports, keeps no memo across calls, runs in
+one process that no environment variable configures, and defines no
+function that nothing names."""
 
 import ast
 import pathlib
@@ -94,6 +95,43 @@ def test_functools_cache_is_detected():
     tree = ast.parse("import functools\nfrom functools import lru_cache\n"
                      "@functools.cache\ndef f(): pass\n")
     assert _process_caches(tree) == [2, 3]
+
+
+CONCURRENCY = {"concurrent", "multiprocessing", "threading"}
+ENVIRONMENT = {"environ", "getenv"}
+
+
+def _process_knobs(tree: ast.Module) -> list:
+    """Lines that import a concurrency module or read the environment."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for alias in node.names
+                      if alias.name.split(".")[0] in CONCURRENCY]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            root = node.module.split(".")[0]
+            if root in CONCURRENCY or (root == "os" and any(
+                    alias.name in ENVIRONMENT for alias in node.names)):
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_single_process(path):
+    # probterm is a single-process prover: every estimate is made in the
+    # calling process, and its arguments are its only configuration
+    assert _process_knobs(ast.parse(path.read_text())) == []
+
+
+def test_process_knobs_are_detected():
+    tree = ast.parse("import concurrent.futures\nfrom multiprocessing import Pool\n"
+                     "import os, threading as t\nfrom os import getenv\nimport json\n"
+                     "from .threading import x\n"
+                     "a = os.environ.get('A')\nb = os.getenv('B')\nc = os.path.sep\n")
+    assert _process_knobs(tree) == [1, 2, 3, 4, 7, 8]
 
 
 def _defined_functions(tree: ast.Module) -> dict:

@@ -11,7 +11,8 @@ from probterm import (Adversarial, FixedPriority, Invariant, UniformRandom,
                       audit_certificate_dynamics, audit_invariant,
                       counterexample_process, estimate_termination,
                       run_trajectory, wilson_interval)
-from probterm.simulate import COUNTEREXAMPLE_ANALYTIC, counterexample_analytic, run_rng
+from probterm.simulate import (COUNTEREXAMPLE_ANALYTIC, TerminationEstimate,
+                               counterexample_analytic, run_rng, trajectories)
 
 from conftest import example3_certificate, load_fixture, perturbed
 
@@ -88,15 +89,16 @@ def test_divergent_fraction_zero():
     assert est.interval[0] == 0.0
 
 
-def test_estimation_reproducible_and_thread_invariant(fig1b):
+def test_estimation_reproducible_and_order_invariant(fig1b):
     p, _ = fig1b
     one = estimate_termination(p, [F(3), F(3)], UniformRandom(), runs=60,
-                               step_cap=10 ** 4, seed=7, threads=1)
+                               step_cap=10 ** 4, seed=7)
     again = estimate_termination(p, [F(3), F(3)], UniformRandom(), runs=60,
-                                 step_cap=10 ** 4, seed=7, threads=1)
-    multi = estimate_termination(p, [F(3), F(3)], UniformRandom(), runs=60,
-                                 step_cap=10 ** 4, seed=7, threads=2)
-    assert one == again == multi
+                                 step_cap=10 ** 4, seed=7)
+    # each run has its own substream, so the order of runs does not matter
+    backwards = TerminationEstimate.of(trajectories(p, [F(3), F(3)], UniformRandom(),
+                                                    10 ** 4, 7, reversed(range(60))))
+    assert one == again == backwards
 
 
 def test_wilson_interval_sanity():
@@ -108,6 +110,12 @@ def test_wilson_interval_sanity():
 def test_estimate_requires_runs(fig1b):
     with pytest.raises(ValueError):
         estimate_termination(fig1b[0], [F(0), F(0)], UniformRandom(), runs=0)
+
+
+@pytest.mark.parametrize("runs", [0, -3])
+def test_counterexample_requires_runs(runs):
+    with pytest.raises(ValueError):
+        counterexample_process(seed=0, runs=runs)
 
 
 # -- schedulers ---------------------------------------------------------------------
