@@ -21,11 +21,9 @@ from .farkas import (Affine, FarkasImplication, LPProblem, check_feasible,
 from .synthesis import (IterationRecord, MissingBoundedSupport, NotLinPPStar,
                         SynthesisResult, TemplateRestriction, build_lp,
                         extract_level_map, synthesize_bsp, synthesize_general)
-from .checker import (CheckReport, StructuralMismatch, Stuck,
-                      check_certificate, state_level)
+from .checker import CheckReport, StructuralMismatch, check_certificate
 from .simulate import (Adversarial, FixedPriority, Scheduler, TrajectoryReport,
-                       UniformRandom, audit_certificate_dynamics,
-                       audit_invariant, counterexample_process,
+                       UniformRandom, audit_invariant, counterexample_process,
                        estimate_termination, run_trajectory, wilson_interval)
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .farkas import entails
 from .linear import LinConstraint, LinExpr, Polyhedron, Predicate, negate_guards_to_dnf
@@ -37,10 +37,6 @@ from .preexp import max_pre, min_pre, pre_pb_restricted
 
 class StructuralMismatch(Exception):
     """Certificate does not structurally fit the program."""
-
-
-class Stuck(Exception):
-    """A non-terminal state with no enabled transition has no level."""
 
 
 @dataclass
@@ -214,15 +210,3 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
     accepted = all(r.status == "ok" for r in conditions)
     return CheckReport(accepted, c.mode.value, conditions,
                        _MEANING[c.mode] if accepted else "certificate rejected")
-
-
-def state_level(p: PCFG, c: Certificate, location: str,
-                values: Sequence[Fraction]) -> int:
-    """Largest level among transitions enabled at the state; 0 at the
-    terminal location. Raises Stuck when nothing is enabled elsewhere."""
-    if location == p.terminal_location:
-        return 0
-    enabled = [t for t in p.outgoing(location) if t.guard().satisfied(values)]
-    if not enabled:
-        raise Stuck(f"no transition enabled at {location} with {list(values)}")
-    return max(c.levels[t.id] for t in enabled)

@@ -8,6 +8,8 @@ Exit codes are a stable contract:
   3  precondition or input failure (unreadable or unwritable files, malformed
      files or arguments, structural mismatch, program class violations);
      `main` turns every OSError and `pcfg_io.FormatError` into this exit
+
+A command that exits non-zero leaves none of its outputs (`_Outputs`).
 """
 
 from __future__ import annotations
@@ -52,6 +54,40 @@ def _limit_hit(e: ResourceLimit) -> str:
     return f"an LP hit the simplex pivot cap ({e})"
 
 
+class _Outputs(contextlib.ExitStack):
+    """The files and directories a command writes: every one is opened or
+    made here before any is written. If the `with` block raises, each is
+    closed and removed again, so a failing command leaves none of them."""
+
+    def __init__(self):
+        super().__init__()
+        self.made = []          # paths, in the order they were made
+
+    def makedirs(self, path: str) -> None:
+        head, missing = os.path.abspath(path), []
+        while not os.path.exists(head):
+            missing.append(head)
+            head = os.path.dirname(head)
+        self.made += reversed(missing)
+        os.makedirs(path, exist_ok=True)
+
+    def open(self, path):
+        """`path` opened for writing; None for None."""
+        if path is None:
+            return None
+        f = self.enter_context(open(path, "w"))
+        self.made.append(path)
+        return f
+
+    def __exit__(self, kind, *rest):
+        super().__exit__(kind, *rest)
+        if kind is not None:
+            for path in reversed(self.made):
+                with contextlib.suppress(OSError):
+                    (os.rmdir if os.path.isdir(path) else os.remove)(path)
+        return False
+
+
 def cmd_parse(args) -> int:
     # a byte that is not UTF-8 reads as U+FFFD, which no token admits
     with open(args.source, encoding="utf-8", errors="replace") as f:
@@ -67,10 +103,11 @@ def cmd_parse(args) -> int:
         for d in diagnostics:
             print(f"invalid pCFG: {d}", file=sys.stderr)
         return EXIT_PRECONDITION
-    pcfg_io.dump_pcfg(p, args.out)
-    if args.emit_dot:
-        with open(args.emit_dot, "w") as f:
-            f.write(pcfg_io.pcfg_to_dot(p))
+    with _Outputs() as out:
+        pf, df = out.open(args.out), out.open(args.emit_dot)
+        pf.write(pcfg_io.json_text(pcfg_io.pcfg_to_json(p)))
+        if df:
+            df.write(pcfg_io.pcfg_to_dot(p))
     _emit({"ok": True, "out": args.out, "variables": p.variables,
            "locations": len(p.locations), "transitions": len(p.transitions)},
           args.json,
@@ -132,13 +169,16 @@ def cmd_synthesize(args) -> int:
         return EXIT_NEGATIVE
 
     cert = result.certificate
-    if args.dump_lp:
-        # the LP whose optimum gave component 1, for external cross-checking;
-        # written first, so that a failing dump leaves no certificate behind
-        os.makedirs(args.dump_lp, exist_ok=True)
-        with open(os.path.join(args.dump_lp, "iteration1.lp"), "w") as f:
-            f.write(dump_lp(result.first_lp))
-    pcfg_io.dump_certificate(cert, p, args.out)
+    with _Outputs() as out:
+        lf = None
+        if args.dump_lp:
+            # the LP whose optimum gave component 1, for external cross-checking
+            out.makedirs(args.dump_lp)
+            lf = out.open(os.path.join(args.dump_lp, "iteration1.lp"))
+        cf = out.open(args.out)
+        if lf:
+            lf.write(dump_lp(result.first_lp))
+        cf.write(pcfg_io.json_text(pcfg_io.certificate_to_json(cert, p)))
     _emit({"outcome": "certificate", "mode": mode, "dimension": cert.dimension,
            "shift": str(cert.shift), "out": args.out, "iterations": iterations},
           args.json,
@@ -173,22 +213,18 @@ def cmd_check(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _write_traces(reports, args):
-    """Pass the runs through, writing a record per run: JSON lines and/or
-    a (run, terminated, steps) CSV."""
-    with contextlib.ExitStack() as files:
-        # a failing open closes the file opened before it
-        jf = files.enter_context(open(args.trace_out, "w")) if args.trace_out else None
-        cf = files.enter_context(open(args.csv, "w")) if args.csv else None
+def _write_traces(reports, jf, cf):
+    """Pass the runs through, writing a record per run: JSON lines to `jf`
+    and/or a (run, terminated, steps) CSV to `cf`."""
+    if cf:
+        cf.write("run,terminated,steps\n")
+    for idx, r in enumerate(reports):
+        if jf:
+            rec = {"run": idx, **r.as_dict()}
+            jf.write(json.dumps(rec) + "\n")
         if cf:
-            cf.write("run,terminated,steps\n")
-        for idx, r in enumerate(reports):
-            if jf:
-                rec = {"run": idx, **r.as_dict()}
-                jf.write(json.dumps(rec) + "\n")
-            if cf:
-                cf.write(f"{idx},{int(r.terminated)},{r.steps}\n")
-            yield r
+            cf.write(f"{idx},{int(r.terminated)},{r.steps}\n")
+        yield r
 
 
 def _parse_init(text: str, variables) -> list:
@@ -230,10 +266,12 @@ def cmd_simulate(args) -> int:
     else:
         raise pcfg_io.FormatError("the adversarial scheduler needs one", "--certificate")
     runs = trajectories(p, init, sched, args.cap, args.seed, range(args.runs))
-    if args.trace_out or args.csv:
-        # one pass: the estimate is built from the traced runs
-        runs = _write_traces(runs, args)
-    est = TerminationEstimate.of(runs)
+    with _Outputs() as out:
+        jf, cf = out.open(args.trace_out), out.open(args.csv)
+        if jf or cf:
+            # one pass: the estimate is built from the traced runs
+            runs = _write_traces(runs, jf, cf)
+        est = TerminationEstimate.of(runs)
     doc = est.as_dict()
     doc["scheduler"] = args.scheduler
     doc["seed"] = args.seed

@@ -62,10 +62,14 @@ def _read_json(path: str):
             raise FormatError(f"not valid JSON: {e}")
 
 
+def json_text(doc) -> str:
+    """`doc` as the text of a JSON file: indented by two, ending in a newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _write_json(doc, path: str) -> None:
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+        f.write(json_text(doc))
 
 
 # -- linear expressions ------------------------------------------------------

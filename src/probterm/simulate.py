@@ -26,7 +26,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from .checker import Stuck, state_level
 from .linear import LinExpr, Predicate, Rel
 from .model import (Certificate, ExprUpdate, Invariant, NondetUpdate, PCFG,
                     ProbBranch, Transition)
@@ -35,7 +34,6 @@ from .preexp import max_pre, nondet_endpoint
 ZERO = Fraction(0)
 
 DEFAULT_ESTIMATE_CAP = 10 ** 6
-DEFAULT_AUDIT_CAP = 10 ** 4
 
 
 def run_rng(seed: int, run_index: int):
@@ -533,92 +531,3 @@ def audit_invariant(p: PCFG, inv: Invariant,
             if not inv.at(loc).satisfied(values):
                 out.append(InvariantViolation(run, step, loc, list(values)))
     return out
-
-
-@dataclass
-class DynamicsFlag:
-    run: int
-    step: int
-    kind: str          # "nonneg" | "decrease"
-    component: int
-    detail: str
-
-    def as_dict(self) -> dict:
-        return {"run": self.run, "step": self.step, "kind": self.kind,
-                "component": self.component, "detail": self.detail}
-
-
-@dataclass
-class DynamicsAudit:
-    flags: List[DynamicsFlag]
-    audited_steps: int
-
-    @property
-    def clean(self) -> bool:
-        return not self.flags
-
-
-def audit_certificate_dynamics(p: PCFG, inv: Invariant, cert: Certificate,
-                               trajectories: Sequence[TrajectoryReport],
-                               seed: int = 0, resamples: int = 200,
-                               max_steps_per_run: int = 100,
-                               sigma_tolerance: float = 5.0) -> DynamicsAudit:
-    """Empirical cross-examination of an accepted certificate.
-
-    At each audited step: the components up to the state's level must be
-    nonnegative pointwise (exact check), and the component ranking the
-    taken transition must decrease by one in conditional expectation,
-    estimated by resampling successors. Deterministic transitions are
-    checked exactly; stochastic ones are flagged only beyond
-    `sigma_tolerance` standard errors. Demonic values are resampled
-    uniformly, matching the default scheduler.
-    """
-    flags: List[DynamicsFlag] = []
-    audited = 0
-    sched = UniformRandom()
-    program = Program(p)
-    for run, traj in enumerate(trajectories):
-        if traj.states is None:
-            raise ValueError("trajectory was recorded without states")
-        rng = run_rng(seed, run)
-        limit = min(len(traj.taken), max_steps_per_run)
-        for step in range(limit):
-            loc, values = traj.states[step]
-            audited += 1
-            try:
-                level = state_level(p, cert, loc, values)
-            except Stuck:
-                continue
-            for j in range(1, level + 1):
-                v = cert.lem.at(loc, j).evaluate(values)
-                if v < 0:
-                    flags.append(DynamicsFlag(run, step, "nonneg", j,
-                                              f"component {j} = {v} at {loc}"))
-            edge = program.edges[traj.taken[step]]
-            t = edge.transition
-            j = cert.levels[t.id]
-            if j == 0:
-                continue
-            eta = {l: vec[j - 1] for l, vec in cert.lem.components.items()}
-            here = eta[loc].evaluate(values)
-            stochastic = t.is_pb or (isinstance(t.kind.update, ExprUpdate)
-                                     and t.kind.update.sample is not None) \
-                or isinstance(t.kind.update, NondetUpdate)
-            k = resamples if stochastic else 1
-            samples = []
-            for _ in range(k):
-                dest, vals2, _ = edge.fire(values, sched, rng)
-                samples.append(eta[dest].evaluate(vals2))
-            mean = sum(samples, ZERO) / len(samples)
-            if stochastic and len(samples) > 1:
-                fm = float(mean)
-                var = sum((float(s) - fm) ** 2 for s in samples) / (len(samples) - 1)
-                se = math.sqrt(var / len(samples))
-            else:
-                se = 0.0
-            if float(mean) > float(here - 1) + sigma_tolerance * se:
-                flags.append(DynamicsFlag(
-                    run, step, "decrease", j,
-                    f"mean {float(mean):.4f} vs bound {float(here - 1):.4f} "
-                    f"(se {se:.4f}) across {t.id}"))
-    return DynamicsAudit(flags, audited)

@@ -171,16 +171,16 @@ def test_criterion_9_mutation_suite(fig1a, fig1b):
     with Criterion(9, "curated certificate mutations give expected verdicts", 10.0):
         assert len(E3_MUTATIONS) + len(E4_MUTATIONS) >= 10
         p, inv = fig1b
-        for loc, comp, var, delta, accepted in E3_MUTATIONS:
+        for loc, comp, var, delta, violated in E3_MUTATIONS:
             idx = p.var_index(var) if var else None
             cert = perturbed(example3_certificate(p), loc, comp, idx, delta)
-            assert check_certificate(p, inv, cert).accepted == accepted, \
+            assert check_certificate(p, inv, cert).accepted == (not violated), \
                 (loc, comp, var, delta)
         pa, inva = fig1a
-        for loc, comp, var, delta, accepted in E4_MUTATIONS:
+        for loc, comp, var, delta, violated in E4_MUTATIONS:
             idx = pa.var_index(var) if var else None
             cert = perturbed(example4_certificate(pa), loc, comp, idx, delta)
-            assert check_certificate(pa, inva, cert).accepted == accepted, \
+            assert check_certificate(pa, inva, cert).accepted == (not violated), \
                 (loc, comp, var, delta)
 
 

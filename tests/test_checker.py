@@ -1,13 +1,11 @@
-"""Independent verification: published maps, mutations, level queries."""
+"""Independent verification: published maps, named mutations, structure."""
 
-import random
 from fractions import Fraction as F
 
 import pytest
 
 from probterm import (Certificate, CertificateMode, Invariant, LinExprMap,
-                      PCFG, StructuralMismatch, Stuck, check_certificate,
-                      state_level)
+                      PCFG, StructuralMismatch, check_certificate)
 
 from conftest import (example3_certificate, example4_certificate, load_fixture,
                       perturbed)
@@ -51,42 +49,73 @@ def test_counterexample_point_violates():
 
 # -- curated single-coefficient mutations with hand-derived verdicts -----------------
 
+# Each row is (loc, component, var (None = const), delta, violated): the
+# mutant adds delta to one coefficient of the published map, and `violated`
+# is the exact set of (transition, condition, component) the checker
+# rejects it for; an empty set means the mutant is accepted.
+
 E3_MUTATIONS = [
-    # (loc, component, var(None=const), delta, accepted)
-    ("l1", 2, None, -2, False),   # decrease across l1->l0 fails
-    ("l1", 2, None, +1, True),    # x+9 keeps slack everywhere
-    ("l0", 1, None, -1, False),   # exit no longer 1-ranked by component 1
-    ("l0", 3, None, -8, False),   # y-1 negative at y=0 on the self-loop
-    ("out", 3, None, +63, True),  # terminal entries of high components are idle
-    ("l0", 2, "y", +1, False),    # expected value after l1->l0 dips below 0
-    ("l0", 2, "x", -1, False),    # breaks unaffectedness into l0 at level 2
+    # x+6 at l1: negative on the invariant, and no decrease across l1->l0
+    ("l1", 2, None, -2, {("t3", "decrease", 2), ("t3", "nonneg", 2)}),
+    # x+9 keeps slack everywhere
+    ("l1", 2, None, +1, set()),
+    # the exit is no longer 1-ranked, and l0->l1 raises component 1
+    ("l0", 1, None, -1, {("t0", "decrease", 1), ("t2", "unaffected", 1)}),
+    # y-1 is negative at y=0 on the self-loop
+    ("l0", 3, None, -8, {("t1", "nonneg", 3), ("t1", "expected-nonneg", 3)}),
+    # terminal entries of high components are idle
+    ("out", 3, None, +63, set()),
+    # x+y+7 at l0 can be negative, and after l1->l0 dips below 0 in expectation
+    ("l0", 2, "y", +1, {("t2", "decrease", 2), ("t2", "nonneg", 2),
+                        ("t3", "decrease", 2), ("t3", "expected-nonneg", 2)}),
+    # 7 at l0: component 2 no longer decreases across l0->l1 or l1->l0
+    ("l0", 2, "x", -1, {("t2", "decrease", 2), ("t3", "decrease", 2)}),
 ]
 
 E4_MUTATIONS = [
-    ("l1", 2, "x", +1, False),    # zero-coefficient discipline at l1 broken
-    ("l1", 3, None, -1, False),   # expected one-step value of x across loop < 0
-    ("l0", 2, None, -1, False),   # l0->l1 entry loses its unit decrease
-    ("l0", 2, "y", +1, False),    # l1->l0 return increases component 2
-    ("out", 1, None, +1, False),  # exit transition no longer decreases
+    # the zero-coefficient discipline at l1 is broken
+    ("l1", 2, "x", +1, {("t1", "decrease", 2), ("t2", "sampling-coeff-zero", 2),
+                        ("t3", "decrease", 2), ("t3", "nonneg", 2)}),
+    # the expected one-step value of the loop's component 3 is below 0
+    ("l1", 3, None, -1, {("t2", "expected-nonneg", 3)}),
+    # the l0->l1 entry loses its unit decrease
+    ("l0", 2, None, -1, {("t1", "decrease", 2), ("t3", "expected-nonneg", 2)}),
+    # the l1->l0 return increases component 2
+    ("l0", 2, "y", +1, {("t3", "decrease", 2), ("t3", "expected-nonneg", 2)}),
+    # the exit transition no longer decreases
+    ("out", 1, None, +1, {("t0", "decrease", 1)}),
 ]
 
 
-@pytest.mark.parametrize("loc,comp,var,delta,accepted", E3_MUTATIONS)
-def test_mutation_suite_bounded(fig1b, loc, comp, var, delta, accepted):
+def violated_conditions(report) -> set:
+    return {(v.transition, v.condition, v.component) for v in report.violations}
+
+
+def mutation_ids(rows) -> list:
+    """loc-component-var-delta-accepted, one id per row."""
+    return ["-".join(map(str, row[:4] + (not row[4],))) for row in rows]
+
+
+@pytest.mark.parametrize("loc,comp,var,delta,violated", E3_MUTATIONS,
+                         ids=mutation_ids(E3_MUTATIONS))
+def test_mutation_suite_bounded(fig1b, loc, comp, var, delta, violated):
     p, inv = fig1b
     base = example3_certificate(p)
     idx = p.var_index(var) if var else None
-    cert = perturbed(base, loc, comp, idx, delta)
-    assert check_certificate(p, inv, cert).accepted == accepted
+    report = check_certificate(p, inv, perturbed(base, loc, comp, idx, delta))
+    assert report.accepted == (not violated)
+    assert violated_conditions(report) == violated
 
 
-@pytest.mark.parametrize("loc,comp,var,delta,accepted", E4_MUTATIONS)
-def test_mutation_suite_general(fig1a, loc, comp, var, delta, accepted):
+@pytest.mark.parametrize("loc,comp,var,delta,violated", E4_MUTATIONS,
+                         ids=mutation_ids(E4_MUTATIONS))
+def test_mutation_suite_general(fig1a, loc, comp, var, delta, violated):
     p, inv = fig1a
     base = example4_certificate(p)
     idx = p.var_index(var) if var else None
-    cert = perturbed(base, loc, comp, idx, delta)
-    assert check_certificate(p, inv, cert).accepted == accepted
+    report = check_certificate(p, inv, perturbed(base, loc, comp, idx, delta))
+    assert report.accepted == (not violated)
+    assert violated_conditions(report) == violated
 
 
 def test_check_solves_one_lp_per_holding_condition(monkeypatch):
@@ -220,45 +249,6 @@ def test_verdict_independent_of_disjunct_order(fig1b):
     p2 = PCFG(p.variables, p.locations, p.init_location, p.terminal_location, ts)
     report2 = check_certificate(p2, flipped, example3_certificate(p))
     assert report1.accepted == report2.accepted
-
-
-# -- state levels ------------------------------------------------------------------------
-
-
-def test_state_level_terminal_is_zero(fig1b):
-    p, _ = fig1b
-    assert state_level(p, example3_certificate(p), "out", [F(0), F(0)]) == 0
-
-
-def test_state_level_picks_largest_enabled(fig1b):
-    p, _ = fig1b
-    cert = example3_certificate(p)
-    # (x=1, y=1): the if-branch self-loop (level 3) is enabled
-    assert state_level(p, cert, "l0", [F(1), F(1)]) == 3
-    # (x=-1, y=0): only the exit (level 1) is enabled
-    assert state_level(p, cert, "l0", [F(-1), F(0)]) == 1
-    # (x=1, y=-1): only l0 -> l1 (level 2)
-    assert state_level(p, cert, "l0", [F(1), F(-1)]) == 2
-
-
-def test_state_level_stuck():
-    p, _ = load_fixture("countdown")
-    res_levels = {t.id: 1 for t in p.transitions}
-    cert = Certificate(LinExprMap(1, {loc: [__import__("probterm").LinExpr({}, F(1))]
-                                      for loc in p.locations}),
-                       res_levels, F(0), CertificateMode.BSP_COMPLETE)
-    # no transition of the countdown loop is enabled at... none: guards are
-    # total here, so build a stuck state via an out-of-guard hand pCFG
-    from probterm import (GuardedStep, LinConstraint, LinExpr, NoUpdate,
-                          Polyhedron, Predicate, Transition)
-    guard = Predicate([Polyhedron([LinConstraint.le(LinExpr({0: -1}, F(1)))])])  # x >= 1
-    p2 = PCFG(["x"], ["a", "out"], "a", "out",
-              [Transition("t0", "a", GuardedStep("out", guard, NoUpdate()))])
-    cert2 = Certificate(LinExprMap(1, {"a": [LinExpr({}, F(1))],
-                                       "out": [LinExpr({}, F(0))]}),
-                        {"t0": 1}, F(0), CertificateMode.BSP_COMPLETE)
-    with pytest.raises(Stuck):
-        state_level(p2, cert2, "a", [F(0)])
 
 
 def test_synthesized_certificates_all_pass_checker():

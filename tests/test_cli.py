@@ -414,6 +414,14 @@ MALFORMED = {
     "unwritable-csv": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                      "--trace-out", str(d / "t.jsonl"),
                                      "--csv", str(d / "no" / "t.csv")]),
+    "unwritable-emit-dot": (3, lambda d: ["parse", fixture_path("fig1b.prob"),
+                                          "-o", str(d / "p.json"),
+                                          "--emit-dot", str(d / "no" / "p.dot")]),
+    "unwritable-out-after-dump-lp": (3, lambda d: ["synthesize", FIG2RIGHT, "-i", FIG1B_INV,
+                                                   "-o", str(d / "no" / "c.json"),
+                                                   "--dump-lp", str(d / "lps" / "new")]),
+    "dump-lp-names-a-file": (3, lambda d: ["synthesize", FIG2RIGHT, "-i", FIG1B_INV,
+                                           "-o", str(d / "c.json"), "--dump-lp", EXAMPLE3]),
     "non-utf8-json": (3, lambda d: ["check", _latin1(d), EXAMPLE3]),
     "unif-lo-above-hi": (2, lambda d: _source(d, "x := sample(unif(3, 1))")),
     "bern-above-1": (2, lambda d: _source(d, "x := x + sample(bern(2))")),
@@ -436,10 +444,14 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exit_code(case, tmp_path, capsys):
     code, argv = MALFORMED[case]
+    argv = argv(tmp_path)
+    inputs = set(tmp_path.rglob("*"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert cli.main(argv(tmp_path)) == code
+        assert cli.main(argv) == code
         gc.collect()
+    # a command that fails leaves none of its outputs: no file or directory
+    assert set(tmp_path.rglob("*")) == inputs
     out, err = capsys.readouterr()
     if code == 3:
         # one line, no traceback
@@ -448,16 +460,6 @@ def test_malformed_input_exit_code(case, tmp_path, capsys):
         assert out.startswith("syntax error:")
     # every file the command opened was closed
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
-
-
-def test_synthesize_failing_dump_lp_writes_no_certificate(tmp_path, capsys):
-    # the LP dump is written before the certificate, so an input failure
-    # leaves no certificate behind
-    out = tmp_path / "c.json"
-    assert cli.main(["synthesize", FIG2RIGHT, "-i", FIG1B_INV, "-o", str(out),
-                     "--dump-lp", EXAMPLE3]) == 3
-    assert capsys.readouterr().err.startswith("error:")
-    assert not out.exists()
 
 
 def _mutant(doc, rng):

@@ -1,7 +1,7 @@
 """Source hygiene: every module compiles without a warning, imports at its
 top and uses every name it imports, keeps no memo across calls, runs in
 one process that no environment variable configures, and defines no
-function that nothing names."""
+function or class that nothing names."""
 
 import ast
 import pathlib
@@ -134,11 +134,11 @@ def test_process_knobs_are_detected():
     assert _process_knobs(tree) == [1, 2, 3, 4, 7, 8]
 
 
-def _defined_functions(tree: ast.Module) -> dict:
-    """Name to line of every function and method, dunders excluded: the
-    language calls those itself."""
+def _definitions(tree: ast.Module) -> dict:
+    """Name to line of every function, method and class, dunders excluded:
+    the language calls those itself."""
     return {node.name: node.lineno for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and not (node.name.startswith("__") and node.name.endswith("__"))}
 
 
@@ -149,14 +149,15 @@ def _names_used(tree: ast.Module) -> set:
 
 
 def test_every_function_is_referenced():
-    # a function that no source, test or bench file names is dead code
+    # a function or class that no source, test or bench file names is dead
+    # code, a record that nothing builds or reads included
     used = set()
     for part in ("src", "tests", "bench"):
         for path in (ROOT / part).rglob("*.py"):
             used |= _names_used(ast.parse(path.read_text()))
     dead = [f"{path.name}:{line} {name}"
             for path in sorted((ROOT / "src").rglob("*.py"))
-            for name, line in _defined_functions(ast.parse(path.read_text())).items()
+            for name, line in _definitions(ast.parse(path.read_text())).items()
             if name not in used]
     assert dead == []
 
@@ -164,5 +165,6 @@ def test_every_function_is_referenced():
 def test_unreferenced_function_is_detected():
     tree = ast.parse("class C:\n    def used(self): pass\n    def dead(self): pass\n"
                      "    def __len__(self): return 0\n"
+                     "class Record:\n    run: int\n"
                      "def f():\n    return C().used()\nf()\n")
-    assert set(_defined_functions(tree)) - _names_used(tree) == {"dead"}
+    assert set(_definitions(tree)) - _names_used(tree) == {"dead", "Record"}
