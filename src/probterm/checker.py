@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .farkas import entails
-from .linear import LinConstraint, LinExpr, Polyhedron, Predicate, negate_guards_to_dnf
+from .linear import LinExpr, Polyhedron, Predicate, negate_guards_to_dnf
 from .model import (Certificate, CertificateMode, Invariant, PCFG, check_bsp,
                     check_linpp_star)
 from .preexp import max_pre, min_pre, pre_pb_restricted
@@ -142,10 +142,6 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
                                           "ok" if ok else "violated",
                                           None if ok else names(witness)))
 
-    def entailed(ante: Polyhedron, nonneg_expr: LinExpr):
-        """nonneg_expr >= 0 on ante?"""
-        return entails(ante, LinConstraint.le(-nonneg_expr))
-
     if c.mode is CertificateMode.BSP_COMPLETE:
         bounded, _ = check_bsp(p)
         record("*", "program-shape", 0, bounded)
@@ -170,20 +166,20 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
         here_j = eta_j[t.source]
         pre_j = max_pre(eta_j, t)
         for ante in antecedents:
-            ok, w = entailed(ante, here_j - pre_j - LinExpr.const(1))
+            ok, w = entails(ante, here_j - pre_j - LinExpr.const(1))
             record(t.id, "decrease", j, ok, w)
             for jp in range(1, j):
                 eta = _component_map(c, jp)
-                ok, w = entailed(ante, eta[t.source] - max_pre(eta, t))
+                ok, w = entails(ante, eta[t.source] - max_pre(eta, t))
                 record(t.id, "unaffected", jp, ok, w)
             for jp in range(1, j + 1):
                 eta = _component_map(c, jp)
-                ok, w = entailed(ante, eta[t.source])
+                ok, w = entails(ante, eta[t.source])
                 record(t.id, "nonneg", jp, ok, w)
             if not t.is_pb:
                 for jp in range(1, j + 1):
                     eta = _component_map(c, jp)
-                    ok, w = entailed(ante, min_pre(eta, t))
+                    ok, w = entails(ante, min_pre(eta, t))
                     record(t.id, "expected-nonneg", jp, ok, w)
         if t.is_pb:
             k = t.kind
@@ -194,7 +190,7 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
                 for ctx, expr in pre_pb_restricted(eta, t, in_set):
                     for ante in antecedents:
                         for disj in ctx.disjuncts:
-                            ok, w = entailed(ante.conjoin(disj), expr)
+                            ok, w = entails(ante.conjoin(disj), expr)
                             record(t.id, "expected-nonneg", jp, ok, w)
         if c.mode is CertificateMode.GENERAL_SOUND and t.samples_unbounded():
             target = t.kind.dest

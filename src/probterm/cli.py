@@ -244,6 +244,8 @@ def cmd_simulate(args) -> int:
         raise pcfg_io.FormatError("must be at least 1", "--runs")
     if args.seed < 0:
         raise pcfg_io.FormatError("must not be negative", "--seed")
+    if args.cap < 1:
+        raise pcfg_io.FormatError("must be at least 1", "--cap")
     if args.counterexample_builtin:
         rep = counterexample_process(args.seed, args.runs)
         doc = rep.as_dict()

@@ -1,23 +1,22 @@
 """Farkas-lemma encoding and polyhedral queries.
 
-The duality step at the heart of template synthesis: a universally
-quantified implication
-
-    for all x:  A x <= b   implies   c(x) >= d
-
-(with c, d affine in the template unknowns) holds, whenever the
-antecedent is satisfiable, exactly when nonnegative multipliers lam exist
-with  lam^T A = -c  and  lam^T b <= -d.  Strict inequalities follow the
-standard protocol: if the antecedent is infeasible with stricts honored
-the implication is vacuous and dropped, otherwise stricts are relaxed to
-non-strict before encoding.
+Every side condition takes one form: an antecedent polyhedron implies
+e >= 0 for a linear expression e. Synthesis discharges it by duality:
+with the antecedent as  A x <= b  and the consequent as  c(x) + d >= 0
+(c, d affine in the template unknowns), the implication holds, whenever
+the antecedent is satisfiable, exactly when nonnegative multipliers lam
+exist with  lam^T A = -c  and  lam^T b <= d.  Strict inequalities follow
+the standard protocol: if the antecedent is infeasible with stricts
+honored the implication is vacuous and dropped, otherwise its stricts
+read as non-strict, since the encoder uses only each row's left-hand
+side.
 
 The polyhedral queries are exact too. `check_feasible`, synthesis's
 screen, honors strict rows through one shared slack. `entails`, the
-checker's oracle, maximizes the consequent over the relaxed antecedent,
-one LP per inequality; only an inequality that this maximum does not
-settle gets a second LP, the feasibility query for a violating point,
-which decides it and gives the counterexample.
+checker's oracle, maximizes -e over the relaxed antecedent; only when
+that maximum does not settle the question does a second LP, the
+feasibility query for a point where e < 0, decide it and give the
+counterexample.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ from .simplex import LPStatus, RowRel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class StrictNotRelaxed(Exception):
-    """A strict inequality reached the Farkas encoder unrelaxed."""
 
 
 class PivotCapReached(ResourceLimit):
@@ -214,73 +209,45 @@ def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     return True, {i: res.x[i] for i in range(nvars)}
 
 
-def entails(p: Polyhedron, c: LinConstraint) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
-    """Does every rational point of `p` satisfy `c`?
+def entails(p: Polyhedron, e: LinExpr) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
+    """Does `e >= 0` hold on every rational point of `p`?
 
-    Each half of `c` (equalities as two inequalities) is decided by
-    maximizing its left-hand side over the non-strict relaxation of `p`,
-    which has the supremum of `p` whenever `p` is nonempty: an empty
-    relaxation, or a maximum of at most 0, means the half holds. Otherwise
-    the witness system, `p` with the half's left-hand side positive,
-    decides it exactly. It is infeasible only when the strict rows of `p`
-    empty it, and its point, which satisfies the strict rows of `p` too,
-    is the counterexample. Raises PivotCapReached when an LP hits the pivot
-    cap.
+    Maximizes -e over the non-strict relaxation of `p`, which has the
+    supremum of `p` whenever `p` is nonempty: an empty relaxation, or a
+    maximum of at most 0, means it holds. Otherwise the witness system,
+    `p` with `e < 0`, decides it exactly. It is infeasible only when the
+    strict rows of `p` empty it, and its point, which satisfies the strict
+    rows of `p` too, is the counterexample. Raises PivotCapReached when an
+    LP hits the pivot cap.
     """
-    if c.rel is Rel.LT:
-        raise ValueError("entailment of strict consequents is not supported")
     relaxed = p.relax_strict()
-    rows = _poly_rows(relaxed)
-    nvars = max((i for q in (relaxed.constraints + [c]) for i in q.lhs.coeffs),
-                default=-1) + 1
-    for half in c.split_eq():
-        res = _solve_query(nvars, [False] * nvars, rows, dict(half.lhs.coeffs))
-        if res.status is LPStatus.INFEASIBLE or (
-                res.status is LPStatus.OPTIMAL and res.value + half.lhs.constant <= 0):
-            continue
-        # violated where the half's left-hand side is positive
-        witness_sys = Polyhedron(p.constraints + [LinConstraint.lt(-half.lhs)])
-        violated, w = check_feasible(witness_sys)
-        if violated:
-            return False, w
-    return True, None
+    neg = -e
+    indices = [i for q in relaxed.constraints for i in q.lhs.coeffs]
+    nvars = max(indices + list(neg.coeffs), default=-1) + 1
+    res = _solve_query(nvars, [False] * nvars, _poly_rows(relaxed), dict(neg.coeffs))
+    if res.status is LPStatus.INFEASIBLE or (
+            res.status is LPStatus.OPTIMAL and res.value + neg.constant <= 0):
+        return True, None
+    violated, w = check_feasible(Polyhedron(p.constraints + [LinConstraint.lt(e)]))
+    return (False, w) if violated else (True, None)
 
 
 # -- the implication encoder ------------------------------------------------
 
 
-@dataclass
-class FarkasImplication:
-    """`antecedent` (concrete rationals, possibly over fresh universal
-    variables) implies `consequent(x) >= 0`, with the consequent given as
-    per-variable affine forms over the template unknowns."""
-    antecedent: Polyhedron
-    consequent_coeffs: Dict[int, Affine]
-    consequent_const: Affine
+def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
+                       lp: LPProblem, tag: str = "lam") -> List[str]:
+    """Emit into `lp` the multiplier system for "`antecedent` implies
+    `consequent` >= 0"; returns the fresh multiplier names.
 
-    @staticmethod
-    def concrete(antecedent: Polyhedron, e: LinExpr) -> "FarkasImplication":
-        """Implication with a fully concrete consequent e(x) >= 0."""
-        return FarkasImplication(
-            antecedent,
-            {i: Affine.constant(v) for i, v in e.coeffs.items()},
-            Affine.constant(e.constant))
-
-
-def encode_implication(f: FarkasImplication, lp: LPProblem,
-                       tag: str = "lam") -> List[str]:
-    """Emit the multiplier system for `f` into `lp`; returns the fresh
-    multiplier names.
-
-    Precondition: the antecedent passed `check_feasible` and contains no
-    strict rows (callers relax after the feasibility screen).
+    The antecedent holds concrete rationals, possibly over fresh universal
+    variables, and has passed `check_feasible`; a strict row reads as its
+    relaxation. The consequent's coefficients and constant are `Affine`
+    forms over the template unknowns.
     """
-    if f.antecedent.has_strict():
-        raise StrictNotRelaxed(f.antecedent.pretty())
-
     # antecedent rows as A x <= b (equalities split)
     a_rows: List[Tuple[Dict[int, Fraction], Fraction]] = []
-    for cons in f.antecedent.constraints:
+    for cons in antecedent.constraints:
         for half in cons.split_eq():
             a_rows.append((half.lhs.coeffs, -half.lhs.constant))
 
@@ -288,7 +255,7 @@ def encode_implication(f: FarkasImplication, lp: LPProblem,
 
     # each row's terms are collected once: the consequent's, then one per
     # multiplier in row order
-    columns: Dict[int, List[Tuple[str, Fraction]]] = {i: [] for i in f.consequent_coeffs}
+    columns: Dict[int, List[Tuple[str, Fraction]]] = {i: [] for i in consequent.coeffs}
     for lam, (coeffs, _) in zip(lams, a_rows):
         for i, a in coeffs.items():
             columns.setdefault(i, []).append((lam, a))
@@ -300,11 +267,10 @@ def encode_implication(f: FarkasImplication, lp: LPProblem,
 
     # lam^T A = -c, per program variable
     for i in sorted(columns):
-        lp.add_constraint(row(f.consequent_coeffs.get(i), columns[i]), RowRel.EQ)
+        lp.add_constraint(row(consequent.coeffs.get(i), columns[i]), RowRel.EQ)
 
-    # lam^T b <= -d, where the consequent reads c^T x - (-const) >= 0;
-    # emitted as  const - lam^T b >= 0
-    lp.add_constraint(row(f.consequent_const,
+    # lam^T b <= d, emitted as  d - lam^T b >= 0
+    lp.add_constraint(row(consequent.constant,
                           ((lam, -b) for lam, (_, b) in zip(lams, a_rows) if b != 0)),
                       RowRel.GE)
     return lams

@@ -17,7 +17,7 @@ from .linear import LinConstraint, LinExpr, Polyhedron, Predicate, Rel
 from .model import (Certificate, CertificateMode, ExprUpdate, GuardedStep,
                     Invariant, LinExprMap, NoUpdate, NondetUpdate, PCFG,
                     ProbBranch, Transition)
-from .rationals import format_bound, format_rational, parse_bound, rat
+from .rationals import format_bound, parse_bound, rat
 from .source import parse_constraint_strings
 
 
@@ -76,8 +76,8 @@ def _write_json(doc, path: str) -> None:
 
 
 def linexpr_to_json(e: LinExpr, variables: List[str]) -> Dict[str, str]:
-    out = {variables[i]: format_rational(c) for i, c in sorted(e.coeffs.items())}
-    out["const"] = format_rational(e.constant)
+    out = {variables[i]: str(c) for i, c in sorted(e.coeffs.items())}
+    out["const"] = str(e.constant)
     return out
 
 
@@ -136,20 +136,20 @@ def predicate_from_json(obj, variables, path) -> Predicate:
 def dist_to_json(d: DistributionSpec):
     params: Dict[str, object] = {}
     if d.kind is DistKind.NORMAL:
-        params = {"mean": format_rational(d.param("mean")),
-                  "stddev": format_rational(d.param("stddev"))}
+        params = {"mean": str(d.param("mean")),
+                  "stddev": str(d.param("stddev"))}
     elif d.kind is DistKind.UNIFORM:
-        params = {"lo": format_rational(d.param("lo")),
-                  "hi": format_rational(d.param("hi"))}
+        params = {"lo": str(d.param("lo")),
+                  "hi": str(d.param("hi"))}
     elif d.kind is DistKind.BERNOULLI:
-        params = {"p": format_rational(d.param("p"))}
+        params = {"p": str(d.param("p"))}
     elif d.kind is DistKind.DISCRETE:
-        params = {"values": [[format_rational(v), format_rational(p)]
+        params = {"values": [[str(v), str(p)]
                              for v, p in d.param("values")]}
     else:
         params = {"sampler": d.param("sampler")}
     return {"kind": d.kind.value, "params": params,
-            "mean": format_rational(d.mean),
+            "mean": str(d.mean),
             "support": [format_bound(d.support_lo, lower=True),
                         format_bound(d.support_hi, lower=False)]}
 
@@ -181,7 +181,7 @@ def dist_from_json(obj, path) -> DistributionSpec:
     # declared mean/support, when present, must agree with the analytic ones
     if "mean" in obj and _rat(obj["mean"], f"{path}.mean") != d.mean:
         raise FormatError(f"declared mean {obj['mean']} differs from analytic mean "
-                          f"{format_rational(d.mean)}", f"{path}.mean")
+                          f"{d.mean}", f"{path}.mean")
     if "support" in obj and kind != "custom":
         if _support(obj, path) != (d.support_lo, d.support_hi):
             raise FormatError("declared support differs from analytic support",
@@ -200,10 +200,10 @@ def update_to_json(u, variables):
                "base": linexpr_to_json(u.base, variables)}
         if u.sample is not None:
             coeff, dist = u.sample
-            out["sample"] = {"coeff": format_rational(coeff), "dist": dist_to_json(dist)}
+            out["sample"] = {"coeff": str(coeff), "dist": dist_to_json(dist)}
         return out
     return {"kind": "ndet", "target": variables[u.target],
-            "lo": format_rational(u.lo), "hi": format_rational(u.hi)}
+            "lo": str(u.lo), "hi": str(u.hi)}
 
 
 def update_from_json(obj, variables, path):
@@ -235,8 +235,8 @@ def pcfg_to_json(p: PCFG) -> dict:
         if isinstance(t.kind, ProbBranch):
             k = t.kind
             transitions.append({"id": t.id, "source": t.source, "kind": "pb",
-                                "dest1": k.dest1, "p1": format_rational(k.p1),
-                                "dest2": k.dest2, "p2": format_rational(k.p2)})
+                                "dest1": k.dest1, "p1": str(k.p1),
+                                "dest2": k.dest2, "p2": str(k.p2)})
         else:
             k = t.kind
             transitions.append({"id": t.id, "source": t.source, "kind": "npb",
@@ -316,7 +316,7 @@ def certificate_to_json(c: Certificate, p: PCFG) -> dict:
         "components": {loc: [linexpr_to_json(e, p.variables) for e in vec]
                        for loc, vec in c.lem.components.items()},
         "levels": {tid: lvl for tid, lvl in sorted(c.levels.items())},
-        "shift": format_rational(c.shift),
+        "shift": str(c.shift),
         "mode": c.mode.value,
     }
 

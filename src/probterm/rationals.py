@@ -5,7 +5,8 @@ always in lowest terms, denominator positive, arbitrary precision. Floats
 are admitted only at the boundary (sampled values in the simulator) and are
 converted exactly via `Fraction(float)`.
 
-Interchange encoding is the string ``"p/q"`` (or ``"p"`` for integers);
+Interchange encoding is ``str`` of the Fraction, ``"p/q"`` (or ``"p"`` for
+integers);
 the pseudo-values ``"-inf"``/``"inf"`` stand for unbounded interval ends
 and are represented in memory as ``None``.
 """
@@ -29,12 +30,6 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"not a rational: {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def parse_bound(text: RationalLike) -> Optional[Fraction]:
     """Parse an interval endpoint; ``"-inf"``/``"inf"`` map to None, and
     anything else is coerced by `rat`."""
@@ -47,4 +42,4 @@ def parse_bound(text: RationalLike) -> Optional[Fraction]:
 def format_bound(value: Optional[Fraction], *, lower: bool) -> str:
     if value is None:
         return "-inf" if lower else "inf"
-    return format_rational(value)
+    return str(value)

@@ -455,12 +455,21 @@ documented one-dimensional counterexample process ever takes its
 down-step (equivalently, that it stops). Computed independently by
 series summation; the classical coarse bound is 1/2."""
 
+ANALYTIC_HORIZON = 200
+"""Factors in `counterexample_analytic`'s partial product."""
 
-def counterexample_analytic(horizon: int = 200) -> Fraction:
+CEX_HORIZON = 60
+"""Steps after which `counterexample_process` truncates a run."""
+
+CEX_CHUNK = 100_000
+"""Runs that `counterexample_process` draws per batch of uniforms."""
+
+
+def counterexample_analytic() -> Fraction:
     """Partial-product value of the stopping probability; the tail beyond
-    `horizon` contributes less than 2**-(horizon-1)."""
+    `ANALYTIC_HORIZON` factors contributes less than 2**-(ANALYTIC_HORIZON-1)."""
     prod = Fraction(1)
-    for t in range(horizon):
+    for t in range(ANALYTIC_HORIZON):
         prod *= 1 - Fraction(1, 4) / 2 ** t
     return 1 - prod
 
@@ -478,29 +487,28 @@ class CounterexampleReport:
                 "horizon": self.horizon, "residual_bound": self.residual_bound}
 
 
-def counterexample_process(seed: int, runs: int, horizon: int = 60,
-                           chunk: int = 100_000) -> CounterexampleReport:
+def counterexample_process(seed: int, runs: int) -> CounterexampleReport:
     """Simulate the process that starts at 1, and while nonnegative at
     step t jumps down by 2/p_t with probability p_t = 2**-t/4, else up by
     1/(1-p_t). A down-step lands strictly below 0 (the climb is at most
     linear while the drop is exponential), so the process stops iff a
-    down-step ever fires; runs are truncated at `horizon` steps, which
-    leaves under sum_{t>horizon} p_t < 2**-(horizon+1) residual
-    probability unaccounted.
+    down-step ever fires; runs are truncated at `CEX_HORIZON` steps,
+    which leaves under sum_{t>CEX_HORIZON} p_t < 2**-(CEX_HORIZON+1)
+    residual probability unaccounted.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     rng = np.random.default_rng(seed)
-    p_t = 0.25 * np.power(2.0, -np.arange(horizon + 1, dtype=np.float64))
+    p_t = 0.25 * np.power(2.0, -np.arange(CEX_HORIZON + 1, dtype=np.float64))
     stopped = 0
     remaining = runs
     while remaining > 0:
-        n = min(chunk, remaining)
-        u = rng.random((n, horizon + 1))
+        n = min(CEX_CHUNK, remaining)
+        u = rng.random((n, CEX_HORIZON + 1))
         stopped += int((u < p_t).any(axis=1).sum())
         remaining -= n
-    return CounterexampleReport(stopped / runs, runs, horizon,
-                                float(2.0 ** (-horizon - 1)))
+    return CounterexampleReport(stopped / runs, runs, CEX_HORIZON,
+                                float(2.0 ** (-CEX_HORIZON - 1)))
 
 
 # -- dynamic audits ------------------------------------------------------------------

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .farkas import (Affine, FarkasImplication, LPProblem, PivotCapReached,
-                     check_feasible, encode_implication, solve_lp)
+from .farkas import (Affine, LPProblem, PivotCapReached, check_feasible,
+                     encode_implication, solve_lp)
 from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
                      negate_guards_to_dnf)
 from .model import (Certificate, CertificateMode, Invariant, LevelMap,
@@ -129,10 +129,8 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         if not feasible:
             out.dropped_implications += len(consequents)
             return
-        relaxed = antecedent.relax_strict()
         for expr, tag in consequents:
-            encode_implication(FarkasImplication(relaxed, expr.coeffs, expr.constant),
-                               lp, tag=tag)
+            encode_implication(antecedent, expr, lp, tag=tag)
         out.emitted_implications += len(consequents)
 
     # membership predicate of the already-ranked state set, per location:

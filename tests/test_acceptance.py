@@ -12,16 +12,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from probterm import (FarkasImplication, LinConstraint, LinExpr, LPProblem,
-                      Polyhedron, UniformRandom, check_certificate,
-                      check_feasible, counterexample_process, encode_implication,
-                      entails, estimate_termination, lower_to_pcfg, run_ast,
-                      solve_lp)
+from probterm import (LinConstraint, LinExpr, LPProblem, Polyhedron,
+                      UniformRandom, check_certificate, check_feasible,
+                      counterexample_process, encode_implication, entails,
+                      estimate_termination, lower_to_pcfg, run_ast, solve_lp)
 from probterm.simplex import LPStatus
 from probterm.simulate import COUNTEREXAMPLE_ANALYTIC, run_rng, run_trajectory
 
 from conftest import (example3_certificate, example4_certificate, fixture_path,
-                      load_fixture, load_fixture_ast, perturbed)
+                      lifted, load_fixture, load_fixture_ast, perturbed)
 from test_checker import E3_MUTATIONS, E4_MUTATIONS
 
 
@@ -159,9 +158,9 @@ def test_criterion_8_farkas_oracle_equivalence():
                 continue
             target = LinExpr({j: F(rng.randint(-3, 3)) for j in range(n)},
                              F(rng.randint(-4, 4)))
-            truth, _ = entails(ante, LinConstraint.le(-target))
+            truth, _ = entails(ante, target)
             lp = LPProblem()
-            encode_implication(FarkasImplication.concrete(ante, target), lp)
+            encode_implication(ante, lifted(target), lp)
             encoded = solve_lp(lp).status is LPStatus.OPTIMAL
             assert truth == encoded, (ante.pretty(), target.pretty())
             checked += 1

@@ -129,8 +129,8 @@ def test_check_solves_one_lp_per_holding_condition(monkeypatch):
         calls["solves"] += 1
         return solve(*args, **kwargs)
 
-    def counting_entails(ante, c):
-        ok, w = entails(ante, c)
+    def counting_entails(ante, e):
+        ok, w = entails(ante, e)
         calls["entailments"] += 1
         calls["violated"] += not ok
         return ok, w
@@ -232,23 +232,42 @@ def test_verdict_independent_of_transition_order(fig1b):
 
 
 def test_verdict_independent_of_disjunct_order(fig1b):
-    p, inv = fig1b
-    from probterm import Predicate
-    flipped = Invariant(dict(inv.by_location))
-    report1 = check_certificate(p, inv, example3_certificate(p))
-    # reverse the guard disjunct order of every transition
+    """Every guard gets a second, redundant disjunct (itself with x <= 0);
+    reversing the disjuncts of every guard and the constraints of every
+    invariant then leaves each condition's status unchanged. Counterexample
+    points are not compared: another row order may pick another vertex."""
+    from probterm import LinConstraint, LinExpr, Polyhedron, Predicate
     from probterm.model import GuardedStep, Transition
-    ts = []
-    for t in p.transitions:
-        if t.is_pb:
-            ts.append(t)
-        else:
-            g = Predicate(list(reversed(t.kind.guard.disjuncts)))
-            ts.append(Transition(t.id, t.source,
-                                 GuardedStep(t.kind.dest, g, t.kind.update)))
-    p2 = PCFG(p.variables, p.locations, p.init_location, p.terminal_location, ts)
-    report2 = check_certificate(p2, flipped, example3_certificate(p))
-    assert report1.accepted == report2.accepted
+    p, inv = fig1b
+    x_le_0 = Predicate.of_constraints([LinConstraint.le(LinExpr.var(p.var_index("x")))])
+
+    def with_guards(guard_of):
+        ts = [t if t.is_pb else
+              Transition(t.id, t.source,
+                         GuardedStep(t.kind.dest, guard_of(t.kind.guard), t.kind.update))
+              for t in p.transitions]
+        return PCFG(p.variables, p.locations, p.init_location, p.terminal_location, ts)
+
+    def double(g):
+        return g.disjoin(g.conjoin(x_le_0))
+
+    doubled = with_guards(double)
+    flipped = with_guards(lambda g: Predicate(reversed(double(g).disjuncts)))
+    guards = [t.kind.guard.disjuncts for t in doubled.transitions if not t.is_pb]
+    assert guards and all(len(ds) >= 2 and ds[0] != ds[1] for ds in guards)
+    flipped_inv = Invariant({loc: Polyhedron(list(reversed(poly.constraints)))
+                             for loc, poly in inv.by_location.items()})
+
+    def rows(report):
+        return sorted((r.transition, r.condition, r.component, r.status)
+                      for r in report.conditions)
+
+    base = example3_certificate(p)
+    certs = [base] + [perturbed(base, loc, comp, p.var_index(var) if var else None, delta)
+                      for loc, comp, var, delta, _ in E3_MUTATIONS]
+    for cert in certs:
+        assert rows(check_certificate(doubled, inv, cert)) == \
+            rows(check_certificate(flipped, flipped_inv, cert))
 
 
 def test_synthesized_certificates_all_pass_checker():

@@ -432,6 +432,10 @@ MALFORMED = {
     "init-zero-denominator": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                             "--init", "x=1/0"]),
     "negative-seed": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2", "--seed", "-1"]),
+    "cap-zero": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "5", "--cap", "0",
+                               "--trace-out", str(d / "t.jsonl")]),
+    "cap-negative": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "5", "--cap", "-3",
+                                   "--init", "x=1,y=1"]),
     "counterexample-negative-seed": (3, lambda d: ["simulate", "--counterexample-builtin",
                                                    "--runs", "2", "--seed", "-1"]),
     "counterexample-no-runs": (3, lambda d: ["simulate", "--counterexample-builtin",

@@ -6,12 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from probterm import (Affine, FarkasImplication, LinConstraint, LinExpr,
-                      LPProblem, Polyhedron, check_feasible, encode_implication,
-                      entails, solve_lp)
+from probterm import (Affine, LinConstraint, LinExpr, LPProblem, Polyhedron,
+                      check_feasible, encode_implication, entails, solve_lp)
 from probterm import farkas
-from probterm.farkas import PivotCapReached, StrictNotRelaxed, dump_lp
+from probterm.farkas import PivotCapReached, dump_lp
 from probterm.simplex import LPStatus, RowRel
+
+from conftest import lifted
 
 x = LinExpr.var(0)
 y = LinExpr.var(1)
@@ -51,20 +52,20 @@ def test_strictness_matters():
 
 def test_entails_sum_nonneg():
     p = poly(LinConstraint.le(-x), LinConstraint.le(-y))
-    ok, _ = entails(p, LinConstraint.le(-(x + y)))
+    ok, _ = entails(p, x + y)
     assert ok
 
 
 def test_entails_counterexample_point_is_inside():
     p = poly(LinConstraint.le(-x))
-    ok, w = entails(p, LinConstraint.le(c(1) - x))  # x >= 1 ?
+    ok, w = entails(p, x - c(1))  # x >= 1 ?
     assert not ok
     assert w[0] >= 0 and w[0] < 1
 
 
 def test_infeasible_entails_anything():
     p = poly(LinConstraint.le(x + c(1)), LinConstraint.le(-x))
-    ok, _ = entails(p, LinConstraint.le(c(10**9)))
+    ok, _ = entails(p, c(-10**9))
     assert ok
 
 
@@ -72,23 +73,25 @@ def test_strictly_empty_antecedent_entails_anything():
     # {x >= 1, x < 1} is empty, but its relaxation {x = 1} is not and puts
     # the maximum of x at 1 > 0: only the exact witness query decides it
     p = poly(LinConstraint.le(c(1) - x), LinConstraint.lt(x - c(1)))
-    assert entails(p, LinConstraint.le(x)) == (True, None)
+    assert entails(p, -x) == (True, None)
 
 
 def test_entails_respects_strict_antecedent():
     # on {x < 0}: -x > 0, so -x >= 0 holds even though the relaxed set
     # touches x = 0
     p = poly(LinConstraint.lt(x))
-    ok, _ = entails(p, LinConstraint.le(x))
+    ok, _ = entails(p, -x)
     assert ok
 
 
 def test_entails_equality_consequent():
+    # an equality consequent is two inequality entailments
     p = poly(LinConstraint.eq(x - y))
-    ok, _ = entails(p, LinConstraint.eq(x - y))
-    assert ok
-    ok, w = entails(p, LinConstraint.eq(x - y - c(1)))
-    assert not ok and w is not None
+    assert entails(p, x - y) == (True, None)
+    assert entails(p, y - x) == (True, None)
+    assert entails(p, y - x + c(1)) == (True, None)
+    ok, w = entails(p, x - y - c(1))
+    assert not ok and w[0] == w[1]
 
 
 def test_capped_queries_raise(monkeypatch):
@@ -99,7 +102,7 @@ def test_capped_queries_raise(monkeypatch):
         check_feasible(poly(LinConstraint.eq(x - c(1))))  # phase 1 must pivot
     # maximizing x over {x <= 1} needs a pivot
     with pytest.raises(PivotCapReached):
-        entails(poly(LinConstraint.le(x - c(1))), LinConstraint.le(x - c(2)))
+        entails(poly(LinConstraint.le(x - c(1))), c(2) - x)
 
 
 # -- the encoder -------------------------------------------------------------------
@@ -108,8 +111,7 @@ def test_capped_queries_raise(monkeypatch):
 def test_encoder_hand_multiplier():
     # forall x: x >= 0  ->  2x + 1 >= 0, witnessed by multiplier 2
     lp = LPProblem()
-    lams = encode_implication(
-        FarkasImplication.concrete(poly(LinConstraint.le(-x)), x.scale(2) + c(1)), lp)
+    lams = encode_implication(poly(LinConstraint.le(-x)), lifted(x.scale(2) + c(1)), lp)
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.assignment[lams[0]] == 2
@@ -122,7 +124,7 @@ def test_encoder_false_implication_infeasible():
     for vertex in (F(0), F(1)):
         assert vertex < 2  # the vertex-enumeration oracle for the claim
     lp = LPProblem()
-    encode_implication(FarkasImplication.concrete(ante, x - c(2)), lp)
+    encode_implication(ante, lifted(x - c(2)), lp)
     assert solve_lp(lp).status is LPStatus.INFEASIBLE
 
 
@@ -130,16 +132,28 @@ def test_encoder_empty_antecedent_constant_consequent():
     # forall x: true -> t >= 0 reduces to the constraint t >= 0
     lp = LPProblem()
     lp.add_var("t")
-    encode_implication(FarkasImplication(poly(), {}, Affine.of("t")), lp)
+    encode_implication(poly(), LinExpr({}, Affine.of("t")), lp)
     lp.objective = Affine.of("t", -1)
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL and sol.assignment["t"] == 0
 
 
-def test_encoder_rejects_unrelaxed_strict():
-    with pytest.raises(StrictNotRelaxed):
-        encode_implication(
-            FarkasImplication.concrete(poly(LinConstraint.lt(x)), x), LPProblem())
+def test_encoder_reads_strict_rows_as_relaxed():
+    # a strict row is encoded as its relaxation: the LP is the one built
+    # from the relaxed antecedent, row for row
+    ante = poly(LinConstraint.lt(x - c(1)), LinConstraint.eq(x - y),
+                LinConstraint.lt(-y))
+    assert ante.has_strict()
+    consequent = LinExpr({0: Affine.of("a"), 1: Affine.constant(-1)}, Affine.of("b"))
+    dumps = []
+    for antecedent in (ante, ante.relax_strict()):
+        lp = LPProblem()
+        lp.add_var("a")
+        lp.add_var("b")
+        encode_implication(antecedent, consequent, lp)
+        dumps.append(dump_lp(lp))
+    assert dumps[0] == dumps[1]
+    assert " lam_3 >= 0" in dumps[0]  # one multiplier per row, equality split
 
 
 def rand_expr(rng, n, span=3):
@@ -160,9 +174,9 @@ def test_encoder_agrees_with_entailment_oracle():
         if not feasible:
             continue
         cons = rand_expr(rng, n)
-        truth, _ = entails(ante, LinConstraint.le(-cons))
+        truth, _ = entails(ante, cons)
         lp = LPProblem()
-        encode_implication(FarkasImplication.concrete(ante, cons), lp)
+        encode_implication(ante, lifted(cons), lp)
         assert (solve_lp(lp).status is LPStatus.OPTIMAL) == truth
         checked += 1
     assert checked > 150
@@ -181,11 +195,11 @@ def test_encoder_complete_on_feasible_antecedents():
         if not feasible:
             continue
         cons = rand_expr(rng, n)
-        truth, _ = entails(ante, LinConstraint.le(-cons))
+        truth, _ = entails(ante, cons)
         if not truth:
             continue
         lp = LPProblem()
-        encode_implication(FarkasImplication.concrete(ante, cons), lp)
+        encode_implication(ante, lifted(cons), lp)
         assert solve_lp(lp).status is LPStatus.OPTIMAL
         found += 1
 

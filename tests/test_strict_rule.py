@@ -16,9 +16,9 @@ import pathlib
 
 import pytest
 
-from probterm import (FarkasImplication, check_bsp, check_certificate,
-                      check_feasible, encode_implication, lower_to_pcfg,
-                      parse_program, pcfg_io, synthesis)
+from probterm import (check_bsp, check_certificate, check_feasible,
+                      encode_implication, lower_to_pcfg, parse_program, pcfg_io,
+                      synthesis)
 
 from conftest import FIXTURES, load_fixture
 
@@ -39,9 +39,7 @@ def strict_build_lp(p, inv, unranked, *args, **kwargs):
     for loc in p.locations:
         ante = inv.at(loc)
         if loc != p.terminal_location and check_feasible(ante)[0]:
-            t = slp.templates[loc]
-            encode_implication(FarkasImplication(ante.relax_strict(), t.coeffs, t.constant),
-                               slp.lp, tag=f"strict.{loc}")
+            encode_implication(ante, slp.templates[loc], slp.lp, tag=f"strict.{loc}")
     return slp
 
 
