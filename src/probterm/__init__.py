@@ -13,8 +13,7 @@ from .model import (Certificate, CertificateMode, Diagnostic, ExprUpdate,
 from .source import (MultipleSamplesInAssignment, NonLinearExpression,
                      ProgramSyntaxError, SourceProgram, parse_program)
 from .lowering import lower_to_pcfg, run_ast
-from .pcfg_io import (FormatError, dump_certificate, dump_pcfg,
-                      load_certificate, load_invariant, load_pcfg)
+from .pcfg_io import FormatError, load_certificate, load_invariant, load_pcfg
 from .preexp import max_pre, min_pre, pre_pb_restricted
 from .farkas import (Affine, LPProblem, check_feasible, encode_implication,
                      entails, solve_lp)

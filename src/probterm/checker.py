@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .farkas import entails
-from .linear import LinExpr, Polyhedron, Predicate, negate_guards_to_dnf
+from .linear import LinExpr
 from .model import (Certificate, CertificateMode, Invariant, PCFG, check_bsp,
                     check_linpp_star)
-from .preexp import max_pre, min_pre, pre_pb_restricted
+from .preexp import max_pre, min_pre, pre_pb_restricted, settled_states
 
 
 class StructuralMismatch(Exception):
@@ -116,14 +116,6 @@ def _structural_check(p: PCFG, c: Certificate) -> None:
                 f"level 0 is reserved for terminal self-loops (transition {t.id})")
 
 
-def _component_map(c: Certificate, j: int) -> Dict[str, LinExpr]:
-    return {loc: vec[j - 1] for loc, vec in c.lem.components.items()}
-
-
-def _feasible_antecedents(inv: Polyhedron, guard: Predicate) -> List[Polyhedron]:
-    return [inv.conjoin(d) for d in guard.disjuncts]
-
-
 def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
     """Full verification; raises StructuralMismatch for shape errors and
     otherwise reports every checked condition with an exact counterexample
@@ -148,50 +140,33 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
     else:
         record("*", "program-shape", 0, check_linpp_star(p))
 
-    # membership predicate of "every enabled transition has level < j"
-    ranked_pred_cache: Dict[Tuple[str, int], Predicate] = {}
-
-    def below_level_pred(loc: str, j: int) -> Predicate:
-        key = (loc, j)
-        if key not in ranked_pred_cache:
-            guards = [t.guard() for t in p.outgoing(loc) if c.levels[t.id] >= j]
-            ranked_pred_cache[key] = negate_guards_to_dnf(guards)
-        return ranked_pred_cache[key]
-
+    comps = {jp: c.lem.component(jp) for jp in range(1, c.dimension + 1)}
     for t in p.non_terminal_transitions():
         j = c.levels[t.id]
-        src_inv = inv.at(t.source)
-        antecedents = _feasible_antecedents(src_inv, t.guard())
-        eta_j = _component_map(c, j)
-        here_j = eta_j[t.source]
-        pre_j = max_pre(eta_j, t)
-        for ante in antecedents:
-            ok, w = entails(ante, here_j - pre_j - LinExpr.const(1))
+        pre_j = max_pre(comps[j], t)
+        for ante in inv.antecedents(t):
+            ok, w = entails(ante, comps[j][t.source] - pre_j - LinExpr.const(1))
             record(t.id, "decrease", j, ok, w)
             for jp in range(1, j):
-                eta = _component_map(c, jp)
+                eta = comps[jp]
                 ok, w = entails(ante, eta[t.source] - max_pre(eta, t))
                 record(t.id, "unaffected", jp, ok, w)
             for jp in range(1, j + 1):
-                eta = _component_map(c, jp)
-                ok, w = entails(ante, eta[t.source])
+                ok, w = entails(ante, comps[jp][t.source])
                 record(t.id, "nonneg", jp, ok, w)
             if not t.is_pb:
                 for jp in range(1, j + 1):
-                    eta = _component_map(c, jp)
-                    ok, w = entails(ante, min_pre(eta, t))
+                    ok, w = entails(ante, min_pre(comps[jp], t))
                     record(t.id, "expected-nonneg", jp, ok, w)
         if t.is_pb:
-            k = t.kind
             for jp in range(1, j + 1):
-                eta = _component_map(c, jp)
-                in_set = {k.dest1: below_level_pred(k.dest1, jp),
-                          k.dest2: below_level_pred(k.dest2, jp)}
-                for ctx, expr in pre_pb_restricted(eta, t, in_set):
-                    for ante in antecedents:
-                        for disj in ctx.disjuncts:
-                            ok, w = entails(ante.conjoin(disj), expr)
-                            record(t.id, "expected-nonneg", jp, ok, w)
+                # successor states where every enabled transition has level < jp
+                open_ids = {u.id for u in p.transitions if c.levels[u.id] >= jp}
+                in_set = settled_states(p, t, open_ids)
+                for ctx, expr in pre_pb_restricted(comps[jp], t, in_set):
+                    for ante in inv.antecedents(t, ctx):
+                        ok, w = entails(ante, expr)
+                        record(t.id, "expected-nonneg", jp, ok, w)
         if c.mode is CertificateMode.GENERAL_SOUND and t.samples_unbounded():
             target = t.kind.dest
             var = t.kind.update.target

@@ -258,6 +258,12 @@ def cmd_simulate(args) -> int:
         raise pcfg_io.FormatError("simulate needs a pcfg file (or --counterexample-builtin)",
                                   "pcfg")
     p, _ = _load_inputs(args)
+    for t in p.transitions:
+        d = t.samples_from()
+        if d is not None and not d.drawable:
+            raise pcfg_io.FormatError(f"transition {t.id} samples from custom sampler "
+                                      f"{d.param('sampler')!r}, which is not registered",
+                                      args.pcfg)
     init = _parse_init(args.init, p.variables)
     if args.scheduler == "uniform":
         sched = UniformRandom()

@@ -60,6 +60,11 @@ class DistributionSpec:
     def bounded(self) -> bool:
         return self.support_lo is not None and self.support_hi is not None
 
+    @property
+    def drawable(self) -> bool:
+        """False for a custom kind whose sampler is not registered."""
+        return self.kind is not DistKind.CUSTOM or self.param("sampler") in _SAMPLERS
+
     def param(self, name: str):
         for k, v in self.params:
             if k == name:

@@ -243,8 +243,11 @@ def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
     The antecedent holds concrete rationals, possibly over fresh universal
     variables, and has passed `check_feasible`; a strict row reads as its
     relaxation. The consequent's coefficients and constant are `Affine`
-    forms over the template unknowns.
+    forms over the template unknowns. A consequent that is identically
+    zero holds everywhere and emits nothing.
     """
+    if not consequent.coeffs and not consequent.constant:
+        return []
     # antecedent rows as A x <= b (equalities split)
     a_rows: List[Tuple[Dict[int, Fraction], Fraction]] = []
     for cons in antecedent.constraints:

@@ -270,6 +270,15 @@ class Invariant:
     def at(self, location: str) -> Polyhedron:
         return self.by_location.get(location, Polyhedron.true())
 
+    def antecedents(self, t: Transition,
+                    context: Optional[Predicate] = None) -> List[Polyhedron]:
+        """Where a side condition of `t` must hold: one polyhedron per
+        disjunct of guard and `context`, guard disjunct outer and context
+        disjunct inner, each with the invariant at the source first, then
+        the guard rows, then the context rows."""
+        pred = t.guard() if context is None else t.guard().conjoin(context)
+        return [self.at(t.source).conjoin(d) for d in pred.disjuncts]
+
 
 @dataclass
 class LinExprMap:
@@ -286,6 +295,10 @@ class LinExprMap:
     def at(self, location: str, index: int) -> LinExpr:
         """Component `index` (1-based) at `location`."""
         return self.components[location][index - 1]
+
+    def component(self, index: int) -> Dict[str, LinExpr]:
+        """Component `index` (1-based) as a location -> expression map."""
+        return {loc: vec[index - 1] for loc, vec in self.components.items()}
 
     def max_abs_coeff(self) -> Fraction:
         """Largest |coefficient| across all components, constants excluded."""

@@ -2,8 +2,8 @@
 
 All rationals travel as "p/q" strings, interval ends as "p/q" or
 "-inf"/"inf", distributions as {kind, params, mean, support}. The exact
-grammar is documented in docs/formats.md; `load(dump(x))` is the
-identity for every object round-tripped here.
+grammar is documented in docs/formats.md; `x_from_json(x_to_json(x))`
+is the identity for every object round-tripped here.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .model import (Certificate, CertificateMode, ExprUpdate, GuardedStep,
                     Invariant, LinExprMap, NoUpdate, NondetUpdate, PCFG,
                     ProbBranch, Transition)
 from .rationals import format_bound, parse_bound, rat
-from .source import parse_constraint_strings
+from .source import ProgramSyntaxError, parse_constraint_strings
 
 
 class FormatError(Exception):
@@ -67,11 +67,6 @@ def json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write_json(doc, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(json_text(doc))
-
-
 # -- linear expressions ------------------------------------------------------
 
 
@@ -96,21 +91,19 @@ def linexpr_from_json(obj, variables: List[str], path: str) -> LinExpr:
     return LinExpr(coeffs, const)
 
 
-_REL_TO_STR = {Rel.LE: "<=", Rel.LT: "<", Rel.EQ: "=="}
-_STR_TO_REL = {v: k for k, v in _REL_TO_STR.items()}
-
-
 def constraint_to_json(c: LinConstraint, variables: List[str]):
-    return {"expr": linexpr_to_json(c.lhs, variables), "rel": _REL_TO_STR[c.rel]}
+    return {"expr": linexpr_to_json(c.lhs, variables), "rel": c.rel.value}
 
 
 def constraint_from_json(obj, variables, path) -> LinConstraint:
-    rel = _get(obj, "rel", path, str)
-    if rel not in _STR_TO_REL:
-        raise FormatError(f"bad relation {rel!r}", f"{path}.rel")
+    text = _get(obj, "rel", path, str)
+    try:
+        rel = Rel(text)
+    except ValueError:
+        raise FormatError(f"bad relation {text!r}", f"{path}.rel")
     return LinConstraint(linexpr_from_json(_get(obj, "expr", path), variables,
                                            f"{path}.expr"),
-                         _STR_TO_REL[rel])
+                         rel)
 
 
 def predicate_to_json(p: Predicate, variables):
@@ -280,10 +273,6 @@ def load_pcfg(path: str) -> PCFG:
     return pcfg_from_json(_read_json(path))
 
 
-def dump_pcfg(p: PCFG, path: str) -> None:
-    _write_json(pcfg_to_json(p), path)
-
-
 # -- invariants ----------------------------------------------------------------
 
 
@@ -294,11 +283,11 @@ def invariant_from_json(doc, p: PCFG) -> Invariant:
     for loc, items in doc.items():
         if loc not in p.locations:
             raise FormatError(f"unknown location {loc!r}", f"$.{loc}")
-        if not isinstance(items, list):
+        if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
             raise FormatError("expected a list of constraint strings", f"$.{loc}")
         try:
             by_loc[loc] = parse_constraint_strings(items, p.variables)
-        except Exception as e:
+        except (ProgramSyntaxError, ValueError) as e:
             raise FormatError(str(e), f"$.{loc}")
     return Invariant(by_loc)
 
@@ -353,10 +342,6 @@ def certificate_from_json(doc, p: PCFG) -> Certificate:
 
 def load_certificate(path: str, p: PCFG) -> Certificate:
     return certificate_from_json(_read_json(path), p)
-
-
-def dump_certificate(c: Certificate, p: PCFG, path: str) -> None:
-    _write_json(certificate_to_json(c, p), path)
 
 
 # -- graph description ------------------------------------------------------------

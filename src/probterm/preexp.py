@@ -11,15 +11,22 @@ templates, whose coefficients are `farkas.Affine` forms over LP unknowns.
 Only a demonic interval stays outside it in synthesis: an endpoint cannot
 be chosen by the sign of an unknown coefficient, so synthesis substitutes
 a universally quantified variable bounded to the interval instead.
+
+This module also owns the restriction set of a probabilistic branch
+(`settled_states`): the successor states where no still-open transition
+is enabled. Synthesis opens its unranked transitions, the checker those
+at or above the level of the component it checks; `pre_pb_restricted`
+splits the branch's pre-expectation over that set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Collection, Dict, List, Tuple
 
-from .linear import LinExpr, Predicate, negate_predicate
-from .model import ExprUpdate, NondetUpdate, NoUpdate, ProbBranch, Transition
+from .linear import LinExpr, Predicate, negate_guards_to_dnf, negate_predicate
+from .model import (ExprUpdate, NondetUpdate, NoUpdate, PCFG, ProbBranch,
+                    Transition)
 
 ComponentMap = Dict[str, LinExpr]  # location -> linear expression
 
@@ -44,9 +51,16 @@ def nondet_endpoint(eta_dest: LinExpr, update: NondetUpdate,
     return update.hi if rising == maximize else update.lo
 
 
-def _nondet_pre(eta_dest: LinExpr, update: NondetUpdate, maximize: bool) -> LinExpr:
-    endpoint = nondet_endpoint(eta_dest, update, maximize)
-    return eta_dest.substitute(update.target, LinExpr.const(endpoint))
+def _pre(eta: ComponentMap, tau: Transition, maximize: bool) -> LinExpr:
+    if isinstance(tau.kind, ProbBranch):
+        k = tau.kind
+        return eta[k.dest1].scale(k.p1) + eta[k.dest2].scale(k.p2)
+    step = tau.kind
+    dest = eta[step.dest]
+    if isinstance(step.update, NondetUpdate):
+        endpoint = nondet_endpoint(dest, step.update, maximize)
+        return dest.substitute(step.update.target, LinExpr.const(endpoint))
+    return _expr_pre(dest, step.update)
 
 
 def max_pre(eta: ComponentMap, tau: Transition) -> LinExpr:
@@ -57,26 +71,23 @@ def max_pre(eta: ComponentMap, tau: Transition) -> LinExpr:
     updates substitute the distribution's mean; demonic intervals resolve
     to the endpoint maximizing the component.
     """
-    if isinstance(tau.kind, ProbBranch):
-        k = tau.kind
-        return eta[k.dest1].scale(k.p1) + eta[k.dest2].scale(k.p2)
-    step = tau.kind
-    dest = eta[step.dest]
-    if isinstance(step.update, NondetUpdate):
-        return _nondet_pre(dest, step.update, maximize=True)
-    return _expr_pre(dest, step.update)
+    return _pre(eta, tau, maximize=True)
 
 
 def min_pre(eta: ComponentMap, tau: Transition) -> LinExpr:
     """As `max_pre` but demonic intervals resolve to the minimizing
     endpoint; identical to `max_pre` for all other transition shapes."""
-    if isinstance(tau.kind, ProbBranch):
-        return max_pre(eta, tau)
-    step = tau.kind
-    dest = eta[step.dest]
-    if isinstance(step.update, NondetUpdate):
-        return _nondet_pre(dest, step.update, maximize=False)
-    return _expr_pre(dest, step.update)
+    return _pre(eta, tau, maximize=False)
+
+
+def settled_states(p: PCFG, tau: Transition,
+                   open_ids: Collection[str]) -> Dict[str, Predicate]:
+    """The restriction set for `pre_pb_restricted`, per destination of
+    `tau`: the DNF of the states where no outgoing transition whose id is
+    in `open_ids` is enabled (`true` where none is open)."""
+    return {loc: negate_guards_to_dnf([t.guard() for t in p.outgoing(loc)
+                                       if t.id in open_ids])
+            for loc in tau.destinations()}
 
 
 def pre_pb_restricted(eta: ComponentMap, tau: Transition,

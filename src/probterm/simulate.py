@@ -116,22 +116,14 @@ class Adversarial(Scheduler):
 
     def __init__(self, certificate: Certificate):
         self.certificate = certificate
-        # filled on first use, per scheduler: level -> component map, and
-        # (level, transition id) -> max_pre of that component
-        self._components: Dict[int, Dict[str, LinExpr]] = {}
+        # filled on first use, per scheduler: (level, transition id) ->
+        # max_pre of that component
         self._pre: Dict[Tuple[int, str], LinExpr] = {}
-
-    def _component(self, j: int) -> Dict[str, LinExpr]:
-        eta = self._components.get(j)
-        if eta is None:
-            eta = self._components[j] = {
-                loc: vec[j - 1] for loc, vec in self.certificate.lem.components.items()}
-        return eta
 
     def _max_pre(self, j: int, t) -> LinExpr:
         pre = self._pre.get((j, t.id))
         if pre is None:
-            pre = self._pre[(j, t.id)] = max_pre(self._component(j), t)
+            pre = self._pre[(j, t.id)] = max_pre(self.certificate.lem.component(j), t)
         return pre
 
     def choose(self, enabled, values, rng):
@@ -144,7 +136,7 @@ class Adversarial(Scheduler):
         j = self.certificate.levels.get(t.id, 0)
         if j == 0:
             return None
-        return nondet_endpoint(self._component(j)[t.kind.dest], t.kind.update)
+        return nondet_endpoint(self.certificate.lem.at(t.kind.dest, j), t.kind.update)
 
 
 # -- the compiled program -------------------------------------------------------
@@ -314,10 +306,9 @@ class Program:
             loc: tuple(es) for loc, es in outgoing.items()}
 
     def run(self, init: Sequence[Fraction], sched: Scheduler, step_cap: int, rng,
-            location: Optional[str] = None,
             record_states: bool = True) -> "TrajectoryReport":
         """One run from `init`; see `run_trajectory`."""
-        loc = location or self.init_location
+        loc = self.init_location
         terminal = self.terminal_location
         outgoing = self.outgoing
         edges = self.edges
@@ -372,15 +363,14 @@ class TrajectoryReport:
 
 
 def run_trajectory(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
-                   step_cap: int, rng=None, seed: int = 0, run_index: int = 0,
-                   location: Optional[str] = None,
+                   step_cap: int, seed: int = 0, run_index: int = 0,
                    record_states: bool = True) -> TrajectoryReport:
-    """One run under the program's small-step semantics: stop at the
+    """One run from the initial location under the program's small-step
+    semantics, on the substream `run_rng(seed, run_index)`: stop at the
     terminal location, at the step cap, or when no transition is enabled
     (reported as stuck, never raised)."""
-    if rng is None:
-        rng = run_rng(seed, run_index)
-    return Program(p).run(init, sched, step_cap, rng, location, record_states)
+    return Program(p).run(init, sched, step_cap, run_rng(seed, run_index),
+                          record_states)
 
 
 def trajectories(p: PCFG, init: Sequence[Fraction], sched: Scheduler,

@@ -36,11 +36,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .farkas import (Affine, LPProblem, PivotCapReached, check_feasible,
                      encode_implication, solve_lp)
-from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
-                     negate_guards_to_dnf)
+from .linear import LinConstraint, LinExpr, Polyhedron
 from .model import (Certificate, CertificateMode, Invariant, LevelMap,
                     LinExprMap, NondetUpdate, PCFG, check_bsp, check_linpp_star)
-from .preexp import max_pre, pre_pb_restricted
+from .preexp import max_pre, pre_pb_restricted, settled_states
 from .simplex import LPStatus, RowRel
 
 ZERO = Fraction(0)
@@ -80,12 +79,6 @@ class SynthesisLP:
                 for loc, t in self.templates.items()}
 
 
-def _expand_antecedents(inv: Polyhedron, guard: Predicate,
-                        context: Predicate | None = None) -> List[Polyhedron]:
-    pred = guard if context is None else guard.conjoin(context)
-    return [inv.conjoin(d) for d in pred.disjuncts]
-
-
 def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
              restrict: TemplateRestriction = TemplateRestriction(), *,
              screens: Optional[ScreenMemo] = None) -> SynthesisLP:
@@ -112,7 +105,8 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         templates[loc] = LinExpr(coeffs, Affine.of(lp.add_var(f"c[{loc}].const")))
 
     eps_names: Dict[str, str] = {}
-    order = [t for t in p.transitions if t.id in set(unranked)]
+    unranked_set = set(unranked)
+    order = [t for t in p.transitions if t.id in unranked_set]
     for t in order:
         eps_names[t.id] = lp.add_var(f"eps[{t.id}]", nonneg=True)
 
@@ -133,19 +127,7 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
             encode_implication(antecedent, expr, lp, tag=tag)
         out.emitted_implications += len(consequents)
 
-    # membership predicate of the already-ranked state set, per location:
-    # no transition still unranked is enabled there
-    ranked_states: Dict[str, Predicate] = {}
-    unranked_set = set(unranked)
-
-    def ranked_state_pred(loc: str) -> Predicate:
-        if loc not in ranked_states:
-            guards = [t.guard() for t in p.outgoing(loc) if t.id in unranked_set]
-            ranked_states[loc] = negate_guards_to_dnf(guards)
-        return ranked_states[loc]
-
     for t in order:
-        src_inv = inv.at(t.source)
         update = t.update()
         bounds = Polyhedron.true()
         if isinstance(update, NondetUpdate):
@@ -164,15 +146,16 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         if not t.is_pb:
             stepped.append((pre, f"en.{t.id}"))
         stepped.append((down.shift(Affine.of(eps_names[t.id], -1)), f"rk.{t.id}"))
-        for ante in _expand_antecedents(src_inv, t.guard()):
+        for ante in inv.antecedents(t):
             # (1) nonnegative where enabled
             emit(ante, [(here, f"nn.{t.id}")])
             emit(ante.conjoin(bounds), stepped)
-        # (4) restricted expectation across unranked probabilistic branches
+        # (4) restricted expectation across unranked probabilistic branches,
+        # over the successor states where no unranked transition is enabled
         if t.is_pb:
-            in_set = {loc: ranked_state_pred(loc) for loc in t.destinations()}
+            in_set = settled_states(p, t, unranked_set)
             for ctx, expr in pre_pb_restricted(templates, t, in_set):
-                for ante in _expand_antecedents(src_inv, t.guard(), ctx):
+                for ante in inv.antecedents(t, ctx):
                     emit(ante, [(expr, f"eb.{t.id}")])
 
     objective = Affine()

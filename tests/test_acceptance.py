@@ -197,7 +197,7 @@ def test_criterion_10_lowering_oracle():
             for i in range(100):
                 ref = run_ast(ast, values, run_rng(9000, i), step_cap=cap)
                 sim = run_trajectory(p, values, UniformRandom(), cap,
-                                     rng=run_rng(9000, i), record_states=False)
+                                     seed=9000, run_index=i, record_states=False)
                 assert ref.terminated == sim.terminated, (name, i)
                 assert ref.draws == sim.draws, (name, i)
                 if ref.terminated:

@@ -311,8 +311,8 @@ def wide_exit_graph(tmp_path):
                        {t.id: 1 for t in transitions}, Fraction(0),
                        CertificateMode.BSP_COMPLETE)
     pcfg_path, cert_path = tmp_path / "wide.pcfg.json", tmp_path / "wide.cert.json"
-    pcfg_io.dump_pcfg(p, str(pcfg_path))
-    pcfg_io.dump_certificate(cert, p, str(cert_path))
+    pcfg_path.write_text(pcfg_io.json_text(pcfg_io.pcfg_to_json(p)))
+    cert_path.write_text(pcfg_io.json_text(pcfg_io.certificate_to_json(cert, p)))
     return str(pcfg_path), str(cert_path)
 
 
@@ -397,6 +397,31 @@ def _latin1(d):
     return str(path)
 
 
+def _custom_pcfg(d):
+    """x := x + sample(custom) while x >= 0, with a sampler nobody registered."""
+    dist = {"kind": "custom", "params": {"sampler": "mine"}, "mean": "-1",
+            "support": ["-2", "0"]}
+    doc = {"variables": ["x"], "locations": ["l0", "out"], "init": "l0", "terminal": "out",
+           "transitions": [
+               {"id": "t0", "source": "l0", "kind": "npb", "dest": "out",
+                "guard": [[{"expr": {"x": "1", "const": "0"}, "rel": "<"}]],
+                "update": {"kind": "none"}},
+               {"id": "t1", "source": "l0", "kind": "npb", "dest": "l0",
+                "guard": [[{"expr": {"x": "-1", "const": "0"}, "rel": "<="}]],
+                "update": {"kind": "expr", "target": "x", "base": {"x": "1", "const": "0"},
+                           "sample": {"coeff": "1", "dist": dist}}}]}
+    path = d / "custom.pcfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_custom_sampler_is_not_needed_to_prove(tmp_path):
+    # synthesis and the checker read only the mean and the support
+    pcfg, cert = _custom_pcfg(tmp_path), str(tmp_path / "c.json")
+    assert cli.main(["synthesize", pcfg, "-o", cert]) == 0
+    assert cli.main(["check", pcfg, cert]) == 0
+
+
 # case -> (exit code, argv for a scratch directory d); d / "no" does not
 # exist, so nothing can be written below it
 MALFORMED = {
@@ -436,6 +461,9 @@ MALFORMED = {
                                "--trace-out", str(d / "t.jsonl")]),
     "cap-negative": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "5", "--cap", "-3",
                                    "--init", "x=1,y=1"]),
+    "custom-without-sampler": (3, lambda d: ["simulate", _custom_pcfg(d), "--runs", "2",
+                                              "--init", "x=3",
+                                              "--trace-out", str(d / "t.jsonl")]),
     "counterexample-negative-seed": (3, lambda d: ["simulate", "--counterexample-builtin",
                                                    "--runs", "2", "--seed", "-1"]),
     "counterexample-no-runs": (3, lambda d: ["simulate", "--counterexample-builtin",

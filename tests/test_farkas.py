@@ -138,6 +138,16 @@ def test_encoder_empty_antecedent_constant_consequent():
     assert sol.status is LPStatus.OPTIMAL and sol.assignment["t"] == 0
 
 
+def test_encoder_zero_consequent_emits_nothing():
+    # a consequent that cancels to 0 holds everywhere: the LP gets no
+    # multiplier and no row
+    lp = LPProblem()
+    lp.add_var("a")
+    here = LinExpr({0: Affine.of("a")}, Affine.of("a"))
+    assert encode_implication(poly(LinConstraint.le(-x)), here - here, lp) == []
+    assert lp.names == ["a"] and lp.constraints == []
+
+
 def test_encoder_reads_strict_rows_as_relaxed():
     # a strict row is encoded as its relaxation: the LP is the one built
     # from the relaxed antecedent, row for row

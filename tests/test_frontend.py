@@ -185,13 +185,13 @@ def test_loaded_fixture_passes_validation():
 
 
 def test_certificate_roundtrip(fig1b, tmp_path):
-    from probterm import dump_certificate, load_certificate
-    from probterm.pcfg_io import certificate_to_json
+    from probterm import load_certificate
+    from probterm.pcfg_io import certificate_to_json, json_text
     from conftest import example3_certificate
     p, _ = fig1b
     cert = example3_certificate(p)
-    path = str(tmp_path / "c.json")
-    dump_certificate(cert, p, path)
+    path = tmp_path / "c.json"
+    path.write_text(json_text(certificate_to_json(cert, p)))
     again = load_certificate(path, p)
     assert certificate_to_json(again, p) == certificate_to_json(cert, p)
     assert again.lem.components == cert.lem.components
@@ -217,7 +217,7 @@ def test_ast_and_graph_traces_agree(name, init, cap):
     for i in range(100):
         ref = run_ast(ast, values, run_rng(1000, i), step_cap=cap)
         sim = run_trajectory(p, values, UniformRandom(), cap,
-                             rng=run_rng(1000, i), record_states=False)
+                             seed=1000, run_index=i, record_states=False)
         assert ref.terminated == sim.terminated, (name, i)
         assert ref.draws == sim.draws, (name, i)
         if ref.terminated:

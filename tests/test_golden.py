@@ -116,7 +116,7 @@ RUN_LP_DIGESTS = {
     "fig2right": (synthesize_bsp, 3,
                   "833bfe8d0f268782829f6ba14c78c29434571ab07f17160c0ee89b854a3edc2f"),
     "fig1a": (synthesize_general, 4,
-              "6dabbb78140dc1a67906063a381c0a16637fbb9ddb071986a7101bb8f3e2fea4"),
+              "d693b36034790b06b0cd13382293fdc31450001aea03b5c99ce9698a8e34a9d0"),
 }
 
 

@@ -1,7 +1,7 @@
 """Source hygiene: every module compiles without a warning, imports at its
 top and uses every name it imports, keeps no memo across calls, runs in
-one process that no environment variable configures, and defines no
-function or class that nothing names."""
+one process that no environment variable configures, catches no error it
+does not name, and defines no function or class that nothing names."""
 
 import ast
 import pathlib
@@ -132,6 +132,39 @@ def test_process_knobs_are_detected():
                      "from .threading import x\n"
                      "a = os.environ.get('A')\nb = os.getenv('B')\nc = os.path.sep\n")
     assert _process_knobs(tree) == [1, 2, 3, 4, 7, 8]
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def _broad_handlers(tree: ast.Module) -> list:
+    """Lines of the handlers that catch every error: a bare `except:`, or
+    one naming Exception or BaseException, alone or in a tuple."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            named = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            if node.type is None or any(isinstance(t, ast.Name) and t.id in BROAD
+                                        for t in named):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_broad_except(path):
+    # a handler names the errors it expects, so that a bug elsewhere shows
+    # as a traceback, not as an input error or a verdict
+    assert _broad_handlers(ast.parse(path.read_text())) == []
+
+
+def test_broad_except_is_detected():
+    tree = ast.parse("try:\n    pass\nexcept:\n    pass\n"
+                     "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
+                     "try:\n    pass\nexcept BaseException as e:\n    pass\n"
+                     "try:\n    pass\nexcept (KeyError, ValueError):\n    pass\n"
+                     "try:\n    pass\nexcept OSError:\n    pass\n")
+    assert _broad_handlers(tree) == [3, 7, 11]
 
 
 def _definitions(tree: ast.Module) -> dict:

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from probterm import (DistributionSpec, EncodingBlowup, GuardedStep, LinConstraint,
-                      LinExpr, NoUpdate, PCFG, Polyhedron, Predicate, ProbBranch,
-                      Rel, Transition, check_bsp, check_linpp_star,
-                      negate_guards_to_dnf, validate_pcfg)
+from probterm import (DistributionSpec, EncodingBlowup, GuardedStep, Invariant,
+                      LinConstraint, LinExpr, LinExprMap, NoUpdate, PCFG, Polyhedron,
+                      Predicate, ProbBranch, Rel, Transition, check_bsp,
+                      check_linpp_star, negate_guards_to_dnf, validate_pcfg)
 
 from conftest import load_fixture
 
@@ -216,3 +216,49 @@ def test_dnf_cap_raises():
     wide = Predicate(disjuncts)
     with pytest.raises(EncodingBlowup):
         negate_guards_to_dnf([wide], cap=100)
+
+
+# -- where side conditions hold, and components as maps -----------------------------
+
+
+def test_antecedents_order_without_context():
+    # one antecedent per guard disjunct, invariant rows first
+    inv_rows = [LinConstraint.le(-LinExpr.var(0)), LinConstraint.le(-LinExpr.var(1))]
+    g1 = [LinConstraint.le(LinExpr.var(0) - LinExpr.const(3)),
+          LinConstraint.lt(LinExpr.var(1))]
+    g2 = [LinConstraint.eq(LinExpr.var(0) - LinExpr.var(1))]
+    t = Transition("t", "a", GuardedStep("b", Predicate([Polyhedron(g1), Polyhedron(g2)]),
+                                         NoUpdate()))
+    inv = Invariant({"a": Polyhedron(inv_rows)})
+    assert inv.antecedents(t) == [Polyhedron(inv_rows + g1), Polyhedron(inv_rows + g2)]
+    # no invariant at the source: the guard disjuncts alone
+    assert Invariant({}).antecedents(t) == [Polyhedron(g1), Polyhedron(g2)]
+
+
+def test_antecedents_order_with_context():
+    # guard disjunct outer, context disjunct inner; rows: invariant, guard, context
+    inv_rows = [LinConstraint.le(-LinExpr.var(0))]
+    g1, g2 = [LinConstraint.lt(LinExpr.var(1))], [LinConstraint.lt(-LinExpr.var(1))]
+    c1 = [LinConstraint.le(LinExpr.var(0) - LinExpr.const(1))]
+    c2 = [LinConstraint.le(LinExpr.const(2) - LinExpr.var(0)),
+          LinConstraint.eq(LinExpr.var(1) - LinExpr.const(5))]
+    t = Transition("t", "a", GuardedStep("b", Predicate([Polyhedron(g1), Polyhedron(g2)]),
+                                         NoUpdate()))
+    inv = Invariant({"a": Polyhedron(inv_rows)})
+    ctx = Predicate([Polyhedron(c1), Polyhedron(c2)])
+    assert inv.antecedents(t, ctx) == [Polyhedron(inv_rows + g + c)
+                                       for g in (g1, g2) for c in (c1, c2)]
+    # a branch is guard-true: one antecedent per context disjunct
+    pb = Transition("p", "a", ProbBranch("b", Fraction(1, 2), "c", Fraction(1, 2)))
+    assert inv.antecedents(pb) == [Polyhedron(inv_rows)]
+    assert inv.antecedents(pb, ctx) == [Polyhedron(inv_rows + c1), Polyhedron(inv_rows + c2)]
+    assert inv.antecedents(pb, Predicate.false()) == []
+
+
+def test_component_is_one_index_across_locations():
+    vec_a = [LinExpr.var(0), LinExpr.const(2)]
+    vec_b = [LinExpr.var(1, 3), LinExpr.var(0, -1)]
+    lem = LinExprMap(2, {"a": vec_a, "b": vec_b})
+    assert lem.component(1) == {"a": vec_a[0], "b": vec_b[0]}
+    assert lem.component(2) == {"a": vec_a[1], "b": vec_b[1]}
+    assert all(lem.component(j)[loc] == lem.at(loc, j) for j in (1, 2) for loc in "ab")

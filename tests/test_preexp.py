@@ -6,10 +6,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from probterm import (Affine, DistributionSpec, GuardedStep, LinExpr,
-                      NondetUpdate, Polyhedron, Predicate, ProbBranch, Transition,
-                      load_pcfg, max_pre, min_pre, pre_pb_restricted)
+from probterm import (Affine, DistributionSpec, GuardedStep, LinConstraint, LinExpr,
+                      NondetUpdate, PCFG, Polyhedron, Predicate, ProbBranch,
+                      Transition, load_pcfg, max_pre, min_pre, pre_pb_restricted)
 from probterm.model import ExprUpdate, NoUpdate
+from probterm.preexp import settled_states
 from probterm.simulate import Program, UniformRandom, run_rng
 
 from conftest import fixture_path, load_fixture
@@ -175,6 +176,38 @@ def test_pb_restricted_one_side():
     ctx, expr = cases[0]
     assert ctx.is_true()
     assert expr == LinExpr({0: F(-1, 2)})   # -x/2
+
+
+def _settling_graph():
+    """A branch from a to b and c; b exits on x >= 0 or x < 0, c on true."""
+    x = LinExpr.var(0)
+    ge0 = Predicate.of_constraints([LinConstraint.le(-x)])
+    lt0 = Predicate.of_constraints([LinConstraint.lt(x)])
+    transitions = [
+        Transition("p0", "a", ProbBranch("b", F(1, 2), "c", F(1, 2))),
+        Transition("b1", "b", GuardedStep("out", ge0, NoUpdate())),
+        Transition("b2", "b", GuardedStep("out", lt0, NoUpdate())),
+        Transition("c1", "c", GuardedStep("out", Predicate.true(), NoUpdate())),
+    ]
+    return PCFG(["x"], ["a", "b", "c", "out"], "a", "out", transitions)
+
+
+def test_settled_states_none_open_is_true():
+    p = _settling_graph()
+    settled = settled_states(p, p.transition("p0"), set())
+    assert sorted(settled) == ["b", "c"]
+    assert all(pred.is_true() for pred in settled.values())
+
+
+def test_settled_states_true_guard_open_is_false():
+    p = _settling_graph()
+    settled = settled_states(p, p.transition("p0"), {"c1", "b1"})
+    assert settled["c"].is_false()
+    # only b1 open at b: the states where x >= 0 fails
+    assert settled["b"] == Predicate.of_constraints([LinConstraint.lt(LinExpr.var(0))])
+    every = settled_states(p, p.transition("p0"), {t.id for t in p.transitions})
+    assert not every["b"].satisfied([F(0)]) and not every["b"].satisfied([F(-1)])
+    assert every["c"].is_false()
 
 
 def test_pb_restricted_rejects_non_branch(fig1b):

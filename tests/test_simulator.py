@@ -1,6 +1,7 @@
 """Trajectory semantics, estimation, the counterexample process, and the
 invariant audit that can refute an invariant along runs."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -19,8 +20,8 @@ from conftest import example3_certificate, load_fixture
 
 def test_run_from_terminal_is_immediate(fig1b):
     p, _ = fig1b
-    r = run_trajectory(p, [F(0), F(0)], UniformRandom(), 100, seed=1,
-                       location="out")
+    at_exit = dataclasses.replace(p, init_location=p.terminal_location)
+    r = run_trajectory(at_exit, [F(0), F(0)], UniformRandom(), 100, seed=1)
     assert r.terminated and r.steps == 0 and not r.stuck
 
 
@@ -29,7 +30,7 @@ def test_fig1b_terminates_fast(fig1b):
     terminated = 0
     for i in range(200):
         r = run_trajectory(p, [F(0), F(0)], UniformRandom(), 10 ** 5,
-                           rng=run_rng(21, i), record_states=False)
+                           seed=21, run_index=i, record_states=False)
         terminated += r.terminated
     assert terminated >= 199  # mean drift is -3 per step
 
@@ -46,8 +47,8 @@ def test_terminated_run_stays_at_terminal(fig1b):
     assert r.terminated
     assert r.final_location == p.terminal_location
     # ten more steps change nothing: the terminal location has no exits
-    r2 = run_trajectory(p, r.final_values, UniformRandom(), 10, seed=6,
-                        location=p.terminal_location)
+    at_exit = dataclasses.replace(p, init_location=p.terminal_location)
+    r2 = run_trajectory(at_exit, r.final_values, UniformRandom(), 10, seed=6)
     assert r2.terminated and r2.steps == 0
 
 
@@ -147,10 +148,10 @@ def test_scheduler_choice_irrelevant_without_nondeterminism(fig1b):
     steps_u, steps_f = [], []
     for i in range(300):
         steps_u.append(run_trajectory(p, [F(3), F(3)], UniformRandom(),
-                                      10 ** 5, rng=run_rng(31, i)).steps)
+                                      10 ** 5, seed=31, run_index=i).steps)
         steps_f.append(run_trajectory(p, [F(3), F(3)],
                                       FixedPriority([t.id for t in p.transitions]),
-                                      10 ** 5, rng=run_rng(41, i)).steps)
+                                      10 ** 5, seed=41, run_index=i).steps)
     assert ks_2samp(steps_u, steps_f).pvalue > 0.01
 
 
@@ -223,7 +224,7 @@ def test_unregistered_sampler_is_an_error():
 
 
 def _trajectories(p, init, n, seed, cap=10 ** 4):
-    return [run_trajectory(p, init, UniformRandom(), cap, rng=run_rng(seed, i))
+    return [run_trajectory(p, init, UniformRandom(), cap, seed=seed, run_index=i)
             for i in range(n)]
 
 
