@@ -33,6 +33,17 @@ entering on the lowest column index with positive reduced cost and
 leaving on the lowest basic index among minimum ratios. Ratios are
 compared by cross-multiplying numerators, since a row's denominator
 cancels in its own ratio.
+
+Integers from input to re-check. Each caller row, and the objective, is
+converted to one integer row once, over its unsplit coefficients; a free
+variable's second column then takes the negated integers. The basic
+values are read as integer numerators over one common denominator D, the
+lcm of the row denominators, and the assignment is built once from them.
+Every optimum is then re-checked exactly against the caller's own rows,
+not the tableau's copy: each row is scaled by the lcm of its own
+denominators, and its integer dot product with the numerators is
+compared with its right-hand side times D. The objective value is
+checked the same way.
 """
 
 from __future__ import annotations
@@ -42,9 +53,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 DEFAULT_PIVOT_CAP = 10 ** 6
 
@@ -182,20 +190,21 @@ class _Tableau:
         left = [b for b in self.basis if b in art]
         if not left:
             return True
-        _, value, _ = self.maximize({c: -ONE for c in left})
+        _, value, _ = self.maximize({c: -1 for c in left}, 1)
         if value < 0:
             return False
         self.drive_out(art, [i for i, b in enumerate(self.basis) if b in art])
         return True
 
-    def maximize(self, cost: Dict[int, Fraction]) -> Tuple[str, Fraction, int]:
-        """Run simplex on the current basis for the given objective.
+    def maximize(self, cost: Dict[int, int], den: int) -> Tuple[str, Fraction, int]:
+        """Run simplex on the current basis for the objective cost / den,
+        an integer row in lowest terms that `maximize` may change.
 
         Returns (outcome, value, column); outcome is "optimal" or
         "unbounded", and column is the entering column that has no leaving
         row when unbounded.
         """
-        z, zrhs, zden = _integer_row(cost, ZERO)
+        z, zrhs, zden = cost, 0, den
         for i, b in enumerate(self.basis):
             f = z.get(b)
             if f is not None:
@@ -253,17 +262,14 @@ def solve(num_vars: int,
     slack = ncols
     art = ncols + sum(rel is not RowRel.EQ for _, rel, _ in rows)
 
-    def split(coeffs: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        cols: Dict[int, Fraction] = {}
-        for j, c in coeffs.items():
+    def split(row: Dict[int, int]) -> Dict[int, int]:
+        cols: Dict[int, int] = {}
+        for j, v in row.items():
             pos, neg = col_of[j]
-            cols[pos] = c
+            cols[pos] = v
             if neg >= 0:
-                cols[neg] = -c
+                cols[neg] = -v
         return cols
-
-    def unsplit(colval: Dict[int, Fraction]) -> List[Fraction]:
-        return [colval.get(pos, ZERO) - colval.get(neg, ZERO) for pos, neg in col_of]
 
     trows: List[Dict[int, int]] = []
     rhs: List[int] = []
@@ -271,7 +277,8 @@ def solve(num_vars: int,
     basis: List[int] = []
     art_cols: List[int] = []
     for coeffs, rel, b in rows:
-        row, r, d = _integer_row(split(coeffs), b)
+        row, r, d = _integer_row(coeffs, b)
+        row = split(row)
         s = -1
         if rel is not RowRel.EQ:
             s = slack
@@ -297,31 +304,51 @@ def solve(num_vars: int,
     try:
         if not tab.feasible_start(set(art_cols)):
             return SimplexResult(LPStatus.INFEASIBLE, pivots=tab.pivots)
-        outcome, value, enter = tab.maximize(split(objective))
+        cost, _, cost_den = _integer_row(objective, 0)
+        outcome, value, enter = tab.maximize(split(cost), cost_den)
     except _PivotCapReached:
         return SimplexResult(LPStatus.PIVOT_CAP, pivots=tab.pivots)
 
-    x = unsplit({b: Fraction(tab.rhs[i], tab.den[i]) for i, b in enumerate(tab.basis)})
+    # basic values as integer numerators over one common denominator D
+    D = lcm(*tab.den)
+    scale = [D // d for d in tab.den]
+
+    def unsplit(colval: Dict[int, int]) -> List[int]:
+        return [colval.get(pos, 0) - colval.get(neg, 0) for pos, neg in col_of]
+
+    X = unsplit({b: tab.rhs[i] * scale[i] for i, b in enumerate(tab.basis)})
+    x = [Fraction(v, D) for v in X]
 
     if outcome == "unbounded":
-        dcol = {enter: ONE}
+        dcol = {enter: D}
         for i, b in enumerate(tab.basis):
-            dcol[b] = Fraction(-tab.rows[i].get(enter, 0), tab.den[i])
-        return SimplexResult(LPStatus.UNBOUNDED, x=x, ray=unsplit(dcol), pivots=tab.pivots)
+            dcol[b] = -tab.rows[i].get(enter, 0) * scale[i]
+        ray = [Fraction(v, D) for v in unsplit(dcol)]
+        return SimplexResult(LPStatus.UNBOUNDED, x=x, ray=ray, pivots=tab.pivots)
 
-    _check_solution(num_vars, nonneg, rows, objective, x, value)
+    _check_solution(nonneg, rows, objective, X, D, value)
     return SimplexResult(LPStatus.OPTIMAL, x=x, value=value, pivots=tab.pivots)
 
 
-def _check_solution(num_vars, nonneg, rows, objective, x, value) -> None:
-    for j in range(num_vars):
-        if nonneg[j] and x[j] < 0:
-            raise AssertionError(f"nonneg variable {j} got {x[j]}")
+def _scaled(coeffs, b, X, D) -> Tuple[int, int, int]:
+    """The sides of coeffs . x against b at x = X / D, both times m = s * D
+    where s is the lcm of the row's own denominators: (lhs, rhs, m)."""
+    s = lcm(b.denominator, *(c.denominator for c in coeffs.values()))
+    lhs = sum(c.numerator * (s // c.denominator) * X[j] for j, c in coeffs.items())
+    return lhs, b.numerator * (s // b.denominator) * D, s * D
+
+
+def _check_solution(nonneg, rows, objective, X, D, value) -> None:
+    """Re-substitute x = X / D into the caller's own rows and objective,
+    exactly and in integers."""
+    for j, v in enumerate(X):
+        if nonneg[j] and v < 0:
+            raise AssertionError(f"nonneg variable {j} got {Fraction(v, D)}")
     for coeffs, rel, b in rows:
-        lhs = sum((c * x[j] for j, c in coeffs.items()), ZERO)
-        ok = lhs <= b if rel is RowRel.LE else lhs >= b if rel is RowRel.GE else lhs == b
+        lhs, rhs, m = _scaled(coeffs, b, X, D)
+        ok = lhs <= rhs if rel is RowRel.LE else lhs >= rhs if rel is RowRel.GE else lhs == rhs
         if not ok:
-            raise AssertionError(f"row violated exactly: {lhs} {rel.value} {b}")
-    obj = sum((c * x[j] for j, c in objective.items()), ZERO)
-    if obj != value:
-        raise AssertionError(f"objective mismatch: {obj} != {value}")
+            raise AssertionError(f"row violated exactly: {Fraction(lhs, m)} {rel.value} {b}")
+    lhs, rhs, m = _scaled(objective, value, X, D)
+    if lhs != rhs:
+        raise AssertionError(f"objective mismatch: {Fraction(lhs, m)} != {value}")

@@ -244,7 +244,7 @@ def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
     if not state.components:
         state.first_lp = slp.lp
     state.components.append(component)
-    state.unranked = [tid for tid in state.unranked if tid not in set(ranked)]
+    state.unranked = [tid for tid in state.unranked if eps_values[tid] <= 0]
     return IterationRecord(index, before, ranked, slp.lp.num_vars(),
                            slp.lp.num_constraints(), sol.value, tau0)
 

@@ -201,3 +201,42 @@ def test_unreferenced_function_is_detected():
                      "class Record:\n    run: int\n"
                      "def f():\n    return C().used()\nf()\n")
     assert set(_definitions(tree)) - _names_used(tree) == {"dead", "Record"}
+
+
+CERTIFICATE_PATH = ("simplex", "farkas", "synthesis", "checker", "preexp", "linear")
+EXACT_MATH = {"gcd", "lcm"}
+
+
+def _floating_point(tree: ast.Module) -> list:
+    """Lines with a float literal, a float(...) call, an import of numpy,
+    or an import from math of anything but gcd and lcm."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            found += [node.lineno for alias in node.names
+                      if alias.name.split(".")[0] in ("math", "numpy")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            root = node.module.split(".")[0]
+            if root == "numpy" or (root == "math" and any(
+                    alias.name not in EXACT_MATH for alias in node.names)):
+                found.append(node.lineno)
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_PATH)
+def test_no_floating_point_on_the_certificate_path(name):
+    # certificates, Farkas witnesses and checker verdicts are exact: one
+    # rounded number there would make a proof unsound
+    assert _floating_point(ast.parse((SRC / f"{name}.py").read_text())) == []
+
+
+def test_floating_point_is_detected():
+    tree = ast.parse("import math\nfrom math import gcd, lcm\nfrom math import sqrt\n"
+                     "import numpy as np\nfrom numpy.linalg import solve\n"
+                     "x = 0.5\ny = float(x)\nz = 1e3\nn = 3\nfrom .math import floor\n")
+    assert _floating_point(tree) == [1, 3, 4, 5, 6, 7, 8]

@@ -1,11 +1,13 @@
 """The exact LP core, cross-checked against an independent float solver."""
 
+import copy
 import random
 from fractions import Fraction as F
 
 import pytest
 from scipy.optimize import linprog
 
+from probterm import simplex
 from probterm.simplex import LPStatus, RowRel, solve
 
 
@@ -215,3 +217,56 @@ def test_resubstitution_is_exact():
     assert r.status is LPStatus.OPTIMAL
     assert 7 * r.x[0] + 3 * r.x[1] <= 1 and -2 * r.x[0] + 9 * r.x[1] <= 1
     assert 5 * r.x[0] + r.x[1] == r.value
+
+
+# max x0 + x1  s.t. x0 + 2 x1 <= 4, 3 x0 + x1 <= 6  ->  vertex (8/5, 6/5)
+_VERTEX_ROWS = [({0: F(1), 1: F(2)}, RowRel.LE, F(4)),
+                ({0: F(3), 1: F(1)}, RowRel.LE, F(6))]
+
+
+def _wrong_tableau(basic_value: bool):
+    """A _Tableau whose optimum comes back wrong: either x0 one unit higher
+    and x1 one lower, which keeps the objective value and each tableau row
+    consistent but leaves the caller's second row violated, or the
+    reported objective value one unit too high."""
+
+    class Wrong(simplex._Tableau):
+        def maximize(self, cost, den):
+            outcome, value, enter = super().maximize(cost, den)
+            if not basic_value:
+                return outcome, value + 1, enter
+            for col, step in ((0, 1), (1, -1)):
+                i = self.basis.index(col)
+                self.rhs[i] += step * self.den[i]
+            return outcome, value, enter
+
+    return Wrong
+
+
+@pytest.mark.parametrize("basic_value", [True, False], ids=["basic-value", "optimum"])
+def test_recheck_detects_a_wrong_optimum(monkeypatch, basic_value):
+    obj = {0: F(1), 1: F(1)}
+    r = solve(2, [True, True], _VERTEX_ROWS, obj)
+    assert r.x == [F(8, 5), F(6, 5)] and r.value == F(14, 5)
+    monkeypatch.setattr(simplex, "_Tableau", _wrong_tableau(basic_value))
+    with pytest.raises(AssertionError):
+        solve(2, [True, True], _VERTEX_ROWS, obj)
+
+
+def test_caller_input_is_left_alone_and_ints_equal_fractions():
+    # x0 and x2 free; the optimum puts both at negative fractions
+    rows = [({0: 3, 1: 1}, RowRel.GE, -2),
+            ({1: 1}, RowRel.LE, 1),
+            ({0: 1, 2: -3}, RowRel.EQ, 0)]
+    obj = {0: -1, 1: -1}
+    as_fractions = [({j: F(c) for j, c in coeffs.items()}, rel, F(b))
+                    for coeffs, rel, b in rows]
+    results = []
+    for rs, ob in [(rows, obj), (as_fractions, {j: F(c) for j, c in obj.items()})]:
+        before = copy.deepcopy((rs, ob))
+        results.append(solve(3, [False, True, False], rs, ob))
+        assert (rs, ob) == before
+    ints, fracs = results
+    assert ints.status is LPStatus.OPTIMAL
+    assert ints.x == [F(-2, 3), F(0), F(-2, 9)] and ints.value == F(2, 3)
+    assert (ints.x, ints.value, ints.pivots) == (fracs.x, fracs.value, fracs.pivots)
