@@ -172,6 +172,20 @@ def test_counterexample_empirical_matches_series():
     assert rep.residual_bound < 1e-18
 
 
+# (seed, runs) -> runs that stopped, measured when every chunk was drawn as a
+# fresh array. 123 457 runs is a multiple of no chunk size and a single run
+# is smaller than any chunk, so a change to how the uniforms are drawn or
+# chunked that alters the stream shows here.
+STOP_COUNTS = {(0, 1): 1, (8, 100_000): 42_440, (5, 200_000): 84_310,
+               (7, 123_457): 52_002, (2024, 10 ** 6): 422_301}
+
+
+@pytest.mark.parametrize("seed, runs", sorted(STOP_COUNTS))
+def test_counterexample_stream_is_pinned(seed, runs):
+    rep = counterexample_process(seed, runs)
+    assert round(rep.empirical * runs) == STOP_COUNTS[seed, runs]
+
+
 def test_counterexample_ci_shrinks_with_runs():
     reps = 40
     small = [counterexample_process(seed=s, runs=2000).empirical for s in range(reps)]
