@@ -451,8 +451,11 @@ ANALYTIC_HORIZON = 200
 CEX_HORIZON = 60
 """Steps after which `counterexample_process` truncates a run."""
 
-CEX_CHUNK = 100_000
-"""Runs that `counterexample_process` draws per batch of uniforms."""
+CEX_CHUNK = 2048
+"""Rows (runs) per fill of `counterexample_process`'s buffer. The float
+buffer (CEX_HORIZON + 1 uniforms of 8 bytes per row) and its bool hit mask
+(1 byte per uniform) hold about CEX_CHUNK * 61 * 9 bytes, about 1.1 MB,
+whatever the number of runs: small enough to stay in cache."""
 
 
 def counterexample_analytic() -> Fraction:
@@ -484,18 +487,31 @@ def counterexample_process(seed: int, runs: int) -> CounterexampleReport:
     linear while the drop is exponential), so the process stops iff a
     down-step ever fires; runs are truncated at `CEX_HORIZON` steps,
     which leaves under sum_{t>CEX_HORIZON} p_t < 2**-(CEX_HORIZON+1)
-    residual probability unaccounted.
+    residual probability unaccounted. `residual_bound` covers this
+    truncation only, not the resolution of the uniforms: `rng.random()`
+    returns multiples of 2**-53, so the step test u < p_t fires with
+    probability exactly p_t for t <= 51, where p_t is such a multiple,
+    and with probability 2**-53 (only u = 0 passes) for t = 52..60.
+
+    Each run is one row of CEX_HORIZON + 1 uniforms, drawn in run order
+    into one buffer of `CEX_CHUNK` rows that is refilled in place, so
+    memory stays constant in `runs` and the draws are those of one
+    `rng.random((runs, CEX_HORIZON + 1))`.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     rng = np.random.default_rng(seed)
     p_t = 0.25 * np.power(2.0, -np.arange(CEX_HORIZON + 1, dtype=np.float64))
+    rows = min(CEX_CHUNK, runs)
+    u = np.empty((rows, CEX_HORIZON + 1))
+    hit = np.empty((rows, CEX_HORIZON + 1), dtype=bool)
     stopped = 0
     remaining = runs
     while remaining > 0:
-        n = min(CEX_CHUNK, remaining)
-        u = rng.random((n, CEX_HORIZON + 1))
-        stopped += int((u < p_t).any(axis=1).sum())
+        n = min(rows, remaining)
+        rng.random(out=u[:n])
+        np.less(u[:n], p_t, out=hit[:n])
+        stopped += int(np.count_nonzero(hit[:n].any(axis=1)))
         remaining -= n
     return CounterexampleReport(stopped / runs, runs, CEX_HORIZON,
                                 float(2.0 ** (-CEX_HORIZON - 1)))

@@ -3,6 +3,7 @@ invariant audit that can refute an invariant along runs."""
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -184,6 +185,20 @@ STOP_COUNTS = {(0, 1): 1, (8, 100_000): 42_440, (5, 200_000): 84_310,
 def test_counterexample_stream_is_pinned(seed, runs):
     rep = counterexample_process(seed, runs)
     assert round(rep.empirical * runs) == STOP_COUNTS[seed, runs]
+
+
+def test_counterexample_memory_is_constant_in_runs():
+    # numpy reports its buffers to tracemalloc; 200 000 runs as fresh
+    # arrays of uniforms would need about 92 MiB
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        counterexample_process(3, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 4 * 2 ** 20
 
 
 def test_counterexample_ci_shrinks_with_runs():
