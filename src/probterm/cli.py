@@ -247,6 +247,13 @@ def cmd_simulate(args) -> int:
     if args.cap < 1:
         raise pcfg_io.FormatError("must be at least 1", "--cap")
     if args.counterexample_builtin:
+        # the built-in process reads no program and writes no per-run records
+        for name, value in (("pcfg", args.pcfg), ("--init", args.init),
+                            ("--certificate", args.certificate),
+                            ("--trace-out", args.trace_out), ("--csv", args.csv)):
+            if value:
+                raise pcfg_io.FormatError("cannot be combined with --counterexample-builtin",
+                                          name)
         rep = counterexample_process(args.seed, args.runs)
         doc = rep.as_dict()
         _emit(doc, args.json,

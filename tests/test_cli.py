@@ -470,6 +470,25 @@ MALFORMED = {
                                              "--runs", "0"]),
     "counterexample-negative-runs": (3, lambda d: ["simulate", "--counterexample-builtin",
                                                    "--runs", "-3"]),
+    # the built-in process refuses every input it would not use
+    "counterexample-with-pcfg": (3, lambda d: ["simulate", FIG2RIGHT, "--counterexample-builtin",
+                                               "--runs", "2"]),
+    "counterexample-with-init": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                               "--runs", "2", "--init", "x=5"]),
+    "counterexample-with-certificate": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                                      "--runs", "2",
+                                                      "--certificate", EXAMPLE3]),
+    "counterexample-with-trace-out": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                                    "--runs", "2",
+                                                    "--trace-out", str(d / "t.jsonl")]),
+    "counterexample-with-csv": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                              "--runs", "2", "--csv", str(d / "c.csv")]),
+    "counterexample-with-everything": (3, lambda d: ["simulate", str(d / "none.json"),
+                                                     "--counterexample-builtin",
+                                                     "--runs", "1000",
+                                                     "--trace-out", str(d / "t.jsonl"),
+                                                     "--csv", str(d / "c.csv"),
+                                                     "--init", "x=5"]),
 }
 
 
