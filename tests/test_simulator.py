@@ -173,9 +173,9 @@ def test_counterexample_empirical_matches_series():
     assert rep.residual_bound < 1e-18
 
 
-# (seed, runs) -> runs that stopped, measured when every chunk was drawn as a
-# fresh array. 123 457 runs is a multiple of no chunk size and a single run
-# is smaller than any chunk, so a change to how the uniforms are drawn or
+# (seed, runs) -> runs that stopped, with each run's uniforms taken in order
+# from one stream. 123 457 runs is a multiple of no power of two and a single
+# run is smaller than any chunk, so a change to how the uniforms are drawn or
 # chunked that alters the stream shows here.
 STOP_COUNTS = {(0, 1): 1, (8, 100_000): 42_440, (5, 200_000): 84_310,
                (7, 123_457): 52_002, (2024, 10 ** 6): 422_301}
