@@ -29,7 +29,7 @@ from .lowering import lower_to_pcfg
 from .model import Invariant, check_bsp, validate_pcfg
 from .simulate import (Adversarial, FixedPriority, TerminationEstimate,
                        UniformRandom, counterexample_process, trajectories,
-                       COUNTEREXAMPLE_ANALYTIC)
+                       COUNTEREXAMPLE_ANALYTIC, DEFAULT_ESTIMATE_CAP)
 from .source import ProgramSyntaxError, parse_program
 from .synthesis import (MissingBoundedSupport, NotLinPPStar, synthesize_bsp,
                         synthesize_general)
@@ -244,12 +244,14 @@ def cmd_simulate(args) -> int:
         raise pcfg_io.FormatError("must be at least 1", "--runs")
     if args.seed < 0:
         raise pcfg_io.FormatError("must not be negative", "--seed")
-    if args.cap < 1:
+    if args.cap is not None and args.cap < 1:
         raise pcfg_io.FormatError("must be at least 1", "--cap")
     if args.counterexample_builtin:
-        # the built-in process reads no program and writes no per-run records
+        # the built-in process reads no program, has no scheduler or step
+        # cap, and writes no per-run records
         for name, value in (("pcfg", args.pcfg), ("--init", args.init),
-                            ("--certificate", args.certificate),
+                            ("--scheduler", args.scheduler), ("--ndet", args.ndet),
+                            ("--cap", args.cap), ("--certificate", args.certificate),
                             ("--trace-out", args.trace_out), ("--csv", args.csv)):
             if value:
                 raise pcfg_io.FormatError("cannot be combined with --counterexample-builtin",
@@ -264,6 +266,11 @@ def cmd_simulate(args) -> int:
     if not args.pcfg:
         raise pcfg_io.FormatError("simulate needs a pcfg file (or --counterexample-builtin)",
                                   "pcfg")
+    scheduler = args.scheduler or "uniform"
+    if args.certificate and scheduler != "adversarial":
+        raise pcfg_io.FormatError("needs --scheduler adversarial", "--certificate")
+    if args.ndet and scheduler != "fixed":
+        raise pcfg_io.FormatError("needs --scheduler fixed", "--ndet")
     p, _ = _load_inputs(args)
     for t in p.transitions:
         d = t.samples_from()
@@ -272,15 +279,16 @@ def cmd_simulate(args) -> int:
                                       f"{d.param('sampler')!r}, which is not registered",
                                       args.pcfg)
     init = _parse_init(args.init, p.variables)
-    if args.scheduler == "uniform":
+    if scheduler == "uniform":
         sched = UniformRandom()
-    elif args.scheduler == "fixed":
-        sched = FixedPriority([t.id for t in p.transitions], ndet_mode=args.ndet)
+    elif scheduler == "fixed":
+        sched = FixedPriority([t.id for t in p.transitions], ndet_mode=args.ndet or "uniform")
     elif args.certificate:
         sched = Adversarial(pcfg_io.load_certificate(args.certificate, p))
     else:
         raise pcfg_io.FormatError("the adversarial scheduler needs one", "--certificate")
-    runs = trajectories(p, init, sched, args.cap, args.seed, range(args.runs))
+    cap = DEFAULT_ESTIMATE_CAP if args.cap is None else args.cap
+    runs = trajectories(p, init, sched, cap, args.seed, range(args.runs))
     with _Outputs() as out:
         jf, cf = out.open(args.trace_out), out.open(args.csv)
         if jf or cf:
@@ -288,7 +296,7 @@ def cmd_simulate(args) -> int:
             runs = _write_traces(runs, jf, cf)
         est = TerminationEstimate.of(runs)
     doc = est.as_dict()
-    doc["scheduler"] = args.scheduler
+    doc["scheduler"] = scheduler
     doc["seed"] = args.seed
     _emit(doc, args.json,
           f"terminated {est.terminated}/{est.runs} runs "
@@ -337,11 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("pcfg", nargs="?")
     p_sim.add_argument("--init", default="", help='e.g. "x=5, y=3" (others 0)')
     p_sim.add_argument("--runs", type=int, default=2000)
-    p_sim.add_argument("--cap", type=int, default=10 ** 6)
+    p_sim.add_argument("--cap", type=int,
+                       help=f"step cap per run (default: {DEFAULT_ESTIMATE_CAP})")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--scheduler", choices=["uniform", "fixed", "adversarial"],
-                       default="uniform")
-    p_sim.add_argument("--ndet", choices=["uniform", "lo", "hi"], default="uniform")
+                       help="default: uniform")
+    p_sim.add_argument("--ndet", choices=["uniform", "lo", "hi"],
+                       help="for the fixed scheduler (default: uniform)")
     p_sim.add_argument("--certificate", help="for the adversarial scheduler")
     p_sim.add_argument("--trace-out", metavar="PATH",
                        help="write one JSON line per run")

@@ -11,12 +11,12 @@ honored the implication is vacuous and dropped, otherwise its stricts
 read as non-strict, since the encoder uses only each row's left-hand
 side.
 
-The polyhedral queries are exact too. `check_feasible`, synthesis's
-screen, honors strict rows through one shared slack. `entails`, the
-checker's oracle, maximizes -e over the relaxed antecedent; only when
-that maximum does not settle the question does a second LP, the
-feasibility query for a point where e < 0, decide it and give the
-counterexample.
+There is one polyhedral query, and it is exact too. `check_feasible`
+decides whether a polyhedron has a rational point: a row without
+variables is decided by its constant, with no LP, and the rest go into
+one LP that honors strict rows through a shared slack. Synthesis screens
+antecedents with it. `entails(p, e)`, the checker's oracle, asks it for a
+point of p where e < 0, which is the counterexample when there is one.
 """
 
 from __future__ import annotations
@@ -157,79 +157,42 @@ def solve_lp(lp: LPProblem, pivot_cap: int = simplex.DEFAULT_PIVOT_CAP) -> LPSol
 # -- polyhedral queries ----------------------------------------------------
 
 
-def _poly_rows(p: Polyhedron, extra_gap: Optional[int] = None):
-    """Rows (coeffs, rel, rhs) for `p`; strict rows get `+ gap` when an
-    extra gap-variable index is supplied (used to witness strictness)."""
-    rows = []
-    for c in p.constraints:
-        coeffs = dict(c.lhs.coeffs)
-        rhs = -c.lhs.constant
-        if c.rel is Rel.EQ:
-            rows.append((coeffs, RowRel.EQ, rhs))
-        elif c.rel is Rel.LE:
-            rows.append((coeffs, RowRel.LE, rhs))
-        else:
-            if extra_gap is not None:
-                coeffs = dict(coeffs)
-                coeffs[extra_gap] = coeffs.get(extra_gap, ZERO) + ONE
-            rows.append((coeffs, RowRel.LE, rhs))
-    return rows
-
-
-def _solve_query(*args) -> simplex.SimplexResult:
-    res = simplex.solve(*args)
-    if res.status is LPStatus.PIVOT_CAP:
-        raise PivotCapReached(f"{res.pivots} pivots")
-    return res
-
-
 def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     """Rational satisfiability of `p` with strict inequalities honored.
 
-    Maximizes a shared slack under every strict row; the system has a
-    rational point iff the non-strict relaxation is feasible and the
-    optimal slack is positive. Returns a witness point when feasible.
-    Raises PivotCapReached when the LP hits the pivot cap.
+    A row without variables is decided by its constant: it is dropped when
+    it holds, and `p` is empty when it fails. The other rows go into one
+    LP that adds a shared slack `gap >= 0` to every strict row, bounds it
+    by `gap <= 1` and maximizes it. `p` has a rational point iff that LP
+    is feasible with a positive optimal gap; the point is returned as the
+    witness. Raises PivotCapReached when the LP hits the pivot cap.
     """
     nvars = max((i for c in p.constraints for i in c.lhs.coeffs), default=-1) + 1
-    has_strict = p.has_strict()
-    if not has_strict:
-        rows = _poly_rows(p)
-        res = _solve_query(nvars, [False] * nvars, rows, {})
-        if res.status is LPStatus.INFEASIBLE:
-            return False, None
-        return True, {i: res.x[i] for i in range(nvars)}
     gap = nvars
-    rows = _poly_rows(p, extra_gap=gap)
+    rows = []
+    for c in p.constraints:
+        if not c.lhs.coeffs:
+            if not c.satisfied({}):
+                return False, None
+            continue
+        coeffs = c.lhs.coeffs
+        if c.rel is Rel.LT:
+            coeffs = {**coeffs, gap: ONE}
+        rows.append((coeffs, RowRel.EQ if c.rel is Rel.EQ else RowRel.LE, -c.lhs.constant))
     rows.append(({gap: ONE}, RowRel.LE, ONE))
-    nonneg = [False] * nvars + [True]
-    res = _solve_query(nvars + 1, nonneg, rows, {gap: ONE})
+    res = simplex.solve(nvars + 1, [False] * nvars + [True], rows, {gap: ONE})
+    if res.status is LPStatus.PIVOT_CAP:
+        raise PivotCapReached(f"{res.pivots} pivots")
     if res.status is LPStatus.INFEASIBLE or res.value == 0:
         return False, None
     return True, {i: res.x[i] for i in range(nvars)}
 
 
 def entails(p: Polyhedron, e: LinExpr) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
-    """Does `e >= 0` hold on every rational point of `p`?
-
-    Maximizes -e over the non-strict relaxation of `p`, which has the
-    supremum of `p` whenever `p` is nonempty: an empty relaxation, or a
-    maximum of at most 0, means it holds. Otherwise the witness system,
-    `p` with `e < 0`, decides it exactly. It is infeasible only when the
-    strict rows of `p` empty it, and its point, which satisfies the strict
-    rows of `p` too, is the counterexample. Raises PivotCapReached when an
-    LP hits the pivot cap.
-    """
-    relaxed = p.relax_strict()
-    neg = -e
-    indices = [i for q in relaxed.constraints for i in q.lhs.coeffs]
-    nvars = max(indices + list(neg.coeffs), default=-1) + 1
-    res = _solve_query(nvars, [False] * nvars, _poly_rows(relaxed), dict(neg.coeffs))
-    if res.status is LPStatus.INFEASIBLE or (
-            res.status is LPStatus.OPTIMAL and res.value + neg.constant <= 0):
-        return True, None
+    """Does `e >= 0` hold on every rational point of `p`? It fails exactly
+    when `p` with `e < 0` has a point, which is the counterexample."""
     violated, w = check_feasible(Polyhedron(p.constraints + [LinConstraint.lt(e)]))
-    return (False, w) if violated else (True, None)
+    return not violated, w
 
 
 # -- the implication encoder ------------------------------------------------

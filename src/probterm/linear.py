@@ -225,13 +225,6 @@ class Polyhedron:
     def satisfied(self, values) -> bool:
         return all(c.satisfied(values) for c in self.constraints)
 
-    def has_strict(self) -> bool:
-        return any(c.rel is Rel.LT for c in self.constraints)
-
-    def relax_strict(self) -> "Polyhedron":
-        return Polyhedron(LinConstraint(c.lhs, Rel.LE) if c.rel is Rel.LT else c
-                          for c in self.constraints)
-
     def variables(self) -> set:
         out = set()
         for c in self.constraints:

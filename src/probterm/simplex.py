@@ -75,7 +75,6 @@ class SimplexResult:
     status: LPStatus
     x: Optional[List[Fraction]] = None
     value: Optional[Fraction] = None
-    ray: Optional[List[Fraction]] = None  # improving direction when unbounded
     pivots: int = 0
 
 
@@ -190,19 +189,17 @@ class _Tableau:
         left = [b for b in self.basis if b in art]
         if not left:
             return True
-        _, value, _ = self.maximize({c: -1 for c in left}, 1)
+        _, value = self.maximize({c: -1 for c in left}, 1)
         if value < 0:
             return False
         self.drive_out(art, [i for i, b in enumerate(self.basis) if b in art])
         return True
 
-    def maximize(self, cost: Dict[int, int], den: int) -> Tuple[str, Fraction, int]:
+    def maximize(self, cost: Dict[int, int], den: int) -> Tuple[str, Fraction]:
         """Run simplex on the current basis for the objective cost / den,
         an integer row in lowest terms that `maximize` may change.
 
-        Returns (outcome, value, column); outcome is "optimal" or
-        "unbounded", and column is the entering column that has no leaving
-        row when unbounded.
+        Returns (outcome, value); outcome is "optimal" or "unbounded".
         """
         z, zrhs, zden = cost, 0, den
         for i, b in enumerate(self.basis):
@@ -232,7 +229,7 @@ class _Tableau:
             self.pivot(leave, enter)
             z, zrhs, zden = _eliminate(z, zrhs, zden, z[enter], self.rows[leave],
                                        self.rhs[leave], self.den[leave])
-        return outcome, Fraction(-zrhs, zden), enter
+        return outcome, Fraction(-zrhs, zden)
 
 
 def solve(num_vars: int,
@@ -305,29 +302,19 @@ def solve(num_vars: int,
         if not tab.feasible_start(set(art_cols)):
             return SimplexResult(LPStatus.INFEASIBLE, pivots=tab.pivots)
         cost, _, cost_den = _integer_row(objective, 0)
-        outcome, value, enter = tab.maximize(split(cost), cost_den)
+        outcome, value = tab.maximize(split(cost), cost_den)
     except _PivotCapReached:
         return SimplexResult(LPStatus.PIVOT_CAP, pivots=tab.pivots)
+    if outcome == "unbounded":
+        return SimplexResult(LPStatus.UNBOUNDED, pivots=tab.pivots)
 
     # basic values as integer numerators over one common denominator D
     D = lcm(*tab.den)
-    scale = [D // d for d in tab.den]
-
-    def unsplit(colval: Dict[int, int]) -> List[int]:
-        return [colval.get(pos, 0) - colval.get(neg, 0) for pos, neg in col_of]
-
-    X = unsplit({b: tab.rhs[i] * scale[i] for i, b in enumerate(tab.basis)})
-    x = [Fraction(v, D) for v in X]
-
-    if outcome == "unbounded":
-        dcol = {enter: D}
-        for i, b in enumerate(tab.basis):
-            dcol[b] = -tab.rows[i].get(enter, 0) * scale[i]
-        ray = [Fraction(v, D) for v in unsplit(dcol)]
-        return SimplexResult(LPStatus.UNBOUNDED, x=x, ray=ray, pivots=tab.pivots)
-
+    colval = {b: tab.rhs[i] * (D // tab.den[i]) for i, b in enumerate(tab.basis)}
+    X = [colval.get(pos, 0) - colval.get(neg, 0) for pos, neg in col_of]
     _check_solution(nonneg, rows, objective, X, D, value)
-    return SimplexResult(LPStatus.OPTIMAL, x=x, value=value, pivots=tab.pivots)
+    return SimplexResult(LPStatus.OPTIMAL, x=[Fraction(v, D) for v in X], value=value,
+                         pivots=tab.pivots)
 
 
 def _scaled(coeffs, b, X, D) -> Tuple[int, int, int]:

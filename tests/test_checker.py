@@ -118,9 +118,10 @@ def test_mutation_suite_general(fig1a, loc, comp, var, delta, violated):
     assert violated_conditions(report) == violated
 
 
-def test_check_solves_one_lp_per_holding_condition(monkeypatch):
-    # each entailment maximizes over its relaxed antecedent once; only a
-    # violated one solves a second LP, the witness query for its point
+def test_check_solves_at_most_one_lp_per_entailment(monkeypatch):
+    # each entailment is one query for a point where its consequent is
+    # negative: at most one LP, and none when the consequent is a constant
+    # >= 0
     from probterm import checker, simplex
     calls = {"solves": 0, "entailments": 0, "violated": 0}
     solve, entails = simplex.solve, checker.entails
@@ -130,7 +131,10 @@ def test_check_solves_one_lp_per_holding_condition(monkeypatch):
         return solve(*args, **kwargs)
 
     def counting_entails(ante, e):
+        before = calls["solves"]
         ok, w = entails(ante, e)
+        spent = calls["solves"] - before
+        assert spent == (0 if e.is_constant() and e.constant >= 0 else 1)
         calls["entailments"] += 1
         calls["violated"] += not ok
         return ok, w
@@ -145,8 +149,7 @@ def test_check_solves_one_lp_per_holding_condition(monkeypatch):
         for loc, comp, var, delta, _ in mutations:
             idx = p.var_index(var) if var else None
             check_certificate(p, inv, perturbed(base, loc, comp, idx, delta))
-    assert (calls["entailments"], calls["violated"]) == (336, 21)
-    assert calls["solves"] == calls["entailments"] + calls["violated"]
+    assert (calls["entailments"], calls["violated"], calls["solves"]) == (336, 21, 121)
 
 
 def test_branch_expectation_checked_on_ranked_region():

@@ -179,6 +179,21 @@ def test_simulate_traces_run_each_trajectory_once(tmp_path, monkeypatch, capsys,
     assert sha(cs.read_text()) == TRACED_CSV
 
 
+def test_simulate_scheduler_inputs_and_default_cap(capsys):
+    # --ndet goes with the fixed scheduler and --certificate with the
+    # adversarial one; no --cap means simulate.DEFAULT_ESTIMATE_CAP
+    from probterm.simulate import DEFAULT_ESTIMATE_CAP
+    base = ["simulate", FIG2RIGHT, "--init", "x=3, y=3", "--runs", "4", "--json"]
+    docs = []
+    for extra in (["--scheduler", "fixed", "--ndet", "hi"],
+                  ["--scheduler", "adversarial", "--certificate", EXAMPLE3],
+                  [], ["--scheduler", "uniform", "--cap", str(DEFAULT_ESTIMATE_CAP)]):
+        assert cli.main(base + extra) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert [d["scheduler"] for d in docs] == ["fixed", "adversarial", "uniform", "uniform"]
+    assert docs[2] == docs[3]
+
+
 def test_simulate_needs_a_run():
     r = probterm("simulate", fixture_path("fig2right.pcfg.json"), "--runs", "0",
                  "--csv", os.devnull)
@@ -483,6 +498,21 @@ MALFORMED = {
                                                     "--trace-out", str(d / "t.jsonl")]),
     "counterexample-with-csv": (3, lambda d: ["simulate", "--counterexample-builtin",
                                               "--runs", "2", "--csv", str(d / "c.csv")]),
+    "counterexample-with-scheduler": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                                    "--runs", "10",
+                                                    "--scheduler", "adversarial"]),
+    "counterexample-with-ndet": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                               "--runs", "10", "--ndet", "hi"]),
+    "counterexample-with-cap": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                              "--runs", "10", "--cap", "5"]),
+    # a program's simulation refuses a scheduler input its scheduler would not read
+    "certificate-without-adversarial": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
+                                                      "--certificate", EXAMPLE3,
+                                                      "--trace-out", str(d / "t.jsonl")]),
+    "ndet-without-fixed": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
+                                         "--scheduler", "adversarial",
+                                         "--certificate", EXAMPLE3, "--ndet", "hi",
+                                         "--csv", str(d / "c.csv")]),
     "counterexample-with-everything": (3, lambda d: ["simulate", str(d / "none.json"),
                                                      "--counterexample-builtin",
                                                      "--runs", "1000",

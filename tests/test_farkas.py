@@ -5,11 +5,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from scipy.optimize import linprog
 
 from probterm import (Affine, LinConstraint, LinExpr, LPProblem, Polyhedron,
                       check_feasible, encode_implication, entails, solve_lp)
 from probterm import farkas
 from probterm.farkas import PivotCapReached, dump_lp
+from probterm.linear import Rel
 from probterm.simplex import LPStatus, RowRel
 
 from conftest import lifted
@@ -70,8 +72,8 @@ def test_infeasible_entails_anything():
 
 
 def test_strictly_empty_antecedent_entails_anything():
-    # {x >= 1, x < 1} is empty, but its relaxation {x = 1} is not and puts
-    # the maximum of x at 1 > 0: only the exact witness query decides it
+    # {x >= 1, x < 1} is empty, but its relaxation {x = 1} is not: the
+    # strict rows' shared gap has optimum 0, which decides it
     p = poly(LinConstraint.le(c(1) - x), LinConstraint.lt(x - c(1)))
     assert entails(p, -x) == (True, None)
 
@@ -94,13 +96,93 @@ def test_entails_equality_consequent():
     assert not ok and w[0] == w[1]
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The results of every `simplex.solve` call, in call order."""
+    results = []
+    solve = farkas.simplex.solve
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(farkas.simplex, "solve", recording)
+    return results
+
+
+def test_constant_rows_are_decided_without_an_lp(solves):
+    assert check_feasible(poly(LinConstraint.le(c(1)), LinConstraint.le(-x))) == (False, None)
+    assert entails(poly(LinConstraint.le(-x)), c(0)) == (True, None)
+    assert entails(poly(), c(3)) == (True, None)
+    assert solves == []
+
+
+def test_negative_constant_consequent_fails_at_a_point_of_p(solves):
+    p = poly(LinConstraint.le(c(2) - x), LinConstraint.lt(x - y), LinConstraint.eq(y - c(5)))
+    ok, w = entails(p, c(-1))
+    assert not ok and p.satisfied(w)
+    assert len(solves) == 1
+
+
+def test_strict_antecedent_holds_through_a_zero_gap(solves):
+    # x > 0 entails x >= 0: the point with x > 0 and x < 0 would need a
+    # positive gap under both strict rows, and the best gap is 0
+    assert entails(poly(LinConstraint.lt(-x)), x) == (True, None)
+    [res] = solves
+    assert res.status is LPStatus.OPTIMAL and res.value == 0
+
+
+def _gap_lp_verdict(p, n):
+    """Float oracle: does the gap LP of `p` (constant rows included) have a
+    positive optimum? Same LP shape as `check_feasible`, solved by scipy."""
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for con in p.constraints:
+        row = [float(con.lhs.coeff(i)) for i in range(n)]
+        if con.rel is Rel.EQ:
+            a_eq.append(row + [0.0])
+            b_eq.append(-float(con.lhs.constant))
+        else:
+            a_ub.append(row + [1.0 if con.rel is Rel.LT else 0.0])
+            b_ub.append(-float(con.lhs.constant))
+    res = linprog([0.0] * n + [-1.0], A_ub=a_ub or None, b_ub=b_ub or None,
+                  A_eq=a_eq or None, b_eq=b_eq or None,
+                  bounds=[(None, None)] * n + [(0, 1)], method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0 and -res.fun > 1e-7
+
+
+def test_entails_agrees_with_float_gap_lp():
+    """Random small polyhedra with strict, equality and constant rows:
+    every counterexample is a point of p where e < 0, exactly, and every
+    verdict matches scipy's solve of the same gap LP."""
+    rng = random.Random(16)
+    rels = [Rel.LE, Rel.LT, Rel.EQ]
+    seen = {"holds": 0, "fails": 0, "constant": 0}
+    for trial in range(300):
+        n = rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(0, 4)):
+            lhs = rand_expr(rng, n) if rng.random() < 0.8 else c(rng.randint(-2, 2))
+            rows.append(LinConstraint(lhs, rng.choice(rels)))
+        p = poly(*rows)
+        e = rand_expr(rng, n) if rng.random() < 0.8 else c(rng.randint(-2, 2))
+        ok, w = entails(p, e)
+        if not ok:
+            point = [w.get(i, F(0)) for i in range(n)]
+            assert p.satisfied(point) and e.evaluate(point) < 0, trial
+        assert ok == (not _gap_lp_verdict(poly(*rows, LinConstraint.lt(e)), n)), trial
+        seen["fails" if not ok else "holds"] += 1
+        seen["constant"] += any(not r.lhs.coeffs for r in rows) or not e.coeffs
+    assert min(seen.values()) > 50, seen
+
+
 def test_capped_queries_raise(monkeypatch):
     # a capped LP answers neither yes nor no
     monkeypatch.setattr(farkas.simplex, "solve",
                         functools.partial(farkas.simplex.solve, pivot_cap=0))
     with pytest.raises(PivotCapReached):
         check_feasible(poly(LinConstraint.eq(x - c(1))))  # phase 1 must pivot
-    # maximizing x over {x <= 1} needs a pivot
+    # a point with x <= 1 and 2 - x < 0 needs a phase-1 pivot
     with pytest.raises(PivotCapReached):
         entails(poly(LinConstraint.le(x - c(1))), c(2) - x)
 
@@ -153,10 +235,11 @@ def test_encoder_reads_strict_rows_as_relaxed():
     # from the relaxed antecedent, row for row
     ante = poly(LinConstraint.lt(x - c(1)), LinConstraint.eq(x - y),
                 LinConstraint.lt(-y))
-    assert ante.has_strict()
+    relaxed = poly(LinConstraint.le(x - c(1)), LinConstraint.eq(x - y),
+                   LinConstraint.le(-y))
     consequent = LinExpr({0: Affine.of("a"), 1: Affine.constant(-1)}, Affine.of("b"))
     dumps = []
-    for antecedent in (ante, ante.relax_strict()):
+    for antecedent in (ante, relaxed):
         lp = LPProblem()
         lp.add_var("a")
         lp.add_var("b")
