@@ -4,7 +4,7 @@ ranking-supermartingale certificates, an independent checker, and a
 Monte-Carlo validation harness."""
 
 from .linear import (EncodingBlowup, LinConstraint, LinExpr, Polyhedron,
-                     Predicate, Rel, negate_guards_to_dnf, negate_predicate)
+                     Predicate, Rel, negate_predicate)
 from .distributions import DistKind, DistributionSpec, register_sampler
 from .model import (Certificate, CertificateMode, Diagnostic, ExprUpdate,
                     GuardedStep, Invariant, LevelMap, LinExprMap, NoUpdate,

@@ -32,7 +32,7 @@ from .farkas import entails
 from .linear import LinExpr
 from .model import (Certificate, CertificateMode, Invariant, PCFG, check_bsp,
                     check_linpp_star)
-from .preexp import max_pre, min_pre, pre_pb_restricted, settled_states
+from .preexp import max_pre, min_pre, pre_pb_restricted
 
 
 class StructuralMismatch(Exception):
@@ -162,8 +162,7 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
             for jp in range(1, j + 1):
                 # successor states where every enabled transition has level < jp
                 open_ids = {u.id for u in p.transitions if c.levels[u.id] >= jp}
-                in_set = settled_states(p, t, open_ids)
-                for ctx, expr in pre_pb_restricted(comps[jp], t, in_set):
+                for ctx, expr in pre_pb_restricted(p, comps[jp], t, open_ids):
                     for ante in inv.antecedents(t, ctx):
                         ok, w = entails(ante, expr)
                         record(t.id, "expected-nonneg", jp, ok, w)

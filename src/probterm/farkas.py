@@ -246,11 +246,13 @@ def dump_lp(lp: LPProblem) -> str:
     """Text dump in the common solver-exchange (CPLEX LP) format, for
     cross-checking against external solvers."""
 
+    def safe(name: str) -> str:
+        return name.replace("[", "(").replace("]", ")").replace(".", "_")
+
     def term_str(form: Affine) -> str:
         parts = []
         for name, v in form.terms.items():
-            safe = name.replace("[", "(").replace("]", ")").replace(".", "_")
-            parts.append(f"{'+' if v >= 0 else '-'} {abs(v)} {safe}")
+            parts.append(f"{'+' if v >= 0 else '-'} {abs(v)} {safe(name)}")
         return " ".join(parts) if parts else "0 dummy"
 
     lines = ["Maximize", f" obj: {term_str(lp.objective)}", "Subject To"]
@@ -259,7 +261,6 @@ def dump_lp(lp: LPProblem) -> str:
         lines.append(f" c{k}: {term_str(c.form)} {op} {-c.form.const}")
     lines.append("Bounds")
     for name, nn in zip(lp.names, lp.nonneg):
-        safe = name.replace("[", "(").replace("]", ")").replace(".", "_")
-        lines.append(f" {safe} >= 0" if nn else f" {safe} free")
+        lines.append(f" {safe(name)} >= 0" if nn else f" {safe(name)} free")
     lines.append("End")
     return "\n".join(lines) + "\n"

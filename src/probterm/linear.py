@@ -325,12 +325,3 @@ def negate_predicate(pred: Predicate, cap: int = DEFAULT_DNF_CAP) -> Predicate:
         result = result.conjoin(clause, cap=cap)
     return result
 
-
-def negate_guards_to_dnf(guards: Sequence[Predicate], cap: int = DEFAULT_DNF_CAP) -> Predicate:
-    """DNF of ``not (g1 or ... or gn)``; `true` for an empty guard list."""
-    union = Predicate([])
-    for g in guards:
-        union = union.disjoin(g)
-    if not guards:
-        return Predicate.true()
-    return negate_predicate(union, cap=cap)

@@ -12,11 +12,12 @@ Only a demonic interval stays outside it in synthesis: an endpoint cannot
 be chosen by the sign of an unknown coefficient, so synthesis substitutes
 a universally quantified variable bounded to the interval instead.
 
-This module also owns the restriction set of a probabilistic branch
-(`settled_states`): the successor states where no still-open transition
-is enabled. Synthesis opens its unranked transitions, the checker those
-at or above the level of the component it checks; `pre_pb_restricted`
-splits the branch's pre-expectation over that set.
+This module also owns the restriction set of a probabilistic branch: the
+successor states where no still-open transition is enabled. Synthesis
+opens its unranked transitions, the checker those at or above the level
+of the component it checks. `pre_pb_restricted` negates the union U of
+the open guards at each branch target once, into the restriction set G,
+and splits the branch's pre-expectation over G and U.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Collection, Dict, List, Tuple
 
-from .linear import LinExpr, Predicate, negate_guards_to_dnf, negate_predicate
+from .linear import LinExpr, Predicate, negate_predicate
 from .model import (ExprUpdate, NondetUpdate, NoUpdate, PCFG, ProbBranch,
                     Transition)
 
@@ -80,28 +81,19 @@ def min_pre(eta: ComponentMap, tau: Transition) -> LinExpr:
     return _pre(eta, tau, maximize=False)
 
 
-def settled_states(p: PCFG, tau: Transition,
-                   open_ids: Collection[str]) -> Dict[str, Predicate]:
-    """The restriction set for `pre_pb_restricted`, per destination of
-    `tau`: the DNF of the states where no outgoing transition whose id is
-    in `open_ids` is enabled (`true` where none is open)."""
-    return {loc: negate_guards_to_dnf([t.guard() for t in p.outgoing(loc)
-                                       if t.id in open_ids])
-            for loc in tau.destinations()}
+def pre_pb_restricted(p: PCFG, eta: ComponentMap, tau: Transition,
+                      open_ids: Collection[str]) -> List[Tuple[Predicate, LinExpr]]:
+    """Case split of the pre-expectation of the probabilistic branch `tau`
+    restricted to the successor states where no transition whose id is in
+    `open_ids` is enabled.
 
+    At each branch target, U is the union of the guards of its open
+    outgoing transitions (`false` when none is open), and its one
+    negation G is the restriction set. The restricted pre-expectation is
 
-def pre_pb_restricted(eta: ComponentMap, tau: Transition,
-                      in_set: Dict[str, Predicate]) -> List[Tuple[Predicate, LinExpr]]:
-    """Case split of the pre-expectation of a probabilistic branch
-    restricted to successor states inside `in_set`.
-
-    `in_set` gives, per location, the membership predicate of the
-    restriction set. With G1/G2 the membership predicates at the two
-    branch targets, the restricted pre-expectation equals
-
-        G1 and G2      ->  p1*eta(dest1) + p2*eta(dest2)
-        G1 and not G2  ->  p1*eta(dest1)
-        not G1 and G2  ->  p2*eta(dest2)
+        G1 and G2  ->  p1*eta(dest1) + p2*eta(dest2)
+        G1 and U2  ->  p1*eta(dest1)
+        U1 and G2  ->  p2*eta(dest2)
 
     and 0 on the remaining case. Cases whose context is syntactically
     `false` are omitted (restriction over an empty successor set).
@@ -109,14 +101,13 @@ def pre_pb_restricted(eta: ComponentMap, tau: Transition,
     if not isinstance(tau.kind, ProbBranch):
         raise ValueError(f"transition {tau.id} is not a probabilistic branch")
     k = tau.kind
-    g1 = in_set.get(k.dest1, Predicate.true())
-    g2 = in_set.get(k.dest2, Predicate.true())
-    not_g1 = negate_predicate(g1)
-    not_g2 = negate_predicate(g2)
-    both = eta[k.dest1].scale(k.p1) + eta[k.dest2].scale(k.p2)
+    u1, u2 = (Predicate([d for t in p.outgoing(loc) if t.id in open_ids
+                         for d in t.guard().disjuncts])
+              for loc in (k.dest1, k.dest2))
+    g1, g2 = negate_predicate(u1), negate_predicate(u2)
     cases = [
-        (g1.conjoin(g2), both),
-        (g1.conjoin(not_g2), eta[k.dest1].scale(k.p1)),
-        (not_g1.conjoin(g2), eta[k.dest2].scale(k.p2)),
+        (g1.conjoin(g2), eta[k.dest1].scale(k.p1) + eta[k.dest2].scale(k.p2)),
+        (g1.conjoin(u2), eta[k.dest1].scale(k.p1)),
+        (u1.conjoin(g2), eta[k.dest2].scale(k.p2)),
     ]
     return [(ctx, e) for ctx, e in cases if not ctx.is_false()]

@@ -20,7 +20,7 @@ of draws are those of the plain small-step semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -48,8 +48,6 @@ class Scheduler:
     """Resolves demonic choices: which enabled transition fires, and which
     value a demonic interval assignment takes."""
 
-    name = "scheduler"
-
     def choose(self, enabled: List[Transition], values, rng) -> Transition:
         raise NotImplementedError
 
@@ -67,8 +65,6 @@ class UniformRandom(Scheduler):
     AST reference interpreter.
     """
 
-    name = "uniform"
-
     def choose(self, enabled, values, rng):
         if len(enabled) == 1:
             return enabled[0]
@@ -78,8 +74,6 @@ class UniformRandom(Scheduler):
 class FixedPriority(Scheduler):
     """Deterministic transition choice by a fixed id ordering; demonic
     values by `ndet_mode` in {"uniform", "lo", "hi"}."""
-
-    name = "fixed"
 
     def __init__(self, ordering: Sequence[str] = (), ndet_mode: str = "uniform"):
         self.ordering = list(ordering)
@@ -111,8 +105,6 @@ class Adversarial(Scheduler):
     the current state; demonic intervals pick the endpoint maximizing
     that component at the target. A heuristic only, no worst-case claim.
     """
-
-    name = "adversarial"
 
     def __init__(self, certificate: Certificate):
         self.certificate = certificate
@@ -315,7 +307,7 @@ class Program:
         counts_choice = isinstance(sched, UniformRandom)
         values = [Fraction(v) for v in init]
         states = [(loc, list(values))] if record_states else None
-        taken: List[str] = []
+        taken: Optional[List[str]] = [] if record_states else None
         draws = 0
         steps = 0
         stuck = False
@@ -334,8 +326,8 @@ class Program:
             loc, values, d = e.fire(values, sched, rng)
             draws += d
             steps += 1
-            taken.append(e.transition.id)
             if record_states:
+                taken.append(e.transition.id)
                 states.append((loc, list(values)))
         return TrajectoryReport(loc == terminal, steps, stuck, loc,
                                 values, taken, states, draws)
@@ -351,7 +343,7 @@ class TrajectoryReport:
     stuck: bool
     final_location: str
     final_values: List[Fraction]
-    taken: List[str] = field(default_factory=list)
+    taken: Optional[List[str]] = None
     states: Optional[List[Tuple[str, List[Fraction]]]] = None
     draws: int = 0
 
@@ -368,7 +360,10 @@ def run_trajectory(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
     """One run from the initial location under the program's small-step
     semantics, on the substream `run_rng(seed, run_index)`: stop at the
     terminal location, at the step cap, or when no transition is enabled
-    (reported as stuck, never raised)."""
+    (reported as stuck, never raised).
+
+    With `record_states` the report lists the ids of the transitions taken
+    and every state visited; without it, `taken` and `states` are `None`."""
     return Program(p).run(init, sched, step_cap, run_rng(seed, run_index),
                           record_states)
 
@@ -376,7 +371,7 @@ def run_trajectory(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
 def trajectories(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
                  step_cap: int, seed: int, runs: Iterable[int]) -> Iterator[TrajectoryReport]:
     """The runs with the given indices, each on its own substream and
-    without states, from one compiled program."""
+    without states or taken transitions, from one compiled program."""
     program = Program(p)
     for idx in runs:
         yield program.run(init, sched, step_cap, run_rng(seed, idx),

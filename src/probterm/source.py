@@ -264,7 +264,7 @@ class _Parser:
 
     def parse_assign(self) -> Stmt:
         name = self.expect("ident").text
-        idx = self.var_index(name)
+        self.var_index(name)  # declares the target before its right-hand side
         self.expect(":=")
         if self.at("kw", "ndet"):
             self.next()
@@ -280,7 +280,6 @@ class _Parser:
         if len(samples) > 1:
             self.err("at most one sample term per assignment",
                      MultipleSamplesInAssignment)
-        _ = idx
         return Assign(name, expr, samples[0] if samples else None)
 
     # predicates (built directly in disjunctive normal form)

@@ -39,7 +39,7 @@ from .farkas import (Affine, LPProblem, PivotCapReached, check_feasible,
 from .linear import LinConstraint, LinExpr, Polyhedron
 from .model import (Certificate, CertificateMode, Invariant, LevelMap,
                     LinExprMap, NondetUpdate, PCFG, check_bsp, check_linpp_star)
-from .preexp import max_pre, pre_pb_restricted, settled_states
+from .preexp import max_pre, pre_pb_restricted
 from .simplex import LPStatus, RowRel
 
 ZERO = Fraction(0)
@@ -153,8 +153,7 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         # (4) restricted expectation across unranked probabilistic branches,
         # over the successor states where no unranked transition is enabled
         if t.is_pb:
-            in_set = settled_states(p, t, unranked_set)
-            for ctx, expr in pre_pb_restricted(templates, t, in_set):
+            for ctx, expr in pre_pb_restricted(p, templates, t, unranked_set):
                 for ante in inv.antecedents(t, ctx):
                     emit(ante, [(expr, f"eb.{t.id}")])
 

@@ -13,13 +13,14 @@ their JSON.
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from probterm import (Adversarial, FixedPriority, UniformRandom, check_bsp,
-                      check_certificate, estimate_termination, run_trajectory,
-                      synthesis)
+from probterm import (Adversarial, FixedPriority, Invariant, UniformRandom,
+                      check_bsp, check_certificate, estimate_termination,
+                      lower_to_pcfg, parse_program, run_trajectory, synthesis)
 from probterm.farkas import dump_lp, solve_lp
 from probterm.pcfg_io import certificate_to_json, load_invariant, load_pcfg
 from probterm.synthesis import build_lp, synthesize_bsp, synthesize_general
@@ -27,6 +28,7 @@ from probterm.synthesis import build_lp, synthesize_bsp, synthesize_general
 from conftest import (example3_certificate, example4_certificate, fixture_path,
                       load_fixture, perturbed)
 from test_checker import E3_MUTATIONS, E4_MUTATIONS
+from test_integration import gen_program
 
 CERTIFIED = {
     "bern_walk": "70dbb54435b429f4498c829a21e17c341a970bd54a8ec99cf90289cb0a197f14",
@@ -147,6 +149,48 @@ def test_iteration_lp_digests(name, monkeypatch):
     assert synth(*load(name)).found
     assert len(lps) == count
     assert lp_digest(lps) == digest
+
+
+# The seeded random corpus of `test_integration.test_random_programs_pipeline_sound`,
+# which draws a start state after every certified program: per program the
+# history, the digest of every iteration LP's dump, and for a certificate its
+# JSON and its check report, all under one sha256.
+
+CORPUS_SEED = 20240809
+CORPUS_PROGRAMS = 60
+CORPUS_FOUND = 12
+CORPUS_DIGEST = "dfb3e23601b6fe68f09af4877a40b7f0de287071932557197edb61917b4b5d13"
+
+
+def test_corpus_digest(monkeypatch):
+    lps = []
+
+    def recording(lp, *args, **kwargs):
+        lps.append(lp)
+        return solve_lp(lp, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "solve_lp", recording)
+    rng = random.Random(CORPUS_SEED)
+    h = hashlib.sha256()
+    found = 0
+    for _ in range(CORPUS_PROGRAMS):
+        p = lower_to_pcfg(parse_program(gen_program(rng)))
+        synth = synthesize_bsp if check_bsp(p)[0] else synthesize_general
+        lps.clear()
+        result = synth(p, Invariant({}))
+        record = {"history": [rec.as_dict() for rec in result.history],
+                  "lps": [hashlib.sha256(dump_lp(lp).encode()).hexdigest()
+                          for lp in lps]}
+        if result.found:
+            found += 1
+            record["certificate"] = certificate_to_json(result.certificate, p)
+            record["check"] = check_certificate(p, Invariant({}),
+                                                result.certificate).as_dict()
+            for _ in p.variables:
+                rng.randint(-2, 3)
+        h.update(json.dumps(record, sort_keys=True).encode())
+    assert found == CORPUS_FOUND
+    assert h.hexdigest() == CORPUS_DIGEST
 
 
 # -- golden checker reports -------------------------------------------------------

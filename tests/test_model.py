@@ -8,7 +8,7 @@ import pytest
 from probterm import (DistributionSpec, EncodingBlowup, GuardedStep, Invariant,
                       LinConstraint, LinExpr, LinExprMap, NoUpdate, PCFG, Polyhedron,
                       Predicate, ProbBranch, Rel, Transition, check_bsp,
-                      check_linpp_star, negate_guards_to_dnf, validate_pcfg)
+                      check_linpp_star, negate_predicate, validate_pcfg)
 
 from conftest import load_fixture
 
@@ -156,8 +156,15 @@ def lt(var, c=0):
         [LinConstraint.lt(LinExpr({var: 1}, Fraction(-c)))])
 
 
+def negate_union(guards, **kwargs):
+    """DNF of ``not (g1 or ... or gn)``: the negation of the union of the
+    guards' disjuncts, `true` for no guard."""
+    return negate_predicate(Predicate([d for g in guards for d in g.disjuncts]),
+                            **kwargs)
+
+
 def test_negate_single_guard():
-    neg = negate_guards_to_dnf([ge(0)])
+    neg = negate_union([ge(0)])
     assert len(neg.disjuncts) == 1
     [c] = neg.disjuncts[0].constraints
     assert c.rel is Rel.LT and c.lhs == LinExpr({0: 1})  # x < 0
@@ -165,13 +172,13 @@ def test_negate_single_guard():
 
 def test_negate_conjunction_demorgan():
     guard = ge(0).conjoin(ge(1))  # x >= 0 and y >= 0
-    neg = negate_guards_to_dnf([guard])
+    neg = negate_union([guard])
     assert len(neg.disjuncts) == 2  # x < 0  or  y < 0
 
 
 def test_negate_two_guards():
     # not(x >= 0 or y < 0)  ==  x < 0 and y >= 0
-    neg = negate_guards_to_dnf([ge(0), lt(1)])
+    neg = negate_union([ge(0), lt(1)])
     assert len(neg.disjuncts) == 1
     assert len(neg.disjuncts[0].constraints) == 2
     for point, expect in [((-1, 1), True), ((1, 1), False), ((-1, -1), False)]:
@@ -196,14 +203,14 @@ def test_negation_is_exact_complement():
         union = Predicate([])
         for g in guards:
             union = union.disjoin(g)
-        neg = negate_guards_to_dnf(guards)
+        neg = negate_union(guards)
         for _ in range(20):
             x = [rand_rational(rng, 6) for _ in range(2)]
             assert union.satisfied(x) != neg.satisfied(x)
 
 
 def test_negate_empty_guard_list_is_true():
-    assert negate_guards_to_dnf([]).is_true()
+    assert negate_union([]).is_true()
 
 
 def test_dnf_cap_raises():
@@ -215,7 +222,7 @@ def test_dnf_cap_raises():
             for j in range(4)]))
     wide = Predicate(disjuncts)
     with pytest.raises(EncodingBlowup):
-        negate_guards_to_dnf([wide], cap=100)
+        negate_union([wide], cap=100)
 
 
 # -- where side conditions hold, and components as maps -----------------------------

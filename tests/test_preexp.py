@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from probterm import (Affine, DistributionSpec, GuardedStep, LinConstraint, LinExpr,
-                      NondetUpdate, PCFG, Polyhedron, Predicate, ProbBranch,
+                      NondetUpdate, PCFG, Polyhedron, Predicate, ProbBranch, Rel,
                       Transition, load_pcfg, max_pre, min_pre, pre_pb_restricted)
 from probterm.model import ExprUpdate, NoUpdate
-from probterm.preexp import settled_states
 from probterm.simulate import Program, UniformRandom, run_rng
 
 from conftest import fixture_path, load_fixture
@@ -150,41 +149,15 @@ def test_pb_is_probability_weighted_sum():
 # -- restricted branch pre-expectation ---------------------------------------------
 
 
-def test_pb_restricted_nothing_ranked_yet():
-    t = Transition("p0", "a", ProbBranch("b", F(1, 2), "c", F(1, 2)))
-    eta = {"b": LinExpr({0: F(1)}), "c": LinExpr({0: F(-1)})}
-    in_set = {"b": Predicate.false(), "c": Predicate.false()}
-    assert pre_pb_restricted(eta, t, in_set) == []
-
-
-def test_pb_restricted_everything_ranked():
-    t = Transition("p0", "a", ProbBranch("b", F(1, 2), "c", F(1, 2)))
-    eta = {"b": LinExpr({0: F(1)}), "c": LinExpr({0: F(-1)})}
-    in_set = {"b": Predicate.true(), "c": Predicate.true()}
-    cases = pre_pb_restricted(eta, t, in_set)
-    assert len(cases) == 1
-    ctx, expr = cases[0]
-    assert ctx.is_true() and expr == LinExpr.const(0)  # x/2 - x/2
-
-
-def test_pb_restricted_one_side():
-    t = Transition("p0", "a", ProbBranch("b", F(1, 2), "c", F(1, 2)))
-    eta = {"b": LinExpr({0: F(1)}), "c": LinExpr({0: F(-1)})}
-    in_set = {"b": Predicate.false(), "c": Predicate.true()}
-    cases = pre_pb_restricted(eta, t, in_set)
-    assert len(cases) == 1
-    ctx, expr = cases[0]
-    assert ctx.is_true()
-    assert expr == LinExpr({0: F(-1, 2)})   # -x/2
-
-
 def _settling_graph():
-    """A branch from a to b and c; b exits on x >= 0 or x < 0, c on true."""
+    """A branch p0 from a to b and c, and p1 from a to c twice; b exits on
+    x >= 0 or x < 0, c on true."""
     x = LinExpr.var(0)
     ge0 = Predicate.of_constraints([LinConstraint.le(-x)])
     lt0 = Predicate.of_constraints([LinConstraint.lt(x)])
     transitions = [
         Transition("p0", "a", ProbBranch("b", F(1, 2), "c", F(1, 2))),
+        Transition("p1", "a", ProbBranch("c", F(1, 4), "c", F(3, 4))),
         Transition("b1", "b", GuardedStep("out", ge0, NoUpdate())),
         Transition("b2", "b", GuardedStep("out", lt0, NoUpdate())),
         Transition("c1", "c", GuardedStep("out", Predicate.true(), NoUpdate())),
@@ -192,28 +165,108 @@ def _settling_graph():
     return PCFG(["x"], ["a", "b", "c", "out"], "a", "out", transitions)
 
 
-def test_settled_states_none_open_is_true():
+# component x at b and -x at c
+SETTLING_ETA = {"b": LinExpr({0: F(1)}), "c": LinExpr({0: F(-1)})}
+
+
+def test_pb_restricted_everything_ranked():
+    # nothing open: every successor state is settled
     p = _settling_graph()
-    settled = settled_states(p, p.transition("p0"), set())
-    assert sorted(settled) == ["b", "c"]
-    assert all(pred.is_true() for pred in settled.values())
+    cases = pre_pb_restricted(p, SETTLING_ETA, p.transition("p0"), set())
+    assert len(cases) == 1
+    ctx, expr = cases[0]
+    assert ctx.is_true() and expr == LinExpr.const(0)  # x/2 - x/2
 
 
-def test_settled_states_true_guard_open_is_false():
+def test_pb_restricted_one_side():
+    # c1 open: no successor state at c is settled, so only b's share stays
     p = _settling_graph()
-    settled = settled_states(p, p.transition("p0"), {"c1", "b1"})
-    assert settled["c"].is_false()
-    # only b1 open at b: the states where x >= 0 fails
-    assert settled["b"] == Predicate.of_constraints([LinConstraint.lt(LinExpr.var(0))])
-    every = settled_states(p, p.transition("p0"), {t.id for t in p.transitions})
-    assert not every["b"].satisfied([F(0)]) and not every["b"].satisfied([F(-1)])
-    assert every["c"].is_false()
+    cases = pre_pb_restricted(p, SETTLING_ETA, p.transition("p0"), {"c1"})
+    assert len(cases) == 1
+    ctx, expr = cases[0]
+    assert ctx.is_true()
+    assert expr == LinExpr({0: F(1, 2)})   # x/2
 
 
-def test_pb_restricted_rejects_non_branch(fig1b):
-    p, _ = fig1b
+def test_pb_restricted_nothing_ranked_yet():
+    # everything open: a target whose open guard is true settles nothing
+    p = _settling_graph()
+    every = {t.id for t in p.transitions}
+    assert pre_pb_restricted(p, SETTLING_ETA, p.transition("p1"), every) == []
+    # b's open guards cover every state, so its restriction set holds nowhere
+    [(ctx, expr)] = pre_pb_restricted(p, SETTLING_ETA, p.transition("p0"), every)
+    assert not ctx.satisfied([F(0)]) and not ctx.satisfied([F(-1)])
+    assert expr == LinExpr({0: F(1, 2)})
+
+
+def test_pb_restricted_contexts_are_one_negation():
+    # only b1 open: the restriction set at b is x < 0, its complement the
+    # open guard x >= 0 itself, not a re-expanded double negation
+    p = _settling_graph()
+    x = LinExpr.var(0)
+    cases = pre_pb_restricted(p, SETTLING_ETA, p.transition("p0"), {"b1"})
+    assert cases == [
+        (Predicate.of_constraints([LinConstraint.lt(x)]), LinExpr.const(0)),
+        (Predicate.of_constraints([LinConstraint.le(-x)]), LinExpr({0: F(-1, 2)})),
+    ]
+
+
+def test_pb_restricted_rejects_non_branch():
+    p = _settling_graph()
     with pytest.raises(ValueError):
-        pre_pb_restricted({}, by_id(p, "t1"), {})
+        pre_pb_restricted(p, SETTLING_ETA, p.transition("b1"), set())
+
+
+def _random_guard(rng):
+    if rng.random() < 0.15:
+        return Predicate.true()
+    disjuncts = []
+    for _ in range(rng.randint(1, 2)):
+        cons = []
+        for _ in range(rng.randint(1, 2)):
+            e = LinExpr({i: F(rng.randint(-2, 2)) for i in range(2)}, F(rng.randint(-2, 2)))
+            cons.append(LinConstraint(e, rng.choice([Rel.LE, Rel.LE, Rel.LT, Rel.EQ])))
+        disjuncts.append(Polyhedron(cons))
+    return Predicate(disjuncts)
+
+
+def test_pb_restricted_cases_match_open_guards():
+    """Against the open guards evaluated directly: a returned context holds
+    exactly where its case applies, and an omitted case applies nowhere."""
+    rng = random.Random(17)
+    eta = {"b": LinExpr({0: F(1)}), "c": LinExpr({1: F(1)})}
+    branch = Transition("p0", "a", ProbBranch("b", F(1, 3), "c", F(2, 3)))
+    # distinct expressions name the cases: both, b only, c only
+    shares = [LinExpr({0: F(1, 3), 1: F(2, 3)}), LinExpr({0: F(1, 3)}),
+              LinExpr({1: F(2, 3)})]
+    returned_total = 0
+    for _ in range(150):
+        transitions = [branch]
+        for loc in ("b", "c"):
+            for k in range(rng.randint(0, 3)):
+                transitions.append(Transition(f"{loc}{k}", loc, GuardedStep(
+                    "out", _random_guard(rng), NoUpdate())))
+        p = PCFG(["x", "y"], ["a", "b", "c", "out"], "a", "out", transitions)
+        open_ids = {t.id for t in transitions[1:] if rng.random() < 0.6}
+        cases = pre_pb_restricted(p, eta, branch, open_ids)
+        returned = {shares.index(expr): ctx for ctx, expr in cases}
+        assert len(returned) == len(cases)
+        returned_total += len(cases)
+        for _ in range(25):
+            if rng.random() < 0.5:
+                point = [F(rng.randint(-3, 3)) for _ in range(2)]
+            else:
+                point = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(2)]
+            settled = [not any(t.guard().satisfied(point) for t in p.outgoing(loc)
+                               if t.id in open_ids) for loc in ("b", "c")]
+            applies = [settled[0] and settled[1], settled[0] and not settled[1],
+                       not settled[0] and settled[1]]
+            for i, holds in enumerate(applies):
+                if i in returned:
+                    assert returned[i].satisfied(point) == holds, (i, point)
+                else:
+                    assert not holds, (i, point)
+    assert returned_total > 150
 
 
 # -- Monte-Carlo consistency ---------------------------------------------------------

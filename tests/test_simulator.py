@@ -61,6 +61,17 @@ def test_reproducibility_byte_for_byte(fig1b):
     assert a.as_dict() == b.as_dict()
 
 
+
+def test_runs_without_states_record_no_path(fig1b):
+    # the same run with and without the record: only `taken` and `states` differ
+    p, _ = fig1b
+    full = run_trajectory(p, [F(3), F(3)], UniformRandom(), 10 ** 4, seed=9, run_index=4)
+    [bare] = trajectories(p, [F(3), F(3)], UniformRandom(), 10 ** 4, 9, [4])
+    assert len(full.taken) == full.steps == bare.steps > 0
+    assert len(full.states) == full.steps + 1
+    assert bare.taken is None and bare.states is None
+    assert dataclasses.replace(full, taken=None, states=None) == bare
+
 def test_stuck_reported_not_raised():
     from probterm import (GuardedStep, LinConstraint, LinExpr, NoUpdate, PCFG,
                           Polyhedron, Predicate, Transition)

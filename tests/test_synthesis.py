@@ -7,9 +7,9 @@ import pytest
 
 from probterm import (Affine, CertificateMode, Invariant, MissingBoundedSupport,
                       NotLinPPStar, TemplateRestriction, build_lp,
-                      check_certificate, extract_level_map, solve_lp,
-                      synthesize_bsp, synthesize_general)
-from probterm.pcfg_io import certificate_to_json
+                      check_certificate, extract_level_map, lower_to_pcfg,
+                      parse_program, solve_lp, synthesize_bsp, synthesize_general)
+from probterm.pcfg_io import certificate_to_json, invariant_from_json
 from probterm.simplex import LPStatus, RowRel
 
 from conftest import load_fixture
@@ -197,6 +197,27 @@ def test_branch_into_ranked_region_constrains_the_lp():
     assert head.evaluate([F(-1), F(0)]) >= 0  # nonneg where only the exit ran
     assert head.evaluate([F(-1), F(0)]) == 0  # and the LP made it tight
 
+
+
+# The open guards at the inner branch's target are a union of 6 two-atom
+# disjuncts (2 from the then-guard, 4 from its lowered complement), so the
+# restriction set there has 64 disjuncts of 6 atoms. Negating it again to
+# get the open region back would need 6^64 disjuncts, far past the DNF cap.
+WIDE_GUARD_SOURCE = """
+while x >= 0 do
+  if prob(1/2) then
+    if (x >= 0 and y <= 0) or (x >= 1 and y <= 1) then x := x - 1 else x := x - 1 fi
+  else x := x - 1 fi
+od
+"""
+
+
+def test_branch_target_with_wide_open_guards_is_decided():
+    p = lower_to_pcfg(parse_program(WIDE_GUARD_SOURCE))
+    inv = invariant_from_json({f"l{i}": ["x >= 0"] for i in range(1, 6)}, p)
+    res = synthesize_bsp(p, inv)
+    assert res.found and res.certificate.dimension == 2
+    assert check_certificate(p, inv, res.certificate).accepted
 
 def test_pruned_set_is_maximal(fig1b):
     """Forcing any single ranked transition's eps to zero must not stop the
