@@ -178,6 +178,17 @@ def test_pb_restricted_everything_ranked():
     assert ctx.is_true() and expr == LinExpr.const(0)  # x/2 - x/2
 
 
+def test_settled_states_none_open_is_true():
+    # nothing open: every target of every branch is settled everywhere, so
+    # the one case holds on true and keeps the full weighted sum
+    p = _settling_graph()
+    for tid in ("p0", "p1"):
+        t = p.transition(tid)
+        [(ctx, expr)] = pre_pb_restricted(p, SETTLING_ETA, t, set())
+        assert ctx.is_true()
+        assert expr == max_pre(SETTLING_ETA, t) == min_pre(SETTLING_ETA, t)
+
+
 def test_pb_restricted_one_side():
     # c1 open: no successor state at c is settled, so only b's share stays
     p = _settling_graph()
