@@ -13,6 +13,7 @@ their JSON.
 
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -20,15 +21,18 @@ import pytest
 
 from probterm import (Adversarial, FixedPriority, Invariant, UniformRandom,
                       check_bsp, check_certificate, estimate_termination,
-                      lower_to_pcfg, parse_program, run_trajectory, synthesis)
+                      lower_to_pcfg, parse_program, run_trajectory, synthesis,
+                      validate_pcfg)
 from probterm.farkas import dump_lp, solve_lp
-from probterm.pcfg_io import certificate_to_json, load_invariant, load_pcfg
+from probterm.pcfg_io import (certificate_to_json, load_invariant, load_pcfg,
+                              pcfg_to_json)
 from probterm.synthesis import build_lp, synthesize_bsp, synthesize_general
 
-from conftest import (example3_certificate, example4_certificate, fixture_path,
-                      load_fixture, perturbed)
+from conftest import (FIXTURES, example3_certificate, example4_certificate,
+                      fixture_path, load_fixture, perturbed)
 from test_checker import E3_MUTATIONS, E4_MUTATIONS
 from test_integration import gen_program
+from test_strict_rule import workloads
 
 CERTIFIED = {
     "bern_walk": "70dbb54435b429f4498c829a21e17c341a970bd54a8ec99cf90289cb0a197f14",
@@ -191,6 +195,90 @@ def test_corpus_digest(monkeypatch):
         h.update(json.dumps(record, sort_keys=True).encode())
     assert found == CORPUS_FOUND
     assert h.hexdigest() == CORPUS_DIGEST
+
+
+# -- golden lowering ----------------------------------------------------------------
+#
+# One sha256 over the sorted-key `pcfg_to_json` of every lowered program:
+# the source fixtures, the benchmark's corpus and ladder programs, and a
+# seeded set that also uses `skip`, `if *`, `or`/`not` guards and nested
+# loops. It pins location names, transition ids, their order and every
+# guard and update, so a change to lowering or its contraction shows here.
+
+LOWERING_SEED = 7
+LOWERING_PROGRAMS = 300
+LOWERING_DIGEST = "d2d2de2aa0a0c14de06efef6ef4d25438ef1be506e124c662d5a88d8dcb118f3"
+
+
+def lowering_program(rng: random.Random) -> str:
+    """A random program over x and y that uses every statement form. A
+    probabilistic branch's else arm ends in an assignment, so its two
+    arms never lower to the same location."""
+
+    def guard(depth):
+        roll = rng.random()
+        if depth <= 0 or roll < 0.4:
+            if rng.random() < 0.05:
+                return rng.choice(["true", "false"])
+            op = rng.choice([">=", "<=", ">", "<", "==", "!="])
+            return f"{rng.choice('xy')} {op} {rng.randint(-2, 2)}"
+        if roll < 0.6:
+            return f"not ({guard(depth - 1)})"
+        if roll < 0.8:
+            return f"{guard(depth - 1)} and {guard(depth - 1)}"
+        return f"({guard(depth - 1)}) or ({guard(depth - 1)})"
+
+    def update():
+        v = rng.choice("xy")
+        roll = rng.random()
+        if roll < 0.2:
+            lo = rng.randint(-3, 0)
+            return f"{v} := ndet[{lo}, {lo + rng.randint(0, 2)}]"
+        if roll < 0.4:
+            return f"{v} := {v} - 1 + sample(unif(-1, {rng.randint(0, 1)}))"
+        return f"{v} := {v} + {rng.randint(-2, 1)}"
+
+    def stmt(depth):
+        roll = rng.random()
+        if depth <= 0 or roll < 0.3:
+            return "skip" if rng.random() < 0.3 else update()
+        if roll < 0.45:
+            return f"{stmt(depth - 1)}; {stmt(depth - 1)}"
+        if roll < 0.6:
+            return f"while {guard(2)} do {stmt(depth - 1)} od"
+        if roll < 0.75:
+            return f"if {guard(2)} then {stmt(depth - 1)} else {stmt(depth - 1)} fi"
+        if roll < 0.88:
+            return (f"if prob(1/3) then {stmt(depth - 1)} "
+                    f"else {stmt(depth - 1)}; {update()} fi")
+        return f"if * then {stmt(depth - 1)} else {stmt(depth - 1)} fi"
+
+    return stmt(3)
+
+
+def lowering_sources() -> list:
+    fixtures = []
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".prob"):
+            with open(fixture_path(name)) as f:
+                fixtures.append(f.read())
+    found = set(workloads.read_json("expected.json")["corpus"]["found"])
+    corpus = workloads.corpus_sources([i in found for i in range(workloads.CORPUS_SIZE)])
+    ladder = [text for _, _, text, _ in workloads.ladder_programs()]
+    rng = random.Random(LOWERING_SEED)
+    generated = [lowering_program(rng) for _ in range(LOWERING_PROGRAMS)]
+    return fixtures + corpus + ladder + generated
+
+
+def test_lowering_digest():
+    sources = lowering_sources()
+    assert len(sources) == 10 + 60 + 8 + LOWERING_PROGRAMS
+    h = hashlib.sha256()
+    for src in sources:
+        p = lower_to_pcfg(parse_program(src))
+        assert validate_pcfg(p) == [], src
+        h.update(json.dumps(pcfg_to_json(p), sort_keys=True).encode())
+    assert h.hexdigest() == LOWERING_DIGEST
 
 
 # -- golden checker reports -------------------------------------------------------
