@@ -3,7 +3,8 @@
 Exit codes are a stable contract:
   0  success / certificate found / certificate accepted
   1  negative verdict (no witness, certificate rejected), or "unknown"
-     after a resource limit (the simplex pivot cap, the DNF cap)
+     after a resource limit (the simplex pivot cap, the DNF cap); `parse`
+     exits 1 when a guard or its negation outgrows the DNF cap
   2  source syntax error (parse), invalid distribution parameters included
   3  precondition or input failure (unreadable or unwritable files, malformed
      files or arguments, structural mismatch, program class violations);
@@ -93,11 +94,14 @@ def cmd_parse(args) -> int:
     with open(args.source, encoding="utf-8", errors="replace") as f:
         text = f.read()
     try:
-        program = parse_program(text)
+        p = lower_to_pcfg(parse_program(text))
     except ProgramSyntaxError as e:
         _emit({"ok": False, "error": str(e)}, args.json, f"syntax error: {e}")
         return EXIT_SYNTAX
-    p = lower_to_pcfg(program)
+    except ResourceLimit as e:
+        error = f"stopped at a resource limit: {_limit_hit(e)}"
+        _emit({"ok": False, "error": error}, args.json, error)
+        return EXIT_NEGATIVE
     diagnostics = validate_pcfg(p)
     if diagnostics:
         for d in diagnostics:

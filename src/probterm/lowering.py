@@ -2,14 +2,17 @@
 AST interpreter used as the lowering-correctness oracle.
 
 The construction gives every loop head its own location and keeps at most
-one assignment per transition. Afterwards a contraction pass removes the
-helper locations the recursive construction over-produces: a location
-with a single guarded no-update entry edge is folded into its
-predecessor (the guard is conjoined onto the outgoing edges), and a
-location whose only exit is an unconditional no-op edge is skipped
-through. Both rewrites preserve trajectories up to intermediate no-op
-hops. Locations are then renamed canonically: `l0` for the entry,
-`l1`, `l2`, ... in discovery order, `out` for the terminal.
+one assignment per transition. Afterwards a contraction pass over the
+transitions removes the helper locations the recursive construction
+over-produces: a location with a single guarded no-update entry
+transition is folded into its predecessor (the guard is conjoined onto
+the outgoing transitions), and a location whose only exit is an
+unconditional no-op transition is skipped through, unless that would
+send a probabilistic branch to one target twice (as a branch with two
+empty arms would). Both rewrites preserve trajectories up to
+intermediate no-op hops. Locations are then renamed canonically: `l0`
+for the entry, `l1`, `l2`, ... in discovery order, `out` for the
+terminal; transitions become `t0`, `t1`, ... in construction order.
 """
 
 from __future__ import annotations
@@ -17,53 +20,62 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import Dict, List
 
 from .linear import Predicate, negate_predicate
-from .model import (ExprUpdate, GuardedStep, NoUpdate, NondetUpdate, PCFG,
-                    ProbBranch, Transition)
-from .source import (Assign, AssignNdet, IfCond, IfNdet, IfProb, Seq, Skip,
-                     SourceProgram, Stmt, While)
+from .model import (GuardedStep, NoUpdate, NondetUpdate, PCFG, ProbBranch,
+                    Transition)
+from .source import (Assign, IfCond, IfNdet, IfProb, Seq, Skip, SourceProgram,
+                     Stmt, While)
 
 
 def lower_to_pcfg(program: SourceProgram) -> PCFG:
     builder = _Builder(program.variables)
     entry = builder.fresh()
     builder.lower(program.body, entry, builder.terminal)
-    builder.contract(protect={entry, builder.terminal})
+    # every rewrite restarts the scan from the first location
+    while builder.contract({entry, builder.terminal}):
+        pass
     return builder.finish(entry)
 
 
-@dataclass
-class _Edge:
-    source: str
-    kind: object  # ProbBranch | GuardedStep
+def _relabel(t: Transition, rename: Dict[str, str], tid: str = "") -> Transition:
+    """`t` with every location in `rename` replaced, under id `tid`."""
+    k = t.kind
+    if t.is_pb:
+        k = ProbBranch(rename.get(k.dest1, k.dest1), k.p1, rename.get(k.dest2, k.dest2), k.p2)
+    else:
+        k = GuardedStep(rename.get(k.dest, k.dest), k.guard, k.update)
+    return Transition(tid, rename.get(t.source, t.source), k)
 
 
 class _Builder:
+    """Transitions carry the placeholder id "" until `finish` numbers them."""
+
     def __init__(self, variables: List[str]):
         self.variables = variables
         self.counter = itertools.count()
         self.terminal = "__out__"
-        self.edges: List[_Edge] = []
+        self.transitions: List[Transition] = []
 
     def fresh(self) -> str:
         return f"q{next(self.counter)}"
 
     def step(self, source: str, dest: str, guard: Predicate, update) -> None:
-        self.edges.append(_Edge(source, GuardedStep(dest, guard, update)))
+        self.transitions.append(Transition("", source, GuardedStep(dest, guard, update)))
+
+    def split(self, source: str, cond: Predicate, yes: str, no: str) -> None:
+        """One step per disjunct of `cond` to `yes`, and of its complement to `no`."""
+        for disjunct in cond.disjuncts:
+            self.step(source, yes, Predicate([disjunct]), NoUpdate())
+        for disjunct in negate_predicate(cond).disjuncts:
+            self.step(source, no, Predicate([disjunct]), NoUpdate())
 
     def lower(self, stmt: Stmt, entry: str, exit_: str) -> None:
         if isinstance(stmt, Skip):
             self.step(entry, exit_, Predicate.true(), NoUpdate())
         elif isinstance(stmt, Assign):
-            idx = self.variables.index(stmt.var)
-            self.step(entry, exit_, Predicate.true(),
-                      ExprUpdate(idx, stmt.base, stmt.sample))
-        elif isinstance(stmt, AssignNdet):
-            idx = self.variables.index(stmt.var)
-            self.step(entry, exit_, Predicate.true(),
-                      NondetUpdate(idx, stmt.lo, stmt.hi))
+            self.step(entry, exit_, Predicate.true(), stmt.update)
         elif isinstance(stmt, Seq):
             cur = entry
             for s in stmt.stmts[:-1]:
@@ -73,130 +85,81 @@ class _Builder:
             self.lower(stmt.stmts[-1], cur, exit_)
         elif isinstance(stmt, While):
             body_entry = self.fresh()
-            for disjunct in stmt.cond.disjuncts:
-                self.step(entry, body_entry, Predicate([disjunct]), NoUpdate())
-            for disjunct in negate_predicate(stmt.cond).disjuncts:
-                self.step(entry, exit_, Predicate([disjunct]), NoUpdate())
+            self.split(entry, stmt.cond, body_entry, exit_)
             self.lower(stmt.body, body_entry, entry)
-        elif isinstance(stmt, IfCond):
-            then_entry, else_entry = self.fresh(), self.fresh()
-            for disjunct in stmt.cond.disjuncts:
-                self.step(entry, then_entry, Predicate([disjunct]), NoUpdate())
-            for disjunct in negate_predicate(stmt.cond).disjuncts:
-                self.step(entry, else_entry, Predicate([disjunct]), NoUpdate())
-            self.lower(stmt.then, then_entry, exit_)
-            self.lower(stmt.els, else_entry, exit_)
-        elif isinstance(stmt, IfProb):
-            then_entry, else_entry = self.fresh(), self.fresh()
-            self.edges.append(_Edge(entry, ProbBranch(then_entry, stmt.p,
-                                                      else_entry, 1 - stmt.p)))
-            self.lower(stmt.then, then_entry, exit_)
-            self.lower(stmt.els, else_entry, exit_)
-        elif isinstance(stmt, IfNdet):
-            then_entry, else_entry = self.fresh(), self.fresh()
-            self.step(entry, then_entry, Predicate.true(), NoUpdate())
-            self.step(entry, else_entry, Predicate.true(), NoUpdate())
-            self.lower(stmt.then, then_entry, exit_)
-            self.lower(stmt.els, else_entry, exit_)
         else:
-            raise TypeError(f"unknown statement {stmt!r}")
+            then_entry, else_entry = self.fresh(), self.fresh()
+            if isinstance(stmt, IfCond):
+                self.split(entry, stmt.cond, then_entry, else_entry)
+            elif isinstance(stmt, IfProb):
+                self.transitions.append(Transition("", entry, ProbBranch(
+                    then_entry, stmt.p, else_entry, 1 - stmt.p)))
+            elif isinstance(stmt, IfNdet):
+                self.step(entry, then_entry, Predicate.true(), NoUpdate())
+                self.step(entry, else_entry, Predicate.true(), NoUpdate())
+            else:
+                raise TypeError(f"unknown statement {stmt!r}")
+            self.lower(stmt.then, then_entry, exit_)
+            self.lower(stmt.els, else_entry, exit_)
 
     # -- contraction --------------------------------------------------------
 
-    def _locations(self) -> List[str]:
-        out = []
-        for e in self.edges:
-            for loc in [e.source] + (list((e.kind.dest1, e.kind.dest2))
-                                     if isinstance(e.kind, ProbBranch)
-                                     else [e.kind.dest]):
-                if loc not in out:
-                    out.append(loc)
-        return out
-
-    def _ins(self, loc: str) -> List[_Edge]:
-        out = []
-        for e in self.edges:
-            dests = ((e.kind.dest1, e.kind.dest2) if isinstance(e.kind, ProbBranch)
-                     else (e.kind.dest,))
-            if loc in dests:
-                out.append(e)
-        return out
-
-    def _outs(self, loc: str) -> List[_Edge]:
-        return [e for e in self.edges if e.source == loc]
-
-    def contract(self, protect: set) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for loc in self._locations():
-                if loc in protect:
-                    continue
-                ins, outs = self._ins(loc), self._outs(loc)
-                # fold a single guarded no-update entry into the exits
-                if (len(ins) == 1 and isinstance(ins[0].kind, GuardedStep)
-                        and isinstance(ins[0].kind.update, NoUpdate)
-                        and ins[0].source != loc and outs
-                        and all(isinstance(o.kind, GuardedStep) and o.kind.dest != loc
-                                for o in outs)):
-                    entry = ins[0]
-                    for o in outs:
-                        o.source = entry.source
-                        o.kind = GuardedStep(o.kind.dest,
-                                             entry.kind.guard.conjoin(o.kind.guard),
-                                             o.kind.update)
-                    self.edges.remove(entry)
-                    changed = True
-                    break
-                # skip through an unconditional no-op exit
-                if (len(outs) == 1 and isinstance(outs[0].kind, GuardedStep)
-                        and isinstance(outs[0].kind.update, NoUpdate)
-                        and outs[0].kind.guard.is_true()
-                        and outs[0].kind.dest != loc and ins):
-                    target = outs[0].kind.dest
-                    for e in ins:
-                        e.kind = _redirect(e.kind, loc, target)
-                    self.edges.remove(outs[0])
-                    changed = True
-                    break
+    def contract(self, protect: set) -> bool:
+        """Apply the first rewrite that fits, scanning the locations not in
+        `protect` in order of first mention; False when none does."""
+        ts = self.transitions
+        into, out_of = {}, {}       # `into` keyed in order of first mention
+        for t in ts:
+            into.setdefault(t.source, [])
+            out_of.setdefault(t.source, []).append(t)
+            for d in t.destinations():
+                into.setdefault(d, []).append(t)
+        for loc, ins in into.items():
+            if loc in protect:
+                continue
+            outs = out_of.get(loc, [])
+            # fold a single guarded no-update entry into the exits
+            if (len(ins) == 1 and not ins[0].is_pb
+                    and isinstance(ins[0].update(), NoUpdate) and ins[0].source != loc
+                    and outs and all(not o.is_pb and loc not in o.destinations()
+                                     for o in outs)):
+                entry = ins[0]
+                self.transitions = [
+                    Transition("", entry.source, GuardedStep(
+                        t.kind.dest, entry.guard().conjoin(t.guard()), t.update()))
+                    if t.source == loc else t
+                    for t in ts if t is not entry]
+                return True
+            # skip through an unconditional no-op exit
+            if (len(outs) == 1 and not outs[0].is_pb
+                    and isinstance(outs[0].update(), NoUpdate) and outs[0].guard().is_true()
+                    and loc not in outs[0].destinations() and ins):
+                target = outs[0].destinations()[0]
+                # a probabilistic branch into `loc` that already goes to
+                # `target` would get one target twice
+                if not any(t.is_pb and target in t.destinations() for t in ins):
+                    self.transitions = [_relabel(t, {loc: target})
+                                        for t in ts if t is not outs[0]]
+                    return True
+        return False
 
     # -- canonical naming ----------------------------------------------------
 
     def finish(self, entry: str) -> PCFG:
         order = [entry]
-        frontier = [entry]
-        while frontier:
-            loc = frontier.pop(0)
-            for e in self._outs(loc):
-                for d in ((e.kind.dest1, e.kind.dest2)
-                          if isinstance(e.kind, ProbBranch) else (e.kind.dest,)):
-                    if d not in order and d != self.terminal:
+        for loc in order:  # breadth first: `order` grows while it is read
+            for t in self.transitions:
+                for d in t.destinations():
+                    if t.source == loc and d not in order and d != self.terminal:
                         order.append(d)
-                        frontier.append(d)
-        rename = {self.terminal: "out"}
-        for i, loc in enumerate(order):
-            rename[loc] = f"l{i}"
-        locations = [rename[loc] for loc in order] + ["out"]
+        rename = {loc: f"l{i}" for i, loc in enumerate(order)}
+        locations = list(rename.values()) + ["out"]
+        rename[self.terminal] = "out"
         # statically dead branches (e.g. a loop whose guard is `false`)
-        # leave unreachable locations behind; drop their edges
-        live = [e for e in self.edges if e.source in rename]
-        transitions = []
-        for i, e in enumerate(live):
-            kind = e.kind
-            if isinstance(kind, ProbBranch):
-                kind = ProbBranch(rename[kind.dest1], kind.p1,
-                                  rename[kind.dest2], kind.p2)
-            else:
-                kind = GuardedStep(rename[kind.dest], kind.guard, kind.update)
-            transitions.append(Transition(f"t{i}", rename[e.source], kind))
-        return PCFG(list(self.variables), locations, rename[entry], "out", transitions)
-
-
-def _redirect(kind, old: str, new: str):
-    if isinstance(kind, ProbBranch):
-        return ProbBranch(new if kind.dest1 == old else kind.dest1, kind.p1,
-                          new if kind.dest2 == old else kind.dest2, kind.p2)
-    return GuardedStep(new if kind.dest == old else kind.dest, kind.guard, kind.update)
+        # leave unreachable locations behind; drop their transitions
+        live = [t for t in self.transitions if t.source in rename]
+        return PCFG(list(self.variables), locations, rename[entry], "out",
+                    [_relabel(t, rename, f"t{i}") for i, t in enumerate(live)])
 
 
 # -- reference interpreter ---------------------------------------------------
@@ -237,15 +200,17 @@ def run_ast(program: SourceProgram, init: List[Fraction], rng,
         if isinstance(stmt, Skip):
             pass
         elif isinstance(stmt, Assign):
-            v = stmt.base.evaluate(values)
-            if stmt.sample is not None:
-                coeff, dist = stmt.sample
-                v += coeff * dist.sample(rng)
+            u = stmt.update
+            if isinstance(u, NondetUpdate):
+                v = uniform(u.lo, u.hi)
                 draws += 1
-            values[program.variables.index(stmt.var)] = v
-        elif isinstance(stmt, AssignNdet):
-            values[program.variables.index(stmt.var)] = uniform(stmt.lo, stmt.hi)
-            draws += 1
+            else:
+                v = u.base.evaluate(values)
+                if u.sample is not None:
+                    coeff, dist = u.sample
+                    v += coeff * dist.sample(rng)
+                    draws += 1
+            values[u.target] = v
         elif isinstance(stmt, Seq):
             stack.extend(reversed(stmt.stmts))
         elif isinstance(stmt, While):

@@ -33,7 +33,9 @@ def _get(obj, key, path, expected=None):
     if not isinstance(obj, dict) or key not in obj:
         raise FormatError(f"missing key {key!r}", path)
     value = obj[key]
-    if expected is not None and not isinstance(value, expected):
+    # JSON `true` loads as a bool, which Python counts as an int
+    if expected is not None and (not isinstance(value, expected)
+                                 or expected is int and isinstance(value, bool)):
         raise FormatError(f"key {key!r} has wrong type", f"{path}.{key}")
     return value
 
@@ -322,11 +324,7 @@ def certificate_from_json(doc, p: PCFG) -> Certificate:
         components[loc] = [linexpr_from_json(e, p.variables, f"$.components.{loc}[{i}]")
                            for i, e in enumerate(vec)]
     levels_json = _get(doc, "levels", "$", dict)
-    levels = {}
-    for tid, lvl in levels_json.items():
-        if not isinstance(lvl, int):
-            raise FormatError("level must be an integer", f"$.levels.{tid}")
-        levels[tid] = lvl
+    levels = {tid: _get(levels_json, tid, "$.levels", int) for tid in levels_json}
     mode_str = _get(doc, "mode", "$", str)
     try:
         mode = CertificateMode(mode_str)

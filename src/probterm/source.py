@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List
 
 from .distributions import DistributionSpec
 from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
                      negate_predicate)
+from .model import ExprUpdate, NondetUpdate
 
 
 class ProgramSyntaxError(Exception):
@@ -45,16 +46,8 @@ class Skip:
 
 @dataclass
 class Assign:
-    var: str
-    base: LinExpr                       # over variable indices
-    sample: Optional[Tuple[Fraction, DistributionSpec]] = None
-
-
-@dataclass
-class AssignNdet:
-    var: str
-    lo: Fraction
-    hi: Fraction
+    """`x := ...` as the update a transition carries, over variable indices."""
+    update: ExprUpdate | NondetUpdate
 
 
 @dataclass
@@ -88,7 +81,7 @@ class IfNdet:
     els: "Stmt"
 
 
-Stmt = Skip | Assign | AssignNdet | Seq | While | IfCond | IfProb | IfNdet
+Stmt = Skip | Assign | Seq | While | IfCond | IfProb | IfNdet
 
 
 @dataclass
@@ -193,6 +186,14 @@ class _Parser:
         t = self.peek()
         raise cls(message, t.line, t.col)
 
+    def run(self, rule):
+        """`rule()`; nesting too deep for the interpreter's stack is a
+        syntax error at the token reached."""
+        try:
+            return rule()
+        except RecursionError:
+            self.err("nesting too deep to parse")
+
     def var_index(self, name: str) -> int:
         if name not in self.vars:
             if name == "const":
@@ -263,8 +264,8 @@ class _Parser:
         return IfCond(head[1], then, els)
 
     def parse_assign(self) -> Stmt:
-        name = self.expect("ident").text
-        self.var_index(name)  # declares the target before its right-hand side
+        # declares the target before its right-hand side
+        target = self.var_index(self.expect("ident").text)
         self.expect(":=")
         if self.at("kw", "ndet"):
             self.next()
@@ -275,12 +276,12 @@ class _Parser:
             self.expect("]")
             if lo > hi:
                 self.err(f"empty interval [{lo}, {hi}]")
-            return AssignNdet(name, lo, hi)
+            return Assign(NondetUpdate(target, lo, hi))
         expr, samples = self.parse_expr()
         if len(samples) > 1:
             self.err("at most one sample term per assignment",
                      MultipleSamplesInAssignment)
-        return Assign(name, expr, samples[0] if samples else None)
+        return Assign(ExprUpdate(target, expr, samples[0] if samples else None))
 
     # predicates (built directly in disjunctive normal form)
 
@@ -466,8 +467,10 @@ class _Parser:
 def parse_program(text: str) -> SourceProgram:
     """Parse source text into an AST; raises ProgramSyntaxError (or its
     NonLinearExpression / MultipleSamplesInAssignment refinements) with
-    line/column on the first error."""
-    return _Parser(tokenize(text)).parse_program()
+    line/column on the first error, nesting too deep to parse included,
+    and EncodingBlowup when a guard's normal form outgrows the DNF cap."""
+    parser = _Parser(tokenize(text))
+    return parser.run(parser.parse_program)
 
 
 def parse_constraint_strings(items: List[str], variables: List[str]) -> Polyhedron:
@@ -477,7 +480,7 @@ def parse_constraint_strings(items: List[str], variables: List[str]) -> Polyhedr
     for s in items:
         parser = _Parser(tokenize(s))
         parser.vars = list(variables)
-        pred = parser.parse_comparison()
+        pred = parser.run(parser.parse_comparison)
         parser.expect("eof")
         if parser.vars != list(variables):
             unknown = [v for v in parser.vars if v not in variables]

@@ -49,6 +49,36 @@ def test_parse_syntax_error_exit_2(tmp_path):
     assert "expected" in r.stdout or "expected" in r.stderr
 
 
+def test_parse_branch_with_two_empty_arms(tmp_path, capsys):
+    src = tmp_path / "arms.prob"
+    src.write_text("if prob(1/2) then skip else skip fi; x := x + 1")
+    assert cli.main(["parse", str(src), "-o", str(tmp_path / "p.json")]) == 0
+    assert "4 locations, 3 transitions" in capsys.readouterr().out
+
+
+# 13 disjuncts of two atoms each: their negation multiplies out to 2**13
+# disjuncts, past the DNF cap
+WIDE_GUARD = " or ".join(f"(x >= {i} and y >= {i})" for i in range(13))
+
+
+@pytest.mark.parametrize("source", [f"while {WIDE_GUARD} do x := x - 1 od",
+                                    f"while not ({WIDE_GUARD}) do x := x - 1 od"],
+                         ids=["loop-exit", "not"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_parse_dnf_cap(tmp_path, capsys, source, as_json):
+    src, out = tmp_path / "wide.prob", tmp_path / "p.json"
+    src.write_text(source)
+    assert cli.main(["parse", str(src), "-o", str(out)] + ["--json"] * as_json) == 1
+    stdout = capsys.readouterr().out
+    if as_json:
+        doc = json.loads(stdout)
+        validate(doc, "parse-result.json")
+        assert doc["ok"] is False and "DNF cap" in doc["error"]
+    else:
+        assert stdout.count("\n") == 1 and "DNF cap" in stdout
+    assert not out.exists()
+
+
 def test_parse_emit_dot(tmp_path):
     out = tmp_path / "p.json"
     dot = tmp_path / "p.dot"
@@ -412,6 +442,22 @@ def _latin1(d):
     return str(path)
 
 
+def _true_certificate(d, key):
+    """Example 3 with JSON `true` as its dimension (each vector cut to one
+    component to match) or as the level of t0."""
+    with open(EXAMPLE3) as f:
+        doc = json.load(f)
+    if key == "dimension":
+        doc["dimension"] = True
+        doc["components"] = {loc: vec[:1] for loc, vec in doc["components"].items()}
+        doc["levels"] = {tid: 1 for tid in doc["levels"]}
+    else:
+        doc["levels"]["t0"] = True
+    path = d / "true.cert.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def _custom_pcfg(d):
     """x := x + sample(custom) while x >= 0, with a sampler nobody registered."""
     dist = {"kind": "custom", "params": {"sampler": "mine"}, "mean": "-1",
@@ -468,6 +514,13 @@ MALFORMED = {
     "norm-zero-stddev": (2, lambda d: _source(d, "x := sample(norm(0, 0))")),
     "discrete-mass-half": (2, lambda d: _source(d, "x := sample(discrete(1: 1/2))")),
     "malformed-number": (2, lambda d: _source(d, "x := 1.2.3")),
+    "deep-parentheses": (2, lambda d: _source(d, "x := " + "(" * 400 + "1" + ")" * 400)),
+    "certificate-dimension-true": (3, lambda d: ["check", FIG2RIGHT,
+                                                 _true_certificate(d, "dimension"),
+                                                 "-i", FIG1B_INV]),
+    "certificate-level-true": (3, lambda d: ["check", FIG2RIGHT,
+                                             _true_certificate(d, "level"),
+                                             "-i", FIG1B_INV]),
     "non-utf8-source": (2, lambda d: _source(d, "x := 1 \u00e9", "latin-1")),
     "init-zero-denominator": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                             "--init", "x=1/0"]),

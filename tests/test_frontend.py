@@ -58,9 +58,27 @@ def test_empty_program_is_skip():
     assert t.kind.guard.is_true()
 
 
+@pytest.mark.parametrize("source", [
+    "x := " + "(" * 400 + "1" + ")" * 400,
+    "while " + "(" * 400 + "x >= 0" + ")" * 400 + " do x := x - 1 od",
+], ids=["expression", "guard"])
+def test_deep_nesting_is_a_syntax_error(source):
+    with pytest.raises(ProgramSyntaxError) as e:
+        parse_program(source)
+    assert "nesting too deep" in str(e.value) and e.value.line == 1
+
+
+def test_deep_nesting_in_an_invariant_is_a_format_error():
+    from probterm.pcfg_io import invariant_from_json
+    p = lower_to_pcfg(parse_program("while x >= 0 do x := x - 1 od"))
+    with pytest.raises(FormatError) as e:
+        invariant_from_json({"l0": ["(" * 400 + "x" + ")" * 400 + " >= 0"]}, p)
+    assert "nesting too deep" in str(e.value)
+
+
 def test_constant_arithmetic_folds_exactly():
     ast = parse_program("x := 0.1 + 1/2 * x")
-    assert ast.body.base == __import__("probterm").LinExpr(
+    assert ast.body.update.base == __import__("probterm").LinExpr(
         {0: Fraction(1, 2)}, Fraction(1, 10))
 
 
@@ -201,6 +219,13 @@ def test_certificate_roundtrip(fig1b, tmp_path):
 # -- the lowering oracle ------------------------------------------------------------
 
 
+# a probabilistic branch with two empty arms, alone and in a loop body
+EMPTY_ARMS = {
+    "empty_arms": "if prob(1/2) then skip else skip fi; x := x + 1",
+    "empty_arms_loop": "while x <= 5 do if prob(1/2) then skip else skip fi; x := x + 1 od",
+}
+
+
 @pytest.mark.parametrize("name,init,cap", [
     ("fig1a", {"x": 2, "y": 3}, 10 ** 6),
     ("fig1b", {"x": 3, "y": 3}, 10 ** 6),
@@ -209,10 +234,13 @@ def test_certificate_roundtrip(fig1b, tmp_path):
     ("branching", {"x": 4, "y": 5}, 10 ** 5),
     ("prob_join", {"x": 5, "y": 0}, 10 ** 5),
     ("bern_walk", {"x": 6}, 10 ** 5),
+    ("empty_arms", {"x": 0}, 10 ** 3),
+    ("empty_arms_loop", {"x": 0}, 10 ** 3),
 ])
 def test_ast_and_graph_traces_agree(name, init, cap):
-    ast = load_fixture_ast(name)
+    ast = parse_program(EMPTY_ARMS[name]) if name in EMPTY_ARMS else load_fixture_ast(name)
     p = lower_to_pcfg(ast)
+    assert validate_pcfg(p) == []
     values = [Fraction(init.get(v, 0)) for v in p.variables]
     for i in range(100):
         ref = run_ast(ast, values, run_rng(1000, i), step_cap=cap)
