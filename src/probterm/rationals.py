@@ -20,9 +20,13 @@ RationalLike = Union[Fraction, int, str]
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce ints, ``"p/q"`` strings and decimal strings to Fraction."""
+    """Coerce ints, ``"p/q"`` strings and decimal strings to Fraction. A
+    bool is refused, although Python counts it as an int: JSON `true` is
+    not a number."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

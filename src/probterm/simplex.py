@@ -15,18 +15,26 @@ denominator cancels, rows without an entry in the pivot column are not
 touched, and a slack or artificial column costs nothing in rows where it
 is zero.
 
-Starting basis. Each row is first made to have a nonnegative right-hand
-side; a >= row whose right-hand side is 0 is negated as well, so that its
-slack starts basic. The slack of a <= row starts basic; every other row
-gets an artificial column. An artificial on a zero right-hand side is
-then driven out before phase 1: its row is pivoted on its lowest
-non-artificial column, or deleted as redundant when it has none. Such a
-pivot moves no basic value. In the Farkas LPs of synthesis every row but
-the bounds on eps has right-hand side 0, and template unknowns come
-first, so this start brings the free template columns into the basis
-before anything else. Phase 1 runs only while an artificial with a
-positive value is still basic, and the same drive-out follows it. Every
-pivot, these included, counts toward the pivot cap.
+Starting basis. A presolve runs first, over the integer rows: an
+equality with a single entry and right-hand side 0 pins its unknown at 0.
+The unknown gets no column and is deleted from every row, and this is
+repeated until no such equality is left, so a chain of pins is followed
+to its end. A row left empty is then dropped when its right-hand side is
+0, and kept otherwise, so that phase 1 finds it infeasible. Columns and
+rows keep their relative order, and Bland's rule below sees them in it.
+A pinned unknown reads back as 0 and costs no pivot. Each remaining row
+is then made to have a nonnegative right-hand side; a >= row whose
+right-hand side is 0 is negated as well, so that its slack starts basic.
+The slack of a <= row starts basic; every other row gets an artificial
+column. An artificial on a zero right-hand side is then driven out
+before phase 1: its row is pivoted on its lowest non-artificial column,
+or deleted as redundant when it has none. Such a pivot moves no basic
+value. In the Farkas LPs of synthesis every row but the bounds on eps
+has right-hand side 0, and template unknowns come first, so this start
+brings the free template columns into the basis before anything else.
+Phase 1 runs only while an artificial with a positive value is still
+basic, and the same drive-out follows it. Every pivot, these included,
+counts toward the pivot cap.
 
 Pivoting uses Bland's rule throughout (no cycling, deterministic),
 entering on the lowest column index with positive reduced cost and
@@ -40,10 +48,10 @@ variable's second column then takes the negated integers. The basic
 values are read as integer numerators over one common denominator D, the
 lcm of the row denominators, and the assignment is built once from them.
 Every optimum is then re-checked exactly against the caller's own rows,
-not the tableau's copy: each row is scaled by the lcm of its own
-denominators, and its integer dot product with the numerators is
-compared with its right-hand side times D. The objective value is
-checked the same way.
+not the tableau's copy, so the rows the presolve dropped are checked
+too: each row is scaled by the lcm of its own denominators, and its
+integer dot product with the numerators is compared with its right-hand
+side times D. The objective value is checked the same way.
 """
 
 from __future__ import annotations
@@ -119,6 +127,14 @@ def _eliminate(row: Dict[int, int], rhs: int, den: int, a: int,
     return _reduced(row, rhs - a * prhs, den)
 
 
+def _deleted(irow: IntRow, cols: Set[int]) -> IntRow:
+    """The row without its entries in `cols`, in lowest terms."""
+    row, rhs, den = irow
+    if cols.isdisjoint(row):
+        return irow
+    return _reduced({j: v for j, v in row.items() if j not in cols}, rhs, den)
+
+
 class _PivotCapReached(Exception):
     """The next pivot would exceed the cap."""
 
@@ -171,10 +187,8 @@ class _Tableau:
             del self.rows[i], self.rhs[i], self.den[i], self.basis[i]
         gone = art.difference(self.basis)
         for i, row in enumerate(self.rows):
-            if not gone.isdisjoint(row):
-                self.rows[i], self.rhs[i], self.den[i] = _reduced(
-                    {j: v for j, v in row.items() if j not in gone},
-                    self.rhs[i], self.den[i])
+            self.rows[i], self.rhs[i], self.den[i] = _deleted(
+                (row, self.rhs[i], self.den[i]), gone)
 
     def feasible_start(self, art: Set[int]) -> bool:
         """Replace the artificial start by a basis of original columns;
@@ -242,22 +256,35 @@ def solve(num_vars: int,
     Variables with nonneg[j] False are free (internally split). The
     result's assignment, when optimal, satisfies every row exactly, and
     this is re-checked on every optimum. `pivots` counts every pivot
-    made, including those that drive artificials out of the basis.
+    made, including those that drive artificials out of the basis, and
+    none for an unknown the presolve pins.
     """
-    # column layout: one column per nonneg var, two per free var, then one
-    # slack per inequality and one artificial per row lacking a +1 slack,
-    # each in row order
-    col_of: List[Tuple[int, int]] = []  # (pos_col, neg_col); neg_col=-1 if nonneg
+    # each caller row as one integer row, then the presolve of the module
+    # docstring: pin, delete, repeat; drop the rows left 0 = 0
+    irows = [(_integer_row(coeffs, b), rel) for coeffs, rel, b in rows]
+    pinned: Set[int] = set()
+    while pins := {j for (row, r, _), rel in irows
+                   if r == 0 and rel is RowRel.EQ and len(row) == 1 for j in row}:
+        pinned |= pins
+        irows = [(_deleted(irow, pins), rel) for irow, rel in irows]
+        irows = [(irow, rel) for irow, rel in irows if irow[0] or irow[1]]
+
+    # column layout: none for a pinned var, one per nonneg var, two per free
+    # var, then one slack per inequality and one artificial per row lacking
+    # a +1 slack, each in row order
+    col_of: List[Tuple[int, int]] = []  # (pos_col, neg_col); -1 for no column
     ncols = 0
     for j in range(num_vars):
-        if nonneg[j]:
+        if j in pinned:
+            col_of.append((-1, -1))
+        elif nonneg[j]:
             col_of.append((ncols, -1))
             ncols += 1
         else:
             col_of.append((ncols, ncols + 1))
             ncols += 2
     slack = ncols
-    art = ncols + sum(rel is not RowRel.EQ for _, rel, _ in rows)
+    art = ncols + sum(rel is not RowRel.EQ for _, rel in irows)
 
     def split(row: Dict[int, int]) -> Dict[int, int]:
         cols: Dict[int, int] = {}
@@ -273,8 +300,7 @@ def solve(num_vars: int,
     den: List[int] = []
     basis: List[int] = []
     art_cols: List[int] = []
-    for coeffs, rel, b in rows:
-        row, r, d = _integer_row(coeffs, b)
+    for (row, r, d), rel in irows:
         row = split(row)
         s = -1
         if rel is not RowRel.EQ:
@@ -301,7 +327,7 @@ def solve(num_vars: int,
     try:
         if not tab.feasible_start(set(art_cols)):
             return SimplexResult(LPStatus.INFEASIBLE, pivots=tab.pivots)
-        cost, _, cost_den = _integer_row(objective, 0)
+        cost, _, cost_den = _deleted(_integer_row(objective, 0), pinned)
         outcome, value = tab.maximize(split(cost), cost_den)
     except _PivotCapReached:
         return SimplexResult(LPStatus.PIVOT_CAP, pivots=tab.pivots)

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -12,9 +13,10 @@ import jsonschema
 import pytest
 
 from probterm import cli, farkas, synthesis
+from probterm.pcfg_io import pcfg_to_json
 from probterm.simplex import LPStatus
 
-from conftest import fixture_path
+from conftest import fixture_path, load_fixture
 
 SCHEMAS = os.path.join(os.path.dirname(__file__), "..", "src", "probterm", "schemas")
 
@@ -444,16 +446,28 @@ def _latin1(d):
 
 def _true_certificate(d, key):
     """Example 3 with JSON `true` as its dimension (each vector cut to one
-    component to match) or as the level of t0."""
+    component to match), as the level of t0 or as its shift."""
     with open(EXAMPLE3) as f:
         doc = json.load(f)
     if key == "dimension":
         doc["dimension"] = True
         doc["components"] = {loc: vec[:1] for loc, vec in doc["components"].items()}
         doc["levels"] = {tid: 1 for tid in doc["levels"]}
+    elif key == "shift":
+        doc["shift"] = True
     else:
         doc["levels"]["t0"] = True
     path = d / "true.cert.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _true_branch_pcfg(d):
+    """The branching fixture, lowered, with JSON `true` as the probability
+    of the first target of its probabilistic branch."""
+    doc = pcfg_to_json(load_fixture("branching")[0])
+    next(tj for tj in doc["transitions"] if tj["kind"] == "pb")["p1"] = True
+    path = d / "true.pcfg.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -521,6 +535,11 @@ MALFORMED = {
     "certificate-level-true": (3, lambda d: ["check", FIG2RIGHT,
                                              _true_certificate(d, "level"),
                                              "-i", FIG1B_INV]),
+    "certificate-shift-true": (3, lambda d: ["check", FIG2RIGHT,
+                                             _true_certificate(d, "shift"),
+                                             "-i", FIG1B_INV]),
+    "pcfg-probability-true": (3, lambda d: ["synthesize", _true_branch_pcfg(d),
+                                            "-o", str(d / "c.json")]),
     "non-utf8-source": (2, lambda d: _source(d, "x := 1 \u00e9", "latin-1")),
     "init-zero-denominator": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                             "--init", "x=1/0"]),
@@ -594,6 +613,15 @@ def test_malformed_input_exit_code(case, tmp_path, capsys):
         assert out.startswith("syntax error:")
     # every file the command opened was closed
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("case,path", [("certificate-shift-true", r"\$\.shift"),
+                                       ("pcfg-probability-true", r"\$\.transitions\[\d+\]\.p1")],
+                         ids=["shift", "branch-probability"])
+def test_json_true_is_not_a_rational(case, path, tmp_path, capsys):
+    # Python counts a bool as an int, so `true` once loaded as 1
+    assert cli.main(MALFORMED[case][1](tmp_path)) == 3
+    assert re.match(rf"error: {path}: bad rational True", capsys.readouterr().err)
 
 
 def _mutant(doc, rng):

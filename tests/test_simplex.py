@@ -154,9 +154,27 @@ def _homogeneous(rng):
     return n, nonneg, rows, {j: _integer(rng, -3, 3) for j in range(n)}
 
 
+def _planted(make):
+    """LPs from `make` with one-entry `= 0` rows planted at random places,
+    some of them pinning an unknown only once an earlier pin is deleted."""
+    def lp(rng):
+        n, nonneg, rows, obj = make(rng)
+        rows = list(rows)
+        order = rng.sample(range(n), rng.randint(1, n))
+        for k, j in enumerate(order):
+            row = {j: F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))}
+            if k and rng.random() < 0.5:
+                row[order[k - 1]] = F(rng.randint(1, 4))  # pinned once that one is
+            rows.insert(rng.randint(0, len(rows)), (row, RowRel.EQ, F(0)))
+        return n, nonneg, rows, obj
+    return lp
+
+
 @pytest.mark.parametrize("seed,make", [(42, _general(_integer)), (43, _general(_rational)),
-                                       (44, _homogeneous)],
-                         ids=["integer", "rational", "homogeneous"])
+                                       (44, _homogeneous), (45, _planted(_general(_rational))),
+                                       (46, _planted(_homogeneous))],
+                         ids=["integer", "rational", "homogeneous", "planted-rational",
+                              "planted-homogeneous"])
 def test_randomized_against_scipy(seed, make):
     rng = random.Random(seed)
     for trial in range(400):
@@ -208,6 +226,39 @@ def test_resubstitution_is_exact():
     assert 5 * r.x[0] + r.x[1] == r.value
 
 
+def test_pinned_unknowns_read_back_zero():
+    # x0 free, x1 nonneg and x2 free with the largest objective weight are
+    # each pinned by a one-entry = 0 row; only x3 keeps a tableau column,
+    # so the one pivot made is phase 2's
+    rows = [({0: F(2)}, RowRel.EQ, F(0)),
+            ({1: F(-3)}, RowRel.EQ, F(0)),
+            ({2: F(1, 2)}, RowRel.EQ, F(0)),
+            ({0: F(1), 1: F(1), 2: F(1), 3: F(1)}, RowRel.LE, F(5))]
+    r = solve(4, [False, True, False, True], rows, {2: F(7), 3: F(1)})
+    assert r.status is LPStatus.OPTIMAL
+    assert r.x == [0, 0, 0, 5] and r.value == 5 and r.pivots == 1
+
+
+def test_pins_are_followed_down_a_chain():
+    # x0 = 0 pins x0, which leaves x0 + x1 = 0 with one entry: x1 is pinned too
+    rows = [({0: F(1)}, RowRel.EQ, F(0)),
+            ({0: F(1), 1: F(1)}, RowRel.EQ, F(0)),
+            ({1: F(1), 2: F(1)}, RowRel.LE, F(4))]
+    r = solve(3, [False, False, True], rows, {1: F(1), 2: F(1)})
+    assert r.status is LPStatus.OPTIMAL
+    assert r.x == [0, 0, 4] and r.value == 4 and r.pivots == 1
+
+
+@pytest.mark.parametrize("rel,b", [(RowRel.EQ, F(1)), (RowRel.LE, F(-1)), (RowRel.GE, F(1))],
+                         ids=["0=1", "0<=-1", "0>=1"])
+def test_row_emptied_by_pins_keeps_its_right_hand_side(rel, b):
+    rows = [({0: F(3)}, RowRel.EQ, F(0)), ({0: F(1)}, rel, b)]
+    for nonneg in (True, False):
+        assert solve(1, [nonneg], rows, {0: F(1)}).status is LPStatus.INFEASIBLE
+    # the same row with right-hand side 0 holds
+    assert solve(1, [False], [rows[0], ({0: F(1)}, rel, F(0))], {}).x == [0]
+
+
 # max x0 + x1  s.t. x0 + 2 x1 <= 4, 3 x0 + x1 <= 6  ->  vertex (8/5, 6/5)
 _VERTEX_ROWS = [({0: F(1), 1: F(2)}, RowRel.LE, F(4)),
                 ({0: F(3), 1: F(1)}, RowRel.LE, F(6))]
@@ -240,6 +291,24 @@ def test_recheck_detects_a_wrong_optimum(monkeypatch, basic_value):
     monkeypatch.setattr(simplex, "_Tableau", _wrong_tableau(basic_value))
     with pytest.raises(AssertionError):
         solve(2, [True, True], _VERTEX_ROWS, obj)
+
+
+def test_recheck_covers_rows_the_presolve_dropped(monkeypatch):
+    # x1 is pinned by the first row, which the presolve drops, and appears
+    # in no other row. It has no tableau column, so the wrong value is
+    # planted in the read-back handed to the re-check: x1 = 1. Only the
+    # caller's dropped row can catch it.
+    rows = [({1: F(2)}, RowRel.EQ, F(0)), ({0: F(1)}, RowRel.LE, F(3))]
+    r = solve(2, [False, True], rows, {0: F(1)})
+    assert r.x == [3, 0] and r.value == 3
+    check = simplex._check_solution
+
+    def wrong_read_back(nonneg, rows, objective, X, D, value):
+        check(nonneg, rows, objective, [X[0], D], D, value)
+
+    monkeypatch.setattr(simplex, "_check_solution", wrong_read_back)
+    with pytest.raises(AssertionError, match="row violated"):
+        solve(2, [False, True], rows, {0: F(1)})
 
 
 def test_caller_input_is_left_alone_and_ints_equal_fractions():
