@@ -24,8 +24,8 @@ from probterm import (Adversarial, FixedPriority, Invariant, UniformRandom,
                       lower_to_pcfg, parse_program, run_trajectory, synthesis,
                       validate_pcfg)
 from probterm.farkas import dump_lp, solve_lp
-from probterm.pcfg_io import (certificate_to_json, load_invariant, load_pcfg,
-                              pcfg_to_json)
+from probterm.pcfg_io import (certificate_to_json, invariant_from_json,
+                              load_invariant, load_pcfg, pcfg_to_json)
 from probterm.synthesis import build_lp, synthesize_bsp, synthesize_general
 
 from conftest import (FIXTURES, example3_certificate, example4_certificate,
@@ -62,8 +62,16 @@ FIRST_LP_PIVOTS = {"fig1b": 21, "fig2right": 21}
 # the figure-2 pCFGs are stored lowered and reuse the figure-1 invariants
 PCFG_INVARIANT = {"fig2left": "fig1a", "fig2right": "fig1b"}
 
+# the benchmark's ladder programs, as "ladder.<mode>.k<depth>"
+LADDER = {f"ladder.{name}": (text, inv_doc)
+          for name, _, text, inv_doc in workloads.ladder_programs()}
+
 
 def load(name):
+    if name in LADDER:
+        text, inv_doc = LADDER[name]
+        p = lower_to_pcfg(parse_program(text))
+        return p, invariant_from_json(inv_doc, p)
     if name in PCFG_INVARIANT:
         p = load_pcfg(fixture_path(name + ".pcfg.json"))
         return p, load_invariant(fixture_path(PCFG_INVARIANT[name] + ".inv.json"), p)
@@ -117,13 +125,19 @@ FIRST_LP_DIGESTS = {
     "straightline": "d73f0ed2061769c6444086d62d1904adf867f2127bbb8ee231dda367bc91fd4d",
 }
 
-# every iteration LP of one run: (procedure, LPs solved, digest over all);
-# the general run on fig1a retries with a tau0 in its third iteration
+# every iteration LP of one run, the attempts that rank nothing included:
+# (procedure, LPs solved, digest over all); the general run on fig1a
+# retries with a tau0 in its third iteration, and the general ladders of
+# depth 3 and 4 solve 10 and 15 LPs for 4 and 5 components
 RUN_LP_DIGESTS = {
     "fig2right": (synthesize_bsp, 3,
                   "833bfe8d0f268782829f6ba14c78c29434571ab07f17160c0ee89b854a3edc2f"),
     "fig1a": (synthesize_general, 4,
               "d693b36034790b06b0cd13382293fdc31450001aea03b5c99ce9698a8e34a9d0"),
+    "ladder.general.k3": (synthesize_general, 10,
+                          "bc2349209af0a32e0ab6c54fe0a7616589b7cb425a7c874c50457fbb18ff059e"),
+    "ladder.general.k4": (synthesize_general, 15,
+                          "e5c0f70b710af4777f7aec14dd2491085215f90e8484c71e4758c23d5cb1d01b"),
 }
 
 
