@@ -58,6 +58,16 @@ class Affine:
     def constant(value: RationalLike) -> "Affine":
         return Affine({}, value)
 
+    @staticmethod
+    def owning(terms: Dict[str, Fraction], const: Fraction) -> "Affine":
+        """An Affine that takes `terms`, a dict of nonzero Fractions that
+        no other Affine holds, as its own, and `const`, a Fraction, as it
+        is: no copy, no coercion, no zero test."""
+        a = Affine.__new__(Affine)
+        a.terms = terms
+        a.const = const
+        return a
+
     def __add__(self, other: "Affine | Fraction") -> "Affine":
         if not isinstance(other, Affine):
             return Affine(self.terms, self.const + other)
@@ -66,13 +76,28 @@ class Affine:
             t[k] = t.get(k, ZERO) + v
         return Affine(t, self.const + other.const)
 
-    def __sub__(self, other: "Affine") -> "Affine":
-        return self + other.scale(-1)
+    def __sub__(self, other: "Affine | Fraction") -> "Affine":
+        if not isinstance(other, Affine):
+            return Affine(self.terms, self.const - other)
+        t = dict(self.terms)
+        for k, v in other.terms.items():
+            t[k] = t[k] - v if k in t else -v
+        return Affine(t, self.const - other.const)
+
+    def __neg__(self) -> "Affine":
+        return Affine.owning({k: -v for k, v in self.terms.items()}, -self.const)
+
+    def __rsub__(self, other: Fraction) -> "Affine":
+        return -self + other
 
     __radd__ = __add__
 
     def scale(self, f: RationalLike) -> "Affine":
         f = rat(f)
+        if f == 1:
+            return Affine.owning(dict(self.terms), self.const)
+        if f == -1:
+            return -self
         return Affine({k: v * f for k, v in self.terms.items()}, self.const * f)
 
     __mul__ = __rmul__ = scale

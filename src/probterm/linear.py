@@ -79,7 +79,10 @@ class LinExpr:
         return LinExpr(cs, self.constant + other.constant)
 
     def __sub__(self, other: "LinExpr") -> "LinExpr":
-        return self + other.scale(-1)
+        cs = dict(self.coeffs)
+        for i, c in other.coeffs.items():
+            cs[i] = cs[i] - c if i in cs else -c
+        return LinExpr(cs, self.constant - other.constant)
 
     def __neg__(self) -> "LinExpr":
         return self.scale(-1)

@@ -44,14 +44,19 @@ cancels in its own ratio.
 
 Integers from input to re-check. Each caller row, and the objective, is
 converted to one integer row once, over its unsplit coefficients; a free
-variable's second column then takes the negated integers. The basic
+variable's second column then takes the negated integers. Most rows of
+the Farkas LPs are integral already: a row whose denominators are all 1
+is taken as its numerators over denominator 1, with no lcm and no
+division, since it is in lowest terms as it stands; only a row with a
+denominator other than 1 is scaled by their lcm and reduced. The basic
 values are read as integer numerators over one common denominator D, the
 lcm of the row denominators, and the assignment is built once from them.
 Every optimum is then re-checked exactly against the caller's own rows,
 not the tableau's copy, so the rows the presolve dropped are checked
-too: each row is scaled by the lcm of its own denominators, and its
+too: each row is scaled by the lcm s of its own denominators, and its
 integer dot product with the numerators is compared with its right-hand
-side times D. The objective value is checked the same way.
+side times D. An integral row has s = 1 and is read from its numerators
+alone. The objective value is checked the same way.
 """
 
 from __future__ import annotations
@@ -98,11 +103,24 @@ def _reduced(row: Dict[int, int], rhs: int, den: int) -> IntRow:
 
 
 def _integer_row(coeffs: Dict[int, Fraction], rhs: Fraction) -> IntRow:
-    """Rational coefficients and right-hand side as one integer row."""
-    coeffs = {j: c for j, c in coeffs.items() if c != 0}
-    den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-    return _reduced({j: c.numerator * (den // c.denominator) for j, c in coeffs.items()},
-                    rhs.numerator * (den // rhs.denominator), den)
+    """Rational coefficients and right-hand side as one integer row. A row
+    whose denominators are all 1 is its numerators over 1, which is in
+    lowest terms already; any other row is scaled by the lcm of its
+    denominators and reduced."""
+    row: Dict[int, int] = {}
+    dens: Dict[int, int] = {}   # the denominators other than 1
+    for j, c in coeffs.items():
+        n, d = c.as_integer_ratio()
+        if n:
+            row[j] = n
+            if d != 1:
+                dens[j] = d
+    b, bd = rhs.as_integer_ratio()
+    if not dens and bd == 1:
+        return row, b, 1
+    den = lcm(bd, *dens.values())
+    return _reduced({j: n * (den // dens.get(j, 1)) for j, n in row.items()},
+                    b * (den // bd), den)
 
 
 def _eliminate(row: Dict[int, int], rhs: int, den: int, a: int,
@@ -345,7 +363,18 @@ def solve(num_vars: int,
 
 def _scaled(coeffs, b, X, D) -> Tuple[int, int, int]:
     """The sides of coeffs . x against b at x = X / D, both times m = s * D
-    where s is the lcm of the row's own denominators: (lhs, rhs, m)."""
+    where s is the lcm of the row's own denominators: (lhs, rhs, m). An
+    integral row has s = 1 and is read from its numerators alone."""
+    lhs = 0
+    for j, c in coeffs.items():
+        n, d = c.as_integer_ratio()
+        if d != 1:
+            break
+        lhs += n * X[j]
+    else:
+        n, d = b.as_integer_ratio()
+        if d == 1:
+            return lhs, n * D, D
     s = lcm(b.denominator, *(c.denominator for c in coeffs.values()))
     lhs = sum(c.numerator * (s // c.denominator) * X[j] for j, c in coeffs.items())
     return lhs, b.numerator * (s // b.denominator) * D, s * D

@@ -14,6 +14,16 @@ fresh universally quantified variable bounded to the interval, which
 simultaneously over-approximates the supremum in the decrease conditions
 and under-approximates the infimum in the nonnegativity ones.
 
+One synthesis run solves many LPs, one per iteration and, in general
+mode, one per attempt, and most transitions keep their side conditions
+from one LP to the next. The run memoises two things for all its LPs:
+the verdict of each antecedent's feasibility screen, and the rows and
+multipliers that each transition's side conditions emitted. The latter
+is keyed by the transition, the zero-coefficient pins at its source and
+destinations, and, for a probabilistic branch, the unranked transitions
+leaving its targets; a hit re-emits the rows with fresh multiplier
+names, so every LP is exactly the one a cold encoding would build.
+
 Transitions whose eps is positive at the optimum are 1-ranked after
 scaling the template by 1/min(positive eps); by additivity of ranking
 maps this prunes the unique maximal rankable set, which is what makes
@@ -32,13 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .farkas import (Affine, LPProblem, PivotCapReached, check_feasible,
                      encode_implication, solve_lp)
 from .linear import LinConstraint, LinExpr, Polyhedron
 from .model import (Certificate, CertificateMode, Invariant, LevelMap,
-                    LinExprMap, NondetUpdate, PCFG, check_bsp, check_linpp_star)
+                    LinExprMap, NondetUpdate, PCFG, Transition, check_bsp,
+                    check_linpp_star)
 from .preexp import max_pre, pre_pb_restricted
 from .simplex import LPStatus, RowRel
 
@@ -47,6 +58,31 @@ ONE = Fraction(1)
 
 # antecedent constraints -> did the exact feasibility screen pass?
 ScreenMemo = Dict[Tuple[LinConstraint, ...], bool]
+
+
+@dataclass(frozen=True)
+class Block:
+    """The multipliers and rows that the side conditions of one transition
+    emitted into an iteration LP. A row is its terms, in order, with its
+    constant and relation; a multiplier in it stands as its ordinal in
+    `tags`, the multiplier tags in creation order."""
+    tags: Tuple[str, ...]
+    rows: Tuple[Tuple[Tuple[Tuple[str | int, Fraction], ...], Fraction, RowRel], ...]
+    dropped: int    # implications whose antecedent failed the screen
+    emitted: int
+
+    def replay(self, lp: LPProblem) -> None:
+        """Emit the block into `lp` again, each multiplier under a fresh
+        name from `lp`'s counter, in the order it was first created."""
+        names = [lp.fresh_multiplier(tag) for tag in self.tags]
+        for terms, const, rel in self.rows:
+            lp.add_constraint(Affine.owning(
+                {names[k] if isinstance(k, int) else k: v for k, v in terms}, const), rel)
+
+
+# (transition id, the zero_coeffs entries at its source and destinations,
+# the unranked transitions leaving its branch targets) -> its block
+BlockMemo = Dict[Tuple[str, frozenset, frozenset], Block]
 
 
 class NotLinPPStar(Exception):
@@ -81,23 +117,33 @@ class SynthesisLP:
 
 def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
              restrict: TemplateRestriction = TemplateRestriction(), *,
-             screens: Optional[ScreenMemo] = None) -> SynthesisLP:
+             screens: Optional[ScreenMemo] = None,
+             blocks: Optional[BlockMemo] = None) -> SynthesisLP:
     """Assemble the LP for one iteration over the `unranked` transition
     ids. Antecedent disjuncts that fail the exact feasibility screen are
     dropped (their implications are vacuous); a transition all of whose
     antecedents drop has an unconstrained eps and is ranked for free.
 
-    Each distinct antecedent is screened once. `screens` memoises the
-    screens of a whole synthesis run, which passes the same memo to every
-    iteration; without it, a fresh memo serves this call alone.
+    Each distinct antecedent is screened once, and each transition's side
+    conditions are encoded once. `screens` memoises the screens, and
+    `blocks` the encoded side conditions, of a whole synthesis run, which
+    passes the same memos to every iteration; without them, fresh memos
+    serve this call alone. A block is keyed by what its encoding reads:
+    the transition, the `zero_coeffs` entries at its source and
+    destinations (they decide which template unknowns exist there) and,
+    for a probabilistic branch, the unranked transitions leaving its
+    targets (they decide the restriction set). A memoised block is
+    emitted again with fresh multipliers from this LP's counter, so the
+    LP is the one a cold encoding would build, term for term.
     """
     if not unranked:
         raise ValueError("no unranked transitions left")
     if screens is None:
         screens = {}
+    if blocks is None:
+        blocks = {}
     lp = LPProblem()
     templates: Dict[str, LinExpr] = {}
-    nvars = len(p.variables)
     for loc in p.locations:
         coeffs = {i: Affine.of(lp.add_var(f"c[{loc}][{vname}]"))
                   for i, vname in enumerate(p.variables)
@@ -111,61 +157,91 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         eps_names[t.id] = lp.add_var(f"eps[{t.id}]", nonneg=True)
 
     out = SynthesisLP(lp, templates, eps_names)
-
-    def emit(antecedent: Polyhedron, consequents: List[Tuple[LinExpr, str]]) -> None:
-        """Encode `antecedent` implies each (expression >= 0, tag) in turn,
-        or drop them all when the antecedent is infeasible. A capped
-        screen raises PivotCapReached and is not memoised."""
-        key = tuple(antecedent.constraints)
-        feasible = screens.get(key)
-        if feasible is None:
-            feasible = screens[key] = check_feasible(antecedent)[0]
-        if not feasible:
-            out.dropped_implications += len(consequents)
-            return
-        for expr, tag in consequents:
-            encode_implication(antecedent, expr, lp, tag=tag)
-        out.emitted_implications += len(consequents)
-
     for t in order:
-        update = t.update()
-        bounds = Polyhedron.true()
-        if isinstance(update, NondetUpdate):
-            # demonic interval: a universally quantified fresh variable in [lo, hi]
-            y = LinExpr.var(nvars)
-            pre = templates[t.kind.dest].substitute(update.target, y)
-            bounds = Polyhedron([LinConstraint.le(LinExpr.const(update.lo) - y),
-                                 LinConstraint.le(y - LinExpr.const(update.hi))])
+        locs = {t.source, *t.destinations()}
+        key = (t.id,
+               frozenset(z for z in restrict.zero_coeffs if z[0] in locs),
+               frozenset(u.id for loc in t.destinations() for u in p.outgoing(loc)
+                         if u.id in unranked_set) if t.is_pb else frozenset())
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = _encode(p, inv, t, out, unranked_set, screens)
         else:
-            pre = max_pre(templates, t)
-        here = templates[t.source]
-        down = here - pre
-        # (2) never increasing in expectation, (3) nonnegative one-step
-        # expectation (not for branches), (5) decrease by eps
-        stepped = [(down, f"ua.{t.id}")]
-        if not t.is_pb:
-            stepped.append((pre, f"en.{t.id}"))
-        stepped.append((down.shift(Affine.of(eps_names[t.id], -1)), f"rk.{t.id}"))
-        for ante in inv.antecedents(t):
-            # (1) nonnegative where enabled
-            emit(ante, [(here, f"nn.{t.id}")])
-            emit(ante.conjoin(bounds), stepped)
-        # (4) restricted expectation across unranked probabilistic branches,
-        # over the successor states where no unranked transition is enabled
-        if t.is_pb:
-            for ctx, expr in pre_pb_restricted(p, templates, t, unranked_set):
-                for ante in inv.antecedents(t, ctx):
-                    emit(ante, [(expr, f"eb.{t.id}")])
+            block.replay(lp)
+        out.dropped_implications += block.dropped
+        out.emitted_implications += block.emitted
 
-    objective = Affine()
     for t in order:
         name = eps_names[t.id]
         lp.add_constraint(Affine.of(name) - Affine.constant(1), RowRel.LE)
         if t.id in restrict.forced_rank:
             lp.add_constraint(Affine.of(name) - Affine.constant(1), RowRel.EQ)
-        objective = objective + Affine.of(name)
-    lp.objective = objective
+    lp.objective = Affine({eps_names[t.id]: ONE for t in order})
     return out
+
+
+def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
+            unranked_set: Set[str], screens: ScreenMemo) -> Block:
+    """Emit the side conditions (1)-(5) of transition `t` into `out.lp`
+    and return what they emitted as a block."""
+    lp, templates = out.lp, out.templates
+    first_row = lp.num_constraints()
+    tags: List[str] = []
+    lams: List[str] = []
+    dropped = emitted = 0
+
+    def emit(antecedent: Polyhedron, consequents: List[Tuple[LinExpr, str]]) -> None:
+        """Encode `antecedent` implies each (expression >= 0, tag) in turn,
+        or drop them all when the antecedent is infeasible. A capped
+        screen raises PivotCapReached and is not memoised."""
+        nonlocal dropped, emitted
+        key = tuple(antecedent.constraints)
+        feasible = screens.get(key)
+        if feasible is None:
+            feasible = screens[key] = check_feasible(antecedent)[0]
+        if not feasible:
+            dropped += len(consequents)
+            return
+        for expr, tag in consequents:
+            new = encode_implication(antecedent, expr, lp, tag=tag)
+            lams.extend(new)
+            tags.extend([tag] * len(new))
+        emitted += len(consequents)
+
+    update = t.update()
+    bounds = Polyhedron.true()
+    if isinstance(update, NondetUpdate):
+        # demonic interval: a universally quantified fresh variable in [lo, hi]
+        y = LinExpr.var(len(p.variables))
+        pre = templates[t.kind.dest].substitute(update.target, y)
+        bounds = Polyhedron([LinConstraint.le(LinExpr.const(update.lo) - y),
+                             LinConstraint.le(y - LinExpr.const(update.hi))])
+    else:
+        pre = max_pre(templates, t)
+    here = templates[t.source]
+    down = here - pre
+    # (2) never increasing in expectation, (3) nonnegative one-step
+    # expectation (not for branches), (5) decrease by eps
+    stepped = [(down, f"ua.{t.id}")]
+    if not t.is_pb:
+        stepped.append((pre, f"en.{t.id}"))
+    stepped.append((down.shift(Affine.of(out.eps_names[t.id], -1)), f"rk.{t.id}"))
+    for ante in inv.antecedents(t):
+        # (1) nonnegative where enabled
+        emit(ante, [(here, f"nn.{t.id}")])
+        emit(ante.conjoin(bounds), stepped)
+    # (4) restricted expectation across unranked probabilistic branches,
+    # over the successor states where no unranked transition is enabled
+    if t.is_pb:
+        for ctx, expr in pre_pb_restricted(p, templates, t, unranked_set):
+            for ante in inv.antecedents(t, ctx):
+                emit(ante, [(expr, f"eb.{t.id}")])
+
+    ordinal = {lam: i for i, lam in enumerate(lams)}
+    rows = tuple((tuple((ordinal.get(k, k), v) for k, v in c.form.terms.items()),
+                  c.form.const, c.rel)
+                 for c in lp.constraints[first_row:])
+    return Block(tuple(tags), rows, dropped, emitted)
 
 
 # -- the iterative loop -------------------------------------------------------
@@ -196,8 +272,10 @@ class IterationState:
     unranked: List[str]
     components: List[Dict[str, LinExpr]] = field(default_factory=list)
     history: List[IterationRecord] = field(default_factory=list)
-    # feasibility screens of this run, shared by every iteration LP
+    # feasibility screens and encoded side conditions of this run, shared
+    # by every iteration LP
     screens: ScreenMemo = field(default_factory=dict)
+    blocks: BlockMemo = field(default_factory=dict)
     # the LP whose optimum gave component 1
     first_lp: Optional[LPProblem] = None
 
@@ -227,7 +305,8 @@ def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
     LP, or one of its feasibility screens, hits the pivot cap: a capped
     LP has no answer, so it cannot show that nothing ranks."""
     before = list(state.unranked)
-    slp = build_lp(p, inv, state.unranked, restrict, screens=state.screens)
+    slp = build_lp(p, inv, state.unranked, restrict, screens=state.screens,
+                   blocks=state.blocks)
     sol = solve_lp(slp.lp)
     if sol.status is LPStatus.PIVOT_CAP:
         raise PivotCapReached(f"{sol.pivots} pivots")

@@ -332,3 +332,45 @@ def test_lp_dump_format():
     text = dump_lp(lp)
     assert text.startswith("Maximize")
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
+
+
+def _parts(e: LinExpr):
+    """Coefficients and constant, an `Affine` as its terms in order."""
+    def part(v):
+        return (list(v.terms.items()), v.const) if isinstance(v, Affine) else v
+    return [(i, part(v)) for i, v in e.coeffs.items()], part(e.constant)
+
+
+def test_subtraction_is_adding_the_negation_term_for_term():
+    # templates, concrete expressions and the two mixed; shared unknowns
+    # cancel, and a coefficient cancels to nothing
+    rng = random.Random(50)
+
+    def draw(affine):
+        coeffs = {}
+        for i in rng.sample(range(3), rng.randint(0, 3)):
+            if affine:
+                coeffs[i] = Affine({n: F(rng.randint(-2, 2)) for n in rng.sample("abc", 2)},
+                                   rng.randint(-1, 1))
+            else:
+                coeffs[i] = F(rng.randint(-2, 2), rng.randint(1, 2))
+        const = Affine.of(rng.choice("abc"), rng.randint(-1, 1)) if affine else F(rng.randint(-2, 2))
+        return LinExpr(coeffs, const)
+
+    for trial in range(300):
+        a, b = draw(rng.random() < 0.7), draw(rng.random() < 0.7)
+        for left, right in ((a, b), (a, a), (b, a)):
+            assert _parts(left - right) == _parts(left + right.scale(-1)), trial
+
+
+@pytest.mark.parametrize("f", [1, -1, F(1, 2)])
+def test_affine_scale_owns_its_terms(f):
+    a = Affine({"a": F(2), "b": F(-3)}, F(1))
+    scaled = a.scale(f)
+    assert list(scaled.terms.items()) == [(k, v * f) for k, v in a.terms.items()]
+    assert scaled.const == a.const * f
+    scaled.terms["c"] = F(1)
+    assert a.terms == {"a": F(2), "b": F(-3)}
+    negated = -a
+    negated.terms["c"] = F(1)
+    assert a.terms == {"a": F(2), "b": F(-3)}

@@ -86,8 +86,9 @@ def _process_caches(tree: ast.Module) -> list:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_functools_cache(path):
-    # memo state lives in the call that owns it (a synthesis run's screen
-    # memo, a scheduler's pre-expectations), never for the whole process
+    # memo state lives in the call that owns it (a synthesis run's screens
+    # and encoded side conditions, a scheduler's pre-expectations), never
+    # for the whole process
     assert _process_caches(ast.parse(path.read_text())) == []
 
 

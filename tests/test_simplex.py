@@ -1,6 +1,7 @@
 """The exact LP core, cross-checked against an independent float solver."""
 
 import copy
+import math
 import random
 from fractions import Fraction as F
 
@@ -328,3 +329,54 @@ def test_caller_input_is_left_alone_and_ints_equal_fractions():
     assert ints.status is LPStatus.OPTIMAL
     assert ints.x == [F(-2, 3), F(0), F(-2, 9)] and ints.value == F(2, 3)
     assert (ints.x, ints.value, ints.pivots) == (fracs.x, fracs.value, fracs.pivots)
+
+
+def _lcm_row(coeffs, rhs):
+    """The rational formula: scale by the lcm of every denominator, then
+    divide by the gcd of every integer."""
+    coeffs = {j: F(c) for j, c in coeffs.items() if c != 0}
+    rhs = F(rhs)
+    den = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    row = {j: c.numerator * (den // c.denominator) for j, c in coeffs.items()}
+    b = rhs.numerator * (den // rhs.denominator)
+    g = math.gcd(b, den, *row.values())
+    return {j: v // g for j, v in row.items()}, b // g, den // g
+
+
+@pytest.mark.parametrize("draw", [_integer, _rational], ids=["integral", "rational"])
+def test_integer_row_matches_the_rational_formula(draw):
+    rng = random.Random(47)
+    for trial in range(500):
+        n = rng.randint(0, 6)
+        # zero entries, and right-hand sides that are zero or negative
+        coeffs = {j: draw(rng, -4, 4) if rng.random() < 0.7 else F(0)
+                  for j in rng.sample(range(8), n)}
+        rhs = rng.choice([F(0), draw(rng, -6, 0), draw(rng, -6, 6)])
+        assert simplex._integer_row(coeffs, rhs) == _lcm_row(coeffs, rhs), trial
+
+
+def test_recheck_rejects_a_perturbed_point_on_an_integral_row():
+    rng = random.Random(48)
+    for trial in range(200):
+        n = rng.randint(1, 4)
+        coeffs = {j: F(rng.choice([-3, -2, -1, 1, 2, 3])) for j in range(1, n)}
+        coeffs[0] = F(rng.choice([-1, 1]))
+        b = F(rng.randint(-6, 6))
+        # x = X / D with x0 solved from the row, so each relation holds
+        # with equality
+        D = rng.randint(1, 5)
+        X = [0] + [rng.randint(-10, 10) for _ in range(1, n)]
+        X[0] = int((b * D - sum(c * X[j] for j, c in coeffs.items())) / coeffs[0])
+        assert simplex._integer_row(coeffs, b)[2] == 1
+        for rel in RowRel:
+            simplex._check_solution([False] * n, [(coeffs, rel, b)], {}, X, D, F(0))
+        # one numerator step along a coefficient's sign raises the left side
+        j = rng.randrange(n)
+        up = list(X)
+        up[j] += 1 if coeffs[j] > 0 else -1
+        down = list(X)
+        down[j] -= 1 if coeffs[j] > 0 else -1
+        for rel, point in ((RowRel.EQ, up), (RowRel.LE, up), (RowRel.GE, down)):
+            with pytest.raises(AssertionError, match="row violated"):
+                simplex._check_solution([False] * n, [(coeffs, rel, b)], {}, point, D,
+                                        F(0))

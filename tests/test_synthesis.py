@@ -402,3 +402,49 @@ def test_capped_screen_is_not_memoised(fig1b, monkeypatch):
     with pytest.raises(PivotCapReached):
         build_lp(p, inv, [t.id for t in p.non_terminal_transitions()], screens=screens)
     assert screens == {}
+
+
+# -- the run memo of encoded side conditions -----------------------------------------
+
+
+@pytest.mark.parametrize("name, synthesize", [
+    ("fig1a", synthesize_general),
+    ("prob_join", synthesize_bsp),
+    ("ladder.general.k4", synthesize_general),
+])
+def test_run_memo_builds_the_cold_lp(name, synthesize, monkeypatch):
+    """Every LP a run solves, its side conditions replayed from the run's
+    memo where they were encoded before, dumps exactly as a cold
+    `build_lp` of the same unranked set and restriction."""
+    from probterm import synthesis
+    from probterm.farkas import dump_lp
+    from test_golden import load
+    p, inv = load(name)
+    built, solved, encoded = [], [], []
+    real_build, real_solve, real_encode = (synthesis.build_lp, synthesis.solve_lp,
+                                           synthesis._encode)
+
+    def building(p, inv, unranked, restrict=TemplateRestriction(), **memos):
+        slp = real_build(p, inv, unranked, restrict, **memos)
+        built.append((slp.lp, list(unranked), restrict))
+        return slp
+
+    def solving(lp, *args, **kwargs):
+        solved.append(lp)
+        return real_solve(lp, *args, **kwargs)
+
+    def encoding(p, inv, t, *args):
+        encoded.append(t.id)
+        return real_encode(p, inv, t, *args)
+
+    monkeypatch.setattr(synthesis, "build_lp", building)
+    monkeypatch.setattr(synthesis, "solve_lp", solving)
+    monkeypatch.setattr(synthesis, "_encode", encoding)
+    assert synthesize(p, inv).found
+    # the run replayed some blocks, and solved every LP it built
+    assert len(encoded) < sum(len(unranked) for _, unranked, _ in built)
+    assert len(built) == len(solved)
+    assert all(lp is s for (lp, _, _), s in zip(built, solved))
+    monkeypatch.undo()
+    for lp, unranked, restrict in built:
+        assert dump_lp(lp) == dump_lp(build_lp(p, inv, unranked, restrict).lp)
