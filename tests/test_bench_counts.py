@@ -1,9 +1,11 @@
 """The benchmark's traced synthesis counts, pinned per pass.
 
 `bench/test_bench.py` traces only the `validate` workload, which never
-synthesizes. This runs one traced pass of `ladder` through `bench/run.py`
-and pins the work that the LP assembly and the simplex do in it, so a
-change that moves the LPs, their screens or their solves shows here.
+synthesizes. This runs one traced pass of `ladder` and one of `corpus`
+through `bench/run.py` and pins the work that the LP assembly and the
+simplex do in each, so a change that moves the LPs, their screens or
+their solves shows here. It also shows that the bench tracer still reads
+the LPs that `synthesis.build_lp` returns.
 """
 
 import json
@@ -22,13 +24,31 @@ LADDER_PER_PASS = {
     "synthesis.certs_changed": 0,
 }
 
+CORPUS_PER_PASS = {
+    "synthesis.implications": 1772,
+    "synthesis.lp_rows.sum": 5569,
+    "synthesis.lp_nonzeros.sum": 11611,
+    "synthesis.lp_unknowns.sum": 3542,
+    "synthesis.screens": 261,
+    "simplex.solves": 416,
+    "synthesis.lps": 123,
+    "synthesis.certs_changed": 0,
+}
 
-def test_traced_ladder_pass_counts():
-    out = subprocess.run([sys.executable, "bench/run.py", "--workload", "ladder",
+
+def _traced_pass(workload: str, keys) -> dict:
+    out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--seed", "1", "--seconds", "0", "--trace", "1"],
                          cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0
-    counts = {key: result["metrics"][key]["value"] for key in LADDER_PER_PASS}
-    assert counts == LADDER_PER_PASS
+    return {key: result["metrics"][key]["value"] for key in keys}
+
+
+def test_traced_ladder_pass_counts():
+    assert _traced_pass("ladder", LADDER_PER_PASS) == LADDER_PER_PASS
+
+
+def test_traced_corpus_pass_counts():
+    assert _traced_pass("corpus", CORPUS_PER_PASS) == CORPUS_PER_PASS
