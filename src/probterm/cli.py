@@ -181,7 +181,11 @@ def cmd_synthesize(args) -> int:
             lf = out.open(os.path.join(args.dump_lp, "iteration1.lp"))
         cf = out.open(args.out)
         if lf:
-            lf.write(dump_lp(result.first_lp))
+            try:
+                text = dump_lp(result.first_lp)
+            except ValueError as e:   # two unknowns under one label
+                raise pcfg_io.FormatError(str(e), "--dump-lp") from None
+            lf.write(text)
         cf.write(pcfg_io.json_text(pcfg_io.certificate_to_json(cert, p)))
     _emit({"outcome": "certificate", "mode": mode, "dimension": cert.dimension,
            "shift": str(cert.shift), "out": args.out, "iterations": iterations},

@@ -11,6 +11,10 @@ honored the implication is vacuous and dropped, otherwise its stricts
 read as non-strict, since the encoder uses only each row's left-hand
 side.
 
+An LP unknown is its column index from assembly to the simplex: in the
+terms of an `Affine`, in `LPProblem` rows and objective, and in the point
+`solve_lp` returns. Names label the columns in `dump_lp` alone.
+
 There is one polyhedral query, and it is exact too. `check_feasible`
 decides whether a polyhedron has a rational point: a row without
 variables is decided by its constant, with no LP, and the rest go into
@@ -24,12 +28,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linear import LinConstraint, LinExpr, Polyhedron, Rel, ResourceLimit
 from .rationals import rat, RationalLike
 from . import simplex
-from .simplex import LPStatus, RowRel
+from .simplex import LPStatus, RowRel, SimplexResult
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,26 +44,27 @@ class PivotCapReached(ResourceLimit):
 
 
 class Affine:
-    """Linear form over named LP unknowns plus a rational constant; as a
-    `LinExpr` coefficient it makes that expression a synthesis template."""
+    """Linear form over LP unknowns, each keyed by its column, plus a
+    rational constant; as a `LinExpr` coefficient it makes that expression
+    a synthesis template. Every term is nonzero."""
 
     __slots__ = ("terms", "const")
 
-    def __init__(self, terms: Dict[str, Fraction] | None = None,
+    def __init__(self, terms: Dict[int, Fraction] | None = None,
                  const: RationalLike = ZERO):
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
         self.const = rat(const)
 
     @staticmethod
-    def of(name: str, coeff: RationalLike = 1) -> "Affine":
-        return Affine({name: rat(coeff)})
+    def of(column: int, coeff: RationalLike = 1) -> "Affine":
+        return Affine({column: rat(coeff)})
 
     @staticmethod
     def constant(value: RationalLike) -> "Affine":
         return Affine({}, value)
 
     @staticmethod
-    def owning(terms: Dict[str, Fraction], const: Fraction) -> "Affine":
+    def owning(terms: Dict[int, Fraction], const: Fraction) -> "Affine":
         """An Affine that takes `terms`, a dict of nonzero Fractions that
         no other Affine holds, as its own, and `const`, a Fraction, as it
         is: no copy, no coercion, no zero test."""
@@ -68,21 +73,31 @@ class Affine:
         a.const = const
         return a
 
+    # `+` and `-` keep this form's terms in order, then the new ones of
+    # `other`, and drop a term that cancels
     def __add__(self, other: "Affine | Fraction") -> "Affine":
         if not isinstance(other, Affine):
-            return Affine(self.terms, self.const + other)
+            return Affine.owning(dict(self.terms), self.const + other)
         t = dict(self.terms)
         for k, v in other.terms.items():
-            t[k] = t.get(k, ZERO) + v
-        return Affine(t, self.const + other.const)
+            s = t[k] + v if k in t else v
+            if s:
+                t[k] = s
+            else:
+                del t[k]
+        return Affine.owning(t, self.const + other.const)
 
     def __sub__(self, other: "Affine | Fraction") -> "Affine":
         if not isinstance(other, Affine):
-            return Affine(self.terms, self.const - other)
+            return Affine.owning(dict(self.terms), self.const - other)
         t = dict(self.terms)
         for k, v in other.terms.items():
-            t[k] = t[k] - v if k in t else -v
-        return Affine(t, self.const - other.const)
+            s = t[k] - v if k in t else -v
+            if s:
+                t[k] = s
+            else:
+                del t[k]
+        return Affine.owning(t, self.const - other.const)
 
     def __neg__(self) -> "Affine":
         return Affine.owning({k: -v for k, v in self.terms.items()}, -self.const)
@@ -105,8 +120,9 @@ class Affine:
     def __bool__(self) -> bool:
         return bool(self.terms) or self.const != 0
 
-    def value(self, assignment: Dict[str, Fraction]) -> Fraction:
-        return self.const + sum((v * assignment[k] for k, v in self.terms.items()), ZERO)
+    def value(self, x: Sequence[Fraction]) -> Fraction:
+        """The form at the point `x`, indexed by column."""
+        return self.const + sum((v * x[k] for k, v in self.terms.items()), ZERO)
 
     def __repr__(self):
         return f"Affine({self.terms}, {self.const})"
@@ -120,33 +136,29 @@ class LPConstraint:
 
 @dataclass
 class LPProblem:
-    """An LP over named unknowns; objective is always maximized.
+    """An LP whose unknowns are its columns 0, 1, ...; the objective, a
+    column -> coefficient map, is always maximized.
 
     Unknowns registered nonnegative keep a >= 0 bound (all Farkas
-    multipliers do); the rest are free.
+    multipliers do); the rest are free. `names` labels the columns in
+    `dump_lp` and nowhere else.
     """
     names: List[str] = field(default_factory=list)
     nonneg: List[bool] = field(default_factory=list)
     constraints: List[LPConstraint] = field(default_factory=list)
-    objective: Affine = field(default_factory=Affine)
-    _index: Dict[str, int] = field(default_factory=dict)
+    objective: Dict[int, Fraction] = field(default_factory=dict)
     _fresh: itertools.count = field(default_factory=itertools.count)
 
-    def add_var(self, name: str, nonneg: bool = False) -> str:
-        if name in self._index:
-            raise ValueError(f"unknown {name!r} already registered")
-        self._index[name] = len(self.names)
+    def add_var(self, name: str, nonneg: bool = False) -> int:
+        """A new unknown labelled `name`; returns its column."""
         self.names.append(name)
         self.nonneg.append(nonneg)
-        return name
+        return len(self.names) - 1
 
-    def fresh_multiplier(self, tag: str = "lam") -> str:
+    def fresh_multiplier(self, tag: str = "lam") -> int:
         return self.add_var(f"{tag}.{next(self._fresh)}", nonneg=True)
 
     def add_constraint(self, form: Affine, rel: RowRel) -> None:
-        for name in form.terms:
-            if name not in self._index:
-                raise KeyError(f"unregistered unknown {name!r}")
         self.constraints.append(LPConstraint(form, rel))
 
     def num_vars(self) -> int:
@@ -156,27 +168,11 @@ class LPProblem:
         return len(self.constraints)
 
 
-@dataclass
-class LPSolution:
-    status: LPStatus
-    assignment: Optional[Dict[str, Fraction]] = None
-    value: Optional[Fraction] = None
-    pivots: int = 0
-
-
-def solve_lp(lp: LPProblem, pivot_cap: int = simplex.DEFAULT_PIVOT_CAP) -> LPSolution:
-    """Exact optimum of the named LP; deterministic for identical input."""
-    rows = []
-    for c in lp.constraints:
-        coeffs = {lp._index[k]: v for k, v in c.form.terms.items()}
-        rows.append((coeffs, c.rel, -c.form.const))
-    obj = {lp._index[k]: v for k, v in lp.objective.terms.items()}
-    res = simplex.solve(lp.num_vars(), lp.nonneg, rows, obj, pivot_cap=pivot_cap)
-    if res.status is not LPStatus.OPTIMAL:
-        return LPSolution(res.status, pivots=res.pivots)
-    assignment = {name: res.x[i] for i, name in enumerate(lp.names)}
-    return LPSolution(LPStatus.OPTIMAL, assignment, res.value + lp.objective.const,
-                      res.pivots)
+def solve_lp(lp: LPProblem, pivot_cap: int = simplex.DEFAULT_PIVOT_CAP) -> SimplexResult:
+    """Exact optimum of `lp`, its point indexed by column; deterministic
+    for identical input."""
+    rows = [(c.form.terms, c.rel, -c.form.const) for c in lp.constraints]
+    return simplex.solve(lp.num_vars(), lp.nonneg, rows, lp.objective, pivot_cap=pivot_cap)
 
 
 # -- polyhedral queries ----------------------------------------------------
@@ -224,9 +220,9 @@ def entails(p: Polyhedron, e: LinExpr) -> Tuple[bool, Optional[Dict[int, Fractio
 
 
 def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
-                       lp: LPProblem, tag: str = "lam") -> List[str]:
+                       lp: LPProblem, tag: str = "lam") -> List[int]:
     """Emit into `lp` the multiplier system for "`antecedent` implies
-    `consequent` >= 0"; returns the fresh multiplier names.
+    `consequent` >= 0"; returns the columns of the fresh multipliers.
 
     The antecedent holds concrete rationals, possibly over fresh universal
     variables, and has passed `check_feasible`; a strict row reads as its
@@ -246,13 +242,14 @@ def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
 
     # each row's terms are collected once: the consequent's, then one per
     # multiplier in row order
-    columns: Dict[int, List[Tuple[str, Fraction]]] = {i: [] for i in consequent.coeffs}
+    columns: Dict[int, List[Tuple[int, Fraction]]] = {i: [] for i in consequent.coeffs}
     for lam, (coeffs, _) in zip(lams, a_rows):
         for i, a in coeffs.items():
             columns.setdefault(i, []).append((lam, a))
 
     def row(base: Optional[Affine], terms) -> Affine:
-        form = Affine() if base is None else Affine(base.terms, base.const)
+        form = (Affine.owning({}, ZERO) if base is None
+                else Affine.owning(dict(base.terms), base.const))
         form.terms.update(terms)
         return form
 
@@ -269,23 +266,24 @@ def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
 
 def dump_lp(lp: LPProblem) -> str:
     """Text dump in the common solver-exchange (CPLEX LP) format, for
-    cross-checking against external solvers."""
+    cross-checking against external solvers. Column j is written under
+    `lp.names[j]` with brackets as parentheses and dots as underscores;
+    raises ValueError when two columns would be written under one name."""
+    names = [n.replace("[", "(").replace("]", ")").replace(".", "_") for n in lp.names]
+    if len(set(names)) < len(names):
+        twice = next(n for j, n in enumerate(names) if n in names[:j])
+        raise ValueError(f"two LP unknowns would both be written as {twice!r}")
 
-    def safe(name: str) -> str:
-        return name.replace("[", "(").replace("]", ")").replace(".", "_")
-
-    def term_str(form: Affine) -> str:
-        parts = []
-        for name, v in form.terms.items():
-            parts.append(f"{'+' if v >= 0 else '-'} {abs(v)} {safe(name)}")
+    def term_str(terms: Dict[int, Fraction]) -> str:
+        parts = [f"{'+' if v >= 0 else '-'} {abs(v)} {names[j]}" for j, v in terms.items()]
         return " ".join(parts) if parts else "0 dummy"
 
     lines = ["Maximize", f" obj: {term_str(lp.objective)}", "Subject To"]
     for k, c in enumerate(lp.constraints):
         op = {RowRel.LE: "<=", RowRel.GE: ">=", RowRel.EQ: "="}[c.rel]
-        lines.append(f" c{k}: {term_str(c.form)} {op} {-c.form.const}")
+        lines.append(f" c{k}: {term_str(c.form.terms)} {op} {-c.form.const}")
     lines.append("Bounds")
-    for name, nn in zip(lp.names, lp.nonneg):
-        lines.append(f" {safe(name)} >= 0" if nn else f" {safe(name)} free")
+    for name, nn in zip(names, lp.nonneg):
+        lines.append(f" {name} >= 0" if nn else f" {name} free")
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -21,8 +21,10 @@ the verdict of each antecedent's feasibility screen, and the rows and
 multipliers that each transition's side conditions emitted. The latter
 is keyed by the transition, the zero-coefficient pins at its source and
 destinations, and, for a probabilistic branch, the unranked transitions
-leaving its targets; a hit re-emits the rows with fresh multiplier
-names, so every LP is exactly the one a cold encoding would build.
+leaving its targets. A block writes each LP column as its position in
+the transition's frame (its template and eps columns) or among its own
+multipliers, so a hit re-emits it over the new LP's frame with fresh
+multipliers: every LP is exactly the one a cold encoding would build.
 
 Transitions whose eps is positive at the optimum are 1-ranked after
 scaling the template by 1/min(positive eps); by additivity of ranking
@@ -64,20 +66,20 @@ ScreenMemo = Dict[Tuple[LinConstraint, ...], bool]
 class Block:
     """The multipliers and rows that the side conditions of one transition
     emitted into an iteration LP. A row is its terms, in order, with its
-    constant and relation; a multiplier in it stands as its ordinal in
-    `tags`, the multiplier tags in creation order."""
+    constant and relation. A term's column stands as its position in the
+    transition's frame (`SynthesisLP.frame`) followed by the block's
+    multipliers, whose tags `tags` lists in creation order."""
     tags: Tuple[str, ...]
-    rows: Tuple[Tuple[Tuple[Tuple[str | int, Fraction], ...], Fraction, RowRel], ...]
+    rows: Tuple[Tuple[Tuple[Tuple[int, Fraction], ...], Fraction, RowRel], ...]
     dropped: int    # implications whose antecedent failed the screen
     emitted: int
 
-    def replay(self, lp: LPProblem) -> None:
-        """Emit the block into `lp` again, each multiplier under a fresh
-        name from `lp`'s counter, in the order it was first created."""
-        names = [lp.fresh_multiplier(tag) for tag in self.tags]
+    def replay(self, lp: LPProblem, frame: List[int]) -> None:
+        """Emit the block into `lp` again over the transition's `frame` in
+        `lp`, with fresh multipliers created in the original order."""
+        cols = frame + [lp.fresh_multiplier(tag) for tag in self.tags]
         for terms, const, rel in self.rows:
-            lp.add_constraint(Affine.owning(
-                {names[k] if isinstance(k, int) else k: v for k, v in terms}, const), rel)
+            lp.add_constraint(Affine.owning({cols[k]: v for k, v in terms}, const), rel)
 
 
 # (transition id, the zero_coeffs entries at its source and destinations,
@@ -104,14 +106,22 @@ class TemplateRestriction:
 class SynthesisLP:
     """One iteration's LP plus the bookkeeping to read a component back."""
     lp: LPProblem
-    templates: Dict[str, LinExpr]   # Affine coefficients over LP unknowns
-    eps_names: Dict[str, str]
+    templates: Dict[str, LinExpr]   # each coefficient one LP column, as an Affine
+    eps: Dict[str, int]             # unranked transition id -> its eps column
     dropped_implications: int = 0
     emitted_implications: int = 0
 
-    def component_at(self, assignment: Dict[str, Fraction]) -> Dict[str, LinExpr]:
-        return {loc: LinExpr({i: a.value(assignment) for i, a in t.coeffs.items()},
-                             t.constant.value(assignment))
+    def frame(self, t: Transition) -> List[int]:
+        """The columns that the side conditions of `t` read: the template
+        columns at its source and at each destination, then its eps."""
+        return [k for loc in (t.source, *t.destinations())
+                for a in (*self.templates[loc].coeffs.values(), self.templates[loc].constant)
+                for k in a.terms] + [self.eps[t.id]]
+
+    def component_at(self, x: List[Fraction]) -> Dict[str, LinExpr]:
+        """The templates at the LP point `x`, indexed by column."""
+        return {loc: LinExpr({i: a.value(x) for i, a in t.coeffs.items()},
+                             t.constant.value(x))
                 for loc, t in self.templates.items()}
 
 
@@ -133,8 +143,9 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
     destinations (they decide which template unknowns exist there) and,
     for a probabilistic branch, the unranked transitions leaving its
     targets (they decide the restriction set). A memoised block is
-    emitted again with fresh multipliers from this LP's counter, so the
-    LP is the one a cold encoding would build, term for term.
+    emitted again over this LP's frame of the transition, with fresh
+    multipliers, so the LP is the one a cold encoding would build, term
+    for term.
     """
     if not unranked:
         raise ValueError("no unranked transitions left")
@@ -150,13 +161,10 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
                   if (loc, i) not in restrict.zero_coeffs}
         templates[loc] = LinExpr(coeffs, Affine.of(lp.add_var(f"c[{loc}].const")))
 
-    eps_names: Dict[str, str] = {}
     unranked_set = set(unranked)
     order = [t for t in p.transitions if t.id in unranked_set]
-    for t in order:
-        eps_names[t.id] = lp.add_var(f"eps[{t.id}]", nonneg=True)
-
-    out = SynthesisLP(lp, templates, eps_names)
+    out = SynthesisLP(lp, templates,
+                      {t.id: lp.add_var(f"eps[{t.id}]", nonneg=True) for t in order})
     for t in order:
         locs = {t.source, *t.destinations()}
         key = (t.id,
@@ -167,16 +175,15 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         if block is None:
             block = blocks[key] = _encode(p, inv, t, out, unranked_set, screens)
         else:
-            block.replay(lp)
+            block.replay(lp, out.frame(t))
         out.dropped_implications += block.dropped
         out.emitted_implications += block.emitted
 
-    for t in order:
-        name = eps_names[t.id]
-        lp.add_constraint(Affine.of(name) - Affine.constant(1), RowRel.LE)
-        if t.id in restrict.forced_rank:
-            lp.add_constraint(Affine.of(name) - Affine.constant(1), RowRel.EQ)
-    lp.objective = Affine({eps_names[t.id]: ONE for t in order})
+    for tid, k in out.eps.items():
+        lp.add_constraint(Affine.of(k) - Affine.constant(1), RowRel.LE)
+        if tid in restrict.forced_rank:
+            lp.add_constraint(Affine.of(k) - Affine.constant(1), RowRel.EQ)
+    lp.objective = {k: ONE for k in out.eps.values()}
     return out
 
 
@@ -185,9 +192,8 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
     """Emit the side conditions (1)-(5) of transition `t` into `out.lp`
     and return what they emitted as a block."""
     lp, templates = out.lp, out.templates
-    first_row = lp.num_constraints()
+    first_row, first_col = lp.num_constraints(), lp.num_vars()
     tags: List[str] = []
-    lams: List[str] = []
     dropped = emitted = 0
 
     def emit(antecedent: Polyhedron, consequents: List[Tuple[LinExpr, str]]) -> None:
@@ -204,7 +210,6 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
             return
         for expr, tag in consequents:
             new = encode_implication(antecedent, expr, lp, tag=tag)
-            lams.extend(new)
             tags.extend([tag] * len(new))
         emitted += len(consequents)
 
@@ -225,7 +230,7 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
     stepped = [(down, f"ua.{t.id}")]
     if not t.is_pb:
         stepped.append((pre, f"en.{t.id}"))
-    stepped.append((down.shift(Affine.of(out.eps_names[t.id], -1)), f"rk.{t.id}"))
+    stepped.append((down.shift(Affine.of(out.eps[t.id], -1)), f"rk.{t.id}"))
     for ante in inv.antecedents(t):
         # (1) nonnegative where enabled
         emit(ante, [(here, f"nn.{t.id}")])
@@ -237,8 +242,9 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
             for ante in inv.antecedents(t, ctx):
                 emit(ante, [(expr, f"eb.{t.id}")])
 
-    ordinal = {lam: i for i, lam in enumerate(lams)}
-    rows = tuple((tuple((ordinal.get(k, k), v) for k, v in c.form.terms.items()),
+    # each column the rows read, as its position in the frame or after it
+    position = {k: i for i, k in enumerate(out.frame(t) + list(range(first_col, lp.num_vars())))}
+    rows = tuple((tuple((position[k], v) for k, v in c.form.terms.items()),
                   c.form.const, c.rel)
                  for c in lp.constraints[first_row:])
     return Block(tuple(tags), rows, dropped, emitted)
@@ -312,13 +318,13 @@ def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
         raise PivotCapReached(f"{sol.pivots} pivots")
     if sol.status is not LPStatus.OPTIMAL:
         return None
-    eps_values = {tid: sol.assignment[name] for tid, name in slp.eps_names.items()}
+    eps_values = {tid: sol.x[k] for tid, k in slp.eps.items()}
     ranked = [tid for tid in state.unranked if eps_values[tid] > 0]
     if not ranked:
         return None
     scale = ONE / min(eps_values[tid] for tid in ranked)
     component = {loc: e.scale(scale)
-                 for loc, e in slp.component_at(sol.assignment).items()}
+                 for loc, e in slp.component_at(sol.x).items()}
     if not state.components:
         state.first_lp = slp.lp
     state.components.append(component)

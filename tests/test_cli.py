@@ -261,6 +261,48 @@ def test_synthesize_dump_lp(tmp_path):
     assert text.startswith("Maximize") and "Subject To" in text
 
 
+def _colliding_names_pcfg(path):
+    """A countdown whose template unknowns at (`a`, `b][c`) and at
+    (`a][b`, `c`) are both labelled `c[a][b][c]`."""
+    def guard(coeff, const, rel):
+        return [[{"expr": {"b][c": coeff, "const": const}, "rel": rel}]]
+
+    def step(tid, source, dest, g, update=None):
+        return {"id": tid, "source": source, "kind": "npb", "dest": dest, "guard": g,
+                "update": update or {"kind": "none"}}
+
+    decrement = {"kind": "expr", "target": "b][c", "base": {"b][c": "1", "const": "-1"}}
+    path.write_text(json.dumps({
+        "variables": ["b][c", "c"], "locations": ["a", "a][b", "end"],
+        "init": "a", "terminal": "end",
+        "transitions": [step("t0", "a", "end", guard("1", "0", "<")),
+                        step("t1", "a", "a][b", guard("-1", "0", "<="), decrement),
+                        step("t2", "a][b", "a", guard("-1", "-1", "<=")),
+                        step("t3", "a][b", "end", guard("1", "1", "<"))]}))
+    return str(path)
+
+
+def test_synthesize_with_colliding_unknown_labels(tmp_path):
+    # LP unknowns are columns, so two equal labels are two unknowns
+    pcfg = _colliding_names_pcfg(tmp_path / "p.json")
+    cert = str(tmp_path / "c.json")
+    r = probterm("synthesize", pcfg, "-o", cert)
+    assert r.returncode == 0, r.stderr
+    r = probterm("check", pcfg, cert, "--json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["verdict"] == "accepted"
+
+
+def test_dump_lp_refuses_colliding_unknown_labels(tmp_path):
+    pcfg = _colliding_names_pcfg(tmp_path / "p.json")
+    r = probterm("synthesize", pcfg, "-o", str(tmp_path / "c.json"),
+                 "--dump-lp", str(tmp_path / "lps"))
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: --dump-lp: ") and "c(a)(b)(c)" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["p.json"]
+
+
 def test_synthesize_dump_lp_is_the_lp_that_ranked(tmp_path, monkeypatch, capsys):
     # general mode pins a coefficient to zero in its first LP, so the dump
     # is not the LP of an unrestricted template

@@ -196,7 +196,7 @@ def test_encoder_hand_multiplier():
     lams = encode_implication(poly(LinConstraint.le(-x)), lifted(x.scale(2) + c(1)), lp)
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL
-    assert sol.assignment[lams[0]] == 2
+    assert sol.x[lams[0]] == 2
 
 
 def test_encoder_false_implication_infeasible():
@@ -213,19 +213,19 @@ def test_encoder_false_implication_infeasible():
 def test_encoder_empty_antecedent_constant_consequent():
     # forall x: true -> t >= 0 reduces to the constraint t >= 0
     lp = LPProblem()
-    lp.add_var("t")
-    encode_implication(poly(), LinExpr({}, Affine.of("t")), lp)
-    lp.objective = Affine.of("t", -1)
+    t = lp.add_var("t")
+    encode_implication(poly(), LinExpr({}, Affine.of(t)), lp)
+    lp.objective = {t: F(-1)}
     sol = solve_lp(lp)
-    assert sol.status is LPStatus.OPTIMAL and sol.assignment["t"] == 0
+    assert sol.status is LPStatus.OPTIMAL and sol.x[t] == 0
 
 
 def test_encoder_zero_consequent_emits_nothing():
     # a consequent that cancels to 0 holds everywhere: the LP gets no
     # multiplier and no row
     lp = LPProblem()
-    lp.add_var("a")
-    here = LinExpr({0: Affine.of("a")}, Affine.of("a"))
+    a = lp.add_var("a")
+    here = LinExpr({0: Affine.of(a)}, Affine.of(a))
     assert encode_implication(poly(LinConstraint.le(-x)), here - here, lp) == []
     assert lp.names == ["a"] and lp.constraints == []
 
@@ -237,12 +237,11 @@ def test_encoder_reads_strict_rows_as_relaxed():
                 LinConstraint.lt(-y))
     relaxed = poly(LinConstraint.le(x - c(1)), LinConstraint.eq(x - y),
                    LinConstraint.le(-y))
-    consequent = LinExpr({0: Affine.of("a"), 1: Affine.constant(-1)}, Affine.of("b"))
     dumps = []
     for antecedent in (ante, relaxed):
         lp = LPProblem()
-        lp.add_var("a")
-        lp.add_var("b")
+        a, b = lp.add_var("a"), lp.add_var("b")
+        consequent = LinExpr({0: Affine.of(a), 1: Affine.constant(-1)}, Affine.of(b))
         encode_implication(antecedent, consequent, lp)
         dumps.append(dump_lp(lp))
     assert dumps[0] == dumps[1]
@@ -297,38 +296,31 @@ def test_encoder_complete_on_feasible_antecedents():
         found += 1
 
 
-def test_lp_problem_rejects_duplicate_names():
-    lp = LPProblem()
-    lp.add_var("a")
-    with pytest.raises(ValueError):
-        lp.add_var("a")
-
-
 def test_solve_lp_examples():
     lp = LPProblem()
-    lp.add_var("x", nonneg=True)
-    lp.add_constraint(Affine.of("x") - Affine.constant(3), RowRel.LE)
-    lp.objective = Affine.of("x")
+    v = lp.add_var("v", nonneg=True)
+    lp.add_constraint(Affine.of(v) - Affine.constant(3), RowRel.LE)
+    lp.objective = {v: F(1)}
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL and sol.value == 3
 
     lp = LPProblem()
-    lp.add_var("x", nonneg=True)
-    lp.objective = Affine.of("x")
+    v = lp.add_var("v", nonneg=True)
+    lp.objective = {v: F(1)}
     assert solve_lp(lp).status is LPStatus.UNBOUNDED
 
     lp = LPProblem()
-    lp.add_var("x", nonneg=True)
-    lp.add_constraint(Affine.of("x") + Affine.constant(1), RowRel.LE)
+    v = lp.add_var("v", nonneg=True)
+    lp.add_constraint(Affine.of(v) + Affine.constant(1), RowRel.LE)
     assert solve_lp(lp).status is LPStatus.INFEASIBLE
 
 
 def test_lp_dump_format():
     lp = LPProblem()
-    lp.add_var("c[l0][x]")
-    lp.add_var("lam.0", nonneg=True)
-    lp.add_constraint(Affine.of("c[l0][x]") + Affine.of("lam.0", F(2)), RowRel.EQ)
-    lp.objective = Affine.of("c[l0][x]")
+    coeff = lp.add_var("c[l0][x]")
+    lam = lp.add_var("lam.0", nonneg=True)
+    lp.add_constraint(Affine.of(coeff) + Affine.of(lam, F(2)), RowRel.EQ)
+    lp.objective = {coeff: F(1)}
     text = dump_lp(lp)
     assert text.startswith("Maximize")
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")

@@ -20,10 +20,10 @@ def ranked_at_optimum(p, inv, unranked, restrict=TemplateRestriction(), zero_eps
     `eps == 0` row appended for each transition id in `zero_eps`."""
     slp = build_lp(p, inv, unranked, restrict)
     for tid in zero_eps:
-        slp.lp.add_constraint(Affine.of(slp.eps_names[tid]), RowRel.EQ)
+        slp.lp.add_constraint(Affine.of(slp.eps[tid]), RowRel.EQ)
     sol = solve_lp(slp.lp)
     assert sol.status is LPStatus.OPTIMAL
-    return [tid for tid in unranked if sol.assignment[slp.eps_names[tid]] > 0], sol
+    return [tid for tid in unranked if sol.x[slp.eps[tid]] > 0], sol
 
 
 def test_first_iteration_ranks_exactly_the_exit(fig1b):
@@ -415,14 +415,17 @@ def test_capped_screen_is_not_memoised(fig1b, monkeypatch):
 def test_run_memo_builds_the_cold_lp(name, synthesize, monkeypatch):
     """Every LP a run solves, its side conditions replayed from the run's
     memo where they were encoded before, dumps exactly as a cold
-    `build_lp` of the same unranked set and restriction."""
+    `build_lp` of the same unranked set and restriction. That includes
+    LPs where a block is replayed over a frame other than the one it was
+    recorded over: ranked transitions lose their eps columns, and general
+    mode pins a coefficient in one attempt and not in the next."""
     from probterm import synthesis
     from probterm.farkas import dump_lp
     from test_golden import load
     p, inv = load(name)
-    built, solved, encoded = [], [], []
-    real_build, real_solve, real_encode = (synthesis.build_lp, synthesis.solve_lp,
-                                           synthesis._encode)
+    built, solved, encoded, recorded, moved = [], [], [], {}, []
+    real_build, real_solve, real_encode, real_replay = (
+        synthesis.build_lp, synthesis.solve_lp, synthesis._encode, synthesis.Block.replay)
 
     def building(p, inv, unranked, restrict=TemplateRestriction(), **memos):
         slp = real_build(p, inv, unranked, restrict, **memos)
@@ -433,18 +436,29 @@ def test_run_memo_builds_the_cold_lp(name, synthesize, monkeypatch):
         solved.append(lp)
         return real_solve(lp, *args, **kwargs)
 
-    def encoding(p, inv, t, *args):
+    def encoding(p, inv, t, out, *args):
         encoded.append(t.id)
-        return real_encode(p, inv, t, *args)
+        block = real_encode(p, inv, t, out, *args)
+        recorded[id(block)] = out.frame(t)
+        return block
+
+    def replaying(block, lp, frame):
+        if frame != recorded[id(block)]:
+            moved.append(lp)
+        real_replay(block, lp, frame)
 
     monkeypatch.setattr(synthesis, "build_lp", building)
     monkeypatch.setattr(synthesis, "solve_lp", solving)
     monkeypatch.setattr(synthesis, "_encode", encoding)
+    monkeypatch.setattr(synthesis.Block, "replay", replaying)
     assert synthesize(p, inv).found
-    # the run replayed some blocks, and solved every LP it built
+    # the run replayed some blocks, some over a moved frame, and solved
+    # every LP it built
     assert len(encoded) < sum(len(unranked) for _, unranked, _ in built)
+    assert moved
     assert len(built) == len(solved)
     assert all(lp is s for (lp, _, _), s in zip(built, solved))
     monkeypatch.undo()
     for lp, unranked, restrict in built:
         assert dump_lp(lp) == dump_lp(build_lp(p, inv, unranked, restrict).lp)
+
