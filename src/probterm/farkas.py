@@ -26,6 +26,7 @@ point of p where e < 0, which is the counterexample when there is one.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -264,12 +265,24 @@ def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
     return lams
 
 
+_LABEL_SPECIAL = re.compile(r"[^A-Za-z0-9_()]")
+_LABEL_REWRITE = {"[": "(", "]": ")", ".": "_"}
+
+
+def _label(name: str) -> str:
+    """`name` as one CPLEX LP token: brackets become parentheses, dots
+    underscores, and any other character outside [A-Za-z0-9_()] becomes
+    `_<hex code point>_`."""
+    return _LABEL_SPECIAL.sub(
+        lambda m: _LABEL_REWRITE.get(m[0]) or f"_{ord(m[0]):x}_", name)
+
+
 def dump_lp(lp: LPProblem) -> str:
     """Text dump in the common solver-exchange (CPLEX LP) format, for
     cross-checking against external solvers. Column j is written under
-    `lp.names[j]` with brackets as parentheses and dots as underscores;
-    raises ValueError when two columns would be written under one name."""
-    names = [n.replace("[", "(").replace("]", ")").replace(".", "_") for n in lp.names]
+    `_label(lp.names[j])`; raises ValueError when two columns would be
+    written under one name."""
+    names = [_label(n) for n in lp.names]
     if len(set(names)) < len(names):
         twice = next(n for j, n in enumerate(names) if n in names[:j])
         raise ValueError(f"two LP unknowns would both be written as {twice!r}")

@@ -446,11 +446,11 @@ ANALYTIC_HORIZON = 200
 CEX_HORIZON = 60
 """Steps after which `counterexample_process` truncates a run."""
 
-CEX_CHUNK = 2048
-"""Rows (runs) per fill of `counterexample_process`'s buffer. The float
-buffer (CEX_HORIZON + 1 uniforms of 8 bytes per row) and its bool hit mask
-(1 byte per uniform) hold about CEX_CHUNK * 61 * 9 bytes, about 1.1 MB,
-whatever the number of runs: small enough to stay in cache."""
+CEX_BLOCK = 2 ** 16
+"""Runs per block of `counterexample_process`. Its float buffer (one
+uniform of 8 bytes per run still going) and its bool hit mask (1 byte per
+uniform) hold CEX_BLOCK * 9 bytes, about 0.6 MB, whatever the number of
+runs."""
 
 
 def counterexample_analytic() -> Fraction:
@@ -488,26 +488,31 @@ def counterexample_process(seed: int, runs: int) -> CounterexampleReport:
     probability exactly p_t for t <= 51, where p_t is such a multiple,
     and with probability 2**-53 (only u = 0 passes) for t = 52..60.
 
-    Each run is one row of CEX_HORIZON + 1 uniforms, drawn in run order
-    into one buffer of `CEX_CHUNK` rows that is refilled in place, so
-    memory stays constant in `runs` and the draws are those of one
-    `rng.random((runs, CEX_HORIZON + 1))`.
+    The runs are simulated in blocks of `CEX_BLOCK` (the last block may
+    be partial). Within a block, step t = 0..CEX_HORIZON draws one uniform
+    for each run still going, in run order, and the runs whose uniform
+    passes the test stop; a stopped run draws nothing more. Runs are
+    exchangeable, so only the number still going is kept, and memory
+    stays constant in `runs`.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     rng = np.random.default_rng(seed)
     p_t = 0.25 * np.power(2.0, -np.arange(CEX_HORIZON + 1, dtype=np.float64))
-    rows = min(CEX_CHUNK, runs)
-    u = np.empty((rows, CEX_HORIZON + 1))
-    hit = np.empty((rows, CEX_HORIZON + 1), dtype=bool)
+    size = min(CEX_BLOCK, runs)
+    u = np.empty(size)
+    hit = np.empty(size, dtype=bool)
     stopped = 0
-    remaining = runs
-    while remaining > 0:
-        n = min(rows, remaining)
-        rng.random(out=u[:n])
-        np.less(u[:n], p_t, out=hit[:n])
-        stopped += int(np.count_nonzero(hit[:n].any(axis=1)))
-        remaining -= n
+    for first in range(0, runs, size):
+        live = min(size, runs - first)
+        for p in p_t:
+            draws = u[:live]
+            rng.random(out=draws)
+            k = int(np.count_nonzero(np.less(draws, p, out=hit[:live])))
+            stopped += k
+            live -= k
+            if live == 0:
+                break
     return CounterexampleReport(stopped / runs, runs, CEX_HORIZON,
                                 float(2.0 ** (-CEX_HORIZON - 1)))
 

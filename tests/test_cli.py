@@ -15,6 +15,7 @@ import pytest
 from probterm import cli, farkas, synthesis
 from probterm.pcfg_io import pcfg_to_json
 from probterm.simplex import LPStatus
+from probterm.simulate import CEX_BLOCK, counterexample_process
 
 from conftest import fixture_path, load_fixture
 
@@ -261,24 +262,25 @@ def test_synthesize_dump_lp(tmp_path):
     assert text.startswith("Maximize") and "Subject To" in text
 
 
-def _colliding_names_pcfg(path):
-    """A countdown whose template unknowns at (`a`, `b][c`) and at
+def _colliding_names_pcfg(path, x="b][c", there="a][b"):
+    """A countdown on `x` from location `a` through `there`. With the
+    default names its template unknowns at (`a`, `b][c`) and at
     (`a][b`, `c`) are both labelled `c[a][b][c]`."""
     def guard(coeff, const, rel):
-        return [[{"expr": {"b][c": coeff, "const": const}, "rel": rel}]]
+        return [[{"expr": {x: coeff, "const": const}, "rel": rel}]]
 
     def step(tid, source, dest, g, update=None):
         return {"id": tid, "source": source, "kind": "npb", "dest": dest, "guard": g,
                 "update": update or {"kind": "none"}}
 
-    decrement = {"kind": "expr", "target": "b][c", "base": {"b][c": "1", "const": "-1"}}
+    decrement = {"kind": "expr", "target": x, "base": {x: "1", "const": "-1"}}
     path.write_text(json.dumps({
-        "variables": ["b][c", "c"], "locations": ["a", "a][b", "end"],
+        "variables": [x, "c"], "locations": ["a", there, "end"],
         "init": "a", "terminal": "end",
         "transitions": [step("t0", "a", "end", guard("1", "0", "<")),
-                        step("t1", "a", "a][b", guard("-1", "0", "<="), decrement),
-                        step("t2", "a][b", "a", guard("-1", "-1", "<=")),
-                        step("t3", "a][b", "end", guard("1", "1", "<"))]}))
+                        step("t1", "a", there, guard("-1", "0", "<="), decrement),
+                        step("t2", there, "a", guard("-1", "-1", "<=")),
+                        step("t3", there, "end", guard("1", "1", "<"))]}))
     return str(path)
 
 
@@ -301,6 +303,28 @@ def test_dump_lp_refuses_colliding_unknown_labels(tmp_path):
     assert r.stderr.startswith("error: --dump-lp: ") and "c(a)(b)(c)" in r.stderr
     assert len(r.stderr.splitlines()) == 1
     assert sorted(os.listdir(tmp_path)) == ["p.json"]
+
+
+def test_dump_lp_labels_are_single_tokens(tmp_path):
+    # a space, a dot, a minus and a non-ASCII letter in names
+    pcfg = _colliding_names_pcfg(tmp_path / "p.json", x="b c.-é", there="a b")
+    r = probterm("synthesize", pcfg, "-o", str(tmp_path / "c.json"),
+                 "--dump-lp", str(tmp_path / "lps"))
+    assert r.returncode == 0, r.stderr
+    lines = (tmp_path / "lps" / "iteration1.lp").read_text().splitlines()
+    bounds = lines[lines.index("Bounds") + 1:lines.index("End")]
+    label = re.compile(r"[A-Za-z0-9_()]+")
+    labels = set()
+    for line in bounds:
+        name, *rest = line.split()
+        assert label.fullmatch(name) and rest in (["free"], [">=", "0"]), line
+        labels.add(name)
+    assert "c(a_20_b)(b_20_c__2d__e9_)" in labels
+    # every row is `cK: (sign coefficient label)* relation constant`
+    for line in lines[lines.index("Subject To") + 1:lines.index("Bounds")]:
+        tokens = line.split()[1:-2]
+        assert len(tokens) % 3 == 0, line
+        assert set(tokens[2::3]) <= labels, line
 
 
 def test_synthesize_dump_lp_is_the_lp_that_ranked(tmp_path, monkeypatch, capsys):
@@ -454,12 +478,17 @@ def test_simulate_seed_repeat_identical():
 
 
 def test_simulate_counterexample_builtin():
-    r = probterm("simulate", "--counterexample-builtin", "--runs", "100000",
-                 "--seed", "8", "--json")
-    assert r.returncode == 0
-    doc = json.loads(r.stdout)
-    validate(doc, "simulate-result.json")
-    assert abs(doc["empirical"] - doc["analytic"]) < 0.02
+    # the command reports the library's estimate exactly, whether the last
+    # block of runs is large or a single run
+    for seed, runs in [(8, 100_000), (3, 2 * CEX_BLOCK + 1)]:
+        r = probterm("simulate", "--counterexample-builtin", "--runs", str(runs),
+                     "--seed", str(seed), "--json")
+        assert r.returncode == 0
+        doc = json.loads(r.stdout)
+        validate(doc, "simulate-result.json")
+        assert abs(doc["empirical"] - doc["analytic"]) < 0.02
+        assert doc["runs"] == runs
+        assert doc["empirical"] == counterexample_process(seed, runs).empirical
 
 
 def test_simulate_without_pcfg_is_an_error():

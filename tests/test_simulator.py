@@ -13,8 +13,10 @@ from scipy.stats import ks_2samp
 from probterm import (Adversarial, FixedPriority, Invariant, UniformRandom,
                       audit_invariant, counterexample_process,
                       estimate_termination, run_trajectory, wilson_interval)
-from probterm.simulate import (COUNTEREXAMPLE_ANALYTIC, TerminationEstimate,
-                               counterexample_analytic, run_rng, trajectories)
+from probterm import simulate
+from probterm.simulate import (CEX_HORIZON, COUNTEREXAMPLE_ANALYTIC,
+                               TerminationEstimate, counterexample_analytic,
+                               run_rng, trajectories)
 
 from conftest import example3_certificate, load_fixture
 
@@ -184,18 +186,46 @@ def test_counterexample_empirical_matches_series():
     assert rep.residual_bound < 1e-18
 
 
-# (seed, runs) -> runs that stopped, with each run's uniforms taken in order
-# from one stream. 123 457 runs is a multiple of no power of two and a single
-# run is smaller than any chunk, so a change to how the uniforms are drawn or
-# chunked that alters the stream shows here.
-STOP_COUNTS = {(0, 1): 1, (8, 100_000): 42_440, (5, 200_000): 84_310,
-               (7, 123_457): 52_002, (2024, 10 ** 6): 422_301}
+# (seed, runs) -> runs that stopped. The runs go in blocks of CEX_BLOCK, and
+# at each step every run still going in the block takes the next uniform of
+# one stream, in run order. 123 457 runs is a multiple of no power of two, a
+# single run is smaller than any block and 2 * CEX_BLOCK + 1 runs end on a
+# block of one, so a change to how the uniforms are drawn or blocked that
+# alters the stream shows here.
+STOP_COUNTS = {(0, 1): 1, (8, 100_000): 41_838, (5, 200_000): 84_362,
+               (7, 123_457): 52_104, (2024, 10 ** 6): 422_530,
+               (3, 2 * simulate.CEX_BLOCK + 1): 55_119}
 
 
 @pytest.mark.parametrize("seed, runs", sorted(STOP_COUNTS))
 def test_counterexample_stream_is_pinned(seed, runs):
     rep = counterexample_process(seed, runs)
     assert round(rep.empirical * runs) == STOP_COUNTS[seed, runs]
+
+
+def _reference_stop_count(seed: int, runs: int, block: int) -> int:
+    """The runs that stop, by a plain loop over every run still going: one
+    `rng.random()` per live run and step, in run order, block by block, with
+    the step test decided in exact rationals."""
+    rng = np.random.default_rng(seed)
+    stopped = 0
+    for first in range(0, runs, block):
+        going = list(range(first, min(first + block, runs)))
+        size = len(going)
+        for t in range(CEX_HORIZON + 1):
+            going = [r for r in going if not F(rng.random()) < F(1, 4 * 2 ** t)]
+        stopped += size - len(going)
+    return stopped
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_counterexample_draws_one_uniform_per_live_step(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(simulate, "CEX_BLOCK", block)
+    size = simulate.CEX_BLOCK
+    for seed, runs in [(0, 1), (1, 6), (2, 7), (3, 8), (4, 15), (5, 100), (6, 500)]:
+        rep = counterexample_process(seed, runs)
+        assert round(rep.empirical * runs) == _reference_stop_count(seed, runs, size)
 
 
 def test_counterexample_memory_is_constant_in_runs():
