@@ -171,17 +171,28 @@ def test_iteration_lp_digests(name, monkeypatch):
 
 
 # The seeded random corpus of `test_integration.test_random_programs_pipeline_sound`,
-# which draws a start state after every certified program: per program the
-# history, the digest of every iteration LP's dump, and for a certificate its
-# JSON and its check report, all under one sha256.
+# which draws a start state after every certified program. Two digests pin
+# it. `CORPUS_DIGEST` takes per program the history, the digest of every
+# iteration LP's dump, and for a certificate its JSON and its check report,
+# all under one sha256. `CORPUS_VERDICT_DIGEST` leaves out the LPs and
+# their sizes and keeps what a verdict is: the failure, each iteration's
+# index, ranked set, tau0 and objective, and the certificate and its check
+# report. A change to LP assembly that keeps every verdict moves the first
+# and must keep the second.
 
 CORPUS_SEED = 20240809
 CORPUS_PROGRAMS = 60
 CORPUS_FOUND = 12
 CORPUS_DIGEST = "dfb3e23601b6fe68f09af4877a40b7f0de287071932557197edb61917b4b5d13"
+CORPUS_VERDICT_DIGEST = "b6c93343eb8ad3791175e43cf4cb9dd9d7c9375b91cdd0733e848b35df0bd1d4"
+# the fields of `IterationRecord.as_dict` that a verdict is made of
+VERDICT_KEYS = ("iteration", "ranked", "tau0", "objective")
 
 
-def test_corpus_digest(monkeypatch):
+def corpus_runs(monkeypatch):
+    """Per corpus program, in order: its synthesis result, the digests of
+    the dumps of the iteration LPs it solved, and for a certificate its
+    JSON and check report (else None, None)."""
     lps = []
 
     def recording(lp, *args, **kwargs):
@@ -190,26 +201,44 @@ def test_corpus_digest(monkeypatch):
 
     monkeypatch.setattr(synthesis, "solve_lp", recording)
     rng = random.Random(CORPUS_SEED)
-    h = hashlib.sha256()
-    found = 0
+    runs = []
     for _ in range(CORPUS_PROGRAMS):
         p = lower_to_pcfg(parse_program(gen_program(rng)))
         synth = synthesize_bsp if check_bsp(p)[0] else synthesize_general
         lps.clear()
         result = synth(p, Invariant({}))
-        record = {"history": [rec.as_dict() for rec in result.history],
-                  "lps": [hashlib.sha256(dump_lp(lp).encode()).hexdigest()
-                          for lp in lps]}
+        certificate = check = None
         if result.found:
-            found += 1
-            record["certificate"] = certificate_to_json(result.certificate, p)
-            record["check"] = check_certificate(p, Invariant({}),
-                                                result.certificate).as_dict()
+            certificate = certificate_to_json(result.certificate, p)
+            check = check_certificate(p, Invariant({}), result.certificate).as_dict()
             for _ in p.variables:
                 rng.randint(-2, 3)
+        runs.append((result, [hashlib.sha256(dump_lp(lp).encode()).hexdigest()
+                              for lp in lps], certificate, check))
+    assert sum(result.found for result, *_ in runs) == CORPUS_FOUND
+    return runs
+
+
+def test_corpus_digest(monkeypatch):
+    h = hashlib.sha256()
+    for result, lps, certificate, check in corpus_runs(monkeypatch):
+        record = {"history": [rec.as_dict() for rec in result.history], "lps": lps}
+        if result.found:
+            record["certificate"] = certificate
+            record["check"] = check
         h.update(json.dumps(record, sort_keys=True).encode())
-    assert found == CORPUS_FOUND
     assert h.hexdigest() == CORPUS_DIGEST
+
+
+def test_corpus_verdict_digest(monkeypatch):
+    h = hashlib.sha256()
+    for result, _, certificate, check in corpus_runs(monkeypatch):
+        record = {"failure": result.failure,
+                  "history": [{key: rec.as_dict()[key] for key in VERDICT_KEYS}
+                              for rec in result.history],
+                  "certificate": certificate, "check": check}
+        h.update(json.dumps(record, sort_keys=True).encode())
+    assert h.hexdigest() == CORPUS_VERDICT_DIGEST
 
 
 # -- golden lowering ----------------------------------------------------------------
