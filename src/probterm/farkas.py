@@ -172,7 +172,8 @@ class LPProblem:
 def solve_lp(lp: LPProblem, pivot_cap: int = simplex.DEFAULT_PIVOT_CAP) -> SimplexResult:
     """Exact optimum of `lp`, its point indexed by column; deterministic
     for identical input."""
-    rows = [(c.form.terms, c.rel, -c.form.const) for c in lp.constraints]
+    rows = [(c.form.terms, c.rel, -c.form.const if c.form.const else ZERO)
+            for c in lp.constraints]
     return simplex.solve(lp.num_vars(), lp.nonneg, rows, lp.objective, pivot_cap=pivot_cap)
 
 

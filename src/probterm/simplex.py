@@ -67,6 +67,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+ZERO = Fraction(0)
+
 DEFAULT_PIVOT_CAP = 10 ** 6
 
 
@@ -357,8 +359,8 @@ def solve(num_vars: int,
     colval = {b: tab.rhs[i] * (D // tab.den[i]) for i, b in enumerate(tab.basis)}
     X = [colval.get(pos, 0) - colval.get(neg, 0) for pos, neg in col_of]
     _check_solution(nonneg, rows, objective, X, D, value)
-    return SimplexResult(LPStatus.OPTIMAL, x=[Fraction(v, D) for v in X], value=value,
-                         pivots=tab.pivots)
+    return SimplexResult(LPStatus.OPTIMAL, x=[Fraction(v, D) if v else ZERO for v in X],
+                         value=value, pivots=tab.pivots)
 
 
 def _scaled(coeffs, b, X, D) -> Tuple[int, int, int]:

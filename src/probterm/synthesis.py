@@ -14,6 +14,17 @@ fresh universally quantified variable bounded to the interval, which
 simultaneously over-approximates the supremum in the decrease conditions
 and under-approximates the infimum in the nonnegativity ones.
 
+The LP encodes only the conditions that the others do not imply, as in
+the eps-formulation of Agrawal, Chatterjee and Novotny (POPL 2018). (5)
+asks for here - pre >= eps with eps >= 0, so its multipliers also serve
+(2), which is never encoded. A non-branching transition encodes (3) and
+(5) over the same antecedent; their multipliers added together serve (1)
+as here >= eps, since the bounds of a demonic variable, which here does
+not read, add a multiple of hi - lo >= 0. So (1) is encoded only for a
+probabilistic branch, which has no (3), and for a demonic interval that
+is empty. The LP has about half the rows, and its projection onto the
+template and eps columns, hence every optimum, is the same.
+
 One synthesis run solves many LPs, one per iteration and, in general
 mode, one per attempt, and most transitions keep their side conditions
 from one LP to the next. The run memoises two things for all its LPs:
@@ -187,10 +198,27 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
     return out
 
 
+def pre_and_bounds(p: PCFG, templates: Dict[str, LinExpr],
+                   t: Transition) -> Tuple[LinExpr, Polyhedron]:
+    """The pre-expectation of `templates` across `t`, and the bounds on the
+    universally quantified variable it reads. A demonic interval assignment
+    reads a fresh variable y in [lo, hi], which over-approximates the
+    supremum in the decrease condition and under-approximates the infimum
+    in the nonnegativity one; any other transition reads `max_pre` and is
+    bounded by nothing."""
+    update = t.update()
+    if not isinstance(update, NondetUpdate):
+        return max_pre(templates, t), Polyhedron.true()
+    y = LinExpr.var(len(p.variables))
+    return (templates[t.kind.dest].substitute(update.target, y),
+            Polyhedron([LinConstraint.le(LinExpr.const(update.lo) - y),
+                        LinConstraint.le(y - LinExpr.const(update.hi))]))
+
+
 def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
             unranked_set: Set[str], screens: ScreenMemo) -> Block:
-    """Emit the side conditions (1)-(5) of transition `t` into `out.lp`
-    and return what they emitted as a block."""
+    """Emit the side conditions of transition `t` that the LP encodes (see
+    the module docstring) into `out.lp` and return them as a block."""
     lp, templates = out.lp, out.templates
     first_row, first_col = lp.num_constraints(), lp.num_vars()
     tags: List[str] = []
@@ -213,27 +241,21 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
             tags.extend([tag] * len(new))
         emitted += len(consequents)
 
-    update = t.update()
-    bounds = Polyhedron.true()
-    if isinstance(update, NondetUpdate):
-        # demonic interval: a universally quantified fresh variable in [lo, hi]
-        y = LinExpr.var(len(p.variables))
-        pre = templates[t.kind.dest].substitute(update.target, y)
-        bounds = Polyhedron([LinConstraint.le(LinExpr.const(update.lo) - y),
-                             LinConstraint.le(y - LinExpr.const(update.hi))])
-    else:
-        pre = max_pre(templates, t)
+    pre, bounds = pre_and_bounds(p, templates, t)
     here = templates[t.source]
-    down = here - pre
-    # (2) never increasing in expectation, (3) nonnegative one-step
-    # expectation (not for branches), (5) decrease by eps
-    stepped = [(down, f"ua.{t.id}")]
-    if not t.is_pb:
-        stepped.append((pre, f"en.{t.id}"))
-    stepped.append((down.shift(Affine.of(out.eps[t.id], -1)), f"rk.{t.id}"))
+    # (3) nonnegative one-step expectation, not for branches, and (5)
+    # decrease by eps. As eps >= 0, the multipliers of (5) serve (2), and
+    # those of (3) and (5) added together serve (1) as here >= eps when the
+    # bounds on y hold somewhere. So nothing emits (2), and only a branch or
+    # an empty demonic interval emits (1).
+    stepped = [] if t.is_pb else [(pre, f"en.{t.id}")]
+    stepped.append(((here - pre).shift(Affine.of(out.eps[t.id], -1)), f"rk.{t.id}"))
+    update = t.update()
+    nonneg = t.is_pb or (isinstance(update, NondetUpdate) and update.lo > update.hi)
     for ante in inv.antecedents(t):
-        # (1) nonnegative where enabled
-        emit(ante, [(here, f"nn.{t.id}")])
+        if nonneg:
+            # (1) nonnegative where enabled
+            emit(ante, [(here, f"nn.{t.id}")])
         emit(ante.conjoin(bounds), stepped)
     # (4) restricted expectation across unranked probabilistic branches,
     # over the successor states where no unranked transition is enabled

@@ -16,21 +16,21 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 LADDER_PER_PASS = {
-    "synthesis.implications": 720,
-    "synthesis.lp_rows.sum": 3163,
-    "synthesis.lp_nonzeros.sum": 5697,
+    "synthesis.implications": 360,
+    "synthesis.lp_rows.sum": 1700,
+    "synthesis.lp_nonzeros.sum": 3103,
     "synthesis.screens": 40,
     "simplex.solves": 208,
     "synthesis.certs_changed": 0,
 }
 
 CORPUS_PER_PASS = {
-    "synthesis.implications": 1772,
-    "synthesis.lp_rows.sum": 5569,
-    "synthesis.lp_nonzeros.sum": 11611,
-    "synthesis.lp_unknowns.sum": 3542,
-    "synthesis.screens": 261,
-    "simplex.solves": 416,
+    "synthesis.implications": 900,
+    "synthesis.lp_rows.sum": 3072,
+    "synthesis.lp_nonzeros.sum": 6480,
+    "synthesis.lp_unknowns.sum": 2616,
+    "synthesis.screens": 251,
+    "simplex.solves": 406,
     "synthesis.lps": 123,
     "synthesis.certs_changed": 0,
 }

@@ -358,19 +358,19 @@ def record_implications(monkeypatch):
 
 
 def test_build_lp_screens_each_antecedent_once(monkeypatch):
-    # prob_join's first LP has 16 implications over 4 antecedents, one of
+    # prob_join's first LP has 9 implications over 4 antecedents, one of
     # them infeasible
     p, inv = load_fixture("prob_join")
     screened = record_screens(monkeypatch)
     slp = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
-    assert (slp.emitted_implications, slp.dropped_implications) == (15, 1)
+    assert (slp.emitted_implications, slp.dropped_implications) == (8, 1)
     assert len(screened) == len(set(screened)) == 4
 
 
 @pytest.mark.parametrize("name, synthesize, implications", [
-    ("prob_join", synthesize_bsp, [(15, 1), (12, 0)]),
+    ("prob_join", synthesize_bsp, [(8, 1), (7, 0)]),
     # the third iteration retries with a tau0, on the same unranked set
-    ("fig1a", synthesize_general, [(16, 0), (12, 0), (4, 0), (4, 0)]),
+    ("fig1a", synthesize_general, [(8, 0), (6, 0), (2, 0), (2, 0)]),
 ])
 def test_run_screens_each_antecedent_once(name, synthesize, implications,
                                           monkeypatch):
@@ -462,3 +462,103 @@ def test_run_memo_builds_the_cold_lp(name, synthesize, monkeypatch):
     for lp, unranked, restrict in built:
         assert dump_lp(lp) == dump_lp(build_lp(p, inv, unranked, restrict).lp)
 
+
+
+# -- the side conditions that the kept rows imply --------------------------------------
+
+
+def empty_interval_program():
+    """A loop whose demonic assignment draws from the empty interval
+    [1, 0]. `validate_pcfg` rejects it, but the library API builds its LP."""
+    from probterm import (GuardedStep, LinConstraint, LinExpr, NondetUpdate,
+                          NoUpdate, PCFG, Predicate, Transition)
+    x = LinExpr.var(0)
+    return PCFG(["x", "y"], ["l0", "out"], "l0", "out", [
+        Transition("t0", "l0", GuardedStep(
+            "l0", Predicate.of_constraints([LinConstraint.le(-x)]),
+            NondetUpdate(1, F(1), F(0)))),
+        Transition("t1", "l0", GuardedStep(
+            "out", Predicate.of_constraints([LinConstraint.lt(x)]), NoUpdate())),
+        Transition("t2", "out", GuardedStep("out", Predicate.true(), NoUpdate())),
+    ]), Invariant({})
+
+
+def implied_case(name):
+    from test_golden import load
+    from test_strict_rule import workloads
+    if name == "empty_interval":
+        return empty_interval_program()
+    if name.startswith("corpus."):
+        found = set(workloads.read_json("expected.json")["corpus"]["found"])
+        sources = workloads.corpus_sources([i in found for i in range(workloads.CORPUS_SIZE)])
+        return lower_to_pcfg(parse_program(sources[int(name[7:])])), Invariant({})
+    return load(name)
+
+
+def with_implied(p, inv, slp):
+    """A copy of the iteration LP `slp.lp` with the implications that
+    `build_lp` leaves out encoded again, over the antecedents that pass the
+    screen: (2), never increasing in expectation, for every transition
+    with an eps, and (1), nonnegativity, for each of them that is not a
+    probabilistic branch."""
+    from dataclasses import replace
+    from probterm.farkas import check_feasible, encode_implication
+    from probterm.synthesis import pre_and_bounds
+    lp = replace(slp.lp, names=list(slp.lp.names), nonneg=list(slp.lp.nonneg),
+                 constraints=list(slp.lp.constraints))
+    for t in p.transitions:
+        if t.id not in slp.eps:
+            continue
+        here = slp.templates[t.source]
+        pre, bounds = pre_and_bounds(p, slp.templates, t)
+        for ante in inv.antecedents(t):
+            if not t.is_pb and check_feasible(ante)[0]:
+                encode_implication(ante, here, lp, "nn")
+            stepped = ante.conjoin(bounds)
+            if check_feasible(stepped)[0]:
+                encode_implication(stepped, here - pre, lp, "ua")
+    return lp
+
+
+IMPLIED_CASES = (["branching", "prob_join", "fig1a", "fig1b", "empty_interval"]
+                 + [f"ladder.{mode}.k{k}" for mode in ("bsp", "general") for k in (1, 2, 3)]
+                 + [f"corpus.{i}" for i in range(20)])
+
+
+@pytest.mark.parametrize("name", IMPLIED_CASES)
+def test_dropped_conditions_are_implied(name, monkeypatch):
+    """Every LP of a run has the same optima over the template and eps
+    columns as it has with the dropped implications encoded again: for
+    its own objective, and for seeded random objectives over those
+    columns, with each template column boxed in [-5, 5] so that every
+    feasible one has a finite optimum."""
+    import random
+    from dataclasses import replace
+    from probterm import check_bsp, synthesis
+    p, inv = implied_case(name)
+    built = []
+    real = synthesis.build_lp
+
+    def building(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(synthesis, "build_lp", building)
+    (synthesize_bsp if check_bsp(p)[0] else synthesize_general)(p, inv)
+    assert built
+    rng = random.Random(name)
+    for slp in built:
+        full = with_implied(p, inv, slp)
+        assert full.num_constraints() > slp.lp.num_constraints()
+        kept, again = solve_lp(slp.lp), solve_lp(full)
+        assert (kept.status, kept.value) == (again.status, again.value)
+        template = [k for e in slp.templates.values()
+                    for a in (*e.coeffs.values(), e.constant) for k in a.terms]
+        for lp in (slp.lp, full):
+            for k in template:
+                lp.add_constraint(Affine.of(k) - Affine.constant(5), RowRel.LE)
+                lp.add_constraint(Affine.of(k) + Affine.constant(5), RowRel.GE)
+        for _ in range(3):
+            objective = {k: F(rng.randint(-3, 3)) for k in template + list(slp.eps.values())}
+            kept, again = (solve_lp(replace(lp, objective=objective)) for lp in (slp.lp, full))
+            assert (kept.status, kept.value) == (again.status, again.value)
