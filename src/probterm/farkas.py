@@ -11,9 +11,10 @@ honored the implication is vacuous and dropped, otherwise its stricts
 read as non-strict, since the encoder uses only each row's left-hand
 side.
 
-An LP unknown is its column index from assembly to the simplex: in the
-terms of an `Affine`, in `LPProblem` rows and objective, and in the point
-`solve_lp` returns. Names label the columns in `dump_lp` alone.
+An LP unknown is its column index from assembly to the simplex: in a
+`LinExpr` over LP columns, in the `Affine` row records of an `LPProblem`
+and its objective, and in the point `solve_lp` returns. Names label the
+columns in `dump_lp` alone.
 
 There is one polyhedral query, and it is exact too. `check_feasible`
 decides whether a polyhedron has a rational point: a row without
@@ -29,10 +30,9 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .linear import LinConstraint, LinExpr, Polyhedron, Rel, ResourceLimit
-from .rationals import rat, RationalLike
 from . import simplex
 from .simplex import LPStatus, RowRel, SimplexResult
 
@@ -44,89 +44,15 @@ class PivotCapReached(ResourceLimit):
     """A polyhedral query's LP hit the simplex pivot cap."""
 
 
+@dataclass(slots=True)
 class Affine:
-    """Linear form over LP unknowns, each keyed by its column, plus a
-    rational constant; as a `LinExpr` coefficient it makes that expression
-    a synthesis template. Every term is nonzero."""
-
-    __slots__ = ("terms", "const")
-
-    def __init__(self, terms: Dict[int, Fraction] | None = None,
-                 const: RationalLike = ZERO):
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
-        self.const = rat(const)
-
-    @staticmethod
-    def of(column: int, coeff: RationalLike = 1) -> "Affine":
-        return Affine({column: rat(coeff)})
-
-    @staticmethod
-    def constant(value: RationalLike) -> "Affine":
-        return Affine({}, value)
-
-    @staticmethod
-    def owning(terms: Dict[int, Fraction], const: Fraction) -> "Affine":
-        """An Affine that takes `terms`, a dict of nonzero Fractions that
-        no other Affine holds, as its own, and `const`, a Fraction, as it
-        is: no copy, no coercion, no zero test."""
-        a = Affine.__new__(Affine)
-        a.terms = terms
-        a.const = const
-        return a
-
-    # `+` and `-` keep this form's terms in order, then the new ones of
-    # `other`, and drop a term that cancels
-    def __add__(self, other: "Affine | Fraction") -> "Affine":
-        if not isinstance(other, Affine):
-            return Affine.owning(dict(self.terms), self.const + other)
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            s = t[k] + v if k in t else v
-            if s:
-                t[k] = s
-            else:
-                del t[k]
-        return Affine.owning(t, self.const + other.const)
-
-    def __sub__(self, other: "Affine | Fraction") -> "Affine":
-        if not isinstance(other, Affine):
-            return Affine.owning(dict(self.terms), self.const - other)
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            s = t[k] - v if k in t else -v
-            if s:
-                t[k] = s
-            else:
-                del t[k]
-        return Affine.owning(t, self.const - other.const)
-
-    def __neg__(self) -> "Affine":
-        return Affine.owning({k: -v for k, v in self.terms.items()}, -self.const)
-
-    def __rsub__(self, other: Fraction) -> "Affine":
-        return -self + other
-
-    __radd__ = __add__
-
-    def scale(self, f: RationalLike) -> "Affine":
-        f = rat(f)
-        if f == 1:
-            return Affine.owning(dict(self.terms), self.const)
-        if f == -1:
-            return -self
-        return Affine({k: v * f for k, v in self.terms.items()}, self.const * f)
-
-    __mul__ = __rmul__ = scale
-
-    def __bool__(self) -> bool:
-        return bool(self.terms) or self.const != 0
-
-    def value(self, x: Sequence[Fraction]) -> Fraction:
-        """The form at the point `x`, indexed by column."""
-        return self.const + sum((v * x[k] for k, v in self.terms.items()), ZERO)
-
-    def __repr__(self):
-        return f"Affine({self.terms}, {self.const})"
+    """The left-hand side of an LP row: `terms` maps a column to its
+    nonzero coefficient, in the order the row lists them, and `const` is
+    the rational constant. The row record holds no algebra: synthesis
+    computes its forms as `LinExpr`s over LP columns and copies each row
+    out of one."""
+    terms: Dict[int, Fraction]
+    const: Fraction
 
 
 @dataclass
@@ -228,11 +154,11 @@ def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
 
     The antecedent holds concrete rationals, possibly over fresh universal
     variables, and has passed `check_feasible`; a strict row reads as its
-    relaxation. The consequent's coefficients and constant are `Affine`
-    forms over the template unknowns. A consequent that is identically
-    zero holds everywhere and emits nothing.
+    relaxation. The consequent's coefficients and constant are `LinExpr`s
+    over the template columns. A consequent that is identically zero
+    holds everywhere and emits nothing.
     """
-    if not consequent.coeffs and not consequent.constant:
+    if not consequent:
         return []
     # antecedent rows as A x <= b (equalities split)
     a_rows: List[Tuple[Dict[int, Fraction], Fraction]] = []
@@ -249,9 +175,8 @@ def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
         for i, a in coeffs.items():
             columns.setdefault(i, []).append((lam, a))
 
-    def row(base: Optional[Affine], terms) -> Affine:
-        form = (Affine.owning({}, ZERO) if base is None
-                else Affine.owning(dict(base.terms), base.const))
+    def row(base: Optional[LinExpr], terms) -> Affine:
+        form = Affine({}, ZERO) if base is None else Affine(dict(base.coeffs), base.constant)
         form.terms.update(terms)
         return form
 

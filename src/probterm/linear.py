@@ -4,6 +4,10 @@ These are the atoms everything else is assembled from: ranking-map
 components, guards, invariants and update right-hand sides are all linear
 expressions with exact rational coefficients over the program variables
 (identified by index). Constraints are normalized to ``lhs rel 0``.
+
+A synthesis template is a linear expression over the program variables
+whose coefficients and constant are linear expressions over LP columns
+(also identified by index), so one algebra serves both.
 """
 
 from __future__ import annotations
@@ -32,17 +36,18 @@ class EncodingBlowup(ResourceLimit):
 
 def _coef(value):
     """A coefficient as stored: ints and strings become Fractions; a
-    Fraction, or an `Affine` over LP unknowns, is kept as it is."""
+    Fraction, or a `LinExpr` over LP columns, is kept as it is."""
     return rat(value) if isinstance(value, (int, str)) else value
 
 
 class LinExpr:
-    """Affine expression ``constant + sum(coeffs[i] * x_i)``.
+    """Affine expression ``constant + sum(coeffs[i] * x_i)``, over the
+    program variables or over the columns of an LP.
 
-    A coefficient is a Fraction, or a `farkas.Affine` over LP unknowns in
-    a synthesis template: anything with `+`, `*` by a Fraction and a zero
-    test (its truth value). Zero coefficients are never stored, so
-    structural equality coincides with mathematical equality.
+    A coefficient is a Fraction or, in a synthesis template, a `LinExpr`
+    over LP columns with Fraction coefficients. Zero coefficients are
+    never stored, so structural equality coincides with mathematical
+    equality.
     """
 
     __slots__ = ("coeffs", "constant")
@@ -59,6 +64,16 @@ class LinExpr:
         self.constant = _coef(constant)
 
     @staticmethod
+    def owning(coeffs: Dict[int, Fraction], constant) -> "LinExpr":
+        """A LinExpr that takes `coeffs`, a dict of nonzero coefficients
+        that no other LinExpr holds, as its own, and `constant` as it is:
+        no copy, no coercion, no zero test."""
+        e = LinExpr.__new__(LinExpr)
+        e.coeffs = coeffs
+        e.constant = constant
+        return e
+
+    @staticmethod
     def const(value: RationalLike) -> "LinExpr":
         return LinExpr({}, value)
 
@@ -72,38 +87,70 @@ class LinExpr:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "LinExpr") -> "LinExpr":
-        cs = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            cs[i] = cs.get(i, ZERO) + c
-        return LinExpr(cs, self.constant + other.constant)
+    def __bool__(self) -> bool:
+        return bool(self.coeffs or self.constant)
 
-    def __sub__(self, other: "LinExpr") -> "LinExpr":
+    # `+` and `-` keep this expression's terms in order, then the new ones
+    # of `other`, and drop a term that cancels; a Fraction `other` adds to
+    # the constant
+    def __add__(self, other) -> "LinExpr":
+        if not isinstance(other, LinExpr):
+            return LinExpr.owning(dict(self.coeffs), self.constant + other)
         cs = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            cs[i] = cs[i] - c if i in cs else -c
-        return LinExpr(cs, self.constant - other.constant)
+            s = cs[i] + c if i in cs else c
+            if s:
+                cs[i] = s
+            else:
+                del cs[i]
+        return LinExpr.owning(cs, self.constant + other.constant)
+
+    def __sub__(self, other) -> "LinExpr":
+        if not isinstance(other, LinExpr):
+            return LinExpr.owning(dict(self.coeffs), self.constant - other)
+        cs = dict(self.coeffs)
+        for i, c in other.coeffs.items():
+            s = cs[i] - c if i in cs else -c
+            if s:
+                cs[i] = s
+            else:
+                del cs[i]
+        return LinExpr.owning(cs, self.constant - other.constant)
 
     def __neg__(self) -> "LinExpr":
-        return self.scale(-1)
+        return LinExpr.owning({i: -c for i, c in self.coeffs.items()}, -self.constant)
 
-    def scale(self, factor: RationalLike) -> "LinExpr":
-        """The expression times `factor`, a Fraction or an `Affine`."""
+    __radd__ = __add__
+
+    def __rsub__(self, other) -> "LinExpr":
+        return -self + other
+
+    def scale(self, factor) -> "LinExpr":
+        """The expression times `factor`, a Fraction or, to scale a
+        concrete expression by a template coefficient, a `LinExpr`."""
         f = _coef(factor)
-        return LinExpr({i: c * f for i, c in self.coeffs.items()},
-                       self.constant * f)
+        if f == 1:
+            return LinExpr.owning(dict(self.coeffs), self.constant)
+        if f == -1:
+            return -self
+        if not f:
+            return LinExpr.owning({}, self.constant * f)
+        return LinExpr.owning({i: c * f for i, c in self.coeffs.items()},
+                              self.constant * f)
 
-    def shift(self, delta: RationalLike) -> "LinExpr":
-        return LinExpr(self.coeffs, self.constant + _coef(delta))
+    __mul__ = __rmul__ = scale
+
+    def shift(self, delta) -> "LinExpr":
+        return LinExpr.owning(dict(self.coeffs), self.constant + _coef(delta))
 
     def substitute(self, index: int, replacement: "LinExpr") -> "LinExpr":
         """Replace variable `index` by `replacement`, which is scaled by
-        the coefficient of `index` (an `Affine` one in a template)."""
+        the coefficient of `index` (a `LinExpr` one in a template)."""
         c = self.coeffs.get(index)
         if c is None:
             return self
         rest = {i: v for i, v in self.coeffs.items() if i != index}
-        return LinExpr(rest, self.constant) + replacement.scale(c)
+        return LinExpr.owning(rest, self.constant) + replacement.scale(c)
 
     def evaluate(self, values: Sequence[Fraction] | Mapping[int, Fraction]) -> Fraction:
         total = self.constant

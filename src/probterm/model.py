@@ -51,10 +51,15 @@ class ExprUpdate:
 
 @dataclass(frozen=True)
 class NondetUpdate:
-    """x[target] := demonic choice from the bounded interval [lo, hi]."""
+    """x[target] := demonic choice from the bounded interval [lo, hi],
+    which must be nonempty."""
     target: int
     lo: Fraction
     hi: Fraction
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     def pretty(self, names=None) -> str:
         name = names[self.target] if names else f"x{self.target}"
@@ -200,9 +205,6 @@ def validate_pcfg(p: PCFG) -> List[Diagnostic]:
                 if not 0 <= u.target < nvars:
                     out.append(Diagnostic("BadVariableIndex",
                                           f"update target {u.target} out of range", t.id))
-            if isinstance(u, NondetUpdate) and u.lo > u.hi:
-                out.append(Diagnostic("NondetIntervalEmpty",
-                                      f"interval [{u.lo}, {u.hi}] is empty", t.id))
             bad = [i for i in t.kind.guard.variables() if not 0 <= i < nvars]
             if bad:
                 out.append(Diagnostic("BadVariableIndex",

@@ -220,7 +220,10 @@ def update_from_json(obj, variables, path):
     if kind == "ndet":
         lo = _rat(_get(obj, "lo", path), f"{path}.lo")
         hi = _rat(_get(obj, "hi", path), f"{path}.hi")
-        return NondetUpdate(idx, lo, hi)
+        try:
+            return NondetUpdate(idx, lo, hi)
+        except ValueError as e:
+            raise FormatError(str(e), path)
     raise FormatError(f"unknown update kind {kind!r}", f"{path}.kind")
 
 

@@ -7,7 +7,7 @@ the worst/best endpoint.
 
 The checker and synthesis share this algebra. The checker applies it to
 concrete components with rational coefficients; synthesis applies it to
-templates, whose coefficients are `farkas.Affine` forms over LP unknowns.
+templates, whose coefficients are `LinExpr`s over LP columns.
 Only a demonic interval stays outside it in synthesis: an endpoint cannot
 be chosen by the sign of an unknown coefficient, so synthesis substitutes
 a universally quantified variable bounded to the interval instead.

@@ -21,9 +21,9 @@ asks for here - pre >= eps with eps >= 0, so its multipliers also serve
 (5) over the same antecedent; their multipliers added together serve (1)
 as here >= eps, since the bounds of a demonic variable, which here does
 not read, add a multiple of hi - lo >= 0. So (1) is encoded only for a
-probabilistic branch, which has no (3), and for a demonic interval that
-is empty. The LP has about half the rows, and its projection onto the
-template and eps columns, hence every optimum, is the same.
+probabilistic branch, which has no (3). The LP has about half the rows,
+and its projection onto the template and eps columns, hence every
+optimum, is the same.
 
 One synthesis run solves many LPs, one per iteration and, in general
 mode, one per attempt, and most transitions keep their side conditions
@@ -90,7 +90,7 @@ class Block:
         `lp`, with fresh multipliers created in the original order."""
         cols = frame + [lp.fresh_multiplier(tag) for tag in self.tags]
         for terms, const, rel in self.rows:
-            lp.add_constraint(Affine.owning({cols[k]: v for k, v in terms}, const), rel)
+            lp.add_constraint(Affine({cols[k]: v for k, v in terms}, const), rel)
 
 
 # (transition id, the zero_coeffs entries at its source and destinations,
@@ -117,7 +117,7 @@ class TemplateRestriction:
 class SynthesisLP:
     """One iteration's LP plus the bookkeeping to read a component back."""
     lp: LPProblem
-    templates: Dict[str, LinExpr]   # each coefficient one LP column, as an Affine
+    templates: Dict[str, LinExpr]   # each coefficient one LP column, as a LinExpr
     eps: Dict[str, int]             # unranked transition id -> its eps column
     dropped_implications: int = 0
     emitted_implications: int = 0
@@ -127,12 +127,12 @@ class SynthesisLP:
         columns at its source and at each destination, then its eps."""
         return [k for loc in (t.source, *t.destinations())
                 for a in (*self.templates[loc].coeffs.values(), self.templates[loc].constant)
-                for k in a.terms] + [self.eps[t.id]]
+                for k in a.coeffs] + [self.eps[t.id]]
 
     def component_at(self, x: List[Fraction]) -> Dict[str, LinExpr]:
         """The templates at the LP point `x`, indexed by column."""
-        return {loc: LinExpr({i: a.value(x) for i, a in t.coeffs.items()},
-                             t.constant.value(x))
+        return {loc: LinExpr({i: a.evaluate(x) for i, a in t.coeffs.items()},
+                             t.constant.evaluate(x))
                 for loc, t in self.templates.items()}
 
 
@@ -167,10 +167,10 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
     lp = LPProblem()
     templates: Dict[str, LinExpr] = {}
     for loc in p.locations:
-        coeffs = {i: Affine.of(lp.add_var(f"c[{loc}][{vname}]"))
+        coeffs = {i: LinExpr.var(lp.add_var(f"c[{loc}][{vname}]"))
                   for i, vname in enumerate(p.variables)
                   if (loc, i) not in restrict.zero_coeffs}
-        templates[loc] = LinExpr(coeffs, Affine.of(lp.add_var(f"c[{loc}].const")))
+        templates[loc] = LinExpr(coeffs, LinExpr.var(lp.add_var(f"c[{loc}].const")))
 
     unranked_set = set(unranked)
     order = [t for t in p.transitions if t.id in unranked_set]
@@ -191,9 +191,9 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         out.emitted_implications += block.emitted
 
     for tid, k in out.eps.items():
-        lp.add_constraint(Affine.of(k) - Affine.constant(1), RowRel.LE)
+        lp.add_constraint(Affine({k: ONE}, -ONE), RowRel.LE)
         if tid in restrict.forced_rank:
-            lp.add_constraint(Affine.of(k) - Affine.constant(1), RowRel.EQ)
+            lp.add_constraint(Affine({k: ONE}, -ONE), RowRel.EQ)
     lp.objective = {k: ONE for k in out.eps.values()}
     return out
 
@@ -245,15 +245,12 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
     here = templates[t.source]
     # (3) nonnegative one-step expectation, not for branches, and (5)
     # decrease by eps. As eps >= 0, the multipliers of (5) serve (2), and
-    # those of (3) and (5) added together serve (1) as here >= eps when the
-    # bounds on y hold somewhere. So nothing emits (2), and only a branch or
-    # an empty demonic interval emits (1).
+    # those of (3) and (5) added together serve (1) as here >= eps. So
+    # nothing emits (2), and only a branch emits (1).
     stepped = [] if t.is_pb else [(pre, f"en.{t.id}")]
-    stepped.append(((here - pre).shift(Affine.of(out.eps[t.id], -1)), f"rk.{t.id}"))
-    update = t.update()
-    nonneg = t.is_pb or (isinstance(update, NondetUpdate) and update.lo > update.hi)
+    stepped.append(((here - pre).shift(LinExpr.var(out.eps[t.id], -1)), f"rk.{t.id}"))
     for ante in inv.antecedents(t):
-        if nonneg:
+        if t.is_pb:
             # (1) nonnegative where enabled
             emit(ante, [(here, f"nn.{t.id}")])
         emit(ante.conjoin(bounds), stepped)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from probterm import (Affine, Certificate, CertificateMode, Invariant, LinExpr,
+from probterm import (Certificate, CertificateMode, Invariant, LinExpr,
                       LinExprMap, load_invariant, lower_to_pcfg, parse_program)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -29,9 +29,10 @@ def load_fixture(name: str):
 
 def lifted(e: LinExpr) -> LinExpr:
     """A concrete expression as an `encode_implication` consequent: each
-    coefficient, and the constant, becomes a constant `Affine` form."""
-    return LinExpr({i: Affine.constant(v) for i, v in e.coeffs.items()},
-                   Affine.constant(e.constant))
+    coefficient, and the constant, becomes a constant `LinExpr` over LP
+    columns."""
+    return LinExpr({i: LinExpr.const(v) for i, v in e.coeffs.items()},
+                   LinExpr.const(e.constant))
 
 
 def _lem(p, rows):

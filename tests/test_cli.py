@@ -561,6 +561,22 @@ def _custom_pcfg(d):
     return str(path)
 
 
+def _empty_interval_pcfg(d):
+    """y := ndet[1, 0] while x >= 0: a demonic assignment over an empty
+    interval."""
+    doc = {"variables": ["x", "y"], "locations": ["l0", "out"], "init": "l0", "terminal": "out",
+           "transitions": [
+               {"id": "t0", "source": "l0", "kind": "npb", "dest": "out",
+                "guard": [[{"expr": {"x": "1", "const": "0"}, "rel": "<"}]],
+                "update": {"kind": "none"}},
+               {"id": "t1", "source": "l0", "kind": "npb", "dest": "l0",
+                "guard": [[{"expr": {"x": "-1", "const": "0"}, "rel": "<="}]],
+                "update": {"kind": "ndet", "target": "y", "lo": "1", "hi": "0"}}]}
+    path = d / "empty.pcfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_custom_sampler_is_not_needed_to_prove(tmp_path):
     # synthesis and the checker read only the mean and the support
     pcfg, cert = _custom_pcfg(tmp_path), str(tmp_path / "c.json")
@@ -595,6 +611,7 @@ MALFORMED = {
                                            "-o", str(d / "c.json"), "--dump-lp", EXAMPLE3]),
     "non-utf8-json": (3, lambda d: ["check", _latin1(d), EXAMPLE3]),
     "unif-lo-above-hi": (2, lambda d: _source(d, "x := sample(unif(3, 1))")),
+    "ndet-lo-above-hi": (2, lambda d: _source(d, "x := ndet[1, 0]")),
     "bern-above-1": (2, lambda d: _source(d, "x := x + sample(bern(2))")),
     "norm-zero-stddev": (2, lambda d: _source(d, "x := sample(norm(0, 0))")),
     "discrete-mass-half": (2, lambda d: _source(d, "x := sample(discrete(1: 1/2))")),
@@ -611,6 +628,10 @@ MALFORMED = {
                                              "-i", FIG1B_INV]),
     "pcfg-probability-true": (3, lambda d: ["synthesize", _true_branch_pcfg(d),
                                             "-o", str(d / "c.json")]),
+    "pcfg-empty-interval-synthesize": (3, lambda d: ["synthesize", _empty_interval_pcfg(d),
+                                                     "-o", str(d / "c.json"),
+                                                     "--dump-lp", str(d / "lp")]),
+    "pcfg-empty-interval-check": (3, lambda d: ["check", _empty_interval_pcfg(d), EXAMPLE3]),
     "non-utf8-source": (2, lambda d: _source(d, "x := 1 \u00e9", "latin-1")),
     "init-zero-denominator": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                             "--init", "x=1/0"]),
@@ -693,6 +714,13 @@ def test_json_true_is_not_a_rational(case, path, tmp_path, capsys):
     # Python counts a bool as an int, so `true` once loaded as 1
     assert cli.main(MALFORMED[case][1](tmp_path)) == 3
     assert re.match(rf"error: {path}: bad rational True", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["synthesize", "check"])
+def test_empty_interval_is_a_format_error(command, tmp_path, capsys):
+    # the update refuses the interval; loading names where it stands
+    assert cli.main(MALFORMED[f"pcfg-empty-interval-{command}"][1](tmp_path)) == 3
+    assert capsys.readouterr() == ("", "error: $.transitions[1].update: empty interval [1, 0]\n")
 
 
 def _mutant(doc, rng):

@@ -214,7 +214,7 @@ def test_encoder_empty_antecedent_constant_consequent():
     # forall x: true -> t >= 0 reduces to the constraint t >= 0
     lp = LPProblem()
     t = lp.add_var("t")
-    encode_implication(poly(), LinExpr({}, Affine.of(t)), lp)
+    encode_implication(poly(), LinExpr({}, LinExpr.var(t)), lp)
     lp.objective = {t: F(-1)}
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL and sol.x[t] == 0
@@ -225,7 +225,7 @@ def test_encoder_zero_consequent_emits_nothing():
     # multiplier and no row
     lp = LPProblem()
     a = lp.add_var("a")
-    here = LinExpr({0: Affine.of(a)}, Affine.of(a))
+    here = LinExpr({0: LinExpr.var(a)}, LinExpr.var(a))
     assert encode_implication(poly(LinConstraint.le(-x)), here - here, lp) == []
     assert lp.names == ["a"] and lp.constraints == []
 
@@ -241,7 +241,7 @@ def test_encoder_reads_strict_rows_as_relaxed():
     for antecedent in (ante, relaxed):
         lp = LPProblem()
         a, b = lp.add_var("a"), lp.add_var("b")
-        consequent = LinExpr({0: Affine.of(a), 1: Affine.constant(-1)}, Affine.of(b))
+        consequent = LinExpr({0: LinExpr.var(a), 1: LinExpr.const(-1)}, LinExpr.var(b))
         encode_implication(antecedent, consequent, lp)
         dumps.append(dump_lp(lp))
     assert dumps[0] == dumps[1]
@@ -299,7 +299,7 @@ def test_encoder_complete_on_feasible_antecedents():
 def test_solve_lp_examples():
     lp = LPProblem()
     v = lp.add_var("v", nonneg=True)
-    lp.add_constraint(Affine.of(v) - Affine.constant(3), RowRel.LE)
+    lp.add_constraint(Affine({v: F(1)}, F(-3)), RowRel.LE)
     lp.objective = {v: F(1)}
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL and sol.value == 3
@@ -311,7 +311,7 @@ def test_solve_lp_examples():
 
     lp = LPProblem()
     v = lp.add_var("v", nonneg=True)
-    lp.add_constraint(Affine.of(v) + Affine.constant(1), RowRel.LE)
+    lp.add_constraint(Affine({v: F(1)}, F(1)), RowRel.LE)
     assert solve_lp(lp).status is LPStatus.INFEASIBLE
 
 
@@ -319,7 +319,7 @@ def test_lp_dump_format():
     lp = LPProblem()
     coeff = lp.add_var("c[l0][x]")
     lam = lp.add_var("lam.0", nonneg=True)
-    lp.add_constraint(Affine.of(coeff) + Affine.of(lam, F(2)), RowRel.EQ)
+    lp.add_constraint(Affine({coeff: F(1), lam: F(2)}, F(0)), RowRel.EQ)
     lp.objective = {coeff: F(1)}
     text = dump_lp(lp)
     assert text.startswith("Maximize")
@@ -327,9 +327,10 @@ def test_lp_dump_format():
 
 
 def _parts(e: LinExpr):
-    """Coefficients and constant, an `Affine` as its terms in order."""
+    """Coefficients and constant, a `LinExpr` over LP columns as its terms
+    in order."""
     def part(v):
-        return (list(v.terms.items()), v.const) if isinstance(v, Affine) else v
+        return (list(v.coeffs.items()), v.constant) if isinstance(v, LinExpr) else v
     return [(i, part(v)) for i, v in e.coeffs.items()], part(e.constant)
 
 
@@ -342,11 +343,11 @@ def test_subtraction_is_adding_the_negation_term_for_term():
         coeffs = {}
         for i in rng.sample(range(3), rng.randint(0, 3)):
             if affine:
-                coeffs[i] = Affine({n: F(rng.randint(-2, 2)) for n in rng.sample("abc", 2)},
-                                   rng.randint(-1, 1))
+                coeffs[i] = LinExpr({n: F(rng.randint(-2, 2)) for n in rng.sample(range(3), 2)},
+                                    rng.randint(-1, 1))
             else:
                 coeffs[i] = F(rng.randint(-2, 2), rng.randint(1, 2))
-        const = Affine.of(rng.choice("abc"), rng.randint(-1, 1)) if affine else F(rng.randint(-2, 2))
+        const = LinExpr.var(rng.choice(range(3)), rng.randint(-1, 1)) if affine else F(rng.randint(-2, 2))
         return LinExpr(coeffs, const)
 
     for trial in range(300):
@@ -357,12 +358,13 @@ def test_subtraction_is_adding_the_negation_term_for_term():
 
 @pytest.mark.parametrize("f", [1, -1, F(1, 2)])
 def test_affine_scale_owns_its_terms(f):
-    a = Affine({"a": F(2), "b": F(-3)}, F(1))
+    # a template coefficient is a LinExpr over LP columns
+    a = LinExpr({0: F(2), 1: F(-3)}, F(1))
     scaled = a.scale(f)
-    assert list(scaled.terms.items()) == [(k, v * f) for k, v in a.terms.items()]
-    assert scaled.const == a.const * f
-    scaled.terms["c"] = F(1)
-    assert a.terms == {"a": F(2), "b": F(-3)}
+    assert list(scaled.coeffs.items()) == [(k, v * f) for k, v in a.coeffs.items()]
+    assert scaled.constant == a.constant * f
+    scaled.coeffs[2] = F(1)
+    assert a.coeffs == {0: F(2), 1: F(-3)}
     negated = -a
-    negated.terms["c"] = F(1)
-    assert a.terms == {"a": F(2), "b": F(-3)}
+    negated.coeffs[2] = F(1)
+    assert a.coeffs == {0: F(2), 1: F(-3)}

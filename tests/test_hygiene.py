@@ -1,7 +1,8 @@
 """Source hygiene: every module compiles without a warning, imports at its
 top and uses every name it imports, keeps no memo across calls, runs in
 one process that no environment variable configures, catches no error it
-does not name, and defines no function or class that nothing names."""
+does not name, defines no function or class that nothing names, and
+keeps one linear-form algebra."""
 
 import ast
 import pathlib
@@ -202,6 +203,44 @@ def test_unreferenced_function_is_detected():
                      "class Record:\n    run: int\n"
                      "def f():\n    return C().used()\nf()\n")
     assert set(_definitions(tree)) - _names_used(tree) == {"dead", "Record"}
+
+
+ARITHMETIC = {"__add__", "__sub__", "__neg__", "__mul__", "__radd__", "__rsub__", "__rmul__"}
+
+
+def _arithmetic(tree: ast.Module) -> list:
+    """Lines where a class body defines an arithmetic operator, by `def`
+    or by assignment."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                if ARITHMETIC & set(names):
+                    found.append(item.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_linear_form_algebra(path):
+    # `LinExpr` is the linear-form algebra over program variables and over
+    # LP columns alike; a second one would repeat it
+    found = _arithmetic(ast.parse(path.read_text()))
+    assert bool(found) == (path.name == "linear.py")
+
+
+def test_arithmetic_operator_is_detected():
+    tree = ast.parse("class A:\n    def __add__(self, o): pass\n    def scale(self, f): pass\n"
+                     "    __mul__ = __rmul__ = scale\n    __radd__ = __add__\n"
+                     "    def __eq__(self, o): pass\n"
+                     "class B:\n    x = 1\n    def __neg__(self): pass\n"
+                     "def __sub__(a, b): pass\n")
+    assert _arithmetic(tree) == [2, 4, 5, 9]
 
 
 CERTIFICATE_PATH = ("simplex", "farkas", "synthesis", "checker", "preexp", "linear")

@@ -10,8 +10,6 @@ cancels; negation and scaling keep the order.
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from probterm import LinExpr
 
 
@@ -69,11 +67,10 @@ def sub(x, y):
 
 
 def mul(x, f):
-    """`x` times `f`, one of them a Fraction."""
-    if isinstance(f, Form):
-        x, f = f, x
+    """`x` times `f`: a Fraction times a Fraction or a Form, or a Form
+    with Fraction coefficients times a Form, term by term."""
     if not isinstance(x, Form):
-        return x * f
+        return mul(f, x) if isinstance(f, Form) else x * f
     terms = {k: mul(v, f) for k, v in x.terms.items()}
     return Form({k: v for k, v in terms.items() if not is_zero(v)}, mul(x.const, f))
 
@@ -127,3 +124,22 @@ def test_arithmetic_matches_dict_arithmetic():
         for left, right in ((a, b), (b, a), (a, a), (a, -a), (a, a.scale(2))):
             check_binary(left, right)
         check_unary(a, b, rng)
+
+
+def over_columns(rng):
+    """A LinExpr over the LP columns 0, 1 and 2, as a template coefficient."""
+    return draw(rng, fraction, nvars=3)
+
+
+def test_template_arithmetic_matches_dict_arithmetic():
+    # coefficients and constants that are LinExprs over LP columns, as in a
+    # synthesis template; a template and a concrete expression add and
+    # subtract, and a concrete expression substitutes into a template
+    rng = random.Random(25)
+    for trial in range(300):
+        a, b = draw(rng, over_columns), draw(rng, over_columns)
+        concrete = draw(rng, fraction)
+        for left, right in ((a, b), (b, a), (a, a), (a, -a), (a, a.scale(2)),
+                            (a, concrete), (concrete, a)):
+            check_binary(left, right)
+        check_unary(a, concrete, rng)

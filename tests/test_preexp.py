@@ -1,12 +1,13 @@
 """Pre-expectation algebra against hand values and Monte-Carlo draws."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from probterm import (Affine, DistributionSpec, GuardedStep, LinConstraint, LinExpr,
+from probterm import (DistributionSpec, GuardedStep, LinConstraint, LinExpr,
                       NondetUpdate, PCFG, Polyhedron, Predicate, ProbBranch, Rel,
                       Transition, load_pcfg, max_pre, min_pre, pre_pb_restricted)
 from probterm.model import ExprUpdate, NoUpdate
@@ -115,8 +116,8 @@ def _fixture_pcfg(name):
 
 
 def _evaluated(template, assignment):
-    return LinExpr({i: a.value(assignment) for i, a in template.coeffs.items()},
-                   template.constant.value(assignment))
+    return LinExpr({i: a.evaluate(assignment) for i, a in template.coeffs.items()},
+                   template.constant.evaluate(assignment))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -124,12 +125,13 @@ def test_max_pre_of_templates(name):
     # the algebra is generic in its coefficients: max_pre of a template over
     # LP unknowns, evaluated at a point, is max_pre of the evaluated template
     p = _fixture_pcfg(name)
-    templates = {loc: LinExpr({i: Affine.of(f"c[{loc}][{v}]")
-                               for i, v in enumerate(p.variables)},
-                              Affine.of(f"c[{loc}].const"))
+    columns = itertools.count()
+    templates = {loc: LinExpr({i: LinExpr.var(next(columns))
+                               for i in range(len(p.variables))},
+                              LinExpr.var(next(columns)))
                  for loc in p.locations}
     unknowns = [u for e in templates.values()
-                for a in [*e.coeffs.values(), e.constant] for u in a.terms]
+                for a in [*e.coeffs.values(), e.constant] for u in a.coeffs]
     assignment = {u: F(2 * k - 7, k % 3 + 1) for k, u in enumerate(unknowns)}
     eta = {loc: _evaluated(e, assignment) for loc, e in templates.items()}
     checked = [t for t in p.transitions if not isinstance(t.update(), NondetUpdate)]
