@@ -20,10 +20,10 @@ asks for here - pre >= eps with eps >= 0, so its multipliers also serve
 (2), which is never encoded. A non-branching transition encodes (3) and
 (5) over the same antecedent; their multipliers added together serve (1)
 as here >= eps, since the bounds of a demonic variable, which here does
-not read, add a multiple of hi - lo >= 0. So (1) is encoded only for a
-probabilistic branch, which has no (3). The LP has about half the rows,
-and its projection onto the template and eps columns, hence every
-optimum, is the same.
+not read, add a multiple of hi - lo >= 0 (`NondetUpdate` refuses an
+empty interval). So (1) is encoded only for a probabilistic branch,
+which has no (3). The LP has about half the rows, and its projection
+onto the template and eps columns, hence every optimum, is the same.
 
 One synthesis run solves many LPs, one per iteration and, in general
 mode, one per attempt, and most transitions keep their side conditions
@@ -117,7 +117,7 @@ class TemplateRestriction:
 class SynthesisLP:
     """One iteration's LP plus the bookkeeping to read a component back."""
     lp: LPProblem
-    templates: Dict[str, LinExpr]   # each coefficient one LP column, as a LinExpr
+    templates: Dict[str, LinExpr]   # coefficients and constant: LinExpr.var(column)
     eps: Dict[str, int]             # unranked transition id -> its eps column
     dropped_implications: int = 0
     emitted_implications: int = 0

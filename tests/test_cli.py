@@ -562,16 +562,12 @@ def _custom_pcfg(d):
 
 
 def _empty_interval_pcfg(d):
-    """y := ndet[1, 0] while x >= 0: a demonic assignment over an empty
-    interval."""
-    doc = {"variables": ["x", "y"], "locations": ["l0", "out"], "init": "l0", "terminal": "out",
-           "transitions": [
-               {"id": "t0", "source": "l0", "kind": "npb", "dest": "out",
-                "guard": [[{"expr": {"x": "1", "const": "0"}, "rel": "<"}]],
-                "update": {"kind": "none"}},
-               {"id": "t1", "source": "l0", "kind": "npb", "dest": "l0",
-                "guard": [[{"expr": {"x": "-1", "const": "0"}, "rel": "<="}]],
-                "update": {"kind": "ndet", "target": "y", "lo": "1", "hi": "0"}}]}
+    """The branching fixture, lowered, with its demonic assignment over the
+    empty interval [1, 0]."""
+    doc = pcfg_to_json(load_fixture("branching")[0])
+    update = next(tj["update"] for tj in doc["transitions"]
+                  if tj.get("update", {}).get("kind") == "ndet")
+    update["lo"], update["hi"] = "1", "0"
     path = d / "empty.pcfg.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -720,7 +716,7 @@ def test_json_true_is_not_a_rational(case, path, tmp_path, capsys):
 def test_empty_interval_is_a_format_error(command, tmp_path, capsys):
     # the update refuses the interval; loading names where it stands
     assert cli.main(MALFORMED[f"pcfg-empty-interval-{command}"][1](tmp_path)) == 3
-    assert capsys.readouterr() == ("", "error: $.transitions[1].update: empty interval [1, 0]\n")
+    assert capsys.readouterr() == ("", "error: $.transitions[3].update: empty interval [1, 0]\n")
 
 
 def _mutant(doc, rng):
