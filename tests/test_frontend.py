@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from probterm import (FormatError, MultipleSamplesInAssignment,
+from probterm import (DistributionSpec, FormatError, MultipleSamplesInAssignment,
                       NonLinearExpression, ProgramSyntaxError, ProbBranch,
                       lower_to_pcfg, parse_program, run_ast, validate_pcfg)
-from probterm.pcfg_io import (load_pcfg, pcfg_from_json, pcfg_to_json)
+from probterm.pcfg_io import (dist_from_json, dist_to_json, load_pcfg, pcfg_from_json,
+                              pcfg_to_json)
 from probterm.simulate import UniformRandom, run_rng, run_trajectory
 from probterm.source import Seq, Skip, While
 
@@ -195,6 +196,57 @@ def test_declared_mean_must_match():
     with pytest.raises(FormatError) as e:
         pcfg_from_json(doc)
     assert "mean" in str(e.value)
+
+
+def _dist(kind, params, mean, support):
+    return {"kind": kind, "params": params, "mean": mean, "support": support}
+
+
+# every source name of every kind -> (what `pretty` writes, the `dist` of
+# the pCFG JSON of `x := sample(...)`)
+DISTRIBUTIONS = {
+    "norm(1, 2)": ("norm(1, 2)",
+                   _dist("normal", {"mean": "1", "stddev": "2"}, "1", ["-inf", "inf"])),
+    "normal(-1/2, 3)": ("norm(-1/2, 3)",
+                        _dist("normal", {"mean": "-1/2", "stddev": "3"}, "-1/2",
+                              ["-inf", "inf"])),
+    "Gaussian(0, 1/4)": ("norm(0, 1/4)",
+                         _dist("normal", {"mean": "0", "stddev": "1/4"}, "0", ["-inf", "inf"])),
+    "unif(-1, 3)": ("unif(-1, 3)",
+                    _dist("uniform", {"lo": "-1", "hi": "3"}, "1", ["-1", "3"])),
+    "uniform(1/2, 1/2)": ("unif(1/2, 1/2)",
+                          _dist("uniform", {"lo": "1/2", "hi": "1/2"}, "1/2", ["1/2", "1/2"])),
+    "bern(1/3)": ("bern(1/3)", _dist("bernoulli", {"p": "1/3"}, "1/3", ["0", "1"])),
+    "bernoulli(1)": ("bern(1)", _dist("bernoulli", {"p": "1"}, "1", ["0", "1"])),
+    "discrete(-1: 1/4, 3: 3/4)": ("discrete(-1: 1/4, 3: 3/4)",
+                                  _dist("discrete", {"values": [["-1", "1/4"], ["3", "3/4"]]},
+                                        "2", ["-1", "3"])),
+}
+
+
+@pytest.mark.parametrize("source", sorted(DISTRIBUTIONS))
+def test_distribution_kinds(source):
+    pretty, dist = DISTRIBUTIONS[source]
+    doc = pcfg_to_json(lower_to_pcfg(parse_program(f"x := sample({source})")))
+    assert doc["transitions"] == [{
+        "id": "t0", "source": "l0", "kind": "npb", "dest": "out", "guard": [[]],
+        "update": {"kind": "expr", "target": "x", "base": {"const": "0"},
+                   "sample": {"coeff": "1", "dist": dist}}}]
+    spec = dist_from_json(dist, "$")
+    assert spec.pretty() == pretty
+    assert dist_to_json(spec) == dist
+    assert pcfg_to_json(pcfg_from_json(doc)) == doc
+    # what `pretty` writes parses back to the same distribution
+    again = pcfg_to_json(lower_to_pcfg(parse_program(f"x := sample({pretty})")))
+    assert again == doc
+
+
+def test_custom_distribution_goes_through_json():
+    dist = _dist("custom", {"sampler": "mine"}, "-1", ["-2", "inf"])
+    spec = dist_from_json(dist, "$")
+    assert spec == DistributionSpec.custom("mine", -1, -2, None)
+    assert spec.pretty() == "custom(mine)"
+    assert dist_to_json(spec) == dist
 
 
 def test_loaded_fixture_passes_validation():
