@@ -32,16 +32,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .linear import LinConstraint, LinExpr, Polyhedron, Rel, ResourceLimit
+from .linear import LinConstraint, LinExpr, Polyhedron, Rel
 from . import simplex
 from .simplex import LPStatus, RowRel, SimplexResult
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class PivotCapReached(ResourceLimit):
-    """A polyhedral query's LP hit the simplex pivot cap."""
 
 
 @dataclass(slots=True)
@@ -114,7 +110,8 @@ def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     LP that adds a shared slack `gap >= 0` to every strict row, bounds it
     by `gap <= 1` and maximizes it. `p` has a rational point iff that LP
     is feasible with a positive optimal gap; the point is returned as the
-    witness. Raises PivotCapReached when the LP hits the pivot cap.
+    witness. The simplex raises PivotCapReached when the LP hits its
+    pivot cap: a capped query answers neither yes nor no.
     """
     nvars = max((i for c in p.constraints for i in c.lhs.coeffs), default=-1) + 1
     gap = nvars
@@ -130,8 +127,6 @@ def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
         rows.append((coeffs, RowRel.EQ if c.rel is Rel.EQ else RowRel.LE, -c.lhs.constant))
     rows.append(({gap: ONE}, RowRel.LE, ONE))
     res = simplex.solve(nvars + 1, [False] * nvars + [True], rows, {gap: ONE})
-    if res.status is LPStatus.PIVOT_CAP:
-        raise PivotCapReached(f"{res.pivots} pivots")
     if res.status is LPStatus.INFEASIBLE or res.value == 0:
         return False, None
     return True, {i: res.x[i] for i in range(nvars)}

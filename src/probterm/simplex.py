@@ -34,7 +34,9 @@ has right-hand side 0, and template unknowns come first, so this start
 brings the free template columns into the basis before anything else.
 Phase 1 runs only while an artificial with a positive value is still
 basic, and the same drive-out follows it. Every pivot, these included,
-counts toward the pivot cap.
+counts toward the pivot cap, and the pivot that would pass the cap
+raises PivotCapReached instead: a capped LP has no answer, so no caller
+can read it as infeasible or unbounded.
 
 Pivoting uses Bland's rule throughout (no cycling, deterministic),
 entering on the lowest column index with positive reduced cost and
@@ -67,6 +69,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .linear import ResourceLimit
+
 ZERO = Fraction(0)
 
 DEFAULT_PIVOT_CAP = 10 ** 6
@@ -82,7 +86,10 @@ class LPStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-    PIVOT_CAP = "pivot-cap"
+
+
+class PivotCapReached(ResourceLimit):
+    """An LP hit the simplex pivot cap."""
 
 
 @dataclass
@@ -155,15 +162,11 @@ def _deleted(irow: IntRow, cols: Set[int]) -> IntRow:
     return _reduced({j: v for j, v in row.items() if j not in cols}, rhs, den)
 
 
-class _PivotCapReached(Exception):
-    """The next pivot would exceed the cap."""
-
-
 class _Tableau:
     """Sparse fraction-free tableau with explicit basis bookkeeping: row i
     reads rows[i][j] / den[i] in column j and rhs[i] / den[i] on the right;
     its basic column basis[i] reads den[i] / den[i] = 1. Every pivot counts
-    toward `pivots`; one past `pivot_cap` raises _PivotCapReached."""
+    toward `pivots`; one past `pivot_cap` raises PivotCapReached."""
 
     def __init__(self, rows: List[Dict[int, int]], rhs: List[int],
                  den: List[int], basis: List[int], pivot_cap: int):
@@ -176,7 +179,7 @@ class _Tableau:
 
     def pivot(self, r: int, c: int) -> None:
         if self.pivots >= self.pivot_cap:
-            raise _PivotCapReached
+            raise PivotCapReached(f"{self.pivots} pivots")
         prow, prhs, p = self.rows[r], self.rhs[r], self.rows[r][c]
         if p < 0:
             prow, prhs, p = {j: -v for j, v in prow.items()}, -prhs, -p
@@ -277,7 +280,8 @@ def solve(num_vars: int,
     result's assignment, when optimal, satisfies every row exactly, and
     this is re-checked on every optimum. `pivots` counts every pivot
     made, including those that drive artificials out of the basis, and
-    none for an unknown the presolve pins.
+    none for an unknown the presolve pins. Raises PivotCapReached
+    ("N pivots") when a pivot would pass `pivot_cap`.
     """
     # each caller row as one integer row, then the presolve of the module
     # docstring: pin, delete, repeat; drop the rows left 0 = 0
@@ -344,13 +348,10 @@ def solve(num_vars: int,
         den.append(d)
 
     tab = _Tableau(trows, rhs, den, basis, pivot_cap)
-    try:
-        if not tab.feasible_start(set(art_cols)):
-            return SimplexResult(LPStatus.INFEASIBLE, pivots=tab.pivots)
-        cost, _, cost_den = _deleted(_integer_row(objective, 0), pinned)
-        outcome, value = tab.maximize(split(cost), cost_den)
-    except _PivotCapReached:
-        return SimplexResult(LPStatus.PIVOT_CAP, pivots=tab.pivots)
+    if not tab.feasible_start(set(art_cols)):
+        return SimplexResult(LPStatus.INFEASIBLE, pivots=tab.pivots)
+    cost, _, cost_den = _deleted(_integer_row(objective, 0), pinned)
+    outcome, value = tab.maximize(split(cost), cost_den)
     if outcome == "unbounded":
         return SimplexResult(LPStatus.UNBOUNDED, pivots=tab.pivots)
 

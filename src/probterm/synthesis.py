@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .farkas import (Affine, LPProblem, PivotCapReached, check_feasible,
-                     encode_implication, solve_lp)
+from .farkas import (Affine, LPProblem, check_feasible, encode_implication,
+                     solve_lp)
 from .linear import LinConstraint, LinExpr, Polyhedron
 from .model import (Certificate, CertificateMode, Invariant, LevelMap,
                     LinExprMap, NondetUpdate, PCFG, Transition, check_bsp,
@@ -326,15 +326,14 @@ def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
                    restrict: TemplateRestriction, index: int,
                    tau0: Optional[str] = None) -> Optional[IterationRecord]:
     """Solve one iteration LP; on ranking progress, update `state` and
-    return the record, else return None. Raises PivotCapReached when the
-    LP, or one of its feasibility screens, hits the pivot cap: a capped
-    LP has no answer, so it cannot show that nothing ranks."""
+    return the record, else return None. The simplex raises
+    PivotCapReached when the LP, or one of its feasibility screens, hits
+    the pivot cap: a capped LP has no answer, so it cannot show that
+    nothing ranks."""
     before = list(state.unranked)
     slp = build_lp(p, inv, state.unranked, restrict, screens=state.screens,
                    blocks=state.blocks)
     sol = solve_lp(slp.lp)
-    if sol.status is LPStatus.PIVOT_CAP:
-        raise PivotCapReached(f"{sol.pivots} pivots")
     if sol.status is not LPStatus.OPTIMAL:
         return None
     eps_values = {tid: sol.x[k] for tid, k in slp.eps.items()}

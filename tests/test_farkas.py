@@ -10,9 +10,9 @@ from scipy.optimize import linprog
 from probterm import (Affine, LinConstraint, LinExpr, LPProblem, Polyhedron,
                       check_feasible, encode_implication, entails, solve_lp)
 from probterm import farkas
-from probterm.farkas import PivotCapReached, dump_lp
+from probterm.farkas import dump_lp
 from probterm.linear import Rel
-from probterm.simplex import LPStatus, RowRel
+from probterm.simplex import LPStatus, PivotCapReached, RowRel
 
 from conftest import lifted
 

@@ -1,8 +1,9 @@
 """Source hygiene: every module compiles without a warning, imports at its
 top and uses every name it imports, keeps no memo across calls, runs in
 one process that no environment variable configures, catches no error it
-does not name, defines no function or class that nothing names, and
-keeps one linear-form algebra."""
+does not name, defines no function or class that nothing names, keeps
+one linear-form algebra, and raises each resource limit only where it is
+enforced."""
 
 import ast
 import pathlib
@@ -241,6 +242,48 @@ def test_arithmetic_operator_is_detected():
                      "class B:\n    x = 1\n    def __neg__(self): pass\n"
                      "def __sub__(a, b): pass\n")
     assert _arithmetic(tree) == [2, 4, 5, 9]
+
+
+# each resource limit -> the one module that enforces it
+LIMITS = {"PivotCapReached": "simplex.py", "EncodingBlowup": "linear.py"}
+
+
+def _limit_classes(tree: ast.Module) -> set:
+    """Names of the classes that subclass ResourceLimit."""
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(isinstance(b, ast.Name) and b.id == "ResourceLimit" for b in node.bases)}
+
+
+def _raised(tree: ast.Module) -> list:
+    """(line, name) of every `raise` of a named exception, called or not."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.append((node.lineno, exc.id))
+            elif isinstance(exc, ast.Attribute):
+                found.append((node.lineno, exc.attr))
+    return sorted(found)
+
+
+def test_resource_limits_are_raised_where_enforced():
+    # a capped query has no answer; a caller that converted some answer
+    # back into a limit would be a second place to keep that rule
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    assert set().union(*map(_limit_classes, trees.values())) == set(LIMITS)
+    for name, tree in sorted(trees.items()):
+        raised = {exc for _, exc in _raised(tree)} & set(LIMITS)
+        assert raised == {limit for limit, home in LIMITS.items() if home == name}, name
+
+
+def test_raised_limit_is_detected():
+    tree = ast.parse("class Cap(ResourceLimit): pass\nclass Other(ValueError): pass\n"
+                     "def f(r):\n    if r:\n        raise Cap('3 pivots')\n"
+                     "    try:\n        g()\n    except KeyError:\n        raise\n"
+                     "    raise simplex.PivotCapReached from None\n")
+    assert _limit_classes(tree) == {"Cap"}
+    assert _raised(tree) == [(5, "Cap"), (10, "PivotCapReached")]
 
 
 CERTIFICATE_PATH = ("simplex", "farkas", "synthesis", "checker", "preexp", "linear")

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from probterm import simplex
-from probterm.simplex import LPStatus, RowRel, solve
+from probterm.simplex import LPStatus, PivotCapReached, RowRel, solve
 
 
 def test_bounded_maximum():
@@ -63,16 +63,16 @@ def test_pivot_cap():
     rows = [({0: F(1), 1: F(1)}, RowRel.LE, F(10)),
             ({0: F(1), 1: F(-1)}, RowRel.GE, F(-10))]
     obj = {0: F(1), 1: F(1)}
-    r = solve(2, [True, True], rows, obj, pivot_cap=0)
-    assert r.status is LPStatus.PIVOT_CAP
+    with pytest.raises(PivotCapReached, match="^0 pivots$"):
+        solve(2, [True, True], rows, obj, pivot_cap=0)
     # the cap bounds the pivots made: the uncapped count still fits
     free = solve(2, [True, True], rows, obj)
     assert free.status is LPStatus.OPTIMAL and free.pivots > 0
     r = solve(2, [True, True], rows, obj, pivot_cap=free.pivots)
     assert r.status is LPStatus.OPTIMAL and r.pivots == free.pivots
     assert r.x == free.x and r.value == free.value
-    r = solve(2, [True, True], rows, obj, pivot_cap=free.pivots - 1)
-    assert r.status is LPStatus.PIVOT_CAP and r.pivots == free.pivots - 1
+    with pytest.raises(PivotCapReached, match=f"^{free.pivots - 1} pivots$"):
+        solve(2, [True, True], rows, obj, pivot_cap=free.pivots - 1)
 
 
 def test_duplicated_zero_rhs_equality_is_dropped():
@@ -100,8 +100,8 @@ def test_pivot_cap_counts_crash_pivots(obj):
     assert free.status is LPStatus.OPTIMAL and free.pivots >= 2
     r = solve(3, [False] * 3, rows, obj, pivot_cap=free.pivots)
     assert r.status is LPStatus.OPTIMAL and r.pivots == free.pivots and r.x == free.x
-    r = solve(3, [False] * 3, rows, obj, pivot_cap=free.pivots - 1)
-    assert r.status is LPStatus.PIVOT_CAP and r.pivots == free.pivots - 1
+    with pytest.raises(PivotCapReached, match=f"^{free.pivots - 1} pivots$"):
+        solve(3, [False] * 3, rows, obj, pivot_cap=free.pivots - 1)
 
 
 def _scipy_status(n, nonneg, rows, obj):

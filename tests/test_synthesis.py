@@ -304,7 +304,7 @@ def test_capped_iteration_lp_is_not_a_decision(fig1b, fig1a, monkeypatch):
     # that nothing ranks, so neither procedure may answer
     import functools
     from probterm import synthesis
-    from probterm.farkas import PivotCapReached
+    from probterm.simplex import PivotCapReached
     monkeypatch.setattr(synthesis, "solve_lp",
                         functools.partial(solve_lp, pivot_cap=3))
     with pytest.raises(PivotCapReached, match="3 pivots"):
@@ -316,7 +316,7 @@ def test_capped_iteration_lp_is_not_a_decision(fig1b, fig1a, monkeypatch):
 def test_capped_screen_is_not_a_decision(fig1b, monkeypatch):
     import functools
     from probterm import farkas, synthesis
-    from probterm.farkas import PivotCapReached
+    from probterm.simplex import PivotCapReached
     monkeypatch.setattr(farkas.simplex, "solve",
                         functools.partial(farkas.simplex.solve, pivot_cap=0))
     monkeypatch.setattr(synthesis, "solve_lp", lambda lp: pytest.fail("LP solved"))
@@ -394,7 +394,7 @@ def test_run_screens_each_antecedent_once(name, synthesize, implications,
 def test_capped_screen_is_not_memoised(fig1b, monkeypatch):
     import functools
     from probterm import farkas
-    from probterm.farkas import PivotCapReached
+    from probterm.simplex import PivotCapReached
     p, inv = fig1b
     monkeypatch.setattr(farkas.simplex, "solve",
                         functools.partial(farkas.simplex.solve, pivot_cap=0))
