@@ -4,6 +4,10 @@ Synthesis and checking only ever consume two facts about a distribution:
 its exact mean and an interval containing its support. Sampling (for the
 simulator) additionally needs a draw procedure; built-in kinds carry one,
 `custom` kinds look theirs up in a registry by sampler id.
+
+`SCALAR_KINDS` alone names the scalar kinds, their source names and
+their parameters; the parser, the JSON interchange and `pretty` read it.
+Only `discrete` and `custom` have a case of their own there.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .rationals import rat, RationalLike
 
@@ -166,13 +170,26 @@ class DistributionSpec:
         return Fraction(*self.draw(rng))
 
     def pretty(self) -> str:
-        if self.kind is DistKind.NORMAL:
-            return f"norm({self.param('mean')}, {self.param('stddev')})"
-        if self.kind is DistKind.UNIFORM:
-            return f"unif({self.param('lo')}, {self.param('hi')})"
-        if self.kind is DistKind.BERNOULLI:
-            return f"bern({self.param('p')})"
+        scalar = SCALAR_KINDS.get(self.kind)
+        if scalar is not None:
+            args = ", ".join(str(self.param(name)) for name in scalar.params)
+            return f"{scalar.names[0]}({args})"
         if self.kind is DistKind.DISCRETE:
             inner = ", ".join(f"{v}: {p}" for v, p in self.param("values"))
             return f"discrete({inner})"
         return f"custom({self.param('sampler')})"
+
+
+class ScalarKind(NamedTuple):
+    """A distribution kind given by a fixed list of rational parameters."""
+    names: Tuple[str, ...]    # its source names; `pretty` writes the first
+    params: Tuple[str, ...]   # its parameters, in the order `make` takes them
+    make: Callable[..., DistributionSpec]
+
+
+SCALAR_KINDS: Dict[DistKind, ScalarKind] = {
+    DistKind.NORMAL: ScalarKind(("norm", "normal", "gaussian"), ("mean", "stddev"),
+                                DistributionSpec.normal),
+    DistKind.UNIFORM: ScalarKind(("unif", "uniform"), ("lo", "hi"), DistributionSpec.uniform),
+    DistKind.BERNOULLI: ScalarKind(("bern", "bernoulli"), ("p",), DistributionSpec.bernoulli),
+}

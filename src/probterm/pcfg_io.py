@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .distributions import DistKind, DistributionSpec
+from .distributions import SCALAR_KINDS, DistKind, DistributionSpec
 from .linear import LinConstraint, LinExpr, Polyhedron, Predicate, Rel
 from .model import (Certificate, CertificateMode, ExprUpdate, GuardedStep,
                     Invariant, LinExprMap, NoUpdate, NondetUpdate, PCFG,
@@ -129,15 +129,10 @@ def predicate_from_json(obj, variables, path) -> Predicate:
 
 
 def dist_to_json(d: DistributionSpec):
-    params: Dict[str, object] = {}
-    if d.kind is DistKind.NORMAL:
-        params = {"mean": str(d.param("mean")),
-                  "stddev": str(d.param("stddev"))}
-    elif d.kind is DistKind.UNIFORM:
-        params = {"lo": str(d.param("lo")),
-                  "hi": str(d.param("hi"))}
-    elif d.kind is DistKind.BERNOULLI:
-        params = {"p": str(d.param("p"))}
+    scalar = SCALAR_KINDS.get(d.kind)
+    params: Dict[str, object]
+    if scalar is not None:
+        params = {name: str(d.param(name)) for name in scalar.params}
     elif d.kind is DistKind.DISCRETE:
         params = {"values": [[str(v), str(p)]
                              for v, p in d.param("values")]}
@@ -152,15 +147,10 @@ def dist_to_json(d: DistributionSpec):
 def dist_from_json(obj, path) -> DistributionSpec:
     kind = _get(obj, "kind", path, str)
     params = _get(obj, "params", path, dict)
+    scalar = next((s for k, s in SCALAR_KINDS.items() if k.value == kind), None)
     try:
-        if kind == "normal":
-            d = DistributionSpec.normal(_rat(_get(params, "mean", path), path),
-                                        _rat(_get(params, "stddev", path), path))
-        elif kind == "uniform":
-            d = DistributionSpec.uniform(_rat(_get(params, "lo", path), path),
-                                         _rat(_get(params, "hi", path), path))
-        elif kind == "bernoulli":
-            d = DistributionSpec.bernoulli(_rat(_get(params, "p", path), path))
+        if scalar is not None:
+            d = scalar.make(*(_rat(_get(params, name, path), path) for name in scalar.params))
         elif kind == "discrete":
             vals = _get(params, "values", path, list)
             d = DistributionSpec.discrete([(_rat(v, path), _rat(p, path))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List
 
-from .distributions import DistributionSpec
+from .distributions import SCALAR_KINDS, DistributionSpec
 from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
                      negate_predicate)
 from .model import ExprUpdate, NondetUpdate
@@ -432,22 +432,14 @@ class _Parser:
         t = self.expect("ident")
         name = t.text.lower()
         self.expect("(")
-        if name in ("norm", "normal", "gaussian"):
-            mean = self.parse_signed_number()
-            self.expect(",")
-            std = self.parse_signed_number()
+        scalar = next((s for s in SCALAR_KINDS.values() if name in s.names), None)
+        if scalar is not None:
+            args = [self.parse_signed_number()]
+            for _ in scalar.params[1:]:
+                self.expect(",")
+                args.append(self.parse_signed_number())
             self.expect(")")
-            return DistributionSpec.normal(mean, std)
-        if name in ("unif", "uniform"):
-            lo = self.parse_signed_number()
-            self.expect(",")
-            hi = self.parse_signed_number()
-            self.expect(")")
-            return DistributionSpec.uniform(lo, hi)
-        if name in ("bern", "bernoulli"):
-            p = self.parse_signed_number()
-            self.expect(")")
-            return DistributionSpec.bernoulli(p)
+            return scalar.make(*args)
         if name == "discrete":
             pairs = []
             while True:
