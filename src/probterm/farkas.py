@@ -110,8 +110,7 @@ def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     LP that adds a shared slack `gap >= 0` to every strict row, bounds it
     by `gap <= 1` and maximizes it. `p` has a rational point iff that LP
     is feasible with a positive optimal gap; the point is returned as the
-    witness. The simplex raises PivotCapReached when the LP hits its
-    pivot cap: a capped query answers neither yes nor no.
+    witness. The simplex raises PivotCapReached when the LP hits its cap.
     """
     nvars = max((i for c in p.constraints for i in c.lhs.coeffs), default=-1) + 1
     gap = nvars

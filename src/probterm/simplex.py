@@ -34,9 +34,8 @@ has right-hand side 0, and template unknowns come first, so this start
 brings the free template columns into the basis before anything else.
 Phase 1 runs only while an artificial with a positive value is still
 basic, and the same drive-out follows it. Every pivot, these included,
-counts toward the pivot cap, and the pivot that would pass the cap
-raises PivotCapReached instead: a capped LP has no answer, so no caller
-can read it as infeasible or unbounded.
+counts toward the pivot cap, and the one that would pass it raises
+PivotCapReached: a capped LP has no answer, neither yes nor no.
 
 Pivoting uses Bland's rule throughout (no cycling, deterministic),
 entering on the lowest column index with positive reduced cost and

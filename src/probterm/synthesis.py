@@ -326,10 +326,9 @@ def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
                    restrict: TemplateRestriction, index: int,
                    tau0: Optional[str] = None) -> Optional[IterationRecord]:
     """Solve one iteration LP; on ranking progress, update `state` and
-    return the record, else return None. The simplex raises
-    PivotCapReached when the LP, or one of its feasibility screens, hits
-    the pivot cap: a capped LP has no answer, so it cannot show that
-    nothing ranks."""
+    return the record, else return None. The simplex raises PivotCapReached
+    when the LP, or one of its feasibility screens, hits the pivot cap: a
+    capped LP has no answer, so it cannot show that nothing ranks."""
     before = list(state.unranked)
     slp = build_lp(p, inv, state.unranked, restrict, screens=state.screens,
                    blocks=state.blocks)
