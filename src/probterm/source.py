@@ -243,12 +243,13 @@ class _Parser:
             self.next()
             head: Stmt | None = None
         elif self.at("kw", "prob"):
-            self.next()
+            t = self.next()
             self.expect("(")
             p = self.parse_signed_number()
             self.expect(")")
             if not 0 < p < 1:
-                self.err(f"branch probability {p} outside (0, 1)")
+                raise ProgramSyntaxError(f"branch probability {p} outside (0, 1)",
+                                         t.line, t.col)
             head = ("prob", p)
         else:
             head = ("cond", self.parse_predicate())
@@ -268,14 +269,14 @@ class _Parser:
         target = self.var_index(self.expect("ident").text)
         self.expect(":=")
         if self.at("kw", "ndet"):
-            self.next()
+            t = self.next()
             self.expect("[")
             lo = self.parse_signed_number()
             self.expect(",")
             hi = self.parse_signed_number()
             self.expect("]")
             if lo > hi:
-                self.err(f"empty interval [{lo}, {hi}]")
+                raise ProgramSyntaxError(f"empty interval [{lo}, {hi}]", t.line, t.col)
             return Assign(NondetUpdate(target, lo, hi))
         expr, samples = self.parse_expr()
         if len(samples) > 1:
@@ -361,9 +362,9 @@ class _Parser:
     def parse_term(self):
         expr, samples = self.parse_factor()
         while self.at("*") or self.at("/"):
-            op = self.next().kind
+            op = self.next()
             rhs, rs = self.parse_factor()
-            if op == "*":
+            if op.kind == "*":
                 if rhs.is_constant() and not rs:
                     expr = expr.scale(rhs.constant)
                     samples = [(c * rhs.constant, d) for c, d in samples]
@@ -377,7 +378,7 @@ class _Parser:
                 if not (rhs.is_constant() and not rs):
                     self.err("division by a non-constant", NonLinearExpression)
                 if rhs.constant == 0:
-                    self.err("division by zero")
+                    raise ProgramSyntaxError("division by zero", op.line, op.col)
                 expr = expr.scale(1 / rhs.constant)
                 samples = [(c / rhs.constant, d) for c, d in samples]
         return expr, samples
@@ -414,10 +415,10 @@ class _Parser:
         t = self.expect("num")
         value = Fraction(t.text)
         if self.at("/"):
-            self.next()
+            slash = self.next()
             denom = Fraction(self.expect("num").text)
             if denom == 0:
-                self.err("zero denominator")
+                raise ProgramSyntaxError("zero denominator", slash.line, slash.col)
             value /= denom
         return -value if neg else value
 

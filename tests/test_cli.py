@@ -52,6 +52,22 @@ def test_parse_syntax_error_exit_2(tmp_path):
     assert "expected" in r.stdout or "expected" in r.stderr
 
 
+@pytest.mark.parametrize("source,where", [
+    ("x := 1;\ny := ndet[1, 0];", "2:6"),
+    ("if prob(2) then skip else skip fi", "1:4"),
+    ("y := 0;\nx := 1 / 0", "2:8"),
+    ("if prob(1/0) then skip else skip fi", "1:10"),
+    ("x := sample(unif(3, 1))", "1:13"),
+], ids=["empty-interval", "probability-range", "division-by-zero", "zero-denominator",
+        "invalid-distribution"])
+def test_value_error_points_at_its_construct(source, where, tmp_path, capsys):
+    # at the ndet, the prob, the / or the distribution, not the token after
+    src = tmp_path / "bad.prob"
+    src.write_text(source)
+    assert cli.main(["parse", str(src), "-o", str(tmp_path / "p.json")]) == 2
+    assert capsys.readouterr().out.startswith(f"syntax error: {where}: ")
+
+
 def test_parse_branch_with_two_empty_arms(tmp_path, capsys):
     src = tmp_path / "arms.prob"
     src.write_text("if prob(1/2) then skip else skip fi; x := x + 1")
