@@ -48,6 +48,8 @@ class Scheduler:
     """Resolves demonic choices: which enabled transition fires, and which
     value a demonic interval assignment takes."""
 
+    choice_draws = 0   # the uniforms a choice among enabled transitions draws
+
     def choose(self, enabled: List[Transition], values, rng) -> Transition:
         raise NotImplementedError
 
@@ -64,6 +66,8 @@ class UniformRandom(Scheduler):
     enabled transitions), which keeps its draw sequence aligned with the
     AST reference interpreter.
     """
+
+    choice_draws = 1
 
     def choose(self, enabled, values, rng):
         if len(enabled) == 1:
@@ -304,7 +308,7 @@ class Program:
         terminal = self.terminal_location
         outgoing = self.outgoing
         edges = self.edges
-        counts_choice = isinstance(sched, UniformRandom)
+        choice_draws = sched.choice_draws
         values = [Fraction(v) for v in init]
         states = [(loc, list(values))] if record_states else None
         taken: Optional[List[str]] = [] if record_states else None
@@ -320,7 +324,7 @@ class Program:
             if len(enabled) > 1:
                 t = sched.choose([e.transition for e in enabled], values, rng)
                 e = edges[t.id]
-                draws += counts_choice
+                draws += choice_draws
             else:
                 e = enabled[0]
             loc, values, d = e.fire(values, sched, rng)
