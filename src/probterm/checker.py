@@ -87,7 +87,8 @@ _MEANING = {
 }
 
 
-def _structural_check(p: PCFG, c: Certificate) -> None:
+def structural_check(p: PCFG, c: Certificate) -> None:
+    """Raise StructuralMismatch unless `c` has the shape of a certificate for `p`."""
     missing = [loc for loc in p.locations if loc not in c.lem.components]
     if missing:
         raise StructuralMismatch(f"certificate has no components at {missing}")
@@ -120,7 +121,7 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
     """Full verification; raises StructuralMismatch for shape errors and
     otherwise reports every checked condition with an exact counterexample
     point for each violation."""
-    _structural_check(p, c)
+    structural_check(p, c)
     conditions: List[ConditionReport] = []
 
     def names(witness: Optional[Dict[int, Fraction]]) -> Optional[Dict[str, str]]:

@@ -8,7 +8,8 @@ Exit codes are a stable contract:
   2  source syntax error (parse), invalid distribution parameters included
   3  precondition or input failure (unreadable or unwritable files, malformed
      files or arguments, structural mismatch, program class violations);
-     `main` turns every OSError and `pcfg_io.FormatError` into this exit
+     `main` turns every OSError, `pcfg_io.FormatError` and
+     `checker.StructuralMismatch` into this exit
 
 A command that exits non-zero leaves none of its outputs (`_Outputs`).
 """
@@ -23,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import pcfg_io
-from .checker import StructuralMismatch, check_certificate
+from .checker import StructuralMismatch, check_certificate, structural_check
 from .farkas import dump_lp
 from .linear import EncodingBlowup, ResourceLimit
 from .lowering import lower_to_pcfg
@@ -292,7 +293,9 @@ def cmd_simulate(args) -> int:
     elif scheduler == "fixed":
         sched = FixedPriority([t.id for t in p.transitions], ndet_mode=args.ndet or "uniform")
     elif args.certificate:
-        sched = Adversarial(pcfg_io.load_certificate(args.certificate, p))
+        cert = pcfg_io.load_certificate(args.certificate, p)
+        structural_check(p, cert)
+        sched = Adversarial(cert)
     else:
         raise pcfg_io.FormatError("the adversarial scheduler needs one", "--certificate")
     cap = DEFAULT_ESTIMATE_CAP if args.cap is None else args.cap
@@ -377,7 +380,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, pcfg_io.FormatError) as e:
+    except (OSError, pcfg_io.FormatError, StructuralMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -81,18 +81,16 @@ class FixedPriority(Scheduler):
 
     def __init__(self, ordering: Sequence[str] = (), ndet_mode: str = "uniform"):
         self.ordering = list(ordering)
+        # id -> first position in the ordering
+        self._position = {tid: i for i, tid in reversed(list(enumerate(self.ordering)))}
         if ndet_mode not in ("uniform", "lo", "hi"):
             raise ValueError(f"unknown ndet mode {ndet_mode!r}")
         self.ndet_mode = ndet_mode
 
-    def _rank(self, tid: str) -> Tuple[int, str]:
-        try:
-            return (self.ordering.index(tid), tid)
-        except ValueError:
-            return (len(self.ordering), tid)
-
     def choose(self, enabled, values, rng):
-        return min(enabled, key=lambda t: self._rank(t.id))
+        # an id missing from the ordering ranks after every listed one
+        last = len(self.ordering)
+        return min(enabled, key=lambda t: (self._position.get(t.id, last), t.id))
 
     def ndet_value(self, t, values):
         u = t.kind.update

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List
+from functools import partial
+from typing import List, Tuple
 
 from .distributions import SCALAR_KINDS, DistributionSpec
 from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
@@ -154,11 +155,21 @@ def tokenize(text: str) -> List[Token]:
 # -- parser ------------------------------------------------------------------
 
 
+# `lhs op rhs` as a disjunction of atoms, each (constraint, sign of lhs - rhs)
+_COMPARISONS = {"<=": [(LinConstraint.le, 1)], "<": [(LinConstraint.lt, 1)],
+                ">=": [(LinConstraint.le, -1)], ">": [(LinConstraint.lt, -1)],
+                "==": [(LinConstraint.eq, 1)],
+                "!=": [(LinConstraint.lt, 1), (LinConstraint.lt, -1)]}
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.toks = tokens
         self.pos = 0
         self.vars: List[str] = []
+        # an expression is one LinExpr, whose column -k is the k-th sample
+        # term read: samples[k - 1] holds its `sample` token and distribution
+        self.samples: List[Tuple[Token, DistributionSpec]] = []
 
     # token plumbing
 
@@ -182,9 +193,9 @@ class _Parser:
                                      t.line, t.col)
         return self.next()
 
-    def err(self, message: str, cls=ProgramSyntaxError):
+    def err(self, message: str):
         t = self.peek()
-        raise cls(message, t.line, t.col)
+        raise ProgramSyntaxError(message, t.line, t.col)
 
     def run(self, rule):
         """`rule()`; nesting too deep for the interpreter's stack is a
@@ -241,7 +252,7 @@ class _Parser:
         self.expect("kw", "if")
         if self.at("*"):
             self.next()
-            head: Stmt | None = None
+            make = IfNdet
         elif self.at("kw", "prob"):
             t = self.next()
             self.expect("(")
@@ -250,19 +261,15 @@ class _Parser:
             if not 0 < p < 1:
                 raise ProgramSyntaxError(f"branch probability {p} outside (0, 1)",
                                          t.line, t.col)
-            head = ("prob", p)
+            make = partial(IfProb, p)
         else:
-            head = ("cond", self.parse_predicate())
+            make = partial(IfCond, self.parse_predicate())
         self.expect("kw", "then")
         then = self.parse_seq()
         self.expect("kw", "else")
         els = self.parse_seq()
         self.expect("kw", "fi")
-        if head is None:
-            return IfNdet(then, els)
-        if head[0] == "prob":
-            return IfProb(head[1], then, els)
-        return IfCond(head[1], then, els)
+        return make(then, els)
 
     def parse_assign(self) -> Stmt:
         # declares the target before its right-hand side
@@ -278,11 +285,17 @@ class _Parser:
             if lo > hi:
                 raise ProgramSyntaxError(f"empty interval [{lo}, {hi}]", t.line, t.col)
             return Assign(NondetUpdate(target, lo, hi))
-        expr, samples = self.parse_expr()
-        if len(samples) > 1:
-            self.err("at most one sample term per assignment",
-                     MultipleSamplesInAssignment)
-        return Assign(ExprUpdate(target, expr, samples[0] if samples else None))
+        expr = self.parse_expr()
+        columns = sorted((i for i in expr.coeffs if i < 0), reverse=True)
+        if len(columns) > 1:
+            t = self.samples[-columns[1] - 1][0]
+            raise MultipleSamplesInAssignment("at most one sample term per assignment",
+                                              t.line, t.col)
+        if not columns:
+            return Assign(ExprUpdate(target, expr))
+        k = columns[0]
+        base = LinExpr.owning({i: c for i, c in expr.coeffs.items() if i != k}, expr.constant)
+        return Assign(ExprUpdate(target, base, (expr.coeffs[k], self.samples[-k - 1][1])))
 
     # predicates (built directly in disjunctive normal form)
 
@@ -323,89 +336,73 @@ class _Parser:
         return self.parse_comparison()
 
     def parse_comparison(self) -> Predicate:
-        lhs, s1 = self.parse_expr()
+        first = len(self.samples)
+        lhs = self.parse_expr()
         op = self.peek()
-        if op.kind not in ("<=", "<", ">=", ">", "==", "!="):
+        if op.kind not in _COMPARISONS:
             self.err("expected a comparison operator")
         self.next()
-        rhs, s2 = self.parse_expr()
-        if s1 or s2:
-            self.err("sampling is not allowed inside predicates")
-        diff = lhs - rhs
-        if op.kind == "<=":
-            return Predicate.of_constraints([LinConstraint.le(diff)])
-        if op.kind == "<":
-            return Predicate.of_constraints([LinConstraint.lt(diff)])
-        if op.kind == ">=":
-            return Predicate.of_constraints([LinConstraint.le(-diff)])
-        if op.kind == ">":
-            return Predicate.of_constraints([LinConstraint.lt(-diff)])
-        if op.kind == "==":
-            return Predicate.of_constraints([LinConstraint.eq(diff)])
-        return Predicate([Polyhedron([LinConstraint.lt(diff)]),
-                          Polyhedron([LinConstraint.lt(-diff)])])
+        diff = lhs - self.parse_expr()
+        if len(self.samples) > first:
+            t = self.samples[first][0]
+            raise ProgramSyntaxError("sampling is not allowed inside predicates",
+                                     t.line, t.col)
+        return Predicate([Polyhedron([atom(diff if sign > 0 else -diff)])
+                          for atom, sign in _COMPARISONS[op.kind]])
 
-    # linear expressions, tracking sample terms
+    # linear expressions; sample terms are negative columns
 
-    def parse_expr(self):
-        expr, samples = self.parse_term()
+    def parse_expr(self) -> LinExpr:
+        expr = self.parse_term()
         while self.at("+") or self.at("-"):
-            neg = self.next().kind == "-"
-            rhs, rs = self.parse_term()
-            if neg:
-                rhs = -rhs
-                rs = [(-c, d) for c, d in rs]
-            expr = expr + rhs
-            samples = samples + rs
-        return expr, samples
+            if self.next().kind == "-":
+                expr = expr - self.parse_term()
+            else:
+                expr = expr + self.parse_term()
+        return expr
 
-    def parse_term(self):
-        expr, samples = self.parse_factor()
+    def parse_term(self) -> LinExpr:
+        expr = self.parse_factor()
         while self.at("*") or self.at("/"):
             op = self.next()
-            rhs, rs = self.parse_factor()
-            if op.kind == "*":
-                if rhs.is_constant() and not rs:
-                    expr = expr.scale(rhs.constant)
-                    samples = [(c * rhs.constant, d) for c, d in samples]
-                elif expr.is_constant() and not samples:
-                    samples = [(c * expr.constant, d) for c, d in rs]
-                    expr = rhs.scale(expr.constant)
-                else:
-                    self.err("product of two non-constant expressions",
-                             NonLinearExpression)
+            rhs = self.parse_factor()
+            if op.kind == "*" and rhs.is_constant():
+                expr = expr.scale(rhs.constant)
+            elif op.kind == "*" and expr.is_constant():
+                expr = rhs.scale(expr.constant)
+            elif op.kind == "*":
+                raise NonLinearExpression("product of two non-constant expressions",
+                                          op.line, op.col)
+            elif not rhs.is_constant():
+                raise NonLinearExpression("division by a non-constant", op.line, op.col)
+            elif rhs.constant == 0:
+                raise ProgramSyntaxError("division by zero", op.line, op.col)
             else:
-                if not (rhs.is_constant() and not rs):
-                    self.err("division by a non-constant", NonLinearExpression)
-                if rhs.constant == 0:
-                    raise ProgramSyntaxError("division by zero", op.line, op.col)
                 expr = expr.scale(1 / rhs.constant)
-                samples = [(c / rhs.constant, d) for c, d in samples]
-        return expr, samples
+        return expr
 
-    def parse_factor(self):
+    def parse_factor(self) -> LinExpr:
         t = self.peek()
         if t.kind == "-":
             self.next()
-            e, s = self.parse_factor()
-            return -e, [(-c, d) for c, d in s]
+            return -self.parse_factor()
         if t.kind == "num":
             self.next()
-            return LinExpr.const(Fraction(t.text)), []
+            return LinExpr.const(Fraction(t.text))
         if t.kind == "ident":
             self.next()
-            return LinExpr.var(self.var_index(t.text)), []
+            return LinExpr.var(self.var_index(t.text))
         if t.kind == "(":
             self.next()
-            e, s = self.parse_expr()
+            e = self.parse_expr()
             self.expect(")")
-            return e, s
+            return e
         if t.kind == "kw" and t.text == "sample":
             self.next()
             self.expect("(")
-            dist = self.parse_distribution()
+            self.samples.append((t, self.parse_distribution()))
             self.expect(")")
-            return LinExpr.const(0), [(Fraction(1), dist)]
+            return LinExpr.var(-len(self.samples))
         self.err("expected an expression")
 
     def parse_signed_number(self) -> Fraction:

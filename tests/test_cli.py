@@ -16,8 +16,9 @@ from probterm import cli, farkas, synthesis
 from probterm.pcfg_io import pcfg_to_json
 from probterm.simplex import LPStatus
 from probterm.simulate import CEX_BLOCK, counterexample_process
+from probterm.source import tokenize
 
-from conftest import fixture_path, load_fixture
+from conftest import FIXTURES, fixture_path, load_fixture
 
 SCHEMAS = os.path.join(os.path.dirname(__file__), "..", "src", "probterm", "schemas")
 
@@ -58,10 +59,16 @@ def test_parse_syntax_error_exit_2(tmp_path):
     ("y := 0;\nx := 1 / 0", "2:8"),
     ("if prob(1/0) then skip else skip fi", "1:10"),
     ("x := sample(unif(3, 1))", "1:13"),
+    ("y := 0;\nx := x * x;", "2:8"),
+    ("x := 1 / y;", "1:8"),
+    ("while sample(norm(0,1)) >= 0 do skip od", "1:7"),
+    ("x := sample(norm(0,1)) + sample(unif(0,1));", "1:26"),
 ], ids=["empty-interval", "probability-range", "division-by-zero", "zero-denominator",
-        "invalid-distribution"])
+        "invalid-distribution", "nonlinear-product", "division-by-variable",
+        "sample-in-guard", "second-sample"])
 def test_value_error_points_at_its_construct(source, where, tmp_path, capsys):
-    # at the ndet, the prob, the / or the distribution, not the token after
+    # value, linearity and sampling errors: at the ndet, the prob, the * or /,
+    # the distribution, or the sample concerned, not the token after
     src = tmp_path / "bad.prob"
     src.write_text(source)
     assert cli.main(["parse", str(src), "-o", str(tmp_path / "p.json")]) == 2
@@ -549,6 +556,16 @@ def _true_certificate(d, key):
     return str(path)
 
 
+def _misfit_certificate(d):
+    """Example 3 without the components of l0, so it does not fit fig2right."""
+    with open(EXAMPLE3) as f:
+        doc = json.load(f)
+    del doc["components"]["l0"]
+    path = d / "misfit.cert.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def _true_branch_pcfg(d):
     """The branching fixture, lowered, with JSON `true` as the probability
     of the first target of its probabilistic branch."""
@@ -685,6 +702,10 @@ MALFORMED = {
     "certificate-without-adversarial": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                                       "--certificate", EXAMPLE3,
                                                       "--trace-out", str(d / "t.jsonl")]),
+    "adversarial-certificate-misfit": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
+                                                     "--scheduler", "adversarial",
+                                                     "--certificate", _misfit_certificate(d),
+                                                     "--trace-out", str(d / "t.jsonl")]),
     "ndet-without-fixed": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                          "--scheduler", "adversarial",
                                          "--certificate", EXAMPLE3, "--ndet", "hi",
@@ -785,3 +806,79 @@ def test_check_survives_mutated_inputs(mutated, tmp_path, capsys):
                             "-i", argv["invariant"]]))
     capsys.readouterr()
     assert codes <= {0, 1, 3}
+
+
+# tokens a source mutant may gain, beside those of the source itself
+SPARE_TOKENS = ["0", "1", "-", "*", "/", "(", ")", ";", "x", "sample", "norm", "ndet",
+                "prob", "if", "while", "od", "fi", "[", "]", ",", ":", "<=", "!="]
+
+
+def _token_mutant(words, rng):
+    """The source text of `words`, its tokens, after one seeded edit: a
+    token deleted, doubled, swapped with the next, or replaced."""
+    words = list(words)
+    i = rng.randrange(len(words))
+    op = rng.choice(["delete", "double", "swap", "replace"])
+    if op == "delete":
+        del words[i]
+    elif op == "double":
+        words.insert(i, words[i])
+    elif op == "swap":
+        words[i:i + 2] = reversed(words[i:i + 2])
+    else:
+        words[i] = rng.choice(SPARE_TOKENS + words)
+    return " ".join(words)
+
+
+def test_mutated_sources_exit_cleanly(tmp_path, capsys):
+    """Seeded token mutants of every fixture source go through `parse`, and
+    through `synthesize` when they parse: each is answered with an exit code
+    of the contract, never an exception."""
+    rng = random.Random("token mutants")
+    src, pcfg, cert = tmp_path / "m.prob", tmp_path / "m.json", tmp_path / "c.json"
+    codes = []
+    for name in sorted(n for n in os.listdir(FIXTURES) if n.endswith(".prob")):
+        with open(fixture_path(name)) as f:
+            words = [t.text for t in tokenize(f.read())[:-1]]
+        for _ in range(30):
+            src.write_text(_token_mutant(words, rng))
+            code = cli.main(["parse", str(src), "-o", str(pcfg)])
+            if code == 0:
+                code = cli.main(["synthesize", str(pcfg), "-o", str(cert)])
+            codes.append(code)
+    capsys.readouterr()
+    assert set(codes) <= {0, 1, 2, 3}
+    # most mutants are refused by the parser, but not all
+    assert 0 < codes.count(2) < len(codes)
+
+
+def _certificate_misfits():
+    """(what, document): example 3 with one location's components dropped,
+    one transition's level dropped, or one level outside 0..dimension."""
+    with open(EXAMPLE3) as f:
+        doc = json.load(f)
+    for loc in doc["components"]:
+        m = json.loads(json.dumps(doc))
+        del m["components"][loc]
+        yield f"no components at {loc}", m
+    for tid in doc["levels"]:
+        for level in (None, -1, doc["dimension"] + 1):
+            m = json.loads(json.dumps(doc))
+            if level is None:
+                del m["levels"][tid]
+            else:
+                m["levels"][tid] = level
+            yield f"level {level} at {tid}", m
+
+
+def test_certificate_misfits_are_input_errors(tmp_path, capsys):
+    """`check` and the adversarial scheduler of `simulate` both refuse a
+    certificate that does not fit the program, with exit 3."""
+    path = tmp_path / "misfit.json"
+    for what, doc in _certificate_misfits():
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", FIG2RIGHT, str(path), "-i", FIG1B_INV]) == 3, what
+        assert cli.main(["simulate", FIG2RIGHT, "--runs", "2", "--cap", "50",
+                         "--scheduler", "adversarial", "--certificate", str(path)]) == 3, what
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, what

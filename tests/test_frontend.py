@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from probterm import (DistributionSpec, FormatError, MultipleSamplesInAssignment,
-                      NonLinearExpression, ProgramSyntaxError, ProbBranch,
+                      NonLinearExpression, ProgramSyntaxError, ProbBranch, check_bsp,
                       lower_to_pcfg, parse_program, run_ast, validate_pcfg)
 from probterm.pcfg_io import (dist_from_json, dist_to_json, load_pcfg, pcfg_from_json,
                               pcfg_to_json)
@@ -81,6 +81,15 @@ def test_constant_arithmetic_folds_exactly():
     ast = parse_program("x := 0.1 + 1/2 * x")
     assert ast.body.update.base == __import__("probterm").LinExpr(
         {0: Fraction(1, 2)}, Fraction(1, 10))
+
+
+def test_sample_times_zero_is_dropped():
+    # the draw would be read by nothing, and would make the support unbounded
+    ast = parse_program("x := 0 * sample(norm(0, 1))")
+    assert ast.body.update.sample is None and ast.body.update.base.is_constant()
+    p = lower_to_pcfg(ast)
+    assert all(t.samples_from() is None for t in p.transitions)
+    assert check_bsp(p)[0]
 
 
 # -- lowering shape ----------------------------------------------------------------

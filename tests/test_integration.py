@@ -4,7 +4,9 @@ search produces must survive the independent checker, and the certified
 program must terminate empirically; programs without certificates must
 still parse, lower, validate and simulate without error."""
 
+import dataclasses
 import random
+import re
 from fractions import Fraction as F
 
 from probterm import (Invariant, UniformRandom, check_bsp, check_certificate,
@@ -101,3 +103,32 @@ def test_random_certificates_levels_cover_all_transitions():
             assert 1 <= cert.levels[t.id] <= cert.dimension
         assert len(result.history) == cert.dimension
         covered += 1
+
+
+def _bsp_outcome(p):
+    """The bsp verdict, and the set of transitions each iteration ranked."""
+    result = synthesize_bsp(p, Invariant({}))
+    return result.found, [set(rec.ranked) for rec in result.history]
+
+
+def test_bsp_outcome_ignores_listing_order_and_names():
+    """The bsp procedure ranks the unique maximal rankable set at each
+    iteration, so neither its verdict nor any ranked set may depend on the
+    order of `transitions` and `locations`, or on what the variables are
+    called."""
+    rng, shuffle = random.Random(20240809), random.Random("listing order")
+    found = 0
+    for _ in range(60):
+        src = gen_program(rng)
+        p = lower_to_pcfg(parse_program(src))
+        assert check_bsp(p)[0], src
+        outcome = _bsp_outcome(p)
+        found += outcome[0]
+        for _ in range(3):
+            q = dataclasses.replace(
+                p, locations=shuffle.sample(p.locations, len(p.locations)),
+                transitions=shuffle.sample(p.transitions, len(p.transitions)))
+            assert _bsp_outcome(q) == outcome, src
+        swapped = re.sub(r"\b[xy]\b", lambda m: "yx"[m.group() == "y"], src)
+        assert _bsp_outcome(lower_to_pcfg(parse_program(swapped))) == outcome, swapped
+    assert found >= 10, found

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,19 @@ def test_fixed_priority_is_deterministic():
     # transition choices and demonic values are seed-independent; only
     # probabilistic draws differ
     assert a.taken[0] == b.taken[0]
+
+
+def test_fixed_priority_order():
+    # a repeated id keeps its first position; ids the ordering does not
+    # list come after every listed one, among themselves by id
+    sched = FixedPriority(["t2", "t0", "t2"])
+
+    def pick(*ids):
+        return sched.choose([SimpleNamespace(id=tid) for tid in ids], None, None).id
+
+    assert pick("t0", "t2") == "t2"
+    assert pick("t5", "t0", "t3") == "t0"
+    assert pick("t5", "t3") == "t3"
 
 
 def test_adversarial_scheduler_runs(fig1b):
