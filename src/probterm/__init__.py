@@ -11,7 +11,8 @@ from .model import (Certificate, CertificateMode, Diagnostic, ExprUpdate,
                     NondetUpdate, PCFG, ProbBranch, Transition, check_bsp,
                     check_linpp_star, validate_pcfg)
 from .source import (MultipleSamplesInAssignment, NonLinearExpression,
-                     ProgramSyntaxError, SourceProgram, parse_program)
+                     ProgramSyntaxError, SampleInPredicate, SourceProgram,
+                     parse_program)
 from .lowering import lower_to_pcfg, run_ast
 from .pcfg_io import FormatError, load_certificate, load_invariant, load_pcfg
 from .preexp import max_pre, min_pre, pre_pb_restricted

@@ -31,7 +31,7 @@ from .lowering import lower_to_pcfg
 from .model import Invariant, check_bsp, validate_pcfg
 from .simulate import (Adversarial, FixedPriority, TerminationEstimate,
                        UniformRandom, counterexample_process, trajectories,
-                       COUNTEREXAMPLE_ANALYTIC, DEFAULT_ESTIMATE_CAP)
+                       CEX_MAX_RUNS, COUNTEREXAMPLE_ANALYTIC, DEFAULT_ESTIMATE_CAP)
 from .source import ProgramSyntaxError, parse_program
 from .synthesis import (MissingBoundedSupport, NotLinPPStar, synthesize_bsp,
                         synthesize_general)
@@ -265,6 +265,8 @@ def cmd_simulate(args) -> int:
             if value:
                 raise pcfg_io.FormatError("cannot be combined with --counterexample-builtin",
                                           name)
+        if args.runs > CEX_MAX_RUNS:
+            raise pcfg_io.FormatError(f"must be at most {CEX_MAX_RUNS}", "--runs")
         rep = counterexample_process(args.seed, args.runs)
         doc = rep.as_dict()
         _emit(doc, args.json,

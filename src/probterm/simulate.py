@@ -15,6 +15,11 @@ value, sample term included, as one integer ratio that becomes a single
 `Fraction`, and random tests compare the exact integer ratio of a float
 against the exact probability. The state, the rng stream and the order
 of draws are those of the plain small-step semantics.
+
+The built-in counterexample process is no program: its runs are
+exchangeable, so it keeps only how many are still going, and each step
+draws how many of them stop as one binomial with the step's exact
+probability q_t.
 """
 
 from __future__ import annotations
@@ -448,11 +453,9 @@ ANALYTIC_HORIZON = 200
 CEX_HORIZON = 60
 """Steps after which `counterexample_process` truncates a run."""
 
-CEX_BLOCK = 2 ** 16
-"""Runs per block of `counterexample_process`. Its float buffer (one
-uniform of 8 bytes per run still going) and its bool hit mask (1 byte per
-uniform) hold CEX_BLOCK * 9 bytes, about 0.6 MB, whatever the number of
-runs."""
+CEX_MAX_RUNS = 2 ** 63 - 1
+"""Most runs `counterexample_process` takes: its binomial draws count in
+64-bit integers."""
 
 
 def counterexample_analytic() -> Fraction:
@@ -484,38 +487,32 @@ def counterexample_process(seed: int, runs: int) -> CounterexampleReport:
     linear while the drop is exponential), so the process stops iff a
     down-step ever fires; runs are truncated at `CEX_HORIZON` steps,
     which leaves under sum_{t>CEX_HORIZON} p_t < 2**-(CEX_HORIZON+1)
-    residual probability unaccounted. `residual_bound` covers this
-    truncation only, not the resolution of the uniforms: `rng.random()`
-    returns multiples of 2**-53, so the step test u < p_t fires with
-    probability exactly p_t for t <= 51, where p_t is such a multiple,
-    and with probability 2**-53 (only u = 0 passes) for t = 52..60.
+    residual probability unaccounted.
 
-    The runs are simulated in blocks of `CEX_BLOCK` (the last block may
-    be partial). Within a block, step t = 0..CEX_HORIZON draws one uniform
-    for each run still going, in run order, and the runs whose uniform
-    passes the test stop; a stopped run draws nothing more. Runs are
-    exchangeable, so only the number still going is kept, and memory
-    stays constant in `runs`.
+    A run's step test is u < p_t with u = `rng.random()`, a multiple of
+    2**-53, so it fires with probability q_t = max(p_t, 2**-53): exactly
+    p_t for t <= 51, where p_t is such a multiple, and 2**-53 (only u = 0
+    passes) for t = 52..60. `residual_bound` covers the truncation only,
+    not this resolution. Runs are exchangeable, so only the number still
+    going is kept: of `live` runs at step t, Binomial(live, q_t) stop.
+    Step t = 0..CEX_HORIZON draws that count with one `rng.binomial` on
+    the stream seeded on `seed`, and the steps end once no run is left.
+    Time and memory depend on `CEX_HORIZON` only, not on `runs`, which
+    must lie in 1..`CEX_MAX_RUNS`. The law of the result is that of one
+    uniform per run and step, as drawn by earlier versions; the value for
+    a given seed is not.
     """
     if runs < 1:
         raise ValueError("need at least one run")
+    if runs > CEX_MAX_RUNS:
+        raise ValueError(f"at most {CEX_MAX_RUNS} runs")
     rng = np.random.default_rng(seed)
-    p_t = 0.25 * np.power(2.0, -np.arange(CEX_HORIZON + 1, dtype=np.float64))
-    size = min(CEX_BLOCK, runs)
-    u = np.empty(size)
-    hit = np.empty(size, dtype=bool)
-    stopped = 0
-    for first in range(0, runs, size):
-        live = min(size, runs - first)
-        for p in p_t:
-            draws = u[:live]
-            rng.random(out=draws)
-            k = int(np.count_nonzero(np.less(draws, p, out=hit[:live])))
-            stopped += k
-            live -= k
-            if live == 0:
-                break
-    return CounterexampleReport(stopped / runs, runs, CEX_HORIZON,
+    live = runs
+    for t in range(CEX_HORIZON + 1):
+        live -= int(rng.binomial(live, max(2.0 ** -t / 4, 2.0 ** -53)))
+        if live == 0:
+            break
+    return CounterexampleReport((runs - live) / runs, runs, CEX_HORIZON,
                                 float(2.0 ** (-CEX_HORIZON - 1)))
 
 

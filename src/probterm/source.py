@@ -37,6 +37,10 @@ class MultipleSamplesInAssignment(ProgramSyntaxError):
     pass
 
 
+class SampleInPredicate(ProgramSyntaxError):
+    pass
+
+
 # -- AST -------------------------------------------------------------------
 
 
@@ -324,13 +328,16 @@ class _Parser:
             self.next()
             return Predicate.false()
         if self.at("("):
-            # either a parenthesized predicate or the start of a comparison
+            # either a parenthesized predicate or the start of a comparison;
+            # a sample read in a comparison is refused however it is read
             snapshot = self.pos
             self.next()
             try:
                 inner = self.parse_predicate()
                 self.expect(")")
                 return inner
+            except SampleInPredicate:
+                raise
             except ProgramSyntaxError:
                 self.pos = snapshot
         return self.parse_comparison()
@@ -345,8 +352,8 @@ class _Parser:
         diff = lhs - self.parse_expr()
         if len(self.samples) > first:
             t = self.samples[first][0]
-            raise ProgramSyntaxError("sampling is not allowed inside predicates",
-                                     t.line, t.col)
+            raise SampleInPredicate("sampling is not allowed inside predicates",
+                                    t.line, t.col)
         return Predicate([Polyhedron([atom(diff if sign > 0 else -diff)])
                           for atom, sign in _COMPARISONS[op.kind]])
 

@@ -15,7 +15,7 @@ import pytest
 from probterm import cli, farkas, synthesis
 from probterm.pcfg_io import pcfg_to_json
 from probterm.simplex import LPStatus
-from probterm.simulate import CEX_BLOCK, counterexample_process
+from probterm.simulate import CEX_MAX_RUNS, counterexample_process
 from probterm.source import tokenize
 
 from conftest import FIXTURES, fixture_path, load_fixture
@@ -62,10 +62,11 @@ def test_parse_syntax_error_exit_2(tmp_path):
     ("y := 0;\nx := x * x;", "2:8"),
     ("x := 1 / y;", "1:8"),
     ("while sample(norm(0,1)) >= 0 do skip od", "1:7"),
+    ("while (sample(norm(0,1)) >= 0) do skip od", "1:8"),
     ("x := sample(norm(0,1)) + sample(unif(0,1));", "1:26"),
 ], ids=["empty-interval", "probability-range", "division-by-zero", "zero-denominator",
         "invalid-distribution", "nonlinear-product", "division-by-variable",
-        "sample-in-guard", "second-sample"])
+        "sample-in-guard", "sample-in-parenthesized-guard", "second-sample"])
 def test_value_error_points_at_its_construct(source, where, tmp_path, capsys):
     # value, linearity and sampling errors: at the ndet, the prob, the * or /,
     # the distribution, or the sample concerned, not the token after
@@ -501,9 +502,9 @@ def test_simulate_seed_repeat_identical():
 
 
 def test_simulate_counterexample_builtin():
-    # the command reports the library's estimate exactly, whether the last
-    # block of runs is large or a single run
-    for seed, runs in [(8, 100_000), (3, 2 * CEX_BLOCK + 1)]:
+    # the command reports the library's estimate exactly, up to the most
+    # runs the process can count
+    for seed, runs in [(8, 100_000), (3, 131_073), (3, CEX_MAX_RUNS)]:
         r = probterm("simulate", "--counterexample-builtin", "--runs", str(runs),
                      "--seed", str(seed), "--json")
         assert r.returncode == 0
@@ -678,6 +679,8 @@ MALFORMED = {
                                              "--runs", "0"]),
     "counterexample-negative-runs": (3, lambda d: ["simulate", "--counterexample-builtin",
                                                    "--runs", "-3"]),
+    "counterexample-too-many-runs": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                                   "--runs", "10000000000000000000"]),
     # the built-in process refuses every input it would not use
     "counterexample-with-pcfg": (3, lambda d: ["simulate", FIG2RIGHT, "--counterexample-builtin",
                                                "--runs", "2"]),
@@ -806,6 +809,23 @@ def test_check_survives_mutated_inputs(mutated, tmp_path, capsys):
                             "-i", argv["invariant"]]))
     capsys.readouterr()
     assert codes <= {0, 1, 3}
+
+
+def test_synthesize_survives_mutated_pcfgs(tmp_path, capsys):
+    """Seeded mutants of a pCFG document through `synthesize`: each is
+    answered with an exit code of the contract, never an exception."""
+    with open(FIG2RIGHT) as f:
+        doc = json.load(f)
+    rng = random.Random("mutants of the pcfg for synthesize")
+    path, out = tmp_path / "mutant.json", tmp_path / "c.json"
+    codes = []
+    for _ in range(200):
+        path.write_text(json.dumps(_mutant(doc, rng)))
+        codes.append(cli.main(["synthesize", str(path), "-o", str(out)]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 1, 2, 3}
+    # most mutants are refused as input errors, but not all
+    assert 0 < codes.count(3) < len(codes)
 
 
 # tokens a source mutant may gain, beside those of the source itself

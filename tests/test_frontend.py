@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from probterm import (DistributionSpec, FormatError, MultipleSamplesInAssignment,
-                      NonLinearExpression, ProgramSyntaxError, ProbBranch, check_bsp,
-                      lower_to_pcfg, parse_program, run_ast, validate_pcfg)
+                      NonLinearExpression, ProgramSyntaxError, ProbBranch,
+                      SampleInPredicate, check_bsp, lower_to_pcfg, parse_program,
+                      run_ast, validate_pcfg)
 from probterm.pcfg_io import (dist_from_json, dist_to_json, load_pcfg, pcfg_from_json,
                               pcfg_to_json)
 from probterm.simulate import UniformRandom, run_rng, run_trajectory
@@ -47,6 +48,15 @@ def test_two_samples_rejected():
 def test_sampling_in_guard_rejected():
     with pytest.raises(ProgramSyntaxError):
         parse_program("while sample(norm(0,1)) >= 0 do skip od")
+
+
+def test_parenthesized_guard_keeps_its_sampling_error():
+    # the parser reads "(" as a predicate first and backtracks to an
+    # expression on a syntax error, but never past a sample in a comparison
+    with pytest.raises(SampleInPredicate, match="^1:8: "):
+        parse_program("while (sample(norm(0,1)) >= 0) do skip od")
+    assert (parse_program("while (x + 1) >= 0 do x := x - 1 od")
+            == parse_program("while x >= -1 do x := x - 1 od"))
 
 
 def test_empty_program_is_skip():

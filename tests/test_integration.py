@@ -132,3 +132,34 @@ def test_bsp_outcome_ignores_listing_order_and_names():
         swapped = re.sub(r"\b[xy]\b", lambda m: "yx"[m.group() == "y"], src)
         assert _bsp_outcome(lower_to_pcfg(parse_program(swapped))) == outcome, swapped
     assert found >= 10, found
+
+
+def _in_units(src: str, c: int) -> str:
+    """`src` with every quantity measured in units c times smaller: each
+    integer literal times c, except the probabilities inside `prob(...)`
+    and `bern(...)`, and each bern sample, which is 0 or 1, times c."""
+    parts = re.split(r"((?:prob|bern)\([^)]*\))", src)
+    scaled = "".join(part if i % 2 else re.sub(r"\d+", lambda m: str(int(m.group()) * c), part)
+                     for i, part in enumerate(parts))
+    return scaled.replace("sample(bern(", f"{c} * sample(bern(")
+
+
+def test_bsp_outcome_ignores_units():
+    """A change of units is an invertible linear map of the state, so it
+    maps certificates to certificates: the verdict and every ranked set
+    stay, and the checker accepts each certificate found, however large
+    the literals grow."""
+    rng = random.Random(20240809)
+    found = 0
+    for _ in range(60):
+        src = gen_program(rng)
+        outcome = _bsp_outcome(lower_to_pcfg(parse_program(src)))
+        found += outcome[0]
+        for c in (10 ** 3, 10 ** 9):
+            scaled = _in_units(src, c)
+            p = lower_to_pcfg(parse_program(scaled))
+            result = synthesize_bsp(p, Invariant({}))
+            assert (result.found, [set(rec.ranked) for rec in result.history]) == outcome, scaled
+            if result.found:
+                assert check_certificate(p, Invariant({}), result.certificate).accepted, scaled
+    assert found >= 10, found

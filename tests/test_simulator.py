@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import binom, chisquare, ks_2samp
 
 from probterm import (Adversarial, FixedPriority, Invariant, UniformRandom,
                       audit_invariant, counterexample_process,
@@ -128,7 +128,7 @@ def test_estimate_requires_runs(fig1b):
         estimate_termination(fig1b[0], [F(0), F(0)], UniformRandom(), runs=0)
 
 
-@pytest.mark.parametrize("runs", [0, -3])
+@pytest.mark.parametrize("runs", [0, -3, 2 ** 63])
 def test_counterexample_requires_runs(runs):
     with pytest.raises(ValueError):
         counterexample_process(seed=0, runs=runs)
@@ -200,15 +200,12 @@ def test_counterexample_empirical_matches_series():
     assert rep.residual_bound < 1e-18
 
 
-# (seed, runs) -> runs that stopped. The runs go in blocks of CEX_BLOCK, and
-# at each step every run still going in the block takes the next uniform of
-# one stream, in run order. 123 457 runs is a multiple of no power of two, a
-# single run is smaller than any block and 2 * CEX_BLOCK + 1 runs end on a
-# block of one, so a change to how the uniforms are drawn or blocked that
-# alters the stream shows here.
-STOP_COUNTS = {(0, 1): 1, (8, 100_000): 41_838, (5, 200_000): 84_362,
-               (7, 123_457): 52_104, (2024, 10 ** 6): 422_530,
-               (3, 2 * simulate.CEX_BLOCK + 1): 55_119}
+# (seed, runs) -> runs that stopped. Each step draws the number of runs that
+# stop with one binomial on one stream, so a change to the steps, to their
+# probabilities or to the draws shows here.
+STOP_COUNTS = {(0, 1): 0, (8, 100_000): 42_091, (5, 200_000): 84_525,
+               (7, 123_457): 51_892, (2024, 10 ** 6): 422_750,
+               (3, 131_073): 55_410}
 
 
 @pytest.mark.parametrize("seed, runs", sorted(STOP_COUNTS))
@@ -217,29 +214,39 @@ def test_counterexample_stream_is_pinned(seed, runs):
     assert round(rep.empirical * runs) == STOP_COUNTS[seed, runs]
 
 
-def _reference_stop_count(seed: int, runs: int, block: int) -> int:
-    """The runs that stop, by a plain loop over every run still going: one
-    `rng.random()` per live run and step, in run order, block by block, with
-    the step test decided in exact rationals."""
+def _reference_stop_count(seed: int, runs: int) -> int:
+    """The runs that stop, by a plain loop over the steps: at step t, each
+    run still going stops with the probability that `rng.random()`, one of
+    the 2**53 multiples of 2**-53 in [0, 1), lies below p_t = 2**-t/4."""
     rng = np.random.default_rng(seed)
-    stopped = 0
-    for first in range(0, runs, block):
-        going = list(range(first, min(first + block, runs)))
-        size = len(going)
-        for t in range(CEX_HORIZON + 1):
-            going = [r for r in going if not F(rng.random()) < F(1, 4 * 2 ** t)]
-        stopped += size - len(going)
-    return stopped
+    live = runs
+    for t in range(CEX_HORIZON + 1):
+        q = F(math.ceil(F(2 ** 53, 4 * 2 ** t)), 2 ** 53)
+        assert q == max(F(1, 4 * 2 ** t), F(1, 2 ** 53))
+        live -= int(rng.binomial(live, float(q)))
+    return runs - live
 
 
-@pytest.mark.parametrize("block", [None, 7])
-def test_counterexample_draws_one_uniform_per_live_step(block, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(simulate, "CEX_BLOCK", block)
-    size = simulate.CEX_BLOCK
-    for seed, runs in [(0, 1), (1, 6), (2, 7), (3, 8), (4, 15), (5, 100), (6, 500)]:
+def test_counterexample_draws_one_binomial_per_step():
+    for seed, runs in [(0, 1), (1, 6), (2, 7), (3, 8), (4, 15), (5, 100), (6, 500),
+                       (7, 10 ** 9), (8, simulate.CEX_MAX_RUNS)]:
         rep = counterexample_process(seed, runs)
-        assert round(rep.empirical * runs) == _reference_stop_count(seed, runs, size)
+        assert rep.empirical == _reference_stop_count(seed, runs) / runs
+
+
+def test_counterexample_stop_count_is_binomial():
+    # of 8 runs, the number that stop is Binomial(8, P[stop]); 4000 seeded
+    # counts against that law, the bins of 7 and 8 pooled
+    runs, seeds = 8, 4000
+    counts = np.zeros(runs + 1)
+    for seed in range(seeds):
+        stopped = round(counterexample_process(seed, runs).empirical * runs)
+        assert 0 <= stopped <= runs
+        counts[stopped] += 1
+    expected = seeds * binom.pmf(np.arange(runs + 1), runs, COUNTEREXAMPLE_ANALYTIC)
+    bins = np.arange(8)
+    assert chisquare(np.add.reduceat(counts, bins),
+                     np.add.reduceat(expected, bins)).pvalue > 1e-3
 
 
 def test_counterexample_memory_is_constant_in_runs():
