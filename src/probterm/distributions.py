@@ -128,42 +128,66 @@ class DistributionSpec:
 
     # -- sampling ------------------------------------------------------
 
-    def draw(self, rng) -> Tuple[int, int]:
-        """Draw one value as an integer ratio (numerator, denominator > 0),
-        not necessarily in lowest terms.
+    def drawer(self) -> Callable[[object], Tuple[int, int]]:
+        """The draw procedure `rng -> (numerator, denominator > 0)`, with
+        the parameters read once, as integers; the value is not
+        necessarily in lowest terms.
 
         `rng` is a numpy Generator; normals use its ziggurat method, which
         is the fixed, versioned algorithm the statistical tests assume.
         Floats are read exactly through `float.as_integer_ratio`, and
-        comparisons against exact probabilities are made in integers.
+        comparisons against exact probabilities are made in integers. A
+        custom kind looks its sampler up at each draw, so an unregistered
+        one raises `KeyError` only when it is drawn.
         """
         if self.kind is DistKind.NORMAL:
-            x = rng.normal(float(self.param("mean")), float(self.param("stddev")))
-            return float(x).as_integer_ratio()
+            mean, stddev = float(self.param("mean")), float(self.param("stddev"))
+            return lambda rng: rng.normal(mean, stddev).as_integer_ratio()
         if self.kind is DistKind.UNIFORM:
             lo, hi = self.param("lo"), self.param("hi")
-            un, ud = float(rng.random()).as_integer_ratio()
             # lo + (hi - lo) * un/ud over the denominator ld*hd*ud
             ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-            return ln * hd * ud + (hn * ld - ln * hd) * un, ld * hd * ud
+            base, width, den = ln * hd, hn * ld - ln * hd, ld * hd
+
+            def uniform(rng):
+                un, ud = rng.random().as_integer_ratio()
+                return base * ud + width * un, den * ud
+            return uniform
         if self.kind is DistKind.BERNOULLI:
-            un, ud = float(rng.random()).as_integer_ratio()
-            p = self.param("p")
-            return (1 if un * p.denominator < p.numerator * ud else 0), 1
+            pn, pd = self.param("p").numerator, self.param("p").denominator
+
+            def bernoulli(rng):
+                un, ud = rng.random().as_integer_ratio()
+                return (1 if un * pd < pn * ud else 0), 1
+            return bernoulli
         if self.kind is DistKind.DISCRETE:
-            un, ud = float(rng.random()).as_integer_ratio()
-            acc_n, acc_d = 0, 1
+            # (cumulative probability, value) as integer pairs; u < 1 falls
+            # below the final sum 1, so the last value is only a guard
+            table, acc = [], Fraction(0)
             for v, p in self.param("values"):
-                acc_n = acc_n * p.denominator + p.numerator * acc_d
-                acc_d *= p.denominator
-                if un * acc_d < acc_n * ud:
-                    return v.numerator, v.denominator
-            v = self.param("values")[-1][0]
-            return v.numerator, v.denominator
-        fn = _SAMPLERS.get(self.param("sampler"))
-        if fn is None:
-            raise KeyError(f"no registered sampler {self.param('sampler')!r}")
-        return float(fn(rng)).as_integer_ratio()
+                acc += p
+                table.append((acc.numerator, acc.denominator, v.numerator, v.denominator))
+            last = table[-1][2:]
+
+            def discrete(rng):
+                un, ud = rng.random().as_integer_ratio()
+                for cn, cd, vn, vd in table:
+                    if un * cd < cn * ud:
+                        return vn, vd
+                return last
+            return discrete
+        name = self.param("sampler")
+
+        def custom(rng):
+            fn = _SAMPLERS.get(name)
+            if fn is None:
+                raise KeyError(f"no registered sampler {name!r}")
+            return float(fn(rng)).as_integer_ratio()
+        return custom
+
+    def draw(self, rng) -> Tuple[int, int]:
+        """Draw one value as an integer ratio; see `drawer`."""
+        return self.drawer()(rng)
 
     def sample(self, rng) -> Fraction:
         """Draw one value as an exact rational; see `draw`."""

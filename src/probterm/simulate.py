@@ -3,8 +3,10 @@
 State is kept in exact rationals; sampled floats are converted exactly,
 so guard evaluation and invariant audits never suffer rounding. Each run
 owns an rng substream derived from (master seed, run index), which makes
-aggregates reproducible and independent of the order of runs. Every
-estimate is made in one process.
+aggregates reproducible and independent of the order of runs: run i
+draws exactly the stream of numpy's `default_rng([seed, i])`, and a batch
+of runs derives those seeds together in vectorised form (`run_rngs`).
+Every estimate is made in one process.
 
 Every entry point compiles the graph once per call into a `Program`: a
 tuple of outgoing edges per location, and each guard and each linear
@@ -25,8 +27,10 @@ probability q_t.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +48,116 @@ DEFAULT_ESTIMATE_CAP = 10 ** 6
 def run_rng(seed: int, run_index: int):
     """The per-run substream: numpy PCG64 seeded on (seed, run index)."""
     return np.random.default_rng([seed, run_index])
+
+
+# -- the per-run substreams, derived in batches ------------------------------------
+#
+# `default_rng([seed, i])` hashes the entropy [seed words..., i words...]
+# (32-bit little-endian words, at least one per integer) with numpy's
+# `SeedSequence` into a pool of four words, expands the pool into eight
+# words, reads them as four 64-bit words (s_hi, s_lo, q_hi, q_lo) and
+# seeds PCG64 with the 128-bit state s and stream q. `run_states` repeats
+# that for a chunk of indices at once: the hash constants do not depend
+# on the data, so every hash step is one np.uint32 operation over the
+# chunk. The pool size, constants and order are those of numpy's
+# `bit_generator.pyx`.
+
+RNG_CHUNK = 1024
+"""Most run indices whose seeds `run_rngs` derives in one pass."""
+
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(n: int) -> int:
+    """How many 32-bit words `SeedSequence` reads `n >= 0` as."""
+    if n < 0:
+        raise ValueError("seeds and run indices must not be negative")
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _seed_words(entropy: List[np.ndarray]) -> List[List[int]]:
+    """`SeedSequence`'s four 64-bit output words (s_hi, s_lo, q_hi, q_lo),
+    each as a list over the runs; `entropy` holds one np.uint32 array per
+    entropy word, with one element per run."""
+    n = len(entropy[0])
+    entropy = entropy + [np.zeros(n, np.uint32)] * (_POOL - len(entropy))
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * _MULT_A & _MASK32
+        v = v * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(e) for e in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    h = _INIT_B
+    out = []
+    for k in range(2 * _POOL):
+        v = pool[k % _POOL] ^ np.uint32(h)
+        h = h * _MULT_B & _MASK32
+        v = v * np.uint32(h)
+        out.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
+    return [(out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+
+
+def run_states(seed: int, indices: Sequence[int]) -> List[Tuple[int, int]]:
+    """The PCG64 (state, inc) that `run_rng(seed, i)` starts from, for
+    each i in `indices`, in one pass; indices of different word counts
+    are hashed as separate groups."""
+    seed_cols = [(seed >> 32 * j) & _MASK32 for j in range(_words(seed))]
+    groups: Dict[int, List[int]] = {}
+    for pos, i in enumerate(indices):
+        groups.setdefault(_words(i), []).append(pos)
+    states: List[Tuple[int, int]] = [None] * len(indices)
+    for width, positions in groups.items():
+        chunk = [indices[pos] for pos in positions]
+        entropy = [np.full(len(chunk), w, np.uint32) for w in seed_cols]
+        entropy += [np.array([(i >> 32 * j) & _MASK32 for i in chunk], np.uint32)
+                    for j in range(width)]
+        for pos, s_hi, s_lo, q_hi, q_lo in zip(positions, *_seed_words(entropy)):
+            # PCG64 seeding: state = 0; inc = 2q + 1; step;
+            # state += s; step, with step: state = state * mult + inc
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            states[pos] = (state, inc)
+    return states
+
+
+def run_rngs(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """The substreams `run_rng(seed, i)` for i in `indices`, in order,
+    with identical draws. Their seeds are derived `RNG_CHUNK` indices at
+    a time, and one reused Generator is pointed at each in turn, so a
+    yielded generator is only valid until the next one is taken. A
+    negative seed or index raises `ValueError`, as in `default_rng`."""
+    seed = operator.index(seed)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    it = map(operator.index, indices)
+    while chunk := list(islice(it, RNG_CHUNK)):
+        for state, inc in run_states(seed, chunk):
+            # a fresh PCG64 holds no buffered half of a 64-bit word
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 # -- schedulers ---------------------------------------------------------------
@@ -219,7 +333,7 @@ class _Branch(_Edge):
 
     def fire(self, values, sched, rng):
         # Fraction(u) < p1, with u read exactly
-        un, ud = float(rng.random()).as_integer_ratio()
+        un, ud = rng.random().as_integer_ratio()
         return (self.dest1 if un * self.pd < self.pn * ud else self.dest2), values, 1
 
 
@@ -237,21 +351,22 @@ class _Move(_Edge):
 class _Assign(_Move):
     """x[target] := (k + sum a_i x_i + s * sample) / scale."""
 
-    __slots__ = ("target", "terms", "k", "scale", "s", "dist")
+    __slots__ = ("target", "terms", "k", "scale", "s", "draw")
 
     def __init__(self, t: Transition):
         super().__init__(t)
         u = t.kind.update
-        coeff, self.dist = u.sample if u.sample is not None else (ZERO, None)
+        coeff, dist = u.sample if u.sample is not None else (ZERO, None)
         self.terms, self.k, self.scale = _integer_form(u.base.coeffs, u.base.constant, coeff)
         self.s = coeff.numerator * (self.scale // coeff.denominator)
+        self.draw = dist.drawer() if dist is not None else None
         self.target = u.target
 
     def fire(self, values, sched, rng):
         num, den = _ratio(self.terms, self.k, values)
         draws = 0
-        if self.dist is not None:
-            n, d = self.dist.draw(rng)
+        if self.draw is not None:
+            n, d = self.draw(rng)
             num = num * d + self.s * n * den
             den *= d
             draws = 1
@@ -272,7 +387,7 @@ class _Choose(_Move):
         draws = 0
         if value is None:
             u = self.transition.kind.update
-            value = u.lo + (u.hi - u.lo) * Fraction(float(rng.random()))
+            value = u.lo + (u.hi - u.lo) * Fraction(rng.random())
             draws = 1
         values = list(values)
         values[self.target] = value
@@ -378,11 +493,12 @@ def run_trajectory(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
 def trajectories(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
                  step_cap: int, seed: int, runs: Iterable[int]) -> Iterator[TrajectoryReport]:
     """The runs with the given indices, each on its own substream and
-    without states or taken transitions, from one compiled program."""
+    without states or taken transitions, from one compiled program. Run i
+    draws exactly the stream of `run_rng(seed, i)`, which `run_rngs`
+    derives in batches; the runs are yielded lazily."""
     program = Program(p)
-    for idx in runs:
-        yield program.run(init, sched, step_cap, run_rng(seed, idx),
-                          record_states=False)
+    for rng in run_rngs(seed, runs):
+        yield program.run(init, sched, step_cap, rng, record_states=False)
 
 
 # -- aggregation -----------------------------------------------------------------

@@ -219,11 +219,11 @@ def test_simulate_traces_run_each_trajectory_once(tmp_path, monkeypatch, capsys,
     def sha(data: str) -> str:
         return hashlib.sha256(data.encode()).hexdigest()
 
-    # every run draws from its own substream, made exactly once per run
+    # every run draws from its own substream, derived exactly once per run
     made = []
-    real_rng = simulate.run_rng
-    monkeypatch.setattr(simulate, "run_rng",
-                        lambda seed, idx: made.append(idx) or real_rng(seed, idx))
+    real_states = simulate.run_states
+    monkeypatch.setattr(simulate, "run_states",
+                        lambda seed, chunk: made.extend(chunk) or real_states(seed, chunk))
     jl, cs = tmp_path / "runs.jsonl", tmp_path / "runs.csv"
     code = cli.main(["simulate", fixture_path("fig2right.pcfg.json"),
                      "--init", "x=2, y=1", "--runs", "25", "--cap", "10000",

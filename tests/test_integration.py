@@ -10,8 +10,9 @@ import re
 from fractions import Fraction as F
 
 from probterm import (Invariant, UniformRandom, check_bsp, check_certificate,
-                      estimate_termination, lower_to_pcfg, parse_program,
-                      synthesize_bsp, synthesize_general, validate_pcfg)
+                      check_linpp_star, estimate_termination, lower_to_pcfg,
+                      parse_program, synthesize_bsp, synthesize_general,
+                      validate_pcfg)
 
 
 def gen_program(rng: random.Random) -> str:
@@ -163,3 +164,52 @@ def test_bsp_outcome_ignores_units():
             if result.found:
                 assert check_certificate(p, Invariant({}), result.certificate).accepted, scaled
     assert found >= 10, found
+
+
+def _general_corpus():
+    """74 programs with unbounded noise: 150 draws of `gen_program` from
+    seed 20240810 with each `unif(a, b)` replaced by `norm(floor((a+b)/2), 1)`,
+    kept when they sample from `norm` and pass `check_linpp_star`."""
+    rng = random.Random(20240810)
+    out = []
+    for _ in range(150):
+        src = re.sub(r"unif\((-?\d+), (-?\d+)\)",
+                     lambda m: f"norm({(int(m[1]) + int(m[2])) // 2}, 1)", gen_program(rng))
+        p = lower_to_pcfg(parse_program(src))
+        if "norm(" in src and check_linpp_star(p):
+            out.append((src, p))
+    return out
+
+
+def _general_outcome(p):
+    """The general verdict, and the set each iteration ranked up to the
+    first one that needed an unlocked tau0."""
+    result = synthesize_general(p, Invariant({}))
+    ranked = []
+    for rec in result.history:
+        if rec.tau0 is not None:
+            break
+        ranked.append(set(rec.ranked))
+    return result.found, ranked
+
+
+def test_general_outcome_ignores_listing_order():
+    """General mode tries its tau0 unlocks in transition order, so order
+    independence is not given there; on this corpus the verdict must still
+    not depend on how `transitions` and `locations` are listed. Until an
+    iteration needs a tau0, each one ranks the unique maximal set under
+    the zero-coefficient discipline, so those ranked sets must not
+    depend on it either."""
+    shuffle = random.Random("general listing order")
+    corpus = _general_corpus()
+    assert len(corpus) == 74
+    found = 0
+    for src, p in corpus:
+        outcome = _general_outcome(p)
+        found += outcome[0]
+        for _ in range(3):
+            q = dataclasses.replace(
+                p, locations=shuffle.sample(p.locations, len(p.locations)),
+                transitions=shuffle.sample(p.transitions, len(p.transitions)))
+            assert _general_outcome(q) == outcome, src
+    assert found == 9

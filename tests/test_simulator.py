@@ -117,6 +117,50 @@ def test_estimation_reproducible_and_order_invariant(fig1b):
     assert one == again == backwards
 
 
+SUBSTREAM_SEEDS = [0, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3]
+
+
+@pytest.mark.parametrize("seed", SUBSTREAM_SEEDS)
+def test_batched_substreams_are_default_rng(seed):
+    # indices of one, two and more 32-bit words in one call, backwards,
+    # with a repeat; one 32-bit draw per run leaves a half-used word that
+    # the next run must not see
+    indices = list(range(300)) + [2 ** 32 - 1, 2 ** 32, 2 ** 40, 2 ** 40]
+    indices.reverse()
+    for i, rng in zip(indices, simulate.run_rngs(seed, indices), strict=True):
+        got, want = ((r.random(), r.integers(0, 10 ** 9), r.normal(),
+                      r.binomial(50, 0.3), r.integers(0, 10 ** 9))
+                     for r in (rng, run_rng(seed, i)))
+        assert got == want, i
+
+
+def test_batched_substreams_cross_chunks():
+    indices = range(simulate.RNG_CHUNK - 2, simulate.RNG_CHUNK + 3)
+    draws = [rng.random() for rng in simulate.run_rngs(7, indices)]
+    assert draws == [run_rng(7, i).random() for i in indices]
+
+
+@pytest.mark.parametrize("seed, indices", [(-1, [0]), (0, [3, -1])])
+def test_batched_substreams_reject_negatives(seed, indices):
+    with pytest.raises(ValueError):
+        np.random.default_rng([seed, min(indices)])
+    with pytest.raises(ValueError):
+        list(simulate.run_rngs(seed, indices))
+
+
+def test_first_run_derives_one_chunk(fig1b, monkeypatch):
+    # the runs come lazily: the first of 10**12 derives one chunk of seeds
+    chunks = []
+    real_states = simulate.run_states
+    monkeypatch.setattr(simulate, "run_states",
+                        lambda seed, chunk: chunks.append(len(chunk)) or real_states(seed, chunk))
+    first = next(trajectories(fig1b[0], [F(3), F(3)], UniformRandom(), 10 ** 4, 3,
+                              range(10 ** 12)))
+    assert chunks == [simulate.RNG_CHUNK]
+    assert first == run_trajectory(fig1b[0], [F(3), F(3)], UniformRandom(), 10 ** 4,
+                                   seed=3, record_states=False)
+
+
 def test_wilson_interval_sanity():
     lo, hi = wilson_interval(90, 100)
     assert 0.8 < lo < 0.9 < hi <= 1.0
@@ -309,6 +353,63 @@ def test_unregistered_sampler_is_an_error():
     dist = DistributionSpec.custom("nobody-registered-this", F(0), F(-1), F(1))
     with pytest.raises(KeyError):
         dist.sample(run_rng(0, 0))
+
+
+def _reference_sample(dist, rng) -> F:
+    """One draw of `dist` by its definition, in Fractions: what `drawer`
+    must compute from the same stream."""
+    from probterm.distributions import DistKind, _SAMPLERS
+    if dist.kind is DistKind.NORMAL:
+        return F(rng.normal(float(dist.param("mean")), float(dist.param("stddev"))))
+    if dist.kind is DistKind.CUSTOM:
+        return F(_SAMPLERS[dist.param("sampler")](rng))
+    u = F(rng.random())
+    if dist.kind is DistKind.UNIFORM:
+        return dist.param("lo") + (dist.param("hi") - dist.param("lo")) * u
+    if dist.kind is DistKind.BERNOULLI:
+        return F(u < dist.param("p"))
+    acc = F(0)
+    for v, p in dist.param("values"):
+        acc += p
+        if u < acc:
+            return v
+
+
+@pytest.mark.parametrize("make", [
+    lambda D: D.normal(F(-3, 2), F(7, 3)),
+    lambda D: D.uniform(F(-1, 3), F(5, 7)),
+    lambda D: D.bernoulli(F(2, 7)),
+    lambda D: D.discrete([(-2, F(1, 3)), (F(1, 2), F(1, 6)), (5, F(1, 2)), (9, 0)]),
+    lambda D: D.custom("drawer-test", F(1, 2), F(0), F(1)),
+], ids=["normal", "uniform", "bernoulli", "discrete", "custom"])
+def test_drawer_draws_like_draw(make):
+    from probterm import DistributionSpec, register_sampler
+    register_sampler("drawer-test", lambda rng: rng.random() ** 2)
+    dist = make(DistributionSpec)
+    draw = dist.drawer()
+    rngs = [np.random.default_rng(11) for _ in range(3)]
+    for _ in range(1000):
+        got = draw(rngs[0])
+        assert got == dist.draw(rngs[1])
+        assert got[1] > 0 and F(*got) == _reference_sample(dist, rngs[2])
+
+
+def test_unreached_unregistered_sampler_still_simulates():
+    # the sampler is looked up when drawn, not when the program compiles
+    from probterm import (DistributionSpec, ExprUpdate, GuardedStep, LinConstraint,
+                          LinExpr, NoUpdate, PCFG, Polyhedron, Predicate, Transition)
+    dist = DistributionSpec.custom("nobody-registered-this-either", F(0), F(-1), F(1))
+    x_ge_0 = Predicate([Polyhedron([LinConstraint.le(LinExpr({0: -1}))])])
+    x_lt_0 = Predicate([Polyhedron([LinConstraint.lt(LinExpr({0: 1}))])])
+    p = PCFG(["x"], ["l0", "out"], "l0", "out", [
+        Transition("t0", "l0", GuardedStep("out", x_lt_0, NoUpdate())),
+        Transition("t1", "l0", GuardedStep("l0", x_ge_0,
+                                           ExprUpdate(0, LinExpr({0: 1}), (F(1), dist)))),
+    ])
+    est = estimate_termination(p, [F(-1)], UniformRandom(), runs=5, step_cap=10, seed=0)
+    assert est.terminated == 5
+    with pytest.raises(KeyError):
+        run_trajectory(p, [F(0)], UniformRandom(), 10, seed=0)
 
 
 # -- audits -----------------------------------------------------------------------------
