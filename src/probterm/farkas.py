@@ -17,11 +17,19 @@ and its objective, and in the point `solve_lp` returns. Names label the
 columns in `dump_lp` alone.
 
 There is one polyhedral query, and it is exact too. `check_feasible`
-decides whether a polyhedron has a rational point: a row without
-variables is decided by its constant, with no LP, and the rest go into
-one LP that honors strict rows through a shared slack. Synthesis screens
-antecedents with it. `entails(p, e)`, the checker's oracle, asks it for a
-point of p where e < 0, which is the counterexample when there is one.
+decides whether a polyhedron has a rational point. It tries, in order:
+- a row without variables, decided by its constant;
+- a row pair: two rows over the same variables whose positive
+  combination is a false constant row, a Farkas certificate with two
+  multipliers that proves the polyhedron empty;
+- a box point, built from the single-variable bounds and evaluated
+  exactly, that proves it nonempty;
+- one LP that honors strict rows through a shared slack.
+Plain arithmetic checks the first three, and only a query that none of
+them settles pays for the LP. Synthesis screens antecedents with it.
+`entails(p, e)`, the checker's oracle, asks the same of p with e < 0 but
+skips the box point: "holds" needs no witness, and a counterexample,
+when there is one, is always the LP's point.
 """
 
 from __future__ import annotations
@@ -102,25 +110,130 @@ def solve_lp(lp: LPProblem, pivot_cap: int = simplex.DEFAULT_PIVOT_CAP) -> Simpl
 # -- polyhedral queries ----------------------------------------------------
 
 
-def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
-    """Rational satisfiability of `p` with strict inequalities honored.
+def _false_constant(k: Fraction, rel: Rel) -> bool:
+    """Is the constant row `k rel 0` false?"""
+    if rel is Rel.LE:
+        return k > 0
+    if rel is Rel.LT:
+        return k >= 0
+    return k != 0
 
-    A row without variables is decided by its constant: it is dropped when
-    it holds, and `p` is empty when it fails. The other rows go into one
-    LP that adds a shared slack `gap >= 0` to every strict row, bounds it
-    by `gap <= 1` and maximizes it. `p` has a rational point iff that LP
-    is feasible with a positive optimal gap; the point is returned as the
-    witness. The simplex raises PivotCapReached when the LP hits its cap.
+
+def _contradict(c: LinConstraint, d: LinConstraint) -> bool:
+    """Do two rows over the same variables have a Farkas combination that
+    is a false constant row? Their coefficients must be proportional,
+    q * a = p * b with p, q their entries in one column; then q * c - p * d
+    has no variable left. Each multiplier must be nonnegative unless its
+    row is an equality, so two inequalities combine only when they point
+    opposite ways."""
+    a, b = c.lhs.coeffs, d.lhs.coeffs
+    i = next(iter(a))
+    p, q = a[i], b[i]
+    for j, v in a.items():
+        if v * q != b[j] * p:
+            return False
+    k = q * c.lhs.constant - p * d.lhs.constant
+    if q < 0:
+        k = -k          # now the multiplier of c is |q| > 0
+    if (p > 0) != (q > 0):
+        # the multiplier of d is positive too
+        rel = c.rel if c.rel is d.rel else Rel.LT if Rel.LT in (c.rel, d.rel) else Rel.LE
+        return _false_constant(k, rel)
+    # the multiplier of d is negative: d must be an equality, or else c,
+    # whose multiplier the negated combination makes negative
+    return ((d.rel is Rel.EQ and _false_constant(k, c.rel))
+            or (c.rel is Rel.EQ and _false_constant(-k, d.rel)))
+
+
+Bound = Tuple[Fraction, bool]   # a bound's value, and whether it is strict
+
+
+def _scan(constraints: List[LinConstraint]
+          ) -> Optional[Tuple[Dict[int, Bound], Dict[int, Bound], List[LinConstraint]]]:
+    """None when a false constant row or a contradicting pair of rows (see
+    `_contradict`) proves `constraints` empty. Otherwise the tightest lower
+    and upper bound that the single-variable rows put on each variable,
+    and the rows over two or more variables.
+
+    The single-variable rows on one variable contain a contradicting pair
+    exactly when its tightest lower and upper bound contradict, so only
+    those two are compared. Rows over more variables
+    are grouped by their set of variables and compared pairwise within a
+    group.
     """
-    nvars = max((i for c in p.constraints for i in c.lhs.coeffs), default=-1) + 1
+    lo: Dict[int, Bound] = {}
+    hi: Dict[int, Bound] = {}
+    groups: Dict[frozenset, List[LinConstraint]] = {}
+    wide: List[LinConstraint] = []
+    for c in constraints:
+        coeffs = c.lhs.coeffs
+        if len(coeffs) == 1:
+            [(i, a)] = coeffs.items()
+            k = c.lhs.constant
+            value = -k if a == 1 else k if a == -1 else -k / a
+            strict = c.rel is Rel.LT
+            if c.rel is Rel.EQ or a > 0:
+                old = hi.get(i)
+                if old is None or value < old[0] or value == old[0] and strict:
+                    hi[i] = (value, strict)
+            if c.rel is Rel.EQ or a < 0:
+                old = lo.get(i)
+                if old is None or value > old[0] or value == old[0] and strict:
+                    lo[i] = (value, strict)
+        elif coeffs:
+            same = groups.setdefault(frozenset(coeffs), [])
+            for d in same:
+                if _contradict(c, d):
+                    return None
+            same.append(c)
+            wide.append(c)
+        elif _false_constant(c.lhs.constant, c.rel):
+            return None
+    for i, (low, strict) in lo.items():
+        if i in hi:
+            high, high_strict = hi[i]
+            if low > high or low == high and (strict or high_strict):
+                return None
+    return lo, hi, wide
+
+
+def _box_point(lo: Dict[int, Bound], hi: Dict[int, Bound], wide: List[LinConstraint],
+               nvars: int) -> Optional[Dict[int, Fraction]]:
+    """The point made from the bounds that `_scan` found, if it satisfies
+    every row over two or more variables exactly. A variable between two
+    bounds takes their midpoint, one with a single bound lies 1 inside it,
+    and one with none is 0. As `_scan` found each variable's bounds
+    consistent, the point satisfies every single-variable row: strictly
+    inside both bounds, or on them when they are equal and not strict."""
+    point = []
+    for i in range(nvars):
+        low, high = lo.get(i), hi.get(i)
+        if low is not None and high is not None:
+            point.append((low[0] + high[0]) / 2)
+        elif low is not None:
+            point.append(low[0] + 1)
+        elif high is not None:
+            point.append(high[0] - 1)
+        else:
+            point.append(ZERO)
+    for c in wide:
+        if not c.satisfied(point):
+            return None
+    return dict(enumerate(point))
+
+
+def _gap_lp(constraints: List[LinConstraint], nvars: int
+            ) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
+    """Feasibility by one LP: a shared slack `gap >= 0` is added to every
+    strict row, bounded by `gap <= 1` and maximized. There is a point iff
+    the LP is feasible with a positive optimal gap. Rows without variables
+    must hold already, and are left out."""
     gap = nvars
     rows = []
-    for c in p.constraints:
-        if not c.lhs.coeffs:
-            if not c.satisfied({}):
-                return False, None
-            continue
+    for c in constraints:
         coeffs = c.lhs.coeffs
+        if not coeffs:
+            continue
         if c.rel is Rel.LT:
             coeffs = {**coeffs, gap: ONE}
         rows.append((coeffs, RowRel.EQ if c.rel is Rel.EQ else RowRel.LE, -c.lhs.constant))
@@ -131,10 +244,49 @@ def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     return True, {i: res.x[i] for i in range(nvars)}
 
 
+def _num_vars(constraints: List[LinConstraint]) -> int:
+    return max((i for c in constraints for i in c.lhs.coeffs), default=-1) + 1
+
+
+def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
+    """Rational satisfiability of `p` with strict inequalities honored,
+    and a point of `p` as the witness when there is one.
+
+    Four tests run in turn, each exact, and the first that settles the
+    query answers it:
+    1. a row without variables is decided by its constant;
+    2. two rows over the same variables whose positive combination is a
+       false constant row make `p` empty (a Farkas certificate with two
+       multipliers; an equality's multiplier may be negative);
+    3. the box point of the single-variable rows (midpoint, bound ± 1 or
+       0 per variable) is the witness when it satisfies every row;
+    4. otherwise one gap LP decides, and its point is the witness.
+    The simplex raises PivotCapReached when the LP hits its cap.
+    """
+    constraints = p.constraints
+    box = _scan(constraints)
+    if box is None:
+        return False, None
+    nvars = _num_vars(constraints)
+    point = _box_point(*box, nvars)
+    if point is not None:
+        return True, point
+    return _gap_lp(constraints, nvars)
+
+
 def entails(p: Polyhedron, e: LinExpr) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     """Does `e >= 0` hold on every rational point of `p`? It fails exactly
-    when `p` with `e < 0` has a point, which is the counterexample."""
-    violated, w = check_feasible(Polyhedron(p.constraints + [LinConstraint.lt(e)]))
+    when `p` with `e < 0` has a point, which is the counterexample.
+
+    The query `p` with `e < 0` is settled as in `check_feasible`, but
+    without the box point: a constant row or a contradicting pair of rows
+    proves that `e >= 0` holds, and everything else goes to the gap LP, so
+    a counterexample is always the LP's point.
+    """
+    constraints = p.constraints + [LinConstraint.lt(e)]
+    if _scan(constraints) is None:
+        return True, None
+    violated, w = _gap_lp(constraints, _num_vars(constraints))
     return not violated, w
 
 

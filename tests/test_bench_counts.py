@@ -20,7 +20,8 @@ LADDER_PER_PASS = {
     "synthesis.lp_rows.sum": 1700,
     "synthesis.lp_nonzeros.sum": 3103,
     "synthesis.screens": 40,
-    "simplex.solves": 208,
+    "simplex.solves": 48,
+    "simplex.solves.screen": 0,
     "synthesis.certs_changed": 0,
 }
 
@@ -30,7 +31,8 @@ CORPUS_PER_PASS = {
     "synthesis.lp_nonzeros.sum": 6480,
     "synthesis.lp_unknowns.sum": 2616,
     "synthesis.screens": 251,
-    "simplex.solves": 406,
+    "simplex.solves": 123,
+    "simplex.solves.screen": 0,
     "synthesis.lps": 123,
     "synthesis.certs_changed": 0,
 }

@@ -118,25 +118,44 @@ def test_mutation_suite_general(fig1a, loc, comp, var, delta, violated):
     assert violated_conditions(report) == violated
 
 
+def refuted_by_two_rows(rows):
+    """Are one or two of `rows` empty on their own? The gap LP alone
+    decides each pair; a false constant row is empty by itself."""
+    import itertools
+    from probterm import farkas
+    if any(not r.lhs.coeffs and not r.satisfied({}) for r in rows):
+        return True
+    n = max((i for r in rows for i in r.lhs.coeffs), default=-1) + 1
+    return any(not farkas._gap_lp(list(pair), n)[0]
+               for pair in itertools.combinations(rows, 2))
+
+
 def test_check_solves_at_most_one_lp_per_entailment(monkeypatch):
     # each entailment is one query for a point where its consequent is
-    # negative: at most one LP, and none when the consequent is a constant
-    # >= 0
+    # negative: no LP when one or two of its rows are empty on their own
+    # (a constant consequent >= 0, or a contradicting row pair), and
+    # exactly one LP otherwise
     from probterm import checker, simplex
-    calls = {"solves": 0, "entailments": 0, "violated": 0}
+    from probterm.linear import LinConstraint
+    calls = {"solves": 0, "entailments": 0, "violated": 0, "pair": 0}
+    counting = [True]
     solve, entails = simplex.solve, checker.entails
 
     def counting_solve(*args, **kwargs):
-        calls["solves"] += 1
+        calls["solves"] += counting[0]
         return solve(*args, **kwargs)
 
     def counting_entails(ante, e):
+        counting[0] = False
+        settled = refuted_by_two_rows(ante.constraints + [LinConstraint.lt(e)])
+        counting[0] = True
         before = calls["solves"]
         ok, w = entails(ante, e)
         spent = calls["solves"] - before
-        assert spent == (0 if e.is_constant() and e.constant >= 0 else 1)
+        assert spent == (0 if settled else 1)
         calls["entailments"] += 1
         calls["violated"] += not ok
+        calls["pair"] += settled and not (e.is_constant() and e.constant >= 0)
         return ok, w
 
     monkeypatch.setattr(simplex, "solve", counting_solve)
@@ -149,7 +168,7 @@ def test_check_solves_at_most_one_lp_per_entailment(monkeypatch):
         for loc, comp, var, delta, _ in mutations:
             idx = p.var_index(var) if var else None
             check_certificate(p, inv, perturbed(base, loc, comp, idx, delta))
-    assert (calls["entailments"], calls["violated"], calls["solves"]) == (336, 21, 121)
+    assert calls == {"solves": 25, "entailments": 336, "violated": 21, "pair": 96}
 
 
 def test_branch_expectation_checked_on_ranked_region():

@@ -18,7 +18,7 @@ from probterm.simplex import LPStatus
 from probterm.simulate import CEX_MAX_RUNS, counterexample_process
 from probterm.source import tokenize
 
-from conftest import FIXTURES, fixture_path, load_fixture
+from conftest import FIXTURES, LP_SCREENED_INVARIANT, fixture_path, load_fixture
 
 SCHEMAS = os.path.join(os.path.dirname(__file__), "..", "src", "probterm", "schemas")
 
@@ -261,14 +261,18 @@ def test_simulate_needs_a_run():
 def test_synthesize_pivot_cap_is_unknown(tmp_path, monkeypatch, capsys, capped):
     import functools
     from probterm import cli, farkas, synthesis
+    invariant = fixture_path("fig1b.inv.json")
     if capped == "iteration-lp":
         monkeypatch.setattr(synthesis, "solve_lp",
                             functools.partial(farkas.solve_lp, pivot_cap=3))
     else:
+        # an invariant whose first screen needs the LP
+        invariant = tmp_path / "i.json"
+        invariant.write_text(json.dumps(LP_SCREENED_INVARIANT))
         monkeypatch.setattr(farkas.simplex, "solve",
                             functools.partial(farkas.simplex.solve, pivot_cap=0))
     code = cli.main(["synthesize", fixture_path("fig2right.pcfg.json"),
-                     "-i", fixture_path("fig1b.inv.json"), "--mode", "bsp",
+                     "-i", str(invariant), "--mode", "bsp",
                      "-o", str(tmp_path / "c.json"), "--json"])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
@@ -410,14 +414,17 @@ def test_check_mutated_certificate_exit_1(tmp_path):
                for c in out["conditions"])
 
 
-def test_check_pivot_cap_is_unknown(monkeypatch, capsys):
+def test_check_pivot_cap_is_unknown(tmp_path, monkeypatch, capsys):
     import functools
     from probterm import cli, farkas
+    # an invariant under which the checker's entailments at l1 need the LP
+    invariant = tmp_path / "i.json"
+    invariant.write_text(json.dumps(LP_SCREENED_INVARIANT))
     monkeypatch.setattr(farkas.simplex, "solve",
                         functools.partial(farkas.simplex.solve, pivot_cap=0))
     code = cli.main(["check", fixture_path("fig2right.pcfg.json"),
                      fixture_path("example3.cert.json"),
-                     "-i", fixture_path("fig1b.inv.json"), "--json"])
+                     "-i", str(invariant), "--json"])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     validate(doc, "check-result.json")

@@ -72,8 +72,8 @@ def test_infeasible_entails_anything():
 
 
 def test_strictly_empty_antecedent_entails_anything():
-    # {x >= 1, x < 1} is empty, but its relaxation {x = 1} is not: the
-    # strict rows' shared gap has optimum 0, which decides it
+    # {x >= 1, x < 1} is empty, but its relaxation {x = 1} is not: the two
+    # rows add up to the false constant row 0 < 0
     p = poly(LinConstraint.le(c(1) - x), LinConstraint.lt(x - c(1)))
     assert entails(p, -x) == (True, None)
 
@@ -125,9 +125,10 @@ def test_negative_constant_consequent_fails_at_a_point_of_p(solves):
 
 
 def test_strict_antecedent_holds_through_a_zero_gap(solves):
-    # x > 0 entails x >= 0: the point with x > 0 and x < 0 would need a
-    # positive gap under both strict rows, and the best gap is 0
-    assert entails(poly(LinConstraint.lt(-x)), x) == (True, None)
+    # x > 0 and y > 0 entail x + y >= 0: a point with x + y < 0 as well
+    # would need a positive gap under all three strict rows, and the best
+    # gap is 0; no two of the rows contradict, so only the LP decides
+    assert entails(poly(LinConstraint.lt(-x), LinConstraint.lt(-y)), x + y) == (True, None)
     [res] = solves
     assert res.status is LPStatus.OPTIMAL and res.value == 0
 
@@ -180,11 +181,138 @@ def test_capped_queries_raise(monkeypatch):
     # a capped LP answers neither yes nor no
     monkeypatch.setattr(farkas.simplex, "solve",
                         functools.partial(farkas.simplex.solve, pivot_cap=0))
+    # x + y <= 0, x - y <= -1 and x >= 1 are empty only through all three
+    # rows, so no row pair or box point settles them, and phase 1 must pivot
+    band = [LinConstraint.le(x + y), LinConstraint.le(x - y + c(1))]
     with pytest.raises(PivotCapReached):
-        check_feasible(poly(LinConstraint.eq(x - c(1))))  # phase 1 must pivot
-    # a point with x <= 1 and 2 - x < 0 needs a phase-1 pivot
+        check_feasible(poly(*band, LinConstraint.le(c(1) - x)))
+    # the same three rows as an entailment query: x > 1 is the negated
+    # consequent
     with pytest.raises(PivotCapReached):
-        entails(poly(LinConstraint.le(x - c(1))), c(2) - x)
+        entails(poly(*band), c(1) - x)
+
+
+# -- row pairs and box points -------------------------------------------------------
+
+
+def lp_only(rows, n):
+    """The answer of the LP path alone: a false constant row, or else the
+    gap LP over the other rows."""
+    if any(not r.lhs.coeffs and not r.satisfied({}) for r in rows):
+        return False, None
+    return farkas._gap_lp(rows, n)
+
+
+def random_polyhedron(rng, n):
+    """Rows over n variables, each over a random nonempty subset of them:
+    `<=`, `<` and `=` rows, constant rows, and rows proportional to an
+    earlier row at another scale and sign, with a nearby constant."""
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if kind < 0.1:
+            lhs = c(rng.randint(-2, 2))
+        elif kind < 0.45 and rows and any(r.lhs.coeffs for r in rows):
+            base = rng.choice([r for r in rows if r.lhs.coeffs]).lhs
+            scale = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+            lhs = LinExpr({i: v * scale for i, v in base.coeffs.items()},
+                          base.constant * scale + rng.randint(-2, 2))
+        else:
+            used = rng.sample(range(n), rng.randint(1, min(n, 2)))
+            lhs = LinExpr({i: F(rng.choice([-3, -2, -1, 1, 2, 3])) for i in used},
+                          F(rng.randint(-4, 4)))
+        rows.append(LinConstraint(lhs, rng.choice([Rel.LE, Rel.LE, Rel.LT, Rel.EQ])))
+    return rows
+
+
+def test_certificates_agree_with_the_lp_path(monkeypatch):
+    """Seeded polyhedra over 1-4 variables: `check_feasible` gives the LP
+    path's answer on every one, whichever test settles it, and its point
+    satisfies every row exactly and has an entry for each variable below
+    the largest one used. `entails` gives exactly the LP path's answer,
+    the LP's counterexample included."""
+    rng = random.Random(29)
+    solve = farkas.simplex.solve
+    spent = []
+
+    def counting(*args, **kwargs):
+        spent.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(farkas.simplex, "solve", counting)
+    settled = {"constant": 0, "pair": 0, "point": 0, "lp": 0, "entails.pair": 0}
+    for trial in range(600):
+        n = rng.randint(1, 4)
+        rows = random_polyhedron(rng, n)
+        nvars = max((i for r in rows for i in r.lhs.coeffs), default=-1) + 1
+        expected = lp_only(rows, nvars)
+        del spent[:]
+        ok, w = check_feasible(poly(*rows))
+        assert ok == expected[0], (trial, rows)
+        if ok:
+            assert sorted(w) == list(range(nvars)) and poly(*rows).satisfied(w), trial
+        else:
+            assert w is None
+        if spent:
+            settled["lp"] += 1
+            assert (ok, w) == expected, trial
+        elif any(not r.lhs.coeffs and not r.satisfied({}) for r in rows):
+            settled["constant"] += 1
+        else:
+            settled["point" if ok else "pair"] += 1
+
+        e = rand_expr(rng, n) if rng.random() < 0.7 else rows[0].lhs.scale(-2) if rows else c(1)
+        query = rows + [LinConstraint.lt(e)]
+        lp_verdict, lp_point = lp_only(query, max(nvars, max(e.coeffs, default=-1) + 1))
+        del spent[:]
+        assert entails(poly(*rows), e) == (not lp_verdict, lp_point), trial
+        settled["entails.pair"] += not spent and not lp_verdict
+    assert min(settled.values()) >= 40, settled
+
+
+def test_box_point_missing_a_strict_row_goes_to_the_lp(solves):
+    # 0 <= x <= 2 gives the box point x = 1, y = 0, which misses x + y > 1
+    # by its strictness alone: the LP finds a point
+    rows = [LinConstraint.le(-x), LinConstraint.le(x - c(2)), LinConstraint.lt(c(1) - x - y)]
+    assert farkas._box_point(*farkas._scan(rows), 2) is None
+    ok, w = check_feasible(poly(*rows))
+    assert ok and poly(*rows).satisfied(w) and len(solves) == 1
+    # without the strictness the box point is a witness, with no LP
+    rows[-1] = LinConstraint.le(c(1) - x - y)
+    assert check_feasible(poly(*rows)) == (True, {0: F(1), 1: F(0)})
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("rows", [
+    # proportional rows pointing the same way, strict or not: never a
+    # contradiction, though q * c - p * d is a false constant row
+    [LinConstraint.le(x + c(1)), LinConstraint.le(x.scale(2) - c(4))],
+    [LinConstraint.lt(x + c(1)), LinConstraint.lt(x.scale(3) - c(6))],
+    [LinConstraint.le(x - y + c(1)), LinConstraint.lt((x - y).scale(2) - c(5))],
+    [LinConstraint.eq(x - y), LinConstraint.le((x - y).scale(3) - c(1))],
+], ids=["le", "lt", "two-variables", "equality"])
+def test_same_way_rows_are_not_a_contradiction(rows, solves):
+    assert farkas._scan(rows) is not None
+    ok, w = check_feasible(poly(*rows))
+    assert ok and poly(*rows).satisfied(w)
+
+
+@pytest.mark.parametrize("rows", [
+    [LinConstraint.le(x.scale(2) - c(4)), LinConstraint.lt(c(6) - x.scale(3))],
+    [LinConstraint.eq(x - y - c(1)), LinConstraint.eq((y - x).scale(2))],
+    [LinConstraint.eq(x - c(1)), LinConstraint.le(x.scale(3))],
+    [LinConstraint.le(x.scale(3)), LinConstraint.eq(x - c(1))],
+    [LinConstraint.le(c(1) - x - y), LinConstraint.le((x + y).scale(F(1, 2)))],
+    # x <= 1 and x >= 1 agree; x < 1 or x > 1 ties with one of them, and
+    # the tie is the tighter bound however the rows are listed
+    [LinConstraint.le(x - c(1)), LinConstraint.lt(x - c(1)), LinConstraint.le(c(1) - x)],
+    [LinConstraint.le(c(1) - x), LinConstraint.lt(c(1) - x), LinConstraint.le(x - c(1))],
+], ids=["scaled-strict", "equalities", "equality-first", "equality-second", "two-variables",
+        "strict-upper-tie", "strict-lower-tie"])
+def test_contradicting_pairs_need_no_lp(rows, solves):
+    assert check_feasible(poly(*rows)) == (False, None)
+    assert check_feasible(poly(*reversed(rows))) == (False, None)
+    assert solves == []
 
 
 # -- the encoder -------------------------------------------------------------------

@@ -212,6 +212,21 @@ def test_pb_restricted_nothing_ranked_yet():
     assert expr == LinExpr({0: F(1, 2)})
 
 
+def test_empty_restriction_set_needs_no_lp(monkeypatch):
+    # b's restriction set x < 0 and x >= 0 is not syntactically false, but
+    # its two rows add up to 0 < 0, so a screen or an entailment over it is
+    # decided with no LP
+    from probterm import check_feasible, entails, farkas
+    monkeypatch.setattr(farkas.simplex, "solve", lambda *a, **k: pytest.fail("LP solved"))
+    p = _settling_graph()
+    every = {t.id for t in p.transitions}
+    [(ctx, expr)] = pre_pb_restricted(p, SETTLING_ETA, p.transition("p0"), every)
+    [restricted] = ctx.disjuncts
+    assert len(restricted.constraints) == 2
+    assert check_feasible(restricted) == (False, None)
+    assert entails(restricted, LinExpr.const(-1) - expr) == (True, None)
+
+
 def test_pb_restricted_contexts_are_one_negation():
     # only b1 open: the restriction set at b is x < 0, its complement the
     # open guard x >= 0 itself, not a re-expanded double negation

@@ -12,7 +12,7 @@ from probterm import (Affine, CertificateMode, Invariant, MissingBoundedSupport,
 from probterm.pcfg_io import certificate_to_json, invariant_from_json
 from probterm.simplex import LPStatus, RowRel
 
-from conftest import load_fixture
+from conftest import LP_SCREENED_INVARIANT, load_fixture
 
 
 def ranked_at_optimum(p, inv, unranked, restrict=TemplateRestriction(), zero_eps=()):
@@ -317,11 +317,12 @@ def test_capped_screen_is_not_a_decision(fig1b, monkeypatch):
     import functools
     from probterm import farkas, synthesis
     from probterm.simplex import PivotCapReached
+    p, _ = fig1b
     monkeypatch.setattr(farkas.simplex, "solve",
                         functools.partial(farkas.simplex.solve, pivot_cap=0))
     monkeypatch.setattr(synthesis, "solve_lp", lambda lp: pytest.fail("LP solved"))
     with pytest.raises(PivotCapReached):
-        synthesize_bsp(*fig1b)
+        synthesize_bsp(p, invariant_from_json(LP_SCREENED_INVARIANT, p))
 
 
 # -- feasibility screens -------------------------------------------------------------
@@ -395,13 +396,46 @@ def test_capped_screen_is_not_memoised(fig1b, monkeypatch):
     import functools
     from probterm import farkas
     from probterm.simplex import PivotCapReached
-    p, inv = fig1b
+    p, _ = fig1b
+    inv = invariant_from_json(LP_SCREENED_INVARIANT, p)
     monkeypatch.setattr(farkas.simplex, "solve",
                         functools.partial(farkas.simplex.solve, pivot_cap=0))
     screens = {}
     with pytest.raises(PivotCapReached):
         build_lp(p, inv, [t.id for t in p.non_terminal_transitions()], screens=screens)
     assert screens == {}
+
+
+@pytest.mark.parametrize("name", ["fig1b", "fig1a", "prob_join", "branching",
+                                  "countdown", "ladder.bsp.k3", "ladder.general.k3"])
+def test_screens_need_no_lp(name, monkeypatch):
+    """Every screen of these runs is settled by a constant row, a row pair
+    or a box point, with no simplex solve; that includes the screens
+    without a strict row and the infeasible ones."""
+    from probterm import check_bsp, farkas, synthesis
+    from probterm.linear import Rel
+    from test_golden import load
+    p, inv = load(name)
+    real_screen, real_solve = synthesis.check_feasible, farkas.simplex.solve
+    screens, inside = [], []
+
+    def screen(antecedent):
+        inside.append(antecedent)
+        feasible, point = real_screen(antecedent)
+        inside.pop()
+        screens.append((antecedent, feasible))
+        return feasible, point
+
+    def solve(*args, **kwargs):
+        assert not inside, f"screen of {inside[0]} solved an LP"
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "check_feasible", screen)
+    monkeypatch.setattr(farkas.simplex, "solve", solve)
+    (synthesize_bsp if check_bsp(p)[0] else synthesize_general)(p, inv)
+    assert any(all(r.rel is not Rel.LT for r in a.constraints) for a, _ in screens)
+    if name == "prob_join":
+        assert not all(feasible for _, feasible in screens)
 
 
 # -- the run memo of encoded side conditions -----------------------------------------
