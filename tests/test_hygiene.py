@@ -45,17 +45,30 @@ def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
+# calls that import or load a module: the builtin, importlib's and
+# importlib.util's
+IMPORT_CALLS = {"__import__", "import_module", "reload", "find_spec", "module_from_spec",
+                "spec_from_loader", "spec_from_file_location", "LazyLoader", "exec_module"}
+
+
 def _late_imports(tree: ast.Module) -> list:
     """Lines of the imports outside the module's leading block of imports
     (after its docstring): those further down and those inside a
-    function or class."""
+    function or class; and of the calls in `IMPORT_CALLS` inside a
+    function."""
     body = tree.body
     head = 0 if ast.get_docstring(tree) is None else 1
     while head < len(body) and isinstance(body[head], (ast.Import, ast.ImportFrom)):
         head += 1
     top = {id(node) for node in body[:head]}
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+    found = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found |= {node.lineno for node in ast.walk(func) if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      in IMPORT_CALLS}
+    return sorted(found)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -69,6 +82,21 @@ def test_late_import_is_detected():
     tree = ast.parse('"""doc."""\nimport os\nfrom . import a\nX = 1\nimport sys\n'
                      "def f():\n    from .b import c\n    return c\n")
     assert _late_imports(tree) == [5, 7]
+
+
+def test_late_import_call_is_detected():
+    tree = ast.parse("import importlib\nimport importlib.util\nimport sys\n"
+                     "spec = importlib.util.find_spec('json')\n"
+                     "def f():\n    return importlib.import_module('json')\n"
+                     "def g():\n    return __import__('json')\n"
+                     "def h(spec):\n"
+                     "    spec.loader = importlib.util.LazyLoader(spec.loader)\n"
+                     "    m = importlib.util.module_from_spec(spec)\n"
+                     "    spec.loader.exec_module(m)\n"
+                     "    return m\n"
+                     "k = lambda: importlib.reload(sys)\n"
+                     "def quiet():\n    return sys.modules.get('json')\n")
+    assert _late_imports(tree) == [6, 8, 10, 11, 12, 14]
 
 
 CACHES = {"cache", "lru_cache"}
@@ -292,10 +320,15 @@ EXACT_MATH = {"gcd", "lcm"}
 
 def _floating_point(tree: ast.Module) -> list:
     """Lines with a float literal, a float(...) call, an import of numpy,
-    or an import from math of anything but gcd and lcm."""
+    a string naming numpy or one of its submodules (as a lazy or dynamic
+    import of it must), or an import from math of anything but gcd and
+    lcm."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.split(".")[0] == "numpy"):
             found.append(node.lineno)
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "float"):
@@ -323,3 +356,12 @@ def test_floating_point_is_detected():
                      "import numpy as np\nfrom numpy.linalg import solve\n"
                      "x = 0.5\ny = float(x)\nz = 1e3\nn = 3\nfrom .math import floor\n")
     assert _floating_point(tree) == [1, 3, 4, 5, 6, 7, 8]
+
+
+def test_lazy_numpy_is_detected():
+    tree = ast.parse("import importlib.util\nimport sys\n"
+                     "np = sys.modules.get('numpy')\n"
+                     "spec = importlib.util.find_spec('numpy.linalg')\n"
+                     "la = __import__('numpy')\n"
+                     "doc = 'numpy-free'\nname = 'numbers'\n")
+    assert _floating_point(tree) == [3, 4, 5]
