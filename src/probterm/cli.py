@@ -31,7 +31,8 @@ from .lowering import lower_to_pcfg
 from .model import Invariant, check_bsp, validate_pcfg
 from .simulate import (Adversarial, FixedPriority, TerminationEstimate,
                        UniformRandom, counterexample_process, trajectories,
-                       CEX_MAX_RUNS, COUNTEREXAMPLE_ANALYTIC, DEFAULT_ESTIMATE_CAP)
+                       CEX_MAX_RUNS, COUNTEREXAMPLE_ANALYTIC, DEFAULT_ESTIMATE_CAP,
+                       MAX_SEED)
 from .source import ProgramSyntaxError, parse_program
 from .synthesis import (MissingBoundedSupport, NotLinPPStar, synthesize_bsp,
                         synthesize_general)
@@ -253,6 +254,8 @@ def cmd_simulate(args) -> int:
         raise pcfg_io.FormatError("must be at least 1", "--runs")
     if args.seed < 0:
         raise pcfg_io.FormatError("must not be negative", "--seed")
+    if args.seed > MAX_SEED:
+        raise pcfg_io.FormatError(f"must be at most {MAX_SEED}", "--seed")
     if args.cap is not None and args.cap < 1:
         raise pcfg_io.FormatError("must be at least 1", "--cap")
     if args.counterexample_builtin:

@@ -2,11 +2,15 @@
 
 State is kept in exact rationals; sampled floats are converted exactly,
 so guard evaluation and invariant audits never suffer rounding. Each run
-owns an rng substream derived from (master seed, run index), which makes
+owns an rng stream given by (master seed, run index), which makes
 aggregates reproducible and independent of the order of runs: run i
-draws exactly the stream of numpy's `default_rng([seed, i])`, and a batch
-of runs derives those seeds together in vectorised form (`run_rngs`).
-Every estimate is made in one process.
+draws from numpy's counter-based Philox generator keyed on the seed, its
+counter starting at the words (0, 0, i, 0) (`run_rngs`). A run has 2**128
+counter blocks before its counter could reach run i + 1's, so the runs
+draw from disjoint blocks, with no seed hashing (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011). For the same seed these
+streams differ from those of earlier versions, where run i drew from
+`default_rng([seed, i])`. Every estimate is made in one process.
 
 Every entry point compiles the graph once per call into a `Program`: a
 tuple of outgoing edges per location, and each guard and each linear
@@ -39,7 +43,6 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linear import LinExpr, Predicate, Rel
@@ -63,119 +66,31 @@ ZERO = Fraction(0)
 DEFAULT_ESTIMATE_CAP = 10 ** 6
 
 
-def run_rng(seed: int, run_index: int):
-    """The per-run substream: numpy PCG64 seeded on (seed, run index)."""
-    return np.random.default_rng([seed, run_index])
-
-
-# -- the per-run substreams, derived in batches ------------------------------------
-#
-# `default_rng([seed, i])` hashes the entropy [seed words..., i words...]
-# (32-bit little-endian words, at least one per integer) with numpy's
-# `SeedSequence` into a pool of four words, expands the pool into eight
-# words, reads them as four 64-bit words (s_hi, s_lo, q_hi, q_lo) and
-# seeds PCG64 with the 128-bit state s and stream q. `run_states` repeats
-# that for a chunk of indices at once: the hash constants do not depend
-# on the data, so every hash step is one np.uint32 operation over the
-# chunk. The pool size, constants and order are those of numpy's
-# `bit_generator.pyx`.
-
-RNG_CHUNK = 1024
-"""Most run indices whose seeds `run_rngs` derives in one pass."""
-
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _words(n: int) -> int:
-    """How many 32-bit words `SeedSequence` reads `n >= 0` as."""
-    if n < 0:
-        raise ValueError("seeds and run indices must not be negative")
-    return max(1, -(-n.bit_length() // 32))
-
-
-def _seed_words(entropy: List[np.ndarray]) -> List[List[int]]:
-    """`SeedSequence`'s four 64-bit output words (s_hi, s_lo, q_hi, q_lo),
-    each as a list over the runs; `entropy` holds one np.uint32 array per
-    entropy word, with one element per run."""
-    n = len(entropy[0])
-    entropy = entropy + [np.zeros(n, np.uint32)] * (_POOL - len(entropy))
-    h = _INIT_A
-
-    def hashmix(v):
-        nonlocal h
-        v = v ^ np.uint32(h)
-        h = h * _MULT_A & _MASK32
-        v = v * np.uint32(h)
-        return v ^ (v >> np.uint32(16))
-
-    def mix(x, y):
-        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return r ^ (r >> np.uint32(16))
-
-    pool = [hashmix(e) for e in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(e))
-    h = _INIT_B
-    out = []
-    for k in range(2 * _POOL):
-        v = pool[k % _POOL] ^ np.uint32(h)
-        h = h * _MULT_B & _MASK32
-        v = v * np.uint32(h)
-        out.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
-    return [(out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
-
-
-def run_states(seed: int, indices: Sequence[int]) -> List[Tuple[int, int]]:
-    """The PCG64 (state, inc) that `run_rng(seed, i)` starts from, for
-    each i in `indices`, in one pass; indices of different word counts
-    are hashed as separate groups."""
-    seed_cols = [(seed >> 32 * j) & _MASK32 for j in range(_words(seed))]
-    groups: Dict[int, List[int]] = {}
-    for pos, i in enumerate(indices):
-        groups.setdefault(_words(i), []).append(pos)
-    states: List[Tuple[int, int]] = [None] * len(indices)
-    for width, positions in groups.items():
-        chunk = [indices[pos] for pos in positions]
-        entropy = [np.full(len(chunk), w, np.uint32) for w in seed_cols]
-        entropy += [np.array([(i >> 32 * j) & _MASK32 for i in chunk], np.uint32)
-                    for j in range(width)]
-        for pos, s_hi, s_lo, q_hi, q_lo in zip(positions, *_seed_words(entropy)):
-            # PCG64 seeding: state = 0; inc = 2q + 1; step;
-            # state += s; step, with step: state = state * mult + inc
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            states[pos] = (state, inc)
-    return states
+MAX_SEED = 2 ** 128 - 1
+"""Largest seed: the seed is the 128-bit Philox key of every run."""
 
 
 def run_rngs(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
-    """The substreams `run_rng(seed, i)` for i in `indices`, in order,
-    with identical draws. Their seeds are derived `RNG_CHUNK` indices at
-    a time, and one reused Generator is pointed at each in turn, so a
-    yielded generator is only valid until the next one is taken. A
-    negative seed or index raises `ValueError`, as in `default_rng`."""
+    """Run i's stream, for i in `indices`, in order: numpy's Philox with
+    key `seed` and counter words (0, 0, i, 0), its buffer empty. One
+    Generator is reused and pointed at each stream in turn, so a yielded
+    generator is only valid until the next one is taken. A seed outside
+    0..`MAX_SEED` or an index outside 0..2**64 - 1 raises `ValueError`."""
     seed = operator.index(seed)
-    rng = np.random.Generator(np.random.PCG64(0))
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must lie in 0..{MAX_SEED}")
+    key = [seed & 0xFFFFFFFFFFFFFFFF, seed >> 64]
+    buffer = [0] * 4
+    rng = np.random.Generator(np.random.Philox(key=seed))
     bit_generator = rng.bit_generator
-    it = map(operator.index, indices)
-    while chunk := list(islice(it, RNG_CHUNK)):
-        for state, inc in run_states(seed, chunk):
-            # a fresh PCG64 holds no buffered half of a 64-bit word
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            yield rng
+    for i in map(operator.index, indices):
+        if not 0 <= i < 1 << 64:
+            raise ValueError("run indices must lie in 0..2**64 - 1")
+        bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": [0, 0, i, 0], "key": key},
+                               "buffer": buffer, "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 # -- schedulers ---------------------------------------------------------------
@@ -499,22 +414,21 @@ def run_trajectory(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
                    step_cap: int, seed: int = 0, run_index: int = 0,
                    record_states: bool = True) -> TrajectoryReport:
     """One run from the initial location under the program's small-step
-    semantics, on the substream `run_rng(seed, run_index)`: stop at the
+    semantics, on run `run_index`'s stream from `run_rngs`: stop at the
     terminal location, at the step cap, or when no transition is enabled
     (reported as stuck, never raised).
 
     With `record_states` the report lists the ids of the transitions taken
     and every state visited; without it, `taken` and `states` are `None`."""
     return Program(p).run([Fraction(v) for v in init], sched, step_cap,
-                          run_rng(seed, run_index), record_states)
+                          next(run_rngs(seed, [run_index])), record_states)
 
 
 def trajectories(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
                  step_cap: int, seed: int, runs: Iterable[int]) -> Iterator[TrajectoryReport]:
-    """The runs with the given indices, each on its own substream and
-    without states or taken transitions, from one compiled program. Run i
-    draws exactly the stream of `run_rng(seed, i)`, which `run_rngs`
-    derives in batches; the runs are yielded lazily."""
+    """The runs with the given indices, each on its own stream from
+    `run_rngs` and without states or taken transitions, from one compiled
+    program; the runs are yielded lazily."""
     program = Program(p)
     start = [Fraction(v) for v in init]
     for rng in run_rngs(seed, runs):

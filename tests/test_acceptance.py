@@ -17,7 +17,7 @@ from probterm import (LinConstraint, LinExpr, LPProblem, Polyhedron,
                       counterexample_process, encode_implication, entails,
                       estimate_termination, lower_to_pcfg, run_ast, solve_lp)
 from probterm.simplex import LPStatus
-from probterm.simulate import COUNTEREXAMPLE_ANALYTIC, run_rng, run_trajectory
+from probterm.simulate import COUNTEREXAMPLE_ANALYTIC, run_rngs, run_trajectory
 
 from conftest import (example3_certificate, example4_certificate, fixture_path,
                       lifted, load_fixture, load_fixture_ast, perturbed)
@@ -195,7 +195,7 @@ def test_criterion_10_lowering_oracle():
             p = lower_to_pcfg(ast)
             values = [F(init.get(v, 0)) for v in p.variables]
             for i in range(100):
-                ref = run_ast(ast, values, run_rng(9000, i), step_cap=cap)
+                ref = run_ast(ast, values, next(run_rngs(9000, [i])), step_cap=cap)
                 sim = run_trajectory(p, values, UniformRandom(), cap,
                                      seed=9000, run_index=i, record_states=False)
                 assert ref.terminated == sim.terminated, (name, i)

@@ -15,7 +15,7 @@ import pytest
 from probterm import cli, farkas, synthesis
 from probterm.pcfg_io import pcfg_to_json
 from probterm.simplex import LPStatus
-from probterm.simulate import CEX_MAX_RUNS, counterexample_process
+from probterm.simulate import CEX_MAX_RUNS, MAX_SEED, counterexample_process
 from probterm.source import tokenize
 
 from conftest import FIXTURES, LP_SCREENED_INVARIANT, fixture_path, load_fixture
@@ -202,13 +202,13 @@ def test_simulate_trace_outputs(tmp_path):
 
 
 # sha256 of the outputs of one traced simulation (fig2right, x=2, y=1,
-# 25 runs, cap 10000, seed 5), as the two-pass implementation wrote them
+# 25 runs, cap 10000, seed 5)
 TRACED_STDOUT = {
-    False: "5d8ee2f96e6e9f6e18b3d64ae076ad141438c0137a7bdddd3cbbd84b3f07b83f",
-    True: "91bebc3f1c03d64815354a2566de11cfee4d24b990a37ade0bb268847618a43e",
+    False: "148d1c40c3ccd231714146b1a285d00886bcb8a60785df644bc577e96ff1d1ad",
+    True: "c748360185f6fda997f9c2e1f94bffcad57916ea8ad7c5d0e0ab4902667bf0ec",
 }
-TRACED_JSONL = "f6dfb6f3e84377b23fc258880e30d7f160f152c15fd2370aee8e8756d9b54273"
-TRACED_CSV = "9ed69a20afeac20aa0e42f3596017cdb6c34a66c3c482dd83c7e2a1312b03015"
+TRACED_JSONL = "99a2c67ed688f84af5682ca89c080d8781bf40217c28cb84336ad335e5411324"
+TRACED_CSV = "d2eaee27a74a52b9f3fd9b7d8b64ffbb9f61e1e2df30d6eb3d7665b9e3666440"
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
@@ -219,11 +219,11 @@ def test_simulate_traces_run_each_trajectory_once(tmp_path, monkeypatch, capsys,
     def sha(data: str) -> str:
         return hashlib.sha256(data.encode()).hexdigest()
 
-    # every run draws from its own substream, derived exactly once per run
+    # every run draws from its own stream, taken exactly once per run
     made = []
-    real_states = simulate.run_states
-    monkeypatch.setattr(simulate, "run_states",
-                        lambda seed, chunk: made.extend(chunk) or real_states(seed, chunk))
+    real_rngs = simulate.run_rngs
+    monkeypatch.setattr(simulate, "run_rngs", lambda seed, indices: real_rngs(
+        seed, (made.append(i) or i for i in indices)))
     jl, cs = tmp_path / "runs.jsonl", tmp_path / "runs.csv"
     code = cli.main(["simulate", fixture_path("fig2right.pcfg.json"),
                      "--init", "x=2, y=1", "--runs", "25", "--cap", "10000",
@@ -508,6 +508,15 @@ def test_simulate_seed_repeat_identical():
     assert probterm(*args).stdout == probterm(*args).stdout
 
 
+def test_simulate_largest_seed(capsys):
+    # the seed is a 128-bit key; its largest value runs and fits the schema
+    assert cli.main(["simulate", FIG2RIGHT, "--init", "x=3, y=3", "--runs", "3",
+                     "--seed", str(MAX_SEED), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    validate(doc, "simulate-result.json")
+    assert doc["seed"] == MAX_SEED
+
+
 def test_simulate_counterexample_builtin():
     # the command reports the library's estimate exactly, up to the most
     # runs the process can count
@@ -673,6 +682,8 @@ MALFORMED = {
     "init-zero-denominator": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                             "--init", "x=1/0"]),
     "negative-seed": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2", "--seed", "-1"]),
+    "huge-seed": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
+                                "--seed", str(2 ** 128)]),
     "cap-zero": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "5", "--cap", "0",
                                "--trace-out", str(d / "t.jsonl")]),
     "cap-negative": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "5", "--cap", "-3",
@@ -682,6 +693,8 @@ MALFORMED = {
                                               "--trace-out", str(d / "t.jsonl")]),
     "counterexample-negative-seed": (3, lambda d: ["simulate", "--counterexample-builtin",
                                                    "--runs", "2", "--seed", "-1"]),
+    "counterexample-huge-seed": (3, lambda d: ["simulate", "--counterexample-builtin",
+                                               "--runs", "2", "--seed", str(2 ** 128)]),
     "counterexample-no-runs": (3, lambda d: ["simulate", "--counterexample-builtin",
                                              "--runs", "0"]),
     "counterexample-negative-runs": (3, lambda d: ["simulate", "--counterexample-builtin",

@@ -12,7 +12,7 @@ from probterm import (DistributionSpec, FormatError, MultipleSamplesInAssignment
                       run_ast, validate_pcfg)
 from probterm.pcfg_io import (dist_from_json, dist_to_json, load_pcfg, pcfg_from_json,
                               pcfg_to_json)
-from probterm.simulate import UniformRandom, run_rng, run_trajectory
+from probterm.simulate import UniformRandom, run_rngs, run_trajectory
 from probterm.source import Seq, Skip, While
 
 from conftest import FIXTURES, fixture_path, load_fixture, load_fixture_ast
@@ -314,7 +314,7 @@ def test_ast_and_graph_traces_agree(name, init, cap):
     assert validate_pcfg(p) == []
     values = [Fraction(init.get(v, 0)) for v in p.variables]
     for i in range(100):
-        ref = run_ast(ast, values, run_rng(1000, i), step_cap=cap)
+        ref = run_ast(ast, values, next(run_rngs(1000, [i])), step_cap=cap)
         sim = run_trajectory(p, values, UniformRandom(), cap,
                              seed=1000, run_index=i, record_states=False)
         assert ref.terminated == sim.terminated, (name, i)

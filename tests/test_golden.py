@@ -431,20 +431,20 @@ TRAJECTORY_CASES = {
 }
 
 TRAJECTORY_DIGESTS = {
-    "bern_walk.uniform": "1ef9d7bf61bde52757825cb085b20e63a61479a3dce5aab24c35c4e800ddc450",
+    "bern_walk.uniform": "f96b8952614d5464e6e702fc0cc29191009a390cc568b1ebb0f99434062f4165",
     # the demonic assignment takes its lower end and draws no random number
-    "branching.fixed.lo": "0521b898e52e775843b4a57a24bf705c2159d9ac0f8dfa7aea7c7303ff502f8b",
-    "branching.fixed.uniform": "77518bb22d06f88b1772dd763e08ec1f00d0a2fea637d5ba75c71472c07020b1",
-    "branching.uniform": "0680c4b50411aaaa2073b17c27e7882fe4d41083025363648c1121581121f81e",
-    "fig1a.uniform": "6008c9c52c8415a0dbf7c5419d485efd6f592069ac1ff0ebc0a7a13588ffa651",
+    "branching.fixed.lo": "89b8b075b8556994120c735024a2a492bc5fc11f79b424b454b9ab87011a440d",
+    "branching.fixed.uniform": "cd0beb641d7780adb395223ae7946859e9bc81b95c86d6c29384d448760e7f05",
+    "branching.uniform": "57a1917e393973d137085d2939aeb5a1348a52871e573497d74e2ab46c025b79",
+    "fig1a.uniform": "74f925ce62d1570accbffb7c4390c1ce5d639a11fb75086f29407ab13a2530f6",
     # fig1b's guards partition the state space: no choice ever arises
-    "fig1b.adversarial": "f174a54204d6ea4f044a5516c3583f7b38e58d1039ccc1beb05c8717bdafe81e",
-    "fig1b.uniform": "f174a54204d6ea4f044a5516c3583f7b38e58d1039ccc1beb05c8717bdafe81e",
-    "prob_join.uniform": "f9fd8abb2ad9a7168a4703a83e3a56675f788ea0e7964f55338a3257f81352cf",
+    "fig1b.adversarial": "0e6e4f6b638a6ba02cec7415f37611bbde02244ddd977c1049bafdbbaa275e66",
+    "fig1b.uniform": "0e6e4f6b638a6ba02cec7415f37611bbde02244ddd977c1049bafdbbaa275e66",
+    "prob_join.uniform": "4fe519627c390fbb7f2af7dea79e976526c53af50ea97893c8c875013221a3e5",
 }
 
 ESTIMATE = {"fraction": 1.0, "wilson95": [0.9123783988027135, 1.0], "runs": 40,
-            "terminated": 40, "stuck": 0, "mean_steps": 5.875}
+            "terminated": 40, "stuck": 0, "mean_steps": 6.25}
 
 
 def trajectory_doc(r) -> dict:

@@ -11,7 +11,7 @@ from probterm import (DistributionSpec, GuardedStep, LinConstraint, LinExpr,
                       NondetUpdate, PCFG, Polyhedron, Predicate, ProbBranch, Rel,
                       Transition, load_pcfg, max_pre, min_pre, pre_pb_restricted)
 from probterm.model import ExprUpdate, NoUpdate
-from probterm.simulate import Program, UniformRandom, run_rng
+from probterm.simulate import Program, UniformRandom, run_rngs
 
 from conftest import fixture_path, load_fixture
 
@@ -326,7 +326,7 @@ def test_pre_expectation_matches_empirical_mean():
                 a = eta[dest].coeffs.get(target, F(0))
                 rest = eta[dest].evaluate(values) - a * (values[target] if a else 0)
                 fixed[dest] = rest.numerator, rest.denominator, int(a)
-            nprng = run_rng(77, probes)
+            nprng = next(run_rngs(77, [probes]))
             samples = np.empty(100_000)
             for k in range(samples.size):
                 dest, vals2, _ = edge.fire(values, sched, nprng)

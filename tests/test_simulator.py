@@ -17,7 +17,7 @@ from probterm import (Adversarial, FixedPriority, Invariant, UniformRandom,
 from probterm import simulate
 from probterm.simulate import (CEX_HORIZON, COUNTEREXAMPLE_ANALYTIC,
                                TerminationEstimate, counterexample_analytic,
-                               run_rng, trajectories)
+                               trajectories)
 
 from conftest import example3_certificate, load_fixture
 
@@ -117,46 +117,48 @@ def test_estimation_reproducible_and_order_invariant(fig1b):
     assert one == again == backwards
 
 
-SUBSTREAM_SEEDS = [0, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3]
+def _philox_reference(seed, i):
+    """Run i's stream built from scratch: Philox keyed on the seed, its
+    counter at the words (0, 0, i, 0)."""
+    return np.random.Generator(np.random.Philox(
+        counter=np.array([0, 0, i, 0], np.uint64), key=seed))
 
 
-@pytest.mark.parametrize("seed", SUBSTREAM_SEEDS)
-def test_batched_substreams_are_default_rng(seed):
-    # indices of one, two and more 32-bit words in one call, backwards,
-    # with a repeat; one 32-bit draw per run leaves a half-used word that
-    # the next run must not see
-    indices = list(range(300)) + [2 ** 32 - 1, 2 ** 32, 2 ** 40, 2 ** 40]
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3,
+                                  simulate.MAX_SEED])
+def test_run_streams_are_philox_counters(seed):
+    # indices backwards, with a repeat and indices of 2**32 and above; the
+    # last draw of each run is a 32-bit one, which leaves half a 64-bit
+    # word buffered that the next run must not see
+    indices = list(range(300)) + [2 ** 32 - 1, 2 ** 32, 2 ** 40, 2 ** 40, 2 ** 64 - 1]
     indices.reverse()
     for i, rng in zip(indices, simulate.run_rngs(seed, indices), strict=True):
         got, want = ((r.random(), r.integers(0, 10 ** 9), r.normal(),
-                      r.binomial(50, 0.3), r.integers(0, 10 ** 9))
-                     for r in (rng, run_rng(seed, i)))
+                      r.binomial(50, 0.3), r.integers(0, 10 ** 9),
+                      r.integers(0, 2 ** 32, dtype=np.uint32))
+                     for r in (rng, _philox_reference(seed, i)))
         assert got == want, i
 
 
-def test_batched_substreams_cross_chunks():
-    indices = range(simulate.RNG_CHUNK - 2, simulate.RNG_CHUNK + 3)
-    draws = [rng.random() for rng in simulate.run_rngs(7, indices)]
-    assert draws == [run_rng(7, i).random() for i in indices]
-
-
-@pytest.mark.parametrize("seed, indices", [(-1, [0]), (0, [3, -1])])
-def test_batched_substreams_reject_negatives(seed, indices):
-    with pytest.raises(ValueError):
-        np.random.default_rng([seed, min(indices)])
+@pytest.mark.parametrize("seed, indices", [(-1, [0]), (0, [3, -1]),
+                                           (2 ** 128, [0]), (0, [3, 2 ** 64])])
+def test_run_streams_reject_out_of_range(seed, indices):
     with pytest.raises(ValueError):
         list(simulate.run_rngs(seed, indices))
 
 
-def test_first_run_derives_one_chunk(fig1b, monkeypatch):
-    # the runs come lazily: the first of 10**12 derives one chunk of seeds
-    chunks = []
-    real_states = simulate.run_states
-    monkeypatch.setattr(simulate, "run_states",
-                        lambda seed, chunk: chunks.append(len(chunk)) or real_states(seed, chunk))
+def test_first_run_takes_one_stream(fig1b, monkeypatch):
+    # the runs come lazily: the first of 10**12 takes one stream
+    taken = []
+    real_rngs = simulate.run_rngs
+
+    def counted(seed, indices):
+        return real_rngs(seed, (taken.append(i) or i for i in indices))
+
+    monkeypatch.setattr(simulate, "run_rngs", counted)
     first = next(trajectories(fig1b[0], [F(3), F(3)], UniformRandom(), 10 ** 4, 3,
                               range(10 ** 12)))
-    assert chunks == [simulate.RNG_CHUNK]
+    assert taken == [0]
     assert first == run_trajectory(fig1b[0], [F(3), F(3)], UniformRandom(), 10 ** 4,
                                    seed=3, record_states=False)
 
@@ -352,7 +354,7 @@ def test_unregistered_sampler_is_an_error():
     from probterm import DistributionSpec
     dist = DistributionSpec.custom("nobody-registered-this", F(0), F(-1), F(1))
     with pytest.raises(KeyError):
-        dist.sample(run_rng(0, 0))
+        dist.sample(np.random.default_rng(0))
 
 
 def _reference_sample(dist, rng) -> F:

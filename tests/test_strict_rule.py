@@ -16,11 +16,12 @@ import pathlib
 
 import pytest
 
-from probterm import (check_bsp, check_certificate, check_feasible,
+from probterm import (Invariant, check_bsp, check_certificate, check_feasible,
                       encode_implication, lower_to_pcfg, parse_program, pcfg_io,
                       synthesis)
 
 from conftest import FIXTURES, load_fixture
+from test_integration import _general_corpus
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -81,3 +82,19 @@ def test_strict_rule_is_contained_in_generalized(name, monkeypatch):
         # the strict certificate is a certificate of the generalized rule
         assert check_certificate(p, inv, strict.certificate).accepted
     assert (general.found and not strict.found) == (name in SEPARATED)
+
+
+def test_strict_rule_is_contained_in_generalized_on_general_corpus(monkeypatch):
+    # the 74 programs with unbounded noise, under the general procedure and
+    # the trivial invariant
+    corpus = [p for _, p in _general_corpus()]
+    inv = Invariant({})
+    general = [synthesis.synthesize_general(p, inv).found for p in corpus]
+    monkeypatch.setattr(synthesis, "build_lp", strict_build_lp)
+    strict = [synthesis.synthesize_general(p, inv) for p in corpus]
+    for p, general_found, result in zip(corpus, general, strict):
+        if result.found:
+            assert general_found
+            assert check_certificate(p, inv, result.certificate).accepted
+    separated = sum(g and not r.found for g, r in zip(general, strict))
+    assert (len(corpus), sum(general), sum(r.found for r in strict), separated) == (74, 9, 1, 8)
