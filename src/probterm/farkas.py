@@ -26,10 +26,9 @@ decides whether a polyhedron has a rational point. It tries, in order:
   exactly, that proves it nonempty;
 - one LP that honors strict rows through a shared slack.
 Plain arithmetic checks the first three, and only a query that none of
-them settles pays for the LP. Synthesis screens antecedents with it.
-`entails(p, e)`, the checker's oracle, asks the same of p with e < 0 but
-skips the box point: "holds" needs no witness, and a counterexample,
-when there is one, is always the LP's point.
+them settles pays for the LP. Synthesis screens antecedents with it, and
+`entails(p, e)`, the checker's oracle, is this query on p with e < 0: a
+counterexample is the box point whenever there is one, else the LP's.
 """
 
 from __future__ import annotations
@@ -276,18 +275,10 @@ def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
 
 def entails(p: Polyhedron, e: LinExpr) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     """Does `e >= 0` hold on every rational point of `p`? It fails exactly
-    when `p` with `e < 0` has a point, which is the counterexample.
-
-    The query `p` with `e < 0` is settled as in `check_feasible`, but
-    without the box point: a constant row or a contradicting pair of rows
-    proves that `e >= 0` holds, and everything else goes to the gap LP, so
-    a counterexample is always the LP's point.
-    """
-    constraints = p.constraints + [LinConstraint.lt(e)]
-    if _scan(constraints) is None:
-        return True, None
-    violated, w = _gap_lp(constraints, _num_vars(constraints))
-    return not violated, w
+    when `p` with `e < 0` has a point, and `check_feasible` decides that,
+    its witness being the counterexample."""
+    violated, point = check_feasible(Polyhedron(p.constraints + [LinConstraint.lt(e)]))
+    return not violated, point
 
 
 # -- the implication encoder ------------------------------------------------

@@ -65,11 +65,14 @@ class _Builder:
         self.transitions.append(Transition("", source, GuardedStep(dest, guard, update)))
 
     def split(self, source: str, cond: Predicate, yes: str, no: str) -> None:
-        """One step per disjunct of `cond` to `yes`, and of its complement to `no`."""
-        for disjunct in cond.disjuncts:
-            self.step(source, yes, Predicate([disjunct]), NoUpdate())
-        for disjunct in negate_predicate(cond).disjuncts:
-            self.step(source, no, Predicate([disjunct]), NoUpdate())
+        """One step per distinct disjunct of `cond` to `yes`, and of its
+        complement to `no`. A repeated disjunct would be a second copy of
+        the same transition, which a uniform scheduler chooses between
+        with a draw that the source program does not make."""
+        for pred, dest in ((cond, yes), (negate_predicate(cond), no)):
+            for k, disjunct in enumerate(pred.disjuncts):
+                if disjunct not in pred.disjuncts[:k]:
+                    self.step(source, dest, Predicate([disjunct]), NoUpdate())
 
     def lower(self, stmt: Stmt, entry: str, exit_: str) -> None:
         if isinstance(stmt, Skip):

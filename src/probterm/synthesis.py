@@ -27,15 +27,17 @@ onto the template and eps columns, hence every optimum, is the same.
 
 One synthesis run solves many LPs, one per iteration and, in general
 mode, one per attempt, and most transitions keep their side conditions
-from one LP to the next. The run memoises two things for all its LPs:
-the verdict of each antecedent's feasibility screen, and the rows and
-multipliers that each transition's side conditions emitted. The latter
-is keyed by the transition, the zero-coefficient pins at its source and
+from one LP to the next. The run memoises, for all its LPs, the rows and
+multipliers that each transition's side conditions emitted, keyed by
+the transition, the zero-coefficient pins at its source and
 destinations, and, for a probabilistic branch, the unranked transitions
 leaving its targets. A block writes each LP column as its position in
 the transition's frame (its template and eps columns) or among its own
 multipliers, so a hit re-emits it over the new LP's frame with fresh
 multipliers: every LP is exactly the one a cold encoding would build.
+An antecedent is screened for feasibility only when a block is encoded,
+once for all the consequents it carries there; a replayed block screens
+nothing.
 
 Transitions whose eps is positive at the optimum are 1-ranked after
 scaling the template by 1/min(positive eps); by additivity of ranking
@@ -68,10 +70,6 @@ from .simplex import LPStatus, RowRel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-# antecedent constraints -> did the exact feasibility screen pass?
-ScreenMemo = Dict[Tuple[LinConstraint, ...], bool]
-
 
 @dataclass(frozen=True)
 class Block:
@@ -138,30 +136,26 @@ class SynthesisLP:
 
 def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
              restrict: TemplateRestriction = TemplateRestriction(), *,
-             screens: Optional[ScreenMemo] = None,
              blocks: Optional[BlockMemo] = None) -> SynthesisLP:
     """Assemble the LP for one iteration over the `unranked` transition
     ids. Antecedent disjuncts that fail the exact feasibility screen are
     dropped (their implications are vacuous); a transition all of whose
     antecedents drop has an unconstrained eps and is ranked for free.
 
-    Each distinct antecedent is screened once, and each transition's side
-    conditions are encoded once. `screens` memoises the screens, and
-    `blocks` the encoded side conditions, of a whole synthesis run, which
-    passes the same memos to every iteration; without them, fresh memos
-    serve this call alone. A block is keyed by what its encoding reads:
-    the transition, the `zero_coeffs` entries at its source and
-    destinations (they decide which template unknowns exist there) and,
-    for a probabilistic branch, the unranked transitions leaving its
-    targets (they decide the restriction set). A memoised block is
-    emitted again over this LP's frame of the transition, with fresh
-    multipliers, so the LP is the one a cold encoding would build, term
-    for term.
+    Each transition's side conditions are encoded once, with one screen
+    per antecedent. `blocks` memoises the encoded side conditions of a
+    whole synthesis run, which passes the same memo to every iteration;
+    without it, a fresh memo serves this call alone. A block is keyed by
+    what its encoding reads: the transition, the `zero_coeffs` entries at
+    its source and destinations (they decide which template unknowns
+    exist there) and, for a probabilistic branch, the unranked
+    transitions leaving its targets (they decide the restriction set). A
+    memoised block is emitted again over this LP's frame of the
+    transition, with fresh multipliers and no screen, so the LP is the
+    one a cold encoding would build, term for term.
     """
     if not unranked:
         raise ValueError("no unranked transitions left")
-    if screens is None:
-        screens = {}
     if blocks is None:
         blocks = {}
     lp = LPProblem()
@@ -184,7 +178,7 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
                          if u.id in unranked_set) if t.is_pb else frozenset())
         block = blocks.get(key)
         if block is None:
-            block = blocks[key] = _encode(p, inv, t, out, unranked_set, screens)
+            block = blocks[key] = _encode(p, inv, t, out, unranked_set)
         else:
             block.replay(lp, out.frame(t))
         out.dropped_implications += block.dropped
@@ -216,7 +210,7 @@ def pre_and_bounds(p: PCFG, templates: Dict[str, LinExpr],
 
 
 def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
-            unranked_set: Set[str], screens: ScreenMemo) -> Block:
+            unranked_set: Set[str]) -> Block:
     """Emit the side conditions of transition `t` that the LP encodes (see
     the module docstring) into `out.lp` and return them as a block."""
     lp, templates = out.lp, out.templates
@@ -226,14 +220,9 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
 
     def emit(antecedent: Polyhedron, consequents: List[Tuple[LinExpr, str]]) -> None:
         """Encode `antecedent` implies each (expression >= 0, tag) in turn,
-        or drop them all when the antecedent is infeasible. A capped
-        screen raises PivotCapReached and is not memoised."""
+        or drop them all when the antecedent is infeasible."""
         nonlocal dropped, emitted
-        key = tuple(antecedent.constraints)
-        feasible = screens.get(key)
-        if feasible is None:
-            feasible = screens[key] = check_feasible(antecedent)[0]
-        if not feasible:
+        if not check_feasible(antecedent)[0]:
             dropped += len(consequents)
             return
         for expr, tag in consequents:
@@ -243,16 +232,14 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
 
     pre, bounds = pre_and_bounds(p, templates, t)
     here = templates[t.source]
-    # (3) nonnegative one-step expectation, not for branches, and (5)
-    # decrease by eps. As eps >= 0, the multipliers of (5) serve (2), and
-    # those of (3) and (5) added together serve (1) as here >= eps. So
-    # nothing emits (2), and only a branch emits (1).
-    stepped = [] if t.is_pb else [(pre, f"en.{t.id}")]
-    stepped.append(((here - pre).shift(LinExpr.var(out.eps[t.id], -1)), f"rk.{t.id}"))
+    # (1) nonnegative where enabled for a branch, (3) nonnegative one-step
+    # expectation for any other transition, then (5) decrease by eps. As
+    # eps >= 0, the multipliers of (5) serve (2), and those of (3) and (5)
+    # added together serve (1) as here >= eps. So nothing emits (2), and
+    # only a branch, which reads no demonic bounds, emits (1).
+    first = (here, f"nn.{t.id}") if t.is_pb else (pre, f"en.{t.id}")
+    stepped = [first, ((here - pre).shift(LinExpr.var(out.eps[t.id], -1)), f"rk.{t.id}")]
     for ante in inv.antecedents(t):
-        if t.is_pb:
-            # (1) nonnegative where enabled
-            emit(ante, [(here, f"nn.{t.id}")])
         emit(ante.conjoin(bounds), stepped)
     # (4) restricted expectation across unranked probabilistic branches,
     # over the successor states where no unranked transition is enabled
@@ -297,9 +284,7 @@ class IterationState:
     unranked: List[str]
     components: List[Dict[str, LinExpr]] = field(default_factory=list)
     history: List[IterationRecord] = field(default_factory=list)
-    # feasibility screens and encoded side conditions of this run, shared
-    # by every iteration LP
-    screens: ScreenMemo = field(default_factory=dict)
+    # encoded side conditions of this run, shared by every iteration LP
     blocks: BlockMemo = field(default_factory=dict)
     # the LP whose optimum gave component 1
     first_lp: Optional[LPProblem] = None
@@ -330,8 +315,7 @@ def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
     when the LP, or one of its feasibility screens, hits the pivot cap: a
     capped LP has no answer, so it cannot show that nothing ranks."""
     before = list(state.unranked)
-    slp = build_lp(p, inv, state.unranked, restrict, screens=state.screens,
-                   blocks=state.blocks)
+    slp = build_lp(p, inv, state.unranked, restrict, blocks=state.blocks)
     sol = solve_lp(slp.lp)
     if sol.status is not LPStatus.OPTIMAL:
         return None

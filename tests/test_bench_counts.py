@@ -19,18 +19,18 @@ LADDER_PER_PASS = {
     "synthesis.implications": 360,
     "synthesis.lp_rows.sum": 1700,
     "synthesis.lp_nonzeros.sum": 3103,
-    "synthesis.screens": 40,
+    "synthesis.screens": 68,
     "simplex.solves": 48,
     "simplex.solves.screen": 0,
     "synthesis.certs_changed": 0,
 }
 
 CORPUS_PER_PASS = {
-    "synthesis.implications": 900,
-    "synthesis.lp_rows.sum": 3072,
-    "synthesis.lp_nonzeros.sum": 6480,
-    "synthesis.lp_unknowns.sum": 2616,
-    "synthesis.screens": 251,
+    "synthesis.implications": 898,
+    "synthesis.lp_rows.sum": 3067,
+    "synthesis.lp_nonzeros.sum": 6468,
+    "synthesis.lp_unknowns.sum": 2613,
+    "synthesis.screens": 288,
     "simplex.solves": 123,
     "simplex.solves.screen": 0,
     "synthesis.lps": 123,

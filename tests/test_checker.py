@@ -130,14 +130,25 @@ def refuted_by_two_rows(rows):
                for pair in itertools.combinations(rows, 2))
 
 
+def box_point(rows):
+    """The box point of `rows` when it satisfies every one of them, else
+    None; the rows must not be refuted by two of them."""
+    from probterm import Polyhedron, farkas
+    n = max((i for r in rows for i in r.lhs.coeffs), default=-1) + 1
+    point = farkas._box_point(*farkas._scan(rows), n)
+    assert point is None or Polyhedron(rows).satisfied(point)
+    return point
+
+
 def test_check_solves_at_most_one_lp_per_entailment(monkeypatch):
     # each entailment is one query for a point where its consequent is
     # negative: no LP when one or two of its rows are empty on their own
-    # (a constant consequent >= 0, or a contradicting row pair), and
-    # exactly one LP otherwise
+    # (a constant consequent >= 0, or a contradicting row pair) or when the
+    # box point is such a point, the counterexample; exactly one LP
+    # otherwise
     from probterm import checker, simplex
     from probterm.linear import LinConstraint
-    calls = {"solves": 0, "entailments": 0, "violated": 0, "pair": 0}
+    calls = {"solves": 0, "entailments": 0, "violated": 0, "pair": 0, "point": 0}
     counting = [True]
     solve, entails = simplex.solve, checker.entails
 
@@ -147,15 +158,20 @@ def test_check_solves_at_most_one_lp_per_entailment(monkeypatch):
 
     def counting_entails(ante, e):
         counting[0] = False
-        settled = refuted_by_two_rows(ante.constraints + [LinConstraint.lt(e)])
+        query = ante.constraints + [LinConstraint.lt(e)]
+        settled = refuted_by_two_rows(query)
+        point = None if settled else box_point(query)
         counting[0] = True
         before = calls["solves"]
         ok, w = entails(ante, e)
         spent = calls["solves"] - before
-        assert spent == (0 if settled else 1)
+        assert spent == (0 if settled or point is not None else 1)
+        if point is not None:
+            assert (ok, w) == (False, point)
         calls["entailments"] += 1
         calls["violated"] += not ok
         calls["pair"] += settled and not (e.is_constant() and e.constant >= 0)
+        calls["point"] += point is not None
         return ok, w
 
     monkeypatch.setattr(simplex, "solve", counting_solve)
@@ -168,7 +184,8 @@ def test_check_solves_at_most_one_lp_per_entailment(monkeypatch):
         for loc, comp, var, delta, _ in mutations:
             idx = p.var_index(var) if var else None
             check_certificate(p, inv, perturbed(base, loc, comp, idx, delta))
-    assert calls == {"solves": 25, "entailments": 336, "violated": 21, "pair": 96}
+    assert calls == {"solves": 6, "entailments": 336, "violated": 21, "pair": 96,
+                     "point": 19}
 
 
 def test_branch_expectation_checked_on_ranked_region():

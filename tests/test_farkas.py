@@ -118,10 +118,11 @@ def test_constant_rows_are_decided_without_an_lp(solves):
 
 
 def test_negative_constant_consequent_fails_at_a_point_of_p(solves):
+    # x >= 2 and y = 5 give the box point x = 3, y = 5, which satisfies
+    # x < y too: it is the counterexample, with no LP
     p = poly(LinConstraint.le(c(2) - x), LinConstraint.lt(x - y), LinConstraint.eq(y - c(5)))
-    ok, w = entails(p, c(-1))
-    assert not ok and p.satisfied(w)
-    assert len(solves) == 1
+    assert entails(p, c(-1)) == (False, {0: F(3), 1: F(5)})
+    assert solves == []
 
 
 def test_strict_antecedent_holds_through_a_zero_gap(solves):
@@ -229,8 +230,9 @@ def test_certificates_agree_with_the_lp_path(monkeypatch):
     """Seeded polyhedra over 1-4 variables: `check_feasible` gives the LP
     path's answer on every one, whichever test settles it, and its point
     satisfies every row exactly and has an entry for each variable below
-    the largest one used. `entails` gives exactly the LP path's answer,
-    the LP's counterexample included."""
+    the largest one used. `entails` gives the LP path's verdict too, and
+    its counterexample satisfies p and e < 0 exactly, many of them a box
+    point found with no LP."""
     rng = random.Random(29)
     solve = farkas.simplex.solve
     spent = []
@@ -240,7 +242,8 @@ def test_certificates_agree_with_the_lp_path(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(farkas.simplex, "solve", counting)
-    settled = {"constant": 0, "pair": 0, "point": 0, "lp": 0, "entails.pair": 0}
+    settled = {"constant": 0, "pair": 0, "point": 0, "lp": 0,
+               "entails.pair": 0, "entails.point": 0}
     for trial in range(600):
         n = rng.randint(1, 4)
         rows = random_polyhedron(rng, n)
@@ -263,10 +266,16 @@ def test_certificates_agree_with_the_lp_path(monkeypatch):
 
         e = rand_expr(rng, n) if rng.random() < 0.7 else rows[0].lhs.scale(-2) if rows else c(1)
         query = rows + [LinConstraint.lt(e)]
-        lp_verdict, lp_point = lp_only(query, max(nvars, max(e.coeffs, default=-1) + 1))
+        lp_verdict, _ = lp_only(query, max(nvars, max(e.coeffs, default=-1) + 1))
         del spent[:]
-        assert entails(poly(*rows), e) == (not lp_verdict, lp_point), trial
-        settled["entails.pair"] += not spent and not lp_verdict
+        ok, w = entails(poly(*rows), e)
+        assert ok == (not lp_verdict), trial
+        if ok:
+            assert w is None
+            settled["entails.pair"] += not spent
+        else:
+            assert poly(*query).satisfied(w), trial
+            settled["entails.point"] += not spent
     assert min(settled.values()) >= 40, settled
 
 

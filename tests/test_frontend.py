@@ -321,3 +321,26 @@ def test_ast_and_graph_traces_agree(name, init, cap):
         assert ref.draws == sim.draws, (name, i)
         if ref.terminated:
             assert ref.values == sim.final_values, (name, i)
+
+
+@pytest.mark.parametrize("src,transitions", [
+    # a disjunct repeated in the guard, and one repeated in its negation
+    # (corpus program 38): each lowers to one transition
+    ("while x >= 0 or x >= 0 do x := x - 1 od", 2),
+    ("while y <= -2 and y <= -2 do y := ndet[-3, -2] od", 2),
+    # the two arms of an `if *` stay two transitions, one per draw of
+    # `run_ast`
+    ("while x >= 0 do if * then skip else skip fi; x := x - 1 od", 4),
+])
+def test_repeated_disjuncts_lower_once(src, transitions):
+    ast = parse_program(src)
+    p = lower_to_pcfg(ast)
+    assert validate_pcfg(p) == []
+    assert len(p.transitions) == transitions
+    values = [Fraction(0)] * len(p.variables)
+    for seed in range(1, 6):
+        ref = run_ast(ast, values, next(run_rngs(seed, [0])), step_cap=100)
+        sim = run_trajectory(p, values, UniformRandom(), 100, seed=seed,
+                             record_states=False)
+        assert ref.terminated and sim.terminated, seed
+        assert (ref.draws, ref.values) == (sim.draws, sim.final_values), seed

@@ -206,8 +206,8 @@ def test_deep_ladder_pivots(mode, monkeypatch):
 CORPUS_SEED = 20240809
 CORPUS_PROGRAMS = 60
 CORPUS_FOUND = 12
-CORPUS_DIGEST = "a87a39d7752d424f9dcdb7289c26c87b5ef413434dee2d6dec4033a541ffaea6"
-CORPUS_VERDICT_DIGEST = "b6c93343eb8ad3791175e43cf4cb9dd9d7c9375b91cdd0733e848b35df0bd1d4"
+CORPUS_DIGEST = "1a7b87368c486bae8ee98d549c0047c810310a5368bbc6a3bd81d0d88251c264"
+CORPUS_VERDICT_DIGEST = "aa5c00ee4878bd7ca641fe567e4d1cc2e62ec95b0050b5b7c0dec67da3fac4a3"
 # the fields of `IterationRecord.as_dict` that a verdict is made of
 VERDICT_KEYS = ("iteration", "ranked", "tau0", "objective")
 
@@ -274,7 +274,7 @@ def test_corpus_verdict_digest(monkeypatch):
 
 LOWERING_SEED = 7
 LOWERING_PROGRAMS = 300
-LOWERING_DIGEST = "d2d2de2aa0a0c14de06efef6ef4d25438ef1be506e124c662d5a88d8dcb118f3"
+LOWERING_DIGEST = "d80268409b7f85461282e50714405ed1305e5f3d4ee241f2fb59099eb1b5a445"
 
 
 def lowering_program(rng: random.Random) -> str:
@@ -358,18 +358,18 @@ def test_lowering_digest():
 
 CHECK_REPORT_DIGESTS = {
     "example3": "680e7d2473d601e450c9369d67c02b0e01b63a171a16168b0547462bceefc0db",
-    "example3.l1.2.const-2": "750b9988f2de3f8d1373274f365744a1dc1191722ecbd98f0003bdbd8ee2f438",
+    "example3.l1.2.const-2": "3bbd282625d5eb47fb750f3ea8f9feec5caa5b5d50cf4b62657f380f065dbc79",
     "example3.l1.2.const+1": "680e7d2473d601e450c9369d67c02b0e01b63a171a16168b0547462bceefc0db",
-    "example3.l0.1.const-1": "88c45b0c23d78022837c1d5d23cccd893adcac1b1513901c6b88402dd2c68a04",
-    "example3.l0.3.const-8": "d2c6fbfad8b5f7e2148d69da916684b734d8291924d25c8d2f1e9a96d23aeb42",
+    "example3.l0.1.const-1": "2a72b977c613a5adfc8eed814fb146bf7e4d39666db2de28c5cbad21cac41488",
+    "example3.l0.3.const-8": "f840a3133acf4324607250694ea6f4b2ee55d593a0b6d519d8b7189fb4f257a0",
     "example3.out.3.const+63": "680e7d2473d601e450c9369d67c02b0e01b63a171a16168b0547462bceefc0db",
-    "example3.l0.2.y+1": "205a3f1bb12b06ed99bc3ca5401e342eca99157ca5bd0c0ae48c7ca8f40859be",
-    "example3.l0.2.x-1": "31ec3eb320c4a5b63c82fe833fc6875c43d8db75342527a37ee8a04678278b18",
+    "example3.l0.2.y+1": "de5c4a2f1ff29bff6601269023f52f943fba405b05089f9d1a74bb81f424c8d4",
+    "example3.l0.2.x-1": "0e90a96f16ea545cb9b647a41093f654a4b93656fa98cd082932b125b219079e",
     "example4": "82f89125f496d6109f98c469fc607e7538a0bde76fdc0a62b6bb5ebc33d5cfd5",
-    "example4.l1.2.x+1": "47376e13ee83d75cfd2521e9b0a614260fd3f0d6d69d7a25410186c23908cdf0",
-    "example4.l1.3.const-1": "840f603c42d77234e37fe93ff1d300b43c9b394c1d1620a1d9d0c92cc905d07a",
-    "example4.l0.2.const-1": "0568c728839a9725cd72e0d78605d7505ddf9a070f9cdc091229c1c70bb56e26",
-    "example4.l0.2.y+1": "e05a8729a098f10db05525555c51567a380a4db0704f5872c22d14b29fb2f97f",
+    "example4.l1.2.x+1": "79188f7cc5af0a235c10a93923a3a8c71feb133226bb6da94624010db54c6e4a",
+    "example4.l1.3.const-1": "b923eaf26efcd2478fbd87908a535ed41cd8a2008c31bc5b9d9bae1da2cf3caf",
+    "example4.l0.2.const-1": "407d5f0e7a4443fb69a75d8b4f6d315fa2c5f3ea442a6495f32d61767db8cb88",
+    "example4.l0.2.y+1": "215e5ed1d3f0e518c3b38b547f391091c7964fa86789dfe10658297e4d4a530f",
     "example4.out.1.const+1": "383f2e36b92b7ff1795b3492bf7418e901878e9848df79d2d1727490ec9ceb37",
 }
 

@@ -2,8 +2,8 @@
 top and uses every name it imports, keeps no memo across calls, runs in
 one process that no environment variable configures, catches no error it
 does not name, defines no function or class that nothing names, keeps
-one linear-form algebra, and raises each resource limit only where it is
-enforced."""
+one linear-form algebra, raises each resource limit only where it is
+enforced, and answers every polyhedral query through one function."""
 
 import ast
 import pathlib
@@ -116,9 +116,9 @@ def _process_caches(tree: ast.Module) -> list:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_functools_cache(path):
-    # memo state lives in the call that owns it (a synthesis run's screens
-    # and encoded side conditions, a scheduler's pre-expectations), never
-    # for the whole process
+    # memo state lives in the call that owns it (a synthesis run's encoded
+    # side conditions, a scheduler's pre-expectations), never for the whole
+    # process
     assert _process_caches(ast.parse(path.read_text())) == []
 
 
@@ -365,3 +365,21 @@ def test_lazy_numpy_is_detected():
                      "la = __import__('numpy')\n"
                      "doc = 'numpy-free'\nname = 'numbers'\n")
     assert _floating_point(tree) == [3, 4, 5]
+
+
+QUERY_STEPS = {"_scan", "_box_point", "_gap_lp"}
+
+
+def test_one_feasibility_query():
+    # every polyhedral query of `farkas`, an entailment included, is
+    # `check_feasible`: it alone runs the steps that settle one, so a
+    # second query path cannot order or skip them differently
+    tree = ast.parse((SRC / "farkas.py").read_text())
+    callers = {}
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in QUERY_STEPS):
+                    callers.setdefault(node.func.id, set()).add(func.name)
+    assert callers == {step: {"check_feasible"} for step in QUERY_STEPS}

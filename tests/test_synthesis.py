@@ -328,84 +328,6 @@ def test_capped_screen_is_not_a_decision(fig1b, monkeypatch):
 # -- feasibility screens -------------------------------------------------------------
 
 
-def record_screens(monkeypatch):
-    """The antecedents screened through `synthesis.check_feasible`, in call
-    order, as their constraint tuples."""
-    from probterm import synthesis
-    screened = []
-    real = synthesis.check_feasible
-
-    def counting(antecedent):
-        screened.append(tuple(antecedent.constraints))
-        return real(antecedent)
-
-    monkeypatch.setattr(synthesis, "check_feasible", counting)
-    return screened
-
-
-def record_implications(monkeypatch):
-    """(emitted, dropped) implications of every LP `synthesis` builds."""
-    from probterm import synthesis
-    counts = []
-    real = synthesis.build_lp
-
-    def recording(*args, **kwargs):
-        slp = real(*args, **kwargs)
-        counts.append((slp.emitted_implications, slp.dropped_implications))
-        return slp
-
-    monkeypatch.setattr(synthesis, "build_lp", recording)
-    return counts
-
-
-def test_build_lp_screens_each_antecedent_once(monkeypatch):
-    # prob_join's first LP has 9 implications over 4 antecedents, one of
-    # them infeasible
-    p, inv = load_fixture("prob_join")
-    screened = record_screens(monkeypatch)
-    slp = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
-    assert (slp.emitted_implications, slp.dropped_implications) == (8, 1)
-    assert len(screened) == len(set(screened)) == 4
-
-
-@pytest.mark.parametrize("name, synthesize, implications", [
-    ("prob_join", synthesize_bsp, [(8, 1), (7, 0)]),
-    # the third iteration retries with a tau0, on the same unranked set
-    ("fig1a", synthesize_general, [(8, 0), (6, 0), (2, 0), (2, 0)]),
-])
-def test_run_screens_each_antecedent_once(name, synthesize, implications,
-                                          monkeypatch):
-    p, inv = load_fixture(name)
-    screened = record_screens(monkeypatch)
-    counts = record_implications(monkeypatch)
-    result = synthesize(p, inv)
-    assert result.found
-    assert counts == implications
-    assert any(rec.tau0 for rec in result.history) == (synthesize is synthesize_general)
-    run = list(screened)
-    # the antecedents of a run: those of each iteration's LP, built afresh
-    screened.clear()
-    for rec in result.history:
-        build_lp(p, inv, rec.unranked_before)
-    assert len(run) == len(set(run))
-    assert set(run) == set(screened)
-    assert len(run) < len(screened)
-
-
-def test_capped_screen_is_not_memoised(fig1b, monkeypatch):
-    import functools
-    from probterm import farkas
-    from probterm.simplex import PivotCapReached
-    p, _ = fig1b
-    inv = invariant_from_json(LP_SCREENED_INVARIANT, p)
-    monkeypatch.setattr(farkas.simplex, "solve",
-                        functools.partial(farkas.simplex.solve, pivot_cap=0))
-    screens = {}
-    with pytest.raises(PivotCapReached):
-        build_lp(p, inv, [t.id for t in p.non_terminal_transitions()], screens=screens)
-    assert screens == {}
-
-
 @pytest.mark.parametrize("name", ["fig1b", "fig1a", "prob_join", "branching",
                                   "countdown", "ladder.bsp.k3", "ladder.general.k3"])
 def test_screens_need_no_lp(name, monkeypatch):
@@ -441,6 +363,17 @@ def test_screens_need_no_lp(name, monkeypatch):
 # -- the run memo of encoded side conditions -----------------------------------------
 
 
+# (emitted, dropped) implications of each LP that a run builds, in order
+RUN_IMPLICATIONS = {
+    "prob_join": [(8, 1), (7, 0)],
+    # the third iteration retries with a tau0, on the same unranked set
+    "fig1a": [(8, 0), (6, 0), (2, 0), (2, 0)],
+    "ladder.general.k4": [(16, 0), (14, 0), (14, 0), (14, 0), (14, 0), (14, 0),
+                          (10, 0), (10, 0), (10, 0), (10, 0), (6, 0), (6, 0),
+                          (6, 0), (2, 0), (2, 0)],
+}
+
+
 @pytest.mark.parametrize("name, synthesize", [
     ("fig1a", synthesize_general),
     ("prob_join", synthesize_bsp),
@@ -452,18 +385,20 @@ def test_run_memo_builds_the_cold_lp(name, synthesize, monkeypatch):
     `build_lp` of the same unranked set and restriction. That includes
     LPs where a block is replayed over a frame other than the one it was
     recorded over: ranked transitions lose their eps columns, and general
-    mode pins a coefficient in one attempt and not in the next."""
+    mode pins a coefficient in one attempt and not in the next. A
+    replayed block counts its implications as when it was encoded."""
     from probterm import synthesis
     from probterm.farkas import dump_lp
     from test_golden import load
     p, inv = load(name)
-    built, solved, encoded, recorded, moved = [], [], [], {}, []
+    built, solved, encoded, recorded, moved, implications = [], [], [], {}, [], []
     real_build, real_solve, real_encode, real_replay = (
         synthesis.build_lp, synthesis.solve_lp, synthesis._encode, synthesis.Block.replay)
 
     def building(p, inv, unranked, restrict=TemplateRestriction(), **memos):
         slp = real_build(p, inv, unranked, restrict, **memos)
         built.append((slp.lp, list(unranked), restrict))
+        implications.append((slp.emitted_implications, slp.dropped_implications))
         return slp
 
     def solving(lp, *args, **kwargs):
@@ -492,6 +427,7 @@ def test_run_memo_builds_the_cold_lp(name, synthesize, monkeypatch):
     assert moved
     assert len(built) == len(solved)
     assert all(lp is s for (lp, _, _), s in zip(built, solved))
+    assert implications == RUN_IMPLICATIONS[name]
     monkeypatch.undo()
     for lp, unranked, restrict in built:
         assert dump_lp(lp) == dump_lp(build_lp(p, inv, unranked, restrict).lp)
