@@ -360,6 +360,55 @@ def test_screens_need_no_lp(name, monkeypatch):
         assert not all(feasible for _, feasible in screens)
 
 
+@pytest.mark.parametrize("name, synthesize, implications", [
+    ("prob_join", synthesize_bsp, [(8, 1), (7, 0)]),
+    # the third iteration retries with a tau0, on the same unranked set
+    ("fig1a", synthesize_general, [(8, 0), (6, 0), (2, 0), (2, 0)]),
+])
+def test_run_screens_each_antecedent_once(name, synthesize, implications,
+                                          monkeypatch):
+    """A run screens each antecedent once per encoded block and never on a
+    replay, so it screens what cold builds of its LPs screen, fewer times."""
+    from probterm import synthesis
+    p, inv = load_fixture(name)
+    blocks, counts = [], []
+    real_screen, real_build, real_encode = (
+        synthesis.check_feasible, synthesis.build_lp, synthesis._encode)
+
+    def screen(antecedent):
+        assert blocks and blocks[-1] is not None, "screen outside an encoding"
+        blocks[-1].append(tuple(antecedent.constraints))
+        return real_screen(antecedent)
+
+    def building(*args, **kwargs):
+        slp = real_build(*args, **kwargs)
+        counts.append((slp.emitted_implications, slp.dropped_implications))
+        return slp
+
+    def encoding(*args):
+        blocks.append([])
+        block = real_encode(*args)
+        blocks.append(None)
+        return block
+
+    monkeypatch.setattr(synthesis, "check_feasible", screen)
+    monkeypatch.setattr(synthesis, "build_lp", building)
+    monkeypatch.setattr(synthesis, "_encode", encoding)
+    result = synthesize(p, inv)
+    assert result.found
+    assert counts == implications
+    assert any(rec.tau0 for rec in result.history) == (synthesize is synthesize_general)
+    run = [s for b in blocks if b is not None for s in b]
+    assert all(len(b) == len(set(b)) for b in blocks if b is not None)
+    # the antecedents of a run: those of each iteration's LP, built afresh
+    blocks.clear()
+    for rec in result.history:
+        build_lp(p, inv, rec.unranked_before)
+    cold = [s for b in blocks if b is not None for s in b]
+    assert set(run) == set(cold)
+    assert len(run) < len(cold)
+
+
 # -- the run memo of encoded side conditions -----------------------------------------
 
 
