@@ -144,21 +144,21 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
     comps = {jp: c.lem.component(jp) for jp in range(1, c.dimension + 1)}
     for t in p.non_terminal_transitions():
         j = c.levels[t.id]
-        pre_j = max_pre(comps[j], t)
+        decrease = comps[j][t.source] - max_pre(comps[j], t) - LinExpr.const(1)
+        unaffected = [comps[jp][t.source] - max_pre(comps[jp], t) for jp in range(1, j)]
+        expected = [] if t.is_pb else [min_pre(comps[jp], t) for jp in range(1, j + 1)]
         for ante in inv.antecedents(t):
-            ok, w = entails(ante, comps[j][t.source] - pre_j - LinExpr.const(1))
+            ok, w = entails(ante, decrease)
             record(t.id, "decrease", j, ok, w)
-            for jp in range(1, j):
-                eta = comps[jp]
-                ok, w = entails(ante, eta[t.source] - max_pre(eta, t))
+            for jp, e in enumerate(unaffected, 1):
+                ok, w = entails(ante, e)
                 record(t.id, "unaffected", jp, ok, w)
             for jp in range(1, j + 1):
                 ok, w = entails(ante, comps[jp][t.source])
                 record(t.id, "nonneg", jp, ok, w)
-            if not t.is_pb:
-                for jp in range(1, j + 1):
-                    ok, w = entails(ante, min_pre(comps[jp], t))
-                    record(t.id, "expected-nonneg", jp, ok, w)
+            for jp, e in enumerate(expected, 1):
+                ok, w = entails(ante, e)
+                record(t.id, "expected-nonneg", jp, ok, w)
         if t.is_pb:
             for jp in range(1, j + 1):
                 # successor states where every enabled transition has level < jp

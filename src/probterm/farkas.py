@@ -19,9 +19,8 @@ columns in `dump_lp` alone.
 There is one polyhedral query, and it is exact too. `check_feasible`
 decides whether a polyhedron has a rational point. It tries, in order:
 - a row without variables, decided by its constant;
-- a row pair: two rows over the same variables whose positive
-  combination is a false constant row, a Farkas certificate with two
-  multipliers that proves the polyhedron empty;
+- a lower and an upper bound on one variable that contradict, a Farkas
+  certificate with two multipliers that proves the polyhedron empty;
 - a box point, built from the single-variable bounds and evaluated
   exactly, that proves it nonempty;
 - one LP that honors strict rows through a shared slack.
@@ -109,60 +108,21 @@ def solve_lp(lp: LPProblem, pivot_cap: int = simplex.DEFAULT_PIVOT_CAP) -> Simpl
 # -- polyhedral queries ----------------------------------------------------
 
 
-def _false_constant(k: Fraction, rel: Rel) -> bool:
-    """Is the constant row `k rel 0` false?"""
-    if rel is Rel.LE:
-        return k > 0
-    if rel is Rel.LT:
-        return k >= 0
-    return k != 0
-
-
-def _contradict(c: LinConstraint, d: LinConstraint) -> bool:
-    """Do two rows over the same variables have a Farkas combination that
-    is a false constant row? Their coefficients must be proportional,
-    q * a = p * b with p, q their entries in one column; then q * c - p * d
-    has no variable left. Each multiplier must be nonnegative unless its
-    row is an equality, so two inequalities combine only when they point
-    opposite ways."""
-    a, b = c.lhs.coeffs, d.lhs.coeffs
-    i = next(iter(a))
-    p, q = a[i], b[i]
-    for j, v in a.items():
-        if v * q != b[j] * p:
-            return False
-    k = q * c.lhs.constant - p * d.lhs.constant
-    if q < 0:
-        k = -k          # now the multiplier of c is |q| > 0
-    if (p > 0) != (q > 0):
-        # the multiplier of d is positive too
-        rel = c.rel if c.rel is d.rel else Rel.LT if Rel.LT in (c.rel, d.rel) else Rel.LE
-        return _false_constant(k, rel)
-    # the multiplier of d is negative: d must be an equality, or else c,
-    # whose multiplier the negated combination makes negative
-    return ((d.rel is Rel.EQ and _false_constant(k, c.rel))
-            or (c.rel is Rel.EQ and _false_constant(-k, d.rel)))
-
-
 Bound = Tuple[Fraction, bool]   # a bound's value, and whether it is strict
 
 
 def _scan(constraints: List[LinConstraint]
           ) -> Optional[Tuple[Dict[int, Bound], Dict[int, Bound], List[LinConstraint]]]:
-    """None when a false constant row or a contradicting pair of rows (see
-    `_contradict`) proves `constraints` empty. Otherwise the tightest lower
-    and upper bound that the single-variable rows put on each variable,
-    and the rows over two or more variables.
+    """None when a false constant row, or a lower and an upper bound on one
+    variable that contradict, prove `constraints` empty. Otherwise the
+    tightest lower and upper bound that the single-variable rows put on
+    each variable, and the rows over two or more variables.
 
-    The single-variable rows on one variable contain a contradicting pair
-    exactly when its tightest lower and upper bound contradict, so only
-    those two are compared. Rows over more variables
-    are grouped by their set of variables and compared pairwise within a
-    group.
+    The single-variable rows on one variable contradict exactly when its
+    tightest lower and upper bound do, so only those two are compared.
     """
     lo: Dict[int, Bound] = {}
     hi: Dict[int, Bound] = {}
-    groups: Dict[frozenset, List[LinConstraint]] = {}
     wide: List[LinConstraint] = []
     for c in constraints:
         coeffs = c.lhs.coeffs
@@ -180,13 +140,8 @@ def _scan(constraints: List[LinConstraint]
                 if old is None or value > old[0] or value == old[0] and strict:
                     lo[i] = (value, strict)
         elif coeffs:
-            same = groups.setdefault(frozenset(coeffs), [])
-            for d in same:
-                if _contradict(c, d):
-                    return None
-            same.append(c)
             wide.append(c)
-        elif _false_constant(c.lhs.constant, c.rel):
+        elif not c.satisfied(()):
             return None
     for i, (low, strict) in lo.items():
         if i in hi:
@@ -254,9 +209,8 @@ def check_feasible(p: Polyhedron) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     Four tests run in turn, each exact, and the first that settles the
     query answers it:
     1. a row without variables is decided by its constant;
-    2. two rows over the same variables whose positive combination is a
-       false constant row make `p` empty (a Farkas certificate with two
-       multipliers; an equality's multiplier may be negative);
+    2. a lower and an upper bound on one variable that contradict make
+       `p` empty (a Farkas certificate with two multipliers);
     3. the box point of the single-variable rows (midpoint, bound ± 1 or
        0 per variable) is the witness when it satisfies every row;
     4. otherwise one gap LP decides, and its point is the witness.

@@ -125,8 +125,10 @@ def tokenize(text: str) -> List[Token]:
             i += 1; col += 1
             continue
         if ch == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
+            j = i
+            while j < n and text[j] != "\n":
+                j += 1
+            col += j - i; i = j
             continue
         if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i

@@ -93,9 +93,9 @@ def perturbed(cert: Certificate, loc: str, component: int, var, delta) -> Certif
 
 
 # fig1b (fig2right as a pCFG file) under this invariant needs LPs where
-# no row pair or box point settles a query. The first screen, t0's guard
-# x < 0 with x + y >= 0 and y <= x - 1 at l0, is empty only through all
-# three rows. At l1, x + y >= -5 and y <= 2 entail x >= -7 only through
+# no bound conflict or box point settles a query. The first screen, t0's
+# guard x < 0 with x + y >= 0 and y <= x - 1 at l0, is empty only through
+# all three rows. At l1, x + y >= -5 and y <= 2 entail x >= -7 only through
 # both rows, which the checker asks for example 3's certificate.
 LP_SCREENED_INVARIANT = {"l0": ["x + y >= 0", "y <= x - 1"],
                          "l1": ["x + y >= -5", "y <= 2"]}

@@ -119,15 +119,17 @@ def test_mutation_suite_general(fig1a, loc, comp, var, delta, violated):
 
 
 def refuted_by_two_rows(rows):
-    """Are one or two of `rows` empty on their own? The gap LP alone
-    decides each pair; a false constant row is empty by itself."""
+    """Is one of `rows` a false constant row, or are two single-variable
+    rows on one variable empty on their own? The gap LP alone decides each
+    such pair."""
     import itertools
     from probterm import farkas
     if any(not r.lhs.coeffs and not r.satisfied({}) for r in rows):
         return True
     n = max((i for r in rows for i in r.lhs.coeffs), default=-1) + 1
-    return any(not farkas._gap_lp(list(pair), n)[0]
-               for pair in itertools.combinations(rows, 2))
+    return any(not farkas._gap_lp([r, s], n)[0]
+               for r, s in itertools.combinations(rows, 2)
+               if len(r.lhs.coeffs) == 1 and r.lhs.coeffs.keys() == s.lhs.coeffs.keys())
 
 
 def box_point(rows):
@@ -143,9 +145,9 @@ def box_point(rows):
 def test_check_solves_at_most_one_lp_per_entailment(monkeypatch):
     # each entailment is one query for a point where its consequent is
     # negative: no LP when one or two of its rows are empty on their own
-    # (a constant consequent >= 0, or a contradicting row pair) or when the
-    # box point is such a point, the counterexample; exactly one LP
-    # otherwise
+    # (a constant consequent >= 0, or a lower and an upper bound on one
+    # variable that contradict) or when the box point is such a point, the
+    # counterexample; exactly one LP otherwise
     from probterm import checker, simplex
     from probterm.linear import LinConstraint
     calls = {"solves": 0, "entailments": 0, "violated": 0, "pair": 0, "point": 0}

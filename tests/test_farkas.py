@@ -183,7 +183,8 @@ def test_capped_queries_raise(monkeypatch):
     monkeypatch.setattr(farkas.simplex, "solve",
                         functools.partial(farkas.simplex.solve, pivot_cap=0))
     # x + y <= 0, x - y <= -1 and x >= 1 are empty only through all three
-    # rows, so no row pair or box point settles them, and phase 1 must pivot
+    # rows, so no bound conflict or box point settles them, and phase 1 must
+    # pivot
     band = [LinConstraint.le(x + y), LinConstraint.le(x - y + c(1))]
     with pytest.raises(PivotCapReached):
         check_feasible(poly(*band, LinConstraint.le(c(1) - x)))
@@ -193,7 +194,7 @@ def test_capped_queries_raise(monkeypatch):
         entails(poly(*band), c(1) - x)
 
 
-# -- row pairs and box points -------------------------------------------------------
+# -- bound conflicts and box points -------------------------------------------------
 
 
 def lp_only(rows, n):
@@ -294,7 +295,8 @@ def test_box_point_missing_a_strict_row_goes_to_the_lp(solves):
 
 @pytest.mark.parametrize("rows", [
     # proportional rows pointing the same way, strict or not: never a
-    # contradiction, though q * c - p * d is a false constant row
+    # contradiction, though one minus a multiple of the other is a false
+    # constant row
     [LinConstraint.le(x + c(1)), LinConstraint.le(x.scale(2) - c(4))],
     [LinConstraint.lt(x + c(1)), LinConstraint.lt(x.scale(3) - c(6))],
     [LinConstraint.le(x - y + c(1)), LinConstraint.lt((x - y).scale(2) - c(5))],
@@ -308,20 +310,31 @@ def test_same_way_rows_are_not_a_contradiction(rows, solves):
 
 @pytest.mark.parametrize("rows", [
     [LinConstraint.le(x.scale(2) - c(4)), LinConstraint.lt(c(6) - x.scale(3))],
-    [LinConstraint.eq(x - y - c(1)), LinConstraint.eq((y - x).scale(2))],
     [LinConstraint.eq(x - c(1)), LinConstraint.le(x.scale(3))],
     [LinConstraint.le(x.scale(3)), LinConstraint.eq(x - c(1))],
-    [LinConstraint.le(c(1) - x - y), LinConstraint.le((x + y).scale(F(1, 2)))],
     # x <= 1 and x >= 1 agree; x < 1 or x > 1 ties with one of them, and
     # the tie is the tighter bound however the rows are listed
     [LinConstraint.le(x - c(1)), LinConstraint.lt(x - c(1)), LinConstraint.le(c(1) - x)],
     [LinConstraint.le(c(1) - x), LinConstraint.lt(c(1) - x), LinConstraint.le(x - c(1))],
-], ids=["scaled-strict", "equalities", "equality-first", "equality-second", "two-variables",
-        "strict-upper-tie", "strict-lower-tie"])
+], ids=["scaled-strict", "equality-first", "equality-second", "strict-upper-tie",
+        "strict-lower-tie"])
 def test_contradicting_pairs_need_no_lp(rows, solves):
     assert check_feasible(poly(*rows)) == (False, None)
     assert check_feasible(poly(*reversed(rows))) == (False, None)
     assert solves == []
+
+
+@pytest.mark.parametrize("rows", [
+    [LinConstraint.eq(x - y - c(1)), LinConstraint.eq((y - x).scale(2))],
+    [LinConstraint.le(c(1) - x - y), LinConstraint.le((x + y).scale(F(1, 2)))],
+], ids=["equalities", "two-variables"])
+def test_contradicting_wide_rows_need_one_lp(rows, solves):
+    # two rows over two variables bound neither variable alone, so the
+    # gap LP decides them, once in either order
+    assert check_feasible(poly(*rows)) == (False, None)
+    assert len(solves) == 1
+    assert check_feasible(poly(*reversed(rows))) == (False, None)
+    assert len(solves) == 2
 
 
 # -- the encoder -------------------------------------------------------------------

@@ -35,6 +35,15 @@ def test_parse_reports_position():
     assert e.value.line == 2
 
 
+def test_end_of_input_after_a_comment_is_at_the_end():
+    # the column of the end-of-input token counts the comment's characters,
+    # as it counts the spaces that could stand in its place
+    for text in ["while x > 0 do x := x - 1 # no od", "while x > 0 do x := x - 1" + " " * 8]:
+        with pytest.raises(ProgramSyntaxError) as e:
+            parse_program(text)
+        assert str(e.value) == "1:34: expected 'od', found 'eof'"
+
+
 def test_nonlinear_rejected():
     with pytest.raises(NonLinearExpression):
         parse_program("while x >= 0 do x := x * x od")

@@ -331,9 +331,9 @@ def test_capped_screen_is_not_a_decision(fig1b, monkeypatch):
 @pytest.mark.parametrize("name", ["fig1b", "fig1a", "prob_join", "branching",
                                   "countdown", "ladder.bsp.k3", "ladder.general.k3"])
 def test_screens_need_no_lp(name, monkeypatch):
-    """Every screen of these runs is settled by a constant row, a row pair
-    or a box point, with no simplex solve; that includes the screens
-    without a strict row and the infeasible ones."""
+    """Every screen of these runs is settled by a constant row, a bound
+    conflict or a box point, with no simplex solve; that includes the
+    screens without a strict row and the infeasible ones."""
     from probterm import check_bsp, farkas, synthesis
     from probterm.linear import Rel
     from test_golden import load
