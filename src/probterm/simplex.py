@@ -25,13 +25,19 @@ rows keep their relative order, and Bland's rule below sees them in it.
 A pinned unknown reads back as 0 and costs no pivot. Each remaining row
 is then made to have a nonnegative right-hand side; a >= row whose
 right-hand side is 0 is negated as well, so that its slack starts basic.
-The slack of a <= row starts basic; every other row gets an artificial
-column. An artificial on a zero right-hand side is then driven out
-before phase 1: its row is pivoted on its lowest non-artificial column,
-or deleted as redundant when it has none. Such a pivot moves no basic
-value. In the Farkas LPs of synthesis every row but the bounds on eps
-has right-hand side 0, and template unknowns come first, so this start
-brings the free template columns into the basis before anything else.
+The slack of a <= row starts basic. An equality with right-hand side 0
+that owns an unknown, one that no other row reads, starts basic on the
+first column of the last unknown it owns, negated when that entry is
+negative and divided by it: no artificial, no pivot, and value 0. Every
+other row gets an artificial column. An artificial on a zero right-hand
+side is then driven out before phase 1: its row is pivoted on its
+highest-numbered non-artificial column, or deleted as redundant when it
+has none. Such a pivot moves no basic value. In the Farkas LPs of
+synthesis every row but the bounds on eps has right-hand side 0, and a
+block's multipliers are numbered after the template unknowns all blocks
+share, so nearly every equality starts on a multiplier of its own and
+the few left pivot on a multiplier of their block where they have one,
+not on a template column whose elimination fills in every other block.
 Phase 1 runs only while an artificial with a positive value is still
 basic, and the same drive-out follows it. Every pivot, these included,
 counts toward the pivot cap, and the one that would pass it raises
@@ -63,6 +69,7 @@ alone. The objective value is checked the same way.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -195,12 +202,13 @@ class _Tableau:
 
     def drive_out(self, art: Set[int], rows: List[int]) -> None:
         """Take the artificial basic in each of `rows`, each at value 0, out
-        of the basis: pivot the row on its lowest non-artificial column, or
-        delete the row as redundant when it has none. Then delete every
-        non-basic artificial column, which fences it out of later pivots."""
+        of the basis: pivot the row on its highest-numbered non-artificial
+        column, or delete the row as redundant when it has none. Then
+        delete every non-basic artificial column, if any, which fences it
+        out of later pivots."""
         drop: List[int] = []
         for i in rows:
-            col = min((j for j in self.rows[i] if j not in art), default=None)
+            col = max((j for j in self.rows[i] if j not in art), default=None)
             if col is None:
                 drop.append(i)
             else:
@@ -208,6 +216,8 @@ class _Tableau:
         for i in reversed(drop):
             del self.rows[i], self.rhs[i], self.den[i], self.basis[i]
         gone = art.difference(self.basis)
+        if not gone:
+            return
         for i, row in enumerate(self.rows):
             self.rows[i], self.rhs[i], self.den[i] = _deleted(
                 (row, self.rhs[i], self.den[i]), gone)
@@ -216,9 +226,10 @@ class _Tableau:
         """Replace the artificial start by a basis of original columns;
         False when the rows are infeasible.
 
-        An artificial on a zero right-hand side is driven out first: a
-        pivot on a zero row moves no basic value. Phase 1 then runs only
-        while some artificial is basic with a positive value.
+        A row that starts on a column it owns has no artificial. An
+        artificial on a zero right-hand side is driven out first: a pivot
+        on a zero row moves no basic value. Phase 1 then runs only while
+        some artificial is basic with a positive value.
         """
         self.drive_out(art, [i for i, b in enumerate(self.basis)
                              if b in art and self.rhs[i] == 0])
@@ -279,8 +290,9 @@ def solve(num_vars: int,
     result's assignment, when optimal, satisfies every row exactly, and
     this is re-checked on every optimum. `pivots` counts every pivot
     made, including those that drive artificials out of the basis, and
-    none for an unknown the presolve pins. Raises PivotCapReached
-    ("N pivots") when a pivot would pass `pivot_cap`.
+    none for an unknown the presolve pins or for a row that starts basic
+    on a column it owns. Raises PivotCapReached ("N pivots") when a pivot
+    would pass `pivot_cap`.
     """
     # each caller row as one integer row, then the presolve of the module
     # docstring: pin, delete, repeat; drop the rows left 0 = 0
@@ -308,6 +320,7 @@ def solve(num_vars: int,
             ncols += 2
     slack = ncols
     art = ncols + sum(rel is not RowRel.EQ for _, rel in irows)
+    readers = Counter(j for (row, _, _), _ in irows for j in row)
 
     def split(row: Dict[int, int]) -> Dict[int, int]:
         cols: Dict[int, int] = {}
@@ -323,8 +336,8 @@ def solve(num_vars: int,
     den: List[int] = []
     basis: List[int] = []
     art_cols: List[int] = []
-    for (row, r, d), rel in irows:
-        row = split(row)
+    for (irow, r, d), rel in irows:
+        row = split(irow)
         s = -1
         if rel is not RowRel.EQ:
             s = slack
@@ -334,9 +347,18 @@ def solve(num_vars: int,
         # into a <= row, whose slack starts basic
         if r < 0 or (r == 0 and rel is RowRel.GE):
             row, r = {j: -v for j, v in row.items()}, -r
-        # starting basis: slack where it survived with +1, else artificial
+        # starting basis: slack where it survived with +1; for a zero-rhs
+        # equality, the first column of the last unknown it owns (one that
+        # no other row reads); else artificial
+        owned = [j for j in irow if readers[j] == 1] if rel is RowRel.EQ and r == 0 else []
         if s >= 0 and row[s] > 0:
             basis.append(s)
+        elif owned:
+            c = col_of[max(owned)][0]
+            if row[c] < 0:
+                row = {j: -v for j, v in row.items()}
+            row, r, d = _reduced(row, 0, row[c])
+            basis.append(c)
         else:
             row[art] = d
             basis.append(art)

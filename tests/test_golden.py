@@ -57,7 +57,7 @@ REFUSED = {
 
 # pivots of the first-iteration LP (25 unknowns x 28 rows, 19 rows after the
 # simplex presolve)
-FIRST_LP_PIVOTS = {"fig1b": 13, "fig2right": 13}
+FIRST_LP_PIVOTS = {"fig1b": 10, "fig2right": 10}
 
 # the figure-2 pCFGs are stored lowered and reuse the figure-1 invariants
 PCFG_INVARIANT = {"fig2left": "fig1a", "fig2right": "fig1b"}
@@ -173,13 +173,14 @@ def test_iteration_lp_digests(name, monkeypatch):
 # the pivots summed over every iteration LP of the ladder of depth 6, past
 # the benchmark's k <= 4, per procedure: a change that grows the LPs, or
 # the pivots they take, shows here
-DEEP_LADDER_PIVOTS = {"bsp": 411, "general": 1496}
+DEEP_LADDER_PIVOTS = {"bsp": 128, "general": 203}
 
 
-@pytest.mark.parametrize("mode", sorted(DEEP_LADDER_PIVOTS))
-def test_deep_ladder_pivots(mode, monkeypatch):
-    p = lower_to_pcfg(parse_program(workloads.ladder_source(6, mode == "general")))
-    inv = invariant_from_json(workloads.ladder_invariant(6), p)
+def ladder_run(k, mode, monkeypatch):
+    """The ladder of depth k synthesized in `mode`: (pCFG, result, the
+    pivots of each iteration LP)."""
+    p = lower_to_pcfg(parse_program(workloads.ladder_source(k, mode == "general")))
+    inv = invariant_from_json(workloads.ladder_invariant(k), p)
     pivots = []
 
     def recording(lp, *args, **kwargs):
@@ -189,8 +190,26 @@ def test_deep_ladder_pivots(mode, monkeypatch):
 
     monkeypatch.setattr(synthesis, "solve_lp", recording)
     result = (synthesize_general if mode == "general" else synthesize_bsp)(p, inv)
+    return p, result, pivots
+
+
+@pytest.mark.parametrize("mode", sorted(DEEP_LADDER_PIVOTS))
+def test_deep_ladder_pivots(mode, monkeypatch):
+    _, result, pivots = ladder_run(6, mode, monkeypatch)
     assert result.found and result.certificate.dimension == 7
     assert sum(pivots) == DEEP_LADDER_PIVOTS[mode]
+
+
+def test_depth_ten_general_ladder(monkeypatch):
+    # each zero-rhs equality that owns a column starts basic on it, which
+    # leaves 557 pivots over the 66 LPs; pivoting every such row on a
+    # shared template column first took 9938, for the same certificate
+    p, result, pivots = ladder_run(10, "general", monkeypatch)
+    assert result.found and result.certificate.dimension == 11
+    assert (len(pivots), sum(pivots)) == (66, 557)
+    doc = json.dumps(certificate_to_json(result.certificate, p), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "bd35f55748ee06922115600bf4dca42f49ce1be20620b30d09b966af5ce472bc")
 
 
 # The seeded random corpus of `test_integration.test_random_programs_pipeline_sound`,

@@ -76,32 +76,78 @@ def test_pivot_cap():
 
 
 def test_duplicated_zero_rhs_equality_is_dropped():
-    # the second row doubles the first: once x0 enters on the first row,
-    # the copy has no entry left outside the artificial columns and is
-    # dropped without a pivot
+    # the second row doubles the first, and each unknown is read by a
+    # bound as well, so no equality owns a column: once x1 enters on the
+    # first row, the copy has no entry left outside the artificial columns
+    # and is dropped without a pivot
     rows = [({0: F(1), 1: F(-1)}, RowRel.EQ, F(0)),
             ({0: F(2), 1: F(-2)}, RowRel.EQ, F(0)),
-            ({0: F(1)}, RowRel.LE, F(3))]
+            ({0: F(1)}, RowRel.LE, F(3)),
+            ({1: F(1)}, RowRel.LE, F(4))]
     obj = {0: F(1), 1: F(1)}
     r = solve(2, [False, False], rows, obj)
     assert r.status is LPStatus.OPTIMAL and r.x == [F(3), F(3)] and r.value == 6
     single = solve(2, [False, False], rows[:1] + rows[2:], obj)
-    assert r.pivots == single.pivots
+    assert single.pivots > 0 and r.pivots == single.pivots
 
 
 @pytest.mark.parametrize("obj", [{}, {0: F(1)}], ids=["crash-only", "crash-then-phase2"])
 def test_pivot_cap_counts_crash_pivots(obj):
-    # zero-rhs equalities over free unknowns: the crash start pivots a
-    # template-like column into the basis for each row, with no phase 1
+    # zero-rhs equalities over free unknowns, each unknown read by two
+    # rows: no equality owns a column, so each is driven out by a pivot,
+    # with no phase 1
     rows = [({0: F(1), 1: F(1)}, RowRel.EQ, F(0)),
             ({1: F(1), 2: F(-1)}, RowRel.EQ, F(0)),
-            ({0: F(1)}, RowRel.LE, F(1))]
+            ({0: F(1)}, RowRel.LE, F(1)),
+            ({2: F(1)}, RowRel.LE, F(1))]
     free = solve(3, [False] * 3, rows, obj)
     assert free.status is LPStatus.OPTIMAL and free.pivots >= 2
     r = solve(3, [False] * 3, rows, obj, pivot_cap=free.pivots)
     assert r.status is LPStatus.OPTIMAL and r.pivots == free.pivots and r.x == free.x
     with pytest.raises(PivotCapReached, match=f"^{free.pivots - 1} pivots$"):
         solve(3, [False] * 3, rows, obj, pivot_cap=free.pivots - 1)
+
+
+def test_owned_columns_start_without_a_pivot():
+    # x1 and x2 are each read by one zero-rhs equality only, so both rows
+    # start basic on them and no pivot is made, not even under a cap of 0;
+    # the two rows force x0 = 0
+    rows = [({0: F(1), 1: F(-1)}, RowRel.EQ, F(0)),
+            ({0: F(1), 2: F(2)}, RowRel.EQ, F(0)),
+            ({0: F(1)}, RowRel.LE, F(1))]
+    for cap in (0, simplex.DEFAULT_PIVOT_CAP):
+        r = solve(3, [False, True, True], rows, {}, pivot_cap=cap)
+        assert r.status is LPStatus.OPTIMAL and r.x == [0, 0, 0] and r.pivots == 0
+
+
+def test_owned_column_with_a_negative_entry():
+    # x1 owns the first row with entry -3: the row is negated before it is
+    # divided by 3, so that x1 starts basic at +1 and is priced out of the
+    # objective with the right sign
+    rows = [({0: F(1), 1: F(-3)}, RowRel.EQ, F(0)),
+            ({0: F(1)}, RowRel.LE, F(2))]
+    r = solve(2, [True, True], rows, {0: F(1), 1: F(1)})
+    assert r.status is LPStatus.OPTIMAL and r.x == [F(2), F(2, 3)] and r.value == F(8, 3)
+
+
+def test_owned_free_column():
+    # free x1 owns the first row and ends negative: 2 x0 + x1 = 0
+    rows = [({0: F(2), 1: F(1)}, RowRel.EQ, F(0)),
+            ({0: F(1)}, RowRel.LE, F(4))]
+    r = solve(2, [True, False], rows, {0: F(1)})
+    assert r.status is LPStatus.OPTIMAL and r.x == [F(4), F(-8)] and r.value == 4
+
+
+@pytest.mark.parametrize("weight", [F(2), F(-1, 2)], ids=["positive", "negative"])
+def test_owned_column_with_objective_weight(weight):
+    # the objective weighs the owned x1, which starts basic: its weight is
+    # priced through x1 = x0
+    rows = [({0: F(-1), 1: F(1)}, RowRel.EQ, F(0)),
+            ({0: F(1)}, RowRel.LE, F(5))]
+    r = solve(2, [True, True], rows, {1: weight})
+    best = F(5) if weight > 0 else F(0)
+    assert r.status is LPStatus.OPTIMAL and r.x == [best, best]
+    assert r.value == weight * best
 
 
 def _scipy_status(n, nonneg, rows, obj):
@@ -171,11 +217,31 @@ def _planted(make):
     return lp
 
 
+def _owned(make):
+    """LPs from `make` with a fresh unknown planted into some of the
+    zero-rhs equalities, which then own its column; some fresh unknowns
+    are free, and some carry objective weight."""
+    def lp(rng):
+        n, nonneg, rows, obj = make(rng)
+        rows, nonneg, obj = list(rows), list(nonneg), dict(obj)
+        for i, (coeffs, rel, b) in enumerate(rows):
+            if rel is RowRel.EQ and b == 0 and rng.random() < 0.6:
+                rows[i] = ({**coeffs, n: F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))},
+                           rel, b)
+                nonneg.append(rng.random() < 0.7)
+                if rng.random() < 0.3:
+                    obj[n] = _integer(rng, -3, 3)
+                n += 1
+        return n, nonneg, rows, obj
+    return lp
+
+
 @pytest.mark.parametrize("seed,make", [(42, _general(_integer)), (43, _general(_rational)),
                                        (44, _homogeneous), (45, _planted(_general(_rational))),
-                                       (46, _planted(_homogeneous))],
+                                       (46, _planted(_homogeneous)), (47, _owned(_homogeneous)),
+                                       (48, _owned(_planted(_homogeneous)))],
                          ids=["integer", "rational", "homogeneous", "planted-rational",
-                              "planted-homogeneous"])
+                              "planted-homogeneous", "owned-homogeneous", "owned-planted"])
 def test_randomized_against_scipy(seed, make):
     rng = random.Random(seed)
     for trial in range(400):
