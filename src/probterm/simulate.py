@@ -12,15 +12,18 @@ random numbers: as easy as 1, 2, 3", SC 2011). For the same seed these
 streams differ from those of earlier versions, where run i drew from
 `default_rng([seed, i])`. Every estimate is made in one process.
 
-Every entry point compiles the graph once per call into a `Program`: a
-tuple of outgoing edges per location, and each guard and each linear
-update scaled to integer coefficients by the lcm of its denominators.
-A guard is then decided by the sign of one integer built from the
-values' numerators and denominators, an update accumulates its new
-value, sample term included, as one integer ratio that becomes a single
-`Fraction`, and random tests compare the exact integer ratio of a float
-against the exact probability. The state, the rng stream and the order
-of draws are those of the plain small-step semantics.
+Every entry point compiles the graph once per call into a `Program`. A
+run's state is a list of numerators and one of denominators, each value
+in lowest terms; `Fraction`s are built only for `final_values`, recorded
+states and a scheduler's real choice. Each location keeps the distinct
+integer linear forms its guard atoms read, in lowest terms with the
+first term positive (`x >= 0` and `x < 0` read one form). A step takes
+each form's sign once and looks its enabled edges up by the tuple of
+signs, in a table that fills as runs reach sign vectors. An update
+builds its new value, sample included, as one integer ratio reduced by
+one gcd; random tests compare a float's exact integer ratio against the
+exact probability. The state, the rng stream and the order of draws are
+those of the plain small-step semantics.
 
 The built-in counterexample process is no program: its runs are
 exchangeable, so it keeps only how many are still going, and each step
@@ -41,11 +44,12 @@ import importlib.util
 import math
 import operator
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .linear import LinExpr, Predicate, Rel
+from .linear import LinExpr, Rel
 from .model import (Certificate, ExprUpdate, Invariant, NondetUpdate, PCFG,
                     ProbBranch, Transition)
 from .preexp import max_pre, nondet_endpoint
@@ -102,12 +106,13 @@ class Scheduler:
 
     choice_draws = 0   # the uniforms a choice among enabled transitions draws
 
-    def choose(self, enabled: List[Transition], values, rng) -> Transition:
+    def choose(self, enabled: List[Transition], values: List[Fraction], rng) -> Transition:
+        """One of `enabled`, two or more transitions enabled at `values`."""
         raise NotImplementedError
 
-    def ndet_value(self, t: Transition, values) -> Optional[Fraction]:
-        """The value demonic assignment `t` takes at `values`, or None to
-        draw it uniformly from its interval."""
+    def ndet_value(self, t: Transition) -> Optional[Fraction]:
+        """The value demonic assignment `t` takes, or None to draw it
+        uniformly from its interval."""
         return None
 
 
@@ -144,7 +149,7 @@ class FixedPriority(Scheduler):
         last = len(self.ordering)
         return min(enabled, key=lambda t: (self._position.get(t.id, last), t.id))
 
-    def ndet_value(self, t, values):
+    def ndet_value(self, t):
         u = t.kind.update
         if self.ndet_mode == "lo":
             return u.lo
@@ -178,7 +183,7 @@ class Adversarial(Scheduler):
             return enabled[0]
         return max(enabled, key=lambda t: (self._max_pre(j, t).evaluate(values), t.id))
 
-    def ndet_value(self, t, values):
+    def ndet_value(self, t):
         j = self.certificate.levels.get(t.id, 0)
         if j == 0:
             return None
@@ -190,9 +195,6 @@ class Adversarial(Scheduler):
 # An integer form (terms, k) with terms ((i, a_i), ...) stands for
 # k + sum a_i * x_i; it is a linear expression times the lcm of its
 # denominators, so it has the sign of the expression.
-
-_LE, _LT, _EQ = 0, 1, 2
-_REL = {Rel.LE: _LE, Rel.LT: _LT, Rel.EQ: _EQ}
 
 
 def _integer_form(coeffs: Mapping[int, Fraction], constant: Fraction,
@@ -206,125 +208,113 @@ def _integer_form(coeffs: Mapping[int, Fraction], constant: Fraction,
     return terms, constant.numerator * (scale // constant.denominator), scale
 
 
-def compile_guard(guard: Predicate) -> Optional[tuple]:
-    """The guard as a tuple of disjuncts, each a tuple of integer-scaled
-    atoms (terms, k, rel); None when a disjunct is empty (always true)."""
-    if guard.is_true():
-        return None
-    return tuple(tuple(_integer_form(c.lhs.coeffs, c.lhs.constant)[:2] + (_REL[c.rel],)
-                       for c in d.constraints)
-                 for d in guard.disjuncts)
+def _canonical_form(e: LinExpr) -> Tuple[Tuple[tuple, int], int]:
+    """((terms, k), flip): the integer form of `e` divided by the gcd of
+    its integers, its terms sorted by variable and its first term (else
+    its constant) made positive, so that proportional expressions share
+    one form; `e` has the sign of the form times `flip`."""
+    terms, k, _ = _integer_form(e.coeffs, e.constant)
+    terms = sorted(terms)
+    flip = -1 if (terms[0][1] if terms else k) < 0 else 1
+    g = math.gcd(k, *(a for _, a in terms)) * flip or 1
+    return (tuple((i, a // g) for i, a in terms), k // g), flip
 
 
-def _ratio(terms: tuple, k: int, values: Sequence[Fraction]) -> Tuple[int, int]:
-    """k + sum a_i * values[i] as (numerator, denominator > 0), from the
-    values' numerators and denominators; not reduced."""
+def _ratio(terms: tuple, k: int, nums: Sequence[int], dens: Sequence[int]) -> Tuple[int, int]:
+    """k + sum a_i * x_i at the state (`nums`, `dens`) as (numerator,
+    denominator > 0); not reduced."""
     num, den = k, 1
     for i, a in terms:
-        v = values[i]
-        d = v.denominator
+        d = dens[i]
         if d == 1:
-            num += a * v.numerator * den
+            num += a * nums[i] * den
         else:
-            num = num * d + a * v.numerator * den
+            num = num * d + a * nums[i] * den
             den *= d
     return num, den
 
 
-def guard_holds(guard: tuple, values: Sequence[Fraction]) -> bool:
-    """Decide a compiled guard exactly at `values`: an atom has the sign
-    of the numerator of its integer form's value."""
-    for atoms in guard:
-        for terms, k, rel in atoms:
-            num = _ratio(terms, k, values)[0]
-            if num > 0 if rel == _LE else num >= 0 if rel == _LT else num != 0:
-                break
-        else:
-            return True
-    return False
+def _fractions(nums: Sequence[int], dens: Sequence[int]) -> List[Fraction]:
+    return [Fraction(n, d) for n, d in zip(nums, dens)]
 
 
 class _Edge:
-    """One transition, ready to fire: `fire(values, sched, rng)` returns
-    (destination, values, draws) and never mutates `values`."""
+    """One transition, ready to fire: `fire(nums, dens, sched, rng)` writes
+    the step's new value into the run's state lists in place and returns
+    (destination, draws)."""
 
-    __slots__ = ("transition", "guard")
+    __slots__ = ("transition",)
 
-    def __init__(self, t: Transition, guard: Optional[tuple]):
+    def __init__(self, t: Transition):
         self.transition = t
-        self.guard = guard
 
 
 class _Branch(_Edge):
     __slots__ = ("dest1", "dest2", "pn", "pd")
 
     def __init__(self, t: Transition):
-        super().__init__(t, None)
+        super().__init__(t)
         k = t.kind
         self.dest1, self.dest2 = k.dest1, k.dest2
         self.pn, self.pd = k.p1.numerator, k.p1.denominator
 
-    def fire(self, values, sched, rng):
+    def fire(self, nums, dens, sched, rng):
         # Fraction(u) < p1, with u read exactly
         un, ud = rng.random().as_integer_ratio()
-        return (self.dest1 if un * self.pd < self.pn * ud else self.dest2), values, 1
+        return (self.dest1 if un * self.pd < self.pn * ud else self.dest2), 1
 
 
 class _Move(_Edge):
     __slots__ = ("dest",)
 
     def __init__(self, t: Transition):
-        super().__init__(t, compile_guard(t.kind.guard))
+        super().__init__(t)
         self.dest = t.kind.dest
 
-    def fire(self, values, sched, rng):
-        return self.dest, values, 0
+    def fire(self, nums, dens, sched, rng):
+        return self.dest, 0
 
 
 class _Assign(_Move):
-    """x[target] := (k + sum a_i x_i + s * sample) / scale."""
+    """x[target] := (k + sum a_i x_i + s * sample) / scale, reduced by one
+    gcd; `draw` returns the sample as an integer ratio."""
 
     __slots__ = ("target", "terms", "k", "scale", "s", "draw")
 
-    def __init__(self, t: Transition):
+    def __init__(self, t: Transition, coeffs: Mapping[int, Fraction], constant: Fraction,
+                 coeff: Fraction, draw):
         super().__init__(t)
-        u = t.kind.update
-        coeff, dist = u.sample if u.sample is not None else (ZERO, None)
-        self.terms, self.k, self.scale = _integer_form(u.base.coeffs, u.base.constant, coeff)
+        self.terms, self.k, self.scale = _integer_form(coeffs, constant, coeff)
         self.s = coeff.numerator * (self.scale // coeff.denominator)
-        self.draw = dist.drawer() if dist is not None else None
-        self.target = u.target
+        self.draw = draw
+        self.target = t.kind.update.target
 
-    def fire(self, values, sched, rng):
-        num, den = _ratio(self.terms, self.k, values)
+    def fire(self, nums, dens, sched, rng):
+        num, den = _ratio(self.terms, self.k, nums, dens)
         draws = 0
         if self.draw is not None:
             n, d = self.draw(rng)
             num = num * d + self.s * n * den
             den *= d
             draws = 1
-        values = list(values)
-        values[self.target] = Fraction(num, den * self.scale)
-        return self.dest, values, draws
+        den *= self.scale
+        g = math.gcd(num, den)
+        nums[self.target], dens[self.target] = num // g, den // g
+        return self.dest, draws
 
 
-class _Choose(_Move):
-    __slots__ = ("target",)
+class _Choose(_Assign):
+    """x[target] := the scheduler's value, else lo + (hi - lo) * u for a
+    uniform u."""
 
-    def __init__(self, t: Transition):
-        super().__init__(t)
-        self.target = t.kind.update.target
+    __slots__ = ()
 
-    def fire(self, values, sched, rng):
-        value = sched.ndet_value(self.transition, values)
-        draws = 0
+    def fire(self, nums, dens, sched, rng):
+        value = sched.ndet_value(self.transition)
         if value is None:
-            u = self.transition.kind.update
-            value = u.lo + (u.hi - u.lo) * Fraction(rng.random())
-            draws = 1
-        values = list(values)
-        values[self.target] = value
-        return self.dest, values, draws
+            return super().fire(nums, dens, sched, rng)
+        nums[self.target], dens[self.target] = value.numerator, value.denominator
+        return self.dest, 0
 
 
 def _compile_edge(t: Transition) -> _Edge:
@@ -332,10 +322,47 @@ def _compile_edge(t: Transition) -> _Edge:
         return _Branch(t)
     u = t.kind.update
     if isinstance(u, ExprUpdate):
-        return _Assign(t)
+        coeff, dist = u.sample if u.sample is not None else (ZERO, None)
+        return _Assign(t, u.base.coeffs, u.base.constant, coeff,
+                       dist.drawer() if dist is not None else None)
     if isinstance(u, NondetUpdate):
-        return _Choose(t)
+        return _Choose(t, {}, u.lo, u.hi - u.lo, lambda rng: rng.random().as_integer_ratio())
     return _Move(t)
+
+
+class _Location:
+    """A location's outgoing edges with the distinct canonical forms their
+    guard atoms read. Each guard is a tuple of disjuncts, each a tuple of
+    atoms (form index, flip, relation). An atom's truth depends only on
+    its form's sign, so the edges enabled at a vector of form signs are
+    decided once and kept in `enabled`."""
+
+    __slots__ = ("edges", "forms", "guards", "enabled")
+
+    def __init__(self, edges: Sequence[_Edge]):
+        index: Dict[tuple, int] = {}
+
+        def atom(c):
+            form, flip = _canonical_form(c.lhs)
+            return index.setdefault(form, len(index)), flip, c.rel
+
+        self.edges = tuple(edges)
+        self.guards = tuple(tuple(tuple(map(atom, d.constraints))
+                                  for d in e.transition.guard().disjuncts)
+                            for e in self.edges)
+        self.forms: Tuple[Tuple[tuple, int], ...] = tuple(index)
+        self.enabled: Dict[Tuple[int, ...], Tuple[_Edge, ...]] = {}
+
+    def decide(self, signs: Tuple[int, ...]) -> Tuple[_Edge, ...]:
+        """The edges enabled where the forms have `signs`, in edge order."""
+        def holds(f, flip, rel):
+            s = signs[f] * flip
+            return s <= 0 if rel is Rel.LE else s < 0 if rel is Rel.LT else s == 0
+
+        enabled = self.enabled[signs] = tuple(
+            e for e, guard in zip(self.edges, self.guards)
+            if any(all(holds(*a) for a in atoms) for atoms in guard))
+        return enabled
 
 
 class Program:
@@ -349,44 +376,58 @@ class Program:
         for t in p.transitions:
             e = self.edges[t.id] = _compile_edge(t)
             outgoing.setdefault(t.source, []).append(e)
-        self.outgoing: Dict[str, Tuple[_Edge, ...]] = {
-            loc: tuple(es) for loc, es in outgoing.items()}
+        # a location without outgoing edges enables none: runs there are stuck
+        self.locations: Dict[str, _Location] = defaultdict(lambda: _Location(()))
+        self.locations.update((loc, _Location(es)) for loc, es in outgoing.items())
 
-    def run(self, start: Sequence[Fraction], sched: Scheduler, step_cap: int, rng,
-            record_states: bool = True) -> "TrajectoryReport":
-        """One run from `start`, whose values must already be Fractions;
-        see `run_trajectory`."""
+    def run(self, start: Tuple[Sequence[int], Sequence[int]], sched: Scheduler,
+            step_cap: int, rng, record_states: bool = True) -> "TrajectoryReport":
+        """One run from `start`, a state (numerators, denominators) as
+        `_integer_state` gives it; see `run_trajectory`."""
         loc = self.init_location
         terminal = self.terminal_location
-        outgoing = self.outgoing
+        locations = self.locations
         edges = self.edges
         choice_draws = sched.choice_draws
-        values = list(start)
-        states = [(loc, list(values))] if record_states else None
+        nums, dens = list(start[0]), list(start[1])
+        states = [(loc, _fractions(nums, dens))] if record_states else None
         taken: Optional[List[str]] = [] if record_states else None
         draws = 0
         steps = 0
         stuck = False
         while loc != terminal and steps < step_cap:
-            enabled = [e for e in outgoing.get(loc, ())
-                       if e.guard is None or guard_holds(e.guard, values)]
+            site = locations[loc]
+            signs = []
+            for terms, k in site.forms:
+                num = _ratio(terms, k, nums, dens)[0]
+                signs.append((num > 0) - (num < 0))
+            signs = tuple(signs)
+            enabled = site.enabled.get(signs)
+            if enabled is None:
+                enabled = site.decide(signs)
             if not enabled:
                 stuck = True
                 break
             if len(enabled) > 1:
-                t = sched.choose([e.transition for e in enabled], values, rng)
+                t = sched.choose([e.transition for e in enabled], _fractions(nums, dens), rng)
                 e = edges[t.id]
                 draws += choice_draws
             else:
                 e = enabled[0]
-            loc, values, d = e.fire(values, sched, rng)
+            loc, d = e.fire(nums, dens, sched, rng)
             draws += d
             steps += 1
             if record_states:
                 taken.append(e.transition.id)
-                states.append((loc, list(values)))
+                states.append((loc, _fractions(nums, dens)))
         return TrajectoryReport(loc == terminal, steps, stuck, loc,
-                                values, taken, states, draws)
+                                _fractions(nums, dens), taken, states, draws)
+
+
+def _integer_state(values: Iterable) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """`values`, each read as a Fraction, as (numerators, denominators)."""
+    values = [Fraction(v) for v in values]
+    return tuple(v.numerator for v in values), tuple(v.denominator for v in values)
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -420,7 +461,7 @@ def run_trajectory(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
 
     With `record_states` the report lists the ids of the transitions taken
     and every state visited; without it, `taken` and `states` are `None`."""
-    return Program(p).run([Fraction(v) for v in init], sched, step_cap,
+    return Program(p).run(_integer_state(init), sched, step_cap,
                           next(run_rngs(seed, [run_index])), record_states)
 
 
@@ -430,7 +471,7 @@ def trajectories(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
     `run_rngs` and without states or taken transitions, from one compiled
     program; the runs are yielded lazily."""
     program = Program(p)
-    start = [Fraction(v) for v in init]
+    start = _integer_state(init)
     for rng in run_rngs(seed, runs):
         yield program.run(start, sched, step_cap, rng, record_states=False)
 

@@ -11,7 +11,7 @@ from probterm import (DistributionSpec, GuardedStep, LinConstraint, LinExpr,
                       NondetUpdate, PCFG, Polyhedron, Predicate, ProbBranch, Rel,
                       Transition, load_pcfg, max_pre, min_pre, pre_pb_restricted)
 from probterm.model import ExprUpdate, NoUpdate
-from probterm.simulate import Program, UniformRandom, run_rngs
+from probterm.simulate import Program, UniformRandom, _integer_state, run_rngs
 
 from conftest import fixture_path, load_fixture
 
@@ -328,12 +328,15 @@ def test_pre_expectation_matches_empirical_mean():
                 fixed[dest] = rest.numerator, rest.denominator, int(a)
             nprng = next(run_rngs(77, [probes]))
             samples = np.empty(100_000)
+            start = _integer_state(values)
             for k in range(samples.size):
-                dest, vals2, _ = edge.fire(values, sched, nprng)
+                # `fire` writes the step into the state lists: a copy per call
+                nums, dens = list(start[0]), list(start[1])
+                dest, _ = edge.fire(nums, dens, sched, nprng)
                 n, d, a = fixed[dest]
                 if a:
-                    v = vals2[target]
-                    n, d = n * v.denominator + a * v.numerator * d, d * v.denominator
+                    vn, vd = nums[target], dens[target]
+                    n, d = n * vd + a * vn * d, d * vd
                 samples[k] = n / d
             se = samples.std(ddof=1) / np.sqrt(samples.size)
             assert abs(samples.mean() - expected) <= max(4 * se, 1e-12), (t.id, values)

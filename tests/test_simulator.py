@@ -75,6 +75,27 @@ def test_runs_without_states_record_no_path(fig1b):
     assert bare.taken is None and bare.states is None
     assert dataclasses.replace(full, taken=None, states=None) == bare
 
+@pytest.mark.parametrize("name, init", [("bern_walk", [F(3)]), ("fig1b", [F(3), F(3)])])
+def test_runs_build_no_fraction_per_step(name, init, monkeypatch):
+    # a run keeps integer numerators and denominators: the start state is
+    # read once per call and `final_values` once per run
+    built = 0
+    real = simulate.Fraction
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "Fraction", counted)
+    p, _ = load_fixture(name)
+    runs = 200
+    reports = list(trajectories(p, init, UniformRandom(), 10 ** 4, 1, range(runs)))
+    assert all(type(v) is F for r in reports for v in r.final_values)
+    assert sum(r.steps for r in reports) > 5 * runs
+    assert built <= len(init) * (runs + 1)
+
+
 def test_stuck_reported_not_raised():
     from probterm import (GuardedStep, LinConstraint, LinExpr, NoUpdate, PCFG,
                           Polyhedron, Predicate, Transition)
@@ -442,16 +463,49 @@ def test_invariant_audit_empty_input():
     assert audit_invariant(p, inv, []) == []
 
 
-# -- compiled guards ----------------------------------------------------------------------
+# -- compiled locations ---------------------------------------------------------------
 
 
-def test_compiled_guard_matches_predicate():
-    """The integer guard test against `Predicate.satisfied` on random
-    multi-disjunct guards, at integer, small-rational and dyadic points,
-    and at points exactly on an atom's boundary."""
+def _location_program(guards, nvars):
+    """A program whose location "a" has one edge per guard, each to "out"."""
+    from probterm import GuardedStep, NoUpdate, PCFG, Transition
+    return simulate.Program(PCFG([f"x{i}" for i in range(nvars)], ["a", "out"], "a", "out",
+                                 [Transition(f"t{k}", "a", GuardedStep("out", g, NoUpdate()))
+                                  for k, g in enumerate(guards)]))
+
+
+def _enabled(program, values):
+    """The ids of the edges out of "a" enabled at `values`, in edge order,
+    read off one step of a compiled run: none when it is stuck, the
+    scheduler's options on a real choice, else the edge it took."""
+    options = []
+
+    class Record(simulate.Scheduler):
+        def choose(self, enabled, at, rng):
+            assert at == values and all(type(v) is F for v in at)
+            options.extend(t.id for t in enabled)
+            return enabled[0]
+
+    r = program.run(simulate._integer_state(values), Record(), 1, None)
+    return [] if r.stuck else options or r.taken
+
+
+def _form_key(e):
+    """`e` up to a nonzero factor: divided by its first coefficient, by
+    variable; a constant expression by whether it is zero."""
+    if not e.coeffs:
+        return e.constant != 0
+    lead = e.coeffs[min(e.coeffs)]
+    return tuple(sorted((i, c / lead) for i, c in e.coeffs.items())), e.constant / lead
+
+
+def test_compiled_location_matches_predicate():
+    """Each edge's enabledness in a compiled location against
+    `Predicate.satisfied`, on random multi-edge locations whose guards
+    reuse proportional and opposite atoms, at integer, small-rational,
+    dyadic and on-boundary points; proportional atoms share one form."""
     import random
     from probterm import LinConstraint, LinExpr, Polyhedron, Predicate, Rel
-    from probterm.simulate import compile_guard, guard_holds
 
     rng = random.Random(3)
     nvars = 3
@@ -462,9 +516,18 @@ def test_compiled_guard_matches_predicate():
     def nonzero():
         return F(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 7))
 
-    def atom():
-        coeffs = {i: nonzero() for i in rng.sample(range(nvars), rng.randint(1, nvars))}
-        return LinConstraint(LinExpr(coeffs, rational()), rng.choice(list(Rel)))
+    def atom(pool):
+        if pool and rng.random() < 0.4:
+            # an earlier atom's expression times a nonzero factor
+            e = rng.choice(pool).lhs
+            k = nonzero()
+            lhs = LinExpr({i: c * k for i, c in e.coeffs.items()}, e.constant * k)
+        else:
+            coeffs = {i: nonzero() for i in rng.sample(range(nvars), rng.randint(0, nvars))}
+            lhs = LinExpr(coeffs, rational())
+        c = LinConstraint(lhs, rng.choice(list(Rel)))
+        pool.append(c)
+        return c
 
     def point():
         kind = rng.randrange(3)
@@ -482,25 +545,43 @@ def test_compiled_guard_matches_predicate():
         values[j] = -rest / c.lhs.coeff(j)
         return values
 
+    fixed = [LinConstraint.le(LinExpr({0: 2}, -2)), LinConstraint.lt(LinExpr({0: 1}, -1)),
+             LinConstraint.le(LinExpr({0: -1})), LinConstraint.lt(LinExpr({0: 1})),
+             LinConstraint.le(LinExpr({}, -1)), LinConstraint.lt(LinExpr({}, F(3, 2))),
+             LinConstraint.eq(LinExpr({}, 0))]
     seen = set()
-    for _ in range(200):
-        guard = Predicate([Polyhedron([atom() for _ in range(rng.randint(1, 3))])
-                           for _ in range(rng.randint(1, 3))])
-        compiled = compile_guard(guard)
-        for _ in range(10):
+    for trial in range(150):
+        if trial == 0:
+            pool = list(fixed)
+            guards = [Predicate([Polyhedron(fixed[:2]), Polyhedron(fixed[2:4])])]
+        else:
+            pool = []
+            guards = [Predicate([Polyhedron([atom(pool) for _ in range(rng.randint(1, 3))])
+                                 for _ in range(rng.randint(1, 3))])
+                      for _ in range(rng.randint(1, 4))]
+        # one edge per atom, then an always and a never enabled edge
+        singles = list(dict.fromkeys(pool))
+        guards += [Predicate([Polyhedron([c])]) for c in singles]
+        guards += [Predicate.true(), Predicate.false()]
+        program = _location_program(guards, nvars)
+        forms = program.locations["a"].forms
+        assert len(forms) == len({_form_key(c.lhs) for c in pool})
+        if trial == 0:
+            # 2x - 2 and x - 1, -x and x, the nonzero and the zero constants
+            assert len(forms) == 4
+        for _ in range(20):
             values = point()
-            atoms = [c for d in guard.disjuncts for c in d.constraints]
             if rng.random() < 0.5:
-                c = rng.choice(atoms)
-                values = on_boundary(c, values)
-                assert c.lhs.evaluate(values) == 0
-            assert guard_holds(compiled, values) == guard.satisfied(values), \
-                (guard, values)
-            for c in atoms:
-                single = compile_guard(Predicate([Polyhedron([c])]))
-                result = guard_holds(single, values)
-                assert result == c.satisfied(values), (c, values)
-                seen.add((c.rel, c.lhs.evaluate(values) == 0, result))
+                c = rng.choice(singles)
+                if c.lhs.coeffs:
+                    values = on_boundary(c, values)
+                    assert c.lhs.evaluate(values) == 0
+            enabled = set(_enabled(program, values))
+            for k, g in enumerate(guards):
+                assert (f"t{k}" in enabled) == g.satisfied(values), (g, values)
+            for k, c in enumerate(singles, len(guards) - len(singles) - 2):
+                seen.add((c.rel, c.lhs.evaluate(values) == 0, f"t{k}" in enabled))
+        assert len(program.locations["a"].enabled) <= 3 ** len(forms)
     # every outcome a strict, non-strict or equality atom can have, on and
     # off its boundary, and no other
     on_edge = {(Rel.LE, True, True), (Rel.LT, True, False), (Rel.EQ, True, True)}
@@ -509,8 +590,15 @@ def test_compiled_guard_matches_predicate():
     assert seen == on_edge | off_edge
 
 
-def test_compiled_guard_true_and_false():
-    from probterm import Predicate
-    from probterm.simulate import compile_guard, guard_holds
-    assert compile_guard(Predicate.true()) is None
-    assert not guard_holds(compile_guard(Predicate.false()), [F(0)])
+def test_compiled_location_constant_guards():
+    # true, false and constant atoms read no variable: one form, fixed signs
+    from probterm import LinConstraint, LinExpr, Predicate
+    guards = [Predicate.true(), Predicate.false(),
+              Predicate.of_constraints([LinConstraint.le(LinExpr({}, -3))]),
+              Predicate.of_constraints([LinConstraint.lt(LinExpr({}, F(1, 2)))])]
+    program = _location_program(guards, 1)
+    assert program.locations["a"].forms == (((), 1),)
+    for v in (F(0), F(-7, 3), F(5)):
+        assert _enabled(program, [v]) == ["t0", "t2"]
+    assert _location_program([Predicate.false()], 1).run(
+        simulate._integer_state([F(0)]), UniformRandom(), 10, None).stuck
