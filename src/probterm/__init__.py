@@ -16,8 +16,8 @@ from .source import (MultipleSamplesInAssignment, NonLinearExpression,
 from .lowering import lower_to_pcfg, run_ast
 from .pcfg_io import FormatError, load_certificate, load_invariant, load_pcfg
 from .preexp import max_pre, min_pre, pre_pb_restricted
-from .farkas import (Affine, LPProblem, check_feasible, encode_implication,
-                     entails, solve_lp)
+from .farkas import (LPProblem, check_feasible, encode_implication, entails,
+                     solve_lp)
 from .synthesis import (IterationRecord, MissingBoundedSupport, NotLinPPStar,
                         SynthesisResult, TemplateRestriction, build_lp,
                         extract_level_map, synthesize_bsp, synthesize_general)

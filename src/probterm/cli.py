@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from . import pcfg_io
 from .checker import StructuralMismatch, check_certificate, structural_check
+from .distributions import DistKind
 from .farkas import dump_lp
 from .linear import EncodingBlowup, ResourceLimit
 from .lowering import lower_to_pcfg
@@ -55,6 +56,16 @@ def _limit_hit(e: ResourceLimit) -> str:
     if isinstance(e, EncodingBlowup):
         return f"a DNF expansion hit the DNF cap ({e})"
     return f"an LP hit the simplex pivot cap ({e})"
+
+
+def _custom_note(p) -> str:
+    """A sentence naming each custom sampler that a verdict on `p` rests on;
+    "" when `p` draws from none."""
+    named = dict.fromkeys(repr(d.param("sampler")) for t in p.transitions
+                          if (d := t.samples_from()) and d.kind is DistKind.CUSTOM)
+    return (f". The verdict rests on the declared mean and support of custom sampler"
+            f"{'s' * (len(named) > 1)} {', '.join(named)}, which are not checked"
+            if named else "")
 
 
 class _Outputs(contextlib.ExitStack):
@@ -169,6 +180,7 @@ def cmd_synthesize(args) -> int:
             detail = ("termination UNKNOWN (the method is sound, not complete): "
                       + result.failure)
             verdict = "unknown"
+        detail += _custom_note(p)
         _emit({"outcome": "no-witness", "verdict": verdict, "mode": mode,
                "detail": detail, "iterations": iterations},
               args.json, detail)
@@ -213,7 +225,8 @@ def cmd_check(args) -> int:
         return EXIT_NEGATIVE
     doc = report.as_dict()
     if report.accepted:
-        _emit(doc, args.json, f"accepted ({report.mode}): {report.meaning}")
+        doc["meaning"] += _custom_note(p)
+        _emit(doc, args.json, f"accepted ({report.mode}): {doc['meaning']}")
         return EXIT_OK
     lines = [f"rejected ({report.mode}):"]
     for v in report.violations:

@@ -12,9 +12,11 @@ read as non-strict, since the encoder uses only each row's left-hand
 side.
 
 An LP unknown is its column index from assembly to the simplex: in a
-`LinExpr` over LP columns, in the `Affine` row records of an `LPProblem`
-and its objective, and in the point `solve_lp` returns. Names label the
-columns in `dump_lp` alone.
+`LinExpr` over LP columns, in the integer rows (`IntRow`) of an
+`LPProblem` and its objective, and in the point `solve_lp` returns. The
+encoder converts each row to integers once, and the simplex takes the
+rows as they stand. Names label the columns in `dump_lp` alone, which
+prints each coefficient as its fraction.
 
 There is one polyhedral query, and it is exact too. `check_feasible`
 decides whether a polyhedron has a rational point. It tries, in order:
@@ -36,37 +38,25 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .linear import LinConstraint, LinExpr, Polyhedron, Rel
 from . import simplex
-from .simplex import LPStatus, RowRel, SimplexResult
+from .simplex import IntRow, LPStatus, RowRel, SimplexResult, integer_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(slots=True)
-class Affine:
-    """The left-hand side of an LP row: `terms` maps a column to its
-    nonzero coefficient, in the order the row lists them, and `const` is
-    the rational constant. The row record holds no algebra: synthesis
-    computes its forms as `LinExpr`s over LP columns and copies each row
-    out of one."""
-    terms: Dict[int, Fraction]
-    const: Fraction
-
-
-@dataclass
-class LPConstraint:
-    form: Affine            # form rel 0
+class LPConstraint(NamedTuple):
+    form: IntRow            # form.terms . x  rel  form.rhs, over form.den
     rel: RowRel
 
 
 @dataclass
 class LPProblem:
-    """An LP whose unknowns are its columns 0, 1, ...; the objective, a
-    column -> coefficient map, is always maximized.
+    """An LP whose unknowns are its columns 0, 1, ...; the objective, an
+    integer row whose rhs is 0, is always maximized.
 
     Unknowns registered nonnegative keep a >= 0 bound (all Farkas
     multipliers do); the rest are free. `names` labels the columns in
@@ -75,7 +65,7 @@ class LPProblem:
     names: List[str] = field(default_factory=list)
     nonneg: List[bool] = field(default_factory=list)
     constraints: List[LPConstraint] = field(default_factory=list)
-    objective: Dict[int, Fraction] = field(default_factory=dict)
+    objective: IntRow = field(default_factory=lambda: IntRow({}, 0, 1))
     _fresh: itertools.count = field(default_factory=itertools.count)
 
     def add_var(self, name: str, nonneg: bool = False) -> int:
@@ -87,7 +77,7 @@ class LPProblem:
     def fresh_multiplier(self, tag: str = "lam") -> int:
         return self.add_var(f"{tag}.{next(self._fresh)}", nonneg=True)
 
-    def add_constraint(self, form: Affine, rel: RowRel) -> None:
+    def add_constraint(self, form: IntRow, rel: RowRel) -> None:
         self.constraints.append(LPConstraint(form, rel))
 
     def num_vars(self) -> int:
@@ -100,9 +90,8 @@ class LPProblem:
 def solve_lp(lp: LPProblem, pivot_cap: int = simplex.DEFAULT_PIVOT_CAP) -> SimplexResult:
     """Exact optimum of `lp`, its point indexed by column; deterministic
     for identical input."""
-    rows = [(c.form.terms, c.rel, -c.form.const if c.form.const else ZERO)
-            for c in lp.constraints]
-    return simplex.solve(lp.num_vars(), lp.nonneg, rows, lp.objective, pivot_cap=pivot_cap)
+    return simplex.solve(lp.num_vars(), lp.nonneg, lp.constraints, lp.objective,
+                         pivot_cap=pivot_cap)
 
 
 # -- polyhedral queries ----------------------------------------------------
@@ -190,9 +179,10 @@ def _gap_lp(constraints: List[LinConstraint], nvars: int
             continue
         if c.rel is Rel.LT:
             coeffs = {**coeffs, gap: ONE}
-        rows.append((coeffs, RowRel.EQ if c.rel is Rel.EQ else RowRel.LE, -c.lhs.constant))
-    rows.append(({gap: ONE}, RowRel.LE, ONE))
-    res = simplex.solve(nvars + 1, [False] * nvars + [True], rows, {gap: ONE})
+        rows.append((integer_row(coeffs, -c.lhs.constant),
+                     RowRel.EQ if c.rel is Rel.EQ else RowRel.LE))
+    rows.append((IntRow({gap: 1}, 1, 1), RowRel.LE))
+    res = simplex.solve(nvars + 1, [False] * nvars + [True], rows, IntRow({gap: 1}, 0, 1))
     if res.status is LPStatus.INFEASIBLE or res.value == 0:
         return False, None
     return True, {i: res.x[i] for i in range(nvars)}
@@ -266,10 +256,10 @@ def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
         for i, a in coeffs.items():
             columns.setdefault(i, []).append((lam, a))
 
-    def row(base: Optional[LinExpr], terms) -> Affine:
-        form = Affine({}, ZERO) if base is None else Affine(dict(base.coeffs), base.constant)
-        form.terms.update(terms)
-        return form
+    def row(base: Optional[LinExpr], terms) -> IntRow:
+        coeffs, const = ({}, ZERO) if base is None else (dict(base.coeffs), base.constant)
+        coeffs.update(terms)
+        return integer_row(coeffs, -const)
 
     # lam^T A = -c, per program variable
     for i in sorted(columns):
@@ -304,14 +294,15 @@ def dump_lp(lp: LPProblem) -> str:
         twice = next(n for j, n in enumerate(names) if n in names[:j])
         raise ValueError(f"two LP unknowns would both be written as {twice!r}")
 
-    def term_str(terms: Dict[int, Fraction]) -> str:
-        parts = [f"{'+' if v >= 0 else '-'} {abs(v)} {names[j]}" for j, v in terms.items()]
+    def term_str(form: IntRow) -> str:
+        parts = [f"{'+' if v >= 0 else '-'} {Fraction(abs(v), form.den)} {names[j]}"
+                 for j, v in form.terms.items()]
         return " ".join(parts) if parts else "0 dummy"
 
     lines = ["Maximize", f" obj: {term_str(lp.objective)}", "Subject To"]
-    for k, c in enumerate(lp.constraints):
-        op = {RowRel.LE: "<=", RowRel.GE: ">=", RowRel.EQ: "="}[c.rel]
-        lines.append(f" c{k}: {term_str(c.form.terms)} {op} {-c.form.const}")
+    for k, (form, rel) in enumerate(lp.constraints):
+        op = {RowRel.LE: "<=", RowRel.GE: ">=", RowRel.EQ: "="}[rel]
+        lines.append(f" c{k}: {term_str(form)} {op} {Fraction(form.rhs, form.den)}")
     lines.append("Bounds")
     for name, nn in zip(names, lp.nonneg):
         lines.append(f" {name} >= 0" if nn else f" {name} free")

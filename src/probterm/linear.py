@@ -78,8 +78,9 @@ class LinExpr:
         return LinExpr({}, value)
 
     @staticmethod
-    def var(index: int, coeff: RationalLike = 1) -> "LinExpr":
-        return LinExpr({index: coeff})
+    def var(index: int, coeff: RationalLike = ONE) -> "LinExpr":
+        return (LinExpr.owning({int(index): ONE}, ZERO) if coeff is ONE
+                else LinExpr({index: coeff}))
 
     def coeff(self, index: int) -> Fraction:
         return self.coeffs.get(index, ZERO)

@@ -49,21 +49,19 @@ leaving on the lowest basic index among minimum ratios. Ratios are
 compared by cross-multiplying numerators, since a row's denominator
 cancels in its own ratio.
 
-Integers from input to re-check. Each caller row, and the objective, is
-converted to one integer row once, over its unsplit coefficients; a free
-variable's second column then takes the negated integers. Most rows of
-the Farkas LPs are integral already: a row whose denominators are all 1
-is taken as its numerators over denominator 1, with no lcm and no
-division, since it is in lowest terms as it stands; only a row with a
-denominator other than 1 is scaled by their lcm and reduced. The basic
-values are read as integer numerators over one common denominator D, the
-lcm of the row denominators, and the assignment is built once from them.
-Every optimum is then re-checked exactly against the caller's own rows,
-not the tableau's copy, so the rows the presolve dropped are checked
-too: each row is scaled by the lcm s of its own denominators, and its
-integer dot product with the numerators is compared with its right-hand
-side times D. An integral row has s = 1 and is read from its numerators
-alone. The objective value is checked the same way.
+Integers from input to re-check. Every row a caller passes in, and the
+objective, is an `IntRow` already: its integer numerators over one
+positive denominator, in lowest terms. `integer_row` is the one place a
+rational row becomes one, so a caller converts each row once, when it is
+made, and `solve` converts nothing; a free variable's second column takes
+the negated integers. The basic values are read as integer numerators
+over one common denominator D, the lcm of the row denominators, and the
+assignment is built once from them. Every optimum is then re-checked
+exactly against the caller's own rows, not the tableau's copy, so the
+rows the presolve dropped are checked too: a row's integer dot product
+with the numerators is compared with its right-hand side times D, and
+its own denominator, which scales both sides alike, is not read. The
+objective value is checked the same way.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .linear import ResourceLimit
 
@@ -106,10 +104,19 @@ class SimplexResult:
     pivots: int = 0
 
 
-IntRow = Tuple[Dict[int, int], int, int]  # (numerators, rhs, denominator)
+class IntRow(NamedTuple):
+    """An LP row in integers: (terms . x) / den rel rhs / den, where `terms`
+    maps each column to its nonzero integer numerator, in the order the
+    row lists them, and den > 0. A row is kept in lowest terms."""
+    terms: Dict[int, int]
+    rhs: int
+    den: int
 
 
-def _reduced(row: Dict[int, int], rhs: int, den: int) -> IntRow:
+Row = Tuple[Dict[int, int], int, int]   # a tableau row, as a plain tuple
+
+
+def _reduced(row: Dict[int, int], rhs: int, den: int) -> Row:
     """The row divided by the gcd of all its integers (den > 0)."""
     g = gcd(rhs, den, *row.values())
     if g == 1:
@@ -117,11 +124,11 @@ def _reduced(row: Dict[int, int], rhs: int, den: int) -> IntRow:
     return {j: v // g for j, v in row.items()}, rhs // g, den // g
 
 
-def _integer_row(coeffs: Dict[int, Fraction], rhs: Fraction) -> IntRow:
-    """Rational coefficients and right-hand side as one integer row. A row
-    whose denominators are all 1 is its numerators over 1, which is in
-    lowest terms already; any other row is scaled by the lcm of its
-    denominators and reduced."""
+def integer_row(coeffs: Dict[int, Fraction], rhs: Fraction) -> IntRow:
+    """Rational coefficients and right-hand side as one integer row, with
+    the zero coefficients dropped. A row whose denominators are all 1 is
+    its numerators over 1, which is in lowest terms already; any other
+    row is scaled by the lcm of its denominators and reduced."""
     row: Dict[int, int] = {}
     dens: Dict[int, int] = {}   # the denominators other than 1
     for j, c in coeffs.items():
@@ -132,14 +139,14 @@ def _integer_row(coeffs: Dict[int, Fraction], rhs: Fraction) -> IntRow:
                 dens[j] = d
     b, bd = rhs.as_integer_ratio()
     if not dens and bd == 1:
-        return row, b, 1
+        return IntRow(row, b, 1)
     den = lcm(bd, *dens.values())
-    return _reduced({j: n * (den // dens.get(j, 1)) for j, n in row.items()},
-                    b * (den // bd), den)
+    return IntRow(*_reduced({j: n * (den // dens.get(j, 1)) for j, n in row.items()},
+                            b * (den // bd), den))
 
 
 def _eliminate(row: Dict[int, int], rhs: int, den: int, a: int,
-               prow: Dict[int, int], prhs: int, p: int) -> IntRow:
+               prow: Dict[int, int], prhs: int, p: int) -> Row:
     """(p * row - a * prow) / (den * p), which clears the pivot column:
     there `row` has numerator a and the pivot row `prow` numerator p > 0.
     The pivot row's own denominator cancels. Updates `row` in place when
@@ -160,8 +167,9 @@ def _eliminate(row: Dict[int, int], rhs: int, den: int, a: int,
     return _reduced(row, rhs - a * prhs, den)
 
 
-def _deleted(irow: IntRow, cols: Set[int]) -> IntRow:
-    """The row without its entries in `cols`, in lowest terms."""
+def _deleted(irow: Row, cols: Set[int]) -> Row:
+    """The row without its entries in `cols`, in lowest terms; the row
+    itself when it has none."""
     row, rhs, den = irow
     if cols.isdisjoint(row):
         return irow
@@ -281,10 +289,11 @@ class _Tableau:
 
 def solve(num_vars: int,
           nonneg: Sequence[bool],
-          rows: Sequence[Tuple[Dict[int, Fraction], RowRel, Fraction]],
-          objective: Dict[int, Fraction],
+          rows: Sequence[Tuple[IntRow, RowRel]],
+          objective: IntRow,
           pivot_cap: int = DEFAULT_PIVOT_CAP) -> SimplexResult:
-    """Maximize `objective` subject to `rows` over `num_vars` variables.
+    """Maximize `objective`, (terms . x) / den with its rhs 0, subject to
+    `rows` over `num_vars` variables. Neither is changed.
 
     Variables with nonneg[j] False are free (internally split). The
     result's assignment, when optimal, satisfies every row exactly, and
@@ -294,10 +303,8 @@ def solve(num_vars: int,
     on a column it owns. Raises PivotCapReached ("N pivots") when a pivot
     would pass `pivot_cap`.
     """
-    # each caller row as one integer row, then the presolve of the module
-    # docstring: pin, delete, repeat; drop the rows left 0 = 0
-    irows = [(_integer_row(coeffs, b), rel) for coeffs, rel, b in rows]
-    pinned: Set[int] = set()
+    # the presolve of the module docstring: pin, delete, repeat; drop 0 = 0
+    irows, pinned = rows, set()
     while pins := {j for (row, r, _), rel in irows
                    if r == 0 and rel is RowRel.EQ and len(row) == 1 for j in row}:
         pinned |= pins
@@ -371,7 +378,7 @@ def solve(num_vars: int,
     tab = _Tableau(trows, rhs, den, basis, pivot_cap)
     if not tab.feasible_start(set(art_cols)):
         return SimplexResult(LPStatus.INFEASIBLE, pivots=tab.pivots)
-    cost, _, cost_den = _deleted(_integer_row(objective, 0), pinned)
+    cost, _, cost_den = _deleted(objective, pinned)
     outcome, value = tab.maximize(split(cost), cost_den)
     if outcome == "unbounded":
         return SimplexResult(LPStatus.UNBOUNDED, pivots=tab.pivots)
@@ -385,36 +392,21 @@ def solve(num_vars: int,
                          value=value, pivots=tab.pivots)
 
 
-def _scaled(coeffs, b, X, D) -> Tuple[int, int, int]:
-    """The sides of coeffs . x against b at x = X / D, both times m = s * D
-    where s is the lcm of the row's own denominators: (lhs, rhs, m). An
-    integral row has s = 1 and is read from its numerators alone."""
-    lhs = 0
-    for j, c in coeffs.items():
-        n, d = c.as_integer_ratio()
-        if d != 1:
-            break
-        lhs += n * X[j]
-    else:
-        n, d = b.as_integer_ratio()
-        if d == 1:
-            return lhs, n * D, D
-    s = lcm(b.denominator, *(c.denominator for c in coeffs.values()))
-    lhs = sum(c.numerator * (s // c.denominator) * X[j] for j, c in coeffs.items())
-    return lhs, b.numerator * (s // b.denominator) * D, s * D
-
-
 def _check_solution(nonneg, rows, objective, X, D, value) -> None:
     """Re-substitute x = X / D into the caller's own rows and objective,
-    exactly and in integers."""
+    exactly and in integers: a row (terms . x) / den rel rhs / den holds
+    exactly when terms . X rel rhs * D."""
     for j, v in enumerate(X):
         if nonneg[j] and v < 0:
             raise AssertionError(f"nonneg variable {j} got {Fraction(v, D)}")
-    for coeffs, rel, b in rows:
-        lhs, rhs, m = _scaled(coeffs, b, X, D)
+    for (terms, b, den), rel in rows:
+        lhs = sum(v * X[j] for j, v in terms.items())
+        rhs = b * D
         ok = lhs <= rhs if rel is RowRel.LE else lhs >= rhs if rel is RowRel.GE else lhs == rhs
         if not ok:
-            raise AssertionError(f"row violated exactly: {Fraction(lhs, m)} {rel.value} {b}")
-    lhs, rhs, m = _scaled(objective, value, X, D)
-    if lhs != rhs:
-        raise AssertionError(f"objective mismatch: {Fraction(lhs, m)} != {value}")
+            raise AssertionError(f"row violated exactly: {Fraction(lhs, D * den)} "
+                                 f"{rel.value} {Fraction(b, den)}")
+    terms, _, den = objective
+    lhs = sum(v * X[j] for j, v in terms.items())
+    if lhs * value.denominator != value.numerator * D * den:
+        raise AssertionError(f"objective mismatch: {Fraction(lhs, D * den)} != {value}")

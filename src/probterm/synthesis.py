@@ -59,14 +59,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .farkas import (Affine, LPProblem, check_feasible, encode_implication,
-                     solve_lp)
+from .farkas import LPProblem, check_feasible, encode_implication, solve_lp
 from .linear import LinConstraint, LinExpr, Polyhedron
 from .model import (Certificate, CertificateMode, Invariant, LevelMap,
                     LinExprMap, NondetUpdate, PCFG, Transition, check_bsp,
                     check_linpp_star)
 from .preexp import max_pre, pre_pb_restricted
-from .simplex import LPStatus, RowRel
+from .simplex import IntRow, LPStatus, RowRel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -74,12 +73,12 @@ ONE = Fraction(1)
 @dataclass(frozen=True)
 class Block:
     """The multipliers and rows that the side conditions of one transition
-    emitted into an iteration LP. A row is its terms, in order, with its
-    constant and relation. A term's column stands as its position in the
-    transition's frame (`SynthesisLP.frame`) followed by the block's
-    multipliers, whose tags `tags` lists in creation order."""
+    emitted into an iteration LP. A row is an `IntRow`'s terms, in order,
+    rhs and denominator, then its relation. A term's column stands as its
+    position in the transition's frame (`SynthesisLP.frame`) followed by
+    the block's multipliers, whose tags `tags` lists in creation order."""
     tags: Tuple[str, ...]
-    rows: Tuple[Tuple[Tuple[Tuple[int, Fraction], ...], Fraction, RowRel], ...]
+    rows: Tuple[Tuple[Tuple[Tuple[int, int], ...], int, int, RowRel], ...]
     dropped: int    # implications whose antecedent failed the screen
     emitted: int
 
@@ -87,8 +86,8 @@ class Block:
         """Emit the block into `lp` again over the transition's `frame` in
         `lp`, with fresh multipliers created in the original order."""
         cols = frame + [lp.fresh_multiplier(tag) for tag in self.tags]
-        for terms, const, rel in self.rows:
-            lp.add_constraint(Affine({cols[k]: v for k, v in terms}, const), rel)
+        for terms, rhs, den, rel in self.rows:
+            lp.add_constraint(IntRow({cols[k]: v for k, v in terms}, rhs, den), rel)
 
 
 # (transition id, the zero_coeffs entries at its source and destinations,
@@ -185,10 +184,10 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         out.emitted_implications += block.emitted
 
     for tid, k in out.eps.items():
-        lp.add_constraint(Affine({k: ONE}, -ONE), RowRel.LE)
+        lp.add_constraint(IntRow({k: 1}, 1, 1), RowRel.LE)
         if tid in restrict.forced_rank:
-            lp.add_constraint(Affine({k: ONE}, -ONE), RowRel.EQ)
-    lp.objective = {k: ONE for k in out.eps.values()}
+            lp.add_constraint(IntRow({k: 1}, 1, 1), RowRel.EQ)
+    lp.objective = IntRow({k: 1 for k in out.eps.values()}, 0, 1)
     return out
 
 
@@ -250,9 +249,9 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
 
     # each column the rows read, as its position in the frame or after it
     position = {k: i for i, k in enumerate(out.frame(t) + list(range(first_col, lp.num_vars())))}
-    rows = tuple((tuple((position[k], v) for k, v in c.form.terms.items()),
-                  c.form.const, c.rel)
-                 for c in lp.constraints[first_row:])
+    rows = tuple((tuple((position[k], v) for k, v in form.terms.items()),
+                  form.rhs, form.den, rel)
+                 for form, rel in lp.constraints[first_row:])
     return Block(tuple(tags), rows, dropped, emitted)
 
 

@@ -593,10 +593,10 @@ def _true_branch_pcfg(d):
     return str(path)
 
 
-def _custom_pcfg(d):
+def _custom_pcfg(d, mean="-1", support=("-2", "0")):
     """x := x + sample(custom) while x >= 0, with a sampler nobody registered."""
-    dist = {"kind": "custom", "params": {"sampler": "mine"}, "mean": "-1",
-            "support": ["-2", "0"]}
+    dist = {"kind": "custom", "params": {"sampler": "mine"}, "mean": mean,
+            "support": list(support)}
     doc = {"variables": ["x"], "locations": ["l0", "out"], "init": "l0", "terminal": "out",
            "transitions": [
                {"id": "t0", "source": "l0", "kind": "npb", "dest": "out",
@@ -628,6 +628,56 @@ def test_custom_sampler_is_not_needed_to_prove(tmp_path):
     pcfg, cert = _custom_pcfg(tmp_path), str(tmp_path / "c.json")
     assert cli.main(["synthesize", pcfg, "-o", cert]) == 0
     assert cli.main(["check", pcfg, cert]) == 0
+
+
+BSP_ACCEPTED = ("all side conditions verified; the map (shift already applied) is a "
+                "linear lexicographic ranking certificate, so the program terminates "
+                "with probability 1 under every scheduler")
+NO_MAP = ("no LinGLexRSM map exists for this invariant: an iteration ranked no "
+          "transition: no linear certificate of this shape exists for the given invariant")
+UNKNOWN = ("termination UNKNOWN (the method is sound, not complete): no component can "
+           "rank further transitions under the zero-coefficient discipline")
+RESTS_ON_MINE = (". The verdict rests on the declared mean and support of custom "
+                 "sampler 'mine', which are not checked")
+
+
+def _verdict(capsys, argv):
+    """The exit code and JSON document of one command."""
+    code = cli.main(argv + ["--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_verdicts_name_the_custom_sampler_they_rest_on(tmp_path, capsys):
+    pcfg, cert = _custom_pcfg(tmp_path), str(tmp_path / "c.json")
+    assert _verdict(capsys, ["synthesize", pcfg, "-o", cert])[0] == 0
+    code, doc = _verdict(capsys, ["check", pcfg, cert])
+    assert code == 0 and doc["meaning"] == BSP_ACCEPTED + RESTS_ON_MINE
+    validate(doc, "check-result.json")
+    assert cli.main(["check", pcfg, cert]) == 0
+    assert capsys.readouterr().out == f"accepted ({doc['mode']}): {doc['meaning']}\n"
+    # a positive mean drifts up: refused in bsp mode, and unknown in
+    # general mode once the support is unbounded
+    for support, verdict in ((("0", "2"), "no-certificate"), (("0", "inf"), "unknown")):
+        rising = _custom_pcfg(tmp_path, mean="1", support=support)
+        code, doc = _verdict(capsys, ["synthesize", rising, "-o", cert])
+        assert code == 1 and doc["verdict"] == verdict
+        assert doc["detail"].endswith(RESTS_ON_MINE)
+        validate(doc, "synthesize-result.json")
+
+
+def test_verdicts_without_a_custom_sampler_keep_their_wording(tmp_path, capsys):
+    code, doc = _verdict(capsys, ["check", fixture_path("fig2right.pcfg.json"),
+                                  fixture_path("example3.cert.json"),
+                                  "-i", fixture_path("fig1b.inv.json")])
+    assert code == 0 and doc["meaning"] == BSP_ACCEPTED
+    for name, mode, detail in (("diverge_inc", "bsp", NO_MAP),
+                               ("zero_drift_walk", "general", UNKNOWN)):
+        src = str(tmp_path / f"{name}.pcfg.json")
+        assert cli.main(["parse", fixture_path(f"{name}.prob"), "-o", src]) == 0
+        capsys.readouterr()
+        code, doc = _verdict(capsys, ["synthesize", src, "--mode", mode,
+                                      "-o", str(tmp_path / "c.json")])
+        assert code == 1 and doc["detail"] == detail
 
 
 # case -> (exit code, argv for a scratch directory d); d / "no" does not

@@ -7,12 +7,12 @@ from fractions import Fraction as F
 import pytest
 from scipy.optimize import linprog
 
-from probterm import (Affine, LinConstraint, LinExpr, LPProblem, Polyhedron,
+from probterm import (LinConstraint, LinExpr, LPProblem, Polyhedron,
                       check_feasible, encode_implication, entails, solve_lp)
 from probterm import farkas
 from probterm.farkas import dump_lp
 from probterm.linear import Rel
-from probterm.simplex import LPStatus, PivotCapReached, RowRel
+from probterm.simplex import IntRow, LPStatus, PivotCapReached, RowRel
 
 from conftest import lifted
 
@@ -365,7 +365,7 @@ def test_encoder_empty_antecedent_constant_consequent():
     lp = LPProblem()
     t = lp.add_var("t")
     encode_implication(poly(), LinExpr({}, LinExpr.var(t)), lp)
-    lp.objective = {t: F(-1)}
+    lp.objective = IntRow({t: -1}, 0, 1)
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL and sol.x[t] == 0
 
@@ -449,19 +449,19 @@ def test_encoder_complete_on_feasible_antecedents():
 def test_solve_lp_examples():
     lp = LPProblem()
     v = lp.add_var("v", nonneg=True)
-    lp.add_constraint(Affine({v: F(1)}, F(-3)), RowRel.LE)
-    lp.objective = {v: F(1)}
+    lp.add_constraint(IntRow({v: 1}, 3, 1), RowRel.LE)
+    lp.objective = IntRow({v: 1}, 0, 1)
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL and sol.value == 3
 
     lp = LPProblem()
     v = lp.add_var("v", nonneg=True)
-    lp.objective = {v: F(1)}
+    lp.objective = IntRow({v: 1}, 0, 1)
     assert solve_lp(lp).status is LPStatus.UNBOUNDED
 
     lp = LPProblem()
     v = lp.add_var("v", nonneg=True)
-    lp.add_constraint(Affine({v: F(1)}, F(1)), RowRel.LE)
+    lp.add_constraint(IntRow({v: 1}, -1, 1), RowRel.LE)
     assert solve_lp(lp).status is LPStatus.INFEASIBLE
 
 
@@ -469,8 +469,8 @@ def test_lp_dump_format():
     lp = LPProblem()
     coeff = lp.add_var("c[l0][x]")
     lam = lp.add_var("lam.0", nonneg=True)
-    lp.add_constraint(Affine({coeff: F(1), lam: F(2)}, F(0)), RowRel.EQ)
-    lp.objective = {coeff: F(1)}
+    lp.add_constraint(IntRow({coeff: 1, lam: 2}, 0, 1), RowRel.EQ)
+    lp.objective = IntRow({coeff: 1}, 0, 1)
     text = dump_lp(lp)
     assert text.startswith("Maximize")
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")

@@ -10,6 +10,8 @@ cancels; negation and scaling keep the order.
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from probterm import LinExpr
 
 
@@ -143,3 +145,17 @@ def test_template_arithmetic_matches_dict_arithmetic():
                             (a, concrete), (concrete, a)):
             check_binary(left, right)
         check_unary(a, concrete, rng)
+
+
+def test_var_is_the_general_constructor_at_coefficient_one():
+    # the default coefficient skips coercion; every other one, an explicit
+    # 1 included, goes through it, and a bool is still refused
+    for index in (0, 3, -1):
+        e = LinExpr.var(index)
+        assert (e.coeffs, e.constant) == (LinExpr({index: 1}).coeffs, F(0))
+        assert all(type(v) is F for v in (*e.coeffs.values(), e.constant))
+        assert e == LinExpr.var(index, 1) == LinExpr.var(index, "1")
+    assert LinExpr.var(2, F(-3, 2)).coeffs == {2: F(-3, 2)}
+    assert LinExpr.var(2, 0) == LinExpr.const(0)
+    with pytest.raises(TypeError):
+        LinExpr.var(2, True)

@@ -8,8 +8,19 @@ from fractions import Fraction as F
 import pytest
 from scipy.optimize import linprog
 
-from probterm import simplex
-from probterm.simplex import LPStatus, PivotCapReached, RowRel, solve
+from probterm import lower_to_pcfg, parse_program, simplex, synthesis
+from probterm.pcfg_io import invariant_from_json
+from probterm.simplex import IntRow, LPStatus, PivotCapReached, RowRel, integer_row
+
+from conftest import load_fixture
+from test_strict_rule import workloads
+
+
+def solve(n, nonneg, rows, obj, **kwargs):
+    """The simplex on rational (coeffs, rel, rhs) rows and objective, each
+    converted to an integer row once."""
+    return simplex.solve(n, nonneg, [(integer_row(c, b), rel) for c, rel, b in rows],
+                         integer_row(obj, F(0)), **kwargs)
 
 
 def test_bounded_maximum():
@@ -378,6 +389,15 @@ def test_recheck_covers_rows_the_presolve_dropped(monkeypatch):
         solve(2, [False, True], rows, {0: F(1)})
 
 
+def _solved_untouched(n, nonneg, rows, objective):
+    """`simplex.solve` on integer rows, which must leave them, and the
+    objective, equal to deep copies taken before."""
+    before = copy.deepcopy((rows, objective))
+    result = simplex.solve(n, nonneg, rows, objective)
+    assert (rows, objective) == before
+    return result
+
+
 def test_caller_input_is_left_alone_and_ints_equal_fractions():
     # x0 and x2 free; the optimum puts both at negative fractions
     rows = [({0: 3, 1: 1}, RowRel.GE, -2),
@@ -388,13 +408,41 @@ def test_caller_input_is_left_alone_and_ints_equal_fractions():
                     for coeffs, rel, b in rows]
     results = []
     for rs, ob in [(rows, obj), (as_fractions, {j: F(c) for j, c in obj.items()})]:
-        before = copy.deepcopy((rs, ob))
-        results.append(solve(3, [False, True, False], rs, ob))
-        assert (rs, ob) == before
+        results.append(_solved_untouched(3, [False, True, False],
+                                         [(integer_row(c, b), rel) for c, rel, b in rs],
+                                         integer_row(ob, F(0))))
     ints, fracs = results
     assert ints.status is LPStatus.OPTIMAL
     assert ints.x == [F(-2, 3), F(0), F(-2, 9)] and ints.value == F(2, 3)
     assert (ints.x, ints.value, ints.pivots) == (fracs.x, fracs.value, fracs.pivots)
+
+
+def _synthesis_lps():
+    """The first iteration LPs of fig1b and of the depth-6 general ladder."""
+    p, inv = load_fixture("fig1b")
+    yield synthesis.build_lp(p, inv, [t.id for t in p.non_terminal_transitions()]).lp
+    p = lower_to_pcfg(parse_program(workloads.ladder_source(6, True)))
+    inv = invariant_from_json(workloads.ladder_invariant(6), p)
+    yield synthesis.build_lp(p, inv, [t.id for t in p.non_terminal_transitions()]).lp
+
+
+def test_solve_leaves_synthesis_rows_untouched():
+    # the re-check reads the same row objects the tableau is built from,
+    # and a pivot may update a tableau row in place
+    for lp in _synthesis_lps():
+        r = _solved_untouched(lp.num_vars(), lp.nonneg, lp.constraints, lp.objective)
+        assert r.status is LPStatus.OPTIMAL and r.pivots > 0
+
+
+@pytest.mark.parametrize("seed,make", [(50, _general(_rational)), (51, _planted(_homogeneous)),
+                                       (52, _owned(_planted(_homogeneous)))],
+                         ids=["rational", "planted-homogeneous", "owned-planted"])
+def test_solve_leaves_random_rows_untouched(seed, make):
+    rng = random.Random(seed)
+    for _ in range(200):
+        n, nonneg, rows, obj = make(rng)
+        _solved_untouched(n, nonneg, [(integer_row(c, b), rel) for c, rel, b in rows],
+                          integer_row(obj, F(0)))
 
 
 def _lcm_row(coeffs, rhs):
@@ -418,7 +466,24 @@ def test_integer_row_matches_the_rational_formula(draw):
         coeffs = {j: draw(rng, -4, 4) if rng.random() < 0.7 else F(0)
                   for j in rng.sample(range(8), n)}
         rhs = rng.choice([F(0), draw(rng, -6, 0), draw(rng, -6, 6)])
-        assert simplex._integer_row(coeffs, rhs) == _lcm_row(coeffs, rhs), trial
+        assert integer_row(coeffs, rhs) == _lcm_row(coeffs, rhs), trial
+
+
+@pytest.mark.parametrize("draw", [_integer, _rational], ids=["integral", "rational"])
+def test_integer_row_reads_back_its_fractions(draw):
+    rng = random.Random(49)
+    for trial in range(500):
+        coeffs = {j: draw(rng, -4, 4) if rng.random() < 0.7 else F(0)
+                  for j in rng.sample(range(8), rng.randint(0, 6))}
+        rhs = rng.choice([F(0), draw(rng, -6, 6)])
+        row = integer_row(coeffs, rhs)
+        assert isinstance(row, IntRow) and row.den > 0, trial
+        assert list(row.terms) == [j for j, c in coeffs.items() if c], trial
+        assert all(F(row.terms[j], row.den) == c for j, c in coeffs.items() if c), trial
+        assert F(row.rhs, row.den) == rhs, trial
+        assert math.gcd(row.rhs, row.den, *row.terms.values()) == 1, trial
+        if all(c.denominator == 1 for c in (*coeffs.values(), rhs)):
+            assert row.den == 1, trial
 
 
 def test_recheck_rejects_a_perturbed_point_on_an_integral_row():
@@ -433,9 +498,11 @@ def test_recheck_rejects_a_perturbed_point_on_an_integral_row():
         D = rng.randint(1, 5)
         X = [0] + [rng.randint(-10, 10) for _ in range(1, n)]
         X[0] = int((b * D - sum(c * X[j] for j, c in coeffs.items())) / coeffs[0])
-        assert simplex._integer_row(coeffs, b)[2] == 1
+        row = integer_row(coeffs, b)
+        assert row.den == 1
+        nothing = IntRow({}, 0, 1)
         for rel in RowRel:
-            simplex._check_solution([False] * n, [(coeffs, rel, b)], {}, X, D, F(0))
+            simplex._check_solution([False] * n, [(row, rel)], nothing, X, D, F(0))
         # one numerator step along a coefficient's sign raises the left side
         j = rng.randrange(n)
         up = list(X)
@@ -444,5 +511,4 @@ def test_recheck_rejects_a_perturbed_point_on_an_integral_row():
         down[j] -= 1 if coeffs[j] > 0 else -1
         for rel, point in ((RowRel.EQ, up), (RowRel.LE, up), (RowRel.GE, down)):
             with pytest.raises(AssertionError, match="row violated"):
-                simplex._check_solution([False] * n, [(coeffs, rel, b)], {}, point, D,
-                                        F(0))
+                simplex._check_solution([False] * n, [(row, rel)], nothing, point, D, F(0))

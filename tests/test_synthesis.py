@@ -5,12 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from probterm import (Affine, CertificateMode, Invariant, MissingBoundedSupport,
+from probterm import (CertificateMode, Invariant, MissingBoundedSupport,
                       NotLinPPStar, TemplateRestriction, build_lp,
                       check_certificate, extract_level_map, lower_to_pcfg,
                       parse_program, solve_lp, synthesize_bsp, synthesize_general)
 from probterm.pcfg_io import certificate_to_json, invariant_from_json
-from probterm.simplex import LPStatus, RowRel
+from probterm.simplex import IntRow, LPStatus, RowRel, integer_row
 
 from conftest import LP_SCREENED_INVARIANT, load_fixture
 
@@ -20,7 +20,7 @@ def ranked_at_optimum(p, inv, unranked, restrict=TemplateRestriction(), zero_eps
     `eps == 0` row appended for each transition id in `zero_eps`."""
     slp = build_lp(p, inv, unranked, restrict)
     for tid in zero_eps:
-        slp.lp.add_constraint(Affine({slp.eps[tid]: F(1)}, F(0)), RowRel.EQ)
+        slp.lp.add_constraint(IntRow({slp.eps[tid]: 1}, 0, 1), RowRel.EQ)
     sol = solve_lp(slp.lp)
     assert sol.status is LPStatus.OPTIMAL
     return [tid for tid in unranked if sol.x[slp.eps[tid]] > 0], sol
@@ -567,9 +567,10 @@ def test_dropped_conditions_are_implied(name, monkeypatch):
                     for a in (*e.coeffs.values(), e.constant) for k in a.coeffs]
         for lp in (slp.lp, full):
             for k in template:
-                lp.add_constraint(Affine({k: F(1)}, F(-5)), RowRel.LE)
-                lp.add_constraint(Affine({k: F(1)}, F(5)), RowRel.GE)
+                lp.add_constraint(IntRow({k: 1}, 5, 1), RowRel.LE)
+                lp.add_constraint(IntRow({k: 1}, -5, 1), RowRel.GE)
         for _ in range(3):
-            objective = {k: F(rng.randint(-3, 3)) for k in template + list(slp.eps.values())}
+            weights = {k: F(rng.randint(-3, 3)) for k in template + list(slp.eps.values())}
+            objective = integer_row(weights, F(0))
             kept, again = (solve_lp(replace(lp, objective=objective)) for lp in (slp.lp, full))
             assert (kept.status, kept.value) == (again.status, again.value)
