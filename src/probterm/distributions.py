@@ -28,6 +28,10 @@ class DistKind(enum.Enum):
     CUSTOM = "custom"
 
 
+UNIT_BITS = 53
+"""A uniform draw is m / 2**UNIT_BITS for m the top 53 bits of one raw
+64-bit word, as numpy's `Generator.random` reads it."""
+
 # Custom samplers: id -> rng-consuming draw function returning float.
 _SAMPLERS: Dict[str, Callable] = {}
 
@@ -133,46 +137,51 @@ class DistributionSpec:
         the parameters read once, as integers; the value is not
         necessarily in lowest terms.
 
-        `rng` is a numpy Generator; normals use its ziggurat method, which
-        is the fixed, versioned algorithm the statistical tests assume.
-        Floats are read exactly through `float.as_integer_ratio`, and
-        comparisons against exact probabilities are made in integers. A
-        custom kind looks its sampler up at each draw, so an unregistered
-        one raises `KeyError` only when it is drawn.
+        `rng` is a numpy Generator. A uniform, Bernoulli or discrete draw
+        reads one raw 64-bit word w of its bit generator and takes the
+        exact ratio m / 2**53 with m = w >> 11, the value `rng.random()`
+        would return for that word, so comparisons against exact
+        probabilities are made in integers and no float is built. Normals
+        use the Generator's ziggurat method, the fixed, versioned
+        algorithm the statistical tests assume, and custom samplers get
+        the Generator; both read the same word stream, and their floats
+        are read exactly through `float.as_integer_ratio`. A custom kind
+        looks its sampler up at each draw, so an unregistered one raises
+        `KeyError` only when it is drawn.
         """
         if self.kind is DistKind.NORMAL:
             mean, stddev = float(self.param("mean")), float(self.param("stddev"))
             return lambda rng: rng.normal(mean, stddev).as_integer_ratio()
         if self.kind is DistKind.UNIFORM:
             lo, hi = self.param("lo"), self.param("hi")
-            # lo + (hi - lo) * un/ud over the denominator ld*hd*ud
+            # lo + (hi - lo) * m / 2**53 over the denominator ld * hd * 2**53
             ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-            base, width, den = ln * hd, hn * ld - ln * hd, ld * hd
+            base, width, den = ln * hd << UNIT_BITS, hn * ld - ln * hd, ld * hd << UNIT_BITS
 
             def uniform(rng):
-                un, ud = rng.random().as_integer_ratio()
-                return base * ud + width * un, den * ud
+                return base + width * (rng.bit_generator.random_raw() >> 11), den
             return uniform
         if self.kind is DistKind.BERNOULLI:
-            pn, pd = self.param("p").numerator, self.param("p").denominator
+            pn, pd = self.param("p").numerator << UNIT_BITS, self.param("p").denominator
 
             def bernoulli(rng):
-                un, ud = rng.random().as_integer_ratio()
-                return (1 if un * pd < pn * ud else 0), 1
+                return (1 if (rng.bit_generator.random_raw() >> 11) * pd < pn else 0), 1
             return bernoulli
         if self.kind is DistKind.DISCRETE:
-            # (cumulative probability, value) as integer pairs; u < 1 falls
-            # below the final sum 1, so the last value is only a guard
+            # (cumulative probability times 2**53, its denominator, value) as
+            # integers; m / 2**53 < 1 falls below the final sum 1, so the
+            # last value is only a guard
             table, acc = [], Fraction(0)
             for v, p in self.param("values"):
                 acc += p
-                table.append((acc.numerator, acc.denominator, v.numerator, v.denominator))
+                table.append((acc.numerator << UNIT_BITS, acc.denominator,
+                              v.numerator, v.denominator))
             last = table[-1][2:]
 
             def discrete(rng):
-                un, ud = rng.random().as_integer_ratio()
+                m = rng.bit_generator.random_raw() >> 11
                 for cn, cd, vn, vd in table:
-                    if un * cd < cn * ud:
+                    if m * cd < cn:
                         return vn, vd
                 return last
             return discrete

@@ -38,7 +38,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .linear import LinConstraint, LinExpr, Polyhedron, Rel
 from . import simplex
@@ -60,22 +60,23 @@ class LPProblem:
 
     Unknowns registered nonnegative keep a >= 0 bound (all Farkas
     multipliers do); the rest are free. `names` labels the columns in
-    `dump_lp` and nowhere else.
+    `dump_lp` and nowhere else: a column's name, or a multiplier's tag
+    and ordinal, which `dump_lp` writes as `tag.ordinal`.
     """
-    names: List[str] = field(default_factory=list)
+    names: List[Union[str, Tuple[str, int]]] = field(default_factory=list)
     nonneg: List[bool] = field(default_factory=list)
     constraints: List[LPConstraint] = field(default_factory=list)
     objective: IntRow = field(default_factory=lambda: IntRow({}, 0, 1))
     _fresh: itertools.count = field(default_factory=itertools.count)
 
-    def add_var(self, name: str, nonneg: bool = False) -> int:
+    def add_var(self, name: Union[str, Tuple[str, int]], nonneg: bool = False) -> int:
         """A new unknown labelled `name`; returns its column."""
         self.names.append(name)
         self.nonneg.append(nonneg)
         return len(self.names) - 1
 
     def fresh_multiplier(self, tag: str = "lam") -> int:
-        return self.add_var(f"{tag}.{next(self._fresh)}", nonneg=True)
+        return self.add_var((tag, next(self._fresh)), nonneg=True)
 
     def add_constraint(self, form: IntRow, rel: RowRel) -> None:
         self.constraints.append(LPConstraint(form, rel))
@@ -287,9 +288,9 @@ def _label(name: str) -> str:
 def dump_lp(lp: LPProblem) -> str:
     """Text dump in the common solver-exchange (CPLEX LP) format, for
     cross-checking against external solvers. Column j is written under
-    `_label(lp.names[j])`; raises ValueError when two columns would be
+    `_label` of its name; raises ValueError when two columns would be
     written under one name."""
-    names = [_label(n) for n in lp.names]
+    names = [_label(n if isinstance(n, str) else f"{n[0]}.{n[1]}") for n in lp.names]
     if len(set(names)) < len(names):
         twice = next(n for j, n in enumerate(names) if n in names[:j])
         raise ValueError(f"two LP unknowns would both be written as {twice!r}")

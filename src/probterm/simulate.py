@@ -14,16 +14,25 @@ streams differ from those of earlier versions, where run i drew from
 
 Every entry point compiles the graph once per call into a `Program`. A
 run's state is a list of numerators and one of denominators, each value
-in lowest terms; `Fraction`s are built only for `final_values`, recorded
-states and a scheduler's real choice. Each location keeps the distinct
-integer linear forms its guard atoms read, in lowest terms with the
-first term positive (`x >= 0` and `x < 0` read one form). A step takes
-each form's sign once and looks its enabled edges up by the tuple of
-signs, in a table that fills as runs reach sign vectors. An update
-builds its new value, sample included, as one integer ratio reduced by
-one gcd; random tests compare a float's exact integer ratio against the
-exact probability. The state, the rng stream and the order of draws are
-those of the plain small-step semantics.
+in lowest terms; `Fraction`s are built only for recorded states and a
+scheduler's real choice, and a report builds its `final_values` when
+they are read. Each location keeps the distinct integer linear forms its
+guard atoms read, in lowest terms with the first term positive (`x >= 0`
+and `x < 0` read one form). A step takes each form's sign once and looks
+its enabled edges up by the tuple of signs, in a table that fills as
+runs reach sign vectors. An update builds its new value, sample
+included, as one integer ratio reduced by one gcd. Every uniform draw
+(a branch, a demonic interval, a uniform, Bernoulli or discrete sample,
+a scheduler's choice) reads one raw 64-bit word w of the run's bit
+generator as the exact ratio m / 2**53 with m = w >> 11, the value
+`Generator.random()` returns for that word, and random tests compare it
+against the exact probability in integers. Only the uniform scheduler's
+choice among n enabled transitions builds the float u = m * 2**-53 and
+takes int(u * n), as the AST interpreter does: the exact floor of
+m * n / 2**53 differs where u * n rounds up to an integer. Normals and
+custom samplers call the Generator, which reads the same word stream.
+The state, the rng stream and the order of draws are those of the plain
+small-step semantics.
 
 The built-in counterexample process is no program: its runs are
 exchangeable, so it keeps only how many are still going, and each step
@@ -49,6 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from .distributions import UNIT_BITS
 from .linear import LinExpr, Rel
 from .model import (Certificate, ExprUpdate, Invariant, NondetUpdate, PCFG,
                     ProbBranch, Transition)
@@ -121,7 +131,9 @@ class UniformRandom(Scheduler):
 
     Consumes one uniform draw only when the choice is real (two or more
     enabled transitions), which keeps its draw sequence aligned with the
-    AST reference interpreter.
+    AST reference interpreter. The index is int(u * n) in floats, with u
+    the float `rng.random()` would return, not the exact floor of u * n
+    (see the module docstring).
     """
 
     choice_draws = 1
@@ -129,7 +141,8 @@ class UniformRandom(Scheduler):
     def choose(self, enabled, values, rng):
         if len(enabled) == 1:
             return enabled[0]
-        return enabled[int(rng.random() * len(enabled))]
+        u = (rng.bit_generator.random_raw() >> 11) * 2.0 ** -UNIT_BITS
+        return enabled[int(u * len(enabled))]
 
 
 class FixedPriority(Scheduler):
@@ -256,12 +269,13 @@ class _Branch(_Edge):
         super().__init__(t)
         k = t.kind
         self.dest1, self.dest2 = k.dest1, k.dest2
-        self.pn, self.pd = k.p1.numerator, k.p1.denominator
+        # p1 * 2**53 as pn / pd
+        self.pn, self.pd = k.p1.numerator << UNIT_BITS, k.p1.denominator
 
     def fire(self, nums, dens, sched, rng):
-        # Fraction(u) < p1, with u read exactly
-        un, ud = rng.random().as_integer_ratio()
-        return (self.dest1 if un * self.pd < self.pn * ud else self.dest2), 1
+        # m / 2**53 < p1
+        m = rng.bit_generator.random_raw() >> 11
+        return (self.dest1 if m * self.pd < self.pn else self.dest2), 1
 
 
 class _Move(_Edge):
@@ -317,6 +331,11 @@ class _Choose(_Assign):
         return self.dest, 0
 
 
+def _unit_draw(rng) -> Tuple[int, int]:
+    """A uniform draw from [0, 1) as the integer ratio (m, 2**53)."""
+    return rng.bit_generator.random_raw() >> 11, 1 << UNIT_BITS
+
+
 def _compile_edge(t: Transition) -> _Edge:
     if isinstance(t.kind, ProbBranch):
         return _Branch(t)
@@ -326,7 +345,7 @@ def _compile_edge(t: Transition) -> _Edge:
         return _Assign(t, u.base.coeffs, u.base.constant, coeff,
                        dist.drawer() if dist is not None else None)
     if isinstance(u, NondetUpdate):
-        return _Choose(t, {}, u.lo, u.hi - u.lo, lambda rng: rng.random().as_integer_ratio())
+        return _Choose(t, {}, u.lo, u.hi - u.lo, _unit_draw)
     return _Move(t)
 
 
@@ -420,8 +439,8 @@ class Program:
             if record_states:
                 taken.append(e.transition.id)
                 states.append((loc, _fractions(nums, dens)))
-        return TrajectoryReport(loc == terminal, steps, stuck, loc,
-                                _fractions(nums, dens), taken, states, draws)
+        return TrajectoryReport(loc == terminal, steps, stuck, loc, nums, dens,
+                                taken, states, draws)
 
 
 def _integer_state(values: Iterable) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -435,14 +454,24 @@ def _integer_state(values: Iterable) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 @dataclass
 class TrajectoryReport:
+    """One run's outcome. The final state is kept as it was run, each
+    value's numerator in `final_nums` and its denominator (> 0, in lowest
+    terms) in `final_dens`, so reports are equal exactly when their final
+    values are; `final_values` builds the `Fraction`s at each read."""
+
     terminated: bool
     steps: int
     stuck: bool
     final_location: str
-    final_values: List[Fraction]
+    final_nums: List[int]
+    final_dens: List[int]
     taken: Optional[List[str]] = None
     states: Optional[List[Tuple[str, List[Fraction]]]] = None
     draws: int = 0
+
+    @property
+    def final_values(self) -> List[Fraction]:
+        return _fractions(self.final_nums, self.final_dens)
 
     def as_dict(self) -> dict:
         return {"terminated": self.terminated, "steps": self.steps,

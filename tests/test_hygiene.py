@@ -3,7 +3,8 @@ top and uses every name it imports, keeps no memo across calls, runs in
 one process that no environment variable configures, catches no error it
 does not name, defines no function or class that nothing names, keeps
 one linear-form algebra, raises each resource limit only where it is
-enforced, and answers every polyhedral query through one function."""
+enforced, answers every polyhedral query through one function, and draws
+the simulator's uniforms from raw words."""
 
 import ast
 import pathlib
@@ -383,3 +384,43 @@ def test_one_feasibility_query():
                         and node.func.id in QUERY_STEPS):
                     callers.setdefault(node.func.id, set()).add(func.name)
     assert callers == {step: {"check_feasible"} for step in QUERY_STEPS}
+
+
+# the one place a simulator draw may go through `Generator.random()`: the
+# uniform scheduler's choice, whose index is computed from a float
+FLOAT_DRAWS = {"UniformRandom.choose"}
+
+
+def _random_calls(tree: ast.Module) -> list:
+    """(enclosing class and function names joined by dots, line) of every
+    call of a method named `random`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "random"):
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+@pytest.mark.parametrize("name", ["simulate", "distributions"])
+def test_draws_read_the_raw_word(name):
+    # a uniform draw reads the bit generator's raw word as an exact integer
+    # ratio; `random()` would build a float from that word only for the
+    # draw to read it back as a ratio
+    calls = _random_calls(ast.parse((SRC / f"{name}.py").read_text()))
+    assert {scope for scope, _ in calls} <= FLOAT_DRAWS, calls
+
+
+def test_random_call_is_detected():
+    tree = ast.parse("u = rng.random()\nclass S:\n    def choose(self, rng):\n"
+                     "        return rng.random()\n"
+                     "def draw(rng):\n    return lambda: rng.random() + g.random_raw()\n")
+    assert _random_calls(tree) == [("", 1), ("S.choose", 4), ("draw", 6)]

@@ -77,8 +77,9 @@ def test_runs_without_states_record_no_path(fig1b):
 
 @pytest.mark.parametrize("name, init", [("bern_walk", [F(3)]), ("fig1b", [F(3), F(3)])])
 def test_runs_build_no_fraction_per_step(name, init, monkeypatch):
-    # a run keeps integer numerators and denominators: the start state is
-    # read once per call and `final_values` once per run
+    # a run keeps integer numerators and denominators: an estimate reads
+    # the start state once and builds no Fraction per step or per run; a
+    # report builds its final values only when they are read
     built = 0
     real = simulate.Fraction
 
@@ -87,13 +88,21 @@ def test_runs_build_no_fraction_per_step(name, init, monkeypatch):
         built += 1
         return real(*args)
 
-    monkeypatch.setattr(simulate, "Fraction", counted)
     p, _ = load_fixture(name)
     runs = 200
+    recorded = [run_trajectory(p, init, UniformRandom(), 10 ** 4, seed=1, run_index=i)
+                for i in range(runs)]
+    monkeypatch.setattr(simulate, "Fraction", counted)
+    est = estimate_termination(p, init, UniformRandom(), runs, 10 ** 4, seed=1)
+    assert est.mean_steps > 5
+    assert built == len(init)
     reports = list(trajectories(p, init, UniformRandom(), 10 ** 4, 1, range(runs)))
-    assert all(type(v) is F for r in reports for v in r.final_values)
-    assert sum(r.steps for r in reports) > 5 * runs
-    assert built <= len(init) * (runs + 1)
+    assert built == 2 * len(init)
+    finals = [r.final_values for r in reports]
+    assert built == len(init) * (runs + 2)
+    # the values a recorded run visits last, built in the run
+    assert finals == [r.states[-1][1] for r in recorded]
+    assert all(type(v) is F for values in finals for v in values)
 
 
 def test_stuck_reported_not_raised():
@@ -159,6 +168,33 @@ def test_run_streams_are_philox_counters(seed):
                       r.integers(0, 2 ** 32, dtype=np.uint32))
                      for r in (rng, _philox_reference(seed, i)))
         assert got == want, i
+
+
+def test_raw_word_is_the_uniform_random_reads():
+    # a simulator draw reads `bit_generator.random_raw()` where it used to
+    # read `random()`: on a run stream both take the next 64-bit word w and
+    # `random()` is (w >> 11) * 2**-53, before and after normals, which
+    # take words of their own, and after the generator moves to the next run
+    seed, indices = 7, [0, 1, 2 ** 40]
+    for raw, ref in zip(simulate.run_rngs(seed, indices), simulate.run_rngs(seed, indices)):
+        for k in range(200):
+            m, u = raw.bit_generator.random_raw() >> 11, ref.random()
+            assert m * 2.0 ** -53 == u and F(m, 2 ** 53) == F(u)
+            if k % 3 == 0:
+                assert raw.normal(1.5, 2.0) == ref.normal(1.5, 2.0)
+
+
+def test_uniform_choice_floors_the_float_product():
+    # m / 2**53 * 3 is just below 2, but the float u * 3 rounds to 2.0:
+    # the scheduler takes index 2, as int(rng.random() * 3) does in the
+    # AST interpreter, not the exact floor 1
+    m = (2 ** 54 - 1) // 3
+    # one word, through the bit generator and as `random()` reads it
+    rng = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda: m << 11),
+                          random=lambda: m * 2.0 ** -53)
+    assert (m * 3) >> 53 == 1 and int(rng.random() * 3) == 2
+    enabled = ["t0", "t1", "t2"]
+    assert UniformRandom().choose(enabled, [], rng) == "t2"
 
 
 @pytest.mark.parametrize("seed, indices", [(-1, [0]), (0, [3, -1]),
