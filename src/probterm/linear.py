@@ -5,9 +5,11 @@ components, guards, invariants and update right-hand sides are all linear
 expressions with exact rational coefficients over the program variables
 (identified by index). Constraints are normalized to ``lhs rel 0``.
 
-A synthesis template is a linear expression over the program variables
-whose coefficients and constant are linear expressions over LP columns
-(also identified by index), so one algebra serves both.
+When synthesis encodes a transition's side conditions, a template is a
+linear expression over the program variables whose coefficients and
+constant are linear expressions over the columns of the small LP the
+encoding fills, which stand for the transition's frame (also identified
+by index), so one algebra serves both.
 """
 
 from __future__ import annotations

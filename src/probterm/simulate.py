@@ -14,25 +14,25 @@ streams differ from those of earlier versions, where run i drew from
 
 Every entry point compiles the graph once per call into a `Program`. A
 run's state is a list of numerators and one of denominators, each value
-in lowest terms; `Fraction`s are built only for recorded states and a
-scheduler's real choice, and a report builds its `final_values` when
-they are read. Each location keeps the distinct integer linear forms its
-guard atoms read, in lowest terms with the first term positive (`x >= 0`
-and `x < 0` read one form). A step takes each form's sign once and looks
-its enabled edges up by the tuple of signs, in a table that fills as
-runs reach sign vectors. An update builds its new value, sample
-included, as one integer ratio reduced by one gcd. Every uniform draw
-(a branch, a demonic interval, a uniform, Bernoulli or discrete sample,
-a scheduler's choice) reads one raw 64-bit word w of the run's bit
-generator as the exact ratio m / 2**53 with m = w >> 11, the value
-`Generator.random()` returns for that word, and random tests compare it
-against the exact probability in integers. Only the uniform scheduler's
-choice among n enabled transitions builds the float u = m * 2**-53 and
-takes int(u * n), as the AST interpreter does: the exact floor of
-m * n / 2**53 differs where u * n rounds up to an integer. Normals and
-custom samplers call the Generator, which reads the same word stream.
-The state, the rng stream and the order of draws are those of the plain
-small-step semantics.
+in lowest terms; `Fraction`s are built only for recorded states and the
+real choices of a scheduler that reads the values, and a report builds
+its `final_values` when they are read. Each location keeps the distinct
+integer linear forms its guard atoms read, in lowest terms with the
+first term positive (`x >= 0` and `x < 0` read one form). A step takes
+each form's sign once and looks its enabled edges up by the tuple of
+signs, in a table that fills as runs reach sign vectors. An update
+builds its new value, sample included, as one integer ratio reduced by
+one gcd. Every uniform draw (a branch, a demonic interval, a uniform,
+Bernoulli or discrete sample, a scheduler's choice) reads one raw 64-bit
+word w of the run's bit generator as the exact ratio m / 2**53 with
+m = w >> 11, the value `Generator.random()` returns for that word, and
+random tests compare it against the exact probability in integers. Only
+the uniform scheduler's choice among n enabled transitions builds the
+float u = m * 2**-53 and takes int(u * n), as the AST interpreter does:
+the exact floor of m * n / 2**53 differs where u * n rounds up to an
+integer. Normals and custom samplers call the Generator, which reads the
+same word stream. The state, the rng stream and the order of draws are
+those of the plain small-step semantics.
 
 The built-in counterexample process is no program: its runs are
 exchangeable, so it keeps only how many are still going, and each step
@@ -115,8 +115,10 @@ class Scheduler:
     value a demonic interval assignment takes."""
 
     choice_draws = 0   # the uniforms a choice among enabled transitions draws
+    reads_values = True   # False: `choose` gets None for the state's values
 
-    def choose(self, enabled: List[Transition], values: List[Fraction], rng) -> Transition:
+    def choose(self, enabled: List[Transition], values: Optional[List[Fraction]],
+               rng) -> Transition:
         """One of `enabled`, two or more transitions enabled at `values`."""
         raise NotImplementedError
 
@@ -137,6 +139,7 @@ class UniformRandom(Scheduler):
     """
 
     choice_draws = 1
+    reads_values = False
 
     def choose(self, enabled, values, rng):
         if len(enabled) == 1:
@@ -148,6 +151,8 @@ class UniformRandom(Scheduler):
 class FixedPriority(Scheduler):
     """Deterministic transition choice by a fixed id ordering; demonic
     values by `ndet_mode` in {"uniform", "lo", "hi"}."""
+
+    reads_values = False
 
     def __init__(self, ordering: Sequence[str] = (), ndet_mode: str = "uniform"):
         self.ordering = list(ordering)
@@ -408,6 +413,7 @@ class Program:
         locations = self.locations
         edges = self.edges
         choice_draws = sched.choice_draws
+        reads_values = sched.reads_values
         nums, dens = list(start[0]), list(start[1])
         states = [(loc, _fractions(nums, dens))] if record_states else None
         taken: Optional[List[str]] = [] if record_states else None
@@ -428,7 +434,8 @@ class Program:
                 stuck = True
                 break
             if len(enabled) > 1:
-                t = sched.choose([e.transition for e in enabled], _fractions(nums, dens), rng)
+                t = sched.choose([e.transition for e in enabled],
+                                 _fractions(nums, dens) if reads_values else None, rng)
                 e = edges[t.id]
                 draws += choice_draws
             else:

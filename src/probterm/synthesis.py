@@ -27,17 +27,16 @@ onto the template and eps columns, hence every optimum, is the same.
 
 One synthesis run solves many LPs, one per iteration and, in general
 mode, one per attempt, and most transitions keep their side conditions
-from one LP to the next. The run memoises, for all its LPs, the rows and
-multipliers that each transition's side conditions emitted, keyed by
-the transition, the zero-coefficient pins at its source and
-destinations, and, for a probabilistic branch, the unranked transitions
-leaving its targets. A block writes each LP column as its position in
-the transition's frame (its template and eps columns) or among its own
-multipliers, so a hit re-emits it over the new LP's frame with fresh
-multipliers: every LP is exactly the one a cold encoding would build.
-An antecedent is screened for feasibility only when a block is encoded,
-once for all the consequents it carries there; a replayed block screens
-nothing.
+from one LP to the next. A transition's frame is the template columns
+of each distinct location among its source and destinations, then its
+eps. Its side conditions are encoded once per run, into a small LP of
+their own whose first columns stand for the frame, and kept as a block,
+keyed by the transition, the zero-coefficient pins at its locations
+and, for a probabilistic branch, the unranked transitions leaving its
+targets. Every iteration LP replays each block it needs over its own
+frame, with fresh multipliers, so it is exactly the LP a cold encoding
+would build. An antecedent is screened only when a block is encoded,
+once for all the consequents it carries there; a replay screens none.
 
 Transitions whose eps is positive at the optimum are 1-ranked after
 scaling the template by 1/min(positive eps); by additivity of ranking
@@ -59,7 +58,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .farkas import LPProblem, check_feasible, encode_implication, solve_lp
+from .farkas import LPConstraint, LPProblem, check_feasible, encode_implication, solve_lp
 from .linear import LinConstraint, LinExpr, Polyhedron
 from .model import (Certificate, CertificateMode, Invariant, LevelMap,
                     LinExprMap, NondetUpdate, PCFG, Transition, check_bsp,
@@ -73,8 +72,8 @@ ONE = Fraction(1)
 @dataclass(frozen=True)
 class Block:
     """The multipliers and rows that the side conditions of one transition
-    emitted into an iteration LP. A row is an `IntRow`'s terms, in order,
-    rhs and denominator, then its relation. A term's column stands as its
+    emit into an iteration LP. A row is an `IntRow`'s terms, in order, rhs
+    and denominator, then its relation. A term's column stands as its
     position in the transition's frame (`SynthesisLP.frame`) followed by
     the block's multipliers, whose tags `tags` lists in creation order."""
     tags: Tuple[str, ...]
@@ -83,11 +82,11 @@ class Block:
     emitted: int
 
     def replay(self, lp: LPProblem, frame: List[int]) -> None:
-        """Emit the block into `lp` again over the transition's `frame` in
-        `lp`, with fresh multipliers created in the original order."""
+        """Emit the block into `lp` over the transition's `frame` in `lp`,
+        with fresh multipliers created in the original order."""
         cols = frame + [lp.fresh_multiplier(tag) for tag in self.tags]
-        for terms, rhs, den, rel in self.rows:
-            lp.add_constraint(IntRow({cols[k]: v for k, v in terms}, rhs, den), rel)
+        lp.constraints.extend(LPConstraint(IntRow({cols[k]: v for k, v in terms}, rhs, den), rel)
+                              for terms, rhs, den, rel in self.rows)
 
 
 # (transition id, the zero_coeffs entries at its source and destinations,
@@ -114,23 +113,24 @@ class TemplateRestriction:
 class SynthesisLP:
     """One iteration's LP plus the bookkeeping to read a component back."""
     lp: LPProblem
-    templates: Dict[str, LinExpr]   # coefficients and constant: LinExpr.var(column)
+    # location -> (variable index -> its coefficient column, constant column)
+    columns: Dict[str, Tuple[Dict[int, int], int]]
     eps: Dict[str, int]             # unranked transition id -> its eps column
     dropped_implications: int = 0
     emitted_implications: int = 0
 
     def frame(self, t: Transition) -> List[int]:
         """The columns that the side conditions of `t` read: the template
-        columns at its source and at each destination, then its eps."""
-        return [k for loc in (t.source, *t.destinations())
-                for a in (*self.templates[loc].coeffs.values(), self.templates[loc].constant)
-                for k in a.coeffs] + [self.eps[t.id]]
+        columns of each distinct location among its source and
+        destinations, then its eps."""
+        return [k for loc in dict.fromkeys((t.source, *t.destinations()))
+                for k in (*self.columns[loc][0].values(), self.columns[loc][1])
+                ] + [self.eps[t.id]]
 
     def component_at(self, x: List[Fraction]) -> Dict[str, LinExpr]:
-        """The templates at the LP point `x`, indexed by column."""
-        return {loc: LinExpr({i: a.evaluate(x) for i, a in t.coeffs.items()},
-                             t.constant.evaluate(x))
-                for loc, t in self.templates.items()}
+        """The templates at the LP point `x`."""
+        return {loc: LinExpr({i: x[k] for i, k in coeffs.items()}, x[const])
+                for loc, (coeffs, const) in self.columns.items()}
 
 
 def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
@@ -148,26 +148,25 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
     what its encoding reads: the transition, the `zero_coeffs` entries at
     its source and destinations (they decide which template unknowns
     exist there) and, for a probabilistic branch, the unranked
-    transitions leaving its targets (they decide the restriction set). A
-    memoised block is emitted again over this LP's frame of the
-    transition, with fresh multipliers and no screen, so the LP is the
-    one a cold encoding would build, term for term.
+    transitions leaving its targets (they decide the restriction set).
+    Every block, fresh or memoised, is replayed over this LP's frame of
+    the transition with fresh multipliers, so the LP is the one a cold
+    encoding would build, term for term.
     """
     if not unranked:
         raise ValueError("no unranked transitions left")
     if blocks is None:
         blocks = {}
     lp = LPProblem()
-    templates: Dict[str, LinExpr] = {}
-    for loc in p.locations:
-        coeffs = {i: LinExpr.var(lp.add_var(f"c[{loc}][{vname}]"))
-                  for i, vname in enumerate(p.variables)
-                  if (loc, i) not in restrict.zero_coeffs}
-        templates[loc] = LinExpr(coeffs, LinExpr.var(lp.add_var(f"c[{loc}].const")))
+    columns = {loc: ({i: lp.add_var(f"c[{loc}][{vname}]")
+                      for i, vname in enumerate(p.variables)
+                      if (loc, i) not in restrict.zero_coeffs},
+                     lp.add_var(f"c[{loc}].const"))
+               for loc in p.locations}
 
     unranked_set = set(unranked)
     order = [t for t in p.transitions if t.id in unranked_set]
-    out = SynthesisLP(lp, templates,
+    out = SynthesisLP(lp, columns,
                       {t.id: lp.add_var(f"eps[{t.id}]", nonneg=True) for t in order})
     for t in order:
         locs = {t.source, *t.destinations()}
@@ -178,8 +177,7 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         block = blocks.get(key)
         if block is None:
             block = blocks[key] = _encode(p, inv, t, out, unranked_set)
-        else:
-            block.replay(lp, out.frame(t))
+        block.replay(lp, out.frame(t))
         out.dropped_implications += block.dropped
         out.emitted_implications += block.emitted
 
@@ -210,11 +208,14 @@ def pre_and_bounds(p: PCFG, templates: Dict[str, LinExpr],
 
 def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
             unranked_set: Set[str]) -> Block:
-    """Emit the side conditions of transition `t` that the LP encodes (see
-    the module docstring) into `out.lp` and return them as a block."""
-    lp, templates = out.lp, out.templates
-    first_row, first_col = lp.num_constraints(), lp.num_vars()
-    tags: List[str] = []
+    """The side conditions of transition `t` that the LP encodes (see the
+    module docstring), encoded into an LP of their own whose first
+    columns stand for the positions of `t`'s frame in `out`."""
+    lp = LPProblem()
+    templates = {loc: LinExpr({i: LinExpr.var(lp.add_var("frame")) for i in out.columns[loc][0]},
+                              LinExpr.var(lp.add_var("frame")))
+                 for loc in dict.fromkeys((t.source, *t.destinations()))}
+    eps = lp.add_var("frame")
     dropped = emitted = 0
 
     def emit(antecedent: Polyhedron, consequents: List[Tuple[LinExpr, str]]) -> None:
@@ -225,8 +226,7 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
             dropped += len(consequents)
             return
         for expr, tag in consequents:
-            new = encode_implication(antecedent, expr, lp, tag=tag)
-            tags.extend([tag] * len(new))
+            encode_implication(antecedent, expr, lp, tag=tag)
         emitted += len(consequents)
 
     pre, bounds = pre_and_bounds(p, templates, t)
@@ -237,7 +237,7 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
     # added together serve (1) as here >= eps. So nothing emits (2), and
     # only a branch, which reads no demonic bounds, emits (1).
     first = (here, f"nn.{t.id}") if t.is_pb else (pre, f"en.{t.id}")
-    stepped = [first, ((here - pre).shift(LinExpr.var(out.eps[t.id], -1)), f"rk.{t.id}")]
+    stepped = [first, ((here - pre).shift(LinExpr.var(eps, -1)), f"rk.{t.id}")]
     for ante in inv.antecedents(t):
         emit(ante.conjoin(bounds), stepped)
     # (4) restricted expectation across unranked probabilistic branches,
@@ -247,12 +247,10 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
             for ante in inv.antecedents(t, ctx):
                 emit(ante, [(expr, f"eb.{t.id}")])
 
-    # each column the rows read, as its position in the frame or after it
-    position = {k: i for i, k in enumerate(out.frame(t) + list(range(first_col, lp.num_vars())))}
-    rows = tuple((tuple((position[k], v) for k, v in form.terms.items()),
-                  form.rhs, form.den, rel)
-                 for form, rel in lp.constraints[first_row:])
-    return Block(tuple(tags), rows, dropped, emitted)
+    return Block(tuple(tag for tag, _ in lp.names[eps + 1:]),
+                 tuple((tuple(form.terms.items()), form.rhs, form.den, rel)
+                       for form, rel in lp.constraints),
+                 dropped, emitted)
 
 
 # -- the iterative loop -------------------------------------------------------

@@ -35,6 +35,14 @@ def lifted(e: LinExpr) -> LinExpr:
                    LinExpr.const(e.constant))
 
 
+def template_at(slp, loc: str) -> LinExpr:
+    """The template of the iteration LP `slp` at `loc`: a `LinExpr` over
+    the program variables whose coefficients and constant are `LinExpr`s
+    over the LP columns that `slp.columns` gives."""
+    coeffs, const = slp.columns[loc]
+    return LinExpr({i: LinExpr.var(k) for i, k in coeffs.items()}, LinExpr.var(const))
+
+
 def _lem(p, rows):
     """rows: {loc: [(cx, cy, const), ...]} over variables named x, y."""
     x, y = p.var_index("x"), p.var_index("y")

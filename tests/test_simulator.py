@@ -105,6 +105,37 @@ def test_runs_build_no_fraction_per_step(name, init, monkeypatch):
     assert all(type(v) is F for values in finals for v in values)
 
 
+def test_only_a_scheduler_that_reads_values_gets_them(monkeypatch):
+    # `branching` chooses between its two arms at each loop head: the
+    # built-in uniform and fixed-priority schedulers read no values, so a
+    # 500-run estimate from (3, 5) builds only the 2 Fractions of its start
+    # state; a `Scheduler` subclass still gets the values at every choice
+    built = 0
+    real = simulate.Fraction
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    seen = []
+
+    class Reading(simulate.Scheduler):
+        def choose(self, enabled, values, rng):
+            assert all(type(v) is F for v in values)
+            seen.append(values)
+            return enabled[0]
+
+    p, _ = load_fixture("branching")
+    init = [F(3), F(5)]
+    monkeypatch.setattr(simulate, "Fraction", counted)
+    for sched in (UniformRandom(), FixedPriority(), Reading()):
+        built = 0
+        estimate_termination(p, init, sched, 500, 10 ** 4, seed=1)
+        assert built == len(init) * (1 + len(seen))
+    assert len(seen) > 500
+
+
 def test_stuck_reported_not_raised():
     from probterm import (GuardedStep, LinConstraint, LinExpr, NoUpdate, PCFG,
                           Polyhedron, Predicate, Transition)

@@ -12,7 +12,8 @@ from probterm import (CertificateMode, Invariant, MissingBoundedSupport,
 from probterm.pcfg_io import certificate_to_json, invariant_from_json
 from probterm.simplex import IntRow, LPStatus, RowRel, integer_row
 
-from conftest import LP_SCREENED_INVARIANT, load_fixture
+from conftest import LP_SCREENED_INVARIANT, load_fixture, template_at
+from test_strict_rule import FIXTURE_NAMES
 
 
 def ranked_at_optimum(p, inv, unranked, restrict=TemplateRestriction(), zero_eps=()):
@@ -482,6 +483,52 @@ def test_run_memo_builds_the_cold_lp(name, synthesize, monkeypatch):
         assert dump_lp(lp) == dump_lp(build_lp(p, inv, unranked, restrict).lp)
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_frame_lists_each_column_once(name):
+    # a self-loop's source is its destination: the frame lists that
+    # location's template columns once
+    p, inv = load_fixture(name)
+    slp = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
+    for t in p.non_terminal_transitions():
+        frame = slp.frame(t)
+        assert len(frame) == len(set(frame)), t.id
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_memoised_build_encodes_screens_and_builds_nothing(name, monkeypatch):
+    """A second `build_lp` on the same memo and unranked set replays every
+    block: it encodes nothing, screens nothing and builds no `LinExpr`,
+    and its LP dumps as the first one does."""
+    from probterm import LinExpr, synthesis
+    from probterm.farkas import dump_lp
+    p, inv = load_fixture(name)
+    unranked = [t.id for t in p.non_terminal_transitions()]
+    blocks = {}
+    first = build_lp(p, inv, unranked, blocks=blocks)
+    built = []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a memoised build encoded or screened")
+
+    real_init, real_owning = LinExpr.__init__, LinExpr.owning
+
+    def init(self, *args, **kwargs):
+        built.append("LinExpr")
+        real_init(self, *args, **kwargs)
+
+    def owning(*args):
+        built.append("LinExpr.owning")
+        return real_owning(*args)
+
+    monkeypatch.setattr(synthesis, "_encode", refused)
+    monkeypatch.setattr(synthesis, "check_feasible", refused)
+    monkeypatch.setattr(LinExpr, "__init__", init)
+    monkeypatch.setattr(LinExpr, "owning", staticmethod(owning))
+    again = build_lp(p, inv, unranked, blocks=blocks)
+    monkeypatch.undo()
+    assert built == []
+    assert dump_lp(again.lp) == dump_lp(first.lp)
+
 
 # -- the side conditions that the kept rows imply --------------------------------------
 
@@ -520,8 +567,9 @@ def with_implied(p, inv, slp):
     for t in p.transitions:
         if t.id not in slp.eps:
             continue
-        here = slp.templates[t.source]
-        pre, bounds = pre_and_bounds(p, slp.templates, t)
+        templates = {loc: template_at(slp, loc) for loc in slp.columns}
+        here = templates[t.source]
+        pre, bounds = pre_and_bounds(p, templates, t)
         for ante in inv.antecedents(t):
             if not t.is_pb and check_feasible(ante)[0]:
                 encode_implication(ante, here, lp, "nn")
@@ -563,8 +611,8 @@ def test_dropped_conditions_are_implied(name, monkeypatch):
         assert full.num_constraints() > slp.lp.num_constraints()
         kept, again = solve_lp(slp.lp), solve_lp(full)
         assert (kept.status, kept.value) == (again.status, again.value)
-        template = [k for e in slp.templates.values()
-                    for a in (*e.coeffs.values(), e.constant) for k in a.coeffs]
+        template = [k for coeffs, const in slp.columns.values()
+                    for k in (*coeffs.values(), const)]
         for lp in (slp.lp, full):
             for k in template:
                 lp.add_constraint(IntRow({k: 1}, 5, 1), RowRel.LE)
