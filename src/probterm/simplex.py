@@ -17,14 +17,19 @@ is zero.
 
 Starting basis. A presolve runs first, over the integer rows: an
 equality with a single entry and right-hand side 0 pins its unknown at 0.
-The unknown gets no column and is deleted from every row, and this is
-repeated until no such equality is left, so a chain of pins is followed
-to its end. A row left empty is then dropped when its right-hand side is
-0, and kept otherwise, so that phase 1 finds it infeasible. Columns and
-rows keep their relative order, and Bland's rule below sees them in it.
-A pinned unknown reads back as 0 and costs no pivot. Each remaining row
-is then made to have a nonnegative right-hand side; a >= row whose
-right-hand side is 0 is negated as well, so that its slack starts basic.
+The unknown gets no column and is deleted from every row. One pass
+indexes the rows by column; a worklist then counts each pin off the rows
+that read it, and a zero-rhs equality left with one live entry pins that
+one too. So a chain of pins is followed to its end, each row read a
+bounded number of times, and the pinned set, the least one closed under
+this rule, does not depend on the order pins are found in. A row left
+empty is dropped when its right-hand side is 0, and kept otherwise, so
+that phase 1 finds it infeasible. Columns and rows keep their relative
+order, and Bland's rule below sees them in it. A pinned unknown reads
+back as 0 and costs no pivot. Each tableau row is then built in one pass
+over its caller row: pins left out, free columns split, negated to a
+nonnegative right-hand side (a >= row with right-hand side 0 as well, so
+that its slack starts basic), and divided by its gcd when it lost a pin.
 The slack of a <= row starts basic. An equality with right-hand side 0
 that owns an unknown, one that no other row reads, starts basic on the
 first column of the last unknown it owns, negated when that entry is
@@ -67,7 +72,6 @@ objective value is checked the same way.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -167,15 +171,6 @@ def _eliminate(row: Dict[int, int], rhs: int, den: int, a: int,
     return _reduced(row, rhs - a * prhs, den)
 
 
-def _deleted(irow: Row, cols: Set[int]) -> Row:
-    """The row without its entries in `cols`, in lowest terms; the row
-    itself when it has none."""
-    row, rhs, den = irow
-    if cols.isdisjoint(row):
-        return irow
-    return _reduced({j: v for j, v in row.items() if j not in cols}, rhs, den)
-
-
 class _Tableau:
     """Sparse fraction-free tableau with explicit basis bookkeeping: row i
     reads rows[i][j] / den[i] in column j and rhs[i] / den[i] on the right;
@@ -227,8 +222,9 @@ class _Tableau:
         if not gone:
             return
         for i, row in enumerate(self.rows):
-            self.rows[i], self.rhs[i], self.den[i] = _deleted(
-                (row, self.rhs[i], self.den[i]), gone)
+            if not gone.isdisjoint(row):
+                self.rows[i], self.rhs[i], self.den[i] = _reduced(
+                    {j: v for j, v in row.items() if j not in gone}, self.rhs[i], self.den[i])
 
     def feasible_start(self, art: Set[int]) -> bool:
         """Replace the artificial start by a basis of original columns;
@@ -252,7 +248,7 @@ class _Tableau:
 
     def maximize(self, cost: Dict[int, int], den: int) -> Tuple[str, Fraction]:
         """Run simplex on the current basis for the objective cost / den,
-        an integer row in lowest terms that `maximize` may change.
+        an integer row that `maximize` may change.
 
         Returns (outcome, value); outcome is "optimal" or "unbounded".
         """
@@ -303,13 +299,28 @@ def solve(num_vars: int,
     on a column it owns. Raises PivotCapReached ("N pivots") when a pivot
     would pass `pivot_cap`.
     """
-    # the presolve of the module docstring: pin, delete, repeat; drop 0 = 0
-    irows, pinned = rows, set()
-    while pins := {j for (row, r, _), rel in irows
-                   if r == 0 and rel is RowRel.EQ and len(row) == 1 for j in row}:
-        pinned |= pins
-        irows = [(_deleted(irow, pins), rel) for irow, rel in irows]
-        irows = [(irow, rel) for irow, rel in irows if irow[0] or irow[1]]
+    # the presolve of the module docstring: index the rows by column, then
+    # pin from a worklist of rows that may be left with one live entry
+    readers: List[List[int]] = [[] for _ in range(num_vars)]
+    for i, ((terms, _, _), _) in enumerate(rows):
+        for j in terms:
+            readers[j].append(i)
+    size = [len(terms) for (terms, _, _), _ in rows]
+    live = size.copy()   # each row's entries not pinned
+    pinned: Set[int] = set()
+    work = [i for i, n in enumerate(size) if n == 1]
+    while work:
+        (terms, r, _), rel = rows[work.pop()]
+        if r == 0 and rel is RowRel.EQ:
+            for j in terms:
+                if j not in pinned:
+                    pinned.add(j)
+                    for i in readers[j]:
+                        live[i] -= 1
+                        if live[i] == 1:
+                            work.append(i)
+    # a row the pins leave as 0 = 0 is dropped; with no pin, no row is
+    kept = [i for i, ((_, r, _), _) in enumerate(rows) if r or live[i] or not pinned]
 
     # column layout: none for a pinned var, one per nonneg var, two per free
     # var, then one slack per inequality and one artificial per row lacking
@@ -326,16 +337,24 @@ def solve(num_vars: int,
             col_of.append((ncols, ncols + 1))
             ncols += 2
     slack = ncols
-    art = ncols + sum(rel is not RowRel.EQ for _, rel in irows)
-    readers = Counter(j for (row, _, _), _ in irows for j in row)
+    art = ncols + sum(rows[i][1] is not RowRel.EQ for i in kept)
+    # the last unknown each row owns, one no other row reads (a pinned one
+    # is owned only by the row it leaves as 0 = 0)
+    owner = [-1] * len(rows)
+    for j, readers_j in enumerate(readers):
+        if len(readers_j) == 1:
+            owner[readers_j[0]] = j
 
-    def split(row: Dict[int, int]) -> Dict[int, int]:
+    def split(terms: Dict[int, int], sign: int) -> Dict[int, int]:
+        """sign * terms over the columns, without the pinned unknowns."""
         cols: Dict[int, int] = {}
-        for j, v in row.items():
+        for j, v in terms.items():
             pos, neg = col_of[j]
-            cols[pos] = v
-            if neg >= 0:
-                cols[neg] = -v
+            if pos >= 0:
+                v *= sign
+                cols[pos] = v
+                if neg >= 0:
+                    cols[neg] = -v
         return cols
 
     trows: List[Dict[int, int]] = []
@@ -343,34 +362,33 @@ def solve(num_vars: int,
     den: List[int] = []
     basis: List[int] = []
     art_cols: List[int] = []
-    for (irow, r, d), rel in irows:
-        row = split(irow)
-        s = -1
-        if rel is not RowRel.EQ:
-            s = slack
-            slack += 1
-            row[s] = d if rel is RowRel.LE else -d
-        # make the right-hand side nonnegative; a zero one turns a >= row
-        # into a <= row, whose slack starts basic
-        if r < 0 or (r == 0 and rel is RowRel.GE):
-            row, r = {j: -v for j, v in row.items()}, -r
-        # starting basis: slack where it survived with +1; for a zero-rhs
-        # equality, the first column of the last unknown it owns (one that
-        # no other row reads); else artificial
-        owned = [j for j in irow if readers[j] == 1] if rel is RowRel.EQ and r == 0 else []
-        if s >= 0 and row[s] > 0:
-            basis.append(s)
-        elif owned:
-            c = col_of[max(owned)][0]
-            if row[c] < 0:
-                row = {j: -v for j, v in row.items()}
-            row, r, d = _reduced(row, 0, row[c])
-            basis.append(c)
+    for i in kept:
+        (terms, r, d), rel = rows[i]
+        own = owner[i] if r == 0 and rel is RowRel.EQ else -1
+        if own >= 0:
+            # starts basic on the first column of `own`: divided by its
+            # entry and reduced, all the reduction a deleted pin needs
+            v = terms[own]
+            row, r, d = _reduced(split(terms, 1 if v > 0 else -1), 0, abs(v))
+            basis.append(col_of[own][0])
         else:
-            row[art] = d
-            basis.append(art)
-            art_cols.append(art)
-            art += 1
+            # a nonnegative right-hand side; a zero one turns a >= row into
+            # a <= row, whose slack starts basic
+            flip = r < 0 or (r == 0 and rel is RowRel.GE)
+            row = split(terms, -1 if flip else 1)
+            r = abs(r)
+            if live[i] < size[i]:
+                row, r, d = _reduced(row, r, d)
+            if rel is not RowRel.EQ:
+                row[slack] = d if (rel is RowRel.LE) != flip else -d
+                slack += 1
+            if rel is not RowRel.EQ and row[slack - 1] > 0:
+                basis.append(slack - 1)
+            else:
+                row[art] = d
+                basis.append(art)
+                art_cols.append(art)
+                art += 1
         trows.append(row)
         rhs.append(r)
         den.append(d)
@@ -378,8 +396,7 @@ def solve(num_vars: int,
     tab = _Tableau(trows, rhs, den, basis, pivot_cap)
     if not tab.feasible_start(set(art_cols)):
         return SimplexResult(LPStatus.INFEASIBLE, pivots=tab.pivots)
-    cost, _, cost_den = _deleted(objective, pinned)
-    outcome, value = tab.maximize(split(cost), cost_den)
+    outcome, value = tab.maximize(split(objective.terms, 1), objective.den)
     if outcome == "unbounded":
         return SimplexResult(LPStatus.UNBOUNDED, pivots=tab.pivots)
 

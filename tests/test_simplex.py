@@ -1,5 +1,6 @@
 """The exact LP core, cross-checked against an independent float solver."""
 
+import collections
 import copy
 import math
 import random
@@ -8,12 +9,12 @@ from fractions import Fraction as F
 import pytest
 from scipy.optimize import linprog
 
-from probterm import lower_to_pcfg, parse_program, simplex, synthesis
+from probterm import farkas, lower_to_pcfg, parse_program, simplex, synthesis
 from probterm.pcfg_io import invariant_from_json
 from probterm.simplex import IntRow, LPStatus, PivotCapReached, RowRel, integer_row
 
 from conftest import load_fixture
-from test_strict_rule import workloads
+from test_strict_rule import PROGRAMS, synthesize, workloads
 
 
 def solve(n, nonneg, rows, obj, **kwargs):
@@ -512,3 +513,148 @@ def test_recheck_rejects_a_perturbed_point_on_an_integral_row():
         for rel, point in ((RowRel.EQ, up), (RowRel.LE, up), (RowRel.GE, down)):
             with pytest.raises(AssertionError, match="row violated"):
                 simplex._check_solution([False] * n, [(row, rel)], nothing, point, D, F(0))
+
+
+# -- the presolve and the tableau it starts from ----------------------------------
+
+def _rounds_start(n, nonneg, rows):
+    """The tableau start the presolve by rounds and a row-by-row build
+    give: pin every one-entry zero-rhs equality, delete the pins from
+    every row and drop 0 = 0, until nothing is pinned; then split each
+    row, add its slack, negate it to a nonnegative right-hand side (or a
+    basic slack), and start it on its own column, its slack or an
+    artificial. Returns the rows' items, rhs, den, basis and artificials."""
+    pinned = set()
+    while pins := {j for (t, r, _), rel in rows if r == 0 and rel is RowRel.EQ and len(t) == 1
+                   for j in t}:
+        pinned |= pins
+        rows = [(row if pins.isdisjoint(row[0]) else
+                 simplex._reduced({j: v for j, v in row[0].items() if j not in pins}, *row[1:]), rel)
+                for row, rel in rows]
+        rows = [(row, rel) for row, rel in rows if row[0] or row[1]]
+    col_of, ncols = {}, 0
+    for j in range(n):
+        if j not in pinned:
+            col_of[j] = (ncols, -1) if nonneg[j] else (ncols, ncols + 1)
+            ncols += 1 if nonneg[j] else 2
+    slack, art = ncols, ncols + sum(rel is not RowRel.EQ for _, rel in rows)
+    readers = collections.Counter(j for (t, _, _), _ in rows for j in t)
+    start = ([], [], [], [], [])
+    for (terms, r, d), rel in rows:
+        row = {}
+        for j, v in terms.items():
+            row[col_of[j][0]] = v
+            if col_of[j][1] >= 0:
+                row[col_of[j][1]] = -v
+        if rel is not RowRel.EQ:
+            row[slack] = d if rel is RowRel.LE else -d
+        if r < 0 or (r == 0 and rel is RowRel.GE):
+            row, r = {j: -v for j, v in row.items()}, -r
+        owned = [j for j in terms if readers[j] == 1] if rel is RowRel.EQ and r == 0 else []
+        if rel is not RowRel.EQ and row[slack] > 0:
+            b = slack
+        elif owned:
+            b = col_of[max(owned)][0]
+            if row[b] < 0:
+                row = {j: -v for j, v in row.items()}
+            row, r, d = simplex._reduced(row, 0, row[b])
+        else:
+            b = art
+            row[art] = d
+            start[4].append(art)
+            art += 1
+        slack += rel is not RowRel.EQ
+        for part, item in zip(start, (list(row.items()), r, d, b)):
+            part.append(item)
+    return list(start)
+
+
+_TABLEAU = simplex._Tableau
+
+
+def _assert_same_start(monkeypatch, n, nonneg, rows, objective):
+    """The worklist presolve and the one-pass build start the tableau
+    where the presolve by rounds and the row-by-row build do: the rows
+    (their items in order), rhs, den and basis it is built with, and the
+    artificial columns `feasible_start` gets."""
+    start = []
+
+    class Recording(_TABLEAU):
+        def __init__(self, rows, rhs, den, basis, pivot_cap):
+            start.extend(([list(row.items()) for row in rows], list(rhs), list(den), list(basis)))
+            super().__init__(rows, rhs, den, basis, pivot_cap)
+
+        def feasible_start(self, art):
+            start.append(sorted(art))
+            return super().feasible_start(art)
+
+    monkeypatch.setattr(simplex, "_Tableau", Recording)
+    simplex.solve(n, nonneg, rows, objective)
+    monkeypatch.undo()
+    assert start == _rounds_start(n, nonneg, rows)
+
+
+@pytest.mark.parametrize("seed,make", [(45, _planted(_general(_rational))),
+                                       (46, _planted(_homogeneous)), (47, _owned(_homogeneous)),
+                                       (48, _owned(_planted(_homogeneous)))],
+                         ids=["planted-rational", "planted-homogeneous", "owned-homogeneous",
+                              "owned-planted"])
+def test_tableau_start_matches_the_presolve_by_rounds(seed, make, monkeypatch):
+    rng = random.Random(seed)
+    for _ in range(400):
+        n, nonneg, rows, obj = make(rng)
+        _assert_same_start(monkeypatch, n, nonneg, [(integer_row(c, b), rel) for c, rel, b in rows],
+                           integer_row(obj, F(0)))
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_iteration_lps_start_as_the_presolve_by_rounds_does(name, monkeypatch):
+    lps = []
+
+    def recording(lp, *args, **kwargs):
+        lps.append(lp)
+        return farkas.solve_lp(lp, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "solve_lp", recording)
+    synthesize(*PROGRAMS[name]())
+    monkeypatch.undo()
+    assert lps
+    for lp in lps:
+        _assert_same_start(monkeypatch, lp.num_vars(), lp.nonneg, lp.constraints, lp.objective)
+
+
+class _CountedTerms(dict):
+    """A row's terms that count how often the row is read whole."""
+    reads = 0
+
+    def _read(self):
+        self.reads += 1
+
+    def items(self):
+        self._read()
+        return super().items()
+
+    def values(self):
+        self._read()
+        return super().values()
+
+    def __iter__(self):
+        self._read()
+        return super().__iter__()
+
+    def __len__(self):
+        self._read()
+        return super().__len__()
+
+
+def test_long_pin_chain_reads_each_row_a_bounded_number_of_times():
+    # x0 = 0, x0 + x1 = 0, ..., x(k-2) + x(k-1) = 0 pins x0, ..., x(k-1)
+    # one at a time; the <= row keeps x(k) and a slack that starts basic
+    k = 2000
+    rows = [(IntRow(_CountedTerms({0: 1}), 0, 1), RowRel.EQ)]
+    rows += [(IntRow(_CountedTerms({j - 1: 1, j: 1}), 0, 1), RowRel.EQ) for j in range(1, k)]
+    rows.append((IntRow(_CountedTerms({k - 1: 2, k: 1}), 1, 1), RowRel.LE))
+    r = simplex.solve(k + 1, [False] * k + [True], rows, IntRow({k - 1: 1, k: -1}, 0, 1))
+    assert r.status is LPStatus.OPTIMAL and r.pivots == 0 and r.value == 0
+    assert r.x == [0] * (k + 1)
+    assert max(terms.reads for (terms, _, _), _ in rows) <= 8
