@@ -14,9 +14,10 @@ side.
 An LP unknown is its column index from assembly to the simplex: in a
 `LinExpr` over LP columns, in the integer rows (`IntRow`) of an
 `LPProblem` and its objective, and in the point `solve_lp` returns. The
-encoder converts each row to integers once, and the simplex takes the
-rows as they stand. Names label the columns in `dump_lp` alone, which
-prints each coefficient as its fraction.
+encoder builds each row in integers once, into an `LPProblem` or a
+synthesis block, and the simplex takes the rows as they stand. Names
+label the columns in `dump_lp` alone, which prints each coefficient as
+its fraction.
 
 There is one polyhedral query, and it is exact too. `check_feasible`
 decides whether a polyhedron has a rational point. It tries, in order:
@@ -38,7 +39,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Protocol, Tuple, Union
 
 from .linear import LinConstraint, LinExpr, Polyhedron, Rel
 from . import simplex
@@ -46,6 +47,7 @@ from .simplex import IntRow, LPStatus, RowRel, SimplexResult, integer_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+NO_TERMS = LinExpr.owning({}, ZERO)   # a row's base where the consequent has no term
 
 
 class LPConstraint(NamedTuple):
@@ -78,8 +80,10 @@ class LPProblem:
     def fresh_multiplier(self, tag: str = "lam") -> int:
         return self.add_var((tag, next(self._fresh)), nonneg=True)
 
-    def add_constraint(self, form: IntRow, rel: RowRel) -> None:
-        self.constraints.append(LPConstraint(form, rel))
+    def add_row(self, terms: Dict[int, int], rhs: int, den: int, rel: RowRel) -> None:
+        """Append the row (terms . x) / den  rel  rhs / den, in lowest terms
+        with den > 0; the row keeps `terms` as its own."""
+        self.constraints.append(LPConstraint(IntRow(terms, rhs, den), rel))
 
     def num_vars(self) -> int:
         return len(self.names)
@@ -229,48 +233,78 @@ def entails(p: Polyhedron, e: LinExpr) -> Tuple[bool, Optional[Dict[int, Fractio
 # -- the implication encoder ------------------------------------------------
 
 
+class RowSink(Protocol):
+    """What `encode_implication` writes into: an `LPProblem`, or the block
+    of rows that synthesis encodes a transition's side conditions into."""
+    def fresh_multiplier(self, tag: str) -> int: ...
+    def add_row(self, terms: Dict[int, int], rhs: int, den: int, rel: RowRel) -> None: ...
+
+
 def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
-                       lp: LPProblem, tag: str = "lam") -> List[int]:
-    """Emit into `lp` the multiplier system for "`antecedent` implies
+                       sink: RowSink, tag: str = "lam") -> List[int]:
+    """Write into `sink` the multiplier system for "`antecedent` implies
     `consequent` >= 0"; returns the columns of the fresh multipliers.
 
     The antecedent holds concrete rationals, possibly over fresh universal
     variables, and has passed `check_feasible`; a strict row reads as its
     relaxation. The consequent's coefficients and constant are `LinExpr`s
     over the template columns. A consequent that is identically zero
-    holds everywhere and emits nothing.
+    holds everywhere and writes nothing.
+
+    Each row is built once, as integers: the consequent's terms, then one
+    per multiplier in row order. Only a row with a denominator other than
+    1 goes through `integer_row`.
     """
     if not consequent:
         return []
-    # antecedent rows as A x <= b (equalities split)
-    a_rows: List[Tuple[Dict[int, Fraction], Fraction]] = []
+    # the antecedent as A x <= b, an equality as its two halves; per half,
+    # the integer ratio of each entry of A and of -b
+    halves: List[Tuple[List[Tuple[int, int, int]], int, int]] = []
     for cons in antecedent.constraints:
-        for half in cons.split_eq():
-            a_rows.append((half.lhs.coeffs, -half.lhs.constant))
+        lhs = cons.lhs
+        entries = [(i, *a.as_integer_ratio()) for i, a in lhs.coeffs.items()]
+        n, d = lhs.constant.as_integer_ratio()
+        halves.append((entries, n, d))
+        if cons.rel is Rel.EQ:
+            halves.append(([(i, -an, ad) for i, an, ad in entries], -n, d))
 
-    lams = [lp.fresh_multiplier(tag) for _ in a_rows]
+    lams = [sink.fresh_multiplier(tag) for _ in halves]
 
-    # each row's terms are collected once: the consequent's, then one per
-    # multiplier in row order
-    columns: Dict[int, List[Tuple[int, Fraction]]] = {i: [] for i in consequent.coeffs}
-    for lam, (coeffs, _) in zip(lams, a_rows):
-        for i, a in coeffs.items():
-            columns.setdefault(i, []).append((lam, a))
-
-    def row(base: Optional[LinExpr], terms) -> IntRow:
-        coeffs, const = ({}, ZERO) if base is None else (dict(base.coeffs), base.constant)
-        coeffs.update(terms)
-        return integer_row(coeffs, -const)
+    # each row's multiplier terms are collected once, in row order
+    columns: Dict[int, List[Tuple[int, int, int]]] = {i: [] for i in consequent.coeffs}
+    for lam, (entries, _, _) in zip(lams, halves):
+        for i, n, d in entries:
+            columns.setdefault(i, []).append((lam, n, d))
 
     # lam^T A = -c, per program variable
     for i in sorted(columns):
-        lp.add_constraint(row(consequent.coeffs.get(i), columns[i]), RowRel.EQ)
+        _add_row(sink, consequent.coeffs.get(i, NO_TERMS), columns[i], RowRel.EQ)
 
-    # lam^T b <= d, emitted as  d - lam^T b >= 0
-    lp.add_constraint(row(consequent.constant,
-                          ((lam, -b) for lam, (_, b) in zip(lams, a_rows) if b != 0)),
-                      RowRel.GE)
+    # lam^T b <= d, written as  d - lam^T b >= 0
+    _add_row(sink, consequent.constant,
+             [(lam, n, d) for lam, (_, n, d) in zip(lams, halves) if n], RowRel.GE)
     return lams
+
+
+def _add_row(sink: RowSink, base: LinExpr, multipliers: List[Tuple[int, int, int]],
+             rel: RowRel) -> None:
+    """Write the row  base + sum(n/d * lam)  rel  0 into `sink`, where
+    `base` is a `LinExpr` over the template columns and each (lam, n, d)
+    a multiplier term."""
+    rhs, dens = base.constant.as_integer_ratio()
+    terms: Dict[int, int] = {}
+    for j, c in base.coeffs.items():
+        terms[j], d = c.as_integer_ratio()
+        dens *= d
+    for lam, n, d in multipliers:
+        terms[lam] = n
+        dens *= d
+    if dens == 1:   # every denominator is 1
+        sink.add_row(terms, -rhs, 1, rel)
+        return
+    form = integer_row({**base.coeffs, **{lam: Fraction(n, d) for lam, n, d in multipliers}},
+                       -base.constant)
+    sink.add_row(form.terms, form.rhs, form.den, rel)
 
 
 _LABEL_SPECIAL = re.compile(r"[^A-Za-z0-9_()]")

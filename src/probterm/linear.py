@@ -7,9 +7,9 @@ expressions with exact rational coefficients over the program variables
 
 When synthesis encodes a transition's side conditions, a template is a
 linear expression over the program variables whose coefficients and
-constant are linear expressions over the columns of the small LP the
-encoding fills, which stand for the transition's frame (also identified
-by index), so one algebra serves both.
+constant are linear expressions over the columns of the block of rows
+the encoding fills, which stand for the transition's frame (also
+identified by index), so one algebra serves both.
 """
 
 from __future__ import annotations
@@ -130,7 +130,11 @@ class LinExpr:
 
     def scale(self, factor) -> "LinExpr":
         """The expression times `factor`, a Fraction or, to scale a
-        concrete expression by a template coefficient, a `LinExpr`."""
+        concrete expression by a template coefficient, a `LinExpr`, which
+        each coefficient and the constant scale in turn."""
+        if isinstance(factor, LinExpr):
+            return LinExpr.owning({i: factor.scale(c) for i, c in self.coeffs.items()}
+                                  if factor else {}, factor.scale(self.constant))
         f = _coef(factor)
         if f == 1:
             return LinExpr.owning(dict(self.coeffs), self.constant)

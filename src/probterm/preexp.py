@@ -8,7 +8,7 @@ the worst/best endpoint.
 The checker and synthesis share this algebra. The checker applies it to
 concrete components with rational coefficients; synthesis applies it to
 templates, whose coefficients are `LinExpr`s over the columns of the
-small LP that encodes one transition, which stand for its frame.
+block of rows that encodes one transition, which stand for its frame.
 Only a demonic interval stays outside it in synthesis: an endpoint cannot
 be chosen by the sign of an unknown coefficient, so synthesis substitutes
 a universally quantified variable bounded to the interval instead.

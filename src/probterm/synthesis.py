@@ -29,9 +29,10 @@ One synthesis run solves many LPs, one per iteration and, in general
 mode, one per attempt, and most transitions keep their side conditions
 from one LP to the next. A transition's frame is the template columns
 of each distinct location among its source and destinations, then its
-eps. Its side conditions are encoded once per run, into a small LP of
-their own whose first columns stand for the frame, and kept as a block,
-keyed by the transition, the zero-coefficient pins at its locations
+eps. Its side conditions are encoded once per run, straight into the
+integer rows of a block, whose first columns stand for the frame and
+the rest for the block's multipliers, each row written once; the block
+is keyed by the transition, the zero-coefficient pins at its locations
 and, for a probabilistic branch, the unranked transitions leaving its
 targets. Every iteration LP replays each block it needs over its own
 frame, with fresh multipliers, so it is exactly the LP a cold encoding
@@ -54,6 +55,7 @@ be 1-ranked by the new component.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
@@ -68,24 +70,35 @@ from .simplex import IntRow, LPStatus, RowRel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
-@dataclass(frozen=True)
+@dataclass
 class Block:
     """The multipliers and rows that the side conditions of one transition
-    emit into an iteration LP. A row is an `IntRow`'s terms, in order, rhs
-    and denominator, then its relation. A term's column stands as its
-    position in the transition's frame (`SynthesisLP.frame`) followed by
-    the block's multipliers, whose tags `tags` lists in creation order."""
-    tags: Tuple[str, ...]
-    rows: Tuple[Tuple[Tuple[Tuple[int, int], ...], int, int, RowRel], ...]
-    dropped: int    # implications whose antecedent failed the screen
-    emitted: int
+    emit into an iteration LP. A row is an `IntRow`'s terms, rhs and
+    denominator, then its relation. A term's column stands as its position
+    in the transition's frame (`SynthesisLP.frame`), below `width`, or as
+    `width` plus the index of a multiplier, whose tags `tags` lists in
+    creation order. `encode_implication` writes each row here once, as
+    the block's sink."""
+    width: int      # the length of the frame
+    tags: List[str] = field(default_factory=list)
+    rows: List[Tuple[Dict[int, int], int, int, RowRel]] = field(default_factory=list)
+    dropped: int = 0    # implications whose antecedent failed the screen
+    emitted: int = 0
+
+    def fresh_multiplier(self, tag: str) -> int:
+        self.tags.append(tag)
+        return self.width + len(self.tags) - 1
+
+    def add_row(self, terms: Dict[int, int], rhs: int, den: int, rel: RowRel) -> None:
+        self.rows.append((terms, rhs, den, rel))
 
     def replay(self, lp: LPProblem, frame: List[int]) -> None:
         """Emit the block into `lp` over the transition's `frame` in `lp`,
         with fresh multipliers created in the original order."""
         cols = frame + [lp.fresh_multiplier(tag) for tag in self.tags]
-        lp.constraints.extend(LPConstraint(IntRow({cols[k]: v for k, v in terms}, rhs, den), rel)
+        lp.constraints.extend(LPConstraint(IntRow({cols[k]: v for k, v in terms.items()}, rhs, den), rel)
                               for terms, rhs, den, rel in self.rows)
 
 
@@ -182,9 +195,9 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
         out.emitted_implications += block.emitted
 
     for tid, k in out.eps.items():
-        lp.add_constraint(IntRow({k: 1}, 1, 1), RowRel.LE)
+        lp.add_row({k: 1}, 1, 1, RowRel.LE)
         if tid in restrict.forced_rank:
-            lp.add_constraint(IntRow({k: 1}, 1, 1), RowRel.EQ)
+            lp.add_row({k: 1}, 1, 1, RowRel.EQ)
     lp.objective = IntRow({k: 1 for k in out.eps.values()}, 0, 1)
     return out
 
@@ -209,25 +222,24 @@ def pre_and_bounds(p: PCFG, templates: Dict[str, LinExpr],
 def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
             unranked_set: Set[str]) -> Block:
     """The side conditions of transition `t` that the LP encodes (see the
-    module docstring), encoded into an LP of their own whose first
-    columns stand for the positions of `t`'s frame in `out`."""
-    lp = LPProblem()
-    templates = {loc: LinExpr({i: LinExpr.var(lp.add_var("frame")) for i in out.columns[loc][0]},
-                              LinExpr.var(lp.add_var("frame")))
+    module docstring), encoded straight into the rows of a block, whose
+    first columns stand for the positions of `t`'s frame in `out`."""
+    position = itertools.count()
+    templates = {loc: LinExpr.owning({i: LinExpr.var(next(position)) for i in out.columns[loc][0]},
+                                     LinExpr.var(next(position)))
                  for loc in dict.fromkeys((t.source, *t.destinations()))}
-    eps = lp.add_var("frame")
-    dropped = emitted = 0
+    eps = next(position)
+    block = Block(eps + 1)
 
     def emit(antecedent: Polyhedron, consequents: List[Tuple[LinExpr, str]]) -> None:
         """Encode `antecedent` implies each (expression >= 0, tag) in turn,
         or drop them all when the antecedent is infeasible."""
-        nonlocal dropped, emitted
         if not check_feasible(antecedent)[0]:
-            dropped += len(consequents)
+            block.dropped += len(consequents)
             return
         for expr, tag in consequents:
-            encode_implication(antecedent, expr, lp, tag=tag)
-        emitted += len(consequents)
+            encode_implication(antecedent, expr, block, tag=tag)
+        block.emitted += len(consequents)
 
     pre, bounds = pre_and_bounds(p, templates, t)
     here = templates[t.source]
@@ -237,7 +249,7 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
     # added together serve (1) as here >= eps. So nothing emits (2), and
     # only a branch, which reads no demonic bounds, emits (1).
     first = (here, f"nn.{t.id}") if t.is_pb else (pre, f"en.{t.id}")
-    stepped = [first, ((here - pre).shift(LinExpr.var(eps, -1)), f"rk.{t.id}")]
+    stepped = [first, ((here - pre).shift(LinExpr.owning({eps: MINUS_ONE}, ZERO)), f"rk.{t.id}")]
     for ante in inv.antecedents(t):
         emit(ante.conjoin(bounds), stepped)
     # (4) restricted expectation across unranked probabilistic branches,
@@ -246,11 +258,7 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
         for ctx, expr in pre_pb_restricted(p, templates, t, unranked_set):
             for ante in inv.antecedents(t, ctx):
                 emit(ante, [(expr, f"eb.{t.id}")])
-
-    return Block(tuple(tag for tag, _ in lp.names[eps + 1:]),
-                 tuple((tuple(form.terms.items()), form.rhs, form.den, rel)
-                       for form, rel in lp.constraints),
-                 dropped, emitted)
+    return block
 
 
 # -- the iterative loop -------------------------------------------------------

@@ -12,7 +12,7 @@ from probterm import (LinConstraint, LinExpr, LPProblem, Polyhedron,
 from probterm import farkas
 from probterm.farkas import dump_lp
 from probterm.linear import Rel
-from probterm.simplex import IntRow, LPStatus, PivotCapReached, RowRel
+from probterm.simplex import IntRow, LPStatus, PivotCapReached, RowRel, integer_row
 
 from conftest import lifted
 
@@ -446,10 +446,93 @@ def test_encoder_complete_on_feasible_antecedents():
         found += 1
 
 
+def reference_rows(antecedent, consequent, first):
+    """The rows of "`antecedent` implies `consequent` >= 0", each built as
+    a dict of Fractions and converted by `integer_row`, its multipliers
+    numbered from column `first`: per row its terms in order, rhs, den
+    and relation."""
+    halves = []   # A x <= b, an equality as its two halves
+    for cons in antecedent.constraints:
+        halves.append((dict(cons.lhs.coeffs), -cons.lhs.constant))
+        if cons.rel is Rel.EQ:
+            halves.append(({i: -a for i, a in cons.lhs.coeffs.items()}, cons.lhs.constant))
+    lams = range(first, first + len(halves))
+    rows = []
+
+    def add(base, terms, rel):
+        coeffs = dict(base.coeffs) if base is not None else {}
+        coeffs.update(terms)
+        form = integer_row(coeffs, -base.constant if base is not None else F(0))
+        rows.append((list(form.terms.items()), form.rhs, form.den, rel))
+
+    variables = set(consequent.coeffs).union(*(a for a, _ in halves))
+    for i in sorted(variables):
+        add(consequent.coeffs.get(i),
+            [(lam, a[i]) for lam, (a, _) in zip(lams, halves) if i in a], RowRel.EQ)
+    add(consequent.constant, [(lam, -b) for lam, (_, b) in zip(lams, halves) if b], RowRel.GE)
+    return rows
+
+
+def test_encoder_rows_match_the_rational_reference():
+    """`encode_implication` writes, row for row, what the reference builds
+    from Fractions: on rational and integral antecedents with equalities
+    and zero constants, and on consequents whose template coefficients
+    carry rational factors, as the pre-expectation of a 1/3 branch does.
+    An `LPProblem` and a synthesis `Block` get the same rows."""
+    from probterm.synthesis import Block
+    rng = random.Random(41)
+    width = 6   # template columns 0 .. 5, then the multipliers
+
+    def rational():
+        return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+
+    def expr(n, value):
+        return LinExpr({i: value() for i in rng.sample(range(n), rng.randint(0, n))}, value())
+
+    def template():
+        return LinExpr({i: LinExpr.var(k) for i, k in enumerate(rng.sample(range(width), 2))},
+                       LinExpr.var(rng.randrange(width)))
+
+    def consequent(n):
+        if rng.random() < 0.5:
+            return expr(n, lambda: expr(width, rational))
+        here, there, other = template(), template(), template()
+        pre = there.scale(F(1, 3)) + other.scale(F(2, 3))
+        return (here - pre).shift(LinExpr.var(rng.randrange(width), -1))
+
+    relations = (LinConstraint.le, LinConstraint.lt, LinConstraint.eq)
+    dens = set()
+    for trial in range(300):
+        value = rational if rng.random() < 0.5 else (lambda: F(rng.randint(-3, 3)))
+        ante = poly(*[rng.choice(relations)(expr(2, value)) for _ in range(rng.randint(0, 4))])
+        cons = consequent(2)
+        tag = rng.choice(("lam", "rk.t1"))
+        expected = reference_rows(ante, cons, width)
+        block = Block(width)
+        lp = LPProblem()
+        for _ in range(width):
+            lp.add_var("t")
+        lams = encode_implication(ante, cons, lp, tag)
+        assert encode_implication(ante, cons, block, tag) == lams
+        if not cons:
+            assert lams == [] and lp.constraints == block.rows == []
+            continue
+        assert [(list(form.terms.items()), form.rhs, form.den, rel)
+                for form, rel in lp.constraints] == expected, trial
+        assert [(list(terms.items()), rhs, den, rel)
+                for terms, rhs, den, rel in block.rows] == expected, trial
+        assert lams == list(range(width, width + len(block.tags)))
+        assert lp.names[width:] == [(tag, k) for k in range(len(lams))]
+        assert block.tags == [tag] * len(lams)
+        dens.update(den for _, _, den, _ in expected)
+    # the integral rows and the rows that `integer_row` scales both occur
+    assert 1 in dens and dens - {1}
+
+
 def test_solve_lp_examples():
     lp = LPProblem()
     v = lp.add_var("v", nonneg=True)
-    lp.add_constraint(IntRow({v: 1}, 3, 1), RowRel.LE)
+    lp.add_row({v: 1}, 3, 1, RowRel.LE)
     lp.objective = IntRow({v: 1}, 0, 1)
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL and sol.value == 3
@@ -461,7 +544,7 @@ def test_solve_lp_examples():
 
     lp = LPProblem()
     v = lp.add_var("v", nonneg=True)
-    lp.add_constraint(IntRow({v: 1}, -1, 1), RowRel.LE)
+    lp.add_row({v: 1}, -1, 1, RowRel.LE)
     assert solve_lp(lp).status is LPStatus.INFEASIBLE
 
 
@@ -469,7 +552,7 @@ def test_lp_dump_format():
     lp = LPProblem()
     coeff = lp.add_var("c[l0][x]")
     lam = lp.add_var("lam.0", nonneg=True)
-    lp.add_constraint(IntRow({coeff: 1, lam: 2}, 0, 1), RowRel.EQ)
+    lp.add_row({coeff: 1, lam: 2}, 0, 1, RowRel.EQ)
     lp.objective = IntRow({coeff: 1}, 0, 1)
     text = dump_lp(lp)
     assert text.startswith("Maximize")

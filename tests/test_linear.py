@@ -159,3 +159,20 @@ def test_var_is_the_general_constructor_at_coefficient_one():
     assert LinExpr.var(2, 0) == LinExpr.const(0)
     with pytest.raises(TypeError):
         LinExpr.var(2, True)
+
+
+def test_scale_by_a_template_coefficient():
+    # a concrete expression times a LinExpr over LP columns is that factor
+    # scaled by each coefficient and by the constant, as `Fraction *
+    # LinExpr` gives it, and stores no zero coefficient
+    rng = random.Random(27)
+    for trial in range(400):
+        e = draw(rng, fraction)
+        f = over_columns(rng) if trial % 10 else LinExpr.const(0)
+        scaled = e.scale(f)
+        termwise = LinExpr({i: f.scale(c) for i, c in e.coeffs.items()}, f.scale(e.constant))
+        by_fraction = LinExpr({i: c * f for i, c in e.coeffs.items()}, e.constant * f)
+        assert shape(scaled) == shape(termwise) == shape(by_fraction), trial
+        assert all(scaled.coeffs.values()), trial
+        assert shape(scaled) == shape(mul(form(e), form(f))), trial
+        assert scaled.coeffs is not e.coeffs

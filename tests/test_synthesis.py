@@ -10,7 +10,7 @@ from probterm import (CertificateMode, Invariant, MissingBoundedSupport,
                       check_certificate, extract_level_map, lower_to_pcfg,
                       parse_program, solve_lp, synthesize_bsp, synthesize_general)
 from probterm.pcfg_io import certificate_to_json, invariant_from_json
-from probterm.simplex import IntRow, LPStatus, RowRel, integer_row
+from probterm.simplex import LPStatus, RowRel, integer_row
 
 from conftest import LP_SCREENED_INVARIANT, load_fixture, template_at
 from test_strict_rule import FIXTURE_NAMES
@@ -21,7 +21,7 @@ def ranked_at_optimum(p, inv, unranked, restrict=TemplateRestriction(), zero_eps
     `eps == 0` row appended for each transition id in `zero_eps`."""
     slp = build_lp(p, inv, unranked, restrict)
     for tid in zero_eps:
-        slp.lp.add_constraint(IntRow({slp.eps[tid]: 1}, 0, 1), RowRel.EQ)
+        slp.lp.add_row({slp.eps[tid]: 1}, 0, 1, RowRel.EQ)
     sol = solve_lp(slp.lp)
     assert sol.status is LPStatus.OPTIMAL
     return [tid for tid in unranked if sol.x[slp.eps[tid]] > 0], sol
@@ -530,6 +530,32 @@ def test_memoised_build_encodes_screens_and_builds_nothing(name, monkeypatch):
     assert dump_lp(again.lp) == dump_lp(first.lp)
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_cold_build_writes_each_row_once(name, monkeypatch):
+    """A cold `build_lp` makes one `LPProblem`, the iteration LP, and one
+    `LPConstraint` per row of it: a block is encoded straight into its own
+    rows, not into an LP of its own, and replayed once."""
+    from probterm import farkas, synthesis
+    p, inv = load_fixture(name)
+    made = {"LPProblem": 0, "LPConstraint": 0}
+
+    def count(module, attr):
+        real = getattr(module, attr)
+
+        def making(*args, **kwargs):
+            made[attr] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, attr, making)
+
+    count(synthesis, "LPProblem")
+    count(synthesis, "LPConstraint")
+    # `LPProblem.add_row`, which writes the eps rows, reads it in `farkas`
+    count(farkas, "LPConstraint")
+    slp = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
+    monkeypatch.undo()
+    assert made == {"LPProblem": 1, "LPConstraint": len(slp.lp.constraints)}
+
+
 # -- the side conditions that the kept rows imply --------------------------------------
 
 
@@ -615,8 +641,8 @@ def test_dropped_conditions_are_implied(name, monkeypatch):
                     for k in (*coeffs.values(), const)]
         for lp in (slp.lp, full):
             for k in template:
-                lp.add_constraint(IntRow({k: 1}, 5, 1), RowRel.LE)
-                lp.add_constraint(IntRow({k: 1}, -5, 1), RowRel.GE)
+                lp.add_row({k: 1}, 5, 1, RowRel.LE)
+                lp.add_row({k: 1}, -5, 1, RowRel.GE)
         for _ in range(3):
             weights = {k: F(rng.randint(-3, 3)) for k in template + list(slp.eps.values())}
             objective = integer_row(weights, F(0))
