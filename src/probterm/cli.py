@@ -251,15 +251,17 @@ def _write_traces(reports, jf, cf):
 
 
 def _parse_init(text: str, variables) -> list:
-    values = {name: Fraction(0) for name in variables}
+    values = {}
     if text:
         for part in text.split(","):
             name, _, val = part.partition("=")
             name = name.strip()
-            if name not in values:
+            if name not in variables:
                 raise pcfg_io.FormatError(f"unknown variable {name!r}", "--init")
+            if name in values:
+                raise pcfg_io.FormatError(f"variable {name!r} given twice", "--init")
             values[name] = pcfg_io._rat(val, f"--init {name}")
-    return [values[name] for name in variables]
+    return [values.get(name, Fraction(0)) for name in variables]
 
 
 def cmd_simulate(args) -> int:

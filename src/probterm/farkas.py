@@ -14,10 +14,11 @@ side.
 An LP unknown is its column index from assembly to the simplex: in a
 `LinExpr` over LP columns, in the integer rows (`IntRow`) of an
 `LPProblem` and its objective, and in the point `solve_lp` returns. The
-encoder builds each row in integers once, into an `LPProblem` or a
-synthesis block, and the simplex takes the rows as they stand. Names
-label the columns in `dump_lp` alone, which prints each coefficient as
-its fraction.
+encoder builds each row in integers once, into a `Block` over a frame
+of LP columns plus the block's own multipliers. Placing a block is the
+only way Farkas rows and multipliers enter an LP, and the simplex takes
+the rows as they stand. Names label the columns in `dump_lp` alone,
+which prints each coefficient as its fraction.
 
 There is one polyhedral query, and it is exact too. `check_feasible`
 decides whether a polyhedron has a rational point. It tries, in order:
@@ -35,11 +36,10 @@ counterexample is the box point whenever there is one, else the LP's.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Protocol, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .linear import LinConstraint, LinExpr, Polyhedron, Rel
 from . import simplex
@@ -61,24 +61,23 @@ class LPProblem:
     integer row whose rhs is 0, is always maximized.
 
     Unknowns registered nonnegative keep a >= 0 bound (all Farkas
-    multipliers do); the rest are free. `names` labels the columns in
+    multipliers do); the rest are free. Farkas rows and their multipliers
+    enter only by placing a `Block`. `names` labels the columns in
     `dump_lp` and nowhere else: a column's name, or a multiplier's tag
-    and ordinal, which `dump_lp` writes as `tag.ordinal`.
+    and ordinal among the LP's multipliers, which `dump_lp` writes as
+    `tag.ordinal`.
     """
     names: List[Union[str, Tuple[str, int]]] = field(default_factory=list)
     nonneg: List[bool] = field(default_factory=list)
     constraints: List[LPConstraint] = field(default_factory=list)
     objective: IntRow = field(default_factory=lambda: IntRow({}, 0, 1))
-    _fresh: itertools.count = field(default_factory=itertools.count)
+    multipliers: int = 0    # placed so far; the next one's ordinal
 
-    def add_var(self, name: Union[str, Tuple[str, int]], nonneg: bool = False) -> int:
+    def add_var(self, name: str, nonneg: bool = False) -> int:
         """A new unknown labelled `name`; returns its column."""
         self.names.append(name)
         self.nonneg.append(nonneg)
         return len(self.names) - 1
-
-    def fresh_multiplier(self, tag: str = "lam") -> int:
-        return self.add_var((tag, next(self._fresh)), nonneg=True)
 
     def add_row(self, terms: Dict[int, int], rhs: int, den: int, rel: RowRel) -> None:
         """Append the row (terms . x) / den  rel  rhs / den, in lowest terms
@@ -233,23 +232,47 @@ def entails(p: Polyhedron, e: LinExpr) -> Tuple[bool, Optional[Dict[int, Fractio
 # -- the implication encoder ------------------------------------------------
 
 
-class RowSink(Protocol):
-    """What `encode_implication` writes into: an `LPProblem`, or the block
-    of rows that synthesis encodes a transition's side conditions into."""
-    def fresh_multiplier(self, tag: str) -> int: ...
-    def add_row(self, terms: Dict[int, int], rhs: int, den: int, rel: RowRel) -> None: ...
+@dataclass
+class Block:
+    """Farkas rows over a frame of LP columns plus multipliers of their own:
+    what `encode_implication` writes into. A row is an `IntRow`'s terms,
+    rhs and denominator, then its relation. A term's column stands as a
+    position in the frame, below `width`, or as `width` plus the index of
+    a multiplier, whose tags `tags` lists in creation order. `replay`
+    places the block into an LP, which is the only way Farkas rows and
+    multipliers enter one. `dropped` and `emitted` count the implications
+    whose antecedent failed or passed its feasibility screen, for a
+    caller that screens."""
+    width: int      # the length of the frame
+    tags: List[str] = field(default_factory=list)
+    rows: List[Tuple[Dict[int, int], int, int, RowRel]] = field(default_factory=list)
+    dropped: int = 0
+    emitted: int = 0
+
+    def replay(self, lp: LPProblem, frame: List[int]) -> None:
+        """Place the block into `lp`: position k < `width` becomes column
+        `frame[k]`, and the multipliers one run of fresh nonnegative
+        columns, labelled by tag and ordinal in creation order."""
+        first, ordinal, n = len(lp.names), lp.multipliers, len(self.tags)
+        lp.names.extend(zip(self.tags, range(ordinal, ordinal + n)))
+        lp.nonneg.extend([True] * n)
+        lp.multipliers += n
+        cols = frame + list(range(first, first + n))
+        lp.constraints.extend(LPConstraint(IntRow({cols[k]: v for k, v in terms.items()}, rhs, den), rel)
+                              for terms, rhs, den, rel in self.rows)
 
 
 def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
-                       sink: RowSink, tag: str = "lam") -> List[int]:
-    """Write into `sink` the multiplier system for "`antecedent` implies
-    `consequent` >= 0"; returns the columns of the fresh multipliers.
+                       block: Block, tag: str = "lam") -> List[int]:
+    """Write into `block` the multiplier system for "`antecedent` implies
+    `consequent` >= 0"; returns the block positions of the fresh
+    multipliers, all tagged `tag`.
 
     The antecedent holds concrete rationals, possibly over fresh universal
     variables, and has passed `check_feasible`; a strict row reads as its
     relaxation. The consequent's coefficients and constant are `LinExpr`s
-    over the template columns. A consequent that is identically zero
-    holds everywhere and writes nothing.
+    over the block's frame positions. A consequent that is identically
+    zero holds everywhere and writes nothing.
 
     Each row is built once, as integers: the consequent's terms, then one
     per multiplier in row order. Only a row with a denominator other than
@@ -268,7 +291,9 @@ def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
         if cons.rel is Rel.EQ:
             halves.append(([(i, -an, ad) for i, an, ad in entries], -n, d))
 
-    lams = [sink.fresh_multiplier(tag) for _ in halves]
+    first = block.width + len(block.tags)
+    lams = list(range(first, first + len(halves)))
+    block.tags.extend([tag] * len(halves))
 
     # each row's multiplier terms are collected once, in row order
     columns: Dict[int, List[Tuple[int, int, int]]] = {i: [] for i in consequent.coeffs}
@@ -278,19 +303,20 @@ def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
 
     # lam^T A = -c, per program variable
     for i in sorted(columns):
-        _add_row(sink, consequent.coeffs.get(i, NO_TERMS), columns[i], RowRel.EQ)
+        block.rows.append(_row(consequent.coeffs.get(i, NO_TERMS), columns[i], RowRel.EQ))
 
     # lam^T b <= d, written as  d - lam^T b >= 0
-    _add_row(sink, consequent.constant,
-             [(lam, n, d) for lam, (_, n, d) in zip(lams, halves) if n], RowRel.GE)
+    block.rows.append(_row(consequent.constant,
+                           [(lam, n, d) for lam, (_, n, d) in zip(lams, halves) if n],
+                           RowRel.GE))
     return lams
 
 
-def _add_row(sink: RowSink, base: LinExpr, multipliers: List[Tuple[int, int, int]],
-             rel: RowRel) -> None:
-    """Write the row  base + sum(n/d * lam)  rel  0 into `sink`, where
-    `base` is a `LinExpr` over the template columns and each (lam, n, d)
-    a multiplier term."""
+def _row(base: LinExpr, multipliers: List[Tuple[int, int, int]], rel: RowRel
+         ) -> Tuple[Dict[int, int], int, int, RowRel]:
+    """The block row  base + sum(n/d * lam)  rel  0, where `base` is a
+    `LinExpr` over the frame positions and each (lam, n, d) a multiplier
+    term."""
     rhs, dens = base.constant.as_integer_ratio()
     terms: Dict[int, int] = {}
     for j, c in base.coeffs.items():
@@ -300,11 +326,10 @@ def _add_row(sink: RowSink, base: LinExpr, multipliers: List[Tuple[int, int, int
         terms[lam] = n
         dens *= d
     if dens == 1:   # every denominator is 1
-        sink.add_row(terms, -rhs, 1, rel)
-        return
+        return terms, -rhs, 1, rel
     form = integer_row({**base.coeffs, **{lam: Fraction(n, d) for lam, n, d in multipliers}},
                        -base.constant)
-    sink.add_row(form.terms, form.rhs, form.den, rel)
+    return form.terms, form.rhs, form.den, rel
 
 
 _LABEL_SPECIAL = re.compile(r"[^A-Za-z0-9_()]")

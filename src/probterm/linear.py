@@ -236,19 +236,14 @@ class LinConstraint:
     def negate(self) -> List["LinConstraint"]:
         """Negation as a disjunction (list) of atomic constraints.
 
-        not(e <= 0) is (-e < 0); not(e < 0) is (-e <= 0); equalities are
-        split into two inequalities first, giving a two-way disjunction.
+        not(e <= 0) is (-e < 0); not(e < 0) is (-e <= 0); not(e == 0) is
+        the two-way disjunction (-e < 0) or (e < 0).
         """
         if self.rel is Rel.LE:
             return [LinConstraint(-self.lhs, Rel.LT)]
         if self.rel is Rel.LT:
             return [LinConstraint(-self.lhs, Rel.LE)]
         return [LinConstraint(-self.lhs, Rel.LT), LinConstraint(self.lhs, Rel.LT)]
-
-    def split_eq(self) -> List["LinConstraint"]:
-        if self.rel is Rel.EQ:
-            return [LinConstraint(self.lhs, Rel.LE), LinConstraint(-self.lhs, Rel.LE)]
-        return [self]
 
     def __eq__(self, other):
         return (isinstance(other, LinConstraint) and self.lhs == other.lhs
@@ -376,8 +371,7 @@ def negate_predicate(pred: Predicate, cap: int = DEFAULT_DNF_CAP) -> Predicate:
     for poly in pred.disjuncts:
         atoms: List[LinConstraint] = []
         for c in poly.constraints:
-            for split in c.split_eq():
-                atoms.extend(split.negate())
+            atoms.extend(c.negate())
         clause = Predicate([Polyhedron([a]) for a in atoms])
         result = result.conjoin(clause, cap=cap)
     return result

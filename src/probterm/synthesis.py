@@ -30,14 +30,16 @@ mode, one per attempt, and most transitions keep their side conditions
 from one LP to the next. A transition's frame is the template columns
 of each distinct location among its source and destinations, then its
 eps. Its side conditions are encoded once per run, straight into the
-integer rows of a block, whose first columns stand for the frame and
-the rest for the block's multipliers, each row written once; the block
-is keyed by the transition, the zero-coefficient pins at its locations
-and, for a probabilistic branch, the unranked transitions leaving its
-targets. Every iteration LP replays each block it needs over its own
-frame, with fresh multipliers, so it is exactly the LP a cold encoding
-would build. An antecedent is screened only when a block is encoded,
-once for all the consequents it carries there; a replay screens none.
+integer rows of a `farkas.Block`, whose first columns stand for the
+frame and the rest for the block's multipliers, each row written once;
+the block is keyed by the transition, the zero-coefficient pins at its
+locations and, for a probabilistic branch, the unranked transitions
+leaving its targets. Every iteration LP places each block it needs over
+its own frame, with fresh multipliers, so it is exactly the LP a cold
+encoding would build. This module chooses what to encode, screens the
+antecedents, memoises the blocks and builds the frames; `farkas` owns
+the rows. An antecedent is screened only when a block is encoded, once
+for all the consequents it carries there; a placement screens none.
 
 Transitions whose eps is positive at the optimum are 1-ranked after
 scaling the template by 1/min(positive eps); by additivity of ranking
@@ -60,7 +62,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .farkas import LPConstraint, LPProblem, check_feasible, encode_implication, solve_lp
+from .farkas import Block, LPProblem, check_feasible, encode_implication, solve_lp
 from .linear import LinConstraint, LinExpr, Polyhedron
 from .model import (Certificate, CertificateMode, Invariant, LevelMap,
                     LinExprMap, NondetUpdate, PCFG, Transition, check_bsp,
@@ -71,35 +73,6 @@ from .simplex import IntRow, LPStatus, RowRel
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
-
-@dataclass
-class Block:
-    """The multipliers and rows that the side conditions of one transition
-    emit into an iteration LP. A row is an `IntRow`'s terms, rhs and
-    denominator, then its relation. A term's column stands as its position
-    in the transition's frame (`SynthesisLP.frame`), below `width`, or as
-    `width` plus the index of a multiplier, whose tags `tags` lists in
-    creation order. `encode_implication` writes each row here once, as
-    the block's sink."""
-    width: int      # the length of the frame
-    tags: List[str] = field(default_factory=list)
-    rows: List[Tuple[Dict[int, int], int, int, RowRel]] = field(default_factory=list)
-    dropped: int = 0    # implications whose antecedent failed the screen
-    emitted: int = 0
-
-    def fresh_multiplier(self, tag: str) -> int:
-        self.tags.append(tag)
-        return self.width + len(self.tags) - 1
-
-    def add_row(self, terms: Dict[int, int], rhs: int, den: int, rel: RowRel) -> None:
-        self.rows.append((terms, rhs, den, rel))
-
-    def replay(self, lp: LPProblem, frame: List[int]) -> None:
-        """Emit the block into `lp` over the transition's `frame` in `lp`,
-        with fresh multipliers created in the original order."""
-        cols = frame + [lp.fresh_multiplier(tag) for tag in self.tags]
-        lp.constraints.extend(LPConstraint(IntRow({cols[k]: v for k, v in terms.items()}, rhs, den), rel)
-                              for terms, rhs, den, rel in self.rows)
 
 
 # (transition id, the zero_coeffs entries at its source and destinations,

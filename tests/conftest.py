@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from probterm import (Certificate, CertificateMode, Invariant, LinExpr,
-                      LinExprMap, load_invariant, lower_to_pcfg, parse_program)
+                      LinExprMap, encode_implication, load_invariant, lower_to_pcfg,
+                      parse_program)
+from probterm.farkas import Block
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -33,6 +35,17 @@ def lifted(e: LinExpr) -> LinExpr:
     columns."""
     return LinExpr({i: LinExpr.const(v) for i, v in e.coeffs.items()},
                    LinExpr.const(e.constant))
+
+
+def encode_into(antecedent, consequent: LinExpr, lp, tag: str = "lam") -> list:
+    """`encode_implication` into `lp` the way synthesis does it: into a
+    block over the identity frame of `lp`'s columns, then placed into
+    `lp`. The multipliers' block positions are their columns in `lp`,
+    which are returned."""
+    block = Block(lp.num_vars())
+    lams = encode_implication(antecedent, consequent, block, tag)
+    block.replay(lp, list(range(block.width)))
+    return lams
 
 
 def template_at(slp, loc: str) -> LinExpr:

@@ -14,13 +14,14 @@ import pytest
 
 from probterm import (LinConstraint, LinExpr, LPProblem, Polyhedron,
                       UniformRandom, check_certificate, check_feasible,
-                      counterexample_process, encode_implication, entails,
+                      counterexample_process, entails,
                       estimate_termination, lower_to_pcfg, run_ast, solve_lp)
 from probterm.simplex import LPStatus
 from probterm.simulate import COUNTEREXAMPLE_ANALYTIC, run_rngs, run_trajectory
 
 from conftest import (example3_certificate, example4_certificate, fixture_path,
-                      lifted, load_fixture, load_fixture_ast, perturbed)
+                      encode_into, lifted, load_fixture, load_fixture_ast,
+                      perturbed)
 from test_checker import E3_MUTATIONS, E4_MUTATIONS
 
 
@@ -160,7 +161,7 @@ def test_criterion_8_farkas_oracle_equivalence():
                              F(rng.randint(-4, 4)))
             truth, _ = entails(ante, target)
             lp = LPProblem()
-            encode_implication(ante, lifted(target), lp)
+            encode_into(ante, lifted(target), lp)
             encoded = solve_lp(lp).status is LPStatus.OPTIMAL
             assert truth == encoded, (ante.pretty(), target.pretty())
             checked += 1

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from probterm import (Certificate, CertificateMode, Invariant, LinExprMap,
+from probterm import (Certificate, CertificateMode, Invariant, LinExpr, LinExprMap,
                       PCFG, StructuralMismatch, check_certificate)
 
 from conftest import (example3_certificate, example4_certificate, load_fixture,
@@ -249,6 +249,38 @@ def test_level_zero_on_ordinary_transition_is_structural(fig1b):
     levels = dict(cert.levels)
     levels["t0"] = 0
     with pytest.raises(StructuralMismatch):
+        check_certificate(p, inv, Certificate(cert.lem, levels, F(0), cert.mode))
+
+
+def test_unknown_location_is_structural(fig1b):
+    p, inv = fig1b
+    cert = example3_certificate(p)
+    comps = {**cert.lem.components, "nowhere": cert.lem.components["l1"]}
+    bad = Certificate(LinExprMap(3, comps), cert.levels, F(0), cert.mode)
+    with pytest.raises(StructuralMismatch,
+                       match=r"^certificate mentions unknown location 'nowhere'$"):
+        check_certificate(p, inv, bad)
+
+
+def test_variable_outside_the_program_is_structural(fig1b):
+    # fig1b has the variables 0 and 1
+    p, inv = fig1b
+    cert = example3_certificate(p)
+    comps = dict(cert.lem.components)
+    comps["l1"] = [*comps["l1"][:2], LinExpr({2: F(1)}, F(0))]
+    bad = Certificate(LinExprMap(3, comps), cert.levels, F(0), cert.mode)
+    with pytest.raises(StructuralMismatch, match=r"^component at l1 uses variable index 2$"):
+        check_certificate(p, inv, bad)
+
+
+def test_level_of_unknown_transition_is_structural(fig1b):
+    # `certificate_from_json` does not check level ids, so the CLI reaches
+    # this refusal too
+    p, inv = fig1b
+    cert = example3_certificate(p)
+    levels = {**cert.levels, "t9": 1}
+    with pytest.raises(StructuralMismatch,
+                       match=r"^level map mentions unknown transition 't9'$"):
         check_certificate(p, inv, Certificate(cert.lem, levels, F(0), cert.mode))
 
 

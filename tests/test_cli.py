@@ -731,6 +731,9 @@ MALFORMED = {
     "non-utf8-source": (2, lambda d: _source(d, "x := 1 \u00e9", "latin-1")),
     "init-zero-denominator": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                             "--init", "x=1/0"]),
+    "init-variable-twice": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
+                                          "--init", "x=1, x=2, y=3",
+                                          "--trace-out", str(d / "t.jsonl")]),
     "negative-seed": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2", "--seed", "-1"]),
     "huge-seed": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                 "--seed", str(2 ** 128)]),
@@ -820,6 +823,12 @@ def test_json_true_is_not_a_rational(case, path, tmp_path, capsys):
     # Python counts a bool as an int, so `true` once loaded as 1
     assert cli.main(MALFORMED[case][1](tmp_path)) == 3
     assert re.match(rf"error: {path}: bad rational True", capsys.readouterr().err)
+
+
+def test_init_names_the_variable_given_twice(tmp_path, capsys):
+    # the first value would otherwise be dropped without a word
+    assert cli.main(MALFORMED["init-variable-twice"][1](tmp_path)) == 3
+    assert capsys.readouterr() == ("", "error: --init: variable 'x' given twice\n")
 
 
 @pytest.mark.parametrize("command", ["synthesize", "check"])

@@ -14,7 +14,7 @@ from probterm.farkas import dump_lp
 from probterm.linear import Rel
 from probterm.simplex import IntRow, LPStatus, PivotCapReached, RowRel, integer_row
 
-from conftest import lifted
+from conftest import encode_into, lifted
 
 x = LinExpr.var(0)
 y = LinExpr.var(1)
@@ -343,7 +343,7 @@ def test_contradicting_wide_rows_need_one_lp(rows, solves):
 def test_encoder_hand_multiplier():
     # forall x: x >= 0  ->  2x + 1 >= 0, witnessed by multiplier 2
     lp = LPProblem()
-    lams = encode_implication(poly(LinConstraint.le(-x)), lifted(x.scale(2) + c(1)), lp)
+    lams = encode_into(poly(LinConstraint.le(-x)), lifted(x.scale(2) + c(1)), lp)
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.x[lams[0]] == 2
@@ -356,7 +356,7 @@ def test_encoder_false_implication_infeasible():
     for vertex in (F(0), F(1)):
         assert vertex < 2  # the vertex-enumeration oracle for the claim
     lp = LPProblem()
-    encode_implication(ante, lifted(x - c(2)), lp)
+    encode_into(ante, lifted(x - c(2)), lp)
     assert solve_lp(lp).status is LPStatus.INFEASIBLE
 
 
@@ -364,7 +364,7 @@ def test_encoder_empty_antecedent_constant_consequent():
     # forall x: true -> t >= 0 reduces to the constraint t >= 0
     lp = LPProblem()
     t = lp.add_var("t")
-    encode_implication(poly(), LinExpr({}, LinExpr.var(t)), lp)
+    encode_into(poly(), LinExpr({}, LinExpr.var(t)), lp)
     lp.objective = IntRow({t: -1}, 0, 1)
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL and sol.x[t] == 0
@@ -376,7 +376,7 @@ def test_encoder_zero_consequent_emits_nothing():
     lp = LPProblem()
     a = lp.add_var("a")
     here = LinExpr({0: LinExpr.var(a)}, LinExpr.var(a))
-    assert encode_implication(poly(LinConstraint.le(-x)), here - here, lp) == []
+    assert encode_into(poly(LinConstraint.le(-x)), here - here, lp) == []
     assert lp.names == ["a"] and lp.constraints == []
 
 
@@ -392,7 +392,7 @@ def test_encoder_reads_strict_rows_as_relaxed():
         lp = LPProblem()
         a, b = lp.add_var("a"), lp.add_var("b")
         consequent = LinExpr({0: LinExpr.var(a), 1: LinExpr.const(-1)}, LinExpr.var(b))
-        encode_implication(antecedent, consequent, lp)
+        encode_into(antecedent, consequent, lp)
         dumps.append(dump_lp(lp))
     assert dumps[0] == dumps[1]
     assert " lam_3 >= 0" in dumps[0]  # one multiplier per row, equality split
@@ -418,7 +418,7 @@ def test_encoder_agrees_with_entailment_oracle():
         cons = rand_expr(rng, n)
         truth, _ = entails(ante, cons)
         lp = LPProblem()
-        encode_implication(ante, lifted(cons), lp)
+        encode_into(ante, lifted(cons), lp)
         assert (solve_lp(lp).status is LPStatus.OPTIMAL) == truth
         checked += 1
     assert checked > 150
@@ -441,7 +441,7 @@ def test_encoder_complete_on_feasible_antecedents():
         if not truth:
             continue
         lp = LPProblem()
-        encode_implication(ante, lifted(cons), lp)
+        encode_into(ante, lifted(cons), lp)
         assert solve_lp(lp).status is LPStatus.OPTIMAL
         found += 1
 
@@ -478,8 +478,8 @@ def test_encoder_rows_match_the_rational_reference():
     from Fractions: on rational and integral antecedents with equalities
     and zero constants, and on consequents whose template coefficients
     carry rational factors, as the pre-expectation of a 1/3 branch does.
-    An `LPProblem` and a synthesis `Block` get the same rows."""
-    from probterm.synthesis import Block
+    A `Block` and the LP it is placed into get the same rows."""
+    from probterm.farkas import Block
     rng = random.Random(41)
     width = 6   # template columns 0 .. 5, then the multipliers
 
@@ -512,7 +512,7 @@ def test_encoder_rows_match_the_rational_reference():
         lp = LPProblem()
         for _ in range(width):
             lp.add_var("t")
-        lams = encode_implication(ante, cons, lp, tag)
+        lams = encode_into(ante, cons, lp, tag)
         assert encode_implication(ante, cons, block, tag) == lams
         if not cons:
             assert lams == [] and lp.constraints == block.rows == []

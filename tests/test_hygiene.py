@@ -3,8 +3,9 @@ top and uses every name it imports, keeps no memo across calls, runs in
 one process that no environment variable configures, catches no error it
 does not name, defines no function or class that nothing names, keeps
 one linear-form algebra, raises each resource limit only where it is
-enforced, answers every polyhedral query through one function, and draws
-the simulator's uniforms from raw words."""
+enforced, answers every polyhedral query through one function, keeps the
+LP row record in `farkas`, and draws the simulator's uniforms from raw
+words."""
 
 import ast
 import pathlib
@@ -384,6 +385,37 @@ def test_one_feasibility_query():
                         and node.func.id in QUERY_STEPS):
                     callers.setdefault(node.func.id, set()).add(func.name)
     assert callers == {step: {"check_feasible"} for step in QUERY_STEPS}
+
+
+ROW_RECORD = "LPConstraint"
+
+
+def _row_record_names(tree: ast.Module) -> list:
+    """Lines that name the LP row record: as a name, an attribute or an
+    imported name."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == ROW_RECORD
+                or isinstance(node, ast.Attribute) and node.attr == ROW_RECORD
+                or isinstance(node, ast.alias) and node.name == ROW_RECORD):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_row_record_stays_in_farkas(path):
+    # the Farkas rows have one owner: the encoder writes them into a block,
+    # and placing the block, or `LPProblem.add_row`, builds the LP's rows,
+    # so no other module builds or reads the record itself
+    found = _row_record_names(ast.parse(path.read_text()))
+    assert bool(found) == (path.name == "farkas.py"), found
+
+
+def test_row_record_name_is_detected():
+    tree = ast.parse("from .farkas import LPConstraint, LPProblem\nfrom . import farkas\n"
+                     "row = farkas.LPConstraint(form, rel)\nrows: List[LPConstraint] = []\n"
+                     "name = 'LPConstraint'\nlp = LPProblem()\n")
+    assert _row_record_names(tree) == [1, 3, 4]
 
 
 # the one place a simulator draw may go through `Generator.random()`: the

@@ -13,13 +13,14 @@ from scipy.stats import binom, chisquare, ks_2samp
 
 from probterm import (Adversarial, FixedPriority, Invariant, UniformRandom,
                       audit_invariant, counterexample_process,
-                      estimate_termination, run_trajectory, wilson_interval)
+                      estimate_termination, max_pre, run_trajectory, synthesize_bsp,
+                      wilson_interval)
 from probterm import simulate
 from probterm.simulate import (CEX_HORIZON, COUNTEREXAMPLE_ANALYTIC,
                                TerminationEstimate, counterexample_analytic,
                                trajectories)
 
-from conftest import example3_certificate, load_fixture
+from conftest import example3_certificate, load_fixture, perturbed
 
 
 def test_run_from_terminal_is_immediate(fig1b):
@@ -300,6 +301,39 @@ def test_adversarial_scheduler_runs(fig1b):
     est = estimate_termination(p, [F(3), F(3)], sched, runs=100,
                                step_cap=10 ** 5, seed=3)
     assert est.fraction >= 0.99  # certified program survives the heuristic
+
+
+def test_adversarial_choice_and_endpoint_on_branching():
+    """On `branching` with the certificate synthesis finds, `choose` takes
+    the enabled `if *` arm whose max pre-expectation of the highest
+    enabled component is larger, a tie going to the larger id, and
+    `ndet_value` the interval endpoint that maximizes the component at
+    the target."""
+    p, inv = load_fixture("branching")
+    cert = synthesize_bsp(p, inv).certificate
+    t2, t3 = p.transition("t2"), p.transition("t3")
+    # both arms are enabled at l0 when x, y >= 0; component 3, x + 19 at
+    # l0 and 18 at l1, ranks the sampling arm t2 (mean -1), and t3, the
+    # demonic arm, sits at level 2
+    assert (cert.levels["t2"], cert.levels["t3"]) == (3, 2)
+    third = cert.lem.component(3)
+    sched = Adversarial(cert)
+    for x in range(4):
+        values = [F(x), F(5)]
+        assert [max_pre(third, t).evaluate(values) for t in (t2, t3)] == [x + 18, 18]
+        for enabled in ([t2, t3], [t3, t2]):
+            assert sched.choose(enabled, values, None).id == ("t2" if x else "t3")
+    # component 2 at l1 is 3y + 29: it does not read x, the target of
+    # t3's interval [-2, -1], so either endpoint maximizes it and `hi` is
+    # taken; a coefficient on x picks the endpoint on its side
+    x = p.var_index("x")
+    assert cert.lem.at("l1", 2).coeff(x) == 0
+    assert sched.ndet_value(t3) == -1
+    for delta, endpoint, other in ((-1, -2, -1), (1, -1, -2)):
+        tilted = perturbed(cert, "l1", 2, x, delta)
+        at_target = tilted.lem.at("l1", 2)
+        assert Adversarial(tilted).ndet_value(t3) == endpoint
+        assert at_target.evaluate([F(endpoint), F(5)]) > at_target.evaluate([F(other), F(5)])
 
 
 def test_scheduler_choice_irrelevant_without_nondeterminism(fig1b):

@@ -17,10 +17,9 @@ import pathlib
 import pytest
 
 from probterm import (Invariant, check_bsp, check_certificate, check_feasible,
-                      encode_implication, lower_to_pcfg, parse_program, pcfg_io,
-                      synthesis)
+                      lower_to_pcfg, parse_program, pcfg_io, synthesis)
 
-from conftest import FIXTURES, load_fixture, template_at
+from conftest import FIXTURES, encode_into, load_fixture, template_at
 from test_integration import _general_corpus
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -40,7 +39,7 @@ def strict_build_lp(p, inv, unranked, *args, **kwargs):
     for loc in p.locations:
         ante = inv.at(loc)
         if loc != p.terminal_location and check_feasible(ante)[0]:
-            encode_implication(ante, template_at(slp, loc), slp.lp, tag=f"strict.{loc}")
+            encode_into(ante, template_at(slp, loc), slp.lp, tag=f"strict.{loc}")
     return slp
 
 

@@ -12,7 +12,7 @@ from probterm import (CertificateMode, Invariant, MissingBoundedSupport,
 from probterm.pcfg_io import certificate_to_json, invariant_from_json
 from probterm.simplex import LPStatus, RowRel, integer_row
 
-from conftest import LP_SCREENED_INVARIANT, load_fixture, template_at
+from conftest import LP_SCREENED_INVARIANT, encode_into, load_fixture, template_at
 from test_strict_rule import FIXTURE_NAMES
 
 
@@ -548,8 +548,8 @@ def test_cold_build_writes_each_row_once(name, monkeypatch):
         monkeypatch.setattr(module, attr, making)
 
     count(synthesis, "LPProblem")
-    count(synthesis, "LPConstraint")
-    # `LPProblem.add_row`, which writes the eps rows, reads it in `farkas`
+    # placing a block and `LPProblem.add_row`, which writes the eps rows,
+    # both build it in `farkas`
     count(farkas, "LPConstraint")
     slp = build_lp(p, inv, [t.id for t in p.non_terminal_transitions()])
     monkeypatch.undo()
@@ -586,7 +586,7 @@ def with_implied(p, inv, slp):
     with an eps, and (1), nonnegativity, for each of them that is not a
     probabilistic branch."""
     from dataclasses import replace
-    from probterm.farkas import check_feasible, encode_implication
+    from probterm.farkas import check_feasible
     from probterm.synthesis import pre_and_bounds
     lp = replace(slp.lp, names=list(slp.lp.names), nonneg=list(slp.lp.nonneg),
                  constraints=list(slp.lp.constraints))
@@ -598,10 +598,10 @@ def with_implied(p, inv, slp):
         pre, bounds = pre_and_bounds(p, templates, t)
         for ante in inv.antecedents(t):
             if not t.is_pb and check_feasible(ante)[0]:
-                encode_implication(ante, here, lp, "nn")
+                encode_into(ante, here, lp, "nn")
             stepped = ante.conjoin(bounds)
             if check_feasible(stepped)[0]:
-                encode_implication(stepped, here - pre, lp, "ua")
+                encode_into(stepped, here - pre, lp, "ua")
     return lp
 
 
