@@ -22,9 +22,12 @@ indexes the rows by column; a worklist then counts each pin off the rows
 that read it, and a zero-rhs equality left with one live entry pins that
 one too. So a chain of pins is followed to its end, each row read a
 bounded number of times, and the pinned set, the least one closed under
-this rule, does not depend on the order pins are found in. A row left
-empty is dropped when its right-hand side is 0, and kept otherwise, so
-that phase 1 finds it infeasible. Columns and rows keep their relative
+this rule, does not depend on the order pins are found in. A row with no
+live entry and right-hand side 0 is dropped exactly when some unknown is
+pinned, so every `c = 0` row of synthesis is; with no pin, a caller's
+row with no terms keeps a basic slack, or an artificial that the
+drive-out deletes. An empty row with a nonzero right-hand side is kept:
+phase 1 finds it infeasible. Columns and rows keep their relative
 order, and Bland's rule below sees them in it. A pinned unknown reads
 back as 0 and costs no pivot. Each tableau row is then built in one pass
 over its caller row: pins left out, free columns split, negated to a

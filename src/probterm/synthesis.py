@@ -27,16 +27,16 @@ onto the template and eps columns, hence every optimum, is the same.
 
 One synthesis run solves many LPs, one per iteration and, in general
 mode, one per attempt, and most transitions keep their side conditions
-from one LP to the next. A transition's frame is the template columns
-of each distinct location among its source and destinations, then its
-eps. Its side conditions are encoded once per run, straight into the
-integer rows of a `farkas.Block`, whose first columns stand for the
-frame and the rest for the block's multipliers, each row written once;
-the block is keyed by the transition, the zero-coefficient pins at its
-locations and, for a probabilistic branch, the unranked transitions
-leaving its targets. Every iteration LP places each block it needs over
-its own frame, with fresh multipliers, so it is exactly the LP a cold
-encoding would build. This module chooses what to encode, screens the
+from one LP to the next. A transition's frame is the template columns,
+one per variable and the constant, of each distinct location among its
+source and destinations, then its eps. Its side conditions are encoded
+once per run, straight into the integer rows of a `farkas.Block`, whose
+first columns stand for the frame and the rest for the block's
+multipliers, each row written once; the block is keyed by the transition
+and, for a probabilistic branch, the unranked transitions leaving its
+targets. Every iteration LP places each block it needs over its own
+frame, with fresh multipliers, so it is exactly the LP a cold encoding
+would build. This module chooses what to encode, screens the
 antecedents, memoises the blocks and builds the frames; `farkas` owns
 the rows. An antecedent is screened only when a block is encoded, once
 for all the consequents it carries there; a placement screens none.
@@ -47,12 +47,12 @@ maps this prunes the unique maximal rankable set, which is what makes
 the bounded-support procedure a decision procedure of minimal dimension.
 
 Programs that sample from unbounded-support distributions go through the
-variant procedure: templates first keep a zero coefficient on every
-variable written by an unbounded-sampling transition at that transition's
-target location; when no progress is possible, the procedure tries to
-unlock one such coefficient at a time, forcing the unlocked transition
-(and every other unbounded-sampling transition into the same target) to
-be 1-ranked by the new component.
+variant procedure: templates first keep a zero coefficient, a `c = 0`
+row, on every variable written by an unbounded-sampling transition at
+that transition's target location; when no progress is possible, the
+procedure tries to unlock one such coefficient at a time (each once),
+forcing the unlocked transition (and every other unbounded-sampling
+transition into the same target) to be 1-ranked by the new component.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
 
-# (transition id, the zero_coeffs entries at its source and destinations,
-# the unranked transitions leaving its branch targets) -> its block
-BlockMemo = Dict[Tuple[str, frozenset, frozenset], Block]
+# (transition id, the unranked transitions leaving its branch targets)
+# -> its block, the same object in every LP of a run that needs it
+BlockMemo = Dict[Tuple[str, frozenset], Block]
 
 
 class NotLinPPStar(Exception):
@@ -90,7 +90,7 @@ class MissingBoundedSupport(Exception):
 
 @dataclass(frozen=True)
 class TemplateRestriction:
-    """Extra structure imposed on one iteration's LP."""
+    """Rows that one iteration's LP adds after its blocks, which never read it."""
     zero_coeffs: frozenset = frozenset()   # {(location, var index)} pinned to 0
     forced_rank: frozenset = frozenset()   # {transition id} with eps == 1
 
@@ -99,8 +99,8 @@ class TemplateRestriction:
 class SynthesisLP:
     """One iteration's LP plus the bookkeeping to read a component back."""
     lp: LPProblem
-    # location -> (variable index -> its coefficient column, constant column)
-    columns: Dict[str, Tuple[Dict[int, int], int]]
+    # location -> its template columns: one per variable, then the constant
+    columns: Dict[str, range]
     eps: Dict[str, int]             # unranked transition id -> its eps column
     dropped_implications: int = 0
     emitted_implications: int = 0
@@ -110,13 +110,12 @@ class SynthesisLP:
         columns of each distinct location among its source and
         destinations, then its eps."""
         return [k for loc in dict.fromkeys((t.source, *t.destinations()))
-                for k in (*self.columns[loc][0].values(), self.columns[loc][1])
-                ] + [self.eps[t.id]]
+                for k in self.columns[loc]] + [self.eps[t.id]]
 
     def component_at(self, x: List[Fraction]) -> Dict[str, LinExpr]:
         """The templates at the LP point `x`."""
-        return {loc: LinExpr({i: x[k] for i, k in coeffs.items()}, x[const])
-                for loc, (coeffs, const) in self.columns.items()}
+        return {loc: LinExpr({i: x[k] for i, k in enumerate(cols[:-1])}, x[cols[-1]])
+                for loc, cols in self.columns.items()}
 
 
 def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
@@ -127,46 +126,45 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
     dropped (their implications are vacuous); a transition all of whose
     antecedents drop has an unconstrained eps and is ranked for free.
 
-    Each transition's side conditions are encoded once, with one screen
-    per antecedent. `blocks` memoises the encoded side conditions of a
-    whole synthesis run, which passes the same memo to every iteration;
-    without it, a fresh memo serves this call alone. A block is keyed by
-    what its encoding reads: the transition, the `zero_coeffs` entries at
-    its source and destinations (they decide which template unknowns
-    exist there) and, for a probabilistic branch, the unranked
-    transitions leaving its targets (they decide the restriction set).
-    Every block, fresh or memoised, is replayed over this LP's frame of
-    the transition with fresh multipliers, so the LP is the one a cold
-    encoding would build, term for term.
+    `blocks` memoises the encoded side conditions of a whole synthesis
+    run, which passes the same memo to every iteration; without it, a
+    fresh memo serves this call alone. A block is keyed by what its
+    encoding reads: the transition and, for a probabilistic branch, the
+    unranked transitions leaving its targets; it screens each antecedent
+    once. Every block, fresh or memoised, is replayed over this LP's
+    frame of the transition with fresh multipliers, so the LP is the one
+    a cold encoding would build, term for term. `restrict` reaches no
+    block: one `c = 0` row per pinned coefficient, in column order,
+    follows the blocks, then the eps rows, `eps = 1` if forced.
     """
     if not unranked:
         raise ValueError("no unranked transitions left")
     if blocks is None:
         blocks = {}
     lp = LPProblem()
-    columns = {loc: ({i: lp.add_var(f"c[{loc}][{vname}]")
-                      for i, vname in enumerate(p.variables)
-                      if (loc, i) not in restrict.zero_coeffs},
-                     lp.add_var(f"c[{loc}].const"))
-               for loc in p.locations}
+    width = len(p.variables) + 1
+    columns = {loc: range(k * width, (k + 1) * width) for k, loc in enumerate(p.locations)}
+    for loc in p.locations:
+        for vname in p.variables:
+            lp.add_var(f"c[{loc}][{vname}]")
+        lp.add_var(f"c[{loc}].const")
 
     unranked_set = set(unranked)
     order = [t for t in p.transitions if t.id in unranked_set]
     out = SynthesisLP(lp, columns,
                       {t.id: lp.add_var(f"eps[{t.id}]", nonneg=True) for t in order})
     for t in order:
-        locs = {t.source, *t.destinations()}
-        key = (t.id,
-               frozenset(z for z in restrict.zero_coeffs if z[0] in locs),
-               frozenset(u.id for loc in t.destinations() for u in p.outgoing(loc)
-                         if u.id in unranked_set) if t.is_pb else frozenset())
+        key = (t.id, frozenset(u.id for loc in t.destinations() for u in p.outgoing(loc)
+                               if u.id in unranked_set) if t.is_pb else frozenset())
         block = blocks.get(key)
         if block is None:
-            block = blocks[key] = _encode(p, inv, t, out, unranked_set)
+            block = blocks[key] = _encode(p, inv, t, unranked_set)
         block.replay(lp, out.frame(t))
         out.dropped_implications += block.dropped
         out.emitted_implications += block.emitted
 
+    for k in sorted(columns[loc][i] for loc, i in restrict.zero_coeffs):
+        lp.add_row({k: 1}, 0, 1, RowRel.EQ)
     for tid, k in out.eps.items():
         lp.add_row({k: 1}, 1, 1, RowRel.LE)
         if tid in restrict.forced_rank:
@@ -192,13 +190,12 @@ def pre_and_bounds(p: PCFG, templates: Dict[str, LinExpr],
                         LinConstraint.le(y - LinExpr.const(update.hi))]))
 
 
-def _encode(p: PCFG, inv: Invariant, t: Transition, out: SynthesisLP,
-            unranked_set: Set[str]) -> Block:
+def _encode(p: PCFG, inv: Invariant, t: Transition, unranked_set: Set[str]) -> Block:
     """The side conditions of transition `t` that the LP encodes (see the
     module docstring), encoded straight into the rows of a block, whose
-    first columns stand for the positions of `t`'s frame in `out`."""
+    first columns stand for the positions of `t`'s frame."""
     position = itertools.count()
-    templates = {loc: LinExpr.owning({i: LinExpr.var(next(position)) for i in out.columns[loc][0]},
+    templates = {loc: LinExpr.owning({i: LinExpr.var(next(position)) for i in range(len(p.variables))},
                                      LinExpr.var(next(position)))
                  for loc in dict.fromkeys((t.source, *t.destinations()))}
     eps = next(position)
@@ -397,21 +394,21 @@ def synthesize_general(p: PCFG, inv: Invariant,
     if not check_linpp_star(p):
         raise NotLinPPStar("a probabilistic branch and a sampling transition "
                            "share a target location")
-    unbounded = [t.id for t in p.non_terminal_transitions() if t.samples_unbounded()]
-
-    def pair(tid: str) -> Tuple[str, int]:
-        t = p.transition(tid)
-        return (t.kind.dest, t.kind.update.target)
+    # unbounded-sampling transition -> the (target, variable) it pins
+    pins = {t.id: (t.kind.dest, t.kind.update.target)
+            for t in p.non_terminal_transitions() if t.samples_unbounded()}
 
     def attempts(unranked: List[str]):
-        # the zero-coefficient discipline first, then each tau0 unlocked
-        unb_here = [tid for tid in unbounded if tid in unranked]
-        zeros = frozenset(pair(tid) for tid in unb_here)
+        # the zero-coefficient discipline first, then each tau0 unlocked;
+        # a tau0 whose pin an earlier one unlocked would repeat its LP
+        here = {tid: pin for tid, pin in pins.items() if tid in unranked}
+        zeros = frozenset(here.values())
         yield TemplateRestriction(zero_coeffs=zeros), None
-        for tau0 in unb_here:
-            target, var = pair(tau0)
-            cohort = frozenset(tid for tid in unb_here
-                               if p.transition(tid).kind.dest == target)
+        unlocks: Dict[Tuple[str, int], str] = {}
+        for tid, pin in here.items():
+            unlocks.setdefault(pin, tid)
+        for (target, var), tau0 in unlocks.items():
+            cohort = frozenset(tid for tid, (dest, _) in here.items() if dest == target)
             yield TemplateRestriction(zero_coeffs=zeros - {(target, var)},
                                       forced_rank=cohort), tau0
 

@@ -51,9 +51,10 @@ def encode_into(antecedent, consequent: LinExpr, lp, tag: str = "lam") -> list:
 def template_at(slp, loc: str) -> LinExpr:
     """The template of the iteration LP `slp` at `loc`: a `LinExpr` over
     the program variables whose coefficients and constant are `LinExpr`s
-    over the LP columns that `slp.columns` gives."""
-    coeffs, const = slp.columns[loc]
-    return LinExpr({i: LinExpr.var(k) for i, k in coeffs.items()}, LinExpr.var(const))
+    over the LP columns that `slp.columns` gives: one per variable, then
+    the constant."""
+    *coeffs, const = slp.columns[loc]
+    return LinExpr({i: LinExpr.var(k) for i, k in enumerate(coeffs)}, LinExpr.var(const))
 
 
 def _lem(p, rows):

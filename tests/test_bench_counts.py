@@ -17,9 +17,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 LADDER_PER_PASS = {
     "synthesis.implications": 360,
-    "synthesis.lp_rows.sum": 1700,
-    "synthesis.lp_nonzeros.sum": 3103,
-    "synthesis.screens": 68,
+    "synthesis.lp_rows.sum": 1760,
+    "synthesis.lp_nonzeros.sum": 3527,
+    "synthesis.screens": 40,
     "simplex.solves": 48,
     "simplex.solves.screen": 0,
     "synthesis.certs_changed": 0,

@@ -128,16 +128,17 @@ FIRST_LP_DIGESTS = {
 # every iteration LP of one run, the attempts that rank nothing included:
 # (procedure, LPs solved, digest over all); the general run on fig1a
 # retries with a tau0 in its third iteration, and the general ladders of
-# depth 3 and 4 solve 10 and 15 LPs for 4 and 5 components
+# depth 3 and 4 solve 10 and 15 LPs for 4 and 5 components. A general LP
+# lists each pinned coefficient as a template column with a `= 0` row.
 RUN_LP_DIGESTS = {
     "fig2right": (synthesize_bsp, 3,
                   "7ff83bfc4f5e4132c104cd8538dedb32afad17b1c2cd4c455c23e924876593df"),
     "fig1a": (synthesize_general, 4,
-              "2bc771af7e1490860612af45293f9313950a082481801dbf4c37bd6aa421c43f"),
+              "287c6a792c3cdd667863ccb77cb4126ecd31e488099b9ba129e6bc0c3728d774"),
     "ladder.general.k3": (synthesize_general, 10,
-                          "f8b4b4916589afbcb656b5a8191acc52259010d3bd30262dd35e1a2313ff6153"),
+                          "525a91810b2d97a5b0bfb34e1384211893ec3c5cdbf7b1a616374b34c917468d"),
     "ladder.general.k4": (synthesize_general, 15,
-                          "cd307c248237eed787d9452c499ed60c50fb7a146d7679c8091070a33ce3dfe5"),
+                          "f67e1989fc8aeaa61d4eb8641efdadd90653a111a479be7afe8f2e164c6216bf"),
 }
 
 
@@ -176,21 +177,55 @@ def test_iteration_lp_digests(name, monkeypatch):
 DEEP_LADDER_PIVOTS = {"bsp": 128, "general": 203}
 
 
+def solved(synth, p, inv, monkeypatch):
+    """`synth` run on `p` and `inv`: (result, the solution of each
+    iteration LP, in order)."""
+    sols = []
+
+    def recording(lp, *args, **kwargs):
+        sols.append(solve_lp(lp, *args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(synthesis, "solve_lp", recording)
+    return synth(p, inv), sols
+
+
+def ladder(k, mode):
+    """The ladder of depth k in `mode`, as (pCFG, invariant)."""
+    p = lower_to_pcfg(parse_program(workloads.ladder_source(k, mode == "general")))
+    return p, invariant_from_json(workloads.ladder_invariant(k), p)
+
+
 def ladder_run(k, mode, monkeypatch):
     """The ladder of depth k synthesized in `mode`: (pCFG, result, the
     pivots of each iteration LP)."""
-    p = lower_to_pcfg(parse_program(workloads.ladder_source(k, mode == "general")))
-    inv = invariant_from_json(workloads.ladder_invariant(k), p)
-    pivots = []
+    p, inv = ladder(k, mode)
+    synth = synthesize_general if mode == "general" else synthesize_bsp
+    result, sols = solved(synth, p, inv, monkeypatch)
+    return p, result, [sol.pivots for sol in sols]
 
-    def recording(lp, *args, **kwargs):
-        sol = solve_lp(lp, *args, **kwargs)
-        pivots.append(sol.pivots)
-        return sol
 
-    monkeypatch.setattr(synthesis, "solve_lp", recording)
-    result = (synthesize_general if mode == "general" else synthesize_bsp)(p, inv)
-    return p, result, pivots
+# what the simplex did with every iteration LP of a general run, the
+# attempts that rank nothing included: (LPs solved, sha256 over the JSON
+# list of each one's status, optimum and pivots). The LP dumps of these
+# runs may change where the simplex sees the same tableau; these may not.
+RUN_LP_OUTCOMES = {
+    "fig1a": (4, "6dc182a946c33026b8ee8a6042769d71919b75e3c8edbe5ccc41e32079167206"),
+    "ladder.general.k3": (10, "f204a48d707d219793bfa3a2a62e688a0dad7e2af0117954d8a7d736eebdf30c"),
+    "ladder.general.k4": (15, "d63127a204a2def45f7614c1cb0cef5962a921a3a53bc52a5d40fd784da62344"),
+    "ladder.general.k6": (28, "1d8aa5d48b421f3e5323ef89f5c9a410602863166c0688d15d0478ef0158fd11"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_LP_OUTCOMES))
+def test_general_run_lp_outcomes(name, monkeypatch):
+    count, digest = RUN_LP_OUTCOMES[name]
+    p, inv = ladder(6, "general") if name == "ladder.general.k6" else load(name)
+    result, sols = solved(synthesize_general, p, inv, monkeypatch)
+    assert result.found
+    outcomes = [[sol.status.value, str(sol.value), sol.pivots] for sol in sols]
+    assert len(sols) == count
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("mode", sorted(DEEP_LADDER_PIVOTS))

@@ -286,6 +286,36 @@ def test_general_requires_target_separation():
         synthesize_general(p, Invariant({}))
 
 
+def test_general_skips_a_repeated_unlock(monkeypatch):
+    """Unlocking a tau0 whose (target, variable) pair an earlier unlock of
+    the same iteration tried builds the same restriction, so its LP
+    would fail again and is not solved. General corpus #66 has two
+    sampling transitions, t4 and t5, that both write x at l0: its
+    second iteration solves the all-pinned attempt and the t4 unlock,
+    not the t5 one, and refuses with the same history."""
+    from probterm import synthesis
+    from test_integration import _general_corpus
+    _, p = _general_corpus()[66]
+    pairs = {(p.transition(tid).kind.dest, p.transition(tid).kind.update.target)
+             for tid in ("t4", "t5")}
+    assert pairs == {("l0", p.var_index("x"))}
+    outcomes, real_solve = [], synthesis.solve_lp
+
+    def solving(lp, *args, **kwargs):
+        sol = real_solve(lp, *args, **kwargs)
+        outcomes.append((sol.status, sol.value))
+        return sol
+
+    monkeypatch.setattr(synthesis, "solve_lp", solving)
+    result = synthesize_general(p, Invariant({}))
+    assert result.failure == ("no component can rank further transitions "
+                              "under the zero-coefficient discipline")
+    assert [(rec.index, rec.ranked, rec.objective, rec.tau0) for rec in result.history] == [
+        (1, ["t1", "t2"], 2, None)]
+    assert outcomes == [(LPStatus.OPTIMAL, 2), (LPStatus.OPTIMAL, 0),
+                        (LPStatus.INFEASIBLE, None)]
+
+
 def test_level_map_levels_terminal_loops_zero():
     from probterm import GuardedStep, NoUpdate, PCFG, Predicate, Transition
     p, inv = load_fixture("countdown")
@@ -434,9 +464,10 @@ def test_run_memo_builds_the_cold_lp(name, synthesize, monkeypatch):
     memo where they were encoded before, dumps exactly as a cold
     `build_lp` of the same unranked set and restriction. That includes
     LPs where a block is replayed over a frame other than the one it was
-    recorded over: ranked transitions lose their eps columns, and general
-    mode pins a coefficient in one attempt and not in the next. A
-    replayed block counts its implications as when it was encoded."""
+    first placed over. Frames move only by eps: ranked transitions lose
+    their eps columns, while a location's template columns, pinned or
+    not, are the same in every LP. A replayed block counts its
+    implications as when it was encoded."""
     from probterm import synthesis
     from probterm.farkas import dump_lp
     from test_golden import load
@@ -455,14 +486,14 @@ def test_run_memo_builds_the_cold_lp(name, synthesize, monkeypatch):
         solved.append(lp)
         return real_solve(lp, *args, **kwargs)
 
-    def encoding(p, inv, t, out, *args):
+    def encoding(p, inv, t, *args):
         encoded.append(t.id)
-        block = real_encode(p, inv, t, out, *args)
-        recorded[id(block)] = out.frame(t)
-        return block
+        return real_encode(p, inv, t, *args)
 
     def replaying(block, lp, frame):
-        if frame != recorded[id(block)]:
+        first = recorded.setdefault(id(block), frame)
+        if frame != first:
+            assert frame[:-1] == first[:-1]
             moved.append(lp)
         real_replay(block, lp, frame)
 
@@ -481,6 +512,76 @@ def test_run_memo_builds_the_cold_lp(name, synthesize, monkeypatch):
     monkeypatch.undo()
     for lp, unranked, restrict in built:
         assert dump_lp(lp) == dump_lp(build_lp(p, inv, unranked, restrict).lp)
+
+
+def test_run_encodes_each_memo_key_once(monkeypatch):
+    """A run encodes each block once, whatever the attempts pin: the
+    general ladder of depth 10 has no probabilistic branch, so its 20
+    transitions are its 20 memo keys, over 66 LPs."""
+    from probterm import synthesis
+    from test_golden import ladder
+    p, inv = ladder(10, "general")
+    encoded, real_encode = [], synthesis._encode
+
+    def encoding(p, inv, t, *args):
+        encoded.append(t.id)
+        return real_encode(p, inv, t, *args)
+
+    monkeypatch.setattr(synthesis, "_encode", encoding)
+    assert synthesize_general(p, inv).found
+    assert len(encoded) == len(set(encoded)) == len(p.non_terminal_transitions()) == 20
+
+
+def test_build_with_other_pins_encodes_and_screens_nothing(fig1a, monkeypatch):
+    """A block reads no restriction: a second `build_lp` on the same memo
+    and unranked set, with other coefficients pinned, replays every
+    block, and its LP dumps as a cold build with those pins does."""
+    from probterm import synthesis
+    from probterm.farkas import dump_lp
+    p, inv = fig1a
+    unranked = [t.id for t in p.non_terminal_transitions()]
+    x, y = p.var_index("x"), p.var_index("y")
+    blocks = {}
+    build_lp(p, inv, unranked, TemplateRestriction(zero_coeffs=frozenset({("l1", x)})),
+             blocks=blocks)
+    other = TemplateRestriction(zero_coeffs=frozenset({("l0", x), ("l1", y)}))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a build with other pins encoded or screened")
+
+    monkeypatch.setattr(synthesis, "_encode", refused)
+    monkeypatch.setattr(synthesis, "check_feasible", refused)
+    again = build_lp(p, inv, unranked, other, blocks=blocks)
+    monkeypatch.undo()
+    assert dump_lp(again.lp) == dump_lp(build_lp(p, inv, unranked, other).lp)
+
+
+def test_pinned_coefficient_is_a_column_with_one_zero_row(fig1a, monkeypatch):
+    """In the first attempt of fig1a, each pinned (location, variable) is
+    a free template column with exactly one `= 0` row, its pin row, and
+    it reads 0 at the optimum."""
+    from probterm import synthesis
+    p, inv = fig1a
+    built, real_build = [], synthesis.build_lp
+
+    def building(*args, **kwargs):
+        built.append((args, real_build(*args, **kwargs)))
+        return built[-1][1]
+
+    monkeypatch.setattr(synthesis, "build_lp", building)
+    synthesize_general(p, inv)
+    (_, _, _, restrict), slp = built[0]
+    assert restrict.zero_coeffs == {("l1", p.var_index("x"))}
+    sol = solve_lp(slp.lp)
+    assert sol.status is LPStatus.OPTIMAL
+    for loc, i in restrict.zero_coeffs:
+        k = slp.columns[loc][i]
+        assert slp.lp.names[k] == f"c[{loc}][{p.variables[i]}]"
+        assert not slp.lp.nonneg[k]
+        zero_rows = [c for c in slp.lp.constraints if c.form.terms.keys() == {k}
+                     and c.form.rhs == 0 and c.rel is RowRel.EQ]
+        assert len(zero_rows) == 1
+        assert sol.x[k] == 0
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -637,8 +738,7 @@ def test_dropped_conditions_are_implied(name, monkeypatch):
         assert full.num_constraints() > slp.lp.num_constraints()
         kept, again = solve_lp(slp.lp), solve_lp(full)
         assert (kept.status, kept.value) == (again.status, again.value)
-        template = [k for coeffs, const in slp.columns.values()
-                    for k in (*coeffs.values(), const)]
+        template = [k for cols in slp.columns.values() for k in cols]
         for lp in (slp.lp, full):
             for k in template:
                 lp.add_row({k: 1}, 5, 1, RowRel.LE)
