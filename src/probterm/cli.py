@@ -243,7 +243,12 @@ def _write_traces(reports, jf, cf):
         cf.write("run,terminated,steps\n")
     for idx, r in enumerate(reports):
         if jf:
-            rec = {"run": idx, **r.as_dict()}
+            try:
+                rec = {"run": idx, **r.as_dict()}
+            except ValueError:  # a final value too long to write in decimal
+                raise pcfg_io.FormatError(
+                    f"run {idx} ends with a value whose numerator or denominator has "
+                    f"more than {sys.get_int_max_str_digits()} digits", "--trace-out") from None
             jf.write(json.dumps(rec) + "\n")
         if cf:
             cf.write(f"{idx},{int(r.terminated)},{r.steps}\n")

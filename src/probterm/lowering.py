@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
 
-from .linear import Predicate, negate_predicate
+from .linear import Polyhedron, Predicate, negate_predicate
 from .model import (GuardedStep, NoUpdate, NondetUpdate, PCFG, ProbBranch,
                     Transition)
 from .source import (Assign, IfCond, IfNdet, IfProb, Seq, Skip, SourceProgram,
@@ -70,9 +70,8 @@ class _Builder:
         the same transition, which a uniform scheduler chooses between
         with a draw that the source program does not make."""
         for pred, dest in ((cond, yes), (negate_predicate(cond), no)):
-            for k, disjunct in enumerate(pred.disjuncts):
-                if disjunct not in pred.disjuncts[:k]:
-                    self.step(source, dest, Predicate([disjunct]), NoUpdate())
+            for constraints in dict.fromkeys(tuple(d.constraints) for d in pred.disjuncts):
+                self.step(source, dest, Predicate([Polyhedron(constraints)]), NoUpdate())
 
     def lower(self, stmt: Stmt, entry: str, exit_: str) -> None:
         if isinstance(stmt, Skip):

@@ -5,16 +5,23 @@ Statements: `skip`, `x := <linear expr>` (optionally containing one
 `while <pred> do ... od`, and three `if` forms -- `if <pred>`,
 `if prob(p)` (probabilistic branch) and `if *` (demonic branch) -- each
 with a mandatory `else` and closing `fi`. Predicates are Boolean
-combinations of linear comparisons. The full grammar lives in
-docs/lang.md.
+combinations of linear comparisons. The full grammar and the lexical
+syntax live in docs/lang.md.
+
+`tokenize` reads the text with one regular expression into tokens that
+carry their offset; a keyword's or symbol's kind is its own text. A
+`ProgramSyntaxError` works out the line and column of an offset only
+when it is raised (`ProgramSyntaxError.at`).
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .distributions import SCALAR_KINDS, DistributionSpec
 from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
@@ -27,6 +34,11 @@ class ProgramSyntaxError(Exception):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
+
+    @classmethod
+    def at(cls, text: str, pos: int, message: str) -> "ProgramSyntaxError":
+        """The error `message` at offset `pos` of the source `text`."""
+        return cls(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
 class NonLinearExpression(ProgramSyntaxError):
@@ -100,61 +112,39 @@ class SourceProgram:
 KEYWORDS = {"while", "do", "od", "if", "then", "else", "fi", "skip",
             "prob", "ndet", "sample", "and", "or", "not", "true", "false"}
 
-SYMBOLS = [":=", "<=", ">=", "==", "!=", "<", ">", "+", "-", "*", "/",
-           "(", ")", "[", "]", ",", ";", ":"]
+# every character starts an alternative (`bad` takes any other), so the
+# matches tile the text. `\s`, `\d` and `\w` read Unicode as `isspace`,
+# `isdecimal` and `isalnum` (or "_") do; a word must also start with a
+# letter or "_", which `[^\W\d]` alone does not enforce (it takes "\u00b2")
+_TOKEN = re.compile(r"""\s+ | \#[^\n]*
+                        | (?P<num>\.?\d[\d.]*) | (?P<word>[^\W\d]\w*)
+                        | (?P<sym>:= | <= | >= | == | != | [-<>+*/()\[\],;:])
+                        | (?P<bad>.)""", re.VERBOSE)
 
 
-@dataclass
-class Token:
-    kind: str      # "num" | "ident" | "kw" | symbol itself | "eof"
+class Token(NamedTuple):
+    """A token: `kind` is "num", "ident", "eof" (with empty `text`) or the
+    keyword or symbol itself; `pos` is its offset into the source text."""
+    kind: str
     text: str
-    line: int
-    col: int
+    pos: int
 
 
 def tokenize(text: str) -> List[Token]:
     toks: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1; line += 1; col = 1
-            continue
-        if ch.isspace():
-            i += 1; col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            j = i
-            while j < n and text[j] != "\n":
-                j += 1
-            col += j - i; i = j
-            continue
-        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
-            j = i
-            while j < n and (text[j].isdecimal() or text[j] == "."):
-                j += 1
-            if text.count(".", i, j) > 1:
-                raise ProgramSyntaxError(f"malformed number {text[i:j]!r}", line, col)
-            toks.append(Token("num", text[i:j], line, col))
-            col += j - i; i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(Token("kw" if word in KEYWORDS else "ident", word, line, col))
-            col += j - i; i = j
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token(sym, sym, line, col))
-                col += len(sym); i += len(sym)
-                break
-        else:
-            raise ProgramSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    for m in _TOKEN.finditer(text):
+        kind, word, pos = m.lastgroup, m.group(), m.start()
+        if kind == "word" and (word[0].isalpha() or word[0] == "_"):
+            kind = word if word in KEYWORDS else "ident"
+        elif kind == "sym":
+            kind = word
+        elif kind == "num" and word.count(".") > 1:
+            raise ProgramSyntaxError.at(text, pos, f"malformed number {word!r}")
+        elif kind in ("word", "bad"):
+            raise ProgramSyntaxError.at(text, pos, f"unexpected character {word[0]!r}")
+        if kind:
+            toks.append(Token(kind, word, pos))
+    toks.append(Token("eof", "", len(text)))
     return toks
 
 
@@ -169,8 +159,9 @@ _COMPARISONS = {"<=": [(LinConstraint.le, 1)], "<": [(LinConstraint.lt, 1)],
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.toks = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.pos = 0
         self.vars: List[str] = []
         # an expression is one LinExpr, whose column -k is the k-th sample
@@ -187,21 +178,22 @@ class _Parser:
         self.pos += 1
         return t
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+    def at(self, kind: str) -> bool:
+        return self.peek().kind == kind
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def accept(self, kind: str) -> Token | None:
+        """The next token, consumed, if it has `kind`; else None."""
+        return self.next() if self.at(kind) else None
+
+    def expect(self, kind: str) -> Token:
         t = self.peek()
-        if not self.at(kind, text):
-            want = text or kind
-            raise ProgramSyntaxError(f"expected {want!r}, found {t.text or t.kind!r}",
-                                     t.line, t.col)
+        if t.kind != kind:
+            self.fail(f"expected {kind!r}, found {t.text or t.kind!r}")
         return self.next()
 
-    def err(self, message: str):
-        t = self.peek()
-        raise ProgramSyntaxError(message, t.line, t.col)
+    def fail(self, message: str, t: Token | None = None, error=ProgramSyntaxError):
+        """Raise `error` with `message` at token `t`, by default the next."""
+        raise error.at(self.text, (t or self.peek()).pos, message)
 
     def run(self, rule):
         """`rule()`; nesting too deep for the interpreter's stack is a
@@ -209,12 +201,12 @@ class _Parser:
         try:
             return rule()
         except RecursionError:
-            self.err("nesting too deep to parse")
+            self.fail("nesting too deep to parse")
 
     def var_index(self, name: str) -> int:
         if name not in self.vars:
             if name == "const":
-                self.err("'const' is reserved and cannot name a variable")
+                self.fail("'const' is reserved and cannot name a variable")
             self.vars.append(name)
         return self.vars.index(name)
 
@@ -229,59 +221,53 @@ class _Parser:
 
     def parse_seq(self) -> Stmt:
         stmts = [self.parse_stmt()]
-        while self.at(";"):
-            self.next()
-            if self.at("eof") or self.at("kw", "od") or self.at("kw", "fi") \
-                    or self.at("kw", "else"):
+        while self.accept(";"):
+            if self.peek().kind in ("eof", "od", "fi", "else"):
                 break  # tolerate a trailing semicolon
             stmts.append(self.parse_stmt())
         return stmts[0] if len(stmts) == 1 else Seq(stmts)
 
     def parse_stmt(self) -> Stmt:
-        if self.at("kw", "skip"):
-            self.next()
+        if self.accept("skip"):
             return Skip()
-        if self.at("kw", "while"):
-            self.next()
+        if self.accept("while"):
             cond = self.parse_predicate()
-            self.expect("kw", "do")
+            self.expect("do")
             body = self.parse_seq()
-            self.expect("kw", "od")
+            self.expect("od")
             return While(cond, body)
-        if self.at("kw", "if"):
+        if self.at("if"):
             return self.parse_if()
         if self.at("ident"):
             return self.parse_assign()
-        self.err("expected a statement")
+        self.fail("expected a statement")
 
     def parse_if(self) -> Stmt:
-        self.expect("kw", "if")
-        if self.at("*"):
-            self.next()
+        self.expect("if")
+        if self.accept("*"):
             make = IfNdet
-        elif self.at("kw", "prob"):
+        elif self.at("prob"):
             t = self.next()
             self.expect("(")
             p = self.parse_signed_number()
             self.expect(")")
             if not 0 < p < 1:
-                raise ProgramSyntaxError(f"branch probability {p} outside (0, 1)",
-                                         t.line, t.col)
+                self.fail(f"branch probability {p} outside (0, 1)", t)
             make = partial(IfProb, p)
         else:
             make = partial(IfCond, self.parse_predicate())
-        self.expect("kw", "then")
+        self.expect("then")
         then = self.parse_seq()
-        self.expect("kw", "else")
+        self.expect("else")
         els = self.parse_seq()
-        self.expect("kw", "fi")
+        self.expect("fi")
         return make(then, els)
 
     def parse_assign(self) -> Stmt:
         # declares the target before its right-hand side
         target = self.var_index(self.expect("ident").text)
         self.expect(":=")
-        if self.at("kw", "ndet"):
+        if self.at("ndet"):
             t = self.next()
             self.expect("[")
             lo = self.parse_signed_number()
@@ -289,14 +275,14 @@ class _Parser:
             hi = self.parse_signed_number()
             self.expect("]")
             if lo > hi:
-                raise ProgramSyntaxError(f"empty interval [{lo}, {hi}]", t.line, t.col)
+                self.fail(f"empty interval [{lo}, {hi}]", t)
             return Assign(NondetUpdate(target, lo, hi))
         expr = self.parse_expr()
         columns = sorted((i for i in expr.coeffs if i < 0), reverse=True)
         if len(columns) > 1:
             t = self.samples[-columns[1] - 1][0]
-            raise MultipleSamplesInAssignment("at most one sample term per assignment",
-                                              t.line, t.col)
+            self.fail("at most one sample term per assignment", t,
+                      MultipleSamplesInAssignment)
         if not columns:
             return Assign(ExprUpdate(target, expr))
         k = columns[0]
@@ -307,33 +293,27 @@ class _Parser:
 
     def parse_predicate(self) -> Predicate:
         pred = self.parse_and()
-        while self.at("kw", "or"):
-            self.next()
+        while self.accept("or"):
             pred = pred.disjoin(self.parse_and())
         return pred
 
     def parse_and(self) -> Predicate:
         pred = self.parse_patom()
-        while self.at("kw", "and"):
-            self.next()
+        while self.accept("and"):
             pred = pred.conjoin(self.parse_patom())
         return pred
 
     def parse_patom(self) -> Predicate:
-        if self.at("kw", "not"):
-            self.next()
+        if self.accept("not"):
             return negate_predicate(self.parse_patom())
-        if self.at("kw", "true"):
-            self.next()
+        if self.accept("true"):
             return Predicate.true()
-        if self.at("kw", "false"):
-            self.next()
+        if self.accept("false"):
             return Predicate.false()
-        if self.at("("):
+        snapshot = self.pos
+        if self.accept("("):
             # either a parenthesized predicate or the start of a comparison;
             # a sample read in a comparison is refused however it is read
-            snapshot = self.pos
-            self.next()
             try:
                 inner = self.parse_predicate()
                 self.expect(")")
@@ -349,13 +329,12 @@ class _Parser:
         lhs = self.parse_expr()
         op = self.peek()
         if op.kind not in _COMPARISONS:
-            self.err("expected a comparison operator")
+            self.fail("expected a comparison operator")
         self.next()
         diff = lhs - self.parse_expr()
         if len(self.samples) > first:
-            t = self.samples[first][0]
-            raise SampleInPredicate("sampling is not allowed inside predicates",
-                                    t.line, t.col)
+            self.fail("sampling is not allowed inside predicates", self.samples[first][0],
+                      SampleInPredicate)
         return Predicate([Polyhedron([atom(diff if sign > 0 else -diff)])
                           for atom, sign in _COMPARISONS[op.kind]])
 
@@ -380,60 +359,62 @@ class _Parser:
             elif op.kind == "*" and expr.is_constant():
                 expr = rhs.scale(expr.constant)
             elif op.kind == "*":
-                raise NonLinearExpression("product of two non-constant expressions",
-                                          op.line, op.col)
+                self.fail("product of two non-constant expressions", op, NonLinearExpression)
             elif not rhs.is_constant():
-                raise NonLinearExpression("division by a non-constant", op.line, op.col)
+                self.fail("division by a non-constant", op, NonLinearExpression)
             elif rhs.constant == 0:
-                raise ProgramSyntaxError("division by zero", op.line, op.col)
+                self.fail("division by zero", op)
             else:
                 expr = expr.scale(1 / rhs.constant)
         return expr
 
     def parse_factor(self) -> LinExpr:
         t = self.peek()
-        if t.kind == "-":
-            self.next()
+        if self.accept("-"):
             return -self.parse_factor()
         if t.kind == "num":
-            self.next()
-            return LinExpr.const(Fraction(t.text))
-        if t.kind == "ident":
-            self.next()
+            return LinExpr.const(self.number())
+        if self.accept("ident"):
             return LinExpr.var(self.var_index(t.text))
-        if t.kind == "(":
-            self.next()
+        if self.accept("("):
             e = self.parse_expr()
             self.expect(")")
             return e
-        if t.kind == "kw" and t.text == "sample":
-            self.next()
+        if self.accept("sample"):
             self.expect("(")
             self.samples.append((t, self.parse_distribution()))
             self.expect(")")
             return LinExpr.var(-len(self.samples))
-        self.err("expected an expression")
+        self.fail("expected an expression")
 
     def parse_signed_number(self) -> Fraction:
         neg = False
         while self.at("-") or self.at("+"):
             neg ^= self.next().kind == "-"
-        t = self.expect("num")
-        value = Fraction(t.text)
-        if self.at("/"):
-            slash = self.next()
-            denom = Fraction(self.expect("num").text)
+        value = self.number()
+        slash = self.accept("/")
+        if slash:
+            denom = self.number()
             if denom == 0:
-                raise ProgramSyntaxError("zero denominator", slash.line, slash.col)
+                self.fail("zero denominator", slash)
             value /= denom
         return -value if neg else value
+
+    def number(self) -> Fraction:
+        """The value of the next token, a numeric literal."""
+        t = self.expect("num")
+        try:
+            return Fraction(t.text)
+        except ValueError:  # a digit run too long to convert to an int
+            self.fail(f"number has {max(map(len, t.text.split('.')))} digits in a row, "
+                      f"more than the limit of {sys.get_int_max_str_digits()}", t)
 
     def parse_distribution(self) -> DistributionSpec:
         t = self.peek()
         try:
             return self._distribution()
         except ValueError as e:
-            raise ProgramSyntaxError(f"invalid distribution: {e}", t.line, t.col)
+            self.fail(f"invalid distribution: {e}", t)
 
     def _distribution(self) -> DistributionSpec:
         t = self.expect("ident")
@@ -454,13 +435,11 @@ class _Parser:
                 self.expect(":")
                 pr = self.parse_signed_number()
                 pairs.append((v, pr))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+                if not self.accept(","):
+                    break
             self.expect(")")
             return DistributionSpec.discrete(pairs)
-        raise ProgramSyntaxError(f"unknown distribution {t.text!r}", t.line, t.col)
+        self.fail(f"unknown distribution {t.text!r}", t)
 
 
 def parse_program(text: str) -> SourceProgram:
@@ -468,7 +447,7 @@ def parse_program(text: str) -> SourceProgram:
     NonLinearExpression / MultipleSamplesInAssignment refinements) with
     line/column on the first error, nesting too deep to parse included,
     and EncodingBlowup when a guard's normal form outgrows the DNF cap."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     return parser.run(parser.parse_program)
 
 
@@ -477,7 +456,7 @@ def parse_constraint_strings(items: List[str], variables: List[str]) -> Polyhedr
     variable table; conjunction semantics, atoms only."""
     constraints: List[LinConstraint] = []
     for s in items:
-        parser = _Parser(tokenize(s))
+        parser = _Parser(s)
         parser.vars = list(variables)
         pred = parser.run(parser.parse_comparison)
         parser.expect("eof")

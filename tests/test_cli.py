@@ -12,7 +12,7 @@ import warnings
 import jsonschema
 import pytest
 
-from probterm import cli, farkas, synthesis
+from probterm import cli, farkas, lower_to_pcfg, parse_program, synthesis
 from probterm.pcfg_io import pcfg_to_json
 from probterm.simplex import LPStatus
 from probterm.simulate import CEX_MAX_RUNS, MAX_SEED, counterexample_process
@@ -549,6 +549,14 @@ def _source(d, text, encoding="utf-8"):
     return ["parse", str(path), "-o", str(d / "p.json")]
 
 
+def _doubling_pcfg(d):
+    """`while x >= 0 do x := 2 * x + 1 od`: from x = 1, x doubles at every step."""
+    path = d / "doubling.json"
+    p = lower_to_pcfg(parse_program("while x >= 0 do x := 2 * x + 1 od"))
+    path.write_text(json.dumps(pcfg_to_json(p)))
+    return str(path)
+
+
 def _latin1(d):
     path = d / "latin1.pcfg.json"
     path.write_bytes('{"variables": ["\u00e9"]}'.encode("latin-1"))
@@ -680,6 +688,9 @@ def test_verdicts_without_a_custom_sampler_keep_their_wording(tmp_path, capsys):
         assert code == 1 and doc["detail"] == detail
 
 
+# the most digits an int is converted to or from text with; 0 is no limit
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
 # case -> (exit code, argv for a scratch directory d); d / "no" does not
 # exist, so nothing can be written below it
 MALFORMED = {
@@ -712,6 +723,8 @@ MALFORMED = {
     "norm-zero-stddev": (2, lambda d: _source(d, "x := sample(norm(0, 0))")),
     "discrete-mass-half": (2, lambda d: _source(d, "x := sample(discrete(1: 1/2))")),
     "malformed-number": (2, lambda d: _source(d, "x := 1.2.3")),
+    "number-beyond-digit-limit": (2, lambda d: _source(d, "x := " + "7" * (DIGIT_LIMIT + 1))
+                                  + ["--json"]),
     "deep-parentheses": (2, lambda d: _source(d, "x := " + "(" * 400 + "1" + ")" * 400)),
     "certificate-dimension-true": (3, lambda d: ["check", FIG2RIGHT,
                                                  _true_certificate(d, "dimension"),
@@ -737,6 +750,11 @@ MALFORMED = {
     "negative-seed": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2", "--seed", "-1"]),
     "huge-seed": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                 "--seed", str(2 ** 128)]),
+    # 4 * DIGIT_LIMIT doublings make x a number of about 1.2 * DIGIT_LIMIT digits
+    "trace-out-value-beyond-digit-limit": (3, lambda d: ["simulate", _doubling_pcfg(d),
+                                                         "--init", "x=1", "--runs", "1",
+                                                         "--cap", str(4 * DIGIT_LIMIT),
+                                                         "--trace-out", str(d / "t.jsonl")]),
     "cap-zero": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "5", "--cap", "0",
                                "--trace-out", str(d / "t.jsonl")]),
     "cap-negative": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "5", "--cap", "-3",
@@ -797,6 +815,8 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exit_code(case, tmp_path, capsys):
+    if "digit-limit" in case and not DIGIT_LIMIT:
+        pytest.skip("no digit limit is set")
     code, argv = MALFORMED[case]
     argv = argv(tmp_path)
     inputs = set(tmp_path.rglob("*"))
@@ -810,6 +830,8 @@ def test_malformed_input_exit_code(case, tmp_path, capsys):
     if code == 3:
         # one line, no traceback
         assert err.startswith("error:") and err.count("\n") == 1
+    elif "--json" in argv:
+        assert json.loads(out)["ok"] is False and err == ""
     else:
         assert out.startswith("syntax error:")
     # every file the command opened was closed
@@ -823,6 +845,20 @@ def test_json_true_is_not_a_rational(case, path, tmp_path, capsys):
     # Python counts a bool as an int, so `true` once loaded as 1
     assert cli.main(MALFORMED[case][1](tmp_path)) == 3
     assert re.match(rf"error: {path}: bad rational True", capsys.readouterr().err)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no digit limit is set")
+def test_digit_limit_errors_name_their_input(tmp_path, capsys):
+    # a literal too long to convert is a syntax error at the literal
+    assert cli.main(MALFORMED["number-beyond-digit-limit"][1](tmp_path)) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        f"1:6: number has {DIGIT_LIMIT + 1} digits in a row, "
+        f"more than the limit of {DIGIT_LIMIT}")
+    # a final value too long to write is an error of the trace output
+    assert cli.main(MALFORMED["trace-out-value-beyond-digit-limit"][1](tmp_path)) == 3
+    assert capsys.readouterr().err == (
+        "error: --trace-out: run 0 ends with a value whose numerator or denominator "
+        f"has more than {DIGIT_LIMIT} digits\n")
 
 
 def test_init_names_the_variable_given_twice(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Parser, lowering, interchange round-trips, and the lowering oracle."""
 
+import hashlib
 import json
 import os
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,12 +13,14 @@ from probterm import (DistributionSpec, FormatError, MultipleSamplesInAssignment
                       NonLinearExpression, ProgramSyntaxError, ProbBranch,
                       SampleInPredicate, check_bsp, lower_to_pcfg, parse_program,
                       run_ast, validate_pcfg)
-from probterm.pcfg_io import (dist_from_json, dist_to_json, load_pcfg, pcfg_from_json,
-                              pcfg_to_json)
+from probterm.linear import Polyhedron
+from probterm.pcfg_io import (dist_from_json, dist_to_json, invariant_from_json, load_pcfg,
+                              pcfg_from_json, pcfg_to_json)
 from probterm.simulate import UniformRandom, run_rngs, run_trajectory
-from probterm.source import Seq, Skip, While
+from probterm.source import Seq, Skip, While, tokenize
 
 from conftest import FIXTURES, fixture_path, load_fixture, load_fixture_ast
+from test_strict_rule import workloads
 
 
 # -- parsing --------------------------------------------------------------------
@@ -42,6 +47,79 @@ def test_end_of_input_after_a_comment_is_at_the_end():
         with pytest.raises(ProgramSyntaxError) as e:
             parse_program(text)
         assert str(e.value) == "1:34: expected 'od', found 'eof'"
+
+
+# The token-stream oracle: one sha256 over the tokens of every input below,
+# each as (kind, text, line, col), or over the error message where the
+# tokenizer refuses the input. The fuzz mixes ASCII with characters on the
+# edges of the Unicode classes the lexer reads: a digit that is not decimal
+# (U+00B2), an Arabic-Indic decimal digit (U+0661), a numeric that is
+# neither (U+00BD), a titlecase letter (U+01C5), a space that is not ASCII
+# (U+3000) and a zero-width space that is not whitespace (U+200B).
+TOKEN_STREAM_DIGEST = "eafa8cfc32b25158d9c71bed724e5a1457a6b915340ef579f99622d852a23fcf"
+TOKEN_FUZZ_SEED = "token stream"
+TOKEN_FUZZ_STRINGS = 4000
+TOKEN_FUZZ_COMMON = (list("abxyz_0129.#=:<>+-*/()[],; \t\n")
+                     + ["while", "do", "od", "if", "then", "fi", "sample", "x1",
+                        ":=", "<=", "!=", "1.5", ".5", "1.2.3", "# c\n"])
+TOKEN_FUZZ_RARE = ["$", "!", "\u00b2", "\u0661", "\u00bd", "\u01c5", "\u3000", "\u200b"]
+
+
+def token_record(text, t):
+    """(kind, text, line, col) of token `t` of `text`. The digest was
+    valued when tokens carried their line and column and a keyword had kind
+    "kw"; a token that carries its offset `pos` instead has them worked out
+    from it, and a keyword's kind is its text either way."""
+    kind = t.text if t.kind == "kw" else t.kind
+    if hasattr(t, "pos"):
+        return kind, t.text, text.count("\n", 0, t.pos) + 1, t.pos - text.rfind("\n", 0, t.pos)
+    return kind, t.text, t.line, t.col
+
+
+def token_stream_sources() -> list:
+    fixtures = []
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".prob"):
+            with open(fixture_path(name)) as f:
+                fixtures.append(f.read())
+    found = set(workloads.read_json("expected.json")["corpus"]["found"])
+    corpus = workloads.corpus_sources([i in found for i in range(workloads.CORPUS_SIZE)])
+    ladders = [workloads.ladder_source(k, noisy) for noisy in (False, True)
+               for k in range(1, 7)]
+    rng = random.Random(TOKEN_FUZZ_SEED)
+    fuzz = ["".join(rng.choice(TOKEN_FUZZ_RARE if rng.random() < 0.1 else TOKEN_FUZZ_COMMON)
+                    for _ in range(rng.randrange(25)))
+            for _ in range(TOKEN_FUZZ_STRINGS)]
+    return fixtures + corpus + ladders + fuzz
+
+
+def test_token_stream_digest():
+    h = hashlib.sha256()
+    for text in token_stream_sources():
+        try:
+            record = [token_record(text, t) for t in tokenize(text)]
+        except ProgramSyntaxError as e:
+            record = str(e)
+        h.update(repr(record).encode() + b"\n")
+    assert h.hexdigest() == TOKEN_STREAM_DIGEST
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit is set")
+@pytest.mark.parametrize("template,col", [("x := {}", 6), ("x := x - 0.{}", 10),
+                                          ("if prob(0.{}) then skip else skip fi", 9)],
+                         ids=["integer", "decimal", "probability"])
+def test_literal_beyond_the_digit_limit_is_a_syntax_error(template, col):
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 1)
+    message = f"number has {limit + 1} digits in a row, more than the limit of {limit}"
+    with pytest.raises(ProgramSyntaxError) as e:
+        parse_program(template.format(digits))
+    assert str(e.value) == f"1:{col}: {message}"
+    # the literal just inside the limit is read
+    parse_program(template.format(digits[1:]))
+    p = lower_to_pcfg(parse_program("while x >= 0 do x := x - 1 od"))
+    with pytest.raises(FormatError, match=f"^\\$\\.l0: 1:6: {message}$"):
+        invariant_from_json({"l0": [f"x >= {digits}"]}, p)
 
 
 def test_nonlinear_rejected():
@@ -89,7 +167,6 @@ def test_deep_nesting_is_a_syntax_error(source):
 
 
 def test_deep_nesting_in_an_invariant_is_a_format_error():
-    from probterm.pcfg_io import invariant_from_json
     p = lower_to_pcfg(parse_program("while x >= 0 do x := x - 1 od"))
     with pytest.raises(FormatError) as e:
         invariant_from_json({"l0": ["(" * 400 + "x" + ")" * 400 + " >= 0"]}, p)
@@ -353,3 +430,23 @@ def test_repeated_disjuncts_lower_once(src, transitions):
                              record_states=False)
         assert ref.terminated and sim.terminated, seed
         assert (ref.draws, ref.values) == (sim.draws, sim.final_values), seed
+
+
+def test_distinct_disjuncts_are_found_in_linear_time(monkeypatch):
+    # a 500-disjunct guard: its disjuncts are told apart by hashing, with
+    # no pairwise comparison of polyhedra
+    n = 500
+    ast = parse_program("while " + " or ".join(f"x >= {i}" for i in range(n))
+                        + " do x := x - 1 od")
+    calls = 0
+    compare = Polyhedron.__eq__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return compare(self, other)
+
+    monkeypatch.setattr(Polyhedron, "__eq__", counted)
+    p = lower_to_pcfg(ast)
+    assert len(p.transitions) == n + 2
+    assert calls <= n
