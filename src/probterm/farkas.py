@@ -275,31 +275,28 @@ def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
     zero holds everywhere and writes nothing.
 
     Each row is built once, as integers: the consequent's terms, then one
-    per multiplier in row order. Only a row with a denominator other than
-    1 goes through `integer_row`.
+    per multiplier in row order, through `integer_row`.
     """
     if not consequent:
         return []
     # the antecedent as A x <= b, an equality as its two halves; per half,
-    # the integer ratio of each entry of A and of -b
-    halves: List[Tuple[List[Tuple[int, int, int]], int, int]] = []
+    # the entries of A and -b
+    halves: List[Tuple[Dict[int, Fraction], Fraction]] = []
     for cons in antecedent.constraints:
         lhs = cons.lhs
-        entries = [(i, *a.as_integer_ratio()) for i, a in lhs.coeffs.items()]
-        n, d = lhs.constant.as_integer_ratio()
-        halves.append((entries, n, d))
+        halves.append((lhs.coeffs, lhs.constant))
         if cons.rel is Rel.EQ:
-            halves.append(([(i, -an, ad) for i, an, ad in entries], -n, d))
+            halves.append(({i: -a for i, a in lhs.coeffs.items()}, -lhs.constant))
 
     first = block.width + len(block.tags)
     lams = list(range(first, first + len(halves)))
     block.tags.extend([tag] * len(halves))
 
     # each row's multiplier terms are collected once, in row order
-    columns: Dict[int, List[Tuple[int, int, int]]] = {i: [] for i in consequent.coeffs}
-    for lam, (entries, _, _) in zip(lams, halves):
-        for i, n, d in entries:
-            columns.setdefault(i, []).append((lam, n, d))
+    columns: Dict[int, Dict[int, Fraction]] = {i: {} for i in consequent.coeffs}
+    for lam, (entries, _) in zip(lams, halves):
+        for i, a in entries.items():
+            columns.setdefault(i, {})[lam] = a
 
     # lam^T A = -c, per program variable
     for i in sorted(columns):
@@ -307,29 +304,18 @@ def encode_implication(antecedent: Polyhedron, consequent: LinExpr,
 
     # lam^T b <= d, written as  d - lam^T b >= 0
     block.rows.append(_row(consequent.constant,
-                           [(lam, n, d) for lam, (_, n, d) in zip(lams, halves) if n],
-                           RowRel.GE))
+                           {lam: k for lam, (_, k) in zip(lams, halves) if k}, RowRel.GE))
     return lams
 
 
-def _row(base: LinExpr, multipliers: List[Tuple[int, int, int]], rel: RowRel
+def _row(base: LinExpr, multipliers: Dict[int, Fraction], rel: RowRel
          ) -> Tuple[Dict[int, int], int, int, RowRel]:
-    """The block row  base + sum(n/d * lam)  rel  0, where `base` is a
-    `LinExpr` over the frame positions and each (lam, n, d) a multiplier
-    term."""
-    rhs, dens = base.constant.as_integer_ratio()
-    terms: Dict[int, int] = {}
-    for j, c in base.coeffs.items():
-        terms[j], d = c.as_integer_ratio()
-        dens *= d
-    for lam, n, d in multipliers:
-        terms[lam] = n
-        dens *= d
-    if dens == 1:   # every denominator is 1
-        return terms, -rhs, 1, rel
-    form = integer_row({**base.coeffs, **{lam: Fraction(n, d) for lam, n, d in multipliers}},
-                       -base.constant)
-    return form.terms, form.rhs, form.den, rel
+    """The block row  base + sum(a * lam)  rel  0, where `base` is a
+    `LinExpr` over the frame positions and `multipliers` maps each lam to
+    its a. The rhs that `integer_row` gives for base.constant, negated,
+    is the one it would give for -base.constant: its gcd has no sign."""
+    terms, rhs, den = integer_row({**base.coeffs, **multipliers}, base.constant)
+    return terms, -rhs, den, rel
 
 
 _LABEL_SPECIAL = re.compile(r"[^A-Za-z0-9_()]")

@@ -23,11 +23,9 @@ that read it, and a zero-rhs equality left with one live entry pins that
 one too. So a chain of pins is followed to its end, each row read a
 bounded number of times, and the pinned set, the least one closed under
 this rule, does not depend on the order pins are found in. A row with no
-live entry and right-hand side 0 is dropped exactly when some unknown is
-pinned, so every `c = 0` row of synthesis is; with no pin, a caller's
-row with no terms keeps a basic slack, or an artificial that the
-drive-out deletes. An empty row with a nonzero right-hand side is kept:
-phase 1 finds it infeasible. Columns and rows keep their relative
+live entry and right-hand side 0 is dropped, every `c = 0` row of
+synthesis among them. An empty row with a nonzero right-hand side is
+kept: phase 1 finds it infeasible. Columns and rows keep their relative
 order, and Bland's rule below sees them in it. A pinned unknown reads
 back as 0 and costs no pivot. Each tableau row is then built in one pass
 over its caller row: pins left out, free columns split, negated to a
@@ -322,8 +320,8 @@ def solve(num_vars: int,
                         live[i] -= 1
                         if live[i] == 1:
                             work.append(i)
-    # a row the pins leave as 0 = 0 is dropped; with no pin, no row is
-    kept = [i for i, ((_, r, _), _) in enumerate(rows) if r or live[i] or not pinned]
+    # a row the pins leave as 0 rel 0, or that has no terms, is dropped
+    kept = [i for i, ((_, r, _), _) in enumerate(rows) if r or live[i]]
 
     # column layout: none for a pinned var, one per nonneg var, two per free
     # var, then one slack per inequality and one artificial per row lacking

@@ -63,6 +63,7 @@ from .linear import LinExpr, Rel
 from .model import (Certificate, ExprUpdate, Invariant, NondetUpdate, PCFG,
                     ProbBranch, Transition)
 from .preexp import max_pre, nondet_endpoint
+from .simplex import integer_row
 
 # numpy, loaded at the first attribute access of `np` (see the module
 # docstring). A numpy already imported is reused, so its code runs once per
@@ -211,19 +212,9 @@ class Adversarial(Scheduler):
 # -- the compiled program -------------------------------------------------------
 
 # An integer form (terms, k) with terms ((i, a_i), ...) stands for
-# k + sum a_i * x_i; it is a linear expression times the lcm of its
-# denominators, so it has the sign of the expression.
-
-
-def _integer_form(coeffs: Mapping[int, Fraction], constant: Fraction,
-                  extra: Fraction = ZERO) -> Tuple[tuple, int, int]:
-    """(terms, k, scale) with scale the lcm of every denominator, `extra`
-    (a sample coefficient) included."""
-    scale = math.lcm(constant.denominator, extra.denominator,
-                     *(c.denominator for c in coeffs.values()))
-    terms = tuple((i, c.numerator * (scale // c.denominator))
-                  for i, c in coeffs.items())
-    return terms, constant.numerator * (scale // constant.denominator), scale
+# k + sum a_i * x_i: a linear expression times a positive integer, so it
+# has the sign of the expression. `integer_row` makes it, the expression's
+# constant entering as the negated right-hand side.
 
 
 def _canonical_form(e: LinExpr) -> Tuple[Tuple[tuple, int], int]:
@@ -231,8 +222,8 @@ def _canonical_form(e: LinExpr) -> Tuple[Tuple[tuple, int], int]:
     its integers, its terms sorted by variable and its first term (else
     its constant) made positive, so that proportional expressions share
     one form; `e` has the sign of the form times `flip`."""
-    terms, k, _ = _integer_form(e.coeffs, e.constant)
-    terms = sorted(terms)
+    terms, rhs, _ = integer_row(e.coeffs, -e.constant)
+    terms, k = sorted(terms.items()), -rhs
     flip = -1 if (terms[0][1] if terms else k) < 0 else 1
     g = math.gcd(k, *(a for _, a in terms)) * flip or 1
     return (tuple((i, a // g) for i, a in terms), k // g), flip
@@ -303,8 +294,10 @@ class _Assign(_Move):
     def __init__(self, t: Transition, coeffs: Mapping[int, Fraction], constant: Fraction,
                  coeff: Fraction, draw):
         super().__init__(t)
-        self.terms, self.k, self.scale = _integer_form(coeffs, constant, coeff)
-        self.s = coeff.numerator * (self.scale // coeff.denominator)
+        # column -1 is the sample
+        terms, rhs, self.scale = integer_row({**coeffs, -1: coeff}, -constant)
+        self.s = terms.pop(-1, 0)
+        self.terms, self.k = tuple(terms.items()), -rhs
         self.draw = draw
         self.target = t.kind.update.target
 

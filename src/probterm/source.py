@@ -112,14 +112,16 @@ class SourceProgram:
 KEYWORDS = {"while", "do", "od", "if", "then", "else", "fi", "skip",
             "prob", "ndet", "sample", "and", "or", "not", "true", "false"}
 
-# every character starts an alternative (`bad` takes any other), so the
-# matches tile the text. `\s`, `\d` and `\w` read Unicode as `isspace`,
-# `isdecimal` and `isalnum` (or "_") do; a word must also start with a
-# letter or "_", which `[^\W\d]` alone does not enforce (it takes "\u00b2")
-_TOKEN = re.compile(r"""\s+ | \#[^\n]*
-                        | (?P<num>\.?\d[\d.]*) | (?P<word>[^\W\d]\w*)
-                        | (?P<sym>:= | <= | >= | == | != | [-<>+*/()\[\],;:])
-                        | (?P<bad>.)""", re.VERBOSE)
+# one match per token: whitespace and comments are read as the prefix of
+# the token that follows them, and `eof` ends the text. Every other
+# character starts an alternative (`bad` takes any one that no token
+# does). `\s`, `\d` and `\w` read Unicode as `isspace`, `isdecimal` and
+# `isalnum` (or "_") do; a word must also start with a letter or "_",
+# which `[^\W\d]` alone does not enforce (it takes "\u00b2")
+_TOKEN = re.compile(r"""(?: \s+ | \#[^\n]* )*
+                        (?: (?P<num>\.?\d[\d.]*) | (?P<word>[^\W\d]\w*)
+                          | (?P<sym>:= | <= | >= | == | != | [-<>+*/()\[\],;:])
+                          | (?P<eof>\Z) | (?P<bad>.) )""", re.VERBOSE)
 
 
 class Token(NamedTuple):
@@ -133,7 +135,8 @@ class Token(NamedTuple):
 def tokenize(text: str) -> List[Token]:
     toks: List[Token] = []
     for m in _TOKEN.finditer(text):
-        kind, word, pos = m.lastgroup, m.group(), m.start()
+        kind = m.lastgroup
+        word, pos = m[kind], m.start(kind)
         if kind == "word" and (word[0].isalpha() or word[0] == "_"):
             kind = word if word in KEYWORDS else "ident"
         elif kind == "sym":
@@ -142,10 +145,9 @@ def tokenize(text: str) -> List[Token]:
             raise ProgramSyntaxError.at(text, pos, f"malformed number {word!r}")
         elif kind in ("word", "bad"):
             raise ProgramSyntaxError.at(text, pos, f"unexpected character {word[0]!r}")
-        if kind:
-            toks.append(Token(kind, word, pos))
-    toks.append(Token("eof", "", len(text)))
-    return toks
+        toks.append(Token(kind, word, pos))
+        if kind == "eof":   # which `finditer` may match twice at the end
+            return toks
 
 
 # -- parser ------------------------------------------------------------------

@@ -376,10 +376,14 @@ def test_certificate_roundtrip(fig1b, tmp_path):
 # -- the lowering oracle ------------------------------------------------------------
 
 
-# a probabilistic branch with two empty arms, alone and in a loop body
-EMPTY_ARMS = {
+# a probabilistic branch with two empty arms, alone and in a loop body;
+# and rational coefficients, constants, distribution and interval bounds
+# and branch probability in a loop that reads two variables
+INLINE = {
     "empty_arms": "if prob(1/2) then skip else skip fi; x := x + 1",
     "empty_arms_loop": "while x <= 5 do if prob(1/2) then skip else skip fi; x := x + 1 od",
+    "rational_updates": ("while x >= 1 do x := x / 3 + 2/5 * sample(unif(-1/2, 1)) - 1/7 + 3/4 * y; "
+                         "y := ndet[-1/3, 2/3]; if prob(2/7) then x := x - 1/2 else skip fi od"),
 }
 
 
@@ -393,9 +397,10 @@ EMPTY_ARMS = {
     ("bern_walk", {"x": 6}, 10 ** 5),
     ("empty_arms", {"x": 0}, 10 ** 3),
     ("empty_arms_loop", {"x": 0}, 10 ** 3),
+    ("rational_updates", {"x": Fraction(40, 3), "y": Fraction(1, 2)}, 10 ** 4),
 ])
 def test_ast_and_graph_traces_agree(name, init, cap):
-    ast = parse_program(EMPTY_ARMS[name]) if name in EMPTY_ARMS else load_fixture_ast(name)
+    ast = parse_program(INLINE[name]) if name in INLINE else load_fixture_ast(name)
     p = lower_to_pcfg(ast)
     assert validate_pcfg(p) == []
     values = [Fraction(init.get(v, 0)) for v in p.variables]

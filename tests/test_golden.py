@@ -402,6 +402,46 @@ def test_lowering_digest():
     assert h.hexdigest() == LOWERING_DIGEST
 
 
+# Branches whose arms carry no update: which of an arm's no-op edges the
+# contraction keeps depends on the order it visits locations, and
+# `lowering_program` never draws such arms (its probabilistic else arm
+# ends in an assignment). A seeded set of their own is pinned the same way.
+
+EMPTY_ARMS_SEED = 11
+EMPTY_ARMS_PROGRAMS = 300
+EMPTY_ARMS_DIGEST = "417ea50a69b1796f9c77ee3fce55385cf1f6d851a50995c4ed11478910666284"
+
+
+def empty_arms_program(rng: random.Random) -> str:
+    """One to three `if prob` and `if *` branches over x and y, in a loop
+    or not, each arm `skip`, `skip; skip`, an assignment, a nested empty
+    `if *` or a loop."""
+
+    def arm():
+        v = rng.choice("xy")
+        return rng.choice(["skip", "skip; skip", f"{v} := {v} - 1",
+                           "if * then skip else skip fi",
+                           f"while {v} >= 1 do {v} := {v} - 1 od"])
+
+    def branch():
+        head = rng.choice(["if prob(1/3)", "if *"])
+        return f"{head} then {arm()} else {arm()} fi"
+
+    body = "; ".join(branch() for _ in range(rng.randint(1, 3)))
+    return body if rng.random() < 0.3 else f"while x >= 0 do {body}; x := x - 1 od"
+
+
+def test_empty_arms_lowering_digest():
+    rng = random.Random(EMPTY_ARMS_SEED)
+    h = hashlib.sha256()
+    for _ in range(EMPTY_ARMS_PROGRAMS):
+        src = empty_arms_program(rng)
+        p = lower_to_pcfg(parse_program(src))
+        assert validate_pcfg(p) == [], src
+        h.update(json.dumps(pcfg_to_json(p), sort_keys=True).encode())
+    assert h.hexdigest() == EMPTY_ARMS_DIGEST
+
+
 # -- golden checker reports -------------------------------------------------------
 #
 # The sha256 of each `check_certificate(...).as_dict()` dumped with sorted

@@ -2,10 +2,10 @@
 top and uses every name it imports, keeps no memo across calls, runs in
 one process that no environment variable configures, catches no error it
 does not name, defines no function or class that nothing names, keeps
-one linear-form algebra, raises each resource limit only where it is
-enforced, answers every polyhedral query through one function, keeps the
-LP row record in `farkas`, and draws the simulator's uniforms from raw
-words."""
+one linear-form algebra and one integer form, raises each resource
+limit only where it is enforced, answers every polyhedral query through
+one function, keeps the LP row record in `farkas`, and draws the
+simulator's uniforms from raw words."""
 
 import ast
 import pathlib
@@ -272,6 +272,39 @@ def test_arithmetic_operator_is_detected():
                      "class B:\n    x = 1\n    def __neg__(self): pass\n"
                      "def __sub__(a, b): pass\n")
     assert _arithmetic(tree) == [2, 4, 5, 9]
+
+
+# each call that turns a rational into integers -> the modules that may
+# make it: `simplex.integer_row` is the one place a rational linear form
+# becomes integers, and `distributions` reads a float draw exactly
+INTEGER_CALLS = {"lcm": {"simplex.py"}, "as_integer_ratio": {"simplex.py", "distributions.py"}}
+
+
+def _integer_calls(tree: ast.Module) -> list:
+    """(name, line) of every call of a function or method named in
+    `INTEGER_CALLS`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in INTEGER_CALLS:
+                found.append((name, node.lineno))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_integer_form(path):
+    # a second integer form would repeat `integer_row`'s scaling and
+    # reduction, and could order or reduce a row differently
+    found = _integer_calls(ast.parse(path.read_text()))
+    assert [(name, line) for name, line in found
+            if path.name not in INTEGER_CALLS[name]] == []
+
+
+def test_integer_call_is_detected():
+    tree = ast.parse("from math import lcm\nscale = lcm(a, b)\nn, d = x.as_integer_ratio()\n"
+                     "g = math.lcm(*dens)\nk = x.denominator\nf = lcm\n")
+    assert _integer_calls(tree) == [("as_integer_ratio", 3), ("lcm", 2), ("lcm", 4)]
 
 
 # each resource limit -> the one module that enforces it

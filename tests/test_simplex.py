@@ -519,12 +519,14 @@ def test_recheck_rejects_a_perturbed_point_on_an_integral_row():
 
 def _rounds_start(n, nonneg, rows):
     """The tableau start the presolve by rounds and a row-by-row build
-    give: pin every one-entry zero-rhs equality, delete the pins from
-    every row and drop 0 = 0, until nothing is pinned; then split each
-    row, add its slack, negate it to a nonnegative right-hand side (or a
-    basic slack), and start it on its own column, its slack or an
-    artificial. Returns the rows' items, rhs, den, basis and artificials."""
+    give: drop every row 0 rel 0; pin every one-entry zero-rhs equality,
+    delete the pins from every row and drop 0 rel 0, until nothing is
+    pinned; then split each row, add its slack, negate it to a
+    nonnegative right-hand side (or a basic slack), and start it on its
+    own column, its slack or an artificial. Returns the rows' items, rhs,
+    den, basis and artificials."""
     pinned = set()
+    rows = [(row, rel) for row, rel in rows if row[0] or row[1]]
     while pins := {j for (t, r, _), rel in rows if r == 0 and rel is RowRel.EQ and len(t) == 1
                    for j in t}:
         pinned |= pins
@@ -605,6 +607,23 @@ def test_tableau_start_matches_the_presolve_by_rounds(seed, make, monkeypatch):
         n, nonneg, rows, obj = make(rng)
         _assert_same_start(monkeypatch, n, nonneg, [(integer_row(c, b), rel) for c, rel, b in rows],
                            integer_row(obj, F(0)))
+
+
+def test_row_without_terms_and_rhs_zero_is_dropped_without_a_pin(monkeypatch):
+    # nothing is pinned, and each 0 rel 0 row gets no tableau row, so no
+    # artificial that the drive-out would have to delete
+    starts = []
+
+    class Recording(_TABLEAU):
+        def __init__(self, rows, *args):
+            starts.append(len(rows))
+            super().__init__(rows, *args)
+
+    monkeypatch.setattr(simplex, "_Tableau", Recording)
+    rows = [(IntRow({}, 0, 1), rel) for rel in RowRel] + [(IntRow({0: 1, 1: 1}, 2, 1), RowRel.LE)]
+    r = simplex.solve(2, [True, True], rows, IntRow({0: 1}, 0, 1))
+    assert starts == [1]
+    assert r.status is LPStatus.OPTIMAL and r.value == 2 and r.pivots == 1
 
 
 @pytest.mark.parametrize("name", list(PROGRAMS))
