@@ -148,11 +148,15 @@ class _Builder:
     # -- canonical naming ----------------------------------------------------
 
     def finish(self, entry: str) -> PCFG:
-        order = [entry]
+        out_of: Dict[str, List[Transition]] = {}
+        for t in self.transitions:
+            out_of.setdefault(t.source, []).append(t)
+        order, seen = [entry], {entry, self.terminal}
         for loc in order:  # breadth first: `order` grows while it is read
-            for t in self.transitions:
+            for t in out_of.get(loc, ()):
                 for d in t.destinations():
-                    if t.source == loc and d not in order and d != self.terminal:
+                    if d not in seen:
+                        seen.add(d)
                         order.append(d)
         rename = {loc: f"l{i}" for i, loc in enumerate(order)}
         locations = list(rename.values()) + ["out"]

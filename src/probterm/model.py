@@ -179,7 +179,9 @@ def validate_pcfg(p: PCFG) -> List[Diagnostic]:
                               p.terminal_location))
 
     seen_ids = set()
+    out_of: Dict[str, List[Transition]] = {}
     for t in p.transitions:
+        out_of.setdefault(t.source, []).append(t)
         if t.id in seen_ids:
             out.append(Diagnostic("DuplicateTransitionId", "transition id reused", t.id))
         seen_ids.add(t.id)
@@ -211,7 +213,7 @@ def validate_pcfg(p: PCFG) -> List[Diagnostic]:
                                       f"guard uses undeclared variable index {bad[0]}", t.id))
 
     for loc in p.locations:
-        outs = p.outgoing(loc)
+        outs = out_of.get(loc, [])
         if loc == p.terminal_location:
             for t in outs:
                 if t.destinations() != [loc]:

@@ -51,7 +51,8 @@ def _support(obj, path) -> Tuple[Optional[Fraction], Optional[Fraction]]:
     ends = _get(obj, "support", path, list)
     if len(ends) != 2:
         raise FormatError("support must list two interval ends", f"{path}.support")
-    return tuple(_rat(end, f"{path}.support", parse_bound) for end in ends)
+    return tuple(_rat(end, f"{path}.support", lambda text: parse_bound(text, lower=lower))
+                 for end, lower in zip(ends, (True, False)))
 
 
 def _read_json(path: str):

@@ -7,22 +7,34 @@ converted exactly via `Fraction(float)`.
 
 Interchange encoding is ``str`` of the Fraction, ``"p/q"`` (or ``"p"`` for
 integers);
-the pseudo-values ``"-inf"``/``"inf"`` stand for unbounded interval ends
-and are represented in memory as ``None``.
+the pseudo-values ``"-inf"``/``"inf"`` stand for an unbounded lower and
+upper interval end, each for its own end only, and are represented in
+memory as ``None``.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Optional, Union
 
 RationalLike = Union[Fraction, int, str]
 
+# a decimal string as `Fraction` reads it: sign, mantissa, exponent
+_DECIMAL = re.compile(r"[-+]?([\d_]*)(?:\.([\d_]*))?(?:e([-+]?[\d_]+))?", re.I)
+
+# the spellings of an unbounded interval end, by the end they may stand for
+_INFINITE = {True: ("-inf", "-oo"), False: ("inf", "+inf", "oo", "+oo")}
+
 
 def rat(value: RationalLike) -> Fraction:
     """Coerce ints, ``"p/q"`` strings and decimal strings to Fraction. A
     bool is refused, although Python counts it as an int: JSON `true` is
-    not a number."""
+    not a number. So is a decimal string whose numerator or denominator
+    could have more digits than `sys.get_int_max_str_digits()` (0 is no
+    limit), its mantissa digits plus the magnitude of its exponent, before
+    `Fraction` builds a power of ten that large."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -30,16 +42,28 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text, limit = value.strip(), sys.get_int_max_str_digits()
+        m = _DECIMAL.fullmatch(text)
+        if m and limit:
+            digits = len(f"{m[1]}{m[2] or ''}".replace("_", "")) + abs(int(m[3] or 0))
+            if digits > limit:
+                raise ValueError(f"its numerator or denominator could have {digits} "
+                                 f"digits, more than the limit of {limit}")
+        return Fraction(text)
     raise TypeError(f"not a rational: {value!r}")
 
 
-def parse_bound(text: RationalLike) -> Optional[Fraction]:
-    """Parse an interval endpoint; ``"-inf"``/``"inf"`` map to None, and
+def parse_bound(text: RationalLike, *, lower: bool) -> Optional[Fraction]:
+    """Parse the lower or upper end of an interval: an infinity of the
+    end's own sign maps to None, one of the other sign is refused, and
     anything else is coerced by `rat`."""
-    if isinstance(text, str) and text.strip().lower() in (
-            "-inf", "inf", "+inf", "-oo", "oo", "+oo"):
-        return None
+    if isinstance(text, str):
+        spelling = text.strip().lower()
+        if spelling in _INFINITE[lower]:
+            return None
+        if spelling in _INFINITE[not lower]:
+            raise ValueError(f"{'a lower' if lower else 'an upper'} end cannot be "
+                             f"{'plus' if lower else 'minus'} infinity")
     return rat(text)
 
 

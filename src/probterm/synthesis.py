@@ -47,20 +47,21 @@ maps this prunes the unique maximal rankable set, which is what makes
 the bounded-support procedure a decision procedure of minimal dimension.
 
 Programs that sample from unbounded-support distributions go through the
-variant procedure: templates first keep a zero coefficient, a `c = 0`
-row, on every variable written by an unbounded-sampling transition at
-that transition's target location; when no progress is possible, the
-procedure tries to unlock one such coefficient at a time (each once),
-forcing the unlocked transition (and every other unbounded-sampling
-transition into the same target) to be 1-ranked by the new component.
+general procedure, the same loop with other attempts: templates first
+keep a zero coefficient, a `c = 0` row, on every variable written by an
+unbounded-sampling transition at that transition's target; when no
+progress is possible, an iteration unlocks one such coefficient at a
+time (each once), forcing the unlocked transition (and every other
+unbounded-sampling transition into the same target) to be 1-ranked by
+the new component, and the certificate is not raised.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .farkas import Block, LPProblem, check_feasible, encode_implication, solve_lp
 from .linear import LinConstraint, LinExpr, Polyhedron
@@ -154,11 +155,11 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
     out = SynthesisLP(lp, columns,
                       {t.id: lp.add_var(f"eps[{t.id}]", nonneg=True) for t in order})
     for t in order:
-        key = (t.id, frozenset(u.id for loc in t.destinations() for u in p.outgoing(loc)
-                               if u.id in unranked_set) if t.is_pb else frozenset())
-        block = blocks.get(key)
+        open_ids = frozenset(u.id for loc in t.destinations() for u in p.outgoing(loc)
+                             if u.id in unranked_set) if t.is_pb else frozenset()
+        block = blocks.get((t.id, open_ids))
         if block is None:
-            block = blocks[key] = _encode(p, inv, t, unranked_set)
+            block = blocks[t.id, open_ids] = _encode(p, inv, t, open_ids)
         block.replay(lp, out.frame(t))
         out.dropped_implications += block.dropped
         out.emitted_implications += block.emitted
@@ -190,10 +191,11 @@ def pre_and_bounds(p: PCFG, templates: Dict[str, LinExpr],
                         LinConstraint.le(y - LinExpr.const(update.hi))]))
 
 
-def _encode(p: PCFG, inv: Invariant, t: Transition, unranked_set: Set[str]) -> Block:
+def _encode(p: PCFG, inv: Invariant, t: Transition, open_ids: frozenset) -> Block:
     """The side conditions of transition `t` that the LP encodes (see the
     module docstring), encoded straight into the rows of a block, whose
-    first columns stand for the positions of `t`'s frame."""
+    first columns stand for the positions of `t`'s frame. `open_ids`, the
+    memo key's second half, is all that (4) reads of the unranked set."""
     position = itertools.count()
     templates = {loc: LinExpr.owning({i: LinExpr.var(next(position)) for i in range(len(p.variables))},
                                      LinExpr.var(next(position)))
@@ -225,7 +227,7 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, unranked_set: Set[str]) -> B
     # (4) restricted expectation across unranked probabilistic branches,
     # over the successor states where no unranked transition is enabled
     if t.is_pb:
-        for ctx, expr in pre_pb_restricted(p, templates, t, unranked_set):
+        for ctx, expr in pre_pb_restricted(p, templates, t, open_ids):
             for ante in inv.antecedents(t, ctx):
                 emit(ante, [(expr, f"eb.{t.id}")])
     return block
@@ -255,17 +257,6 @@ class IterationRecord:
 
 
 @dataclass
-class IterationState:
-    unranked: List[str]
-    components: List[Dict[str, LinExpr]] = field(default_factory=list)
-    history: List[IterationRecord] = field(default_factory=list)
-    # encoded side conditions of this run, shared by every iteration LP
-    blocks: BlockMemo = field(default_factory=dict)
-    # the LP whose optimum gave component 1
-    first_lp: Optional[LPProblem] = None
-
-
-@dataclass
 class SynthesisResult:
     certificate: Optional[Certificate]
     history: List[IterationRecord]
@@ -282,53 +273,6 @@ ProgressFn = Callable[[dict], None]
 Attempts = Callable[[List[str]], Iterable[Tuple[TemplateRestriction, Optional[str]]]]
 
 
-def _try_iteration(p: PCFG, inv: Invariant, state: IterationState,
-                   restrict: TemplateRestriction, index: int,
-                   tau0: Optional[str] = None) -> Optional[IterationRecord]:
-    """Solve one iteration LP; on ranking progress, update `state` and
-    return the record, else return None. The simplex raises PivotCapReached
-    when the LP, or one of its feasibility screens, hits the pivot cap: a
-    capped LP has no answer, so it cannot show that nothing ranks."""
-    before = list(state.unranked)
-    slp = build_lp(p, inv, state.unranked, restrict, blocks=state.blocks)
-    sol = solve_lp(slp.lp)
-    if sol.status is not LPStatus.OPTIMAL:
-        return None
-    eps_values = {tid: sol.x[k] for tid, k in slp.eps.items()}
-    ranked = [tid for tid in state.unranked if eps_values[tid] > 0]
-    if not ranked:
-        return None
-    scale = ONE / min(eps_values[tid] for tid in ranked)
-    component = {loc: e.scale(scale)
-                 for loc, e in slp.component_at(sol.x).items()}
-    if not state.components:
-        state.first_lp = slp.lp
-    state.components.append(component)
-    state.unranked = [tid for tid in state.unranked if eps_values[tid] <= 0]
-    return IterationRecord(index, before, ranked, slp.lp.num_vars(),
-                           slp.lp.num_constraints(), sol.value, tau0)
-
-
-def _iterate(p: PCFG, inv: Invariant, attempts: Attempts,
-             progress: ProgressFn | None) -> Tuple[IterationState, bool]:
-    """Add one component per iteration until every transition is ranked
-    (True) or an iteration ranks none (False). An iteration solves the
-    LPs of `attempts` in order and keeps the first that ranks."""
-    state = IterationState([t.id for t in p.non_terminal_transitions()])
-    while state.unranked:
-        index = len(state.history) + 1
-        for restrict, tau0 in attempts(state.unranked):
-            record = _try_iteration(p, inv, state, restrict, index, tau0)
-            if record is not None:
-                break
-        else:
-            return state, False
-        state.history.append(record)
-        if progress:
-            progress(record.as_dict())
-    return state, True
-
-
 def extract_level_map(p: PCFG, history: List[IterationRecord]) -> LevelMap:
     """Transition level = index of the iteration that ranked it; terminal
     self-loops sit at level 0."""
@@ -342,17 +286,50 @@ def extract_level_map(p: PCFG, history: List[IterationRecord]) -> LevelMap:
     return levels
 
 
-def _assemble(p: PCFG, state: IterationState, mode: CertificateMode,
-              support_bound: Fraction) -> SynthesisResult:
-    """The certificate, each component raised by 2 * support_bound * max|coefficient|."""
-    dim = len(state.components)
-    components = {loc: [comp[loc] for comp in state.components] for loc in p.locations}
-    lem = LinExprMap(dim, components)
+def _iterate(p: PCFG, inv: Invariant, attempts: Attempts, progress: ProgressFn | None,
+             mode: CertificateMode, support_bound: Fraction, failure: str) -> SynthesisResult:
+    """The synthesis loop of both procedures. Each iteration solves the
+    LPs of `attempts` in order and keeps the first whose optimum ranks a
+    transition: its template, scaled by 1/min(positive eps), is the next
+    component. Once every transition is ranked, the certificate raises
+    each component by 2 * support_bound * max|coefficient|; when an
+    iteration ranks none, the result is `failure`. One block memo serves
+    every LP of the run. The simplex raises PivotCapReached when an LP,
+    or one of its feasibility screens, hits the pivot cap: a capped LP
+    has no answer, so it cannot show that nothing ranks."""
+    unranked = [t.id for t in p.non_terminal_transitions()]
+    components: List[Dict[str, LinExpr]] = []
+    history: List[IterationRecord] = []
+    blocks: BlockMemo = {}
+    first_lp: Optional[LPProblem] = None
+    while unranked:
+        for restrict, tau0 in attempts(unranked):
+            slp = build_lp(p, inv, unranked, restrict, blocks=blocks)
+            sol = solve_lp(slp.lp)
+            if sol.status is LPStatus.OPTIMAL:
+                eps = {tid: sol.x[k] for tid, k in slp.eps.items()}
+                ranked = [tid for tid in unranked if eps[tid] > 0]
+                if ranked:
+                    break
+        else:
+            return SynthesisResult(None, history, failure)
+        scale = ONE / min(eps[tid] for tid in ranked)
+        components.append({loc: e.scale(scale) for loc, e in slp.component_at(sol.x).items()})
+        if first_lp is None:
+            first_lp = slp.lp
+        record = IterationRecord(len(history) + 1, unranked, ranked, slp.lp.num_vars(),
+                                 slp.lp.num_constraints(), sol.value, tau0)
+        history.append(record)
+        unranked = [tid for tid in unranked if eps[tid] <= 0]
+        if progress:
+            progress(record.as_dict())
+    lem = LinExprMap(len(components), {loc: [comp[loc] for comp in components]
+                                       for loc in p.locations})
     shift = 2 * support_bound * lem.max_abs_coeff()
     if shift:
         lem = lem.shifted(shift)
-    cert = Certificate(lem, extract_level_map(p, state.history), shift, mode)
-    return SynthesisResult(cert, state.history, first_lp=state.first_lp)
+    return SynthesisResult(Certificate(lem, extract_level_map(p, history), shift, mode),
+                           history, first_lp=first_lp)
 
 
 def synthesize_bsp(p: PCFG, inv: Invariant,
@@ -370,14 +347,10 @@ def synthesize_bsp(p: PCFG, inv: Invariant,
     if not bounded:
         raise MissingBoundedSupport("program samples from an unbounded-support "
                                     "distribution; use the general procedure")
-    state, ranked_all = _iterate(
-        p, inv, lambda unranked: [(TemplateRestriction(), None)], progress)
-    if not ranked_all:
-        return SynthesisResult(None, state.history,
-                               "an iteration ranked no transition: no linear "
-                               "certificate of this shape exists for the given "
-                               "invariant")
-    return _assemble(p, state, CertificateMode.BSP_COMPLETE, support_bound)
+    return _iterate(p, inv, lambda unranked: [(TemplateRestriction(), None)], progress,
+                    CertificateMode.BSP_COMPLETE, support_bound,
+                    "an iteration ranked no transition: no linear certificate "
+                    "of this shape exists for the given invariant")
 
 
 def synthesize_general(p: PCFG, inv: Invariant,
@@ -412,9 +385,6 @@ def synthesize_general(p: PCFG, inv: Invariant,
             yield TemplateRestriction(zero_coeffs=zeros - {(target, var)},
                                       forced_rank=cohort), tau0
 
-    state, ranked_all = _iterate(p, inv, attempts, progress)
-    if not ranked_all:
-        return SynthesisResult(None, state.history,
-                               "no component can rank further transitions "
-                               "under the zero-coefficient discipline")
-    return _assemble(p, state, CertificateMode.GENERAL_SOUND, ZERO)
+    return _iterate(p, inv, attempts, progress, CertificateMode.GENERAL_SOUND, ZERO,
+                    "no component can rank further transitions under the "
+                    "zero-coefficient discipline")

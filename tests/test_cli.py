@@ -619,6 +619,18 @@ def _custom_pcfg(d, mean="-1", support=("-2", "0")):
     return str(path)
 
 
+def _exponent_branch_pcfg(d):
+    """The branching fixture, lowered, with branch probabilities 1e-L and
+    0.99...9 (L nines) for the digit limit L: they sum to one, and each
+    has L + 1 digits in its denominator."""
+    doc = pcfg_to_json(load_fixture("branching")[0])
+    branch = next(tj for tj in doc["transitions"] if tj["kind"] == "pb")
+    branch["p1"], branch["p2"] = f"1e-{DIGIT_LIMIT}", "0." + "9" * DIGIT_LIMIT
+    path = d / "exponent.pcfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def _empty_interval_pcfg(d):
     """The branching fixture, lowered, with its demonic assignment over the
     empty interval [1, 0]."""
@@ -744,6 +756,14 @@ MALFORMED = {
     "non-utf8-source": (2, lambda d: _source(d, "x := 1 \u00e9", "latin-1")),
     "init-zero-denominator": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                             "--init", "x=1/0"]),
+    "init-exponent-beyond-digit-limit": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "1",
+                                                       "--cap", "1",
+                                                       "--init", f"x=1e{DIGIT_LIMIT}"]),
+    "pcfg-exponent-beyond-digit-limit": (3, lambda d: ["simulate", _exponent_branch_pcfg(d),
+                                                       "--runs", "1", "--cap", "1"]),
+    "support-upper-end-minus-inf": (3, lambda d: ["synthesize",
+                                                  _custom_pcfg(d, support=("-2", "-inf")),
+                                                  "--mode", "general", "-o", str(d / "c.json")]),
     "init-variable-twice": (3, lambda d: ["simulate", FIG2RIGHT, "--runs", "2",
                                           "--init", "x=1, x=2, y=3",
                                           "--trace-out", str(d / "t.jsonl")]),
@@ -859,6 +879,26 @@ def test_digit_limit_errors_name_their_input(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: --trace-out: run 0 ends with a value whose numerator or denominator "
         f"has more than {DIGIT_LIMIT} digits\n")
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no digit limit is set")
+def test_exponent_errors_name_their_input_and_the_limit(tmp_path, capsys):
+    # a decimal exponent is refused before `Fraction` builds its power of ten
+    past = (f"its numerator or denominator could have {DIGIT_LIMIT + 1} digits, "
+            f"more than the limit of {DIGIT_LIMIT}\n")
+    assert cli.main(MALFORMED["init-exponent-beyond-digit-limit"][1](tmp_path)) == 3
+    assert capsys.readouterr() == ("", f"error: --init x: bad rational '1e{DIGIT_LIMIT}': {past}")
+    assert cli.main(MALFORMED["pcfg-exponent-beyond-digit-limit"][1](tmp_path)) == 3
+    assert capsys.readouterr().err == (
+        f"error: $.transitions[4].p1: bad rational '1e-{DIGIT_LIMIT}': {past}")
+
+
+def test_upper_end_minus_inf_names_the_support(tmp_path, capsys):
+    # once read as the upper end +inf
+    assert cli.main(MALFORMED["support-upper-end-minus-inf"][1](tmp_path)) == 3
+    assert capsys.readouterr() == ("", "error: $.transitions[1].update.sample.dist.support: "
+                                       "bad rational '-inf': an upper end cannot be "
+                                       "minus infinity\n")
 
 
 def test_init_names_the_variable_given_twice(tmp_path, capsys):

@@ -14,6 +14,8 @@ from probterm import (DistributionSpec, FormatError, MultipleSamplesInAssignment
                       SampleInPredicate, check_bsp, lower_to_pcfg, parse_program,
                       run_ast, validate_pcfg)
 from probterm.linear import Polyhedron
+from probterm.lowering import _Builder
+from probterm.rationals import rat
 from probterm.pcfg_io import (dist_from_json, dist_to_json, invariant_from_json, load_pcfg,
                               pcfg_from_json, pcfg_to_json)
 from probterm.simulate import UniformRandom, run_rngs, run_trajectory
@@ -354,6 +356,41 @@ def test_custom_distribution_goes_through_json():
     assert dist_to_json(spec) == dist
 
 
+@pytest.mark.parametrize("support,read", [
+    (["-inf", "inf"], (None, None)), (["-oo", "+oo"], (None, None)),
+    (["-2", "oo"], (-2, None)), (["-inf", "+inf"], (None, None)),
+    (["-2", "-inf"], "an upper end cannot be minus infinity"),
+    (["inf", "0"], "a lower end cannot be plus infinity"),
+    (["+oo", "-oo"], "a lower end cannot be plus infinity"),
+    (["inf", "-inf"], "a lower end cannot be plus infinity")])
+def test_an_infinite_end_has_its_own_sign(support, read):
+    # `-inf` as an upper end was read as `+inf`, `inf` as a lower end as `-inf`
+    dist = _dist("custom", {"sampler": "mine"}, "-1", support)
+    if isinstance(read, str):
+        with pytest.raises(FormatError, match=rf"^\$\.support: bad rational .*: {read}$"):
+            dist_from_json(dist, "$")
+    else:
+        spec = dist_from_json(dist, "$")
+        assert (spec.support_lo, spec.support_hi) == read
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit is set")
+@pytest.mark.parametrize("template", ["1e{}", "-1E-{}", "0.5e{}", "1_0.e-{}", " 2e+{} "])
+def test_rational_exponent_at_the_digit_limit(template):
+    # mantissa digits plus the exponent's magnitude, at the limit and one past
+    limit = sys.get_int_max_str_digits()
+    at, past = (template.format(limit - sum(c.isdigit() for c in template) + k)
+                for k in (0, 1))
+    assert dist_from_json({"kind": "discrete", "params": {"values": [[at, "1"]]}},
+                          "$").mean == rat(at)
+    message = (f"its numerator or denominator could have {limit + 1} digits, "
+               f"more than the limit of {limit}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rat(past)
+    with pytest.raises(FormatError, match=rf"^\$: bad rational .*: {message}$"):
+        dist_from_json({"kind": "discrete", "params": {"values": [[past, "1"]]}}, "$")
+
+
 def test_loaded_fixture_passes_validation():
     p = load_pcfg(fixture_path("fig2left.pcfg.json"))
     assert validate_pcfg(p) == []
@@ -435,6 +472,32 @@ def test_repeated_disjuncts_lower_once(src, transitions):
                              record_states=False)
         assert ref.terminated and sim.terminated, seed
         assert (ref.draws, ref.values) == (sim.draws, sim.final_values), seed
+
+
+class _CountedList(list):
+    """A list that counts how often it is iterated."""
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_renaming_and_validation_read_the_transitions_a_fixed_number_of_times():
+    # 200 sequential `if`s, not contracted: naming the locations breadth
+    # first and checking that each has an exit read the transition list
+    # a fixed number of times, not once per location
+    n = 200
+    ast = parse_program("y := 0; " + "; ".join(["if y >= 0 then y := y + 1 "
+                                                  "else y := y - 1 fi"] * n))
+    builder = _Builder(ast.variables)
+    entry = builder.fresh()
+    builder.lower(ast.body, entry, builder.terminal)
+    builder.transitions = _CountedList(builder.transitions)
+    p = builder.finish(entry)
+    assert len(p.locations) > 3 * n and builder.transitions.reads <= 2
+    p.transitions = _CountedList(p.transitions)
+    assert validate_pcfg(p) == [] and p.transitions.reads == 1
 
 
 def test_distinct_disjuncts_are_found_in_linear_time(monkeypatch):
