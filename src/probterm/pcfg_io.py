@@ -40,11 +40,24 @@ def _get(obj, key, path, expected=None):
     return value
 
 
+SHOWN = 40
+"""The most characters of a refused value's repr that an error repeats."""
+
+
+def _brief(value) -> str:
+    """The repr of `value`; past `SHOWN` characters, its start and length."""
+    text = repr(value)
+    return text if len(text) <= SHOWN else f"{text[:SHOWN]}... ({len(text)} characters)"
+
+
 def _rat(text, path, parse=rat) -> Fraction:
     try:
         return parse(text)
     except (ValueError, TypeError, ZeroDivisionError) as e:
-        raise FormatError(f"bad rational {text!r}: {e}", path)
+        # `rat` and `Fraction` repeat the value, stripped, in their messages
+        value = text.strip() if isinstance(text, str) else text
+        raise FormatError(f"bad rational {_brief(text)}: "
+                          f"{str(e).replace(repr(value), _brief(value))}", path)
 
 
 def _support(obj, path) -> Tuple[Optional[Fraction], Optional[Fraction]]:

@@ -12,7 +12,10 @@ random numbers: as easy as 1, 2, 3", SC 2011). For the same seed these
 streams differ from those of earlier versions, where run i drew from
 `default_rng([seed, i])`. Every estimate is made in one process.
 
-Every entry point compiles the graph once per call into a `Program`. A
+Every entry point compiles the graph once per call into a `Program`
+and runs it through one loop, `Program.runs`, which runs all the runs
+of the call in one frame and holds all of a step's arithmetic; an edge
+is a slotted record that the loop reads, with no method of its own. A
 run's state is a list of numerators and one of denominators, each value
 in lowest terms; `Fraction`s are built only for recorded states and the
 real choices of a scheduler that reads the values, and a report builds
@@ -22,17 +25,20 @@ first term positive (`x >= 0` and `x < 0` read one form). A step takes
 each form's sign once and looks its enabled edges up by the tuple of
 signs, in a table that fills as runs reach sign vectors. An update
 builds its new value, sample included, as one integer ratio reduced by
-one gcd. Every uniform draw (a branch, a demonic interval, a uniform,
-Bernoulli or discrete sample, a scheduler's choice) reads one raw 64-bit
-word w of the run's bit generator as the exact ratio m / 2**53 with
-m = w >> 11, the value `Generator.random()` returns for that word, and
-random tests compare it against the exact probability in integers. Only
-the uniform scheduler's choice among n enabled transitions builds the
-float u = m * 2**-53 and takes int(u * n), as the AST interpreter does:
-the exact floor of m * n / 2**53 differs where u * n rounds up to an
-integer. Normals and custom samplers call the Generator, which reads the
-same word stream. The state, the rng stream and the order of draws are
-those of the plain small-step semantics.
+one gcd; a uniform sample or a demonic interval enters it as the
+integer m of one unit draw, its 2**53 folded into the update's
+denominator. Every uniform draw (a branch, a demonic interval, a
+uniform, Bernoulli or discrete sample, a scheduler's choice) reads one
+raw 64-bit word w of the run's bit generator as the exact ratio
+m / 2**53 with m = w >> 11, the value `Generator.random()` returns for
+that word, and random tests compare it against the exact probability in
+integers. Only the uniform scheduler's choice among n enabled
+transitions builds the float u = m * 2**-53 and takes int(u * n), as
+the AST interpreter does: the exact floor of m * n / 2**53 differs
+where u * n rounds up to an integer. Normals and custom samplers call
+the Generator, which reads the same word stream. The state, the rng
+stream and the order of draws are those of the plain small-step
+semantics.
 
 The built-in counterexample process is no program: its runs are
 exchangeable, so it keeps only how many are still going, and each step
@@ -53,12 +59,11 @@ import importlib.util
 import math
 import operator
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .distributions import UNIT_BITS
+from .distributions import UNIT_BITS, DistKind
 from .linear import LinExpr, Rel
 from .model import (Certificate, ExprUpdate, Invariant, NondetUpdate, PCFG,
                     ProbBranch, Transition)
@@ -77,6 +82,7 @@ if (np := sys.modules.get("numpy")) is None:
     _spec.loader.exec_module(np)
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 DEFAULT_ESTIMATE_CAP = 10 ** 6
 
@@ -88,23 +94,24 @@ MAX_SEED = 2 ** 128 - 1
 def run_rngs(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
     """Run i's stream, for i in `indices`, in order: numpy's Philox with
     key `seed` and counter words (0, 0, i, 0), its buffer empty. One
-    Generator is reused and pointed at each stream in turn, so a yielded
-    generator is only valid until the next one is taken. A seed outside
-    0..`MAX_SEED` or an index outside 0..2**64 - 1 raises `ValueError`."""
+    Generator is reused and re-seated on each stream by writing i into
+    one state dict, so a yielded generator is only valid until the next
+    one is taken. A seed outside 0..`MAX_SEED` or an index outside
+    0..2**64 - 1 raises `ValueError`."""
     seed = operator.index(seed)
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must lie in 0..{MAX_SEED}")
-    key = [seed & 0xFFFFFFFFFFFFFFFF, seed >> 64]
-    buffer = [0] * 4
+    counter = [0] * 4
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter, "key": [seed & 0xFFFFFFFFFFFFFFFF, seed >> 64]},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     rng = np.random.Generator(np.random.Philox(key=seed))
     bit_generator = rng.bit_generator
     for i in map(operator.index, indices):
         if not 0 <= i < 1 << 64:
             raise ValueError("run indices must lie in 0..2**64 - 1")
-        bit_generator.state = {"bit_generator": "Philox",
-                               "state": {"counter": [0, 0, i, 0], "key": key},
-                               "buffer": buffer, "buffer_pos": 4,
-                               "has_uint32": 0, "uinteger": 0}
+        counter[2] = i
+        bit_generator.state = state
         yield rng
 
 
@@ -229,122 +236,54 @@ def _canonical_form(e: LinExpr) -> Tuple[Tuple[tuple, int], int]:
     return (tuple((i, a // g) for i, a in terms), k // g), flip
 
 
-def _ratio(terms: tuple, k: int, nums: Sequence[int], dens: Sequence[int]) -> Tuple[int, int]:
-    """k + sum a_i * x_i at the state (`nums`, `dens`) as (numerator,
-    denominator > 0); not reduced."""
-    num, den = k, 1
-    for i, a in terms:
-        d = dens[i]
-        if d == 1:
-            num += a * nums[i] * den
-        else:
-            num = num * d + a * nums[i] * den
-            den *= d
-    return num, den
-
-
 def _fractions(nums: Sequence[int], dens: Sequence[int]) -> List[Fraction]:
     return [Fraction(n, d) for n, d in zip(nums, dens)]
 
 
 class _Edge:
-    """One transition, ready to fire: `fire(nums, dens, sched, rng)` writes
-    the step's new value into the run's state lists in place and returns
-    (destination, draws)."""
+    """One transition as `Program.runs` takes it: a probabilistic branch
+    (`dest2` set) goes to `dest` when its draw m / 2**53 lies below
+    p1 = pn / (pd * 2**53), else to `dest2`; a step without update
+    (`target` None) goes to `dest`; any other step sets x[target] to
+    (k + sum a_i x_i + s * sample) / scale. The sample is the m of one
+    unit draw where `unit` is set, the 2**53 it is divided by being in
+    `scale`: a uniform sample or a demonic interval, lo + (hi - lo) * m /
+    2**53, unless the scheduler names the interval's value (`ndet`). Else
+    `draw` gives it as an integer ratio, or there is none."""
 
-    __slots__ = ("transition",)
+    __slots__ = ("transition", "dest", "dest2", "pn", "pd", "target", "terms", "k", "s",
+                 "scale", "unit", "draw", "ndet")
 
     def __init__(self, t: Transition):
         self.transition = t
-
-
-class _Branch(_Edge):
-    __slots__ = ("dest1", "dest2", "pn", "pd")
-
-    def __init__(self, t: Transition):
-        super().__init__(t)
+        self.dest2 = self.target = self.draw = None
         k = t.kind
-        self.dest1, self.dest2 = k.dest1, k.dest2
-        # p1 * 2**53 as pn / pd
-        self.pn, self.pd = k.p1.numerator << UNIT_BITS, k.p1.denominator
-
-    def fire(self, nums, dens, sched, rng):
-        # m / 2**53 < p1
-        m = rng.bit_generator.random_raw() >> 11
-        return (self.dest1 if m * self.pd < self.pn else self.dest2), 1
-
-
-class _Move(_Edge):
-    __slots__ = ("dest",)
-
-    def __init__(self, t: Transition):
-        super().__init__(t)
-        self.dest = t.kind.dest
-
-    def fire(self, nums, dens, sched, rng):
-        return self.dest, 0
-
-
-class _Assign(_Move):
-    """x[target] := (k + sum a_i x_i + s * sample) / scale, reduced by one
-    gcd; `draw` returns the sample as an integer ratio."""
-
-    __slots__ = ("target", "terms", "k", "scale", "s", "draw")
-
-    def __init__(self, t: Transition, coeffs: Mapping[int, Fraction], constant: Fraction,
-                 coeff: Fraction, draw):
-        super().__init__(t)
-        # column -1 is the sample
+        if isinstance(k, ProbBranch):
+            self.dest, self.dest2 = k.dest1, k.dest2
+            self.pn, self.pd = k.p1.numerator << UNIT_BITS, k.p1.denominator
+            return
+        self.dest, u = k.dest, k.update
+        self.ndet = isinstance(u, NondetUpdate)
+        if self.ndet:
+            coeffs, constant, coeff, lo, hi = {}, ZERO, ONE, u.lo, u.hi
+        elif isinstance(u, ExprUpdate):
+            coeffs, constant = u.base.coeffs, u.base.constant
+            coeff, dist = u.sample if u.sample is not None else (ZERO, None)
+            lo = hi = None
+            if dist is not None and dist.kind is DistKind.UNIFORM:
+                lo, hi = dist.param("lo"), dist.param("hi")
+            elif dist is not None:
+                self.draw = dist.drawer()
+        else:
+            return
+        self.target = u.target
+        self.unit = lo is not None
+        # column -1 is the sample: coeff * (lo + (hi - lo) * m / 2**53) for a unit draw
+        if self.unit:
+            constant, coeff = constant + coeff * lo, coeff * (hi - lo) / (1 << UNIT_BITS)
         terms, rhs, self.scale = integer_row({**coeffs, -1: coeff}, -constant)
         self.s = terms.pop(-1, 0)
         self.terms, self.k = tuple(terms.items()), -rhs
-        self.draw = draw
-        self.target = t.kind.update.target
-
-    def fire(self, nums, dens, sched, rng):
-        num, den = _ratio(self.terms, self.k, nums, dens)
-        draws = 0
-        if self.draw is not None:
-            n, d = self.draw(rng)
-            num = num * d + self.s * n * den
-            den *= d
-            draws = 1
-        den *= self.scale
-        g = math.gcd(num, den)
-        nums[self.target], dens[self.target] = num // g, den // g
-        return self.dest, draws
-
-
-class _Choose(_Assign):
-    """x[target] := the scheduler's value, else lo + (hi - lo) * u for a
-    uniform u."""
-
-    __slots__ = ()
-
-    def fire(self, nums, dens, sched, rng):
-        value = sched.ndet_value(self.transition)
-        if value is None:
-            return super().fire(nums, dens, sched, rng)
-        nums[self.target], dens[self.target] = value.numerator, value.denominator
-        return self.dest, 0
-
-
-def _unit_draw(rng) -> Tuple[int, int]:
-    """A uniform draw from [0, 1) as the integer ratio (m, 2**53)."""
-    return rng.bit_generator.random_raw() >> 11, 1 << UNIT_BITS
-
-
-def _compile_edge(t: Transition) -> _Edge:
-    if isinstance(t.kind, ProbBranch):
-        return _Branch(t)
-    u = t.kind.update
-    if isinstance(u, ExprUpdate):
-        coeff, dist = u.sample if u.sample is not None else (ZERO, None)
-        return _Assign(t, u.base.coeffs, u.base.constant, coeff,
-                       dist.drawer() if dist is not None else None)
-    if isinstance(u, NondetUpdate):
-        return _Choose(t, {}, u.lo, u.hi - u.lo, _unit_draw)
-    return _Move(t)
 
 
 class _Location:
@@ -354,15 +293,16 @@ class _Location:
     its form's sign, so the edges enabled at a vector of form signs are
     decided once and kept in `enabled`."""
 
-    __slots__ = ("edges", "forms", "guards", "enabled")
+    __slots__ = ("name", "edges", "forms", "guards", "enabled")
 
-    def __init__(self, edges: Sequence[_Edge]):
+    def __init__(self, name: str, edges: Sequence[_Edge]):
         index: Dict[tuple, int] = {}
 
         def atom(c):
             form, flip = _canonical_form(c.lhs)
             return index.setdefault(form, len(index)), flip, c.rel
 
+        self.name = name
         self.edges = tuple(edges)
         self.guards = tuple(tuple(tuple(map(atom, d.constraints))
                                   for d in e.transition.guard().disjuncts)
@@ -383,64 +323,113 @@ class _Location:
 
 
 class Program:
-    """A pCFG compiled for simulation; see the module docstring."""
+    """A pCFG compiled for simulation; see the module docstring. An
+    edge's destinations are `_Location`s, and a location without
+    outgoing edges enables none: runs there are stuck."""
 
     def __init__(self, p: PCFG):
-        self.init_location = p.init_location
-        self.terminal_location = p.terminal_location
-        self.edges: Dict[str, _Edge] = {}
+        self.edges: Dict[str, _Edge] = {t.id: _Edge(t) for t in p.transitions}
         outgoing: Dict[str, list] = {}
         for t in p.transitions:
-            e = self.edges[t.id] = _compile_edge(t)
-            outgoing.setdefault(t.source, []).append(e)
-        # a location without outgoing edges enables none: runs there are stuck
-        self.locations: Dict[str, _Location] = defaultdict(lambda: _Location(()))
-        self.locations.update((loc, _Location(es)) for loc, es in outgoing.items())
+            outgoing.setdefault(t.source, []).append(self.edges[t.id])
+        names = [p.init_location, p.terminal_location, *outgoing,
+                 *(d for t in p.transitions for d in t.destinations())]
+        self.locations = {loc: _Location(loc, outgoing.get(loc, ())) for loc in names}
+        for e in self.edges.values():
+            e.dest = self.locations[e.dest]
+            if e.dest2 is not None:
+                e.dest2 = self.locations[e.dest2]
+        self.init = self.locations[p.init_location]
+        self.terminal = self.locations[p.terminal_location]
 
     def run(self, start: Tuple[Sequence[int], Sequence[int]], sched: Scheduler,
             step_cap: int, rng, record_states: bool = True) -> "TrajectoryReport":
+        """One run on `rng`; see `runs`."""
+        return next(self.runs(start, sched, step_cap, [rng], record_states))
+
+    def runs(self, start: Tuple[Sequence[int], Sequence[int]], sched: Scheduler,
+             step_cap: int, rngs: Iterable, record_states: bool = True
+             ) -> Iterator["TrajectoryReport"]:
         """One run from `start`, a state (numerators, denominators) as
-        `_integer_state` gives it; see `run_trajectory`."""
-        loc = self.init_location
-        terminal = self.terminal_location
-        locations = self.locations
+        `_integer_state` gives it, on each generator of `rngs` in turn,
+        yielded as its report; see `run_trajectory`. This loop holds all
+        of a step's arithmetic: the guard forms' signs, the branch draw
+        and the update, each value reduced by one gcd."""
+        terminal = self.terminal
         edges = self.edges
         choice_draws = sched.choice_draws
         reads_values = sched.reads_values
-        nums, dens = list(start[0]), list(start[1])
-        states = [(loc, _fractions(nums, dens))] if record_states else None
-        taken: Optional[List[str]] = [] if record_states else None
-        draws = 0
-        steps = 0
-        stuck = False
-        while loc != terminal and steps < step_cap:
-            site = locations[loc]
-            signs = []
-            for terms, k in site.forms:
-                num = _ratio(terms, k, nums, dens)[0]
-                signs.append((num > 0) - (num < 0))
-            signs = tuple(signs)
-            enabled = site.enabled.get(signs)
-            if enabled is None:
-                enabled = site.decide(signs)
-            if not enabled:
-                stuck = True
-                break
-            if len(enabled) > 1:
-                t = sched.choose([e.transition for e in enabled],
-                                 _fractions(nums, dens) if reads_values else None, rng)
-                e = edges[t.id]
-                draws += choice_draws
-            else:
-                e = enabled[0]
-            loc, d = e.fire(nums, dens, sched, rng)
-            draws += d
-            steps += 1
-            if record_states:
-                taken.append(e.transition.id)
-                states.append((loc, _fractions(nums, dens)))
-        return TrajectoryReport(loc == terminal, steps, stuck, loc, nums, dens,
-                                taken, states, draws)
+        gcd = math.gcd
+        for rng in rngs:
+            site = self.init
+            nums, dens = list(start[0]), list(start[1])
+            states = [(site.name, _fractions(nums, dens))] if record_states else None
+            taken: Optional[List[str]] = [] if record_states else None
+            draws = steps = 0
+            stuck = False
+            while site is not terminal and steps < step_cap:
+                signs = []
+                for terms, k in site.forms:
+                    if len(terms) == 1:
+                        (i, a), = terms
+                        num = a * nums[i] + k * dens[i]
+                    else:
+                        num, den = k, 1
+                        for i, a in terms:
+                            d = dens[i]
+                            num = num * d + a * nums[i] * den
+                            den *= d
+                    signs.append((num > 0) - (num < 0))
+                signs = tuple(signs)
+                enabled = site.enabled.get(signs)
+                if enabled is None:
+                    enabled = site.decide(signs)
+                if len(enabled) == 1:
+                    e = enabled[0]
+                elif enabled:
+                    t = sched.choose([e.transition for e in enabled],
+                                     _fractions(nums, dens) if reads_values else None, rng)
+                    e = edges[t.id]
+                    draws += choice_draws
+                else:
+                    stuck = True
+                    break
+                target = e.target
+                if target is None:
+                    if e.dest2 is None:
+                        site = e.dest
+                    else:
+                        # m / 2**53 < p1
+                        draws += 1
+                        site = (e.dest if (rng.bit_generator.random_raw() >> 11) * e.pd < e.pn
+                                else e.dest2)
+                else:
+                    if e.ndet and (value := sched.ndet_value(e.transition)) is not None:
+                        nums[target], dens[target] = value.numerator, value.denominator
+                    else:
+                        num, den = e.k, 1
+                        for i, a in e.terms:
+                            d = dens[i]
+                            num = num * d + a * nums[i] * den
+                            den *= d
+                        if e.unit:
+                            num += e.s * (rng.bit_generator.random_raw() >> 11) * den
+                            draws += 1
+                        elif e.draw is not None:
+                            n, d = e.draw(rng)
+                            num = num * d + e.s * n * den
+                            den *= d
+                            draws += 1
+                        den *= e.scale
+                        g = gcd(num, den)
+                        nums[target], dens[target] = num // g, den // g
+                    site = e.dest
+                steps += 1
+                if record_states:
+                    taken.append(e.transition.id)
+                    states.append((site.name, _fractions(nums, dens)))
+            yield TrajectoryReport(site is terminal, steps, stuck, site.name, nums, dens,
+                                   taken, states, draws)
 
 
 def _integer_state(values: Iterable) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -499,10 +488,8 @@ def trajectories(p: PCFG, init: Sequence[Fraction], sched: Scheduler,
     """The runs with the given indices, each on its own stream from
     `run_rngs` and without states or taken transitions, from one compiled
     program; the runs are yielded lazily."""
-    program = Program(p)
-    start = _integer_state(init)
-    for rng in run_rngs(seed, runs):
-        yield program.run(start, sched, step_cap, rng, record_states=False)
+    return Program(p).runs(_integer_state(init), sched, step_cap, run_rngs(seed, runs),
+                           record_states=False)
 
 
 # -- aggregation -----------------------------------------------------------------

@@ -41,9 +41,12 @@ antecedents, memoises the blocks and builds the frames; `farkas` owns
 the rows. An antecedent is screened only when a block is encoded, once
 for all the consequents it carries there; a placement screens none.
 
-Transitions whose eps is positive at the optimum are 1-ranked after
-scaling the template by 1/min(positive eps); by additivity of ranking
-maps this prunes the unique maximal rankable set, which is what makes
+Every optimum sets each eps to 0 or 1: the rows are homogeneous but
+for `eps <= 1` and a forced `eps = 1`, and lowering an eps keeps every
+row that reads it satisfied, so the sum of one feasible point per
+rankable transition, each eps then cut to 1, is optimal. The template
+at the optimum 1-ranks exactly its eps = 1 set, unscaled: by additivity
+of ranking maps, the unique maximal rankable set, which is what makes
 the bounded-support procedure a decision procedure of minimal dimension.
 
 Programs that sample from unbounded-support distributions go through the
@@ -72,7 +75,6 @@ from .preexp import max_pre, pre_pb_restricted
 from .simplex import IntRow, LPStatus, RowRel
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
 
@@ -290,13 +292,14 @@ def _iterate(p: PCFG, inv: Invariant, attempts: Attempts, progress: ProgressFn |
              mode: CertificateMode, support_bound: Fraction, failure: str) -> SynthesisResult:
     """The synthesis loop of both procedures. Each iteration solves the
     LPs of `attempts` in order and keeps the first whose optimum ranks a
-    transition: its template, scaled by 1/min(positive eps), is the next
-    component. Once every transition is ranked, the certificate raises
-    each component by 2 * support_bound * max|coefficient|; when an
-    iteration ranks none, the result is `failure`. One block memo serves
-    every LP of the run. The simplex raises PivotCapReached when an LP,
-    or one of its feasibility screens, hits the pivot cap: a capped LP
-    has no answer, so it cannot show that nothing ranks."""
+    transition: its template, which 1-ranks the eps = 1 set (every eps
+    is 0 or 1 at an optimum), is the next component. Once every
+    transition is ranked, the certificate raises each component by
+    2 * support_bound * max|coefficient|; when an iteration ranks none,
+    the result is `failure`. One block memo serves every LP of the run.
+    The simplex raises PivotCapReached when an LP, or one of its
+    feasibility screens, hits the pivot cap: a capped LP has no answer,
+    so it cannot show that nothing ranks."""
     unranked = [t.id for t in p.non_terminal_transitions()]
     components: List[Dict[str, LinExpr]] = []
     history: List[IterationRecord] = []
@@ -308,19 +311,18 @@ def _iterate(p: PCFG, inv: Invariant, attempts: Attempts, progress: ProgressFn |
             sol = solve_lp(slp.lp)
             if sol.status is LPStatus.OPTIMAL:
                 eps = {tid: sol.x[k] for tid, k in slp.eps.items()}
-                ranked = [tid for tid in unranked if eps[tid] > 0]
+                ranked = [tid for tid in unranked if eps[tid] == 1]
                 if ranked:
                     break
         else:
             return SynthesisResult(None, history, failure)
-        scale = ONE / min(eps[tid] for tid in ranked)
-        components.append({loc: e.scale(scale) for loc, e in slp.component_at(sol.x).items()})
+        components.append(slp.component_at(sol.x))
         if first_lp is None:
             first_lp = slp.lp
         record = IterationRecord(len(history) + 1, unranked, ranked, slp.lp.num_vars(),
                                  slp.lp.num_constraints(), sol.value, tau0)
         history.append(record)
-        unranked = [tid for tid in unranked if eps[tid] <= 0]
+        unranked = [tid for tid in unranked if eps[tid] != 1]
         if progress:
             progress(record.as_dict())
     lem = LinExprMap(len(components), {loc: [comp[loc] for comp in components]

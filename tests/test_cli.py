@@ -893,6 +893,20 @@ def test_exponent_errors_name_their_input_and_the_limit(tmp_path, capsys):
         f"error: $.transitions[4].p1: bad rational '1e-{DIGIT_LIMIT}': {past}")
 
 
+@pytest.mark.parametrize("value", ["7" * 5001, " " + "7" * 5000 + "z "],
+                         ids=["beyond-digit-limit", "invalid-literal"])
+def test_long_refused_rational_is_shown_briefly(value, capsys):
+    # the value, and the echo of it in the reason, show 40 characters of
+    # their repr and its length, not the whole text
+    if value.isdigit() and not 0 < DIGIT_LIMIT < len(value):
+        pytest.skip("the digit limit admits the value")
+    assert cli.main(["simulate", FIG2RIGHT, "--runs", "1", "--init", f"x={value}"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) <= 300, err
+    assert err.startswith(f"error: --init x: bad rational {repr(value)[:40]}... "
+                          f"({len(value) + 2} characters): ")
+
+
 def test_upper_end_minus_inf_names_the_support(tmp_path, capsys):
     # once read as the upper end +inf
     assert cli.main(MALFORMED["support-upper-end-minus-inf"][1](tmp_path)) == 3

@@ -26,12 +26,14 @@ from probterm import (Adversarial, FixedPriority, Invariant, UniformRandom,
 from probterm.farkas import dump_lp, solve_lp
 from probterm.pcfg_io import (certificate_to_json, invariant_from_json,
                               load_invariant, load_pcfg, pcfg_to_json)
+from probterm.simplex import LPStatus
+from probterm.simulate import trajectories
 from probterm.synthesis import build_lp, synthesize_bsp, synthesize_general
 
 from conftest import (FIXTURES, example3_certificate, example4_certificate,
                       fixture_path, load_fixture, perturbed)
 from test_checker import E3_MUTATIONS, E4_MUTATIONS
-from test_integration import gen_program
+from test_integration import _general_corpus, gen_program
 from test_strict_rule import workloads
 
 CERTIFIED = {
@@ -318,6 +320,52 @@ def test_corpus_verdict_digest(monkeypatch):
     assert h.hexdigest() == CORPUS_VERDICT_DIGEST
 
 
+def test_every_iteration_optimum_is_zero_one(monkeypatch):
+    # an iteration LP is homogeneous but for `eps <= 1` and a forced
+    # `eps = 1`, and lowering an eps keeps every row that reads it
+    # satisfied; so the sum of one feasible point per rankable transition,
+    # each eps then cut to 1, is optimal, and every optimum sets each eps
+    # to 0 or 1. Checked on each LP that reaches an optimum in every run on
+    # the fixtures, the ladders up to depth 6 in both modes and both corpora.
+    built, optima = [], 0
+
+    def building(*args, **kwargs):
+        built.append(build_lp(*args, **kwargs))
+        return built[-1]
+
+    def checking(lp, *args, **kwargs):
+        nonlocal optima
+        sol = solve_lp(lp, *args, **kwargs)
+        slp = built[-1]
+        assert lp is slp.lp
+        if sol.status is LPStatus.OPTIMAL:
+            assert {sol.x[k] for k in slp.eps.values()} <= {0, 1}, slp.eps
+            optima += 1
+        return sol
+
+    monkeypatch.setattr(synthesis, "build_lp", building)
+    monkeypatch.setattr(synthesis, "solve_lp", checking)
+
+    def run(p, inv):
+        return (synthesize_bsp if check_bsp(p)[0] else synthesize_general)(p, inv)
+
+    for name in sorted(CERTIFIED) + sorted(REFUSED):
+        run(*load(name))
+    for k in range(1, 7):
+        for mode in ("bsp", "general"):
+            p, inv = ladder(k, mode)
+            (synthesize_general if mode == "general" else synthesize_bsp)(p, inv)
+    rng = random.Random(CORPUS_SEED)
+    for _ in range(CORPUS_PROGRAMS):
+        p = lower_to_pcfg(parse_program(gen_program(rng)))
+        if run(p, Invariant({})).found:
+            for _ in p.variables:
+                rng.randint(-2, 3)
+    for _, p in _general_corpus():
+        run(p, Invariant({}))
+    assert optima > 300, optima
+
+
 # -- golden lowering ----------------------------------------------------------------
 #
 # One sha256 over the sorted-key `pcfg_to_json` of every lowered program:
@@ -566,3 +614,54 @@ def test_estimate_pinned():
     est = estimate_termination(p, [Fraction(3), Fraction(3)], UniformRandom(),
                                runs=40, step_cap=10 ** 4, seed=TRAJECTORY_SEED)
     assert est.as_dict() == ESTIMATE
+
+
+# -- golden simulation ----------------------------------------------------------
+#
+# One sha256 over every `.prob` fixture under every scheduler kind at two
+# seeds: recorded runs (`as_dict()`, `taken` and `states`) and bare runs
+# from `trajectories`, the last one at the largest run index. `fig1a`
+# draws normals through the Generator, `branching` has real scheduler
+# choices and a demonic interval, `prob_join` and `branching` take
+# probabilistic branches, and the adversarial scheduler reads the values
+# of the state on `branching`.
+
+SIMULATION_SEEDS = (5, 2 ** 100 + 7)
+SIMULATION_CAP = 300
+SIMULATION_RUNS = 6
+SIMULATION_DIGEST = "496bb936c90c691f5c23d8f8a4a52602fea5bf2e655641879745979ac51a8476"
+
+
+def simulation_schedulers(name, p):
+    """(label, scheduler factory) for fixture `name`."""
+    order = [t.id for t in reversed(p.transitions)]
+    scheds = [("uniform", UniformRandom)]
+    scheds += [(f"fixed.{mode}", lambda mode=mode: FixedPriority(order, mode))
+               for mode in ("lo", "hi", "uniform")]
+    if name == "fig1b":
+        scheds.append(("adversarial", lambda: Adversarial(example3_certificate(p))))
+    if name == "branching":
+        cert = synthesize("branching")[1].certificate
+        scheds.append(("adversarial", lambda: Adversarial(cert)))
+    return scheds
+
+
+def test_simulation_digest():
+    h = hashlib.sha256()
+    names = sorted(f[:-len(".prob")] for f in os.listdir(FIXTURES) if f.endswith(".prob"))
+    for name in names:
+        p, _ = load_fixture(name)
+        init = [Fraction(3 + 2 * i) for i in range(len(p.variables))]
+        for label, make in simulation_schedulers(name, p):
+            for seed in SIMULATION_SEEDS:
+                recorded = [run_trajectory(p, init, make(), SIMULATION_CAP, seed=seed,
+                                           run_index=i) for i in range(SIMULATION_RUNS)]
+                bare = trajectories(p, init, make(), SIMULATION_CAP, seed,
+                                    [*range(SIMULATION_RUNS), 2 ** 64 - 1])
+                doc = {"case": [name, label, seed],
+                       "recorded": [[r.as_dict(), r.taken,
+                                     [[loc, [str(v) for v in vals]] for loc, vals in r.states]]
+                                    for r in recorded],
+                       "bare": [[r.as_dict(), r.taken, r.states] for r in bare]}
+                h.update(json.dumps(doc, sort_keys=True).encode())
+    assert h.hexdigest() == SIMULATION_DIGEST

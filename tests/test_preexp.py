@@ -303,14 +303,16 @@ def test_pb_restricted_cases_match_open_guards():
 def test_pre_expectation_matches_empirical_mean():
     """For transitions without demonic updates the resolved pre-expectation
     is the exact one-step conditional mean; 1e5 draws must land within four
-    standard errors at each probed state."""
+    standard errors at each probed state. Each transition runs alone, its
+    guard true, for one step per run, all runs of a probe on one stream."""
     p, _ = load_fixture("fig1b")
     rng = random.Random(5)
     sched = UniformRandom()
-    program = Program(p)
     probes = 0
     for t in p.transitions:
-        edge = program.edges[t.id]
+        kind = t.kind if t.is_pb else GuardedStep(t.kind.dest, Predicate.true(), t.kind.update)
+        program = Program(PCFG(p.variables, p.locations, t.source, p.terminal_location,
+                               [Transition(t.id, t.source, kind)]))
         eta = {loc: lin(p, rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
                for loc in p.locations}
         expected_fn = max_pre(eta, t)
@@ -327,17 +329,15 @@ def test_pre_expectation_matches_empirical_mean():
                 rest = eta[dest].evaluate(values) - a * (values[target] if a else 0)
                 fixed[dest] = rest.numerator, rest.denominator, int(a)
             nprng = next(run_rngs(77, [probes]))
-            samples = np.empty(100_000)
-            start = _integer_state(values)
-            for k in range(samples.size):
-                # `fire` writes the step into the state lists: a copy per call
-                nums, dens = list(start[0]), list(start[1])
-                dest, _ = edge.fire(nums, dens, sched, nprng)
-                n, d, a = fixed[dest]
+            samples = []
+            for r in program.runs(_integer_state(values), sched, 1,
+                                  itertools.repeat(nprng, 100_000), record_states=False):
+                n, d, a = fixed[r.final_location]
                 if a:
-                    vn, vd = nums[target], dens[target]
+                    vn, vd = r.final_nums[target], r.final_dens[target]
                     n, d = n * vd + a * vn * d, d * vd
-                samples[k] = n / d
+                samples.append(n / d)
+            samples = np.array(samples)
             se = samples.std(ddof=1) / np.sqrt(samples.size)
             assert abs(samples.mean() - expected) <= max(4 * se, 1e-12), (t.id, values)
             probes += 1
