@@ -15,7 +15,7 @@ from .source import (MultipleSamplesInAssignment, NonLinearExpression,
                      parse_program)
 from .lowering import lower_to_pcfg, run_ast
 from .pcfg_io import FormatError, load_certificate, load_invariant, load_pcfg
-from .preexp import max_pre, min_pre, pre_pb_restricted
+from .preexp import pre_and_bounds, pre_pb_restricted
 from .farkas import (LPProblem, check_feasible, encode_implication, entails,
                      solve_lp)
 from .synthesis import (IterationRecord, MissingBoundedSupport, NotLinPPStar,

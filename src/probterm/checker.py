@@ -13,13 +13,20 @@ disjunct of invariant /\ guard:
   decrease           expected value of component j after tau <= value - 1
   unaffected         components j' < j do not increase in expectation
   nonneg             components j' <= j are nonnegative at the source
-  expected-nonneg    minimal one-step expectation of components j' <= j is
+  expected-nonneg    one-step expectation of components j' <= j is
                      nonnegative; for probabilistic branches restricted to
                      successor states whose enabled transitions all have
                      level < j' (three-case split on the branch targets)
   sampling-coeff-zero  (general mode) components left of j keep a zero
                      coefficient on the variable written by an
                      unbounded-support sampling transition, at its target
+
+The expectations are `preexp.pre_and_bounds`, as in synthesis. Across a
+demonic interval assignment it reads one more variable, bounded to the
+interval, and decrease, unaffected and expected-nonneg are checked on
+the disjunct conjoined with those bounds: each must hold for every value
+the scheduler may pick. A counterexample names the program variables
+only, so it leaves out the demonic value that breaks the condition.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .farkas import entails
 from .linear import LinExpr
 from .model import (Certificate, CertificateMode, Invariant, PCFG, check_bsp,
                     check_linpp_star)
-from .preexp import max_pre, min_pre, pre_pb_restricted
+from .preexp import pre_and_bounds, pre_pb_restricted
 
 
 class StructuralMismatch(Exception):
@@ -142,22 +149,28 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
         record("*", "program-shape", 0, check_linpp_star(p))
 
     comps = {jp: c.lem.component(jp) for jp in range(1, c.dimension + 1)}
+    nvars = len(p.variables)
     for t in p.non_terminal_transitions():
         j = c.levels[t.id]
-        decrease = comps[j][t.source] - max_pre(comps[j], t) - LinExpr.const(1)
-        unaffected = [comps[jp][t.source] - max_pre(comps[jp], t) for jp in range(1, j)]
-        expected = [] if t.is_pb else [min_pre(comps[jp], t) for jp in range(1, j + 1)]
+        pre = {}
+        for jp in range(1, j + 1):
+            # the bounds on t's demonic value, the same for every component
+            pre[jp], bounds = pre_and_bounds(nvars, comps[jp], t)
+        decrease = comps[j][t.source] - pre[j] - LinExpr.const(1)
+        unaffected = [comps[jp][t.source] - pre[jp] for jp in range(1, j)]
+        expected = [] if t.is_pb else [pre[jp] for jp in range(1, j + 1)]
         for ante in inv.antecedents(t):
-            ok, w = entails(ante, decrease)
+            stepped = ante.conjoin(bounds)
+            ok, w = entails(stepped, decrease)
             record(t.id, "decrease", j, ok, w)
             for jp, e in enumerate(unaffected, 1):
-                ok, w = entails(ante, e)
+                ok, w = entails(stepped, e)
                 record(t.id, "unaffected", jp, ok, w)
             for jp in range(1, j + 1):
                 ok, w = entails(ante, comps[jp][t.source])
                 record(t.id, "nonneg", jp, ok, w)
             for jp, e in enumerate(expected, 1):
-                ok, w = entails(ante, e)
+                ok, w = entails(stepped, e)
                 record(t.id, "expected-nonneg", jp, ok, w)
         if t.is_pb:
             for jp in range(1, j + 1):

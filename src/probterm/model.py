@@ -229,18 +229,21 @@ def check_bsp(p: PCFG) -> Tuple[bool, Optional[Fraction]]:
     """Bounded-support check.
 
     Returns (True, N) with N the smallest bound such that every sampled
-    distribution's support and every demonic interval fits in [-N, N];
-    (False, None) if any distribution is unbounded. N is 0 when the
-    program draws nothing.
+    term c*sample(d), over the support of d, and every demonic interval
+    fits in [-N, N]; (False, None) if any distribution is unbounded. N is
+    0 when the program draws nothing. A sampled term then lies within 2N
+    of its mean, so raising a map whose one-step expectations are
+    nonnegative by 2N times its largest |coefficient| makes each of its
+    components nonnegative at every successor of a sampling transition.
     """
     bound = Fraction(0)
     for t in p.transitions:
         u = t.update()
         if isinstance(u, ExprUpdate) and u.sample is not None:
-            d = u.sample[1]
+            c, d = u.sample
             if not d.bounded:
                 return False, None
-            bound = max(bound, abs(d.support_lo), abs(d.support_hi))
+            bound = max(bound, abs(c * d.support_lo), abs(c * d.support_hi))
         elif isinstance(u, NondetUpdate):
             bound = max(bound, abs(u.lo), abs(u.hi))
     return True, bound
@@ -333,7 +336,11 @@ class Certificate:
     In BSPComplete mode the (already shifted) map is a full linear
     certificate of almost-sure termination; in GeneralSound mode it
     witnesses the side conditions from which a piecewise-linear
-    certificate, and hence termination, follows.
+    certificate, and hence termination, follows. A synthesized
+    BSPComplete map is shifted by 2N times its largest |coefficient|, N
+    from `check_bsp`, so each component up to the level of a sampling
+    transition is nonnegative at every successor of it, whatever value in
+    its support the sample takes; `check_certificate` does not check this.
     """
     lem: LinExprMap
     levels: LevelMap

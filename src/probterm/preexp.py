@@ -1,17 +1,20 @@
 """One-step pre-expectation of ranking-map components.
 
 For a component eta (one linear expression per location) and a transition
-tau, the maximal/minimal pre-expectation is the expected value of eta
-right after executing tau, with demonic interval assignments resolved to
-the worst/best endpoint.
+tau, the pre-expectation is the expected value of eta right after
+executing tau, as a function of the pre-state variables. A demonic
+interval assignment enters it as one more variable, bounded to the
+interval, so a side condition over the pre-expectation and its bounds
+holds for every value the scheduler may pick: in a decrease condition
+it bounds the supremum, in a nonnegativity one the infimum.
 
-The checker and synthesis share this algebra. The checker applies it to
-concrete components with rational coefficients; synthesis applies it to
-templates, whose coefficients are `LinExpr`s over the columns of the
-block of rows that encodes one transition, which stand for its frame.
-Only a demonic interval stays outside it in synthesis: an endpoint cannot
-be chosen by the sign of an unknown coefficient, so synthesis substitutes
-a universally quantified variable bounded to the interval instead.
+The checker, synthesis and the adversarial scheduler share this one
+algebra. The checker applies it to concrete components with rational
+coefficients; synthesis applies it to templates, whose coefficients are
+`LinExpr`s over the columns of the block of rows that encodes one
+transition, which stand for its frame. A demonic interval needs no
+endpoint chosen by the sign of a coefficient, which synthesis could not
+do for an unknown one.
 
 This module also owns the restriction set of a probabilistic branch: the
 successor states where no still-open transition is enabled. Synthesis
@@ -23,63 +26,41 @@ and splits the branch's pre-expectation over G and U.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Collection, Dict, List, Tuple
 
-from .linear import LinExpr, Predicate, negate_predicate
-from .model import (ExprUpdate, NondetUpdate, NoUpdate, PCFG, ProbBranch,
-                    Transition)
+from .linear import LinConstraint, LinExpr, Polyhedron, Predicate, negate_predicate
+from .model import NondetUpdate, NoUpdate, PCFG, ProbBranch, Transition
 
 ComponentMap = Dict[str, LinExpr]  # location -> linear expression
 
 
-def _expr_pre(eta_dest: LinExpr, update) -> LinExpr:
+def pre_and_bounds(nvars: int, eta: ComponentMap,
+                   t: Transition) -> Tuple[LinExpr, Polyhedron]:
+    """The pre-expectation of `eta` across `t`, as a function of the
+    pre-state variables, and the bounds on the demonic value it reads.
+
+    A probabilistic branch averages its destinations and a sampling
+    update substitutes the distribution's mean; both are bounded by
+    nothing. A demonic interval assignment reads variable `nvars`, bounded
+    to [lo, hi]: over the bounds, the pre-expectation ranges over every
+    value the scheduler may pick.
+    """
+    if isinstance(t.kind, ProbBranch):
+        k = t.kind
+        return eta[k.dest1].scale(k.p1) + eta[k.dest2].scale(k.p2), Polyhedron.true()
+    dest, update = eta[t.kind.dest], t.kind.update
     if isinstance(update, NoUpdate):
-        return eta_dest
-    assert isinstance(update, ExprUpdate)
+        return dest, Polyhedron.true()
+    if isinstance(update, NondetUpdate):
+        y = LinExpr.var(nvars)
+        return (dest.substitute(update.target, y),
+                Polyhedron([LinConstraint.le(LinExpr.const(update.lo) - y),
+                            LinConstraint.le(y - LinExpr.const(update.hi))]))
     rhs = update.base
     if update.sample is not None:
         coeff, dist = update.sample
         rhs = rhs.shift(coeff * dist.mean)
-    return eta_dest.substitute(update.target, rhs)
-
-
-def nondet_endpoint(eta_dest: LinExpr, update: NondetUpdate,
-                    maximize: bool = True) -> Fraction:
-    """The endpoint of the demonic interval of `update` that maximizes
-    (or minimizes) `eta_dest`: `hi` when its coefficient on the target is
-    nonnegative, else `lo` (the other way round when minimizing)."""
-    rising = eta_dest.coeff(update.target) >= 0
-    return update.hi if rising == maximize else update.lo
-
-
-def _pre(eta: ComponentMap, tau: Transition, maximize: bool) -> LinExpr:
-    if isinstance(tau.kind, ProbBranch):
-        k = tau.kind
-        return eta[k.dest1].scale(k.p1) + eta[k.dest2].scale(k.p2)
-    step = tau.kind
-    dest = eta[step.dest]
-    if isinstance(step.update, NondetUpdate):
-        endpoint = nondet_endpoint(dest, step.update, maximize)
-        return dest.substitute(step.update.target, LinExpr.const(endpoint))
-    return _expr_pre(dest, step.update)
-
-
-def max_pre(eta: ComponentMap, tau: Transition) -> LinExpr:
-    """Maximal pre-expectation of `eta` across `tau`, as a function of the
-    pre-state variables.
-
-    Probabilistic branches average the destination components; sampling
-    updates substitute the distribution's mean; demonic intervals resolve
-    to the endpoint maximizing the component.
-    """
-    return _pre(eta, tau, maximize=True)
-
-
-def min_pre(eta: ComponentMap, tau: Transition) -> LinExpr:
-    """As `max_pre` but demonic intervals resolve to the minimizing
-    endpoint; identical to `max_pre` for all other transition shapes."""
-    return _pre(eta, tau, maximize=False)
+    return dest.substitute(update.target, rhs), Polyhedron.true()
 
 
 def pre_pb_restricted(p: PCFG, eta: ComponentMap, tau: Transition,

@@ -67,7 +67,7 @@ from .distributions import UNIT_BITS, DistKind
 from .linear import LinExpr, Rel
 from .model import (Certificate, ExprUpdate, Invariant, NondetUpdate, PCFG,
                     ProbBranch, Transition)
-from .preexp import max_pre, nondet_endpoint
+from .preexp import pre_and_bounds
 from .simplex import integer_row
 
 # numpy, loaded at the first attribute access of `np` (see the module
@@ -187,33 +187,45 @@ class FixedPriority(Scheduler):
 class Adversarial(Scheduler):
     """Greedy heuristic against a certificate: among enabled transitions,
     take the one with the largest expected value of the component ranking
-    the current state; demonic intervals pick the endpoint maximizing
-    that component at the target. A heuristic only, no worst-case claim.
+    the current state, at the end of a demonic interval where it is
+    larger; a demonic interval takes that end. A heuristic only, no
+    worst-case claim.
     """
 
     def __init__(self, certificate: Certificate):
         self.certificate = certificate
-        # filled on first use, per scheduler: (level, transition id) ->
-        # max_pre of that component
-        self._pre: Dict[Tuple[int, str], LinExpr] = {}
+        # the demonic value's index, past every variable the map reads
+        self._y = 1 + max((i for vec in certificate.lem.components.values()
+                           for e in vec for i in e.coeffs), default=0)
+        # filled on first use, per scheduler: (level, transition id) -> that
+        # component's pre-expectation at the larger end, and the end (None
+        # without a demonic interval)
+        self._pre: Dict[Tuple[int, str], Tuple[LinExpr, Optional[Fraction]]] = {}
 
-    def _max_pre(self, j: int, t) -> LinExpr:
-        pre = self._pre.get((j, t.id))
-        if pre is None:
-            pre = self._pre[(j, t.id)] = max_pre(self.certificate.lem.component(j), t)
-        return pre
+    def _at_larger_end(self, j: int, t) -> Tuple[LinExpr, Optional[Fraction]]:
+        got = self._pre.get((j, t.id))
+        if got is None:
+            pre, _ = pre_and_bounds(self._y, self.certificate.lem.component(j), t)
+            end = None
+            if isinstance(u := t.update(), NondetUpdate):
+                # linear in the demonic value: the sign of its coefficient
+                # picks the end of the two values that is larger
+                end = u.hi if pre.coeff(self._y) >= 0 else u.lo
+                pre = pre.substitute(self._y, LinExpr.const(end))
+            got = self._pre[(j, t.id)] = pre, end
+        return got
 
     def choose(self, enabled, values, rng):
         j = max(self.certificate.levels.get(t.id, 0) for t in enabled)
         if j == 0:
             return enabled[0]
-        return max(enabled, key=lambda t: (self._max_pre(j, t).evaluate(values), t.id))
+        return max(enabled, key=lambda t: (self._at_larger_end(j, t)[0].evaluate(values), t.id))
 
     def ndet_value(self, t):
         j = self.certificate.levels.get(t.id, 0)
         if j == 0:
             return None
-        return nondet_endpoint(self.certificate.lem.at(t.kind.dest, j), t.kind.update)
+        return self._at_larger_end(j, t)[1]
 
 
 # -- the compiled program -------------------------------------------------------

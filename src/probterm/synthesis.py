@@ -9,10 +9,10 @@ across unranked probabilistic branches when restricted to already-ranked
 successor states, and (5) decrease by eps_tau across as many unranked
 transitions as possible, maximizing the sum of the eps variables. All
 universally quantified conditions become existential multiplier systems
-via the Farkas encoder; demonic interval assignments are handled by a
-fresh universally quantified variable bounded to the interval, which
-simultaneously over-approximates the supremum in the decrease conditions
-and under-approximates the infimum in the nonnegativity ones.
+via the Farkas encoder, over `preexp.pre_and_bounds`: a demonic interval
+assignment reads one more universally quantified variable, bounded to
+the interval, each condition across it holding for every value the
+scheduler may pick, as in the checker.
 
 The LP encodes only the conditions that the others do not imply, as in
 the eps-formulation of Agrawal, Chatterjee and Novotny (POPL 2018). (5)
@@ -20,8 +20,8 @@ asks for here - pre >= eps with eps >= 0, so its multipliers also serve
 (2), which is never encoded. A non-branching transition encodes (3) and
 (5) over the same antecedent; their multipliers added together serve (1)
 as here >= eps, since the bounds of a demonic variable, which here does
-not read, add a multiple of hi - lo >= 0 (`NondetUpdate` refuses an
-empty interval). So (1) is encoded only for a probabilistic branch,
+not read, add a multiple of hi - lo >= 0 (the model refuses an empty
+interval). So (1) is encoded only for a probabilistic branch,
 which has no (3). The LP has about half the rows, and its projection
 onto the template and eps columns, hence every optimum, is the same.
 
@@ -67,11 +67,10 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .farkas import Block, LPProblem, check_feasible, encode_implication, solve_lp
-from .linear import LinConstraint, LinExpr, Polyhedron
+from .linear import LinExpr, Polyhedron
 from .model import (Certificate, CertificateMode, Invariant, LevelMap,
-                    LinExprMap, NondetUpdate, PCFG, Transition, check_bsp,
-                    check_linpp_star)
-from .preexp import max_pre, pre_pb_restricted
+                    LinExprMap, PCFG, Transition, check_bsp, check_linpp_star)
+from .preexp import pre_and_bounds, pre_pb_restricted
 from .simplex import IntRow, LPStatus, RowRel
 
 ZERO = Fraction(0)
@@ -176,23 +175,6 @@ def build_lp(p: PCFG, inv: Invariant, unranked: List[str],
     return out
 
 
-def pre_and_bounds(p: PCFG, templates: Dict[str, LinExpr],
-                   t: Transition) -> Tuple[LinExpr, Polyhedron]:
-    """The pre-expectation of `templates` across `t`, and the bounds on the
-    universally quantified variable it reads. A demonic interval assignment
-    reads a fresh variable y in [lo, hi], which over-approximates the
-    supremum in the decrease condition and under-approximates the infimum
-    in the nonnegativity one; any other transition reads `max_pre` and is
-    bounded by nothing."""
-    update = t.update()
-    if not isinstance(update, NondetUpdate):
-        return max_pre(templates, t), Polyhedron.true()
-    y = LinExpr.var(len(p.variables))
-    return (templates[t.kind.dest].substitute(update.target, y),
-            Polyhedron([LinConstraint.le(LinExpr.const(update.lo) - y),
-                        LinConstraint.le(y - LinExpr.const(update.hi))]))
-
-
 def _encode(p: PCFG, inv: Invariant, t: Transition, open_ids: frozenset) -> Block:
     """The side conditions of transition `t` that the LP encodes (see the
     module docstring), encoded straight into the rows of a block, whose
@@ -215,7 +197,7 @@ def _encode(p: PCFG, inv: Invariant, t: Transition, open_ids: frozenset) -> Bloc
             encode_implication(antecedent, expr, block, tag=tag)
         block.emitted += len(consequents)
 
-    pre, bounds = pre_and_bounds(p, templates, t)
+    pre, bounds = pre_and_bounds(len(p.variables), templates, t)
     here = templates[t.source]
     # (1) nonnegative where enabled for a branch, (3) nonnegative one-step
     # expectation for any other transition, then (5) decrease by eps. As
@@ -341,9 +323,9 @@ def synthesize_bsp(p: PCFG, inv: Invariant,
     answer that none exists for this invariant.
 
     On success every component is raised by 2*N*max|coefficient| with N
-    the common support bound, which turns the weak expectation conditions
-    established by the LPs into the unrestricted ones the certificate
-    promises.
+    the bound `check_bsp` gives, which covers every sampled term and
+    demonic value and turns the weak expectation conditions established
+    by the LPs into the unrestricted ones the certificate promises.
     """
     bounded, support_bound = check_bsp(p)
     if not bounded:

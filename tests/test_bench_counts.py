@@ -31,7 +31,9 @@ CORPUS_PER_PASS = {
     "synthesis.lp_nonzeros.sum": 6468,
     "synthesis.lp_unknowns.sum": 2613,
     "synthesis.screens": 288,
-    "simplex.solves": 123,
+    # the 123 iteration LPs and 3 gap LPs of the checker, whose queries
+    # across a demonic step read the demonic value, a bounded variable
+    "simplex.solves": 126,
     "simplex.solves.screen": 0,
     "synthesis.lps": 123,
     "synthesis.certs_changed": 0,

@@ -1,5 +1,7 @@
 """Independent verification: published maps, named mutations, structure."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -208,6 +210,43 @@ def test_branch_expectation_checked_on_ranked_region():
     assert not report.accepted
     assert any(v.transition == pb.id and v.condition == "expected-nonneg"
                for v in report.violations)
+
+
+# The demonic step t3 of `branching`, x := ndet[-2, -1] from l0 to l1 at
+# level 2, against its synthesized certificate with the coefficient on x
+# at l1 raised or lowered in one component: (component, delta, the
+# conditions then violated). Every case reports the same conditions in
+# the same order, those of the synthesized certificate, whose
+# (transition, condition, component) list has the sha256 below.
+BRANCHING_CONDITIONS = "703e191ff2e9b0e65734b4a6b0315a1d180698af183f64c7e8e2923eb90d02a0"
+BRANCHING_DEMONIC = [
+    (None, 0, set()),
+    (1, -20, {("t3", "unaffected", 1), ("t4", "nonneg", 1), ("t4", "unaffected", 1)}),
+    (1, -1, {("t3", "unaffected", 1), ("t4", "nonneg", 1), ("t4", "unaffected", 1)}),
+    (1, +1, {("t4", "nonneg", 1), ("t4", "unaffected", 1)}),
+    (1, +20, {("t3", "expected-nonneg", 1), ("t4", "nonneg", 1), ("t4", "unaffected", 1)}),
+    (2, -20, {("t3", "decrease", 2), ("t4", "decrease", 2), ("t4", "nonneg", 2)}),
+    (2, -1, {("t3", "decrease", 2), ("t4", "decrease", 2), ("t4", "nonneg", 2)}),
+    (2, +1, {("t4", "decrease", 2), ("t4", "nonneg", 2)}),
+    (2, +20, {("t3", "expected-nonneg", 2), ("t4", "decrease", 2), ("t4", "nonneg", 2)}),
+]
+
+
+@pytest.mark.parametrize("comp,delta,violated", BRANCHING_DEMONIC,
+                         ids=[f"{c}{d:+d}" for c, d, _ in BRANCHING_DEMONIC])
+def test_demonic_step_answers(comp, delta, violated):
+    # only the statuses are pinned: a counterexample to a condition over
+    # the demonic value may be any point that violates it
+    from probterm import synthesize_bsp
+    p, inv = load_fixture("branching")
+    cert = synthesize_bsp(p, inv).certificate
+    if comp is not None:
+        cert = perturbed(cert, "l1", comp, p.var_index("x"), delta)
+    rows = [(r.transition, r.condition, r.component, r.status)
+            for r in check_certificate(p, inv, cert).conditions]
+    triples = [row[:3] for row in rows]
+    assert hashlib.sha256(json.dumps(triples).encode()).hexdigest() == BRANCHING_CONDITIONS
+    assert rows == [(*tc, "violated" if tc in violated else "ok") for tc in triples]
 
 
 def test_unbound_violation_is_specific(fig1a):

@@ -4,8 +4,9 @@ one process that no environment variable configures, catches no error it
 does not name, defines no function or class that nothing names, keeps
 one linear-form algebra and one integer form, raises each resource
 limit only where it is enforced, answers every polyhedral query through
-one function, keeps the LP row record in `farkas`, and draws the
-simulator's uniforms from raw words."""
+one function, keeps the LP row record in `farkas`, lets a demonic choice
+reach a side condition only through `preexp`, and draws the simulator's
+uniforms from raw words."""
 
 import ast
 import pathlib
@@ -449,6 +450,36 @@ def test_row_record_name_is_detected():
                      "row = farkas.LPConstraint(form, rel)\nrows: List[LPConstraint] = []\n"
                      "name = 'LPConstraint'\nlp = LPProblem()\n")
     assert _row_record_names(tree) == [1, 3, 4]
+
+
+DEMONIC_RECORD = "NondetUpdate"
+
+
+def _demonic_reads(tree: ast.Module) -> list:
+    """Lines that name the demonic update record, as a name, an attribute
+    or an imported name, or read an attribute `lo` or `hi`."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == DEMONIC_RECORD
+                or isinstance(node, ast.Attribute) and node.attr in (DEMONIC_RECORD, "lo", "hi")
+                or isinstance(node, ast.alias) and node.name == DEMONIC_RECORD):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["synthesis", "checker"])
+def test_demonic_choice_stays_in_preexp(name):
+    # a demonic choice reaches a side condition one way, as the bounded
+    # variable of `preexp.pre_and_bounds`: neither synthesis nor the
+    # checker names the demonic update or reads the ends of its interval
+    assert _demonic_reads(ast.parse((SRC / f"{name}.py").read_text())) == []
+
+
+def test_demonic_read_is_detected():
+    tree = ast.parse("from .model import NondetUpdate, PCFG\nfrom . import model\n"
+                     "u = model.NondetUpdate(0, lo, hi)\nend = u.hi if c >= 0 else u.lo\n"
+                     "ok = isinstance(u, NondetUpdate)\nname = 'NondetUpdate'\nlo = hi\n")
+    assert _demonic_reads(tree) == [1, 3, 4, 4, 5]
 
 
 # the one place a simulator draw may go through `Generator.random()`: the

@@ -9,7 +9,7 @@ import pytest
 
 from probterm import (DistributionSpec, GuardedStep, LinConstraint, LinExpr,
                       NondetUpdate, PCFG, Polyhedron, Predicate, ProbBranch, Rel,
-                      Transition, load_pcfg, max_pre, min_pre, pre_pb_restricted)
+                      Transition, entails, load_pcfg, pre_and_bounds, pre_pb_restricted)
 from probterm.model import ExprUpdate, NoUpdate
 from probterm.simulate import Program, UniformRandom, _integer_state, run_rngs
 
@@ -24,13 +24,23 @@ def by_id(p, tid):
     return p.transition(tid)
 
 
+def pre(p, eta, t):
+    """The pre-expectation of `eta` across `t` in program `p`."""
+    return pre_and_bounds(len(p.variables), eta, t)[0]
+
+
+def at_end(expr, end, nvars=2):
+    """`expr` with the demonic value, variable `nvars`, set to `end`."""
+    return expr.substitute(nvars, LinExpr.const(end))
+
+
 def test_sampling_mean_substitution(fig1a):
     # component x+1 across the inner self-loop x := x - 1 + noise(mean 0)
     p, _ = fig1a
     eta = {loc: lin(p, cx=1, c=1) for loc in p.locations}
     t = by_id(p, "t2")
-    assert max_pre(eta, t) == lin(p, cx=1, c=0)   # x
-    assert min_pre(eta, t) == max_pre(eta, t)
+    # x, and no demonic value to bound
+    assert pre_and_bounds(2, eta, t) == (lin(p, cx=1, c=0), Polyhedron.true())
 
 
 def test_uniform_mean_substitution(fig1b):
@@ -38,7 +48,7 @@ def test_uniform_mean_substitution(fig1b):
     p, _ = fig1b
     eta = {loc: lin(p, cy=1, c=7) for loc in p.locations}
     t = by_id(p, "t1")
-    assert max_pre(eta, t) == lin(p, cy=1, c=4)   # y + 4
+    assert pre(p, eta, t) == lin(p, cy=1, c=4)   # y + 4
 
 
 def test_min_pre_example3_entry(fig1b):
@@ -46,15 +56,14 @@ def test_min_pre_example3_entry(fig1b):
     p, _ = fig1b
     eta = {loc: lin(p, cx=1, c=8) for loc in p.locations}
     t = by_id(p, "t2")
-    assert min_pre(eta, t) == lin(p, cx=1, c=5)   # x + 5
+    assert pre(p, eta, t) == lin(p, cx=1, c=5)   # x + 5
 
 
 def test_constant_component_is_fixed_point(fig1b):
     p, _ = fig1b
     eta = {loc: lin(p, c=1) for loc in p.locations}
     for t in p.transitions:
-        assert max_pre(eta, t) == lin(p, c=1)
-        assert min_pre(eta, t) == lin(p, c=1)
+        assert pre(p, eta, t) == lin(p, c=1)
 
 
 def _nondet_transition(target=1, lo=0, hi=5):
@@ -65,11 +74,16 @@ def _nondet_transition(target=1, lo=0, hi=5):
 def test_nondet_endpoints():
     t = _nondet_transition()
     eta = {"b": LinExpr({1: F(2)}, F(1))}      # 2y + 1, increasing
-    assert min_pre(eta, t) == LinExpr.const(1)   # endpoint 0
-    assert max_pre(eta, t) == LinExpr.const(11)  # endpoint 5
+    e, bounds = pre_and_bounds(2, eta, t)
+    assert e == LinExpr({2: F(2)}, F(1))         # 2 * demonic + 1
+    assert bounds == Polyhedron([LinConstraint.le(LinExpr({2: F(-1)})),
+                                 LinConstraint.le(LinExpr({2: F(1)}, F(-5)))])
+    assert at_end(e, 0) == LinExpr.const(1)    # minimal at lo
+    assert at_end(e, 5) == LinExpr.const(11)   # maximal at hi
     eta_dec = {"b": LinExpr({1: F(-2)}, F(1))}
-    assert min_pre(eta_dec, t) == LinExpr.const(-9)
-    assert max_pre(eta_dec, t) == LinExpr.const(1)
+    e_dec, _ = pre_and_bounds(2, eta_dec, t)
+    assert at_end(e_dec, 5) == LinExpr.const(-9)   # minimal at hi
+    assert at_end(e_dec, 0) == LinExpr.const(1)    # maximal at lo
 
 
 def test_endpoint_gap_rule():
@@ -80,14 +94,54 @@ def test_endpoint_gap_rule():
         coeff = F(rng.randint(-6, 6))
         t = _nondet_transition(1, lo, hi)
         eta = {"b": LinExpr({0: F(rng.randint(-3, 3)), 1: coeff}, F(rng.randint(-4, 4)))}
-        gap = max_pre(eta, t) - min_pre(eta, t)
-        assert gap == LinExpr.const(abs(coeff) * (hi - lo))
+        e, _ = pre_and_bounds(2, eta, t)
+        gap = at_end(e, hi) - at_end(e, lo)
+        assert gap == LinExpr.const(coeff * (hi - lo))   # |gap| = |coeff| * (hi - lo)
+
+
+def test_bounded_demonic_value_agrees_with_both_ends():
+    # a condition over the pre-expectation, on the antecedent conjoined
+    # with the bounds, holds exactly where it holds with either end of the
+    # interval substituted: the pre-expectation is linear in the value
+    rng = random.Random(29)
+
+    def form(span):
+        """A random form over x0 and x1 that is 0 half the time."""
+        if rng.random() < 0.5:
+            return LinExpr()
+        return LinExpr({i: F(rng.randint(-span, span)) for i in range(2)})
+
+    agreed = {True: 0, False: 0}
+    for _ in range(300):
+        lo = F(rng.randint(-5, 5), rng.randint(1, 2))
+        hi = lo + rng.choice([F(0), F(0), F(rng.randint(1, 6), rng.randint(1, 3))])
+        t = _nondet_transition(1, lo, hi)
+        coeff = F(rng.choice([0, 0, rng.randint(-4, -1), rng.randint(1, 4)]))
+        eta = {"b": LinExpr({0: F(rng.randint(-3, 3)), 1: coeff}, F(rng.randint(-6, 6)))}
+        if rng.random() < 0.5:
+            eta["b"] = eta["b"] - LinExpr({0: eta["b"].coeff(0)})
+        e, bounds = pre_and_bounds(2, eta, t)
+        # as a decrease (source minus pre) or a nonnegativity (pre) condition
+        if rng.random() < 0.5:
+            e = form(2).shift(F(rng.randint(-4, 8))) - e
+        if not e.coeffs.keys() - {2}:
+            # it reads only the demonic value: make it tight at the worse end
+            worse = min(at_end(e, lo).constant, at_end(e, hi).constant)
+            e = e.shift(rng.choice([F(-1, 2), F(0), F(1, 2)]) - worse)
+        ante = Polyhedron([LinConstraint(form(2).shift(F(rng.randint(-4, 4))),
+                                         rng.choice([Rel.LE, Rel.LE, Rel.LT]))
+                           for _ in range(rng.randint(1, 3))])
+        ok = entails(ante.conjoin(bounds), e)[0]
+        assert ok == all(entails(ante, at_end(e, end))[0] for end in (lo, hi)), (ante, e, lo, hi)
+        agreed[ok] += 1
+    assert min(agreed.values()) > 60, agreed
 
 
 def test_unchanged_variable_transparent():
     t = _nondet_transition(target=1)
     eta = {"b": LinExpr({0: F(3)}, F(2))}   # independent of the updated var
-    assert max_pre(eta, t) == min_pre(eta, t) == eta["b"]
+    e, _ = pre_and_bounds(2, eta, t)
+    assert e == at_end(e, 0) == at_end(e, 5) == eta["b"]
 
 
 def test_max_pre_linearity():
@@ -99,9 +153,9 @@ def test_max_pre_linearity():
               for loc in p.locations}
         e2 = {loc: lin(p, rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
               for loc in p.locations}
-        alpha = F(rng.randint(0, 5))  # nonneg so sup-resolution stays linear
+        alpha = F(rng.randint(-5, 5))  # a demonic value stays a variable
         combo = {loc: e1[loc].scale(alpha) + e2[loc] for loc in p.locations}
-        assert max_pre(combo, t) == max_pre(e1, t).scale(alpha) + max_pre(e2, t)
+        assert pre(p, combo, t) == pre(p, e1, t).scale(alpha) + pre(p, e2, t)
 
 
 FIXTURES = ["bern_walk", "branching", "countdown", "diverge_const", "diverge_inc",
@@ -122,8 +176,9 @@ def _evaluated(template, assignment):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_max_pre_of_templates(name):
-    # the algebra is generic in its coefficients: max_pre of a template over
-    # LP unknowns, evaluated at a point, is max_pre of the evaluated template
+    # the algebra is generic in its coefficients: the pre-expectation of a
+    # template over LP unknowns, evaluated at a point, is the pre-expectation
+    # of the evaluated template, across a demonic step too
     p = _fixture_pcfg(name)
     columns = itertools.count()
     templates = {loc: LinExpr({i: LinExpr.var(next(columns))
@@ -134,18 +189,15 @@ def test_max_pre_of_templates(name):
                 for a in [*e.coeffs.values(), e.constant] for u in a.coeffs]
     assignment = {u: F(2 * k - 7, k % 3 + 1) for k, u in enumerate(unknowns)}
     eta = {loc: _evaluated(e, assignment) for loc, e in templates.items()}
-    checked = [t for t in p.transitions if not isinstance(t.update(), NondetUpdate)]
-    assert checked
-    for t in checked:
-        assert _evaluated(max_pre(templates, t), assignment) == max_pre(eta, t)
+    for t in p.transitions:
+        assert _evaluated(pre(p, templates, t), assignment) == pre(p, eta, t)
 
 
 def test_pb_is_probability_weighted_sum():
     t = Transition("p0", "a", ProbBranch("b", F(1, 3), "c", F(2, 3)))
     eta = {"b": LinExpr({0: F(3)}), "c": LinExpr({0: F(-3)}, F(1))}
     expect = LinExpr({0: F(1) - F(2)}, F(2, 3))
-    assert max_pre(eta, t) == expect
-    assert min_pre(eta, t) == expect
+    assert pre_and_bounds(1, eta, t) == (expect, Polyhedron.true())
 
 
 # -- restricted branch pre-expectation ---------------------------------------------
@@ -188,7 +240,7 @@ def test_settled_states_none_open_is_true():
         t = p.transition(tid)
         [(ctx, expr)] = pre_pb_restricted(p, SETTLING_ETA, t, set())
         assert ctx.is_true()
-        assert expr == max_pre(SETTLING_ETA, t) == min_pre(SETTLING_ETA, t)
+        assert expr == pre(p, SETTLING_ETA, t)
 
 
 def test_pb_restricted_one_side():
@@ -315,7 +367,7 @@ def test_pre_expectation_matches_empirical_mean():
                                [Transition(t.id, t.source, kind)]))
         eta = {loc: lin(p, rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
                for loc in p.locations}
-        expected_fn = max_pre(eta, t)
+        expected_fn = pre(p, eta, t)
         target = getattr(t.update(), "target", None)
         for _ in range(5):
             values = [F(rng.randint(-5, 5)), F(rng.randint(-5, 5))]

@@ -13,8 +13,8 @@ from scipy.stats import binom, chisquare, ks_2samp
 
 from probterm import (Adversarial, FixedPriority, Invariant, UniformRandom,
                       audit_invariant, counterexample_process,
-                      estimate_termination, max_pre, run_trajectory, synthesize_bsp,
-                      wilson_interval)
+                      estimate_termination, pre_and_bounds, run_trajectory,
+                      synthesize_bsp, wilson_interval)
 from probterm import simulate
 from probterm.simulate import (CEX_HORIZON, COUNTEREXAMPLE_ANALYTIC,
                                TerminationEstimate, counterexample_analytic,
@@ -305,10 +305,10 @@ def test_adversarial_scheduler_runs(fig1b):
 
 def test_adversarial_choice_and_endpoint_on_branching():
     """On `branching` with the certificate synthesis finds, `choose` takes
-    the enabled `if *` arm whose max pre-expectation of the highest
-    enabled component is larger, a tie going to the larger id, and
-    `ndet_value` the interval endpoint that maximizes the component at
-    the target."""
+    the enabled `if *` arm whose pre-expectation of the highest enabled
+    component is larger, at the larger end of a demonic interval, a tie
+    going to the larger id, and `ndet_value` the interval endpoint that
+    maximizes the component at the target."""
     p, inv = load_fixture("branching")
     cert = synthesize_bsp(p, inv).certificate
     t2, t3 = p.transition("t2"), p.transition("t3")
@@ -320,7 +320,9 @@ def test_adversarial_choice_and_endpoint_on_branching():
     sched = Adversarial(cert)
     for x in range(4):
         values = [F(x), F(5)]
-        assert [max_pre(third, t).evaluate(values) for t in (t2, t3)] == [x + 18, 18]
+        # t3's at hi, -1
+        assert [pre_and_bounds(2, third, t)[0].evaluate([*values, F(-1)])
+                for t in (t2, t3)] == [x + 18, 18]
         for enabled in ([t2, t3], [t3, t2]):
             assert sched.choose(enabled, values, None).id == ("t2" if x else "t3")
     # component 2 at l1 is 3y + 29: it does not read x, the target of

@@ -1,11 +1,12 @@
 """The iterative certificate search, on fixtures and adversarial cases."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from probterm import (CertificateMode, Invariant, MissingBoundedSupport,
+from probterm import (CertificateMode, Invariant, LinExpr, MissingBoundedSupport,
                       NotLinPPStar, TemplateRestriction, build_lp,
                       check_certificate, extract_level_map, lower_to_pcfg,
                       parse_program, solve_lp, synthesize_bsp, synthesize_general)
@@ -109,6 +110,73 @@ def test_fig1b_bsp_shift_is_support_times_maxcoeff(fig1b):
     # undo the shift and recompute: shift = 2 * N * max |coefficient|
     unshifted = cert.lem.shifted(-cert.shift)
     assert cert.shift == 2 * F(7) * unshifted.max_abs_coeff()
+
+
+# one process written two ways: 10 * U[-1, 1] and U[-10, 10] draw the
+# same values
+SHIFT_PROBES = ["while x >= 0 do x := x - 1 + 10*sample(unif(-1,1)) od",
+                "while x >= 0 do x := x - 1 + sample(unif(-10,10)) od"]
+
+
+def test_scaled_sample_gets_the_shift_of_its_values():
+    docs = []
+    for src in SHIFT_PROBES:
+        p = lower_to_pcfg(parse_program(src))
+        cert = synthesize_bsp(p, Invariant({})).certificate
+        assert cert.shift == 20
+        docs.append(certificate_to_json(cert, p))
+    assert docs[0] == docs[1]
+
+
+def _bsp_certificates():
+    """(name, pCFG, invariant, certificate) for every bounded-support
+    certificate of the fixtures, the ladders of depth up to 4, the shift
+    probes and the corpus."""
+    from probterm import check_bsp
+    from test_golden import (CERTIFIED, CORPUS_FOUND, CORPUS_PROGRAMS, CORPUS_SEED,
+                             ladder, load)
+    from test_integration import gen_program
+    cases = [(name, *load(name)) for name in sorted(CERTIFIED)]
+    cases += [(f"ladder.k{k}", *ladder(k, "bsp")) for k in range(1, 5)]
+    cases += [(src, lower_to_pcfg(parse_program(src)), Invariant({})) for src in SHIFT_PROBES]
+    for name, p, inv in cases:
+        if check_bsp(p)[0]:
+            yield name, p, inv, synthesize_bsp(p, inv).certificate
+    rng = random.Random(CORPUS_SEED)
+    found = 0
+    for i in range(CORPUS_PROGRAMS):
+        p = lower_to_pcfg(parse_program(gen_program(rng)))
+        if (res := synthesize_bsp(p, Invariant({}))).found:
+            found += 1
+            yield f"corpus.{i}", p, Invariant({}), res.certificate
+            for _ in p.variables:   # the stream as the corpus pins draw it
+                rng.randint(-2, 3)
+    assert found == CORPUS_FOUND
+
+
+def test_shift_keeps_sampled_successors_nonnegative():
+    # the shift covers every value a sample may take: each component j up
+    # to the level of a sampling transition is nonnegative at every
+    # successor, the sample a variable bounded to its support
+    from probterm import LinConstraint, Polyhedron, entails
+    failures, queries = [], 0
+    for name, p, inv, cert in _bsp_certificates():
+        s = LinExpr.var(len(p.variables))
+        for t in p.transitions:
+            if (d := t.samples_from()) is None:
+                continue
+            u = t.update()
+            support = Polyhedron([LinConstraint.le(LinExpr.const(d.support_lo) - s),
+                                  LinConstraint.le(s - LinExpr.const(d.support_hi))])
+            successor = u.base + s.scale(u.sample[0])
+            for j in range(1, cert.levels[t.id] + 1):
+                e = cert.lem.at(t.kind.dest, j).substitute(u.target, successor)
+                for ante in inv.antecedents(t):
+                    queries += 1
+                    if not entails(ante.conjoin(support), e)[0]:
+                        failures.append((name, t.id, j))
+    assert failures == []
+    assert queries > 25, queries
 
 
 def test_determinism_bit_identical(fig1b):
@@ -688,7 +756,7 @@ def with_implied(p, inv, slp):
     probabilistic branch."""
     from dataclasses import replace
     from probterm.farkas import check_feasible
-    from probterm.synthesis import pre_and_bounds
+    from probterm.preexp import pre_and_bounds
     lp = replace(slp.lp, names=list(slp.lp.names), nonneg=list(slp.lp.nonneg),
                  constraints=list(slp.lp.constraints))
     for t in p.transitions:
@@ -696,7 +764,7 @@ def with_implied(p, inv, slp):
             continue
         templates = {loc: template_at(slp, loc) for loc in slp.columns}
         here = templates[t.source]
-        pre, bounds = pre_and_bounds(p, templates, t)
+        pre, bounds = pre_and_bounds(len(p.variables), templates, t)
         for ante in inv.antecedents(t):
             if not t.is_pb and check_feasible(ante)[0]:
                 encode_into(ante, here, lp, "nn")
