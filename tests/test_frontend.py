@@ -19,7 +19,9 @@ from probterm.rationals import rat
 from probterm.pcfg_io import (dist_from_json, dist_to_json, invariant_from_json, load_pcfg,
                               pcfg_from_json, pcfg_to_json)
 from probterm.simulate import UniformRandom, run_rngs, run_trajectory
-from probterm.source import Seq, Skip, While, tokenize
+from probterm.model import NondetUpdate
+from probterm.source import (Assign, IfCond, IfNdet, IfProb, Seq, Skip, SourceProgram,
+                             While, tokenize)
 
 from conftest import FIXTURES, fixture_path, load_fixture, load_fixture_ast
 from test_strict_rule import workloads
@@ -104,6 +106,64 @@ def test_token_stream_digest():
             record = str(e)
         h.update(repr(record).encode() + b"\n")
     assert h.hexdigest() == TOKEN_STREAM_DIGEST
+
+
+# The AST oracle: one sha256 over what `parse_program` returns for every
+# input of the token-stream oracle, as the canonical dump `ast_record`, or
+# over the error's class and message where it refuses the input.
+AST_DIGEST = "d4eb877d2561984625af012d0868c74d7dcdc45b2a862848563e8cc9b50a1309"
+
+
+def ast_record(node):
+    """A nested tuple of plain values that says everything about a parsed
+    program or statement: its variables, each statement, every predicate
+    atom, every coefficient (as a string, in the order the expression
+    keeps them) and each distribution's kind, mean, support and params."""
+    def rational(v):
+        return tuple(map(rational, v)) if isinstance(v, tuple) else str(v)
+
+    def expr(e):
+        return tuple((i, str(c)) for i, c in e.coeffs.items()), str(e.constant)
+
+    def pred(p):
+        return tuple(tuple((c.rel.value, expr(c.lhs)) for c in d.constraints)
+                     for d in p.disjuncts)
+
+    def dist(d):
+        return (d.kind.value, str(d.mean), str(d.support_lo), str(d.support_hi),
+                tuple((k, rational(v)) for k, v in d.params))
+
+    if isinstance(node, SourceProgram):
+        return "program", tuple(node.variables), ast_record(node.body)
+    if isinstance(node, Skip):
+        return ("skip",)
+    if isinstance(node, Assign):
+        u = node.update
+        if isinstance(u, NondetUpdate):
+            return "ndet", u.target, str(u.lo), str(u.hi)
+        sample = None if u.sample is None else (str(u.sample[0]), dist(u.sample[1]))
+        return "assign", u.target, expr(u.base), sample
+    if isinstance(node, Seq):
+        return "seq", tuple(map(ast_record, node.stmts))
+    if isinstance(node, While):
+        return "while", pred(node.cond), ast_record(node.body)
+    if isinstance(node, IfCond):
+        return "if", pred(node.cond), ast_record(node.then), ast_record(node.els)
+    if isinstance(node, IfProb):
+        return "if prob", str(node.p), ast_record(node.then), ast_record(node.els)
+    assert isinstance(node, IfNdet), node
+    return "if *", ast_record(node.then), ast_record(node.els)
+
+
+def test_ast_digest():
+    h = hashlib.sha256()
+    for text in token_stream_sources():
+        try:
+            record = ast_record(parse_program(text))
+        except ProgramSyntaxError as e:
+            record = type(e).__name__, str(e)
+        h.update(repr(record).encode() + b"\n")
+    assert h.hexdigest() == AST_DIGEST
 
 
 @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit is set")
