@@ -25,8 +25,9 @@ The expectations are `preexp.pre_and_bounds`, as in synthesis. Across a
 demonic interval assignment it reads one more variable, bounded to the
 interval, and decrease, unaffected and expected-nonneg are checked on
 the disjunct conjoined with those bounds: each must hold for every value
-the scheduler may pick. A counterexample names the program variables
-only, so it leaves out the demonic value that breaks the condition.
+the scheduler may pick. A counterexample of such a condition names the
+demonic value too, as the assigned variable primed (`x'`), a name that
+no program variable can have.
 """
 
 from __future__ import annotations
@@ -131,16 +132,16 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
     structural_check(p, c)
     conditions: List[ConditionReport] = []
 
-    def names(witness: Optional[Dict[int, Fraction]]) -> Optional[Dict[str, str]]:
+    def names(witness: Optional[Dict[int, Fraction]], labels) -> Optional[Dict[str, str]]:
         if witness is None:
             return None
-        return {p.variables[i]: str(v) for i, v in witness.items()
-                if 0 <= i < len(p.variables)}
+        return {labels[i]: str(v) for i, v in witness.items() if 0 <= i < len(labels)}
 
-    def record(tid: str, cond: str, comp: int, ok: bool, witness=None) -> None:
+    def record(tid: str, cond: str, comp: int, ok: bool, witness=None,
+               labels=p.variables) -> None:
         conditions.append(ConditionReport(tid, cond, comp,
                                           "ok" if ok else "violated",
-                                          None if ok else names(witness)))
+                                          None if ok else names(witness, labels)))
 
     if c.mode is CertificateMode.BSP_COMPLETE:
         bounded, _ = check_bsp(p)
@@ -159,19 +160,22 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
         decrease = comps[j][t.source] - pre[j] - LinExpr.const(1)
         unaffected = [comps[jp][t.source] - pre[jp] for jp in range(1, j)]
         expected = [] if t.is_pb else [pre[jp] for jp in range(1, j + 1)]
+        # the demonic value is variable `nvars` of a condition that reads it
+        labels = p.variables + ([f"{p.variables[t.kind.update.target]}'"]
+                                if bounds.constraints else [])
         for ante in inv.antecedents(t):
             stepped = ante.conjoin(bounds)
             ok, w = entails(stepped, decrease)
-            record(t.id, "decrease", j, ok, w)
+            record(t.id, "decrease", j, ok, w, labels)
             for jp, e in enumerate(unaffected, 1):
                 ok, w = entails(stepped, e)
-                record(t.id, "unaffected", jp, ok, w)
+                record(t.id, "unaffected", jp, ok, w, labels)
             for jp in range(1, j + 1):
                 ok, w = entails(ante, comps[jp][t.source])
                 record(t.id, "nonneg", jp, ok, w)
             for jp, e in enumerate(expected, 1):
                 ok, w = entails(stepped, e)
-                record(t.id, "expected-nonneg", jp, ok, w)
+                record(t.id, "expected-nonneg", jp, ok, w, labels)
         if t.is_pb:
             for jp in range(1, j + 1):
                 # successor states where every enabled transition has level < jp

@@ -17,10 +17,11 @@ terminal; transitions become `t0`, `t1`, ... in construction order.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .linear import Polyhedron, Predicate, negate_predicate
 from .model import (GuardedStep, NoUpdate, NondetUpdate, PCFG, ProbBranch,
@@ -33,36 +34,32 @@ def lower_to_pcfg(program: SourceProgram) -> PCFG:
     builder = _Builder(program.variables)
     entry = builder.fresh()
     builder.lower(program.body, entry, builder.terminal)
-    # every rewrite restarts the scan from the first location
-    while builder.contract({entry, builder.terminal}):
-        pass
+    # one pass, which takes the locations in order of first mention
+    builder.contract({entry, builder.terminal})
     return builder.finish(entry)
 
 
-def _relabel(t: Transition, rename: Dict[str, str], tid: str = "") -> Transition:
-    """`t` with every location in `rename` replaced, under id `tid`."""
-    k = t.kind
-    if t.is_pb:
-        k = ProbBranch(rename.get(k.dest1, k.dest1), k.p1, rename.get(k.dest2, k.dest2), k.p2)
-    else:
-        k = GuardedStep(rename.get(k.dest, k.dest), k.guard, k.update)
-    return Transition(tid, rename.get(t.source, t.source), k)
-
-
 class _Builder:
-    """Transitions carry the placeholder id "" until `finish` numbers them."""
+    """The transitions under construction are edges, each a list
+    [source, destinations, guard, update, probabilities] that contraction
+    rewrites in place: a step has one destination and probabilities None,
+    a probabilistic branch two destinations, their two probabilities and
+    the no-op guard and update. `finish` makes them `Transition`s."""
 
     def __init__(self, variables: List[str]):
         self.variables = variables
         self.counter = itertools.count()
         self.terminal = "__out__"
-        self.transitions: List[Transition] = []
+        self.transitions: List[list] = []
+        # the guard and the update of an unconditional no-op, which every
+        # edge that needs one shares
+        self.true, self.no_update = Predicate.true(), NoUpdate()
 
     def fresh(self) -> str:
         return f"q{next(self.counter)}"
 
     def step(self, source: str, dest: str, guard: Predicate, update) -> None:
-        self.transitions.append(Transition("", source, GuardedStep(dest, guard, update)))
+        self.transitions.append([source, [dest], guard, update, None])
 
     def split(self, source: str, cond: Predicate, yes: str, no: str) -> None:
         """One step per distinct disjunct of `cond` to `yes`, and of its
@@ -70,14 +67,17 @@ class _Builder:
         the same transition, which a uniform scheduler chooses between
         with a draw that the source program does not make."""
         for pred, dest in ((cond, yes), (negate_predicate(cond), no)):
+            if len(pred.disjuncts) == 1:
+                self.step(source, dest, pred, self.no_update)
+                continue
             for constraints in dict.fromkeys(tuple(d.constraints) for d in pred.disjuncts):
-                self.step(source, dest, Predicate([Polyhedron(constraints)]), NoUpdate())
+                self.step(source, dest, Predicate([Polyhedron(constraints)]), self.no_update)
 
     def lower(self, stmt: Stmt, entry: str, exit_: str) -> None:
         if isinstance(stmt, Skip):
-            self.step(entry, exit_, Predicate.true(), NoUpdate())
+            self.step(entry, exit_, self.true, self.no_update)
         elif isinstance(stmt, Assign):
-            self.step(entry, exit_, Predicate.true(), stmt.update)
+            self.step(entry, exit_, self.true, stmt.update)
         elif isinstance(stmt, Seq):
             cur = entry
             for s in stmt.stmts[:-1]:
@@ -94,11 +94,11 @@ class _Builder:
             if isinstance(stmt, IfCond):
                 self.split(entry, stmt.cond, then_entry, else_entry)
             elif isinstance(stmt, IfProb):
-                self.transitions.append(Transition("", entry, ProbBranch(
-                    then_entry, stmt.p, else_entry, 1 - stmt.p)))
+                self.transitions.append([entry, [then_entry, else_entry], self.true,
+                                         self.no_update, (stmt.p, 1 - stmt.p)])
             elif isinstance(stmt, IfNdet):
-                self.step(entry, then_entry, Predicate.true(), NoUpdate())
-                self.step(entry, else_entry, Predicate.true(), NoUpdate())
+                self.step(entry, then_entry, self.true, self.no_update)
+                self.step(entry, else_entry, self.true, self.no_update)
             else:
                 raise TypeError(f"unknown statement {stmt!r}")
             self.lower(stmt.then, then_entry, exit_)
@@ -106,55 +106,89 @@ class _Builder:
 
     # -- contraction --------------------------------------------------------
 
-    def contract(self, protect: set) -> bool:
-        """Apply the first rewrite that fits, scanning the locations not in
-        `protect` in order of first mention; False when none does."""
-        ts = self.transitions
-        into, out_of = {}, {}       # `into` keyed in order of first mention
-        for t in ts:
-            into.setdefault(t.source, [])
-            out_of.setdefault(t.source, []).append(t)
-            for d in t.destinations():
-                into.setdefault(d, []).append(t)
-        for loc, ins in into.items():
-            if loc in protect:
-                continue
-            outs = out_of.get(loc, [])
+    def contract(self, protect: set) -> None:
+        """Apply rewrites until none fits, each at the first location not
+        in `protect`, in order of first mention, where one fits.
+
+        A rewrite deletes one edge and rewrites others in their places, so
+        a location's first mention is the least (place, slot) at which an
+        edge names it, slot 0 its source and 1, 2 its destinations, and a
+        heap of (first mention, location) yields the next one to look at.
+        Whether a rewrite fits at a location depends on the edges that name
+        it alone, so after a rewrite only the locations that the changed
+        edges name are pushed again, and the first mention moves only for
+        the one that gains them."""
+        es: List[Optional[list]] = self.transitions
+        into: Dict[str, Dict[int, None]] = {}     # location -> places
+        out_of: Dict[str, Dict[int, None]] = {}
+        first: Dict[str, Optional[int]] = {}      # location -> 3 * place + slot
+        for place, e in enumerate(es):
+            for key, loc in enumerate((e[0], *e[1]), 3 * place):
+                if loc not in first:
+                    first[loc], into[loc], out_of[loc] = key, {}, {}
+                (into[loc] if key % 3 else out_of[loc])[place] = None
+        heap = [(key, loc) for loc, key in first.items() if loc not in protect]  # sorted
+
+        def mention(place: int, loc: str) -> int:
+            e = es[place]
+            return 3 * place if e[0] == loc else 3 * place + 1 + (e[1][0] != loc)
+
+        def gain(loc: str, lost: int, places) -> List[str]:
+            """Give `loc` the mentions at `places` in place of the one at
+            `lost`; the locations those edges name."""
+            if first[loc] == lost:
+                first[loc] = min(mention(p, loc) for ps in (out_of[loc], into[loc]) for p in ps)
+            else:
+                first[loc] = min(first[loc], *(mention(p, loc) for p in places))
+            return [n for p in places for n in (es[p][0], *es[p][1])]
+
+        while heap:
+            key, loc = heapq.heappop(heap)
+            if key != first[loc]:
+                continue    # pushed again since, or gone
+            ins, outs = into[loc], out_of[loc]
+            entry = es[next(iter(ins))] if len(ins) == 1 else None
+            exit_ = es[next(iter(outs))] if len(outs) == 1 else None
             # fold a single guarded no-update entry into the exits
-            if (len(ins) == 1 and not ins[0].is_pb
-                    and isinstance(ins[0].update(), NoUpdate) and ins[0].source != loc
-                    and outs and all(not o.is_pb and loc not in o.destinations()
-                                     for o in outs)):
-                entry = ins[0]
-                self.transitions = [
-                    Transition("", entry.source, GuardedStep(
-                        t.kind.dest, entry.guard().conjoin(t.guard()), t.update()))
-                    if t.source == loc else t
-                    for t in ts if t is not entry]
-                return True
+            if (entry is not None and entry[4] is None and isinstance(entry[3], NoUpdate)
+                    and entry[0] != loc and outs
+                    and all(es[o][4] is None and loc not in es[o][1] for o in outs)):
+                (place,) = ins
+                del out_of[entry[0]][place]
+                for o in outs:
+                    es[o][0], es[o][2] = entry[0], entry[2].conjoin(es[o][2])
+                out_of[entry[0]].update(outs)
+                names = gain(entry[0], 3 * place, outs)
             # skip through an unconditional no-op exit
-            if (len(outs) == 1 and not outs[0].is_pb
-                    and isinstance(outs[0].update(), NoUpdate) and outs[0].guard().is_true()
-                    and loc not in outs[0].destinations() and ins):
-                target = outs[0].destinations()[0]
-                # a probabilistic branch into `loc` that already goes to
-                # `target` would get one target twice
-                if not any(t.is_pb and target in t.destinations() for t in ins):
-                    self.transitions = [_relabel(t, {loc: target})
-                                        for t in ts if t is not outs[0]]
-                    return True
-        return False
+            elif (exit_ is not None and exit_[4] is None and isinstance(exit_[3], NoUpdate)
+                    and exit_[2].is_true() and loc not in exit_[1] and ins
+                    # a probabilistic branch into `loc` that already goes
+                    # to the target would get one target twice
+                    and not any(es[i][4] and exit_[1][0] in es[i][1] for i in ins)):
+                (place,) = outs
+                target = exit_[1][0]
+                del into[target][place]
+                for i in ins:
+                    es[i][1] = [target if d == loc else d for d in es[i][1]]
+                into[target].update(ins)
+                names = gain(target, 3 * place + 1, ins)
+            else:
+                continue
+            es[place], into[loc], out_of[loc], first[loc] = None, {}, {}, None
+            for n in set(names) - protect - {loc}:
+                heapq.heappush(heap, (first[n], n))
+        self.transitions = [e for e in es if e is not None]
 
     # -- canonical naming ----------------------------------------------------
 
     def finish(self, entry: str) -> PCFG:
-        out_of: Dict[str, List[Transition]] = {}
-        for t in self.transitions:
-            out_of.setdefault(t.source, []).append(t)
+        out_of: Dict[str, List[list]] = {}
+        for e in self.transitions:
+            out_of.setdefault(e[0], []).append(e)
         order, seen = [entry], {entry, self.terminal}
         for loc in order:  # breadth first: `order` grows while it is read
-            for t in out_of.get(loc, ()):
-                for d in t.destinations():
+            for e in out_of.get(loc, ()):
+                for d in e[1]:
                     if d not in seen:
                         seen.add(d)
                         order.append(d)
@@ -162,10 +196,13 @@ class _Builder:
         locations = list(rename.values()) + ["out"]
         rename[self.terminal] = "out"
         # statically dead branches (e.g. a loop whose guard is `false`)
-        # leave unreachable locations behind; drop their transitions
-        live = [t for t in self.transitions if t.source in rename]
-        return PCFG(list(self.variables), locations, rename[entry], "out",
-                    [_relabel(t, rename, f"t{i}") for i, t in enumerate(live)])
+        # leave unreachable locations behind; drop their edges
+        live = [e for e in self.transitions if e[0] in rename]
+        return PCFG(list(self.variables), locations, rename[entry], "out", [
+            Transition(f"t{i}", rename[source], GuardedStep(rename[dests[0]], guard, update)
+                       if probs is None else
+                       ProbBranch(rename[dests[0]], probs[0], rename[dests[1]], probs[1]))
+            for i, (source, dests, guard, update, probs) in enumerate(live)])
 
 
 # -- reference interpreter ---------------------------------------------------

@@ -34,7 +34,9 @@ def rat(value: RationalLike) -> Fraction:
     not a number. So is a decimal string whose numerator or denominator
     could have more digits than `sys.get_int_max_str_digits()` (0 is no
     limit), its mantissa digits plus the magnitude of its exponent, before
-    `Fraction` builds a power of ten that large."""
+    `Fraction` builds a power of ten that large. An integer or ``"p/q"``
+    in decimal digits is read by `int` alone, which refuses what
+    `Fraction` would; anything else, a refusal included, by `Fraction`."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -43,6 +45,12 @@ def rat(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text, limit = value.strip(), sys.get_int_max_str_digits()
+        p, slash, q = text.partition("/")
+        if p.removeprefix("-").isdecimal() and (q.isdecimal() or not slash):
+            try:
+                return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+            except (ValueError, ZeroDivisionError):
+                pass    # past the digit limit, or q = 0: as `Fraction` says
         m = _DECIMAL.fullmatch(text)
         if m and limit:
             digits = len(f"{m[1]}{m[2] or ''}".replace("_", "")) + abs(int(m[3] or 0))

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .distributions import SCALAR_KINDS, DistributionSpec
 from .linear import (LinConstraint, LinExpr, Polyhedron, Predicate,
@@ -112,16 +112,20 @@ class SourceProgram:
 KEYWORDS = {"while", "do", "od", "if", "then", "else", "fi", "skip",
             "prob", "ndet", "sample", "and", "or", "not", "true", "false"}
 
-# one match per token: whitespace and comments are read as the prefix of
-# the token that follows them, and `eof` ends the text. Every other
-# character starts an alternative (`bad` takes any one that no token
-# does). `\s`, `\d` and `\w` read Unicode as `isspace`, `isdecimal` and
-# `isalnum` (or "_") do; a word must also start with a letter or "_",
-# which `[^\W\d]` alone does not enforce (it takes "\u00b2")
-_TOKEN = re.compile(r"""(?: \s+ | \#[^\n]* )*
-                        (?: (?P<num>\.?\d[\d.]*) | (?P<word>[^\W\d]\w*)
-                          | (?P<sym>:= | <= | >= | == | != | [-<>+*/()\[\],;:])
-                          | (?P<eof>\Z) | (?P<bad>.) )""", re.VERBOSE)
+# one match per token, as (prefix, token): whitespace and comments are the
+# prefix of the token that follows them, the empty token at the end of the
+# text is `eof`, and every other character starts a token (the last
+# alternative takes any one that no token does, to be refused). `\s`, `\d`
+# and `\w` read Unicode as `isspace`, `isdecimal` and `isalnum` (or "_")
+# do; a word must also start with a letter or "_", which `[^\W\d]` alone
+# does not enforce (it takes "²")
+_TOKEN = re.compile(r"""((?: \s+ | \#[^\n]* )*)
+                        ( \.?\d[\d.]* | [^\W\d]\w* | := | <= | >= | == | != | [-<>+*/()\[\],;:]
+                        | \Z | . )""", re.VERBOSE)
+
+# the kind of every token whose text names it: keywords, symbols and `eof`
+_KINDS = {word: word for word in (*KEYWORDS, ":=", "<=", ">=", "==", "!=", *"-<>+*/()[],;:")}
+_KINDS[""] = "eof"
 
 
 class Token(NamedTuple):
@@ -132,22 +136,36 @@ class Token(NamedTuple):
     pos: int
 
 
+def scan(text: str) -> Tuple[List[str], List[str], List[int]]:
+    """The kind, text and offset of each token of `text`, as three lists,
+    the last token `eof`."""
+    kinds: List[str] = []
+    words: List[str] = []
+    starts: List[int] = []
+    pos = 0
+    for prefix, word in _TOKEN.findall(text):
+        pos += len(prefix)
+        kind = _KINDS.get(word)
+        if kind is None:
+            c = word[0]
+            if c.isalpha() or c == "_":
+                kind = "ident"
+            elif c.isdecimal() or c == "." and word != ".":
+                if word.count(".") > 1:
+                    raise ProgramSyntaxError.at(text, pos, f"malformed number {word!r}")
+                kind = "num"
+            else:
+                raise ProgramSyntaxError.at(text, pos, f"unexpected character {c!r}")
+        kinds.append(kind)
+        words.append(word)
+        starts.append(pos)
+        if kind == "eof":   # which `findall` may match twice at the end
+            return kinds, words, starts
+        pos += len(word)
+
+
 def tokenize(text: str) -> List[Token]:
-    toks: List[Token] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        word, pos = m[kind], m.start(kind)
-        if kind == "word" and (word[0].isalpha() or word[0] == "_"):
-            kind = word if word in KEYWORDS else "ident"
-        elif kind == "sym":
-            kind = word
-        elif kind == "num" and word.count(".") > 1:
-            raise ProgramSyntaxError.at(text, pos, f"malformed number {word!r}")
-        elif kind in ("word", "bad"):
-            raise ProgramSyntaxError.at(text, pos, f"unexpected character {word[0]!r}")
-        toks.append(Token(kind, word, pos))
-        if kind == "eof":   # which `finditer` may match twice at the end
-            return toks
+    return list(map(Token, *scan(text)))
 
 
 # -- parser ------------------------------------------------------------------
@@ -159,43 +177,36 @@ _COMPARISONS = {"<=": [(LinConstraint.le, 1)], "<": [(LinConstraint.lt, 1)],
                 "==": [(LinConstraint.eq, 1)],
                 "!=": [(LinConstraint.lt, 1), (LinConstraint.lt, -1)]}
 
+# the scalar distribution kind of each of its source names
+_SCALARS = {name: s for s in SCALAR_KINDS.values() for name in s.names}
+
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent over the tokens of `scan`, each named by its
+    index: a rule reads the kind of the token at `pos` once and dispatches
+    on it."""
+
+    def __init__(self, text: str, variables: List[str] = ()):
         self.text = text
-        self.toks = tokenize(text)
+        self.kinds, self.words, self.starts = scan(text)
         self.pos = 0
-        self.vars: List[str] = []
+        self.vars: List[str] = list(variables)
         # an expression is one LinExpr, whose column -k is the k-th sample
         # term read: samples[k - 1] holds its `sample` token and distribution
-        self.samples: List[Tuple[Token, DistributionSpec]] = []
+        self.samples: List[Tuple[int, DistributionSpec]] = []
+        # each distribution's text, from its name to its ")", is built once
+        self.dists: Dict[str, DistributionSpec] = {}
 
-    # token plumbing
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        t = self.toks[self.pos]
+    def expect(self, kind: str) -> int:
+        """The next token, consumed; a syntax error unless it has `kind`."""
+        if self.kinds[self.pos] != kind:
+            self.fail(f"expected {kind!r}, found {self.words[self.pos] or self.kinds[self.pos]!r}")
         self.pos += 1
-        return t
+        return self.pos - 1
 
-    def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
-
-    def accept(self, kind: str) -> Token | None:
-        """The next token, consumed, if it has `kind`; else None."""
-        return self.next() if self.at(kind) else None
-
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            self.fail(f"expected {kind!r}, found {t.text or t.kind!r}")
-        return self.next()
-
-    def fail(self, message: str, t: Token | None = None, error=ProgramSyntaxError):
-        """Raise `error` with `message` at token `t`, by default the next."""
-        raise error.at(self.text, (t or self.peek()).pos, message)
+    def fail(self, message: str, at: int | None = None, error=ProgramSyntaxError):
+        """Raise `error` with `message` at token `at`, by default the next."""
+        raise error.at(self.text, self.starts[self.pos if at is None else at], message)
 
     def run(self, rule):
         """`rule()`; nesting too deep for the interpreter's stack is a
@@ -215,41 +226,48 @@ class _Parser:
     # statements
 
     def parse_program(self) -> SourceProgram:
-        if self.at("eof"):
+        if self.kinds[0] == "eof":
             return SourceProgram(Skip(), [])
         body = self.parse_seq()
         self.expect("eof")
         return SourceProgram(body, list(self.vars))
 
     def parse_seq(self) -> Stmt:
+        kinds = self.kinds
         stmts = [self.parse_stmt()]
-        while self.accept(";"):
-            if self.peek().kind in ("eof", "od", "fi", "else"):
+        while kinds[self.pos] == ";":
+            self.pos += 1
+            if kinds[self.pos] in ("eof", "od", "fi", "else"):
                 break  # tolerate a trailing semicolon
             stmts.append(self.parse_stmt())
         return stmts[0] if len(stmts) == 1 else Seq(stmts)
 
     def parse_stmt(self) -> Stmt:
-        if self.accept("skip"):
-            return Skip()
-        if self.accept("while"):
+        kind = self.kinds[self.pos]
+        if kind == "ident":
+            return self.parse_assign()
+        if kind == "if":
+            return self.parse_if()
+        if kind == "while":
+            self.pos += 1
             cond = self.parse_predicate()
             self.expect("do")
             body = self.parse_seq()
             self.expect("od")
             return While(cond, body)
-        if self.at("if"):
-            return self.parse_if()
-        if self.at("ident"):
-            return self.parse_assign()
+        if kind == "skip":
+            self.pos += 1
+            return Skip()
         self.fail("expected a statement")
 
     def parse_if(self) -> Stmt:
-        self.expect("if")
-        if self.accept("*"):
+        self.pos += 1
+        t = self.pos
+        if self.kinds[t] == "*":
+            self.pos += 1
             make = IfNdet
-        elif self.at("prob"):
-            t = self.next()
+        elif self.kinds[t] == "prob":
+            self.pos += 1
             self.expect("(")
             p = self.parse_signed_number()
             self.expect(")")
@@ -266,11 +284,13 @@ class _Parser:
         return make(then, els)
 
     def parse_assign(self) -> Stmt:
-        # declares the target before its right-hand side
-        target = self.var_index(self.expect("ident").text)
+        # declares the target, once read, before its right-hand side
+        self.pos += 1
+        target = self.var_index(self.words[self.pos - 1])
         self.expect(":=")
-        if self.at("ndet"):
-            t = self.next()
+        t = self.pos
+        if self.kinds[t] == "ndet":
+            self.pos += 1
             self.expect("[")
             lo = self.parse_signed_number()
             self.expect(",")
@@ -279,11 +299,13 @@ class _Parser:
             if lo > hi:
                 self.fail(f"empty interval [{lo}, {hi}]", t)
             return Assign(NondetUpdate(target, lo, hi))
+        first = len(self.samples)
         expr = self.parse_expr()
+        if len(self.samples) == first:
+            return Assign(ExprUpdate(target, expr))
         columns = sorted((i for i in expr.coeffs if i < 0), reverse=True)
         if len(columns) > 1:
-            t = self.samples[-columns[1] - 1][0]
-            self.fail("at most one sample term per assignment", t,
+            self.fail("at most one sample term per assignment", self.samples[-columns[1] - 1][0],
                       MultipleSamplesInAssignment)
         if not columns:
             return Assign(ExprUpdate(target, expr))
@@ -295,27 +317,34 @@ class _Parser:
 
     def parse_predicate(self) -> Predicate:
         pred = self.parse_and()
-        while self.accept("or"):
+        while self.kinds[self.pos] == "or":
+            self.pos += 1
             pred = pred.disjoin(self.parse_and())
         return pred
 
     def parse_and(self) -> Predicate:
         pred = self.parse_patom()
-        while self.accept("and"):
+        while self.kinds[self.pos] == "and":
+            self.pos += 1
             pred = pred.conjoin(self.parse_patom())
         return pred
 
     def parse_patom(self) -> Predicate:
-        if self.accept("not"):
+        kind = self.kinds[self.pos]
+        if kind == "not":
+            self.pos += 1
             return negate_predicate(self.parse_patom())
-        if self.accept("true"):
+        if kind == "true":
+            self.pos += 1
             return Predicate.true()
-        if self.accept("false"):
+        if kind == "false":
+            self.pos += 1
             return Predicate.false()
-        snapshot = self.pos
-        if self.accept("("):
+        if kind == "(":
             # either a parenthesized predicate or the start of a comparison;
             # a sample read in a comparison is refused however it is read
+            snapshot = self.pos
+            self.pos += 1
             try:
                 inner = self.parse_predicate()
                 self.expect(")")
@@ -329,38 +358,45 @@ class _Parser:
     def parse_comparison(self) -> Predicate:
         first = len(self.samples)
         lhs = self.parse_expr()
-        op = self.peek()
-        if op.kind not in _COMPARISONS:
+        atoms = _COMPARISONS.get(self.kinds[self.pos])
+        if atoms is None:
             self.fail("expected a comparison operator")
-        self.next()
+        self.pos += 1
         diff = lhs - self.parse_expr()
         if len(self.samples) > first:
             self.fail("sampling is not allowed inside predicates", self.samples[first][0],
                       SampleInPredicate)
         return Predicate([Polyhedron([atom(diff if sign > 0 else -diff)])
-                          for atom, sign in _COMPARISONS[op.kind]])
+                          for atom, sign in atoms])
 
     # linear expressions; sample terms are negative columns
 
     def parse_expr(self) -> LinExpr:
         expr = self.parse_term()
-        while self.at("+") or self.at("-"):
-            if self.next().kind == "-":
+        kinds = self.kinds
+        while True:
+            kind = kinds[self.pos]
+            if kind == "+":
+                self.pos += 1
+                expr = expr + self.parse_term()
+            elif kind == "-":
+                self.pos += 1
                 expr = expr - self.parse_term()
             else:
-                expr = expr + self.parse_term()
-        return expr
+                return expr
 
     def parse_term(self) -> LinExpr:
         expr = self.parse_factor()
-        while self.at("*") or self.at("/"):
-            op = self.next()
+        kinds = self.kinds
+        while kinds[self.pos] in ("*", "/"):
+            op = self.pos
+            self.pos += 1
             rhs = self.parse_factor()
-            if op.kind == "*" and rhs.is_constant():
+            if kinds[op] == "*" and rhs.is_constant():
                 expr = expr.scale(rhs.constant)
-            elif op.kind == "*" and expr.is_constant():
+            elif kinds[op] == "*" and expr.is_constant():
                 expr = rhs.scale(expr.constant)
-            elif op.kind == "*":
+            elif kinds[op] == "*":
                 self.fail("product of two non-constant expressions", op, NonLinearExpression)
             elif not rhs.is_constant():
                 self.fail("division by a non-constant", op, NonLinearExpression)
@@ -371,77 +407,80 @@ class _Parser:
         return expr
 
     def parse_factor(self) -> LinExpr:
-        t = self.peek()
-        if self.accept("-"):
+        t = self.pos
+        kind = self.kinds[t]
+        if kind == "num":
+            return LinExpr.owning({}, self.number())
+        self.pos += 1
+        if kind == "ident":
+            return LinExpr.var(self.var_index(self.words[t]))
+        if kind == "-":
             return -self.parse_factor()
-        if t.kind == "num":
-            return LinExpr.const(self.number())
-        if self.accept("ident"):
-            return LinExpr.var(self.var_index(t.text))
-        if self.accept("("):
+        if kind == "(":
             e = self.parse_expr()
             self.expect(")")
             return e
-        if self.accept("sample"):
+        if kind == "sample":
             self.expect("(")
             self.samples.append((t, self.parse_distribution()))
             self.expect(")")
             return LinExpr.var(-len(self.samples))
-        self.fail("expected an expression")
+        self.fail("expected an expression", t)
 
     def parse_signed_number(self) -> Fraction:
+        kinds = self.kinds
         neg = False
-        while self.at("-") or self.at("+"):
-            neg ^= self.next().kind == "-"
+        while kinds[self.pos] in ("-", "+"):
+            neg ^= kinds[self.pos] == "-"
+            self.pos += 1
         value = self.number()
-        slash = self.accept("/")
-        if slash:
+        if kinds[self.pos] == "/":
+            self.pos += 1
             denom = self.number()
             if denom == 0:
-                self.fail("zero denominator", slash)
+                self.fail("zero denominator", self.pos - 2)
             value /= denom
         return -value if neg else value
 
     def number(self) -> Fraction:
         """The value of the next token, a numeric literal."""
-        t = self.expect("num")
+        text = self.words[self.expect("num")]
         try:
-            return Fraction(t.text)
+            return Fraction(int(text) if text.isdecimal() else text)
         except ValueError:  # a digit run too long to convert to an int
-            self.fail(f"number has {max(map(len, t.text.split('.')))} digits in a row, "
-                      f"more than the limit of {sys.get_int_max_str_digits()}", t)
+            self.fail(f"number has {max(map(len, text.split('.')))} digits in a row, "
+                      f"more than the limit of {sys.get_int_max_str_digits()}", self.pos - 1)
 
     def parse_distribution(self) -> DistributionSpec:
-        t = self.peek()
-        try:
-            return self._distribution()
-        except ValueError as e:
-            self.fail(f"invalid distribution: {e}", t)
-
-    def _distribution(self) -> DistributionSpec:
         t = self.expect("ident")
-        name = t.text.lower()
+        name = self.words[t].lower()
         self.expect("(")
-        scalar = next((s for s in SCALAR_KINDS.values() if name in s.names), None)
+        scalar = _SCALARS.get(name)
         if scalar is not None:
             args = [self.parse_signed_number()]
             for _ in scalar.params[1:]:
                 self.expect(",")
                 args.append(self.parse_signed_number())
-            self.expect(")")
-            return scalar.make(*args)
-        if name == "discrete":
+            make = partial(scalar.make, *args)
+        elif name == "discrete":
             pairs = []
             while True:
                 v = self.parse_signed_number()
                 self.expect(":")
-                pr = self.parse_signed_number()
-                pairs.append((v, pr))
-                if not self.accept(","):
+                pairs.append((v, self.parse_signed_number()))
+                if self.kinds[self.pos] != ",":
                     break
-            self.expect(")")
-            return DistributionSpec.discrete(pairs)
-        self.fail(f"unknown distribution {t.text!r}", t)
+                self.pos += 1
+            make = partial(DistributionSpec.discrete, pairs)
+        else:
+            self.fail(f"unknown distribution {self.words[t]!r}", t)
+        key = self.text[self.starts[t]:self.starts[self.expect(")")]]
+        if key not in self.dists:
+            try:
+                self.dists[key] = make()
+            except ValueError as e:
+                self.fail(f"invalid distribution: {e}", t)
+        return self.dists[key]
 
 
 def parse_program(text: str) -> SourceProgram:
@@ -458,8 +497,7 @@ def parse_constraint_strings(items: List[str], variables: List[str]) -> Polyhedr
     variable table; conjunction semantics, atoms only."""
     constraints: List[LinConstraint] = []
     for s in items:
-        parser = _Parser(s)
-        parser.vars = list(variables)
+        parser = _Parser(s, variables)
         pred = parser.run(parser.parse_comparison)
         parser.expect("eof")
         if parser.vars != list(variables):

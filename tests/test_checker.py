@@ -249,6 +249,35 @@ def test_demonic_step_answers(comp, delta, violated):
     assert rows == [(*tc, "violated" if tc in violated else "ok") for tc in triples]
 
 
+# the cases above where t3 violates a condition over the demonic value
+DEMONIC_VIOLATIONS = [case for case in BRANCHING_DEMONIC
+                      if any(v[0] == "t3" and v[1] != "nonneg" for v in case[2])]
+
+
+@pytest.mark.parametrize("comp,delta,violated", DEMONIC_VIOLATIONS,
+                         ids=[f"{c}{d:+d}" for c, d, _ in DEMONIC_VIOLATIONS])
+def test_demonic_counterexample_names_its_value(comp, delta, violated):
+    # a violated condition over the demonic value reports that value as
+    # x', and the whole point, the value included, lies in the antecedent
+    # and the interval and violates the condition exactly
+    from probterm import pre_and_bounds, synthesize_bsp
+    p, inv = load_fixture("branching")
+    cert = perturbed(synthesize_bsp(p, inv).certificate, "l1", comp, p.var_index("x"), delta)
+    t = p.transition("t3")
+    rows = [r for r in check_certificate(p, inv, cert).violations
+            if r.transition == t.id and r.condition != "nonneg"]
+    assert {(r.transition, r.condition, r.component) for r in rows} <= violated and rows
+    for r in rows:
+        assert list(r.counterexample) == ["x", "y", "x'"]
+        point = dict(enumerate(F(r.counterexample[name]) for name in ["x", "y", "x'"]))
+        pre, bounds = pre_and_bounds(len(p.variables), cert.lem.component(r.component), t)
+        at_source = cert.lem.at(t.source, r.component)
+        condition = {"decrease": at_source - pre - LinExpr.const(1),
+                     "unaffected": at_source - pre, "expected-nonneg": pre}[r.condition]
+        assert condition.evaluate(point) < 0
+        assert bounds.satisfied(point) and any(a.satisfied(point) for a in inv.antecedents(t))
+
+
 def test_unbound_violation_is_specific(fig1a):
     # adding x to component 2 at l1 leaves decrease intact but trips the
     # coefficient-zero condition

@@ -560,6 +560,36 @@ def test_renaming_and_validation_read_the_transitions_a_fixed_number_of_times():
     assert validate_pcfg(p) == [] and p.transitions.reads == 1
 
 
+class _CountedName(str):
+    """A location name that counts how often it is hashed."""
+    hashes = 0
+
+    def __hash__(self):
+        _CountedName.hashes += 1
+        return str.__hash__(self)
+
+
+def test_contraction_work_grows_linearly(monkeypatch):
+    # `y := 0` then n sequential `if`s, lowered with location names that
+    # count how often a map or set hashes them: each rewrite of the
+    # contraction touches a few locations, so the count grows linearly in
+    # n, where a rescan from the first location after every rewrite makes
+    # it grow with n squared
+    monkeypatch.setattr(_Builder, "fresh",
+                        lambda self: _CountedName(f"q{next(self.counter)}"))
+
+    def hashes(n):
+        ast = parse_program("y := 0; " + "; ".join(["if y >= 0 then y := y + 1 "
+                                                      "else y := y - 1 fi"] * n))
+        _CountedName.hashes = 0
+        p = lower_to_pcfg(ast)
+        assert len(p.transitions) == 2 * n + 1
+        return _CountedName.hashes
+
+    small, large = hashes(100), hashes(200)
+    assert large <= 2.1 * small, (small, large)
+
+
 def test_distinct_disjuncts_are_found_in_linear_time(monkeypatch):
     # a 500-disjunct guard: its disjuncts are told apart by hashing, with
     # no pairwise comparison of polyhedra
