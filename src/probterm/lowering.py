@@ -133,14 +133,20 @@ class _Builder:
             e = es[place]
             return 3 * place if e[0] == loc else 3 * place + 1 + (e[1][0] != loc)
 
-        def gain(loc: str, lost: int, places) -> List[str]:
-            """Give `loc` the mentions at `places` in place of the one at
-            `lost`; the locations those edges name."""
-            if first[loc] == lost:
-                first[loc] = min(mention(p, loc) for ps in (out_of[loc], into[loc]) for p in ps)
+        def rewritten(place: int, loc: str, owner: str, places) -> None:
+            """Close a rewrite that deletes the edge at `place`, and `loc`
+            with it, after giving `owner` the mentions at `places`: move the
+            first mention of `owner`, and push the locations those edges
+            name."""
+            lost = mention(place, owner)
+            es[place], into[loc], out_of[loc], first[loc] = None, {}, {}, None
+            if first[owner] == lost:
+                first[owner] = min(mention(p, owner) for ps in (out_of[owner], into[owner])
+                                   for p in ps)
             else:
-                first[loc] = min(first[loc], *(mention(p, loc) for p in places))
-            return [n for p in places for n in (es[p][0], *es[p][1])]
+                first[owner] = min(first[owner], *(mention(p, owner) for p in places))
+            for n in {n for p in places for n in (es[p][0], *es[p][1])} - protect:
+                heapq.heappush(heap, (first[n], n))
 
         while heap:
             key, loc = heapq.heappop(heap)
@@ -150,33 +156,26 @@ class _Builder:
             entry = es[next(iter(ins))] if len(ins) == 1 else None
             exit_ = es[next(iter(outs))] if len(outs) == 1 else None
             # fold a single guarded no-update entry into the exits
-            if (entry is not None and entry[4] is None and isinstance(entry[3], NoUpdate)
+            if (entry and entry[4] is None and isinstance(entry[3], NoUpdate)
                     and entry[0] != loc and outs
-                    and all(es[o][4] is None and loc not in es[o][1] for o in outs)):
+                    and not any(es[o][4] or loc in es[o][1] for o in outs)):
                 (place,) = ins
                 del out_of[entry[0]][place]
                 for o in outs:
                     es[o][0], es[o][2] = entry[0], entry[2].conjoin(es[o][2])
                 out_of[entry[0]].update(outs)
-                names = gain(entry[0], 3 * place, outs)
-            # skip through an unconditional no-op exit
-            elif (exit_ is not None and exit_[4] is None and isinstance(exit_[3], NoUpdate)
-                    and exit_[2].is_true() and loc not in exit_[1] and ins
-                    # a probabilistic branch into `loc` that already goes
-                    # to the target would get one target twice
+                rewritten(place, loc, entry[0], outs)
+            # skip through an unconditional no-op exit, unless a
+            # probabilistic branch into `loc` already goes to its target
+            elif (exit_ and exit_[4] is None and isinstance(exit_[3], NoUpdate)
+                    and exit_[1][0] != loc and exit_[2].is_true() and ins
                     and not any(es[i][4] and exit_[1][0] in es[i][1] for i in ins)):
-                (place,) = outs
-                target = exit_[1][0]
+                (place,), target = outs, exit_[1][0]
                 del into[target][place]
                 for i in ins:
                     es[i][1] = [target if d == loc else d for d in es[i][1]]
                 into[target].update(ins)
-                names = gain(target, 3 * place + 1, ins)
-            else:
-                continue
-            es[place], into[loc], out_of[loc], first[loc] = None, {}, {}, None
-            for n in set(names) - protect - {loc}:
-                heapq.heappush(heap, (first[n], n))
+                rewritten(place, loc, target, ins)
         self.transitions = [e for e in es if e is not None]
 
     # -- canonical naming ----------------------------------------------------

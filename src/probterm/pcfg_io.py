@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .distributions import SCALAR_KINDS, DistKind, DistributionSpec
-from .linear import LinConstraint, LinExpr, Polyhedron, Predicate, Rel
+from .linear import ZERO, LinConstraint, LinExpr, Polyhedron, Predicate, Rel
 from .model import (Certificate, CertificateMode, ExprUpdate, GuardedStep,
                     Invariant, LinExprMap, NoUpdate, NondetUpdate, PCFG,
                     ProbBranch, Transition)
@@ -96,7 +96,7 @@ def linexpr_from_json(obj, variables: List[str], path: str) -> LinExpr:
     if not isinstance(obj, dict):
         raise FormatError("linear expression must be an object", path)
     coeffs = {}
-    const = Fraction(0)
+    const = ZERO
     for key, val in obj.items():
         if key == "const":
             const = _rat(val, f"{path}.const")
@@ -104,7 +104,7 @@ def linexpr_from_json(obj, variables: List[str], path: str) -> LinExpr:
             if key not in variables:
                 raise FormatError(f"unknown variable {key!r}", f"{path}.{key}")
             coeffs[variables.index(key)] = _rat(val, f"{path}.{key}")
-    return LinExpr(coeffs, const)
+    return LinExpr.owning({i: c for i, c in coeffs.items() if c}, const)
 
 
 def constraint_to_json(c: LinConstraint, variables: List[str]):

@@ -37,27 +37,25 @@ def rat(value: RationalLike) -> Fraction:
     `Fraction` builds a power of ten that large. An integer or ``"p/q"``
     in decimal digits is read by `int` alone, which refuses what
     `Fraction` would; anything else, a refusal included, by `Fraction`."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
-        text, limit = value.strip(), sys.get_int_max_str_digits()
+        text = value.strip()
         p, slash, q = text.partition("/")
         if p.removeprefix("-").isdecimal() and (q.isdecimal() or not slash):
             try:
                 return Fraction(int(p), int(q)) if slash else Fraction(int(p))
             except (ValueError, ZeroDivisionError):
                 pass    # past the digit limit, or q = 0: as `Fraction` says
-        m = _DECIMAL.fullmatch(text)
+        m, limit = _DECIMAL.fullmatch(text), sys.get_int_max_str_digits()
         if m and limit:
             digits = len(f"{m[1]}{m[2] or ''}".replace("_", "")) + abs(int(m[3] or 0))
             if digits > limit:
                 raise ValueError(f"its numerator or denominator could have {digits} "
                                  f"digits, more than the limit of {limit}")
         return Fraction(text)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     raise TypeError(f"not a rational: {value!r}")
 
 

@@ -114,14 +114,15 @@ KEYWORDS = {"while", "do", "od", "if", "then", "else", "fi", "skip",
 
 # one match per token, as (prefix, token): whitespace and comments are the
 # prefix of the token that follows them, the empty token at the end of the
-# text is `eof`, and every other character starts a token (the last
-# alternative takes any one that no token does, to be refused). `\s`, `\d`
-# and `\w` read Unicode as `isspace`, `isdecimal` and `isalnum` (or "_")
-# do; a word must also start with a letter or "_", which `[^\W\d]` alone
-# does not enforce (it takes "²")
-_TOKEN = re.compile(r"""((?: \s+ | \#[^\n]* )*)
-                        ( \.?\d[\d.]* | [^\W\d]\w* | := | <= | >= | == | != | [-<>+*/()\[\],;:]
-                        | \Z | . )""", re.VERBOSE)
+# text is `eof`, and every other character starts a token. A word must
+# start with a letter or "_", which `[^\W\d]` alone does not enforce (it
+# takes "²"), a number holds one "." at most, and any other token that
+# `_KINDS` does not name ("=" or "!" alone, or what the last alternative
+# takes) is refused. `\s`, `\d` and `\w` read Unicode as `isspace`,
+# `isdecimal` and `isalnum` (or "_") do.
+_TOKEN = re.compile(r"""(\s* (?: \#[^\n]* \s* )*)
+                        ( [^\W\d]\w* | [-+*/()\[\],;] | [:<>=!]=? | \.?\d[\d.]* | \Z | . )""",
+                    re.VERBOSE)
 
 # the kind of every token whose text names it: keywords, symbols and `eof`
 _KINDS = {word: word for word in (*KEYWORDS, ":=", "<=", ">=", "==", "!=", *"-<>+*/()[],;:")}
