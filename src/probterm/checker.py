@@ -132,16 +132,17 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
     structural_check(p, c)
     conditions: List[ConditionReport] = []
 
-    def names(witness: Optional[Dict[int, Fraction]], labels) -> Optional[Dict[str, str]]:
+    labels = p.variables    # of the variables the transition at hand reads
+
+    def names(witness: Optional[Dict[int, Fraction]]) -> Optional[Dict[str, str]]:
         if witness is None:
             return None
         return {labels[i]: str(v) for i, v in witness.items() if 0 <= i < len(labels)}
 
-    def record(tid: str, cond: str, comp: int, ok: bool, witness=None,
-               labels=p.variables) -> None:
+    def record(tid: str, cond: str, comp: int, ok: bool, witness=None) -> None:
         conditions.append(ConditionReport(tid, cond, comp,
                                           "ok" if ok else "violated",
-                                          None if ok else names(witness, labels)))
+                                          None if ok else names(witness)))
 
     if c.mode is CertificateMode.BSP_COMPLETE:
         bounded, _ = check_bsp(p)
@@ -160,22 +161,22 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
         decrease = comps[j][t.source] - pre[j] - LinExpr.const(1)
         unaffected = [comps[jp][t.source] - pre[jp] for jp in range(1, j)]
         expected = [] if t.is_pb else [pre[jp] for jp in range(1, j + 1)]
-        # the demonic value is variable `nvars` of a condition that reads it
+        # a demonic value is variable `nvars`, the assigned variable primed
         labels = p.variables + ([f"{p.variables[t.kind.update.target]}'"]
                                 if bounds.constraints else [])
         for ante in inv.antecedents(t):
             stepped = ante.conjoin(bounds)
             ok, w = entails(stepped, decrease)
-            record(t.id, "decrease", j, ok, w, labels)
+            record(t.id, "decrease", j, ok, w)
             for jp, e in enumerate(unaffected, 1):
                 ok, w = entails(stepped, e)
-                record(t.id, "unaffected", jp, ok, w, labels)
+                record(t.id, "unaffected", jp, ok, w)
             for jp in range(1, j + 1):
                 ok, w = entails(ante, comps[jp][t.source])
                 record(t.id, "nonneg", jp, ok, w)
             for jp, e in enumerate(expected, 1):
                 ok, w = entails(stepped, e)
-                record(t.id, "expected-nonneg", jp, ok, w, labels)
+                record(t.id, "expected-nonneg", jp, ok, w)
         if t.is_pb:
             for jp in range(1, j + 1):
                 # successor states where every enabled transition has level < jp

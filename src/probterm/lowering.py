@@ -2,17 +2,22 @@
 AST interpreter used as the lowering-correctness oracle.
 
 The construction gives every loop head its own location and keeps at most
-one assignment per transition. Afterwards a contraction pass over the
-transitions removes the helper locations the recursive construction
-over-produces: a location with a single guarded no-update entry
-transition is folded into its predecessor (the guard is conjoined onto
-the outgoing transitions), and a location whose only exit is an
+one assignment per transition. A contraction then removes the helper
+locations it over-produces: a location with a single guarded no-update
+entry transition is folded into its predecessor (the guard is conjoined
+onto the outgoing transitions), and a location whose only exit is an
 unconditional no-op transition is skipped through, unless that would
 send a probabilistic branch to one target twice (as a branch with two
 empty arms would). Both rewrites preserve trajectories up to
-intermediate no-op hops. Locations are then renamed canonically: `l0`
-for the entry, `l1`, `l2`, ... in discovery order, `out` for the
-terminal; transitions become `t0`, `t1`, ... in construction order.
+intermediate no-op hops. Each rewrite is made at the first location, in
+order of first mention in the transition list, where one fits, and the
+contraction makes them in one pass: a rewrite deletes one transition and
+changes others in their places, so the locations wait in a heap keyed by
+first mention, and after a rewrite only those that the changed
+transitions name can fit anew or move. Locations are then renamed
+canonically: `l0` for the entry, `l1`, `l2`, ... in discovery order,
+`out` for the terminal; transitions become `t0`, `t1`, ... in
+construction order.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ def lower_to_pcfg(program: SourceProgram) -> PCFG:
     builder = _Builder(program.variables)
     entry = builder.fresh()
     builder.lower(program.body, entry, builder.terminal)
-    # one pass, which takes the locations in order of first mention
+    # one pass, at each step the first location in order of first mention
+    # where a rewrite fits
     builder.contract({entry, builder.terminal})
     return builder.finish(entry)
 
@@ -108,20 +114,14 @@ class _Builder:
 
     def contract(self, protect: set) -> None:
         """Apply rewrites until none fits, each at the first location not
-        in `protect`, in order of first mention, where one fits.
-
-        A rewrite deletes one edge and rewrites others in their places, so
-        a location's first mention is the least (place, slot) at which an
-        edge names it, slot 0 its source and 1, 2 its destinations, and a
-        heap of (first mention, location) yields the next one to look at.
-        Whether a rewrite fits at a location depends on the edges that name
-        it alone, so after a rewrite only the locations that the changed
-        edges name are pushed again, and the first mention moves only for
-        the one that gains them."""
+        in `protect` where one does. A location's first mention is the
+        least 3 * place + slot at which an edge names it, slot 0 its source
+        and 1, 2 its destinations; it moves only for the location that
+        gains the mentions of the one a rewrite removes."""
         es: List[Optional[list]] = self.transitions
-        into: Dict[str, Dict[int, None]] = {}     # location -> places
-        out_of: Dict[str, Dict[int, None]] = {}
-        first: Dict[str, Optional[int]] = {}      # location -> 3 * place + slot
+        # location -> the places of the edges into and out of it, and its
+        # first mention
+        into, out_of, first = {}, {}, {}
         for place, e in enumerate(es):
             for key, loc in enumerate((e[0], *e[1]), 3 * place):
                 if loc not in first:
@@ -135,16 +135,10 @@ class _Builder:
 
         def rewritten(place: int, loc: str, owner: str, places) -> None:
             """Close a rewrite that deletes the edge at `place`, and `loc`
-            with it, after giving `owner` the mentions at `places`: move the
-            first mention of `owner`, and push the locations those edges
-            name."""
-            lost = mention(place, owner)
+            with it, after moving its mentions at `places` to `owner`."""
             es[place], into[loc], out_of[loc], first[loc] = None, {}, {}, None
-            if first[owner] == lost:
-                first[owner] = min(mention(p, owner) for ps in (out_of[owner], into[owner])
-                                   for p in ps)
-            else:
-                first[owner] = min(first[owner], *(mention(p, owner) for p in places))
+            first[owner] = min(mention(p, owner) for ps in (out_of[owner], into[owner])
+                               for p in ps)
             for n in {n for p in places for n in (es[p][0], *es[p][1])} - protect:
                 heapq.heappush(heap, (first[n], n))
 

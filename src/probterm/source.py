@@ -140,10 +140,7 @@ class Token(NamedTuple):
 def scan(text: str) -> Tuple[List[str], List[str], List[int]]:
     """The kind, text and offset of each token of `text`, as three lists,
     the last token `eof`."""
-    kinds: List[str] = []
-    words: List[str] = []
-    starts: List[int] = []
-    pos = 0
+    kinds, words, starts, pos = [], [], [], 0
     for prefix, word in _TOKEN.findall(text):
         pos += len(prefix)
         kind = _KINDS.get(word)
@@ -195,8 +192,7 @@ class _Parser:
         # an expression is one LinExpr, whose column -k is the k-th sample
         # term read: samples[k - 1] holds its `sample` token and distribution
         self.samples: List[Tuple[int, DistributionSpec]] = []
-        # each distribution's text, from its name to its ")", is built once
-        self.dists: Dict[str, DistributionSpec] = {}
+        self.dists: Dict[str, DistributionSpec] = {}   # by text, "norm(0, 1"
 
     def expect(self, kind: str) -> int:
         """The next token, consumed; a syntax error unless it has `kind`."""
@@ -234,35 +230,33 @@ class _Parser:
         return SourceProgram(body, list(self.vars))
 
     def parse_seq(self) -> Stmt:
-        kinds = self.kinds
         stmts = [self.parse_stmt()]
-        while kinds[self.pos] == ";":
+        while self.kinds[self.pos] == ";":
             self.pos += 1
-            if kinds[self.pos] in ("eof", "od", "fi", "else"):
+            if self.kinds[self.pos] in ("eof", "od", "fi", "else"):
                 break  # tolerate a trailing semicolon
             stmts.append(self.parse_stmt())
         return stmts[0] if len(stmts) == 1 else Seq(stmts)
 
     def parse_stmt(self) -> Stmt:
         kind = self.kinds[self.pos]
+        self.pos += 1
         if kind == "ident":
-            return self.parse_assign()
+            # declares the target, once read, before its right-hand side
+            return self.parse_assign(self.var_index(self.words[self.pos - 1]))
         if kind == "if":
             return self.parse_if()
         if kind == "while":
-            self.pos += 1
             cond = self.parse_predicate()
             self.expect("do")
             body = self.parse_seq()
             self.expect("od")
             return While(cond, body)
         if kind == "skip":
-            self.pos += 1
             return Skip()
-        self.fail("expected a statement")
+        self.fail("expected a statement", self.pos - 1)
 
     def parse_if(self) -> Stmt:
-        self.pos += 1
         t = self.pos
         if self.kinds[t] == "*":
             self.pos += 1
@@ -284,10 +278,7 @@ class _Parser:
         self.expect("fi")
         return make(then, els)
 
-    def parse_assign(self) -> Stmt:
-        # declares the target, once read, before its right-hand side
-        self.pos += 1
-        target = self.var_index(self.words[self.pos - 1])
+    def parse_assign(self, target: int) -> Stmt:
         self.expect(":=")
         t = self.pos
         if self.kinds[t] == "ndet":
@@ -300,10 +291,7 @@ class _Parser:
             if lo > hi:
                 self.fail(f"empty interval [{lo}, {hi}]", t)
             return Assign(NondetUpdate(target, lo, hi))
-        first = len(self.samples)
         expr = self.parse_expr()
-        if len(self.samples) == first:
-            return Assign(ExprUpdate(target, expr))
         columns = sorted((i for i in expr.coeffs if i < 0), reverse=True)
         if len(columns) > 1:
             self.fail("at most one sample term per assignment", self.samples[-columns[1] - 1][0],
@@ -332,20 +320,15 @@ class _Parser:
 
     def parse_patom(self) -> Predicate:
         kind = self.kinds[self.pos]
+        self.pos += 1
         if kind == "not":
-            self.pos += 1
             return negate_predicate(self.parse_patom())
-        if kind == "true":
-            self.pos += 1
-            return Predicate.true()
-        if kind == "false":
-            self.pos += 1
-            return Predicate.false()
+        if kind in ("true", "false"):
+            return Predicate.true() if kind == "true" else Predicate.false()
         if kind == "(":
             # either a parenthesized predicate or the start of a comparison;
             # a sample read in a comparison is refused however it is read
             snapshot = self.pos
-            self.pos += 1
             try:
                 inner = self.parse_predicate()
                 self.expect(")")
@@ -354,6 +337,7 @@ class _Parser:
                 raise
             except ProgramSyntaxError:
                 self.pos = snapshot
+        self.pos -= 1
         return self.parse_comparison()
 
     def parse_comparison(self) -> Predicate:
@@ -374,30 +358,25 @@ class _Parser:
 
     def parse_expr(self) -> LinExpr:
         expr = self.parse_term()
-        kinds = self.kinds
-        while True:
-            kind = kinds[self.pos]
-            if kind == "+":
-                self.pos += 1
-                expr = expr + self.parse_term()
-            elif kind == "-":
-                self.pos += 1
+        while self.kinds[self.pos] in ("+", "-"):
+            self.pos += 1
+            if self.kinds[self.pos - 1] == "-":
                 expr = expr - self.parse_term()
             else:
-                return expr
+                expr = expr + self.parse_term()
+        return expr
 
     def parse_term(self) -> LinExpr:
         expr = self.parse_factor()
-        kinds = self.kinds
-        while kinds[self.pos] in ("*", "/"):
+        while self.kinds[self.pos] in ("*", "/"):
             op = self.pos
             self.pos += 1
             rhs = self.parse_factor()
-            if kinds[op] == "*" and rhs.is_constant():
+            if self.kinds[op] == "*" and rhs.is_constant():
                 expr = expr.scale(rhs.constant)
-            elif kinds[op] == "*" and expr.is_constant():
+            elif self.kinds[op] == "*" and expr.is_constant():
                 expr = rhs.scale(expr.constant)
-            elif kinds[op] == "*":
+            elif self.kinds[op] == "*":
                 self.fail("product of two non-constant expressions", op, NonLinearExpression)
             elif not rhs.is_constant():
                 self.fail("division by a non-constant", op, NonLinearExpression)
@@ -408,13 +387,12 @@ class _Parser:
         return expr
 
     def parse_factor(self) -> LinExpr:
-        t = self.pos
-        kind = self.kinds[t]
-        if kind == "num":
-            return LinExpr.owning({}, self.number())
+        kind = self.kinds[self.pos]
         self.pos += 1
         if kind == "ident":
-            return LinExpr.var(self.var_index(self.words[t]))
+            return LinExpr.var(self.var_index(self.words[self.pos - 1]))
+        if kind == "num":
+            return LinExpr.owning({}, self.number(self.pos - 1))
         if kind == "-":
             return -self.parse_factor()
         if kind == "(":
@@ -422,37 +400,37 @@ class _Parser:
             self.expect(")")
             return e
         if kind == "sample":
-            self.expect("(")
-            self.samples.append((t, self.parse_distribution()))
-            self.expect(")")
+            self.samples.append((self.pos - 1, self.parse_distribution()))
             return LinExpr.var(-len(self.samples))
-        self.fail("expected an expression", t)
+        self.fail("expected an expression", self.pos - 1)
 
     def parse_signed_number(self) -> Fraction:
-        kinds = self.kinds
         neg = False
-        while kinds[self.pos] in ("-", "+"):
-            neg ^= kinds[self.pos] == "-"
+        while self.kinds[self.pos] in ("-", "+"):
+            neg ^= self.kinds[self.pos] == "-"
             self.pos += 1
-        value = self.number()
-        if kinds[self.pos] == "/":
+        value = self.number(self.expect("num"))
+        if self.kinds[self.pos] == "/":
             self.pos += 1
-            denom = self.number()
+            denom = self.number(self.expect("num"))
             if denom == 0:
                 self.fail("zero denominator", self.pos - 2)
             value /= denom
         return -value if neg else value
 
-    def number(self) -> Fraction:
-        """The value of the next token, a numeric literal."""
-        text = self.words[self.expect("num")]
+    def number(self, t: int) -> Fraction:
+        """The value of token `t`, a numeric literal."""
+        text = self.words[t]
         try:
             return Fraction(int(text) if text.isdecimal() else text)
         except ValueError:  # a digit run too long to convert to an int
             self.fail(f"number has {max(map(len, text.split('.')))} digits in a row, "
-                      f"more than the limit of {sys.get_int_max_str_digits()}", self.pos - 1)
+                      f"more than the limit of {sys.get_int_max_str_digits()}", t)
 
     def parse_distribution(self) -> DistributionSpec:
+        """`(name(args))`, after `sample`; a distribution is built once
+        per text."""
+        self.expect("(")
         t = self.expect("ident")
         name = self.words[t].lower()
         self.expect("(")
@@ -481,6 +459,7 @@ class _Parser:
                 self.dists[key] = make()
             except ValueError as e:
                 self.fail(f"invalid distribution: {e}", t)
+        self.expect(")")
         return self.dists[key]
 
 
