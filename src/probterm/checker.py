@@ -132,7 +132,7 @@ def check_certificate(p: PCFG, inv: Invariant, c: Certificate) -> CheckReport:
     structural_check(p, c)
     conditions: List[ConditionReport] = []
 
-    labels = p.variables    # of the variables the transition at hand reads
+    labels = p.variables    # the name of each variable a witness may read
 
     def names(witness: Optional[Dict[int, Fraction]]) -> Optional[Dict[str, str]]:
         if witness is None:

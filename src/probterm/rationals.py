@@ -35,8 +35,9 @@ def rat(value: RationalLike) -> Fraction:
     could have more digits than `sys.get_int_max_str_digits()` (0 is no
     limit), its mantissa digits plus the magnitude of its exponent, before
     `Fraction` builds a power of ten that large. An integer or ``"p/q"``
-    in decimal digits is read by `int` alone, which refuses what
-    `Fraction` would; anything else, a refusal included, by `Fraction`."""
+    in decimal digits is read by `int` alone; anything else, and such a
+    string that `int` refuses (past the digit limit, or q = 0), by
+    `Fraction` after that check, so every value and message is its own."""
     if isinstance(value, str):
         text = value.strip()
         p, slash, q = text.partition("/")
@@ -44,7 +45,7 @@ def rat(value: RationalLike) -> Fraction:
             try:
                 return Fraction(int(p), int(q)) if slash else Fraction(int(p))
             except (ValueError, ZeroDivisionError):
-                pass    # past the digit limit, or q = 0: as `Fraction` says
+                pass
         m, limit = _DECIMAL.fullmatch(text), sys.get_int_max_str_digits()
         if m and limit:
             digits = len(f"{m[1]}{m[2] or ''}".replace("_", "")) + abs(int(m[3] or 0))

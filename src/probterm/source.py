@@ -192,7 +192,7 @@ class _Parser:
         # an expression is one LinExpr, whose column -k is the k-th sample
         # term read: samples[k - 1] holds its `sample` token and distribution
         self.samples: List[Tuple[int, DistributionSpec]] = []
-        self.dists: Dict[str, DistributionSpec] = {}   # by text, "norm(0, 1"
+        self.dists: Dict[str, DistributionSpec] = {}   # by text up to ")"
 
     def expect(self, kind: str) -> int:
         """The next token, consumed; a syntax error unless it has `kind`."""
@@ -428,8 +428,8 @@ class _Parser:
                       f"more than the limit of {sys.get_int_max_str_digits()}", t)
 
     def parse_distribution(self) -> DistributionSpec:
-        """`(name(args))`, after `sample`; a distribution is built once
-        per text."""
+        """The `(name(args))` after `sample`; one distribution is built
+        per text in a parse."""
         self.expect("(")
         t = self.expect("ident")
         name = self.words[t].lower()
