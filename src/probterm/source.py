@@ -175,9 +175,6 @@ _COMPARISONS = {"<=": [(LinConstraint.le, 1)], "<": [(LinConstraint.lt, 1)],
                 "==": [(LinConstraint.eq, 1)],
                 "!=": [(LinConstraint.lt, 1), (LinConstraint.lt, -1)]}
 
-# the scalar distribution kind of each of its source names
-_SCALARS = {name: s for s in SCALAR_KINDS.values() for name in s.names}
-
 
 class _Parser:
     """Recursive descent over the tokens of `scan`, each named by its
@@ -434,7 +431,7 @@ class _Parser:
         t = self.expect("ident")
         name = self.words[t].lower()
         self.expect("(")
-        scalar = _SCALARS.get(name)
+        scalar = next((s for s in SCALAR_KINDS.values() if name in s.names), None)
         if scalar is not None:
             args = [self.parse_signed_number()]
             for _ in scalar.params[1:]:
